@@ -2,7 +2,7 @@
 and a key=value summary out, with deterministic seeding.
 
 Exit codes: 0 success, 2 config/validation error, 3 scientific assertion
-failure, 4 I/O error.
+failure or a non-finite solver value or integrand sample, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .exact_solutions import InitialDataSpec
 from .fields import (ManufacturedField, PotentialSpec, ode_field,
                      polynomial_gaussian, traveling_bump)
 from .geometry import ShiftedWeight
-from .quadrature import QuadratureSpec
+from .quadrature import NonFiniteSample, QuadratureSpec
 from .solver import SolverConfig, evolve, finite_speed_check, run_summary_csv
 
 __all__ = ["RunConfig", "main", "run"]
@@ -613,6 +613,9 @@ def run(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (FloatingPointError, NonFiniteSample) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except IOError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
@@ -620,3 +623,7 @@ def run(argv=None) -> int:
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -266,15 +266,23 @@ def traveling_bump(n=3, amplitude=1.0, speed=0.5, offset=2.0, width=0.3):
 # --------------------------------------------------------------------------
 
 SNAPSHOT_HEADER = "# n p t"
+SNAPSHOT_ROW = "%.17g %.17g %.17g\n"
+SNAPSHOT_BLOCK_ROWS = 1024
 
 
 def write_snapshot(path, n, p, t, r, phi, phit):
-    """Text snapshot: header `# n p t`, rows `r phi phit`, 17 sig digits."""
+    """Text snapshot: header `# n p t`, rows `r phi phit`, 17 sig digits.
+
+    Rows are formatted a block at a time, so the text held in memory stays
+    bounded whatever the grid size."""
+    rows = np.column_stack((r, phi, phit))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{SNAPSHOT_HEADER}\n")
         handle.write(f"{n:d} {p:.17g} {t:.17g}\n")
-        for rv, pv, qv in zip(r, phi, phit):
-            handle.write(f"{rv:.17g} {pv:.17g} {qv:.17g}\n")
+        for start in range(0, len(rows), SNAPSHOT_BLOCK_ROWS):
+            block = rows[start:start + SNAPSHOT_BLOCK_ROWS]
+            handle.write(SNAPSHOT_ROW * len(block)
+                         % tuple(block.ravel().tolist()))
 
 
 def read_snapshot(path):

@@ -50,7 +50,7 @@ class SolverConfig:
     phi_max: float = 1e6
     snapshot_times: tuple = ()
     linear: bool = False      # drop the nonlinear term (reference problems)
-    record_energy: bool = True
+    record_energy: bool = False  # per-step energy trace, on request only
 
     def __post_init__(self):
         if self.n < 1:
@@ -88,12 +88,34 @@ def _radial_operator(n, J, dr):
     return s, vol
 
 
-def _laplacian(u, s, vol, dr):
-    flux = s[:-1] * (u[1:] - u[:-1]) / dr
-    out = np.zeros_like(u)
+def _laplacian(u, s, vol, dr, out, flux):
+    """Writes Lap_h u into `out` (zero at the Dirichlet end), using `flux`
+    (J entries) as scratch; the operations and their order are those of
+    the plain flux-difference formula, so the result is bit-for-bit the
+    same as evaluating it with temporaries."""
+    np.subtract(u[1:], u[:-1], out=flux)
+    np.multiply(s[:-1], flux, out=flux)
+    np.divide(flux, dr, out=flux)
     out[0] = flux[0] / vol[0]
-    out[1:-1] = (flux[1:] - flux[:-1]) / vol[1:-1]
+    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
+    np.divide(out[1:-1], vol[1:-1], out=out[1:-1])
+    out[-1] = 0.0
     return out
+
+
+def _nonlinear_term(V, p, t, r, u, absu, work):
+    """V |u|^{p-1} u, given absu = |u|. For p = 2 it is (u + 0) |u|, written
+    into `work`: that rounds like sign(u) |u|**2 bit for bit, the + 0 mapping
+    u = -0.0 to +0.0 as sign() does."""
+    if p == 2.0:
+        term = np.multiply(np.add(u, 0.0, out=work), absu, out=work)
+    else:
+        term = signed_power(u, p)
+    if V.kind != "constant":
+        return V.value(t, r) * term
+    if V.c0 != 1.0:
+        np.multiply(term, V.c0, out=term)
+    return term
 
 
 def _operator_norm(s, vol, dr, J, iters=200):
@@ -102,11 +124,13 @@ def _operator_norm(s, vol, dr, J, iters=200):
     v[J] = 0.0
     v /= np.linalg.norm(v)
     lam = 4.0 / dr ** 2
+    w = np.empty_like(v)
+    flux = np.empty(J)
     for _ in range(iters):
-        w = -_laplacian(v, s, vol, dr)
+        np.negative(_laplacian(v, s, vol, dr, w, flux), out=w)
         w[J] = 0.0
         lam = float(np.linalg.norm(w))
-        v = w / lam
+        np.divide(w, lam, out=v)
     return lam * 1.005  # small safety margin on top of the estimate
 
 
@@ -159,16 +183,13 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
 
     V = config.potential
 
-    def force(t, u):
-        out = _laplacian(u, s, vol, dr)
-        if not config.linear:
-            out = out + V.value(t, r) * signed_power(u, config.p)
-        return out
-
-    total_steps = int(math.ceil((config.t_end - config.t0) / dt - 1e-12))
+    # the last level is the last grid time <= t_end
+    total_steps = int(math.floor((config.t_end - config.t0) / dt + 1e-9))
     targets = {}
     for t_req in config.snapshot_times:
         m = int(round((t_req - config.t0) / dt))
+        if t_req <= config.t_end:
+            m = min(m, total_steps)
         if 0 <= m <= total_steps:
             targets.setdefault(m, t_req)
 
@@ -178,17 +199,6 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
 
     if 0 in targets:
         snapshots.append((config.t0, phi0.copy(), phit0.copy()))
-
-    # second-order start
-    new = phi0 + dt * phit0 + 0.5 * dt * dt * force(config.t0, phi0)
-    new[J] = 0.0
-    prev, cur = phi0, new
-    m = 1
-    t = config.t0 + dt
-    max_phi = float(max(np.abs(phi0).max(), np.abs(cur).max()))
-    status = "completed"
-    t_blowup = None
-    pending = None  # snapshot waiting for the next level's centered phi_t
 
     def record_energy(u1, u0, tm):
         du = (u1 - u0) / dt
@@ -204,21 +214,61 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
         energy_t.append(tm)
         energy_v.append(sphere_area(n) * (kin + grad - pot))
 
-    if config.record_energy:
-        record_energy(cur, prev, config.t0 + 0.5 * dt)
+    # step buffers: the force Lap_h u + V |u|^{p-1} u, the flux and
+    # nonlinear-term scratch, |phi| of the newest level (`mag`, which the
+    # next step's nonlinear term reads), and three levels
+    force = np.empty(J + 1)
+    flux = np.empty(J)
+    work = np.empty(J + 1)
+    mag = np.empty(J + 1)
+    prev, cur, nxt = phi0, np.empty(J + 1), np.empty(J + 1)
 
-    crossed = np.abs(cur) > config.phi_max
-    blow_time[crossed] = t
-    if crossed.any():
-        status, t_blowup = "blew_up", t
+    m = 0
+    t = config.t0
+    max_phi = float(np.abs(phi0, out=mag).max())
+    status = "completed"
+    t_blowup = None
+    pending = None  # snapshot waiting for the next level's centered phi_t
 
-    if m in targets and status == "completed":
-        pending = (m, t)
+    if total_steps > 0:
+        # second-order start
+        _laplacian(phi0, s, vol, dr, force, flux)
+        if not config.linear:
+            np.add(force, _nonlinear_term(V, config.p, t, r, phi0, mag, work),
+                   out=force)
+        np.multiply(phit0, dt, out=cur)
+        np.add(phi0, cur, out=cur)
+        np.multiply(force, 0.5 * dt * dt, out=force)
+        np.add(cur, force, out=cur)
+        cur[J] = 0.0
+        m = 1
+        t = config.t0 + dt
+        peak = float(np.abs(cur, out=mag).max())
+        max_phi = max(max_phi, peak)
+
+        if config.record_energy:
+            record_energy(cur, prev, config.t0 + 0.5 * dt)
+
+        if peak > config.phi_max:
+            blow_time[mag > config.phi_max] = t
+            status, t_blowup = "blew_up", t
+        elif m in targets:
+            pending = (m, t)
 
     while status == "completed" and m < total_steps:
-        nxt = 2.0 * cur - prev + dt * dt * force(t, cur)
+        _laplacian(cur, s, vol, dr, force, flux)
+        if not config.linear:
+            np.add(force, _nonlinear_term(V, config.p, t, r, cur, mag, work),
+                   out=force)
+        # (2 cur - prev) + dt^2 force, in the order of the plain expression
+        np.multiply(cur, 2.0, out=nxt)
+        np.subtract(nxt, prev, out=nxt)
+        np.multiply(force, dt * dt, out=force)
+        np.add(nxt, force, out=nxt)
         nxt[J] = 0.0
-        if not np.isfinite(nxt).all():
+        # the max of |nxt| is non-finite iff some entry is
+        peak = float(np.abs(nxt, out=mag).max())
+        if not math.isfinite(peak):
             bad = int(np.argmax(~np.isfinite(nxt)))
             raise FloatingPointError(
                 f"non-finite solver value at t={t + dt:.6g}, r={r[bad]:.6g} "
@@ -227,15 +277,15 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
             snapshots.append((pending[1], cur.copy(),
                               (nxt - prev) / (2.0 * dt)))
             pending = None
-        prev, cur = cur, nxt
+        prev, cur, nxt = cur, nxt, prev
         m += 1
         t = config.t0 + m * dt
-        max_phi = max(max_phi, float(np.abs(cur).max()))
+        max_phi = max(max_phi, peak)
         if config.record_energy:
             record_energy(cur, prev, t - 0.5 * dt)
-        newly = (np.abs(cur) > config.phi_max) & np.isinf(blow_time)
-        blow_time[newly] = t
-        if np.abs(cur).max() > config.phi_max:
+        if peak > config.phi_max:
+            # the run stops at its first crossing, so only this level crosses
+            blow_time[mag > config.phi_max] = t
             status, t_blowup = "blew_up", t
             break
         if m in targets:
@@ -300,7 +350,7 @@ def convergence_study(config: SolverConfig, data: InitialDataSpec, levels,
             n=config.n, p=config.p, potential=config.potential, R=config.R,
             J=J, cfl=config.cfl, t0=config.t0, t_end=config.t_end,
             phi_max=config.phi_max, snapshot_times=(t_ref,),
-            linear=config.linear, record_energy=False)
+            linear=config.linear)
         runs[J] = evolve(cfg, data)
         if not runs[J].snapshots:
             raise ValueError(f"run at J={J} recorded no snapshot near t_ref")

@@ -1,9 +1,14 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import conewave
+from conewave import cli
 from conewave.cli import ConfigError, parse_config, run
+from conewave.quadrature import NonFiniteSample
 
 
 def write_config(path, text):
@@ -105,6 +110,42 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.cfg", bad)
         assert run(["simulate", "--config", cfg, "--out",
                     str(tmp_path / "o")]) == 2
+
+    def test_non_finite_solver_value_exit_3(self, tmp_path, capsys):
+        # a threshold out of reach lets the ODE core overflow past t = 0
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        text = text.replace("J = 256", "J = 1024")
+        text = text.replace("t_end = -0.1", "t_end = 0.5\nphi_max = 1e300")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["simulate", "--config", cfg, "--out",
+                        str(tmp_path / "o")])
+        assert code == 3
+        assert "error: non-finite solver value" in capsys.readouterr().err
+
+    def test_non_finite_integrand_exit_3(self, tmp_path, capsys, monkeypatch):
+        def bad_profile(*args, **kwargs):
+            raise NonFiniteSample(-0.5, 0.25, float("nan"))
+
+        monkeypatch.setattr(cli.energetics, "energy_profile", bad_profile)
+        text = BASE.replace("sigma0 = 0.25",
+                            "sigma0 = 0.25\nfield_source = ode\nt_star = -0.5")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        assert run(["energy-profile", "--config", cfg, "--out",
+                    str(tmp_path / "o")]) == 3
+        assert "error: non-finite integrand sample" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conewave.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "conewave.cli", "simulate", "--config",
+         str(tmp_path / "absent.cfg")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
 
 
 class TestVerifyCarleman:

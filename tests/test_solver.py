@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from conewave.exact_solutions import InitialDataSpec, OdeSolution, smoothstep
+from conewave.fields import PotentialSpec, signed_power
+from conewave.geometry import sphere_area
 from conewave.solver import (
     RunResult,
     SolverConfig,
+    _nonlinear_term,
+    _radial_operator,
     blowup_estimate,
     convergence_study,
     evolve,
@@ -15,6 +21,195 @@ from conewave.solver import (
 
 def zero_data():
     return InitialDataSpec.gaussian(0.0, 0.5)
+
+
+def _plain_laplacian(u, s, vol, dr):
+    flux = s[:-1] * (u[1:] - u[:-1]) / dr
+    out = np.zeros_like(u)
+    out[0] = flux[0] / vol[0]
+    out[1:-1] = (flux[1:] - flux[:-1]) / vol[1:-1]
+    return out
+
+
+def reference_evolve(cfg, data):
+    """The leapfrog written with plain allocating expressions, keeping every
+    level: what the buffered kernel of `evolve` must reproduce bit for bit.
+    Returns (snapshots, max_phi, t_blowup, blow_surface, dt, energy)."""
+    n, J, dr = cfg.n, cfg.J, cfg.dr
+    s, vol = _radial_operator(n, J, dr)
+    v = np.cos(np.pi * np.arange(J + 1))
+    v[J] = 0.0
+    v /= np.linalg.norm(v)
+    for _ in range(200):
+        w = -_plain_laplacian(v, s, vol, dr)
+        w[J] = 0.0
+        lam = float(np.linalg.norm(w))
+        v = w / lam
+    dt = cfg.cfl * min(dr, 2.0 / math.sqrt(lam * 1.005))
+    r = np.arange(J + 1) * dr
+    phi0, phit0 = data.evaluate(cfg.t0, r)
+    phi0 = np.asarray(phi0, dtype=float).copy()
+    phit0 = np.asarray(phit0, dtype=float)
+    phi0[J] = 0.0
+    V = cfg.potential
+
+    def force(t, u):
+        out = _plain_laplacian(u, s, vol, dr)
+        if not cfg.linear:
+            out = out + V.value(t, r) * signed_power(u, cfg.p)
+        return out
+
+    def energy(u1, u0, tm):
+        du = (u1 - u0) / dt
+        kin = float(np.dot(vol, du * du))
+        grad = float(np.sum(s[:-1] * (u1[1:] - u1[:-1]) * (u0[1:] - u0[:-1])) / dr)
+        pot = 0.0
+        if not cfg.linear:
+            pot = float(np.dot(vol, V.value(tm, r) * (np.abs(u1) ** (cfg.p + 1)
+                                                      + np.abs(u0) ** (cfg.p + 1))))
+            pot /= (cfg.p + 1.0)
+        return sphere_area(n) * (kin + grad - pot)
+
+    total = int(math.floor((cfg.t_end - cfg.t0) / dt + 1e-9))
+    first = phi0 + dt * phit0 + 0.5 * dt * dt * force(cfg.t0, phi0)
+    first[J] = 0.0
+    levels, times = [phi0, first], [cfg.t0, cfg.t0 + dt]
+    trace = [energy(first, phi0, cfg.t0 + 0.5 * dt)]
+    while np.abs(levels[-1]).max() <= cfg.phi_max and len(levels) <= total:
+        m = len(levels) - 1
+        nxt = 2.0 * levels[m] - levels[m - 1] + dt * dt * force(times[m], levels[m])
+        nxt[J] = 0.0
+        levels.append(nxt)
+        times.append(cfg.t0 + (m + 1) * dt)
+        trace.append(energy(nxt, levels[m], times[-1] - 0.5 * dt))
+    last = len(levels) - 1
+    blown = np.abs(levels[last]).max() > cfg.phi_max
+    blow_surface = np.full(J + 1, math.inf)
+    blow_surface[np.abs(levels[last]) > cfg.phi_max] = times[last]
+
+    wanted = set()
+    for t_req in cfg.snapshot_times:
+        m = int(round((t_req - cfg.t0) / dt))
+        if t_req <= cfg.t_end:
+            m = min(m, total)
+        wanted.add(m)
+    snapshots = []
+    for m in sorted(wanted):
+        if m == 0:
+            snapshots.append((cfg.t0, phi0, phit0))
+        elif 0 < m < last:
+            snapshots.append((times[m], levels[m],
+                              (levels[m + 1] - levels[m - 1]) / (2.0 * dt)))
+        elif m == last and not blown:
+            snapshots.append((times[m], levels[m],
+                              (levels[m] - levels[m - 1]) / dt))
+    max_phi = max(float(np.abs(u).max()) for u in levels)
+    t_blowup = times[last] if blown else None
+    return snapshots, max_phi, t_blowup, blow_surface, dt, np.asarray(trace)
+
+
+KERNEL_CASES = {
+    "p2_unit_constant": (
+        SolverConfig(n=3, p=2.0, J=400, R=6.0, t0=-1.0, t_end=0.5,
+                     snapshot_times=(-1.0, -0.6, -0.2, -0.03)),
+        InitialDataSpec.truncated_ode(2.0, 0.25)),
+    "p2_scaled_constant": (
+        SolverConfig(n=3, p=2.0, J=400, R=6.0, t0=-1.0, t_end=-0.1,
+                     potential=PotentialSpec.constant(0.7),
+                     snapshot_times=(-0.7, -0.3, -0.1)),
+        InitialDataSpec.truncated_ode(2.0, 0.25)),
+    "p2_blowup_at_first_step": (
+        SolverConfig(n=3, p=2.0, J=400, R=6.0, t0=-1.0, t_end=0.5,
+                     phi_max=5.0, snapshot_times=(-1.0, -0.5)),
+        InitialDataSpec.truncated_ode(2.0, 0.25)),
+    "p2.5_perturbed": (
+        SolverConfig(n=3, p=2.5, J=400, R=6.0, t0=-1.0, t_end=0.5,
+                     potential=PotentialSpec.perturbed(1.0, 0.2, (-0.5, 0.3),
+                                                       0.5, 10.0),
+                     snapshot_times=(-0.8, -0.4)),
+        InitialDataSpec.truncated_ode(2.0, 0.25, p=2.5)),
+    "linear": (
+        SolverConfig(n=1, p=2.0, J=250, R=15.0, t0=0.0, t_end=4.0,
+                     linear=True, snapshot_times=(1.0, 2.5, 4.0)),
+        InitialDataSpec.gaussian(1e-3, 0.5)),
+    "energy_trace": (
+        SolverConfig(n=3, p=2.0, J=256, R=24.0, t0=1.0, t_end=5.0,
+                     record_energy=True, snapshot_times=(2.0, 5.0)),
+        InitialDataSpec.gaussian(1e-3, 0.5)),
+}
+
+
+def assert_same_bits(got, want):
+    # array_equal takes -0.0 == +0.0; the written snapshots do not
+    assert np.array_equal(got, want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_buffered_kernel_matches_plain_leapfrog_bitwise(name):
+    cfg, data = KERNEL_CASES[name]
+    res = evolve(cfg, data)
+    snapshots, max_phi, t_blowup, blow_surface, dt, trace = \
+        reference_evolve(cfg, data)
+    assert res.dt == dt
+    assert res.max_phi == max_phi
+    assert res.t_blowup == t_blowup
+    assert_same_bits(res.blow_surface, blow_surface)
+    assert len(res.snapshots) == len(snapshots) >= 1
+    for got, want in zip(res.snapshots, snapshots):
+        assert got[0] == want[0]
+        assert_same_bits(got[1], want[1])
+        assert_same_bits(got[2], want[2])
+    if cfg.record_energy:
+        assert_same_bits(res.energy, trace)
+        assert len(res.energy_times) == len(trace)
+    else:
+        assert res.energy.size == 0
+
+
+@pytest.mark.parametrize("p, potential", [
+    (2.0, PotentialSpec.constant()),
+    (2.0, PotentialSpec.constant(0.7)),
+    (2.5, PotentialSpec.constant(0.7)),
+    (2.0, PotentialSpec.perturbed(1.0, 0.2, (-0.5, 0.3), 0.5, 10.0)),
+])
+def test_nonlinear_term_matches_signed_power_bitwise(p, potential):
+    # signed zeros, subnormals, squares that underflow or overflow
+    u = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-170, 1e-150,
+                  -1e-150, 0.3, -0.3, 7.5, -7.5, 1e155, -1e155])
+    r = np.linspace(0.0, 1.0, u.size)
+    with np.errstate(over="ignore", under="ignore"):
+        want = potential.value(-0.4, r) * signed_power(u, p)
+        got = _nonlinear_term(potential, p, -0.4, r, u, np.abs(u),
+                              np.empty_like(u))
+    assert_same_bits(got, want)
+
+
+def test_energy_trace_is_opt_in():
+    assert SolverConfig().record_energy is False
+
+
+@pytest.mark.parametrize("J", [300, 512, 1024, 2048])
+def test_last_level_not_past_t_end(J):
+    # with a threshold out of reach the run ends at t_end, not a step past
+    # it, and a snapshot requested at t_end is kept
+    cfg = SolverConfig(n=3, p=2.0, J=J, R=4.0, t0=-1.0, t_end=0.0,
+                       phi_max=1e300, snapshot_times=(0.0,))
+    res = evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
+    assert res.status == "completed"
+    t_last = cfg.t0 + res.steps * res.dt
+    assert t_last <= cfg.t_end + 1e-12
+    assert t_last + res.dt > cfg.t_end
+    assert [t for t, _, _ in res.snapshots] == [t_last]
+
+
+def test_interval_shorter_than_one_step_takes_no_step():
+    cfg = SolverConfig(n=3, J=64, R=4.0, t0=0.0, t_end=1e-3,
+                       snapshot_times=(0.0, 1e-3))
+    res = evolve(cfg, InitialDataSpec.gaussian(1e-3, 0.5))
+    assert res.dt > cfg.t_end - cfg.t0
+    assert res.status == "completed" and res.steps == 0
+    assert [t for t, _, _ in res.snapshots] == [0.0]
 
 
 class TestEvolveBasics:
@@ -81,7 +276,8 @@ class TestEvolveBasics:
 @pytest.fixture(scope="module")
 def decay_result():
     cfg = SolverConfig(n=3, p=2.0, J=512, R=24.0, t0=1.0, t_end=9.0,
-                       snapshot_times=tuple(np.linspace(1.0, 9.0, 17)))
+                       snapshot_times=tuple(np.linspace(1.0, 9.0, 17)),
+                       record_energy=True)
     return evolve(cfg, InitialDataSpec.gaussian(1e-3, 0.5))
 
 
