@@ -102,14 +102,24 @@ def bulk_gamma(params: CarlemanParams, t, r):
     """Gamma_V = grad f . grad(log V) - (n-1+4a)/4 (p - 1 - 4/(n-1+4a)).
 
     The contraction uses the raised gradient of f, so the t-derivative term
-    enters with a flipped sign.
+    enters with a flipped sign. For a constant potential it is exactly +0,
+    and Gamma_V is the scalar constant.
     """
+    m = params.n - 1.0 + 4.0 * params.a
+    const = -(m / 4.0) * (params.p - 1.0 - 4.0 / m)
+    if params.potential.kind == "constant":
+        return const + 0.0
     ft, fr = params.weight_grad(t, r)
     V = params.potential.value(t, r)
     Vt, Vr = params.potential.gradient(t, r)
-    m = params.n - 1.0 + 4.0 * params.a
-    const = -(m / 4.0) * (params.p - 1.0 - 4.0 / m)
     return (-ft * Vt + fr * Vr) / V + const
+
+
+def _potential_value(params: CarlemanParams, t, r):
+    """V at (t, r); a constant potential stays the scalar c0."""
+    if params.potential.kind == "constant":
+        return params.potential.c0
+    return params.potential.value(t, r)
 
 
 def flux_covector(params: CarlemanParams, fieldobj, t, r, fval=None):
@@ -129,10 +139,8 @@ def flux_covector(params: CarlemanParams, fieldobj, t, r, fval=None):
     if np.any(f <= 0.0):
         raise ValueError("flux vector requires f > 0")
     ft, fr = params.weight_grad(t, r)
-    ph = fieldobj.value(t, r)
-    pt = fieldobj.value_t(t, r)
-    pr = fieldobj.value_r(t, r)
-    V = params.potential.value(t, r)
+    ph, pt, pr = fieldobj.jet(t, r)[:3]
+    V = _potential_value(params, t, r)
     a, p, n = params.a, params.p, params.n
 
     grad_f_dot_phi = -ft * pt + fr * pr   # raised-index contraction
@@ -146,12 +154,6 @@ def flux_covector(params: CarlemanParams, fieldobj, t, r, fval=None):
     Pt = common_t + ft * nl + c1 * w * ph * pt + ft * zero_order
     Pr = common_r + fr * nl + c1 * w * ph * pr + fr * zero_order
     return Pt, Pr
-
-
-def _box_v(params: CarlemanParams, fieldobj, t, r):
-    return (fieldobj.box_at(t, r)
-            + params.potential.value(t, r) * signed_power(fieldobj.value(t, r),
-                                                          params.p))
 
 
 # --------------------------------------------------------------------------
@@ -313,11 +315,14 @@ def _require_positive_weight_box(bulk: BoxSpec, shift: ShiftedWeight):
 
 
 def _require_positive_weight_frustum(bulk: _FrustumBulk, shift: ShiftedWeight):
+    # Along the inner side r_inner(t)^2 - (t - t*)^2 is a constant minus a
+    # square (cylinder) or a quadratic with leading coefficient
+    # slope^2 - 1 < 0 (cone): concave either way, so its minimum over
+    # [t0, t1] sits at an endpoint.
     ts = shift.t_star
-    tt = np.linspace(bulk.t0, bulk.t1, 65)
-    rin = np.asarray(bulk.r_inner(tt))
-    if np.any(rin ** 2 - (tt - ts) ** 2 <= 0.0):
-        raise ValueError("frustum closure leaves the exterior region {f > 0}")
+    for t in (bulk.t0, bulk.t1):
+        if float(bulk.r_inner(t)) ** 2 - (t - ts) ** 2 <= 0.0:
+            raise ValueError("frustum closure leaves the exterior region {f > 0}")
 
 
 def _bulk_integrate_region(region: AdmissibleRegionSpec, integrand,
@@ -381,18 +386,17 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
         q = QuadratureSpec()
     a, p, n = params.a, params.p, params.n
 
-    def lhs_integrand(t, r):
+    def integrand(t, r):
+        """Both bulk sides, from one field jet per node."""
         f = params.weight_value(t, r)
-        V = params.potential.value(t, r)
-        return (f ** (2 * a) * V * bulk_gamma(params, t, r)
-                * np.abs(fieldobj.value(t, r)) ** (p + 1.0)) / (p + 1.0)
+        ph, _, _, box = fieldobj.jet(t, r)
+        V = _potential_value(params, t, r)
+        lhs = (f ** (2 * a) * V * bulk_gamma(params, t, r)
+               * np.abs(ph) ** (p + 1.0)) / (p + 1.0)
+        rhs = f ** (2 * a + 1.0) * (box + V * signed_power(ph, p)) ** 2 / (8.0 * a)
+        return lhs, rhs
 
-    def rhs_integrand(t, r):
-        f = params.weight_value(t, r)
-        return f ** (2 * a + 1.0) * _box_v(params, fieldobj, t, r) ** 2 / (8.0 * a)
-
-    lhs = _bulk_integrate_region(region, lhs_integrand, q, n)
-    rhs = _bulk_integrate_region(region, rhs_integrand, q, n)
+    lhs, rhs = _bulk_integrate_region(region, integrand, q, n)
 
     per_piece = []
     errors = {"lhs": lhs.error_estimate, "rhs_bulk": rhs.error_estimate}
@@ -477,8 +481,7 @@ class ShiftedReport:
 def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
                    exterior: ExteriorRegionSpec,
                    q: QuadratureSpec | None = None,
-                   eps_floor: float = 1e-4,
-                   strengthened: bool = True) -> ShiftedReport:
+                   eps_floor: float = 1e-4) -> ShiftedReport:
     """Evaluate the shifted estimate on the exterior region (axis ray):
 
     int_D f^{2a} |phi|^{p+1}  <=  K [ t*^{1+4a} int_G |grad phi|^2
@@ -489,8 +492,7 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
     that certifies the vanishing-boundary limit.
 
     For radial fields the strengthened boundary gradient (d_t phi)^2 +
-    (d_r phi)^2 coincides with the full |grad phi|^2; the flag is kept for
-    interface parity and controls nothing in the radial reduction.
+    (d_r phi)^2 coincides with the full |grad phi|^2.
     """
     if q is None:
         q = QuadratureSpec()
@@ -511,7 +513,8 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
     piece = lateral_boundary(exterior)
 
     def grad_sq(t, r, f):
-        return fieldobj.value_t(t, r) ** 2 + fieldobj.value_r(t, r) ** 2
+        _, phi_t, phi_r = fieldobj.jet(t, r)[:3]
+        return phi_t ** 2 + phi_r ** 2
 
     def power(t, r, f):
         return np.abs(fieldobj.value(t, r)) ** (p + 1.0)

@@ -323,23 +323,16 @@ def _random_case(rng, forced_a=None):
 def _offcenter_gaussian(n, A, tc, rc, wt, wr) -> ManufacturedField:
     """Gaussian bump centered off the axis; fine on regions with r > 0."""
 
-    def phi(t, r):
-        return A * np.exp(-(t - tc) ** 2 / (2 * wt ** 2)
-                          - (r - rc) ** 2 / (2 * wr ** 2))
+    def jet(t, r):
+        g = A * np.exp(-(t - tc) ** 2 / (2 * wt ** 2)
+                       - (r - rc) ** 2 / (2 * wr ** 2))
+        phi_r = -(r - rc) / wr ** 2 * g
+        phitt = ((t - tc) ** 2 / wt ** 4 - 1.0 / wt ** 2) * g
+        phirr = ((r - rc) ** 2 / wr ** 4 - 1.0 / wr ** 2) * g
+        return (g, -(t - tc) / wt ** 2 * g, phi_r,
+                -phitt + phirr + (n - 1) / r * phi_r)
 
-    def phi_t(t, r):
-        return -(t - tc) / wt ** 2 * phi(t, r)
-
-    def phi_r(t, r):
-        return -(r - rc) / wr ** 2 * phi(t, r)
-
-    def box(t, r):
-        phitt = ((t - tc) ** 2 / wt ** 4 - 1.0 / wt ** 2) * phi(t, r)
-        phirr = ((r - rc) ** 2 / wr ** 4 - 1.0 / wr ** 2) * phi(t, r)
-        return -phitt + phirr + (n - 1) / r * phi_r(t, r)
-
-    return ManufacturedField(n, phi, phi_t, phi_r, box,
-                             label=f"offgauss(A={A:.3g})")
+    return ManufacturedField(n, jet, label=f"offgauss(A={A:.3g})")
 
 
 def _scenario_verify_carleman(cfg: RunConfig, outdir, threads=1):
@@ -487,9 +480,11 @@ def _scenario_sweep(cfg: RunConfig, outdir, parser, threads):
     cells = [()]
     for k in keys:
         cells = [prev + ((k, v),) for prev in cells for v in grid[k]]
+    # every cell is validated before any of them runs
+    subs = {cell: _apply_cell(cfg, dict(cell)) for cell in cells}
 
     def job(cell):
-        sub = _apply_cell(cfg, dict(cell))
+        sub = subs[cell]
         subdir = os.path.join(outdir, "cell_" + "_".join(
             f"{k}{v:g}" for k, v in cell))
         os.makedirs(subdir, exist_ok=True)
@@ -565,6 +560,11 @@ def _apply_cell(cfg: RunConfig, cell: dict) -> RunConfig:
                                                      p=sub.p)
         else:
             raise ConfigError(f"unsupported sweep key {key!r}")
+    if "p" in cell and sub.data is not None and sub.data.kind == "truncated_ode":
+        # the truncated ODE profile is phi*(t0) for this cell's p
+        sub.data = InitialDataSpec.truncated_ode(sub.data.cutoff,
+                                                 sub.data.ramp_width, p=sub.p)
+    _validate(sub)
     return sub
 
 

@@ -50,6 +50,21 @@ def _require_time_coverage(field, *times):
             raise ValueError(f"time {t} outside the sampled range [{lo}, {hi}]")
 
 
+def _energy_density(field, scale, p=None, sgn=1.0):
+    """Integrand |grad phi|^2 [+ |phi|^{p+1}] + scale^{-2} phi^2 from one jet
+    per node; the power term only when `p` is given. `sgn = -1` evaluates the
+    field at the reflected time -t."""
+
+    def integrand(tt, rr):
+        v, v_t, v_r = field.jet(tt if sgn == 1.0 else sgn * tt, rr)[:3]
+        total = v_t ** 2 + v_r ** 2
+        if p is not None:
+            total = total + np.abs(v) ** (p + 1.0)
+        return total + v * v / (scale * scale)
+
+    return integrand
+
+
 def annulus_quantity(field, sigma0, sigma1, t, p, n,
                      q: QuadratureSpec | None = None):
     """|t|^{2-n+4/(p-1)} int_{A(t)} (|grad phi|^2 + |t|^{-2} phi^2).
@@ -64,11 +79,8 @@ def annulus_quantity(field, sigma0, sigma1, t, p, n,
     at = abs(t)
     expo = 2.0 - n + 4.0 / (p - 1.0)
 
-    def integrand(tt, rr):
-        return (field.value_t(tt, rr) ** 2 + field.value_r(tt, rr) ** 2
-                + field.value(tt, rr) ** 2 / (at * at))
-
-    res = integrate_slice(t, sigma0 * at, sigma1 * at, integrand, q, n)
+    res = integrate_slice(t, sigma0 * at, sigma1 * at,
+                          _energy_density(field, at), q, n)
     return at ** expo * res.value, at ** expo * res.error_estimate
 
 
@@ -83,11 +95,7 @@ def slab_quantity(field, sigma, gamma, t_star, p, n,
     ats = abs(t_star)
     expo = 1.0 - n + 4.0 / (p - 1.0)
 
-    def integrand(tt, rr):
-        return (field.value_t(tt, rr) ** 2 + field.value_r(tt, rr) ** 2
-                + field.value(tt, rr) ** 2 / (ats * ats))
-
-    res = integrate_bulk(slab, integrand, q, n)
+    res = integrate_bulk(slab, _energy_density(field, ats), q, n)
     return ats ** expo * res.value, ats ** expo * res.error_estimate
 
 
@@ -116,14 +124,7 @@ def lateral_quantity(field, sigma, eta, t_star, p, n,
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
     piece = LateralSlabSpec(sigma, eta, ats).piece()
-
-    def integrand(tt, rr):
-        ts = sgn * tt
-        v = field.value(ts, rr)
-        return (field.value_t(ts, rr) ** 2 + field.value_r(ts, rr) ** 2
-                + np.abs(v) ** (p + 1.0) + v * v / (ats * ats))
-
-    res = integrate_surface(piece, integrand, q, n)
+    res = integrate_surface(piece, _energy_density(field, ats, p, sgn), q, n)
     return res.value, res.error_estimate
 
 
@@ -140,16 +141,13 @@ def weighted_ball_quantity(field, t, p, n, q: QuadratureSpec | None = None):
     at = -t
     k2 = 2.0 / (p - 1.0)
 
-    def norm(fn):
-        res = integrate_slice(t, 0.0, at,
-                              lambda tt, rr: fn(tt, rr) ** 2, q, n)
-        return math.sqrt(max(res.value, 0.0)), res.error_estimate
+    def squares(tt, rr):
+        return tuple(v ** 2 for v in field.jet(tt, rr)[:3])
 
-    n0, e0 = norm(field.value)
-    n1, e1 = norm(field.value_t)
-    n2, e2 = norm(field.value_r)
+    res = integrate_slice(t, 0.0, at, squares, q, n)
+    n0, n1, n2 = (math.sqrt(max(r.value, 0.0)) for r in res)
     val = at ** (k2 - 0.5 * n) * n0 + at ** (k2 + 1.0 - 0.5 * n) * (n1 + n2)
-    return val, e0 + e1 + e2
+    return val, sum(r.error_estimate for r in res)
 
 
 @dataclass
@@ -194,27 +192,16 @@ def localized_estimate_check(field, kind, sigma_or_pair, gamma, eta, t_star,
         # the reflected cone has the same induced measure, so parametrize by
         # |t| and evaluate the field at sgn * |t|.
         piece = LateralSlabSpec(sigma0, eta, ats).piece()
-
-        def integrand(tt, rr):
-            ts = sgn * tt
-            v = field.value(ts, rr)
-            return (field.value_t(ts, rr) ** 2 + field.value_r(ts, rr) ** 2
-                    + np.abs(v) ** (p + 1.0) + v * v / (ats * ats))
-
-        res = integrate_surface(piece, integrand, q, n)
+        res = integrate_surface(piece, _energy_density(field, ats, p, sgn),
+                                q, n)
         rhs = ats * res.value
     else:
         if sup_times is None:
             sup_times = np.linspace(ats / eta, ats * eta, 17)
         best = -math.inf
+        integrand = _energy_density(field, ats, p)
         for tau in np.asarray(sup_times, dtype=float):
             tau_signed = sgn * tau
-
-            def integrand(tt, rr):
-                v = field.value(tt, rr)
-                return (field.value_t(tt, rr) ** 2 + field.value_r(tt, rr) ** 2
-                        + np.abs(v) ** (p + 1.0) + v * v / (ats * ats))
-
             res = integrate_slice(tau_signed, sigma0 * tau, sigma1 * tau,
                                   integrand, q, n)
             if res.value > best:
@@ -254,9 +241,8 @@ def decay_partials(field, sigma, horizons, p, n,
         return np.abs(field.value(tt, rr)) ** (p + 1.0) / tt
 
     def lat_integrand(tt, rr):
-        v = field.value(tt, rr)
-        return (field.value_t(tt, rr) ** 2 + field.value_r(tt, rr) ** 2
-                + np.abs(v) ** (p + 1.0))
+        v, v_t, v_r = field.jet(tt, rr)[:3]
+        return v_t ** 2 + v_r ** 2 + np.abs(v) ** (p + 1.0)
 
     def holder_integrand(tt, rr):
         return field.value(tt, rr) ** 2 / (tt * tt)

@@ -1,9 +1,10 @@
 """Field representations and the radial differential operators.
 
-Two field kinds share one evaluation surface (`value`, `value_t`, `value_r`):
-closed-form manufactured fields carrying analytic derivatives and the wave
-operator, and discrete radial space-time histories produced by the solver or
-read from snapshot files.
+Two field kinds share one evaluation surface: `jet(t, r)` returns phi, phi_t
+and phi_r (and, for closed-form manufactured fields, the wave operator) from
+one evaluation per batch of points, and `value(t, r)` returns phi alone.
+Discrete radial space-time histories are produced by the solver or read from
+snapshot files.
 """
 
 from __future__ import annotations
@@ -128,42 +129,38 @@ class PotentialSpec:
 @dataclass(frozen=True)
 class ManufacturedField:
     """Closed-form radial field with analytic first derivatives and wave
-    operator box = -d_tt + d_rr + (n-1)/r d_r (regularized at r = 0)."""
+    operator box = -d_tt + d_rr + (n-1)/r d_r (regularized at r = 0).
+
+    `evaluate(t, r)` returns the jet (phi, phi_t, phi_r, box) from one
+    evaluation of the field's profile."""
 
     dim: int
-    phi: Callable
-    phi_t: Callable
-    phi_r: Callable
-    box: Callable
+    evaluate: Callable
     label: str = ""
 
+    def jet(self, t, r):
+        return self.evaluate(np.asarray(t, dtype=float),
+                             np.asarray(r, dtype=float))
+
     def value(self, t, r):
-        return self.phi(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
-
-    def value_t(self, t, r):
-        return self.phi_t(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
-
-    def value_r(self, t, r):
-        return self.phi_r(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
-
-    def box_at(self, t, r):
-        return self.box(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
+        return self.jet(t, r)[0]
 
 
 def zero_field(n=3):
-    z = lambda t, r: np.zeros(np.broadcast(t, r).shape)
-    return ManufacturedField(n, z, z, z, z, label="zero")
+    def jet(t, r):
+        shape = np.broadcast(t, r).shape
+        return tuple(np.zeros(shape) for _ in range(4))
+
+    return ManufacturedField(n, jet, label="zero")
 
 
 def constant_field(c, n=3):
-    return ManufacturedField(
-        n,
-        lambda t, r: np.full(np.broadcast(t, r).shape, float(c)),
-        lambda t, r: np.zeros(np.broadcast(t, r).shape),
-        lambda t, r: np.zeros(np.broadcast(t, r).shape),
-        lambda t, r: np.zeros(np.broadcast(t, r).shape),
-        label=f"constant({c})",
-    )
+    def jet(t, r):
+        shape = np.broadcast(t, r).shape
+        return (np.full(shape, float(c)), np.zeros(shape), np.zeros(shape),
+                np.zeros(shape))
+
+    return ManufacturedField(n, jet, label=f"constant({c})")
 
 
 def ode_field(p, n=3):
@@ -172,35 +169,31 @@ def ode_field(p, n=3):
 
     sol = OdeSolution(p)
     C, k = sol.amplitude, sol.k
-    phi = lambda t, r: C * (-t) ** (-k) + 0.0 * np.asarray(r, dtype=float)
-    phi_t = lambda t, r: C * k * (-t) ** (-k - 1) + 0.0 * np.asarray(r, dtype=float)
-    phi_r = lambda t, r: np.zeros(np.broadcast(t, r).shape)
-    # box phi* = -d_tt phi* = -|phi*|^{p-1} phi* by the defining equation
-    box = lambda t, r: -C * k * (k + 1) * (-t) ** (-k - 2) + 0.0 * np.asarray(r, dtype=float)
-    return ManufacturedField(n, phi, phi_t, phi_r, box, label=f"ode(p={p})")
+
+    def jet(t, r):
+        zero = 0.0 * r
+        # box phi* = -d_tt phi* = -|phi*|^{p-1} phi* by the defining equation
+        return (C * (-t) ** (-k) + zero,
+                C * k * (-t) ** (-k - 1) + zero,
+                np.zeros(np.broadcast(t, r).shape),
+                -C * k * (k + 1) * (-t) ** (-k - 2) + zero)
+
+    return ManufacturedField(n, jet, label=f"ode(p={p})")
 
 
 def gaussian_pulse(n=3, amplitude=1.0, t_center=0.0, t_width=1.0, r_width=1.0):
     """Even-in-r separable gaussian, C^infty including the axis."""
     A, tc, wt, wr = float(amplitude), float(t_center), float(t_width), float(r_width)
 
-    def phi(t, r):
-        return A * np.exp(-(t - tc) ** 2 / (2 * wt ** 2) - r * r / (2 * wr ** 2))
-
-    def phi_t(t, r):
-        return -(t - tc) / wt ** 2 * phi(t, r)
-
-    def phi_r(t, r):
-        return -r / wr ** 2 * phi(t, r)
-
-    def box(t, r):
+    def jet(t, r):
+        g = A * np.exp(-(t - tc) ** 2 / (2 * wt ** 2) - r * r / (2 * wr ** 2))
         # (n-1)/r d_r phi = -(n-1)/wr^2 phi exactly; no axis singularity
-        phitt = ((t - tc) ** 2 / wt ** 4 - 1.0 / wt ** 2) * phi(t, r)
-        phirr = (r * r / wr ** 4 - 1.0 / wr ** 2) * phi(t, r)
-        return -phitt + phirr - (n - 1) / wr ** 2 * phi(t, r)
+        phitt = ((t - tc) ** 2 / wt ** 4 - 1.0 / wt ** 2) * g
+        phirr = (r * r / wr ** 4 - 1.0 / wr ** 2) * g
+        return (g, -(t - tc) / wt ** 2 * g, -r / wr ** 2 * g,
+                -phitt + phirr - (n - 1) / wr ** 2 * g)
 
-    return ManufacturedField(n, phi, phi_t, phi_r, box,
-                             label=f"gauss(A={A},tc={tc})")
+    return ManufacturedField(n, jet, label=f"gauss(A={A},tc={tc})")
 
 
 def polynomial_gaussian(n=3, amplitude=1.0, t_center=0.0, t_width=1.0,
@@ -209,56 +202,31 @@ def polynomial_gaussian(n=3, amplitude=1.0, t_center=0.0, t_width=1.0,
     A, tc, wt, wr = float(amplitude), float(t_center), float(t_width), float(r_width)
     base = gaussian_pulse(n, A, tc, wt, wr)
 
-    def q(t):
-        return 1.0 + c1 * (t - tc) + c2 * (t - tc) ** 2
-
-    def dq(t):
-        return c1 + 2.0 * c2 * (t - tc)
-
-    def phi(t, r):
-        return q(t) * base.phi(t, r)
-
-    def phi_t(t, r):
-        return dq(t) * base.phi(t, r) + q(t) * base.phi_t(t, r)
-
-    def phi_r(t, r):
-        return q(t) * base.phi_r(t, r)
-
-    def box(t, r):
-        g = base.phi(t, r)
-        gt = base.phi_t(t, r)
+    def jet(t, r):
+        g, gt, gr, gbox = base.evaluate(t, r)
+        q = 1.0 + c1 * (t - tc) + c2 * (t - tc) ** 2
+        dq = c1 + 2.0 * c2 * (t - tc)
         gtt = ((t - tc) ** 2 / wt ** 4 - 1.0 / wt ** 2) * g
-        phitt = 2.0 * c2 * g + 2.0 * dq(t) * gt + q(t) * gtt
-        spatial = q(t) * (base.box(t, r) + gtt)  # base spatial part
-        return -phitt + spatial
+        phitt = 2.0 * c2 * g + 2.0 * dq * gt + q * gtt
+        spatial = q * (gbox + gtt)  # base spatial part
+        return q * g, dq * g + q * gt, q * gr, -phitt + spatial
 
-    return ManufacturedField(n, phi, phi_t, phi_r, box,
-                             label=f"polygauss(A={A})")
+    return ManufacturedField(n, jet, label=f"polygauss(A={A})")
 
 
 def traveling_bump(n=3, amplitude=1.0, speed=0.5, offset=2.0, width=0.3):
     """Radially traveling gaussian bump; not even in r, keep it off the axis."""
     A, v, d, w = float(amplitude), float(speed), float(offset), float(width)
 
-    def arg(t, r):
-        return r - v * t - d
+    def jet(t, r):
+        s = r - v * t - d
+        g = A * np.exp(-s ** 2 / (2 * w * w))
+        phi_r = -s / (w * w) * g
+        sec = (s * s / w ** 4 - 1.0 / (w * w)) * g
+        return (g, v * s / (w * w) * g, phi_r,
+                -(v * v) * sec + sec + (n - 1) / r * phi_r)
 
-    def phi(t, r):
-        return A * np.exp(-arg(t, r) ** 2 / (2 * w * w))
-
-    def phi_t(t, r):
-        return v * arg(t, r) / (w * w) * phi(t, r)
-
-    def phi_r(t, r):
-        return -arg(t, r) / (w * w) * phi(t, r)
-
-    def box(t, r):
-        s = arg(t, r)
-        sec = (s * s / w ** 4 - 1.0 / (w * w)) * phi(t, r)
-        return -(v * v) * sec + sec + (n - 1) / r * phi_r(t, r)
-
-    return ManufacturedField(n, phi, phi_t, phi_r, box,
-                             label=f"travel(v={v})")
+    return ManufacturedField(n, jet, label=f"travel(v={v})")
 
 
 # --------------------------------------------------------------------------
@@ -319,8 +287,8 @@ class DiscreteField:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.r = np.asarray(self.r, dtype=float)
-        self.phi = np.asarray(self.phi, dtype=float)
-        self.phi_t = np.asarray(self.phi_t, dtype=float)
+        self.phi = np.ascontiguousarray(self.phi, dtype=float)
+        self.phi_t = np.ascontiguousarray(self.phi_t, dtype=float)
         if self.phi.shape != (self.times.size, self.r.size):
             raise ValueError("phi shape does not match (times, r)")
         dr = np.diff(self.r)
@@ -374,7 +342,9 @@ class DiscreteField:
     def nearest_level(self, t) -> int:
         return int(np.argmin(np.abs(self.times - t)))
 
-    def _eval(self, arrays, t, r):
+    def _locate(self, t, r):
+        """Bilinear stencil of a batch of points: flat table indices of the
+        four corners and the weights (1 - fr, fr, 1 - th, th)."""
         t = np.asarray(t, dtype=float)
         r = np.abs(np.asarray(r, dtype=float))  # even extension
         t, r = np.broadcast_arrays(t, r)
@@ -394,10 +364,17 @@ class DiscreteField:
         x = np.clip(r / self.dr, 0.0, self.r.size - 1 - 1e-12)
         j = np.minimum(x.astype(int), self.r.size - 2)
         fr = x - j
-        m2 = np.minimum(m + 1, self.times.size - 1)
-        lo = arrays[m, j] * (1.0 - fr) + arrays[m, j + 1] * fr
-        hi = arrays[m2, j] * (1.0 - fr) + arrays[m2, j + 1] * fr
-        out = lo * (1.0 - th) + hi * th
+        lo = m * self.r.size + j
+        hi = np.minimum(m + 1, self.times.size - 1) * self.r.size + j
+        return lo, lo + 1, hi, hi + 1, 1.0 - fr, fr, 1.0 - th, th
+
+    @staticmethod
+    def _interp(table, stencil):
+        lo0, lo1, hi0, hi1, cfr, fr, cth, th = stencil
+        flat = table.ravel()
+        lo = flat[lo0] * cfr + flat[lo1] * fr
+        hi = flat[hi0] * cfr + flat[hi1] * fr
+        out = lo * cth + hi * th
         return out if out.shape else float(out)
 
     def _phi_r_table(self):
@@ -407,13 +384,13 @@ class DiscreteField:
         return self._phi_r_cache
 
     def value(self, t, r):
-        return self._eval(self.phi, t, r)
+        return self._interp(self.phi, self._locate(t, r))
 
-    def value_t(self, t, r):
-        return self._eval(self.phi_t, t, r)
-
-    def value_r(self, t, r):
-        return self._eval(self._phi_r_table(), t, r)
+    def jet(self, t, r):
+        """(phi, phi_t, phi_r) from one stencil per batch of points."""
+        stencil = self._locate(t, r)
+        return tuple(self._interp(table, stencil) for table in
+                     (self.phi, self.phi_t, self._phi_r_table()))
 
     def write_snapshots(self, directory, p, prefix="snap"):
         import os
@@ -433,7 +410,8 @@ class DiscreteField:
 
 def gradient_norm_sq(field, t, r):
     """(d_t phi)^2 + (d_r phi)^2 (the full spatial gradient for radial fields)."""
-    return field.value_t(t, r) ** 2 + field.value_r(t, r) ** 2
+    _, phi_t, phi_r = field.jet(t, r)[:3]
+    return phi_t ** 2 + phi_r ** 2
 
 
 def _discrete_box(field: DiscreteField, m, j):
@@ -464,7 +442,7 @@ def box_operator(field, t, r):
     """Radial wave operator -d_tt + d_rr + (n-1)/r d_r; the regularized form
     -d_tt + n d_rr on the axis."""
     if isinstance(field, ManufacturedField):
-        return field.box_at(t, r)
+        return field.jet(t, r)[3]
     if isinstance(field, DiscreteField):
         m = field.nearest_level(float(t))
         if abs(field.times[m] - float(t)) > 1e-9 * max(1.0, abs(float(t))):

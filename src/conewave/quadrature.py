@@ -1,12 +1,13 @@
 """Deterministic composite quadrature over radial bulk regions and
 hypersurface pieces, with graded meshes toward flagged singular edges.
 
-Bulk integrands are plain vectorized callables f(t, r). Surface integrands on
-pieces that carry a weight (cone pieces of shifted exterior regions, level
-sets) are called as f(t, r, w) where w is the weight value computed in
-product form; near the weight's zero set this is the only representation
-with any relative accuracy, so singular integrands must use it rather than
-recomputing r^2 - (t - t*)^2 themselves.
+Bulk integrands are plain vectorized callables f(t, r); one returning a tuple
+of arrays has each of them integrated on the same mesh and gives a tuple of
+results. Surface integrands on pieces that carry a weight (cone pieces of
+shifted exterior regions, level sets) are called as f(t, r, w) where w is the
+weight value computed in product form; near the weight's zero set this is the
+only representation with any relative accuracy, so singular integrands must
+use it rather than recomputing r^2 - (t - t*)^2 themselves.
 
 Error control is a one-level Richardson difference (cells doubled), never
 adaptive subdivision, so repeated runs are bit identical.
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 _GAUSS2 = 0.5 / math.sqrt(3.0)
+BLOCK_NODES = 8192  # nodes per integrand call in the slice and bulk loops
 
 
 @dataclass(frozen=True)
@@ -145,16 +147,44 @@ def _interval_nodes(a, b, cells, order, q=1.0, singular_lo=False, singular_hi=Fa
     return a + (b - a) * rel, (b - a) * w
 
 
-def _refine(level, q: QuadratureSpec) -> QuadratureResult:
+def _refine(level, q: QuadratureSpec):
     """Evaluate `level(factor)` on 1, 2, ..., 2^refinement_levels times the
     base resolution; the value is the finest, the error estimate the jump
-    from the previous level."""
+    from the previous level. A level returning a tuple of totals (one per
+    integrand output) gives a tuple of results."""
     values, nodes = [], 0
     for exponent in range(q.refinement_levels + 1):
         val, cnt = level(2 ** exponent)
         values.append(val)
         nodes += cnt
+    if isinstance(values[-1], tuple):
+        return tuple(QuadratureResult(v, abs(v - w), nodes)
+                     for v, w in zip(values[-1], values[-2]))
     return QuadratureResult(values[-1], abs(values[-1] - values[-2]), nodes)
+
+
+def _weighted_sums(integrand, T, R, meas):
+    """sum(meas * vals) for the integrand's values on the nodes (T, R).
+
+    The integrand is called on blocks of whole rows of about BLOCK_NODES
+    nodes, so its temporaries stay small; the values go into full-size
+    buffers that are checked and summed whole. An integrand returning a
+    tuple of arrays gives a tuple of sums, one per array."""
+    step = max(1, BLOCK_NODES // (R[0].size if R.ndim > 1 else 1))
+    bufs = None
+    for lo in range(0, len(R), step):
+        out = integrand(T[lo:lo + step], R[lo:lo + step])
+        several = isinstance(out, tuple)
+        outs = out if several else (out,)
+        if bufs is None:
+            bufs = [np.empty(R.shape) for _ in outs]
+        for buf, vals in zip(bufs, outs):
+            buf[lo:lo + step] = vals
+    sums = []
+    for vals in bufs:
+        _check_finite(vals, T, R)
+        sums.append(float(np.sum(meas * vals)))
+    return tuple(sums) if several else sums[0]
 
 
 # --------------------------------------------------------------------------
@@ -172,9 +202,8 @@ def integrate_slice(t, r_lo, r_hi, integrand, q: QuadratureSpec, n: int,
         rn, rw = _interval_nodes(r_lo, r_hi, factor * q.cells_r, q.base_order,
                                  q.grading_exponent, singular_lo, singular_hi)
         tt = np.full_like(rn, t)
-        vals = np.asarray(integrand(tt, rn), dtype=float)
-        _check_finite(vals, tt, rn)
-        return float(np.sum(rw * om * rn ** (n - 1) * vals)), rn.size
+        meas = rw * om * rn ** (n - 1)
+        return _weighted_sums(integrand, tt, rn, meas), rn.size
 
     return _refine(level, q)
 
@@ -203,10 +232,8 @@ def integrate_profile(t_window, r_inner, r_outer, integrand,
         RR = rlo[:, None] + span * rel[None, :]
         WW = tws[:, None] * span * rw_rel[None, :]
         TT = np.broadcast_to(tn[:, None], RR.shape)
-        vals = np.asarray(integrand(TT, RR), dtype=float)
-        _check_finite(vals, TT, RR)
-        total = float(np.sum(WW * om * RR ** (n - 1) * vals))
-        return total, RR.size
+        meas = WW * om * RR ** (n - 1)
+        return _weighted_sums(integrand, TT, RR, meas), RR.size
 
     return _refine(level, q)
 

@@ -230,66 +230,68 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     t_blowup = None
     pending = None  # snapshot waiting for the next level's centered phi_t
 
-    if total_steps > 0:
-        # second-order start
-        _laplacian(phi0, s, vol, dr, force, flux)
-        if not config.linear:
-            np.add(force, _nonlinear_term(V, config.p, t, r, phi0, mag, work),
-                   out=force)
-        np.multiply(phit0, dt, out=cur)
-        np.add(phi0, cur, out=cur)
-        np.multiply(force, 0.5 * dt * dt, out=force)
-        np.add(cur, force, out=cur)
-        cur[J] = 0.0
-        m = 1
-        t = config.t0 + dt
-        peak = float(np.abs(cur, out=mag).max())
-        max_phi = max(max_phi, peak)
+    # overflow is reported by the finiteness test below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if total_steps > 0:
+            # second-order start
+            _laplacian(phi0, s, vol, dr, force, flux)
+            if not config.linear:
+                np.add(force, _nonlinear_term(V, config.p, t, r, phi0, mag, work),
+                       out=force)
+            np.multiply(phit0, dt, out=cur)
+            np.add(phi0, cur, out=cur)
+            np.multiply(force, 0.5 * dt * dt, out=force)
+            np.add(cur, force, out=cur)
+            cur[J] = 0.0
+            m = 1
+            t = config.t0 + dt
+            peak = float(np.abs(cur, out=mag).max())
+            max_phi = max(max_phi, peak)
 
-        if config.record_energy:
-            record_energy(cur, prev, config.t0 + 0.5 * dt)
+            if config.record_energy:
+                record_energy(cur, prev, config.t0 + 0.5 * dt)
 
-        if peak > config.phi_max:
-            blow_time[mag > config.phi_max] = t
-            status, t_blowup = "blew_up", t
-        elif m in targets:
-            pending = (m, t)
+            if peak > config.phi_max:
+                blow_time[mag > config.phi_max] = t
+                status, t_blowup = "blew_up", t
+            elif m in targets:
+                pending = (m, t)
 
-    while status == "completed" and m < total_steps:
-        _laplacian(cur, s, vol, dr, force, flux)
-        if not config.linear:
-            np.add(force, _nonlinear_term(V, config.p, t, r, cur, mag, work),
-                   out=force)
-        # (2 cur - prev) + dt^2 force, in the order of the plain expression
-        np.multiply(cur, 2.0, out=nxt)
-        np.subtract(nxt, prev, out=nxt)
-        np.multiply(force, dt * dt, out=force)
-        np.add(nxt, force, out=nxt)
-        nxt[J] = 0.0
-        # the max of |nxt| is non-finite iff some entry is
-        peak = float(np.abs(nxt, out=mag).max())
-        if not math.isfinite(peak):
-            bad = int(np.argmax(~np.isfinite(nxt)))
-            raise FloatingPointError(
-                f"non-finite solver value at t={t + dt:.6g}, r={r[bad]:.6g} "
-                f"before the blow-up threshold was reached")
-        if pending is not None:
-            snapshots.append((pending[1], cur.copy(),
-                              (nxt - prev) / (2.0 * dt)))
-            pending = None
-        prev, cur, nxt = cur, nxt, prev
-        m += 1
-        t = config.t0 + m * dt
-        max_phi = max(max_phi, peak)
-        if config.record_energy:
-            record_energy(cur, prev, t - 0.5 * dt)
-        if peak > config.phi_max:
-            # the run stops at its first crossing, so only this level crosses
-            blow_time[mag > config.phi_max] = t
-            status, t_blowup = "blew_up", t
-            break
-        if m in targets:
-            pending = (m, t)
+        while status == "completed" and m < total_steps:
+            _laplacian(cur, s, vol, dr, force, flux)
+            if not config.linear:
+                np.add(force, _nonlinear_term(V, config.p, t, r, cur, mag, work),
+                       out=force)
+            # (2 cur - prev) + dt^2 force, in the order of the plain expression
+            np.multiply(cur, 2.0, out=nxt)
+            np.subtract(nxt, prev, out=nxt)
+            np.multiply(force, dt * dt, out=force)
+            np.add(nxt, force, out=nxt)
+            nxt[J] = 0.0
+            # the max of |nxt| is non-finite iff some entry is
+            peak = float(np.abs(nxt, out=mag).max())
+            if not math.isfinite(peak):
+                bad = int(np.argmax(~np.isfinite(nxt)))
+                raise FloatingPointError(
+                    f"non-finite solver value at t={t + dt:.6g}, r={r[bad]:.6g} "
+                    f"before the blow-up threshold was reached")
+            if pending is not None:
+                snapshots.append((pending[1], cur.copy(),
+                                  (nxt - prev) / (2.0 * dt)))
+                pending = None
+            prev, cur, nxt = cur, nxt, prev
+            m += 1
+            t = config.t0 + m * dt
+            max_phi = max(max_phi, peak)
+            if config.record_energy:
+                record_energy(cur, prev, t - 0.5 * dt)
+            if peak > config.phi_max:
+                # the run stops at its first crossing, so only this level crosses
+                blow_time[mag > config.phi_max] = t
+                status, t_blowup = "blew_up", t
+                break
+            if m in targets:
+                pending = (m, t)
 
     if pending is not None:
         # one-sided time derivative at the final recorded level

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conewave import carleman
 from conewave.carleman import (
     CarlemanParams,
     box_region,
@@ -19,24 +20,28 @@ from conewave.carleman import (
     verify_global,
     verify_shifted,
 )
+from conewave.cli import _offcenter_gaussian
 from conewave.fields import (
     ManufacturedField,
     PotentialSpec,
     constant_field,
     gaussian_pulse,
+    signed_power,
     zero_field,
 )
 from conewave.geometry import (
     AdmissibleRegionSpec,
+    ConePiece,
     ExteriorRegionSpec,
     NullConePiece,
     ShiftedWeight,
     UNSHIFTED,
 )
 from conewave.quadrature import QuadratureSpec
+from tests_helpers import closures_jet
 
 
-def offcenter_gaussian(n, A, tc, rc, wt, wr):
+def _offcenter_closures(n, A, tc, rc, wt, wr):
     def phi(t, r):
         return A * np.exp(-(t - tc) ** 2 / (2 * wt ** 2)
                           - (r - rc) ** 2 / (2 * wr ** 2))
@@ -52,7 +57,13 @@ def offcenter_gaussian(n, A, tc, rc, wt, wr):
         phirr = ((r - rc) ** 2 / wr ** 4 - 1.0 / wr ** 2) * phi(t, r)
         return -phitt + phirr + (n - 1) / r * phi_r(t, r)
 
-    return ManufacturedField(n, phi, phi_t, phi_r, box, label="offgauss")
+    return phi, phi_t, phi_r, box
+
+
+def offcenter_gaussian(n, A, tc, rc, wt, wr):
+    return ManufacturedField(
+        n, closures_jet(*_offcenter_closures(n, A, tc, rc, wt, wr)),
+        label="offgauss")
 
 
 class TestBulkGamma:
@@ -125,10 +136,11 @@ class TestFluxCovector:
         # P = f^{2a} (0 * dphi - 1/2 grad f * (-1)) = (0, 1/2) for f = 1
         field = ManufacturedField(
             1,
-            lambda t, r: t + 0.0 * r,
-            lambda t, r: np.ones(np.broadcast(t, r).shape),
-            lambda t, r: np.zeros(np.broadcast(t, r).shape),
-            lambda t, r: np.zeros(np.broadcast(t, r).shape),
+            closures_jet(
+                lambda t, r: t + 0.0 * r,
+                lambda t, r: np.ones(np.broadcast(t, r).shape),
+                lambda t, r: np.zeros(np.broadcast(t, r).shape),
+                lambda t, r: np.zeros(np.broadcast(t, r).shape)),
         )
         params = CarlemanParams(a=0.5, p=2.0, n=1)
         Pt, Pr = flux_covector(params, field, 0.0, 2.0)
@@ -309,6 +321,113 @@ class TestVerifyGlobal:
         assert header.count(",") == row.count(",")
         assert row.startswith("3,0.25,2,1,")
         assert row.endswith(",1")
+
+
+def _reference_bulk_gamma(params, t, r):
+    ft, fr = params.weight_grad(t, r)
+    V = params.potential.value(t, r)
+    Vt, Vr = params.potential.gradient(t, r)
+    m = params.n - 1.0 + 4.0 * params.a
+    const = -(m / 4.0) * (params.p - 1.0 - 4.0 / m)
+    return (-ft * Vt + fr * Vr) / V + const
+
+
+class TestVerifyGlobalOnePass:
+    """Both bulk sides from one mesh pass give the bits of two separate
+    single-integrand passes, each evaluating the field per component."""
+
+    SHIFT = ShiftedWeight(0.05)
+    REGIONS = {
+        "box": lambda s: box_region(-0.2, 0.25, 0.6, 1.5, shift=s),
+        "frustum": lambda s: frustum_region(-0.2, 0.25, 0.6, 0.5, -3.2, shift=s),
+        "inverted": lambda s: inverted_frustum_region(-0.2, 0.25, 1.5, 0.5,
+                                                      -1.4, shift=s),
+    }
+    POTENTIALS = {
+        "constant": PotentialSpec.constant(1.3),
+        "perturbed": PotentialSpec(kind="perturbed", c0=1.1, eps=0.15,
+                                   center=(0.0, 1.0), width=0.8),
+    }
+
+    @pytest.mark.parametrize("potential", sorted(POTENTIALS))
+    @pytest.mark.parametrize("family", sorted(REGIONS))
+    def test_matches_two_pass_reference(self, family, potential):
+        region = self.REGIONS[family](self.SHIFT)
+        params = CarlemanParams(a=0.3, p=2.2, n=3,
+                                potential=self.POTENTIALS[potential],
+                                shift=self.SHIFT)
+        a, p = params.a, params.p
+        phi, _, _, box = _offcenter_closures(3, 0.8, 0.0, 1.0, 0.3, 0.35)
+
+        def lhs_integrand(t, r):
+            f = params.weight_value(t, r)
+            V = params.potential.value(t, r)
+            return (f ** (2 * a) * V * _reference_bulk_gamma(params, t, r)
+                    * np.abs(phi(t, r)) ** (p + 1.0)) / (p + 1.0)
+
+        def rhs_integrand(t, r):
+            f = params.weight_value(t, r)
+            box_v = box(t, r) + params.potential.value(t, r) * signed_power(
+                phi(t, r), p)
+            return f ** (2 * a + 1.0) * box_v ** 2 / (8.0 * a)
+
+        q = QuadratureSpec()
+        rep = verify_global(params, _offcenter_gaussian(3, 0.8, 0.0, 1.0, 0.3,
+                                                        0.35), region, q)
+        lhs = carleman._bulk_integrate_region(region, lhs_integrand, q, 3)
+        rhs = carleman._bulk_integrate_region(region, rhs_integrand, q, 3)
+        assert rep.lhs_bulk > 0.0 and rep.rhs_bulk > 0.0
+        assert rep.lhs_bulk.hex() == lhs.value.hex()
+        assert rep.rhs_bulk.hex() == rhs.value.hex()
+        assert rep.error_estimates["lhs"].hex() == lhs.error_estimate.hex()
+        assert rep.error_estimates["rhs_bulk"].hex() == rhs.error_estimate.hex()
+
+
+class TestFrustumWeightCheck:
+    def test_cylinder_endpoint_on_the_zero_set_is_rejected(self):
+        # inner cylinder r0 = 0.5 meets |t - t*| = r0 exactly at t1 = 0.5
+        with pytest.raises(ValueError):
+            frustum_region(0.1, 0.5, 0.5, 0.5, -3.9)
+        frustum_region(0.1, 0.4375, 0.5, 0.5, -3.9)
+
+    def test_cone_endpoint_on_the_zero_set_is_rejected(self):
+        # inner cone r = (t + 0.2)/2 equals t at t0 = 0.2, r = (t + 0.4)/2
+        # equals t at t1 = 0.4
+        with pytest.raises(ValueError):
+            inverted_frustum_region(0.2, 0.4, 1.5, 0.5, -0.2)
+        with pytest.raises(ValueError):
+            inverted_frustum_region(0.2, 0.4, 1.5, 0.5, -0.4)
+        inverted_frustum_region(0.2, 0.4, 1.5, 0.5, -0.5)
+
+    def test_decisions_match_a_dense_scan(self):
+        rng = np.random.default_rng(3)
+        outcomes = set()
+        for _ in range(400):
+            ts = rng.uniform(-0.3, 0.3)
+            t0 = ts + rng.uniform(-0.4, 0.2)
+            t1 = t0 + rng.uniform(0.05, 0.6)
+            slope = rng.uniform(0.3, 0.9)
+            reach = max(abs(t0 - ts), abs(t1 - ts))
+            if rng.random() < 0.5:
+                r0 = reach * rng.uniform(0.9, 1.1)
+                cone = ConePiece(slope, t0, t1, t_apex=t0 - 3.0 / slope)
+                bulk = carleman._FrustumBulk(t0, t1, cone, r0, True)
+            else:
+                start = abs(t0 - ts) * rng.uniform(0.8, 1.3) + 1e-3
+                cone = ConePiece(slope, t0, t1, t_apex=t0 - start / slope,
+                                 outward_sign=-1)
+                bulk = carleman._FrustumBulk(t0, t1, cone, 5.0, False)
+            tt = np.linspace(t0, t1, 4097)
+            rin = np.asarray(bulk.r_inner(tt))
+            scan_ok = not np.any(rin ** 2 - (tt - ts) ** 2 <= 0.0)
+            try:
+                carleman._require_positive_weight_frustum(bulk, ShiftedWeight(ts))
+                exact_ok = True
+            except ValueError:
+                exact_ok = False
+            assert exact_ok == scan_ok
+            outcomes.add(exact_ok)
+        assert outcomes == {True, False}
 
 
 class TestVerifyShifted:

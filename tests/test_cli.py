@@ -118,9 +118,7 @@ class TestSimulate:
         text = text.replace("J = 256", "J = 1024")
         text = text.replace("t_end = -0.1", "t_end = 0.5\nphi_max = 1e300")
         cfg = write_config(tmp_path / "c.cfg", text)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(["simulate", "--config", cfg, "--out",
-                        str(tmp_path / "o")])
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "error: non-finite solver value" in capsys.readouterr().err
 
@@ -135,6 +133,41 @@ class TestSimulate:
         assert run(["energy-profile", "--config", cfg, "--out",
                     str(tmp_path / "o")]) == 3
         assert "error: non-finite integrand sample" in capsys.readouterr().err
+
+
+OVERFLOW = """
+[problem]
+n = 3
+p = 2.0
+
+[grid]
+R = 6.0
+J = 1024
+t0 = -1.0
+t_end = 0.5
+phi_max = 1e300
+
+[data]
+kind = truncated_ode
+M = 2.0
+w = 0.25
+"""
+
+
+def test_overflow_prints_only_the_error_line(tmp_path):
+    # the ODE core overflows past t = 0 before reaching the threshold; the
+    # solver's finiteness test reports it, with no numpy warning before it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conewave.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg = write_config(tmp_path / "c.cfg", OVERFLOW)
+    proc = subprocess.run(
+        [sys.executable, "-m", "conewave.cli", "simulate", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: non-finite solver value at t=")
 
 
 def test_module_entry_point_runs(tmp_path):
@@ -303,6 +336,38 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 4
         assert all(r.endswith(",0") for r in rows[1:])
+
+    def test_sweeping_p_rebuilds_the_initial_data(self, tmp_path):
+        data = ("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        text = BASE.replace(*data).replace("t_end = -0.1", "t_end = 0.0")
+        text = text.replace("snapshot_times = -0.8 -0.5 -0.3\n", "")
+        direct = write_config(tmp_path / "direct.cfg",
+                              text.replace("p = 2.0", "p = 1.5"))
+        assert run(["simulate", "--config", direct, "--out",
+                    str(tmp_path / "direct")]) == 0
+        swept = write_config(tmp_path / "sweep.cfg",
+                             text + "\n[sweep]\nscenario = simulate\np = 1.5 2.0\n")
+        assert run(["sweep", "--config", swept, "--out",
+                    str(tmp_path / "sweep")]) == 0
+
+        def t_b_and_max_phi(path):
+            header, row = path.read_text().strip().splitlines()
+            values = dict(zip(header.split(","), row.split(",")))
+            return values["t_b"], values["max_phi"]
+
+        cell = t_b_and_max_phi(tmp_path / "sweep" / "cell_p1.5" / "run.csv")
+        assert cell == t_b_and_max_phi(tmp_path / "direct" / "run.csv")
+        assert cell[0] != "nan"
+
+    def test_sweep_cells_are_validated(self, tmp_path, capsys):
+        text = BASE + "\n[sweep]\nscenario = simulate\np = 2.0 3.5\n"
+        cfg = write_config(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert ("error: p outside the subconformal range for this n"
+                in capsys.readouterr().err)
+        assert not (out / "sweep.csv").exists()
 
     def test_empty_grid_exit_2(self, tmp_path):
         text = BASE + "\n[sweep]\nscenario = simulate\n"

@@ -252,8 +252,8 @@ class TestProfilesAndCsv:
             at = -t
 
             def integrand(tt, rr):
-                return (field.value_t(tt, rr) ** 2 + field.value_r(tt, rr) ** 2
-                        + field.value(tt, rr) ** 2 / (at * at))
+                v, v_t, v_r = field.jet(tt, rr)
+                return v_t ** 2 + v_r ** 2 + v ** 2 / (at * at)
 
             res = integrate_slice(t, 0.0, 0.25 * at, integrand, Q, 3)
             inner_vals.append(at ** (2.0 - 3 + k2) * res.value)

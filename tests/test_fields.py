@@ -20,16 +20,19 @@ from conewave.fields import (
     write_snapshot,
     zero_field,
 )
+from conewave.cli import _offcenter_gaussian
 from conewave.exact_solutions import OdeSolution
+from tests_helpers import closures_jet
 
 
 def linear_field(n=1):
     return ManufacturedField(
         n,
-        lambda t, r: t + r,
-        lambda t, r: np.ones(np.broadcast(t, r).shape),
-        lambda t, r: np.ones(np.broadcast(t, r).shape),
-        lambda t, r: (n - 1) / r * np.ones(np.broadcast(t, r).shape),
+        closures_jet(
+            lambda t, r: t + r,
+            lambda t, r: np.ones(np.broadcast(t, r).shape),
+            lambda t, r: np.ones(np.broadcast(t, r).shape),
+            lambda t, r: (n - 1) / r * np.ones(np.broadcast(t, r).shape)),
         label="t+r",
     )
 
@@ -81,10 +84,11 @@ class TestBoxOperator:
     def test_t_squared(self):
         f = ManufacturedField(
             3,
-            lambda t, r: t * t + 0.0 * r,
-            lambda t, r: 2.0 * t + 0.0 * r,
-            lambda t, r: np.zeros(np.broadcast(t, r).shape),
-            lambda t, r: -2.0 + 0.0 * (t + r),
+            closures_jet(
+                lambda t, r: t * t + 0.0 * r,
+                lambda t, r: 2.0 * t + 0.0 * r,
+                lambda t, r: np.zeros(np.broadcast(t, r).shape),
+                lambda t, r: -2.0 + 0.0 * (t + r)),
         )
         assert box_operator(f, 0.3, 1.0) == pytest.approx(-2.0)
 
@@ -161,14 +165,14 @@ class TestManufacturedDerivatives:
     def test_derivatives_match_finite_differences(self, field):
         t0, r0 = (-0.5, 0.8) if field.label.startswith("ode") else (0.25, 0.9)
         hs = np.array([1e-2, 1e-3, 1e-4])
-        for supplied, axis in ((field.value_t, "t"), (field.value_r, "r")):
+        for k, axis in ((1, "t"), (2, "r")):
             errs = []
             for h in hs:
                 if axis == "t":
                     fd = (field.value(t0 + h, r0) - field.value(t0 - h, r0)) / (2 * h)
                 else:
                     fd = (field.value(t0, r0 + h) - field.value(t0, r0 - h)) / (2 * h)
-                errs.append(abs(fd - supplied(t0, r0)) + 1e-300)
+                errs.append(abs(fd - field.jet(t0, r0)[k]) + 1e-300)
             if max(errs) < 1e-13:
                 continue  # exactly-linear direction: nothing to fit
             slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -189,11 +193,11 @@ class TestManufacturedDerivatives:
                  + field.value(t0, r0 - h)) / h ** 2
         phir = (field.value(t0, r0 + h) - field.value(t0, r0 - h)) / (2 * h)
         stencil = -phitt + phirr + (n - 1) / r0 * phir
-        assert field.box_at(t0, r0) == pytest.approx(stencil, rel=1e-5, abs=1e-6)
+        assert field.jet(t0, r0)[3] == pytest.approx(stencil, rel=1e-5, abs=1e-6)
 
     def test_gaussian_box_regular_at_axis(self):
         field = gaussian_pulse(3, 1.0, 0.0, 1.0, 0.5)
-        val = field.box_at(0.0, 0.0)
+        val = field.jet(0.0, 0.0)[3]
         # -d_tt + n d_rr at the axis for the even gaussian
         expected = (1.0 / 1.0 ** 2) - 3 * (1.0 / 0.5 ** 2)
         assert val == pytest.approx(expected * field.value(0.0, 0.0))
@@ -247,8 +251,8 @@ class TestDiscreteFieldEvaluation:
         phit = np.vstack([np.full_like(r, 3.0) for _ in times])
         fld = DiscreteField(times, r, phi, phit, 1)
         assert fld.value(0.25, 0.33) == pytest.approx(3 * 0.25 + 2 * 0.33)
-        assert fld.value_t(0.7, 1.0) == pytest.approx(3.0)
-        assert fld.value_r(0.7, 1.3) == pytest.approx(2.0)
+        assert fld.jet(0.7, 1.0)[1] == pytest.approx(3.0)
+        assert fld.jet(0.7, 1.3)[2] == pytest.approx(2.0)
 
     def test_even_extension(self):
         r = np.linspace(0, 1, 11)
@@ -269,3 +273,208 @@ class TestDiscreteFieldEvaluation:
         with pytest.raises(ValueError):
             DiscreteField(np.array([0.0]), np.array([0.5, 1.0]),
                           np.zeros((1, 2)), np.zeros((1, 2)), 3)
+
+
+# --------------------------------------------------------------------------
+# Bit identity of the jets with per-component closures evaluated one by one
+# --------------------------------------------------------------------------
+
+def _gaussian_closures(n, A, tc, wt, wr):
+    def phi(t, r):
+        return A * np.exp(-(t - tc) ** 2 / (2 * wt ** 2) - r * r / (2 * wr ** 2))
+
+    def phi_t(t, r):
+        return -(t - tc) / wt ** 2 * phi(t, r)
+
+    def phi_r(t, r):
+        return -r / wr ** 2 * phi(t, r)
+
+    def box(t, r):
+        phitt = ((t - tc) ** 2 / wt ** 4 - 1.0 / wt ** 2) * phi(t, r)
+        phirr = (r * r / wr ** 4 - 1.0 / wr ** 2) * phi(t, r)
+        return -phitt + phirr - (n - 1) / wr ** 2 * phi(t, r)
+
+    return phi, phi_t, phi_r, box
+
+
+def _polynomial_closures(n, A, tc, wt, wr, c1, c2):
+    b_phi, b_phi_t, b_phi_r, b_box = _gaussian_closures(n, A, tc, wt, wr)
+
+    def q(t):
+        return 1.0 + c1 * (t - tc) + c2 * (t - tc) ** 2
+
+    def dq(t):
+        return c1 + 2.0 * c2 * (t - tc)
+
+    def phi(t, r):
+        return q(t) * b_phi(t, r)
+
+    def phi_t(t, r):
+        return dq(t) * b_phi(t, r) + q(t) * b_phi_t(t, r)
+
+    def phi_r(t, r):
+        return q(t) * b_phi_r(t, r)
+
+    def box(t, r):
+        g = b_phi(t, r)
+        gt = b_phi_t(t, r)
+        gtt = ((t - tc) ** 2 / wt ** 4 - 1.0 / wt ** 2) * g
+        phitt = 2.0 * c2 * g + 2.0 * dq(t) * gt + q(t) * gtt
+        return -phitt + q(t) * (b_box(t, r) + gtt)
+
+    return phi, phi_t, phi_r, box
+
+
+def _travel_closures(n, A, v, d, w):
+    def arg(t, r):
+        return r - v * t - d
+
+    def phi(t, r):
+        return A * np.exp(-arg(t, r) ** 2 / (2 * w * w))
+
+    def phi_t(t, r):
+        return v * arg(t, r) / (w * w) * phi(t, r)
+
+    def phi_r(t, r):
+        return -arg(t, r) / (w * w) * phi(t, r)
+
+    def box(t, r):
+        s = arg(t, r)
+        sec = (s * s / w ** 4 - 1.0 / (w * w)) * phi(t, r)
+        return -(v * v) * sec + sec + (n - 1) / r * phi_r(t, r)
+
+    return phi, phi_t, phi_r, box
+
+
+def _offcenter_closures(n, A, tc, rc, wt, wr):
+    def phi(t, r):
+        return A * np.exp(-(t - tc) ** 2 / (2 * wt ** 2)
+                          - (r - rc) ** 2 / (2 * wr ** 2))
+
+    def phi_t(t, r):
+        return -(t - tc) / wt ** 2 * phi(t, r)
+
+    def phi_r(t, r):
+        return -(r - rc) / wr ** 2 * phi(t, r)
+
+    def box(t, r):
+        phitt = ((t - tc) ** 2 / wt ** 4 - 1.0 / wt ** 2) * phi(t, r)
+        phirr = ((r - rc) ** 2 / wr ** 4 - 1.0 / wr ** 2) * phi(t, r)
+        return -phitt + phirr + (n - 1) / r * phi_r(t, r)
+
+    return phi, phi_t, phi_r, box
+
+
+def _ode_closures(p):
+    sol = OdeSolution(p)
+    C, k = sol.amplitude, sol.k
+    return (lambda t, r: C * (-t) ** (-k) + 0.0 * np.asarray(r, dtype=float),
+            lambda t, r: C * k * (-t) ** (-k - 1) + 0.0 * np.asarray(r, dtype=float),
+            lambda t, r: np.zeros(np.broadcast(t, r).shape),
+            lambda t, r: -C * k * (k + 1) * (-t) ** (-k - 2)
+            + 0.0 * np.asarray(r, dtype=float))
+
+
+def _constant_closures(c):
+    return (lambda t, r: np.full(np.broadcast(t, r).shape, float(c)),) + tuple(
+        lambda t, r: np.zeros(np.broadcast(t, r).shape) for _ in range(3))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+def _quadrature_like_points(t_lo, t_hi, r_lo, r_hi):
+    """A broadcast time column against a radial mesh, as the bulk loop
+    passes them, plus a scalar point."""
+    tn = np.linspace(t_lo, t_hi, 37)
+    R = np.linspace(r_lo, r_hi, 41)[None, :] * np.ones((37, 1))
+    T = np.broadcast_to(tn[:, None], R.shape)
+    return [(T, R), (float(tn[5]), float(R[0, 7]))]
+
+
+class TestJetBitIdentity:
+    CASES = [
+        ("gauss", gaussian_pulse(3, 1.2, 0.3, 0.7, 0.5),
+         _gaussian_closures(3, 1.2, 0.3, 0.7, 0.5), (-0.4, 0.9, 0.0, 2.0)),
+        ("polygauss", polynomial_gaussian(2, 0.8, -0.2, 0.6, 0.7, c1=0.4, c2=-0.3),
+         _polynomial_closures(2, 0.8, -0.2, 0.6, 0.7, 0.4, -0.3),
+         (-0.5, 0.5, 0.0, 1.5)),
+        ("travel", traveling_bump(3, 1.0, 0.4, 1.5, 0.3),
+         _travel_closures(3, 1.0, 0.4, 1.5, 0.3), (-0.3, 0.6, 0.5, 2.5)),
+        ("offgauss", _offcenter_gaussian(2, 0.7, 0.1, 1.3, 0.25, 0.3),
+         _offcenter_closures(2, 0.7, 0.1, 1.3, 0.25, 0.3), (-0.2, 0.4, 0.6, 2.0)),
+        ("ode", ode_field(2.5, 3), _ode_closures(2.5), (-1.0, -0.05, 0.0, 1.0)),
+        ("zero", zero_field(3), _constant_closures(0.0), (-1.0, 1.0, 0.0, 1.0)),
+        ("constant", constant_field(1.7, 3), _constant_closures(1.7),
+         (-1.0, 1.0, 0.0, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("field,closures,box_",
+                             [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_jet_matches_closures(self, field, closures, box_):
+        for t, r in _quadrature_like_points(*box_):
+            jet = field.jet(t, r)
+            ta, ra = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
+            for got, closure in zip(jet, closures):
+                assert_same_bits(got, closure(ta, ra))
+            assert_same_bits(field.value(t, r), closures[0](ta, ra))
+
+
+def _reference_eval(fld, table, t, r):
+    """Bilinear interpolation of one table, written out per table."""
+    t = np.asarray(t, dtype=float)
+    r = np.abs(np.asarray(r, dtype=float))
+    t, r = np.broadcast_arrays(t, r)
+    if fld.times.size == 1:
+        m = np.zeros(t.shape, dtype=int)
+        th = np.zeros(t.shape)
+    else:
+        m = np.clip(np.searchsorted(fld.times, t, side="right") - 1,
+                    0, fld.times.size - 2)
+        th = np.clip((t - fld.times[m])
+                     / (fld.times[m + 1] - fld.times[m]), 0.0, 1.0)
+    x = np.clip(r / fld.dr, 0.0, fld.r.size - 1 - 1e-12)
+    j = np.minimum(x.astype(int), fld.r.size - 2)
+    fr = x - j
+    m2 = np.minimum(m + 1, fld.times.size - 1)
+    lo = table[m, j] * (1.0 - fr) + table[m, j + 1] * fr
+    hi = table[m2, j] * (1.0 - fr) + table[m2, j + 1] * fr
+    out = lo * (1.0 - th) + hi * th
+    return out if out.shape else float(out)
+
+
+class TestDiscreteJetBitIdentity:
+    @staticmethod
+    def _field(levels):
+        rng = np.random.default_rng(5)
+        r = np.linspace(0.0, 2.0, 65)
+        times = np.sort(rng.uniform(-1.0, 0.0, levels)) if levels > 1 \
+            else np.array([-0.5])
+        phi = rng.standard_normal((levels, r.size))
+        phit = rng.standard_normal((levels, r.size))
+        return DiscreteField(times, r, phi, phit, 3)
+
+    @staticmethod
+    def _points(fld):
+        rng = np.random.default_rng(11)
+        tn = np.concatenate([rng.uniform(fld.times[0], fld.times[-1], 30),
+                             fld.times, [fld.times[-1]]])
+        R = np.concatenate([rng.uniform(-2.0, 2.0, 40),
+                            fld.r[[0, 1, 31, -2, -1]]])[None, :] \
+            * np.ones((tn.size, 1))
+        T = np.broadcast_to(tn[:, None], R.shape)
+        return [(T, R), (float(fld.times[-1]), 2.0), (float(tn[0]), 0.3)]
+
+    @pytest.mark.parametrize("levels", [1, 2, 9])
+    def test_jet_and_value_match_per_table_interpolation(self, levels):
+        fld = self._field(levels)
+        tables = (fld.phi, fld.phi_t,
+                  np.vstack([fld.phi_r_level(m) for m in range(levels)]))
+        for t, r in self._points(fld):
+            for got, table in zip(fld.jet(t, r), tables):
+                assert_same_bits(got, _reference_eval(fld, table, t, r))
+            assert_same_bits(fld.value(t, r), _reference_eval(fld, fld.phi, t, r))

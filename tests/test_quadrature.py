@@ -16,13 +16,16 @@ from conewave.geometry import (
     TimeSlicePiece,
     lateral_boundary,
 )
+from conewave import quadrature
 from conewave.quadrature import (
     NonFiniteSample,
     QuadratureSpec,
     integrate_bulk,
+    integrate_slice,
     integrate_surface,
     vanishing_flux_probe,
 )
+from tests_helpers import closures_jet
 
 ONE = lambda t, r: np.ones_like(r)
 
@@ -140,6 +143,62 @@ class TestBulk:
         t_bad, r_bad = err.value.location
         assert r_bad > 1.5
 
+
+class TestBlockedEvaluation:
+    """The slice and bulk loops evaluate integrands on blocks of whole mesh
+    rows; the results must be the bits of a single whole-mesh call."""
+
+    @staticmethod
+    def _pair(calls):
+        def integrand(t, r):
+            calls.append(np.shape(r))
+            return (np.exp(-(t - 0.3) ** 2 - r) * np.cos(3.0 * r),
+                    t * r ** 2 + 0.5)
+        return integrand
+
+    @pytest.mark.parametrize("q,block", [
+        (QuadratureSpec(), None),                    # 96 rows of 96: 85 + 11
+        (QuadratureSpec(cells_t=12, cells_r=10), 220),  # 24 rows: 11 + 11 + 2
+    ])
+    def test_blocked_matches_one_block(self, monkeypatch, q, block):
+        region = ConeSegmentSpec(0.5, 1.0, 2.0)
+        if block is not None:
+            monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
+        calls = []
+        blocked = integrate_bulk(region, self._pair(calls), q, 3)
+        cols = {shape[1] for shape in calls}
+        assert len(calls) > q.refinement_levels + 1      # several blocks
+        assert cols == {2 * q.cells_r, 4 * q.cells_r}    # whole rows only
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", 10 ** 9)
+        whole = integrate_bulk(region, self._pair([]), q, 3)
+        for k, (got, want) in enumerate(zip(blocked, whole)):
+            assert got == want
+            single = integrate_bulk(region, lambda t, r: self._pair([])(t, r)[k],
+                                    q, 3)
+            assert got == single
+
+    def test_slice_several_integrands(self):
+        pair = self._pair([])
+        both = integrate_slice(-0.4, 0.1, 0.9, pair, QuadratureSpec(), 3)
+        for k in range(2):
+            assert both[k] == integrate_slice(
+                -0.4, 0.1, 0.9, lambda t, r: pair(t, r)[k], QuadratureSpec(), 3)
+
+    def test_nonfinite_location_does_not_depend_on_blocks(self, monkeypatch):
+        def bad(t, r):
+            out = np.ones_like(r)
+            out[(r > 1.5) & (t > 0.6)] = np.nan
+            return out
+
+        locations = []
+        for block in (300, 10 ** 9):
+            monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
+            with pytest.raises(NonFiniteSample) as err:
+                integrate_bulk(BoxSpec(0.0, 1.0, 1.0, 2.0), bad,
+                               QuadratureSpec(), 1)
+            locations.append(err.value.location)
+        assert locations[0] == locations[1]
+        assert locations[0][0] > 0.6 and locations[0][1] > 1.5
 
 class TestSurface:
     def test_lateral_slab_measure_n1(self):
@@ -345,7 +404,8 @@ def _compact_bump_field(n, r_lo, r_hi, t_lo, t_hi, amplitude=1.0):
                 - (phi_t(t + h, r) - phi_t(t - h, r)) / (2 * h)
                 + (n - 1) / r * phi_r(t, r))
 
-    return ManufacturedField(n, phi, phi_t, phi_r, box, label="compact")
+    return ManufacturedField(n, closures_jet(phi, phi_t, phi_r, box),
+                             label="compact")
 
 
 class TestFluxProbe:

@@ -6,6 +6,15 @@ from conewave.exact_solutions import smoothstep
 from conewave.fields import ManufacturedField
 
 
+def closures_jet(phi, phi_t, phi_r, box):
+    """A field jet assembled from four per-component closures."""
+
+    def jet(t, r):
+        return phi(t, r), phi_t(t, r), phi_r(t, r), box(t, r)
+
+    return jet
+
+
 def _smoothstep_prime(s):
     s = np.clip(s, 0.0, 1.0)
     return 30 * s ** 4 - 60 * s ** 3 + 30 * s ** 2
@@ -41,4 +50,5 @@ def compact_bump_field(n, r_lo, r_hi, t_lo, t_hi, amplitude=1.0):
                 - (phi_t(t + h, r) - phi_t(t - h, r)) / (2 * h)
                 + (n - 1) / np.maximum(r, 1e-30) * phi_r(t, r))
 
-    return ManufacturedField(n, phi, phi_t, phi_r, box, label="compact")
+    return ManufacturedField(n, closures_jet(phi, phi_t, phi_r, box),
+                             label="compact")
