@@ -98,6 +98,18 @@ class CarlemanParams:
         return self.shift.grad_radial(t, r)
 
 
+def _potential_and_gamma(params: CarlemanParams, t, r):
+    """(V, Gamma_V) at (t, r) from one evaluation of the potential's jet; a
+    constant potential gives the scalars (c0, Gamma_V)."""
+    m = params.n - 1.0 + 4.0 * params.a
+    const = -(m / 4.0) * (params.p - 1.0 - 4.0 / m)
+    if params.potential.kind == "constant":
+        return params.potential.c0, const + 0.0
+    ft, fr = params.weight_grad(t, r)
+    V, Vt, Vr = params.potential.jet(t, r)
+    return V, (-ft * Vt + fr * Vr) / V + const
+
+
 def bulk_gamma(params: CarlemanParams, t, r):
     """Gamma_V = grad f . grad(log V) - (n-1+4a)/4 (p - 1 - 4/(n-1+4a)).
 
@@ -105,14 +117,7 @@ def bulk_gamma(params: CarlemanParams, t, r):
     enters with a flipped sign. For a constant potential it is exactly +0,
     and Gamma_V is the scalar constant.
     """
-    m = params.n - 1.0 + 4.0 * params.a
-    const = -(m / 4.0) * (params.p - 1.0 - 4.0 / m)
-    if params.potential.kind == "constant":
-        return const + 0.0
-    ft, fr = params.weight_grad(t, r)
-    V = params.potential.value(t, r)
-    Vt, Vr = params.potential.gradient(t, r)
-    return (-ft * Vt + fr * Vr) / V + const
+    return _potential_and_gamma(params, t, r)[1]
 
 
 def _potential_value(params: CarlemanParams, t, r):
@@ -390,9 +395,8 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
         """Both bulk sides, from one field jet per node."""
         f = params.weight_value(t, r)
         ph, _, _, box = fieldobj.jet(t, r)
-        V = _potential_value(params, t, r)
-        lhs = (f ** (2 * a) * V * bulk_gamma(params, t, r)
-               * np.abs(ph) ** (p + 1.0)) / (p + 1.0)
+        V, gamma = _potential_and_gamma(params, t, r)
+        lhs = (f ** (2 * a) * V * gamma * np.abs(ph) ** (p + 1.0)) / (p + 1.0)
         rhs = f ** (2 * a + 1.0) * (box + V * signed_power(ph, p)) ** 2 / (8.0 * a)
         return lhs, rhs
 

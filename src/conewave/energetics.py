@@ -50,17 +50,33 @@ def _require_time_coverage(field, *times):
             raise ValueError(f"time {t} outside the sampled range [{lo}, {hi}]")
 
 
+def _density(v, v_t, v_r, scale, p=None):
+    """|grad phi|^2 [+ |phi|^{p+1}] + scale^{-2} phi^2 from jet values; the
+    power term only when `p` is given."""
+    total = v_t ** 2 + v_r ** 2
+    if p is not None:
+        total = total + np.abs(v) ** (p + 1.0)
+    return total + v * v / (scale * scale)
+
+
 def _energy_density(field, scale, p=None, sgn=1.0):
-    """Integrand |grad phi|^2 [+ |phi|^{p+1}] + scale^{-2} phi^2 from one jet
-    per node; the power term only when `p` is given. `sgn = -1` evaluates the
+    """Integrand `_density` from one jet per node. `sgn = -1` evaluates the
     field at the reflected time -t."""
 
     def integrand(tt, rr):
-        v, v_t, v_r = field.jet(tt if sgn == 1.0 else sgn * tt, rr)[:3]
-        total = v_t ** 2 + v_r ** 2
-        if p is not None:
-            total = total + np.abs(v) ** (p + 1.0)
-        return total + v * v / (scale * scale)
+        return _density(*field.jet(tt if sgn == 1.0 else sgn * tt, rr)[:3],
+                        scale, p)
+
+    return integrand
+
+
+def _energy_and_power(field, scale, p):
+    """slab_quantity's and lp_slab_quantity's integrands as one pair from
+    one jet per node: (`_density` without the power term, |phi|^{p+1})."""
+
+    def integrand(tt, rr):
+        v, v_t, v_r = field.jet(tt, rr)[:3]
+        return _density(v, v_t, v_r, scale), np.abs(v) ** (p + 1.0)
 
     return integrand
 
@@ -84,19 +100,26 @@ def annulus_quantity(field, sigma0, sigma1, t, p, n,
     return at ** expo * res.value, at ** expo * res.error_estimate
 
 
+def _slab(field, sigma, gamma, t_star):
+    slab = SlabSpec(sigma, gamma, t_star)
+    _require_time_coverage(field, *slab.time_window())
+    return slab
+
+
+def _slab_scaled(res, t_star, p, n):
+    """slab_quantity's |t*|^{1-n+4/(p-1)} weight applied to a slab result."""
+    weight = abs(t_star) ** (1.0 - n + 4.0 / (p - 1.0))
+    return weight * res.value, weight * res.error_estimate
+
+
 def slab_quantity(field, sigma, gamma, t_star, p, n,
                   q: QuadratureSpec | None = None):
     """|t*|^{1-n+4/(p-1)} int_slab (|grad phi|^2 + |t*|^{-2} phi^2)."""
     if q is None:
         q = QuadratureSpec()
-    slab = SlabSpec(sigma, gamma, t_star)
-    lo, hi = slab.time_window()
-    _require_time_coverage(field, lo, hi)
-    ats = abs(t_star)
-    expo = 1.0 - n + 4.0 / (p - 1.0)
-
-    res = integrate_bulk(slab, _energy_density(field, ats), q, n)
-    return ats ** expo * res.value, ats ** expo * res.error_estimate
+    slab = _slab(field, sigma, gamma, t_star)
+    res = integrate_bulk(slab, _energy_density(field, abs(t_star)), q, n)
+    return _slab_scaled(res, t_star, p, n)
 
 
 def lp_slab_quantity(field, sigma, gamma, t_star, p, n,
@@ -104,9 +127,7 @@ def lp_slab_quantity(field, sigma, gamma, t_star, p, n,
     """int_slab |phi|^{p+1} (no time weight)."""
     if q is None:
         q = QuadratureSpec()
-    slab = SlabSpec(sigma, gamma, t_star)
-    lo, hi = slab.time_window()
-    _require_time_coverage(field, lo, hi)
+    slab = _slab(field, sigma, gamma, t_star)
 
     def integrand(tt, rr):
         return np.abs(field.value(tt, rr)) ** (p + 1.0)
@@ -159,6 +180,32 @@ class LocalizedCheck:
     t_star: float
     sup_time: float | None = None
 
+    @classmethod
+    def from_sides(cls, lhs, rhs, kind, t_star, sup_time=None):
+        ratio = math.inf if lhs == 0 else rhs / lhs
+        return cls(lhs=lhs, rhs=rhs, ratio=ratio, kind=kind, t_star=t_star,
+                   sup_time=sup_time)
+
+
+def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q, sup_times=None):
+    """Right side of the annulus form of the localized estimate:
+    |t*| sup_tau int_{A(tau)} [|grad phi|^2 + |phi|^{p+1} + t*^{-2} phi^2],
+    tau in [|t*|/eta, eta |t*|] (17 equispaced levels unless `sup_times`),
+    with the time-reflected levels for t* < 0. Returns (rhs, sup time)."""
+    ats = abs(t_star)
+    sgn = 1.0 if t_star > 0 else -1.0
+    if sup_times is None:
+        sup_times = np.linspace(ats / eta, ats * eta, 17)
+    best, best_t = -math.inf, None
+    integrand = _energy_density(field, ats, p)
+    for tau in np.asarray(sup_times, dtype=float):
+        tau_signed = sgn * tau
+        res = integrate_slice(tau_signed, sigma0 * tau, sigma1 * tau,
+                              integrand, q, n)
+        if res.value > best:
+            best, best_t = res.value, tau_signed
+    return ats * best, best_t
+
 
 def localized_estimate_check(field, kind, sigma_or_pair, gamma, eta, t_star,
                              p, n, q: QuadratureSpec | None = None,
@@ -196,21 +243,10 @@ def localized_estimate_check(field, kind, sigma_or_pair, gamma, eta, t_star,
                                 q, n)
         rhs = ats * res.value
     else:
-        if sup_times is None:
-            sup_times = np.linspace(ats / eta, ats * eta, 17)
-        best = -math.inf
-        integrand = _energy_density(field, ats, p)
-        for tau in np.asarray(sup_times, dtype=float):
-            tau_signed = sgn * tau
-            res = integrate_slice(tau_signed, sigma0 * tau, sigma1 * tau,
-                                  integrand, q, n)
-            if res.value > best:
-                best, best_t = res.value, tau_signed
-        rhs = ats * best
+        rhs, best_t = _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n,
+                                   q, sup_times)
 
-    ratio = math.inf if lhs == 0 else rhs / lhs
-    return LocalizedCheck(lhs=lhs, rhs=rhs, ratio=ratio, kind=kind,
-                          t_star=t_star, sup_time=best_t)
+    return LocalizedCheck.from_sides(lhs, rhs, kind, t_star, best_t)
 
 
 @dataclass
@@ -328,11 +364,14 @@ def energy_profile(field, sigma0, sigma1, gamma, eta, times, p, n,
     ann, slab, ball, lhs_l, rhs_l, ratios, lat, errs = [], [], [], [], [], [], [], []
     for t in times:
         av, ae = annulus_quantity(field, sigma0, sigma1, t, p, n, q)
-        sv, se = slab_quantity(field, sigma0, gamma, t, p, n, q)
+        energy, power = integrate_bulk(_slab(field, sigma0, gamma, t),
+                                       _energy_and_power(field, abs(t), p),
+                                       q, n)
+        sv, se = _slab_scaled(energy, t, p, n)
         mv, me = weighted_ball_quantity(field, t, p, n, q)
         lv, le = lateral_quantity(field, sigma0, eta, t, p, n, q)
-        chk = localized_estimate_check(field, "annulus", (sigma0, sigma1),
-                                       gamma, eta, t, p, n, q)
+        rhs, sup_t = _annulus_sup(field, sigma0, sigma1, eta, t, p, n, q)
+        chk = LocalizedCheck.from_sides(power.value, rhs, "annulus", t, sup_t)
         ann.append(av)
         slab.append(sv)
         ball.append(mv)

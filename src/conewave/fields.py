@@ -95,28 +95,34 @@ class PotentialSpec:
         amp = abs(self.eps) * self.bump_amplitude() if self.kind == "perturbed" else 0.0
         return max(self.c0 + amp, 1.0 / (self.c0 - amp), 1.0)
 
-    def value(self, t, r):
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        if self.kind == "constant":
-            return np.full(np.broadcast(t, r).shape, self.c0)
+    def _bump(self, t, r):
+        """(b, t - tc, r - rc) of the perturbed potential."""
         tc, rc = self.center
-        rho2 = (t - tc) ** 2 + (r - rc) ** 2
+        dt = np.asarray(t, dtype=float) - tc
+        dr = np.asarray(r, dtype=float) - rc
+        rho2 = dt ** 2 + dr ** 2
         b = self.width * math.sqrt(math.e) * np.exp(-rho2 / (2.0 * self.width ** 2))
-        return self.c0 + self.eps * b
+        return b, dt, dr
+
+    def jet(self, t, r):
+        """(V, d_t V, d_r V) from one evaluation of the bump."""
+        if self.kind == "constant":
+            V = self.value(t, r)
+            return V, np.zeros(V.shape), np.zeros(V.shape)
+        b, dt, dr = self._bump(t, r)
+        scale = -self.eps * b / self.width ** 2
+        return self.c0 + self.eps * b, scale * dt, scale * dr
+
+    def value(self, t, r):
+        """V alone: the solver calls this every step and needs no gradient."""
+        if self.kind == "constant":
+            return np.full(np.broadcast(np.asarray(t), np.asarray(r)).shape,
+                           self.c0)
+        return self.c0 + self.eps * self._bump(t, r)[0]
 
     def gradient(self, t, r):
         """(d_t V, d_r V)."""
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        if self.kind == "constant":
-            z = np.zeros(np.broadcast(t, r).shape)
-            return z, z.copy()
-        tc, rc = self.center
-        rho2 = (t - tc) ** 2 + (r - rc) ** 2
-        b = self.width * math.sqrt(math.e) * np.exp(-rho2 / (2.0 * self.width ** 2))
-        scale = -self.eps * b / self.width ** 2
-        return scale * (t - tc), scale * (r - rc)
+        return self.jet(t, r)[1:]
 
     def max_gradient_times(self, t_star: float) -> float:
         return (abs(self.eps) if self.kind == "perturbed" else 0.0) * abs(t_star)
@@ -344,10 +350,13 @@ class DiscreteField:
 
     def _locate(self, t, r):
         """Bilinear stencil of a batch of points: flat table indices of the
-        four corners and the weights (1 - fr, fr, 1 - th, th)."""
+        four corners and the weights (1 - fr, fr, 1 - th, th).
+
+        t and r need only broadcast: the time work (level, th, row offsets)
+        runs on t's own shape, so a (rows, 1) column of times costs one
+        search per row, and only the radial work runs per point."""
         t = np.asarray(t, dtype=float)
         r = np.abs(np.asarray(r, dtype=float))  # even extension
-        t, r = np.broadcast_arrays(t, r)
         tol = 1e-9 * max(1.0, float(np.abs(self.times).max()))
         if np.any(t < self.times[0] - tol) or np.any(t > self.times[-1] + tol):
             raise ValueError("time outside the stored range")
@@ -361,11 +370,13 @@ class DiscreteField:
                         0, self.times.size - 2)
             th = np.clip((t - self.times[m])
                          / (self.times[m + 1] - self.times[m]), 0.0, 1.0)
+        row_lo = m * self.r.size
+        row_hi = np.minimum(m + 1, self.times.size - 1) * self.r.size
         x = np.clip(r / self.dr, 0.0, self.r.size - 1 - 1e-12)
         j = np.minimum(x.astype(int), self.r.size - 2)
         fr = x - j
-        lo = m * self.r.size + j
-        hi = np.minimum(m + 1, self.times.size - 1) * self.r.size + j
+        lo = row_lo + j
+        hi = row_hi + j
         return lo, lo + 1, hi, hi + 1, 1.0 - fr, fr, 1.0 - th, th
 
     @staticmethod

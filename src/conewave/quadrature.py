@@ -3,7 +3,13 @@ hypersurface pieces, with graded meshes toward flagged singular edges.
 
 Bulk integrands are plain vectorized callables f(t, r); one returning a tuple
 of arrays has each of them integrated on the same mesh and gives a tuple of
-results. Surface integrands on pieces that carry a weight (cone pieces of
+results. Bulk integrands, and integrands on a fixed-time slice (also the
+TimeSlicePiece surfaces), get r in full but t unbroadcast: a (rows, 1)
+column, one time per mesh row, or on a slice a one-element array holding
+the level. t always broadcasts with r, but an integrand must not assume
+t.shape == r.shape; its t-only subexpressions then cost one evaluation per
+row, not per node.
+Surface integrands on pieces that carry a weight (cone pieces of
 shifted exterior regions, level sets) are called as f(t, r, w) where w is the
 weight value computed in product form; near the weight's zero set this is the
 only representation with any relative accuracy, so singular integrands must
@@ -97,7 +103,8 @@ def _check_finite(vals, T, R):
     bad = ~np.isfinite(vals)
     if np.any(bad):
         idx = np.unravel_index(np.argmax(bad), np.shape(bad))
-        raise NonFiniteSample(np.asarray(T)[idx], np.asarray(R)[idx],
+        T = np.broadcast_to(T, np.shape(R))
+        raise NonFiniteSample(T[idx], np.asarray(R)[idx],
                               np.asarray(vals)[idx])
 
 
@@ -166,14 +173,17 @@ def _refine(level, q: QuadratureSpec):
 def _weighted_sums(integrand, T, R, meas):
     """sum(meas * vals) for the integrand's values on the nodes (T, R).
 
-    The integrand is called on blocks of whole rows of about BLOCK_NODES
-    nodes, so its temporaries stay small; the values go into full-size
-    buffers that are checked and summed whole. An integrand returning a
-    tuple of arrays gives a tuple of sums, one per array."""
+    On a 2-D mesh T is a (rows, 1) column, one time per row of R; on a 1-D
+    slice it is the one-element array of the level. The integrand is called
+    on blocks of whole rows of about BLOCK_NODES nodes, so its temporaries
+    stay small; the values go into full-size buffers that are checked and
+    summed whole, each multiplied by `meas` in place. An integrand returning
+    a tuple of arrays gives a tuple of sums, one per array."""
     step = max(1, BLOCK_NODES // (R[0].size if R.ndim > 1 else 1))
     bufs = None
     for lo in range(0, len(R), step):
-        out = integrand(T[lo:lo + step], R[lo:lo + step])
+        out = integrand(T[lo:lo + step] if R.ndim > 1 else T,
+                        R[lo:lo + step])
         several = isinstance(out, tuple)
         outs = out if several else (out,)
         if bufs is None:
@@ -183,7 +193,7 @@ def _weighted_sums(integrand, T, R, meas):
     sums = []
     for vals in bufs:
         _check_finite(vals, T, R)
-        sums.append(float(np.sum(meas * vals)))
+        sums.append(float(np.sum(np.multiply(meas, vals, out=vals))))
     return tuple(sums) if several else sums[0]
 
 
@@ -197,13 +207,15 @@ def integrate_slice(t, r_lo, r_hi, integrand, q: QuadratureSpec, n: int,
     if r_hi <= r_lo:
         return QuadratureResult(0.0, 0.0, 0)
     om = sphere_area(n)
+    # an array, not a scalar: numpy's scalar power differs from its array
+    # power in the last bit for a few percent of inputs
+    level_t = np.array([t], dtype=float)
 
     def level(factor):
         rn, rw = _interval_nodes(r_lo, r_hi, factor * q.cells_r, q.base_order,
                                  q.grading_exponent, singular_lo, singular_hi)
-        tt = np.full_like(rn, t)
         meas = rw * om * rn ** (n - 1)
-        return _weighted_sums(integrand, tt, rn, meas), rn.size
+        return _weighted_sums(integrand, level_t, rn, meas), rn.size
 
     return _refine(level, q)
 
@@ -230,10 +242,10 @@ def integrate_profile(t_window, r_inner, r_outer, integrand,
                                   order)
         span = (rhi - rlo)[:, None]
         RR = rlo[:, None] + span * rel[None, :]
-        WW = tws[:, None] * span * rw_rel[None, :]
-        TT = np.broadcast_to(tn[:, None], RR.shape)
-        meas = WW * om * RR ** (n - 1)
-        return _weighted_sums(integrand, TT, RR, meas), RR.size
+        meas = tws[:, None] * span * rw_rel[None, :]
+        meas *= om
+        meas *= RR ** (n - 1)
+        return _weighted_sums(integrand, tn[:, None], RR, meas), RR.size
 
     return _refine(level, q)
 

@@ -383,6 +383,120 @@ class TestVerifyGlobalOnePass:
         assert rep.error_estimates["rhs_bulk"].hex() == rhs.error_estimate.hex()
 
 
+def _separate_potential(pot, t, r):
+    """(V, d_t V, d_r V) with V and its gradient as two evaluations, each
+    with its own bump: the expressions PotentialSpec.value and .gradient
+    had before they read one jet."""
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if pot.kind == "constant":
+        shape = np.broadcast(t, r).shape
+        return np.full(shape, pot.c0), np.zeros(shape), np.zeros(shape)
+    tc, rc = pot.center
+    rho2 = (t - tc) ** 2 + (r - rc) ** 2
+    b = pot.width * math.sqrt(math.e) * np.exp(-rho2 / (2.0 * pot.width ** 2))
+    V = pot.c0 + pot.eps * b
+    rho2 = (t - tc) ** 2 + (r - rc) ** 2
+    b = pot.width * math.sqrt(math.e) * np.exp(-rho2 / (2.0 * pot.width ** 2))
+    scale = -pot.eps * b / pot.width ** 2
+    return V, scale * (t - tc), scale * (r - rc)
+
+
+def _perturbed_suite_cases(count, seed=7):
+    """The first `count` perturbed-potential cases of the verify-carleman
+    suite at `seed`."""
+    from conewave.cli import _random_case
+
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    cases = []
+    while len(cases) < count:
+        case = _random_case(rng)
+        if case[0].potential.kind == "perturbed":
+            cases.append(case)
+    return cases
+
+
+class TestPotentialEvaluatedOnce:
+    """verify_global reads V and its gradient from one potential jet per
+    block; the bits are those of separate value and gradient evaluations."""
+
+    def test_jet_matches_separate_expressions(self):
+        tn = np.linspace(-0.6, 0.4, 23)[:, None]
+        R = np.linspace(0.0, 2.0, 31)[None, :] * np.ones((23, 1))
+        for pot in (PotentialSpec.constant(1.3),
+                    PotentialSpec(kind="perturbed", c0=1.1, eps=0.15,
+                                  center=(0.0, 1.0), width=0.8),
+                    PotentialSpec(kind="perturbed", c0=0.9, eps=-0.2,
+                                  center=(-0.2, 0.6), width=0.5)):
+            want = _separate_potential(pot, tn, R)
+            for got, ref in zip(pot.jet(tn, R), want):
+                assert got.tobytes() == ref.tobytes()
+            assert pot.value(tn, R).tobytes() == want[0].tobytes()
+            for got, ref in zip(pot.gradient(tn, R), want[1:]):
+                assert got.tobytes() == ref.tobytes()
+
+    def test_suite_cases_match_separate_evaluations(self):
+        q = QuadratureSpec()
+        for params, fieldobj, region in _perturbed_suite_cases(4):
+            a, p = params.a, params.p
+            m = params.n - 1.0 + 4.0 * params.a
+            const = -(m / 4.0) * (params.p - 1.0 - 4.0 / m)
+
+            def lhs_integrand(t, r):
+                f = params.weight_value(t, r)
+                ft, fr = params.weight_grad(t, r)
+                V, Vt, Vr = _separate_potential(params.potential, t, r)
+                gamma = (-ft * Vt + fr * Vr) / V + const
+                return (f ** (2 * a) * V * gamma
+                        * np.abs(fieldobj.value(t, r)) ** (p + 1.0)) / (p + 1.0)
+
+            def rhs_integrand(t, r):
+                f = params.weight_value(t, r)
+                V = _separate_potential(params.potential, t, r)[0]
+                ph, _, _, box = fieldobj.jet(t, r)
+                return (f ** (2 * a + 1.0) * (box + V * signed_power(ph, p)) ** 2
+                        / (8.0 * a))
+
+            rep = verify_global(params, fieldobj, region, q)
+            lhs = carleman._bulk_integrate_region(region, lhs_integrand, q,
+                                                  params.n)
+            rhs = carleman._bulk_integrate_region(region, rhs_integrand, q,
+                                                  params.n)
+            assert rep.lhs_bulk.hex() == lhs.value.hex()
+            assert rep.rhs_bulk.hex() == rhs.value.hex()
+            assert rep.error_estimates["lhs"].hex() == lhs.error_estimate.hex()
+            assert rep.error_estimates["rhs_bulk"].hex() == \
+                rhs.error_estimate.hex()
+
+    def test_one_potential_jet_per_integrand_call(self, monkeypatch):
+        counts = {"integrand": 0, "jet": 0}
+        state = {"bulk": False}
+        inner_region = carleman._bulk_integrate_region
+        inner_jet = PotentialSpec.jet
+
+        def region_pass(region, integrand, q, n):
+            def counted(t, r):
+                counts["integrand"] += 1
+                return integrand(t, r)
+
+            state["bulk"] = True
+            try:
+                return inner_region(region, counted, q, n)
+            finally:
+                state["bulk"] = False
+
+        def jet(self, t, r):
+            counts["jet"] += state["bulk"]
+            return inner_jet(self, t, r)
+
+        monkeypatch.setattr(carleman, "_bulk_integrate_region", region_pass)
+        monkeypatch.setattr(PotentialSpec, "jet", jet)
+        params, fieldobj, region = _perturbed_suite_cases(1)[0]
+        verify_global(params, fieldobj, region, QuadratureSpec())
+        assert counts["integrand"] > 0
+        assert counts["jet"] == counts["integrand"]
+
+
 class TestFrustumWeightCheck:
     def test_cylinder_endpoint_on_the_zero_set_is_rejected(self):
         # inner cylinder r0 = 0.5 meets |t - t*| = r0 exactly at t1 = 0.5

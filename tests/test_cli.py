@@ -280,6 +280,24 @@ class TestDiagnosticsSubcommands:
         slope = float(text_rates.strip().splitlines()[1].split(",")[1])
         assert abs(slope) < 1e-6
 
+    def test_energy_profile_on_a_run_reruns_byte_identical(self, tmp_path):
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        text = text.replace("sigma0 = 0.25",
+                            "sigma0 = 0.25\nfield_source = run\n"
+                            "t_star = -0.45 -0.35 -0.25")
+        text = text.replace("snapshot_times = -0.8 -0.5 -0.3",
+                            "snapshot_log = 0.1 1.0 12")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run(["energy-profile", "--config", cfg, "--out", str(out)]) == 0
+        rows = (outs[0] / "profile.csv").read_text().strip().splitlines()
+        assert len(rows) == 4
+        assert all(float(v) > 0.0 for row in rows[1:] for v in row.split(",")[1:])
+        for name in ("profile.csv", "summary"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_decay_subcommand(self, tmp_path):
         text = """
 [problem]

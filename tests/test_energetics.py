@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conewave import energetics
 from conewave.energetics import (
     annulus_quantity,
     decay_partials,
     energy_profile,
+    lateral_quantity,
     localized_estimate_check,
+    lp_slab_quantity,
     weighted_ball_quantity,
     profile_csv,
     rate_fit,
@@ -261,3 +264,38 @@ class TestProfilesAndCsv:
                                                  2.0, 3, Q)[0])
         assert min(inner_vals) > 0.0
         assert min(annulus_vals) > 0.0
+
+
+class TestEnergyProfileOneSlabPass:
+    """energy_profile integrates each slab once for both slab_quantity and
+    the localized check's left side, with the bits of the separate calls."""
+
+    def test_one_bulk_integral_per_time(self, monkeypatch, truncated_run_field):
+        field = truncated_run_field
+        times = (-0.4, -0.2, -0.1)
+        calls = []
+        inner = energetics.integrate_bulk
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(energetics, "integrate_bulk", counting)
+        report = energy_profile(field, 0.25, 0.5, 1.2, 2.0, times, 2.0, 3, Q)
+        assert len(calls) == len(times)
+        monkeypatch.setattr(energetics, "integrate_bulk", inner)
+
+        for i, t in enumerate(times):
+            sv, se = slab_quantity(field, 0.25, 1.2, t, 2.0, 3, Q)
+            lv, _ = lp_slab_quantity(field, 0.25, 1.2, t, 2.0, 3, Q)
+            chk = localized_estimate_check(field, "annulus", (0.25, 0.5), 1.2,
+                                           2.0, t, 2.0, 3, Q)
+            av, ae = annulus_quantity(field, 0.25, 0.5, t, 2.0, 3, Q)
+            _, me = weighted_ball_quantity(field, t, 2.0, 3, Q)
+            _, le = lateral_quantity(field, 0.25, 2.0, t, 2.0, 3, Q)
+            assert lv > 0.0
+            assert report.slab[i].hex() == sv.hex()
+            assert report.lhs_annulus_est[i].hex() == lv.hex() == chk.lhs.hex()
+            assert report.rhs_annulus_est[i].hex() == chk.rhs.hex()
+            assert report.ratios[i].hex() == chk.ratio.hex()
+            assert report.errors[i].hex() == (ae + se + me + le).hex()

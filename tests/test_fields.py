@@ -478,3 +478,91 @@ class TestDiscreteJetBitIdentity:
             for got, table in zip(fld.jet(t, r), tables):
                 assert_same_bits(got, _reference_eval(fld, table, t, r))
             assert_same_bits(fld.value(t, r), _reference_eval(fld, fld.phi, t, r))
+
+
+# --------------------------------------------------------------------------
+# Column contract: quadrature passes t as a (rows, 1) column (a one-element
+# array on a slice); every evaluation must give the bits of the same times
+# broadcast in full.
+# --------------------------------------------------------------------------
+
+def _column_and_full(t_lo, t_hi, r_lo, r_hi):
+    """(t as passed, the same t broadcast in full, r): a time column against
+    a radial mesh, and a slice's one-element level against one row."""
+    tn = np.linspace(t_lo, t_hi, 37)
+    R = np.linspace(r_lo, r_hi, 41)[None, :] * np.ones((37, 1))
+    col = tn[:, None]
+    return [(col, np.broadcast_to(col, R.shape), R),
+            (tn[5:6], np.full(R.shape[1], tn[5]), R[0])]
+
+
+def _same_broadcast_bits(got, want):
+    """Same bits once `got` is broadcast to the shape of `want`; a t-only
+    output may keep the column shape."""
+    assert_same_bits(np.broadcast_to(got, np.shape(want)), want)
+
+
+class TestColumnContract:
+    @pytest.mark.parametrize("field,box_",
+                             [(c[1], c[3]) for c in TestJetBitIdentity.CASES],
+                             ids=[c[0] for c in TestJetBitIdentity.CASES])
+    def test_manufactured_jets(self, field, box_):
+        for col, full, R in _column_and_full(*box_):
+            for got, want in zip(field.jet(col, R), field.jet(full, R)):
+                assert_same_bits(got, want)
+            assert_same_bits(field.value(col, R), field.value(full, R))
+
+    def test_weight(self):
+        from conewave.geometry import ShiftedWeight
+
+        for weight in (ShiftedWeight(), ShiftedWeight(0.35)):
+            for col, full, R in _column_and_full(-0.8, 0.3, 0.5, 2.0):
+                _same_broadcast_bits(weight.value_radial(col, R),
+                                     weight.value_radial(full, R))
+                for got, want in zip(weight.grad_radial(col, R),
+                                     weight.grad_radial(full, R)):
+                    _same_broadcast_bits(got, want)
+
+    @pytest.mark.parametrize("potential", [
+        PotentialSpec.constant(1.3),
+        PotentialSpec(kind="perturbed", c0=1.1, eps=0.15, center=(0.0, 1.0),
+                      width=0.8),
+        PotentialSpec(kind="perturbed", c0=2.0, eps=-0.4, center=(-0.3, 0.2),
+                      width=0.45),
+    ], ids=["constant", "perturbed", "perturbed-neg"])
+    def test_potential(self, potential):
+        for col, full, R in _column_and_full(-0.6, 0.4, 0.0, 1.8):
+            for got, want in zip(potential.jet(col, R), potential.jet(full, R)):
+                assert_same_bits(got, want)
+            assert_same_bits(potential.value(col, R), potential.value(full, R))
+            for got, want in zip(potential.gradient(col, R),
+                                 potential.gradient(full, R)):
+                assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("levels", [1, 2, 9])
+    def test_discrete_jet_and_value(self, levels):
+        fld = TestDiscreteJetBitIdentity._field(levels)
+        rng = np.random.default_rng(23)
+        tn = np.concatenate([rng.uniform(fld.times[0], fld.times[-1], 20),
+                             fld.times, [fld.times[-1]]])  # every level, the last
+        R = np.concatenate([rng.uniform(-2.0, 2.0, 30),  # negative r too
+                            fld.r[[0, 1, 31, -2, -1]], -fld.r[[1, -1]]])
+        R = R[None, :] * np.ones((tn.size, 1))
+        col = tn[:, None]
+        for t, full, r in ((col, np.broadcast_to(col, R.shape), R),
+                           (tn[-1:], np.full(R.shape[1], tn[-1]), R[0])):
+            for got, want in zip(fld.jet(t, r), fld.jet(full, r)):
+                assert_same_bits(got, want)
+            assert_same_bits(fld.value(t, r), fld.value(full, r))
+
+    def test_discrete_out_of_range_time_raises_the_same_error(self):
+        fld = TestDiscreteJetBitIdentity._field(9)
+        R = np.linspace(0.0, 2.0, 7)[None, :] * np.ones((3, 1))
+        for bad_t in (fld.times[0] - 0.1, fld.times[-1] + 0.1):
+            col = np.array([[fld.times[1]], [bad_t], [fld.times[2]]])
+            messages = []
+            for t in (col, np.broadcast_to(col, R.shape)):
+                with pytest.raises(ValueError) as err:
+                    fld.jet(t, R)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1] == "time outside the stored range"

@@ -446,3 +446,170 @@ class TestFluxProbe:
         ext = ExteriorRegionSpec(0.5, 1.0)
         with pytest.raises(ValueError):
             vanishing_flux_probe(ext, zero_field(3), 0.25, [1e-4, 1e-3])
+
+
+def _reference_level_loop(t_window, r_inner, r_outer, integrand, q, n,
+                          singular_r=(False, False), singular_t=(False, False)):
+    """integrate_profile with every node given its own t: the time column
+    broadcast over the mesh, the measure WW * om * RR^(n-1) kept whole, one
+    integrand call per level and sum(meas * vals). Returns the results as
+    integrate_profile does, or the location of the first non-finite sample."""
+    from conewave.geometry import sphere_area
+
+    om = sphere_area(n)
+    values, nodes = [], 0
+    for exponent in range(q.refinement_levels + 1):
+        factor = 2 ** exponent
+        tn, tws = quadrature._interval_nodes(
+            t_window[0], t_window[1], factor * q.cells_t, q.base_order,
+            q.grading_exponent, singular_t[0], singular_t[1])
+        rlo = np.asarray(r_inner(tn), dtype=float)
+        rhi = np.asarray(r_outer(tn), dtype=float)
+        rel, rw_rel = quadrature._cell_nodes(
+            quadrature._breakpoints(factor * q.cells_r, q.grading_exponent,
+                                    singular_r[0], singular_r[1]),
+            q.base_order)
+        span = (rhi - rlo)[:, None]
+        RR = rlo[:, None] + span * rel[None, :]
+        WW = tws[:, None] * span * rw_rel[None, :]
+        TT = np.broadcast_to(tn[:, None], RR.shape)
+        meas = WW * om * RR ** (n - 1)
+        out = integrand(TT, RR)
+        outs = out if isinstance(out, tuple) else (out,)
+        sums = []
+        for vals in outs:
+            bad = ~np.isfinite(vals)
+            if np.any(bad):
+                idx = np.unravel_index(np.argmax(bad), bad.shape)
+                return TT[idx], RR[idx]
+            sums.append(float(np.sum(meas * vals)))
+        values.append(tuple(sums) if isinstance(out, tuple) else sums[0])
+        nodes += RR.size
+    if isinstance(values[-1], tuple):
+        return tuple(quadrature.QuadratureResult(v, abs(v - w), nodes)
+                     for v, w in zip(values[-1], values[-2]))
+    return quadrature.QuadratureResult(values[-1], abs(values[-1] - values[-2]),
+                                       nodes)
+
+
+def _same_result_bits(got, want):
+    for g, w in zip(got if isinstance(got, tuple) else (got,),
+                    want if isinstance(want, tuple) else (want,)):
+        assert g.value.hex() == w.value.hex()
+        assert g.error_estimate.hex() == w.error_estimate.hex()
+        assert g.nodes_used == w.nodes_used
+
+
+class TestRowColumnTime:
+    """integrate_profile passes t as a (rows, 1) column; its sums must be
+    the bits of a loop that hands every node its own t."""
+
+    @staticmethod
+    def _discrete_field():
+        from conewave.fields import DiscreteField
+
+        rng = np.random.default_rng(3)
+        r = np.linspace(0.0, 2.5, 129)
+        times = np.linspace(-1.0, 0.2, 13)
+        return DiscreteField(times, r, rng.standard_normal((13, r.size)),
+                             rng.standard_normal((13, r.size)), 3)
+
+    def _integrands(self):
+        from conewave.cli import _offcenter_gaussian
+        from conewave.fields import PotentialSpec, ode_field
+        from conewave.geometry import ShiftedWeight
+
+        gauss = _offcenter_gaussian(3, 0.8, -0.1, 1.0, 0.3, 0.35)
+        disc = self._discrete_field()
+        pot = PotentialSpec(kind="perturbed", c0=1.1, eps=0.15,
+                            center=(0.0, 1.0), width=0.8)
+        weight = ShiftedWeight(0.4)
+        ode = ode_field(2.5, 3)
+
+        def manufactured(t, r):
+            ph, ph_t, ph_r, box = gauss.jet(t, r)
+            return (ph_t ** 2 + ph_r ** 2 + np.abs(ph) ** 3.2,
+                    weight.value_radial(t, r) ** 2 * pot.value(t, r) * box)
+
+        def discrete(t, r):
+            v, v_t, v_r = disc.jet(t, r)
+            return v_t ** 2 + v_r ** 2 + v * v / (0.3 * 0.3)
+
+        def ode_power(t, r):
+            return np.abs(ode.value(t - 1.5, r)) ** 3.0 / (t - 1.5) ** 2
+
+        return {"manufactured": manufactured, "discrete": discrete,
+                "ode": ode_power}
+
+    @pytest.mark.parametrize("q", [QuadratureSpec(),
+                                   QuadratureSpec(base_order=2, cells_t=12,
+                                                  cells_r=10,
+                                                  refinement_levels=2)])
+    @pytest.mark.parametrize("name", ["manufactured", "discrete", "ode"])
+    def test_profile_sums_match_per_node_times(self, name, q):
+        integrand = self._integrands()[name]
+        cases = [
+            ((-0.9, 0.1), lambda t: np.zeros_like(t), lambda t: 0.8 * np.abs(t)
+             + 0.1, {}),
+            ((-0.5, 0.15), lambda t: 0.2 + 0.1 * t, lambda t: 2.0 + 0.0 * t,
+             dict(singular_r=(True, False), singular_t=(True, True))),
+        ]
+        for window, r_in, r_out, flags in cases:
+            got = quadrature.integrate_profile(window, r_in, r_out, integrand,
+                                               q, 3, **flags)
+            want = _reference_level_loop(window, r_in, r_out, integrand, q, 3,
+                                         **flags)
+            _same_result_bits(got, want)
+
+    @pytest.mark.parametrize("name", ["manufactured", "discrete", "ode"])
+    def test_slice_sums_match_per_node_times(self, name):
+        from conewave.geometry import sphere_area
+
+        integrand = self._integrands()[name]
+        q = QuadratureSpec(cells_r=8)
+        # many levels: a scalar level would round t-only powers differently
+        # from the array path for only a few percent of the times
+        for t in np.linspace(-0.95, 0.15, 45):
+            values = []
+            for factor in (1, 2):
+                rn, rw = quadrature._interval_nodes(0.1, 1.9,
+                                                    factor * q.cells_r,
+                                                    q.base_order)
+                out = integrand(np.full_like(rn, t), rn)
+                outs = out if isinstance(out, tuple) else (out,)
+                values.append([float(np.sum(rw * sphere_area(3) * rn ** 2 * v))
+                               for v in outs])
+            got = integrate_slice(t, 0.1, 1.9, integrand, q, 3)
+            for g, fine, coarse in zip(
+                    got if isinstance(got, tuple) else (got,),
+                    values[1], values[0]):
+                assert g.value.hex() == fine.hex()
+                assert g.error_estimate.hex() == abs(fine - coarse).hex()
+
+    def test_integrand_sees_a_time_column(self):
+        shapes = []
+
+        def integrand(t, r):
+            shapes.append((np.shape(t), np.shape(r)))
+            return np.ones_like(r)
+
+        quadrature.integrate_profile((0.0, 1.0), lambda t: 0.0 * t,
+                                     lambda t: 1.0 + t, integrand,
+                                     QuadratureSpec(), 3)
+        assert all(ts == (rs[0], 1) for ts, rs in shapes)
+        shapes.clear()
+        integrate_slice(0.5, 0.0, 1.0, integrand, QuadratureSpec(), 3)
+        assert all(ts == (1,) and len(rs) == 1 for ts, rs in shapes)
+
+    def test_nonfinite_location_with_a_time_column(self):
+        def bad(t, r):
+            return np.where((r > 1.2) & (t > 0.55), np.nan, 1.0 + 0.0 * r)
+
+        args = ((0.0, 1.0), lambda t: 0.5 + 0.0 * t, lambda t: 2.0 - 0.5 * t,
+                bad, QuadratureSpec(), 3)
+        with pytest.raises(NonFiniteSample) as err:
+            quadrature.integrate_profile(*args)
+        want = _reference_level_loop(*args)
+        assert err.value.location == want
+        assert want[0] > 0.55 and want[1] > 1.2
+        assert all(np.shape(x) == () for x in err.value.location)
