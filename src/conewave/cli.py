@@ -219,6 +219,15 @@ def _validate(cfg: RunConfig):
         r_diag = max(r_diag, max(cfg.sigma1, cfg.sigma) * cfg.eta
                      * max(abs(t) for t in cfg.t_star))
     if cfg.data is not None:
+        # a snapshot time outside the run would be dropped; snapshot_log
+        # puts its endpoints on t0 or t_end up to rounding
+        tol = 1e-9 * max(1.0, abs(cfg.t0), abs(cfg.t_end))
+        outside = [t for t in cfg.snapshot_times
+                   if not cfg.t0 - tol <= t <= cfg.t_end + tol]
+        if outside:
+            raise ConfigError(
+                f"snapshot time {float(outside[0])!r} outside [t0, t_end] = "
+                f"[{cfg.t0!r}, {cfg.t_end!r}]")
         solver_cfg = cfg.solver_config()
         if not solver_cfg.causal_buffer_ok(r_diag):
             needed = r_diag + (cfg.t_end - cfg.t0) * solver_cfg.stencil_speed_bound()

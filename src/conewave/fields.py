@@ -240,23 +240,53 @@ def traveling_bump(n=3, amplitude=1.0, speed=0.5, offset=2.0, width=0.3):
 # --------------------------------------------------------------------------
 
 SNAPSHOT_HEADER = "# n p t"
-SNAPSHOT_ROW = "%.17g %.17g %.17g\n"
+SNAPSHOT_ROW = "%s %.17g %.17g\n"  # r comes preformatted
 SNAPSHOT_BLOCK_ROWS = 1024
+
+
+def _live_end(a, b):
+    """One past the last index where the float64 arrays a or b are not +0.0
+    bit for bit (-0.0 and NaN count as live); 0 if there is none."""
+    live = np.flatnonzero(a.view(np.uint64) | b.view(np.uint64))
+    return int(live[-1]) + 1 if live.size else 0
+
+
+def _grid_text(r):
+    """The `r` column of a snapshot, one string per row."""
+    return ["%.17g" % x for x in np.asarray(r, dtype=float).tolist()]
+
+
+def _write_level(path, n, p, t, r_text, phi, phit):
+    """One snapshot file with the `r` column given as `_grid_text(r)`.
+
+    Rows before the level's live edge are formatted a block at a time, so
+    the text held in memory stays bounded whatever the grid size; the rows
+    from the edge on, where phi and phit are +0.0, are `r 0 0`."""
+    if not len(r_text) == len(phi) == len(phit):
+        raise ValueError("r, phi and phit differ in length")
+    edge = _live_end(phi, phit)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"{SNAPSHOT_HEADER}\n")
+        handle.write(f"{n:d} {p:.17g} {t:.17g}\n")
+        for start in range(0, edge, SNAPSHOT_BLOCK_ROWS):
+            stop = min(start + SNAPSHOT_BLOCK_ROWS, edge)
+            values = [None] * (3 * (stop - start))
+            values[0::3] = r_text[start:stop]
+            values[1::3] = phi[start:stop].tolist()
+            values[2::3] = phit[start:stop].tolist()
+            handle.write(SNAPSHOT_ROW * (stop - start) % tuple(values))
+        handle.write(" 0 0\n".join(r_text[edge:] + [""]))
 
 
 def write_snapshot(path, n, p, t, r, phi, phit):
     """Text snapshot: header `# n p t`, rows `r phi phit`, 17 sig digits.
 
-    Rows are formatted a block at a time, so the text held in memory stays
-    bounded whatever the grid size."""
-    rows = np.column_stack((r, phi, phit))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{SNAPSHOT_HEADER}\n")
-        handle.write(f"{n:d} {p:.17g} {t:.17g}\n")
-        for start in range(0, len(rows), SNAPSHOT_BLOCK_ROWS):
-            block = rows[start:start + SNAPSHOT_BLOCK_ROWS]
-            handle.write(SNAPSHOT_ROW * len(block)
-                         % tuple(block.ravel().tolist()))
+    The rows past the last one where phi or phit is not +0.0 read `r 0 0`;
+    they are written without formatting a value, so a level that the data
+    has not reached in full (the solver's causal window) costs little past
+    its live edge."""
+    _write_level(path, n, p, t, _grid_text(r), np.asarray(phi, dtype=float),
+                 np.asarray(phit, dtype=float))
 
 
 def read_snapshot(path):
@@ -404,13 +434,16 @@ class DiscreteField:
                      (self.phi, self.phi_t, self._phi_r_table()))
 
     def write_snapshots(self, directory, p, prefix="snap"):
+        """One `write_snapshot` file per level; the levels share the grid,
+        so its `r` column is formatted once for all of them."""
         import os
 
+        r_text = _grid_text(self.r)
         paths = []
         for m, t in enumerate(self.times):
             path = os.path.join(directory, f"{prefix}_{m:04d}.dat")
-            write_snapshot(path, self.dim, p, t, self.r, self.phi[m],
-                           self.phi_t[m])
+            _write_level(path, self.dim, p, t, r_text, self.phi[m],
+                         self.phi_t[m])
             paths.append(path)
         return paths
 

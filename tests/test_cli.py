@@ -86,6 +86,38 @@ class TestConfigParsing:
         assert len(cfg.snapshot_times) >= 8
         assert all(t < 0 for t in cfg.snapshot_times)
 
+    def test_snapshot_times_outside_the_run_rejected(self, tmp_path, capsys):
+        # a run drops such times: simulate would exit 0 with one snapshot
+        text = BASE.replace("t_end = -0.1", "t_end = 0.0").replace(
+            "snapshot_times = -0.8 -0.5 -0.3", "snapshot_times = -1.5 -0.5 0.7")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        with pytest.raises(ConfigError, match=r"snapshot time -1\.5 outside"):
+            parse_config(cfg)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "error: snapshot time -1.5 outside" in capsys.readouterr().err
+        assert not (out / "run.csv").exists()
+        late = write_config(tmp_path / "late.cfg",
+                            text.replace("-1.5 -0.5 0.7", "-0.5 0.7"))
+        with pytest.raises(ConfigError, match=r"snapshot time 0\.7 outside"):
+            parse_config(late)
+
+    def test_snapshot_times_on_the_ends_accepted(self, tmp_path):
+        # snapshot_log endpoints land on t0 up to rounding; a relative
+        # 1e-9 slack at either end is accepted
+        text = BASE.replace("t_end = -0.1", "t_end = 0.0").replace(
+            "snapshot_times = -0.8 -0.5 -0.3", "snapshot_log = 0.04 1.0 16")
+        cfg = parse_config(write_config(tmp_path / "log.cfg", text))
+        assert min(cfg.snapshot_times) == -1.0
+        text = BASE.replace("-0.8 -0.5 -0.3", "-1.0000000005 -0.5 -0.0999999999")
+        parse_config(write_config(tmp_path / "ends.cfg", text))
+
+    def test_sweep_cells_check_snapshot_times(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path / "c.cfg", BASE))
+        cfg.snapshot_times = (-0.5, 0.25)
+        with pytest.raises(ConfigError, match="snapshot time 0.25"):
+            cli._apply_cell(cfg, {"J": 128.0})
+
     def test_missing_file_is_config_error(self, tmp_path):
         assert run(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2
 
@@ -104,6 +136,26 @@ class TestSimulate:
         body = (out / snaps[0]).read_text().splitlines()
         assert body[0] == "# n p t"
         assert all(float(tok) == 0.0 for tok in body[2].split())
+
+    def test_byte_identical_reruns(self, tmp_path):
+        # every output file, the snapshots included, of a run whose data
+        # reaches only part of the grid
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 1.0\nw = 0.25")
+        text = text.replace("J = 256", "J = 512").replace(
+            "snapshot_times = -0.8 -0.5 -0.3", "snapshot_log = 0.1 1.0 8")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        snaps = [n for n in names if n.startswith("snap_")]
+        assert len(snaps) == 9 and {"run.csv", "summary"} <= set(names)
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        first = (outs[0] / snaps[0]).read_text().splitlines()
+        assert first[-1].endswith(" 0 0") and not first[2].endswith(" 0 0")
 
     def test_malformed_config_exit_2(self, tmp_path):
         bad = BASE.replace("gamma = 1.2", "gamma = 0.8")

@@ -243,6 +243,99 @@ class TestSnapshots:
         assert fld.value(0.05, 0.5) == pytest.approx(0.025)
 
 
+def format_every_row(path, n, p, t, r, phi, phit):
+    """Every row through `%.17g`, a block of rows at a time: the bytes the
+    snapshot writer must reproduce."""
+    rows = np.column_stack((r, phi, phit))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("# n p t\n")
+        handle.write(f"{n:d} {p:.17g} {t:.17g}\n")
+        for start in range(0, len(rows), 1024):
+            block = rows[start:start + 1024]
+            handle.write("%.17g %.17g %.17g\n" * len(block)
+                         % tuple(block.ravel().tolist()))
+
+
+def writer_level(size, live=(), dr=6.0 / 8192):
+    """(r, phi, phit) on a uniform grid, +0.0 except the {index: (phi,
+    phit)} entries of `live`."""
+    phi, phit = np.zeros(size), np.zeros(size)
+    for j, (a, b) in dict(live).items():
+        phi[j], phit[j] = a, b
+    return np.arange(size) * dr, phi, phit
+
+
+WRITER_LEVELS = {
+    "all_zero": writer_level(40),
+    "zero_phi_live_phit_in_tail": writer_level(
+        40, {3: (0.25, -1.5), 31: (0.0, 2.0 / 3.0)}),
+    "interior_zeros_before_edge": writer_level(
+        40, {0: (1.0, 0.0), 4: (0.0, 0.0), 9: (-3.5e-7, 1e300), 20: (0.1, 0.0)}),
+    "negative_zero_in_tail": writer_level(
+        40, {2: (math.pi, 1.0), 25: (-0.0, 0.0), 33: (0.0, -0.0)}),
+    "negative_zero_last_row": writer_level(40, {39: (-0.0, -0.0)}),
+    "subnormals": writer_level(
+        40, {5: (5e-324, -5e-324), 17: (2.2e-310, 0.0), 38: (0.0, -1e-320)}),
+    "non_finite": writer_level(
+        12, {1: (math.inf, math.nan), 7: (-math.inf, 1.0)}),
+    "one_row_zero": writer_level(1),
+    "one_row_live": writer_level(1, {0: (-0.0, 0.5)}),
+    "two_rows_zero": writer_level(2),
+    "two_rows_live_tail": writer_level(2, {1: (1e-17, 0.0)}),
+    "longer_than_a_block": writer_level(
+        2 * 1024 + 37, {0: (2.0, 1.0), 1023: (1.0, 0.0), 1500: (0.0, -4.0)}),
+    "edge_on_a_block_boundary": writer_level(
+        3 * 1024, {7: (1.0, 1.0), 2047: (-2.5, 0.0)}),
+    "dense": (np.linspace(0.0, 3.0, 301), np.sin(np.linspace(0.0, 9.0, 301)),
+              np.cos(np.linspace(0.0, 9.0, 301))),
+}
+
+
+class TestSnapshotWriterLiveEdge:
+    """Rows past a level's live edge are written without formatting their
+    values; the bytes must be those of formatting every row."""
+
+    @pytest.mark.parametrize("name", sorted(WRITER_LEVELS))
+    def test_same_bytes_as_formatting_every_row(self, tmp_path, name):
+        r, phi, phit = WRITER_LEVELS[name]
+        write_snapshot(tmp_path / "got.dat", 3, 2.0, -0.375, r, phi, phit)
+        format_every_row(tmp_path / "want.dat", 3, 2.0, -0.375, r, phi, phit)
+        assert ((tmp_path / "got.dat").read_bytes()
+                == (tmp_path / "want.dat").read_bytes())
+
+    def test_negative_zero_prints_as_minus_zero(self, tmp_path):
+        r, phi, phit = WRITER_LEVELS["negative_zero_last_row"]
+        write_snapshot(tmp_path / "s.dat", 3, 2.0, 0.0, r, phi, phit)
+        assert (tmp_path / "s.dat").read_text().endswith(" -0 -0\n")
+        assert np.signbit(read_snapshot(str(tmp_path / "s.dat"))[4][-1])
+
+    @pytest.mark.parametrize("size", [1, 2, 40, 2 * 1024 + 37])
+    def test_write_snapshots_equals_write_snapshot_per_level(self, tmp_path,
+                                                             size):
+        levels = [WRITER_LEVELS[name] for name in sorted(WRITER_LEVELS)
+                  if WRITER_LEVELS[name][0].size == size]
+        r = levels[0][0]
+        times = np.arange(len(levels)) * 0.125 - 1.0
+        fld = DiscreteField(times, r, np.vstack([lv[1] for lv in levels]),
+                            np.vstack([lv[2] for lv in levels]), 2)
+        paths = fld.write_snapshots(str(tmp_path), 1.5)
+        assert len(paths) == len(levels)
+        for m, path in enumerate(paths):
+            one = tmp_path / f"one_{m}.dat"
+            write_snapshot(one, 2, 1.5, times[m], r, fld.phi[m], fld.phi_t[m])
+            want = tmp_path / f"want_{m}.dat"
+            format_every_row(want, 2, 1.5, times[m], r, fld.phi[m],
+                             fld.phi_t[m])
+            with open(path, "rb") as handle:
+                got = handle.read()
+            assert got == one.read_bytes() == want.read_bytes()
+
+    def test_lengths_must_agree(self, tmp_path):
+        r, phi, phit = WRITER_LEVELS["all_zero"]
+        with pytest.raises(ValueError):
+            write_snapshot(tmp_path / "s.dat", 3, 2.0, 0.0, r[:-1], phi, phit)
+
+
 class TestDiscreteFieldEvaluation:
     def test_reproduces_bilinear_functions(self):
         r = np.linspace(0, 2, 41)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conewave.exact_solutions import InitialDataSpec, OdeSolution, smoothstep
-from conewave.fields import PotentialSpec, signed_power
+from conewave.fields import PotentialSpec, signed_power, write_snapshot
 from conewave.geometry import sphere_area
 from conewave.solver import (
     RunResult,
@@ -136,6 +136,12 @@ KERNEL_CASES = {
         SolverConfig(n=3, p=2.0, J=256, R=24.0, t0=1.0, t_end=5.0,
                      record_energy=True, snapshot_times=(2.0, 5.0)),
         InitialDataSpec.gaussian(1e-3, 0.5)),
+    # the trace's pairwise sums run on the full arrays, the steps on the
+    # causal window of the compact data, up to the blow-up
+    "energy_trace_blowup": (
+        SolverConfig(n=3, p=2.0, J=300, R=6.0, t0=-1.0, t_end=0.5,
+                     record_energy=True, snapshot_times=(-0.9, -0.2)),
+        InitialDataSpec.truncated_ode(2.0, 0.25)),
 }
 
 
@@ -147,7 +153,11 @@ def assert_same_bits(got, want):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_buffered_kernel_matches_plain_leapfrog_bitwise(name):
-    cfg, data = KERNEL_CASES[name]
+    assert_matches_reference(*KERNEL_CASES[name])
+
+
+def assert_matches_reference(cfg, data):
+    """evolve(cfg, data) equals reference_evolve bit for bit; returns the run."""
     res = evolve(cfg, data)
     snapshots, max_phi, t_blowup, blow_surface, dt, trace = \
         reference_evolve(cfg, data)
@@ -165,6 +175,45 @@ def test_buffered_kernel_matches_plain_leapfrog_bitwise(name):
         assert len(res.energy_times) == len(trace)
     else:
         assert res.energy.size == 0
+    return res
+
+
+def test_causal_window_that_saturates_matches_plain_leapfrog_bitwise():
+    # compact data whose front reaches the Dirichlet end long before t_end:
+    # the window grows to the whole grid inside the one step loop
+    cfg = SolverConfig(n=3, p=2.0, J=96, R=3.0, t0=0.0, t_end=3.0,
+                       snapshot_times=(0.0, 0.2, 1.0, 3.0))
+    data = InitialDataSpec.gaussian(1e-3, 0.2)
+    assert data.support_radius < 0.5 * cfg.R
+    res = assert_matches_reference(cfg, data)
+    assert res.status == "completed" and res.steps > cfg.J
+    first, last = res.snapshots[0][1], res.snapshots[-1][1]
+    assert not first[cfg.J // 2:].any()
+    assert last[cfg.J - 1] != 0.0  # live next to the Dirichlet end
+
+
+def test_negative_zero_tail_of_start_data_matches_plain_leapfrog_bitwise(tmp_path):
+    # -0.0 is live: a start level read from a snapshot file whose tail
+    # prints as -0 must step like the full grid, with no stale -0.0 left in
+    # the cells of a window that took it for +0.0
+    J, R = 128, 6.0
+    r = np.arange(J + 1) * (R / J)
+    phi = 1e-3 * (1.0 - smoothstep(r - 1.0))
+    phi[r >= 2.0] = -0.0
+    path = tmp_path / "start.dat"
+    write_snapshot(path, 3, 2.0, -1.0, r, phi, np.zeros_like(r))
+    assert "\n6 -0 0\n" in path.read_text()
+    data = InitialDataSpec.from_file(str(path))
+    probe = SolverConfig(n=3, p=2.0, J=J, R=R, t0=-1.0, t_end=-0.5)
+    dt = evolve(probe, data).dt
+    # the first levels: a window that missed the -0.0 cells would leave
+    # them stale there
+    cfg = SolverConfig(n=3, p=2.0, J=J, R=R, t0=-1.0, t_end=-0.5,
+                       snapshot_times=tuple(-1.0 + m * dt for m in range(6)))
+    res = assert_matches_reference(cfg, data)
+    assert len(res.snapshots) == 6
+    assert np.signbit(res.snapshots[0][1][J - 1])
+    assert not np.signbit(res.snapshots[2][1][J - 1])
 
 
 @pytest.mark.parametrize("p, potential", [
