@@ -7,17 +7,14 @@ by deterministic quadrature.
 """
 
 from .geometry import (
-    AnnulusSpec,
     BoxSpec,
     ConeSegmentSpec,
-    ConeSpec,
     ExteriorRegionSpec,
     LateralSlabSpec,
     MinkowskiPoint,
     RaySpec,
     ShiftedWeight,
     SlabSpec,
-    contains,
     covering_check,
     eval_weight,
     eval_weight_gradient,
@@ -27,10 +24,7 @@ from .fields import (
     DiscreteField,
     ManufacturedField,
     PotentialSpec,
-    box_operator,
     gaussian_pulse,
-    gradient_norm_sq,
-    nonlinear_residual,
     ode_field,
 )
 from .exact_solutions import (

@@ -23,6 +23,7 @@ from .fields import ManufacturedField, PotentialSpec, signed_power
 from .geometry import (
     AdmissibleRegionSpec,
     BoxSpec,
+    BulkRegion,
     ConePiece,
     CylinderPiece,
     ExteriorRegionSpec,
@@ -31,16 +32,8 @@ from .geometry import (
     TimeSlicePiece,
     UNSHIFTED,
     lateral_boundary,
-    oriented_normal,
 )
-from .quadrature import (
-    QuadratureSpec,
-    QuadratureResult,
-    integrate_bulk,
-    integrate_profile,
-    integrate_surface,
-    vanishing_flux_probe,
-)
+from .quadrature import QuadratureSpec, integrate_bulk, integrate_surface
 
 __all__ = [
     "CarlemanParams",
@@ -55,6 +48,7 @@ __all__ = [
     "level_shell_region",
     "verify_global",
     "verify_shifted",
+    "vanishing_flux_probe",
     "report_csv_header",
     "report_csv_row",
 ]
@@ -169,7 +163,7 @@ def flux_covector(params: CarlemanParams, fieldobj, t, r, fval=None):
 def box_region(t0, t1, r0, r1, shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
     """Rectangle in (t, r) with two spacelike and two timelike pieces."""
     bulk = BoxSpec(t0, t1, r0, r1)
-    _require_positive_weight_box(bulk, shift)
+    _require_positive_weight(bulk, shift)
     pieces = (
         TimeSlicePiece(t0, r0, r1, inward_sign=+1),
         TimeSlicePiece(t1, r0, r1, inward_sign=-1),
@@ -180,7 +174,7 @@ def box_region(t0, t1, r0, r1, shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRe
 
 
 @dataclass(frozen=True)
-class _FrustumBulk:
+class _FrustumBulk(BulkRegion):
     """{t0 < t < t1, inner(t) < r < outer(t)} with one tilted-cone side."""
 
     t0: float
@@ -216,7 +210,7 @@ def frustum_region(t0, t1, r0, slope, t_apex,
         cone,
     )
     region = AdmissibleRegionSpec(bulk=bulk, pieces=pieces)
-    _require_positive_weight_frustum(bulk, shift)
+    _require_positive_weight(bulk, shift)
     return region
 
 
@@ -238,7 +232,7 @@ def inverted_frustum_region(t0, t1, r1, slope, t_apex,
         CylinderPiece(r1, t0, t1, outward_sign=+1),
     )
     region = AdmissibleRegionSpec(bulk=bulk, pieces=pieces)
-    _require_positive_weight_frustum(bulk, shift)
+    _require_positive_weight(bulk, shift)
     return region
 
 
@@ -252,8 +246,8 @@ def clipped_exterior_region(sigma, t_star, eps, t0, t1) -> AdmissibleRegionSpec:
         raise ValueError("clip window misses the region")
     w = ext.weight
     pieces = (
-        TimeSlicePiece(t0, float(ext.inner_radius(t0)), sigma * t0, inward_sign=+1),
-        TimeSlicePiece(t1, float(ext.inner_radius(t1)), sigma * t1, inward_sign=-1),
+        TimeSlicePiece(t0, float(ext.r_inner(t0)), sigma * t0, inward_sign=+1),
+        TimeSlicePiece(t1, float(ext.r_inner(t1)), sigma * t1, inward_sign=-1),
         LevelSetPiece(w, eps, t0, t1, outward_sign=-1),
         ConePiece(sigma, t0, t1, outward_sign=+1, weight=w),
     )
@@ -262,32 +256,41 @@ def clipped_exterior_region(sigma, t_star, eps, t0, t1) -> AdmissibleRegionSpec:
 
 
 @dataclass(frozen=True)
-class _ClippedExteriorBulk:
+class _ClippedExteriorBulk(BulkRegion):
+    """The exterior region `ext` between the planes t0 and t1; its inner
+    edge is graded toward as in `ext`, its clipped ends are not."""
+
     ext: ExteriorRegionSpec
     t0: float
     t1: float
 
+    @property
+    def singular_r(self):
+        return self.ext.singular_r
+
     def r_inner(self, t):
-        return self.ext.inner_radius(t)
+        return self.ext.r_inner(t)
 
     def r_outer(self, t):
-        return self.ext.sigma * np.asarray(t, dtype=float)
+        return self.ext.r_outer(t)
 
 
 def level_shell_region(shift: ShiftedWeight, eps0, eps1, t0, t1) -> AdmissibleRegionSpec:
     """{eps0 < f < eps1} between two planes (axis-ray shift)."""
     if not 0.0 < eps0 < eps1:
         raise ValueError("need 0 < eps0 < eps1")
+    inner = LevelSetPiece(shift, eps0, t0, t1, outward_sign=-1)
+    outer = LevelSetPiece(shift, eps1, t0, t1, outward_sign=+1)
     pieces = (
         TimeSlicePiece(t0, _level_radius(shift, eps0, t0),
                        _level_radius(shift, eps1, t0), inward_sign=+1),
         TimeSlicePiece(t1, _level_radius(shift, eps0, t1),
                        _level_radius(shift, eps1, t1), inward_sign=-1),
-        LevelSetPiece(shift, eps0, t0, t1, outward_sign=-1),
-        LevelSetPiece(shift, eps1, t0, t1, outward_sign=+1),
+        inner,
+        outer,
     )
-    bulk = _LevelShellBulk(shift, eps0, eps1, t0, t1)
-    return AdmissibleRegionSpec(bulk=bulk, pieces=pieces)
+    return AdmissibleRegionSpec(bulk=_LevelShellBulk(t0, t1, inner, outer),
+                                pieces=pieces)
 
 
 def _level_radius(shift, eps, t):
@@ -295,54 +298,30 @@ def _level_radius(shift, eps, t):
 
 
 @dataclass(frozen=True)
-class _LevelShellBulk:
-    shift: ShiftedWeight
-    eps0: float
-    eps1: float
+class _LevelShellBulk(BulkRegion):
+    """{t0 < t < t1} between two level sets of the weight."""
+
     t0: float
     t1: float
+    inner: LevelSetPiece
+    outer: LevelSetPiece
 
     def r_inner(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.sqrt((t - self.shift.t_star) ** 2 + 4.0 * self.eps0)
+        return self.inner.radius(t)
 
     def r_outer(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.sqrt((t - self.shift.t_star) ** 2 + 4.0 * self.eps1)
+        return self.outer.radius(t)
 
 
-def _require_positive_weight_box(bulk: BoxSpec, shift: ShiftedWeight):
-    corners_t = (bulk.t0, bulk.t1)
-    ts = shift.t_star
-    worst = min(bulk.r0 ** 2 - (t - ts) ** 2 for t in corners_t)
-    if worst <= 0.0:
-        raise ValueError("box closure leaves the exterior region {f > 0}")
-
-
-def _require_positive_weight_frustum(bulk: _FrustumBulk, shift: ShiftedWeight):
+def _require_positive_weight(bulk: BulkRegion, shift: ShiftedWeight):
     # Along the inner side r_inner(t)^2 - (t - t*)^2 is a constant minus a
     # square (cylinder) or a quadratic with leading coefficient
     # slope^2 - 1 < 0 (cone): concave either way, so its minimum over
     # [t0, t1] sits at an endpoint.
     ts = shift.t_star
-    for t in (bulk.t0, bulk.t1):
+    for t in bulk.time_window():
         if float(bulk.r_inner(t)) ** 2 - (t - ts) ** 2 <= 0.0:
-            raise ValueError("frustum closure leaves the exterior region {f > 0}")
-
-
-def _bulk_integrate_region(region: AdmissibleRegionSpec, integrand,
-                           q: QuadratureSpec, n: int) -> QuadratureResult:
-    bulk = region.bulk
-    if isinstance(bulk, BoxSpec):
-        return integrate_bulk(bulk, integrand, q, n)
-    if isinstance(bulk, (_FrustumBulk, _ClippedExteriorBulk, _LevelShellBulk)):
-        singular_r = (False, False)
-        if isinstance(bulk, _ClippedExteriorBulk) and bulk.ext.eps == 0.0:
-            singular_r = (True, False)
-        return integrate_profile((bulk.t0, bulk.t1), bulk.r_inner,
-                                 bulk.r_outer, integrand, q, n,
-                                 singular_r=singular_r)
-    raise TypeError(f"unsupported bulk kind {type(bulk).__name__}")
+            raise ValueError("region closure leaves the exterior region {f > 0}")
 
 
 # --------------------------------------------------------------------------
@@ -359,10 +338,6 @@ class CarlemanReport:
     passed: bool
     slack: float
     tolerance: float
-
-    @property
-    def rhs_total(self) -> float:
-        return self.rhs_bulk + self.rhs_boundary
 
 
 def report_csv_header():
@@ -400,7 +375,7 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
         rhs = f ** (2 * a + 1.0) * (box + V * signed_power(ph, p)) ** 2 / (8.0 * a)
         return lhs, rhs
 
-    lhs, rhs = _bulk_integrate_region(region, integrand, q, n)
+    lhs, rhs = integrate_bulk(region.bulk, integrand, q, n)
 
     per_piece = []
     errors = {"lhs": lhs.error_estimate, "rhs_bulk": rhs.error_estimate}
@@ -427,59 +402,23 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
 
 
 def _piece_flux(params, fieldobj, piece):
-    """Oriented boundary integrand P . N for one piece.
+    """Oriented boundary integrand P . N for one piece; pieces that carry
+    a weight hand it in as f (see integrate_surface)."""
 
-    Level sets carry a position-dependent normal -sign f^{-1/2} grad f;
-    the other pieces have constant normals, evaluated at an interior probe
-    point. Pieces carrying a weight are integrated through the
-    (t, r, f)-signature contract of integrate_surface.
-    """
-    if isinstance(piece, LevelSetPiece):
-        ts = params.shift.t_star
-        sign = piece.outward_sign
+    def flux(t, r, f=None):
+        Pt, Pr = flux_covector(params, fieldobj, t, r, fval=f)
+        return piece.dot_normal(Pt, Pr, t, r, f)
 
-        def flux(t, r, f):
-            Pt, Pr = flux_covector(params, fieldobj, t, r, fval=f)
-            scale = sign / np.sqrt(f)
-            return Pt * scale * 0.5 * (t - ts) + Pr * scale * 0.5 * r
-
-        return flux
-
-    probe = _probe_point(piece)
-    normal = oriented_normal(piece, probe)
-    if getattr(piece, "weight", None) is not None:
-        def flux(t, r, f):
-            Pt, Pr = flux_covector(params, fieldobj, t, r, fval=f)
-            return Pt * normal[0] + Pr * normal[1]
-    else:
-        def flux(t, r):
-            Pt, Pr = flux_covector(params, fieldobj, t, r)
-            return Pt * normal[0] + Pr * normal[1]
     return flux
-
-
-def _probe_point(piece):
-    if isinstance(piece, TimeSlicePiece):
-        return piece.level, (0.5 * (piece.r_lo + piece.r_hi),)
-    if isinstance(piece, CylinderPiece):
-        return 0.5 * (piece.t_lo + piece.t_hi), (piece.radius,)
-    if isinstance(piece, ConePiece):
-        tm = 0.5 * (piece.t_lo + piece.t_hi)
-        return tm, (float(piece.radius(tm)),)
-    raise TypeError(type(piece).__name__)
 
 
 @dataclass
 class ShiftedReport:
     lhs: float
     terms: dict                 # t1_gradient, t2_power, t3_zeroth, t4_singular
-    ratio: float                # lhs / rhs_total, the observed constant
+    ratio: float                # lhs / sum of the terms, the observed constant
     flux_trail: tuple           # inner fluxes over the eps sequence
     error_estimates: dict
-
-    @property
-    def rhs_total(self) -> float:
-        return sum(self.terms.values())
 
 
 def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
@@ -559,3 +498,31 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
                                  potential=params.potential, q=q, n=n)
     return ShiftedReport(lhs=lhs.value, terms=terms, ratio=ratio,
                          flux_trail=tuple(trail), error_estimates=errors)
+
+
+def vanishing_flux_probe(exterior: ExteriorRegionSpec, field, a, eps_sequence,
+                         p=2.0, potential=None, q: QuadratureSpec | None = None,
+                         n: int | None = None):
+    """Flux of the Carleman current through the level sets {f = eps}.
+
+    Returns one value per eps; for C^2 fields the sequence tends to 0 as the
+    level approaches the null boundary, which callers assert.
+    """
+    if q is None:
+        q = QuadratureSpec()
+    if n is None:
+        n = getattr(field, "dim", 3)
+    if potential is None:
+        potential = PotentialSpec.constant(1.0)
+    if sorted(eps_sequence, reverse=True) != list(eps_sequence):
+        raise ValueError("eps sequence must be decreasing")
+    params = CarlemanParams(a=a, p=p, n=n, potential=potential,
+                            shift=exterior.weight)
+    fluxes = []
+    for eps in eps_sequence:
+        t_lo, t_hi = ExteriorRegionSpec(exterior.sigma, exterior.t_star,
+                                        exterior.ray, eps=eps).time_window()
+        piece = LevelSetPiece(exterior.weight, eps, t_lo, t_hi, outward_sign=-1)
+        fluxes.append(integrate_surface(piece, _piece_flux(params, field, piece),
+                                        q, n).value)
+    return fluxes

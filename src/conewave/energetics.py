@@ -41,13 +41,11 @@ __all__ = [
 
 
 def _require_time_coverage(field, *times):
-    stored = getattr(field, "times", None)
-    if stored is None:
-        return
-    lo, hi = stored[0], stored[-1]
-    for t in times:
-        if not lo - 1e-9 <= t <= hi + 1e-9:
-            raise ValueError(f"time {t} outside the sampled range [{lo}, {hi}]")
+    """A field sampled on stored levels (see DiscreteField.require_times)
+    must cover `times`; closed-form fields cover every time."""
+    require = getattr(field, "require_times", None)
+    if require is not None:
+        require(times)
 
 
 def _density(v, v_t, v_r, scale, p=None):
@@ -144,8 +142,10 @@ def lateral_quantity(field, sigma, eta, t_star, p, n,
         q = QuadratureSpec()
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
-    piece = LateralSlabSpec(sigma, eta, ats).piece()
-    res = integrate_surface(piece, _energy_density(field, ats, p, sgn), q, n)
+    lateral = LateralSlabSpec(sigma, eta, ats)
+    _require_time_coverage(field, *(sgn * t for t in lateral.time_window()))
+    res = integrate_surface(lateral.piece(), _energy_density(field, ats, p, sgn),
+                            q, n)
     return res.value, res.error_estimate
 
 
@@ -196,9 +196,11 @@ def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q, sup_times=None):
     sgn = 1.0 if t_star > 0 else -1.0
     if sup_times is None:
         sup_times = np.linspace(ats / eta, ats * eta, 17)
+    sup_times = np.asarray(sup_times, dtype=float)
+    _require_time_coverage(field, *(sgn * sup_times))
     best, best_t = -math.inf, None
     integrand = _energy_density(field, ats, p)
-    for tau in np.asarray(sup_times, dtype=float):
+    for tau in sup_times:
         tau_signed = sgn * tau
         res = integrate_slice(tau_signed, sigma0 * tau, sigma1 * tau,
                               integrand, q, n)
@@ -223,8 +225,6 @@ def localized_estimate_check(field, kind, sigma_or_pair, gamma, eta, t_star,
         q = QuadratureSpec()
     if kind not in ("timecone", "annulus"):
         raise ValueError("kind must be timecone or annulus")
-    ats = abs(t_star)
-    sgn = 1.0 if t_star > 0 else -1.0
 
     if kind == "timecone":
         sigma0 = float(sigma_or_pair)
@@ -235,13 +235,8 @@ def localized_estimate_check(field, kind, sigma_or_pair, gamma, eta, t_star,
     best_t = None
 
     if kind == "timecone":
-        # lateral integral over {r = sigma |t|, |t| in (t*/eta, eta t*)};
-        # the reflected cone has the same induced measure, so parametrize by
-        # |t| and evaluate the field at sgn * |t|.
-        piece = LateralSlabSpec(sigma0, eta, ats).piece()
-        res = integrate_surface(piece, _energy_density(field, ats, p, sgn),
-                                q, n)
-        rhs = ats * res.value
+        rhs = abs(t_star) * lateral_quantity(field, sigma0, eta, t_star, p, n,
+                                             q)[0]
     else:
         rhs, best_t = _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n,
                                    q, sup_times)
@@ -254,7 +249,6 @@ class DecayReport:
     horizons: tuple
     bulk: tuple          # D(T) = int_{cone, 1<t<T} t^{-1} |phi|^{p+1}
     lateral: tuple       # L(T) = int_{boundary, 1<t<T} (|grad phi|^2 + |phi|^{p+1})
-    holder: tuple        # int_{boundary, 1<t<T} t^{-2} phi^2
     bulk_segments: tuple = ()   # per-interval masses D(T_k) - D(T_{k-1}),
     # exact tail increments even when cumulative sums round them away
 
@@ -280,11 +274,8 @@ def decay_partials(field, sigma, horizons, p, n,
         v, v_t, v_r = field.jet(tt, rr)[:3]
         return v_t ** 2 + v_r ** 2 + np.abs(v) ** (p + 1.0)
 
-    def holder_integrand(tt, rr):
-        return field.value(tt, rr) ** 2 / (tt * tt)
-
-    bulk, lateral, holder, segments = [], [], [], []
-    acc_b = acc_l = acc_h = 0.0
+    bulk, lateral, segments = [], [], []
+    acc_b = acc_l = 0.0
     t_prev = 1.0
     for T in horizons:
         seg = ConeSegmentSpec(sigma, t_prev, T)
@@ -292,14 +283,11 @@ def decay_partials(field, sigma, horizons, p, n,
         mass = integrate_bulk(seg, bulk_integrand, q, n).value
         acc_b += mass
         acc_l += integrate_surface(piece, lat_integrand, q, n).value
-        acc_h += integrate_surface(piece, holder_integrand, q, n).value
         bulk.append(acc_b)
         lateral.append(acc_l)
-        holder.append(acc_h)
         segments.append(mass)
         t_prev = T
-    return DecayReport(horizons, tuple(bulk), tuple(lateral), tuple(holder),
-                       tuple(segments))
+    return DecayReport(horizons, tuple(bulk), tuple(lateral), tuple(segments))
 
 
 @dataclass

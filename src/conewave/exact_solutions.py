@@ -57,10 +57,6 @@ class OdeSolution:
             raise ValueError("phi* is defined for t < 0")
         return self.amplitude * self.k * (-t) ** (-self.k - 1.0)
 
-    def d2value(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.amplitude * self.k * (self.k + 1.0) * (-t) ** (-self.k - 2.0)
-
     def threshold_crossing(self, level: float) -> float:
         """Time t < 0 at which phi* reaches the given level."""
         if level <= 0:

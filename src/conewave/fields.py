@@ -1,17 +1,17 @@
-"""Field representations and the radial differential operators.
+"""Field representations and the snapshot file format.
 
 Two field kinds share one evaluation surface: `jet(t, r)` returns phi, phi_t
 and phi_r (and, for closed-form manufactured fields, the wave operator) from
 one evaluation per batch of points, and `value(t, r)` returns phi alone.
-Discrete radial space-time histories are produced by the solver or read from
-snapshot files.
+Discrete radial space-time histories are produced by the solver; snapshot
+files feed back into it as initial data.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,9 +26,6 @@ __all__ = [
     "gaussian_pulse",
     "polynomial_gaussian",
     "traveling_bump",
-    "gradient_norm_sq",
-    "box_operator",
-    "nonlinear_residual",
     "signed_power",
     "write_snapshot",
     "read_snapshot",
@@ -123,9 +120,6 @@ class PotentialSpec:
     def gradient(self, t, r):
         """(d_t V, d_r V)."""
         return self.jet(t, r)[1:]
-
-    def max_gradient_times(self, t_star: float) -> float:
-        return (abs(self.eps) if self.kind == "perturbed" else 0.0) * abs(t_star)
 
 
 # --------------------------------------------------------------------------
@@ -291,21 +285,13 @@ def write_snapshot(path, n, p, t, r, phi, phit):
 
 def read_snapshot(path):
     """Returns (n, p, t, r, phi, phit)."""
-    if isinstance(path, (str, bytes)):
-        handle = open(path, "r", encoding="utf-8")
-        close = True
-    else:
-        handle, close = path, False
-    try:
+    with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
         if header != SNAPSHOT_HEADER:
             raise ValueError(f"bad snapshot header {header!r}")
         first = handle.readline().split()
         n, p, t = int(first[0]), float(first[1]), float(first[2])
         data = np.loadtxt(io.StringIO(handle.read()), ndmin=2)
-    finally:
-        if close:
-            handle.close()
     return n, p, t, data[:, 0].copy(), data[:, 1].copy(), data[:, 2].copy()
 
 
@@ -346,17 +332,6 @@ class DiscreteField:
         phit = np.vstack([row[2] for row in levels])
         return cls(times, np.asarray(r, dtype=float), phi, phit, dim)
 
-    @classmethod
-    def from_snapshot_files(cls, paths):
-        rows = []
-        meta = None
-        for path in paths:
-            n, p, t, r, phi, phit = read_snapshot(path)
-            if meta is None:
-                meta = (n, r)
-            rows.append((t, phi, phit))
-        return cls.from_levels(rows, meta[1], meta[0])
-
     # -- derivative arrays ---------------------------------------------------
 
     def phi_r_level(self, m):
@@ -375,8 +350,16 @@ class DiscreteField:
     # broadcastable (t, r) arrays. Accuracy O(dt^2 + dr^2), matching the
     # solver order.
 
-    def nearest_level(self, t) -> int:
-        return int(np.argmin(np.abs(self.times - t)))
+    def require_times(self, t):
+        """Raises ValueError naming the first time in `t` outside the stored
+        levels, beyond a slack of 1e-9 times max(1, largest |level|)."""
+        t = np.asarray(t, dtype=float)
+        lo, hi = float(self.times[0]), float(self.times[-1])
+        tol = 1e-9 * max(1.0, float(np.abs(self.times).max()))
+        outside = (t < lo - tol) | (t > hi + tol)
+        if np.any(outside):
+            raise ValueError(f"time {float(t[outside][0])!r} outside the stored "
+                             f"range [{lo!r}, {hi!r}]")
 
     def _locate(self, t, r):
         """Bilinear stencil of a batch of points: flat table indices of the
@@ -387,9 +370,7 @@ class DiscreteField:
         search per row, and only the radial work runs per point."""
         t = np.asarray(t, dtype=float)
         r = np.abs(np.asarray(r, dtype=float))  # even extension
-        tol = 1e-9 * max(1.0, float(np.abs(self.times).max()))
-        if np.any(t < self.times[0] - tol) or np.any(t > self.times[-1] + tol):
-            raise ValueError("time outside the stored range")
+        self.require_times(t)
         if np.any(r > self.r[-1] + 1e-9 * self.r[-1]):
             raise ValueError("radius outside the stored grid")
         if self.times.size == 1:
@@ -446,59 +427,3 @@ class DiscreteField:
                          self.phi_t[m])
             paths.append(path)
         return paths
-
-
-# --------------------------------------------------------------------------
-# Differential operators
-# --------------------------------------------------------------------------
-
-def gradient_norm_sq(field, t, r):
-    """(d_t phi)^2 + (d_r phi)^2 (the full spatial gradient for radial fields)."""
-    _, phi_t, phi_r = field.jet(t, r)[:3]
-    return phi_t ** 2 + phi_r ** 2
-
-
-def _discrete_box(field: DiscreteField, m, j):
-    """Centered stencil wave operator at stored level m, node j."""
-    if not 1 <= m <= field.times.size - 2:
-        raise IndexError("time level without centered stencil support")
-    dts = np.diff(field.times[m - 1: m + 2])
-    if abs(dts[0] - dts[1]) > 1e-9 * dts[0]:
-        raise ValueError("non-uniform time levels around the requested point")
-    dt = dts[0]
-    dr = field.dr
-    u = field.phi
-    J = field.r.size - 1
-    phitt = (u[m + 1, j] - 2.0 * u[m, j] + u[m - 1, j]) / dt ** 2
-    n = field.dim
-    if j == 0:
-        # even parity: -d_tt + n d_rr with ghost u[-1] = u[1]
-        phirr = 2.0 * (u[m, 1] - u[m, 0]) / dr ** 2
-        return -phitt + n * phirr
-    if j >= J:
-        raise IndexError("outer boundary point without stencil support")
-    phirr = (u[m, j + 1] - 2.0 * u[m, j] + u[m, j - 1]) / dr ** 2
-    phir = (u[m, j + 1] - u[m, j - 1]) / (2.0 * dr)
-    return -phitt + phirr + (n - 1) / field.r[j] * phir
-
-
-def box_operator(field, t, r):
-    """Radial wave operator -d_tt + d_rr + (n-1)/r d_r; the regularized form
-    -d_tt + n d_rr on the axis."""
-    if isinstance(field, ManufacturedField):
-        return field.jet(t, r)[3]
-    if isinstance(field, DiscreteField):
-        m = field.nearest_level(float(t))
-        if abs(field.times[m] - float(t)) > 1e-9 * max(1.0, abs(float(t))):
-            raise ValueError("discrete box requires a stored time level")
-        j = int(round(float(r) / field.dr))
-        if abs(field.r[j] - float(r)) > 1e-9 * max(field.dr, 1.0):
-            raise ValueError("discrete box requires a grid radius")
-        return _discrete_box(field, m, j)
-    raise TypeError(f"unsupported field type {type(field).__name__}")
-
-
-def nonlinear_residual(field, potential: PotentialSpec, p, t, r):
-    """box phi + V |phi|^{p-1} phi; zero for exact solutions."""
-    return (box_operator(field, t, r)
-            + potential.value(t, r) * signed_power(field.value(t, r), p))

@@ -6,7 +6,7 @@ Conventions used throughout the package:
 * a spacetime covector is stored as radial components (w_t, w_r), a vector
   likewise; indices are raised with g^{tt} = -1, g^{rr} = +1;
 * "unit" normal means |g(N, N)| = 1 (timelike normals square to -1);
-* all regions are open sets, membership on the boundary is False.
+* all regions are open sets.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ __all__ = [
     "MinkowskiPoint",
     "RaySpec",
     "ShiftedWeight",
-    "ConeSpec",
-    "AnnulusSpec",
     "SlabSpec",
     "LateralSlabSpec",
     "ConeSegmentSpec",
@@ -33,17 +31,11 @@ __all__ = [
     "CylinderPiece",
     "ConePiece",
     "LevelSetPiece",
-    "NullConePiece",
     "AdmissibleRegionSpec",
     "eval_weight",
     "eval_weight_gradient",
     "minkowski_norm_sq",
-    "contains",
-    "angle_parameter",
-    "oriented_normal",
-    "measure_density",
     "lateral_boundary",
-    "normal_weight_derivative_bounds",
     "covering_check",
     "CoveringResult",
 ]
@@ -70,17 +62,6 @@ class MinkowskiPoint:
         if len(self.x) < 1:
             raise ValueError("spatial dimension must be >= 1")
 
-    @classmethod
-    def radial(cls, t, r, n=1):
-        """Point on the positive first axis at radius r."""
-        if r < 0:
-            raise ValueError("radius must be >= 0")
-        return cls(float(t), (float(r),) + (0.0,) * (n - 1))
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
     @property
     def r(self) -> float:
         return math.sqrt(sum(c * c for c in self.x))
@@ -99,9 +80,6 @@ class RaySpec:
     def __post_init__(self):
         if self.speed >= 1.0:
             raise ValueError("ray velocity must satisfy |v| < 1")
-
-    def position(self, t: float) -> tuple:
-        return tuple(t * c for c in self.velocity)
 
     def inside_cone(self, sigma: float) -> bool:
         return self.speed < sigma
@@ -155,37 +133,30 @@ UNSHIFTED = ShiftedWeight()
 
 
 # --------------------------------------------------------------------------
-# Region specs
+# Bulk regions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeSpec:
-    """Interior of the future time cone, {0 < r < sigma t}."""
+class BulkRegion:
+    """The region protocol: a bulk region is {t_lo < t < t_hi,
+    r_inner(t) < r < r_outer(t)} with (t_lo, t_hi) = time_window().
 
-    sigma: float
+    `singular_r` flags the (inner, outer) radial edges and `singular_t` the
+    (lower, upper) time ends toward which quadrature grades its mesh. The
+    defaults: no flagged edge, the window (t0, t1), and an inner edge on
+    the axis."""
 
-    def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("cone aperture must lie in (0, 1)")
+    singular_r = (False, False)
+    singular_t = (False, False)
 
+    def time_window(self):
+        return self.t0, self.t1
 
-@dataclass(frozen=True)
-class AnnulusSpec:
-    """Fixed-time annulus {sigma0 |t| < r < sigma1 |t|} at time t != 0."""
-
-    sigma0: float
-    sigma1: float
-    t: float
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma0 < self.sigma1 < 1.0:
-            raise ValueError("apertures must satisfy 0 < sigma0 < sigma1 < 1")
-        if self.t == 0.0:
-            raise ValueError("annulus time level must be nonzero")
+    def r_inner(self, t):
+        return np.zeros_like(t)
 
 
 @dataclass(frozen=True)
-class SlabSpec:
+class SlabSpec(BulkRegion):
     """Time slab inside the cone around |t| = |t*|.
 
     For t* > 0 the set is {t*/gamma < t < gamma t*} within the future cone;
@@ -210,6 +181,9 @@ class SlabSpec:
         if self.t_star > 0:
             return a, b
         return -b, -a
+
+    def r_outer(self, t):
+        return self.sigma * np.abs(t)
 
 
 @dataclass(frozen=True)
@@ -237,7 +211,7 @@ class LateralSlabSpec:
 
 
 @dataclass(frozen=True)
-class ConeSegmentSpec:
+class ConeSegmentSpec(BulkRegion):
     """Cone interior restricted to a time window, {t_lo < t < t_hi, 0 < r < sigma t}."""
 
     sigma: float
@@ -250,9 +224,15 @@ class ConeSegmentSpec:
         if not 0.0 <= self.t_lo < self.t_hi:
             raise ValueError("need 0 <= t_lo < t_hi")
 
+    def time_window(self):
+        return self.t_lo, self.t_hi
+
+    def r_outer(self, t):
+        return self.sigma * t
+
 
 @dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(BulkRegion):
     """Rectangle {t0 < t < t1, r0 < r < r1} in the (t, r) half plane."""
 
     t0: float
@@ -264,20 +244,28 @@ class BoxSpec:
         if not (self.t0 < self.t1 and 0.0 <= self.r0 < self.r1):
             raise ValueError("degenerate box")
 
-    def inside_exterior(self) -> bool:
-        """Whole closure inside D = {r > |t|} (for the unshifted weight)."""
-        return self.r0 > max(abs(self.t0), abs(self.t1))
+    def r_inner(self, t):
+        return np.full_like(t, self.r0, dtype=float)
+
+    def r_outer(self, t):
+        return np.full_like(t, self.r1, dtype=float)
 
 
 @dataclass(frozen=True)
-class ExteriorRegionSpec:
+class ExteriorRegionSpec(BulkRegion):
     """Intersection of the cone with the exterior of the double null cone
-    from zeta(t*): {|t - t*| < |x - x(zeta(t*))|} n {0 < r < sigma t}."""
+    from zeta(t*): {|t - t*| < |x - x(zeta(t*))|} n {0 < r < sigma t}.
+
+    The inner edge sits on {f = eps}: the weight vanishes there when
+    eps = 0, so quadrature grades in r toward it, and in t toward the
+    corners where the r-interval degenerates."""
 
     sigma: float
     t_star: float
     ray: RaySpec = AXIS_RAY
     eps: float = 0.0  # inner cut {f > eps}; 0 means up to the null boundary
+
+    singular_t = (True, True)
 
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
@@ -293,6 +281,10 @@ class ExteriorRegionSpec:
     def weight(self) -> ShiftedWeight:
         return ShiftedWeight(self.t_star, self.ray)
 
+    @property
+    def singular_r(self):
+        return self.eps == 0.0, False
+
     def time_window(self):
         """t-range of the region (axis ray).
 
@@ -306,16 +298,35 @@ class ExteriorRegionSpec:
         root = math.sqrt(disc)
         return (ts - root) / (1.0 - sig * sig), (ts + root) / (1.0 - sig * sig)
 
-    def inner_radius(self, t):
+    def r_inner(self, t):
         return np.sqrt((np.asarray(t, dtype=float) - self.t_star) ** 2 + 4.0 * self.eps)
+
+    def r_outer(self, t):
+        return self.sigma * np.asarray(t, dtype=float)
 
 
 # --------------------------------------------------------------------------
 # Boundary pieces
 # --------------------------------------------------------------------------
 
+class SurfacePiece:
+    """The piece protocol.
+
+    `node_sets(mesh, n)` gives the piece's quadrature nodes as a sequence
+    of (t, r, measure, f) sets, built from the node rules of one refinement
+    level (`mesh`, see quadrature): `measure` is the node weight times the
+    induced density, and `f` the weight value in product form on pieces
+    that carry a weight, None on the others. `dot_normal(Pt, Pr, t, r, f)`
+    contracts a covector with the oriented unit normal; a piece with a
+    constant normal gives it as `normal` = (N^t, N^r)."""
+
+    def dot_normal(self, Pt, Pr, t, r, f=None):
+        Nt, Nr = self.normal
+        return Pt * Nt + Pr * Nr
+
+
 @dataclass(frozen=True)
-class TimeSlicePiece:
+class TimeSlicePiece(SurfacePiece):
     """Spacelike plane {t = level, r_lo < r < r_hi}; inward = +dt at a bottom
     face (region above), -dt at a top face."""
 
@@ -330,9 +341,19 @@ class TimeSlicePiece:
         if not 0.0 <= self.r_lo < self.r_hi:
             raise ValueError("degenerate slice")
 
+    @property
+    def normal(self):
+        return float(self.inward_sign), 0.0
+
+    def node_sets(self, mesh, n):
+        """The radial nodes, with t the level as a one-element array."""
+        r, w = mesh.radial(self.r_lo, self.r_hi)
+        return ((np.array([self.level], dtype=float), r,
+                 w * sphere_area(n) * r ** (n - 1), None),)
+
 
 @dataclass(frozen=True)
-class CylinderPiece:
+class CylinderPiece(SurfacePiece):
     """Timelike cylinder {r = radius, t_lo < t < t_hi}; outward = +dr when the
     region sits inside the cylinder, -dr when outside."""
 
@@ -347,10 +368,20 @@ class CylinderPiece:
         if self.radius <= 0.0 or self.t_lo >= self.t_hi:
             raise ValueError("degenerate cylinder")
 
+    @property
+    def normal(self):
+        return 0.0, float(self.outward_sign)
+
+    def node_sets(self, mesh, n):
+        t, w = mesh.temporal(self.t_lo, self.t_hi)
+        return ((t, np.full_like(t, self.radius),
+                 w * (sphere_area(n) * self.radius ** (n - 1)), None),)
+
 
 @dataclass(frozen=True)
-class ConePiece:
-    """Timelike cone piece {r = slope (t - t_apex), t_lo < t < t_hi}, slope in (0,1).
+class ConePiece(SurfacePiece):
+    """Timelike cone piece {r = slope (t - t_apex), t_lo < t < t_hi}, slope in (0,1),
+    with normal N = (1 - s^2)^{-1/2} (s d_t + d_r) times `outward_sign`.
 
     `weight` marks the shifted weight whose zero set meets the ends of the
     piece; quadrature then grades toward those ends and hands integrands the
@@ -374,9 +405,16 @@ class ConePiece:
             raise ValueError("degenerate cone piece")
         if self.outward_sign not in (-1, 1):
             raise ValueError("outward_sign must be +-1")
+        if self.weight is not None and self.t_apex != 0.0:
+            raise ValueError("a weighted cone piece has its apex at the origin")
 
     def radius(self, t):
         return self.slope * (np.asarray(t, dtype=float) - self.t_apex)
+
+    @property
+    def normal(self):
+        scale = self.outward_sign / math.sqrt(1.0 - self.slope * self.slope)
+        return scale * self.slope, scale
 
     def weight_on_piece(self, t):
         """f along the piece in product form (axis-ray weight only).
@@ -386,23 +424,61 @@ class ConePiece:
         The product form stays accurate near the roots where the naive
         difference of squares cancels catastrophically.
         """
-        if self.weight is None:
-            raise ValueError("piece carries no weight")
         self.weight.require_axis()
-        if self.t_apex != 0.0:
-            t = np.asarray(t, dtype=float)
-            r = self.radius(t)
-            return self.weight.value_radial(t, r)
         ts = self.weight.t_star
         tm = ts / (1.0 + self.slope)
         tp = ts / (1.0 - self.slope)
         t = np.asarray(t, dtype=float)
         return 0.25 * (1.0 - self.slope ** 2) * (tp - t) * (t - tm)
 
+    def node_sets(self, mesh, n):
+        """One set over the piece, or, with a weight and flagged ends, one
+        set per flagged half in its edge-distance coordinate."""
+        if self.weight is not None and (self.singular_lo or self.singular_hi):
+            tm = 0.5 * (self.t_lo + self.t_hi)
+            sets = []
+            if self.singular_lo:
+                sets.append(self._edge_half(mesh, n, False, tm - self.t_lo))
+            if self.singular_hi:
+                sets.append(self._edge_half(mesh, n, True, self.t_hi - tm))
+            return sets
+        t, w = mesh.temporal(self.t_lo, self.t_hi)
+        r = self.radius(t)
+        dens = sphere_area(n) * math.sqrt(1.0 - self.slope ** 2) * r ** (n - 1)
+        f = None if self.weight is None else self.weight_on_piece(t)
+        return ((t, r, w * dens, f),)
+
+    def _edge_half(self, mesh, n, from_hi, length):
+        """Nodes of the half of the piece at a flagged end.
+
+        Valid only when the flagged end coincides with a root of the weight
+        on the cone, f = (1-s^2)(t_+ - t)(t - t_-)/4; the edge factor is then
+        the distance itself, exact down to subnormal scales.
+        """
+        s = self.slope
+        t_minus = self.weight.t_star / (1.0 + s)
+        t_plus = self.weight.t_star / (1.0 - s)
+        edge = self.t_hi if from_hi else self.t_lo
+        root = t_plus if from_hi else t_minus
+        if abs(edge - root) > 1e-12 * max(1.0, abs(root)):
+            raise ValueError("singular cone edge does not sit on the weight's zero set")
+        d, w = mesh.from_edge(length)
+        if from_hi:
+            t = self.t_hi - d
+            other = t - t_minus
+        else:
+            t = self.t_lo + d
+            other = t_plus - t
+        r = self.radius(t)
+        dens = sphere_area(n) * math.sqrt(1.0 - s * s) * r ** (n - 1)
+        return t, r, w * dens, 0.25 * (1.0 - s * s) * d * other
+
 
 @dataclass(frozen=True)
-class LevelSetPiece:
-    """Timelike level set {f_{t*,zeta} = eps} inside the cone (axis ray)."""
+class LevelSetPiece(SurfacePiece):
+    """Timelike level set {f_{t*,zeta} = eps} inside the cone (axis ray),
+    with normal N = -f^{-1/2} grad f (sign flipped when the region is
+    {f < eps})."""
 
     weight: ShiftedWeight
     eps: float
@@ -423,55 +499,49 @@ class LevelSetPiece:
         t = np.asarray(t, dtype=float)
         return np.sqrt((t - self.weight.t_star) ** 2 + 4.0 * self.eps)
 
+    def dot_normal(self, Pt, Pr, t, r, f):
+        scale = self.outward_sign / np.sqrt(f)
+        return (Pt * scale * 0.5 * (t - self.weight.t_star)
+                + Pr * scale * 0.5 * r)
 
-@dataclass(frozen=True)
-class NullConePiece:
-    """Marker for a null boundary piece {f = 0}; carries no unit normal."""
-
-    weight: ShiftedWeight
+    def node_sets(self, mesh, n):
+        """Nodes graded toward both ends, with the density
+        area(S^{n-1}) 2 sqrt(eps) r^{n-2}."""
+        t, w = mesh.temporal(self.t_lo, self.t_hi, graded=True)
+        r = self.radius(t)
+        dens = sphere_area(n) * 2.0 * math.sqrt(self.eps) * r ** (n - 2)
+        return ((t, r, w * dens, np.full_like(t, self.eps)),)
 
 
 @dataclass(frozen=True)
 class AdmissibleRegionSpec:
     """Bulk region with a closed piecewise boundary per the divergence-theorem
-    conventions: every non-null piece spacelike or timelike, oriented normals
-    inward on spacelike and outward on timelike pieces."""
+    conventions: every piece spacelike or timelike, oriented normals inward
+    on spacelike and outward on timelike pieces."""
 
-    bulk: object  # BoxSpec | ExteriorRegionSpec | "frustum" tuple, see carleman
+    bulk: BulkRegion
     pieces: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        for p in self.pieces:
-            if isinstance(p, NullConePiece):
-                raise ValueError("admissible regions cannot contain null pieces")
 
 
 # --------------------------------------------------------------------------
 # Operations
 # --------------------------------------------------------------------------
 
-def _split(P):
-    if isinstance(P, MinkowskiPoint):
-        return P.t, np.asarray(P.x, dtype=float)
-    t, x = P
-    return float(t), np.atleast_1d(np.asarray(x, dtype=float))
-
-
-def eval_weight(w: ShiftedWeight, P) -> float:
+def eval_weight(w: ShiftedWeight, P: MinkowskiPoint) -> float:
     """f_{t*,zeta}(P); may be negative, callers decide region membership."""
-    t, x = _split(P)
+    t, x = P.t, np.asarray(P.x, dtype=float)
     c = w.center(x.shape[-1])
     dx = x - c
     return float(0.25 * (np.dot(dx, dx) - (t - w.t_star) ** 2))
 
 
-def eval_weight_gradient(w: ShiftedWeight, P) -> np.ndarray:
+def eval_weight_gradient(w: ShiftedWeight, P: MinkowskiPoint) -> np.ndarray:
     """Contravariant gradient of f, components (t, x1..xn).
 
     grad f = (t - t*)/2 d_t + sum (x^i - x^i(zeta(t*)))/2 d_i, and
     g(grad f, grad f) = f pointwise.
     """
-    t, x = _split(P)
+    t, x = P.t, np.asarray(P.x, dtype=float)
     c = w.center(x.shape[-1])
     out = np.empty(x.shape[-1] + 1)
     out[0] = 0.5 * (t - w.t_star)
@@ -483,97 +553,6 @@ def minkowski_norm_sq(vec) -> float:
     """g(v, v) with signature (-,+,...,+); vec = (t component, spatial...)."""
     v = np.asarray(vec, dtype=float)
     return float(-v[0] ** 2 + np.dot(v[1:], v[1:]))
-
-
-def contains(region, P) -> bool:
-    """Exact open-set membership by the defining inequalities."""
-    t, x = _split(P)
-    r = float(np.sqrt(np.dot(x, x)))
-    if isinstance(region, ConeSpec):
-        return 0.0 < r < region.sigma * t
-    if isinstance(region, AnnulusSpec):
-        return t == region.t and region.sigma0 * abs(t) < r < region.sigma1 * abs(t)
-    if isinstance(region, SlabSpec):
-        lo, hi = region.time_window()
-        return lo < t < hi and 0.0 < r < region.sigma * abs(t)
-    if isinstance(region, ConeSegmentSpec):
-        return region.t_lo < t < region.t_hi and 0.0 < r < region.sigma * t
-    if isinstance(region, BoxSpec):
-        return region.t0 < t < region.t1 and region.r0 < r < region.r1
-    if isinstance(region, ExteriorRegionSpec):
-        if not (0.0 < r < region.sigma * t):
-            return False
-        c = region.weight.center(x.shape[-1])
-        dist = float(np.sqrt(np.dot(x - c, x - c)))
-        if region.eps == 0.0:
-            return abs(t - region.t_star) < dist
-        return eval_weight(region.weight, (t, x)) > region.eps
-    raise TypeError(f"unsupported region type {type(region).__name__}")
-
-
-def angle_parameter(w: ShiftedWeight, P) -> float:
-    """Angle theta with tan(theta) = (t - t*)/r_shift; |theta| <= pi/4 on the
-    cone part of the exterior-region boundary."""
-    t, x = _split(P)
-    c = w.center(x.shape[-1])
-    rs = float(np.sqrt(np.dot(x - c, x - c)))
-    if rs == 0.0:
-        raise ZeroDivisionError("angle parameter undefined on the shifted axis")
-    return math.atan2(t - w.t_star, rs)
-
-
-def oriented_normal(piece, P) -> np.ndarray:
-    """Oriented unit normal at P, radial components (N^t, N^r).
-
-    Inward on spacelike pieces, outward on timelike ones; cone pieces carry
-    N = (1 - s^2)^{-1/2} (s d_t + d_r); level sets of f carry
-    N = -f^{-1/2} grad f (sign flipped when the region is {f < eps}).
-    """
-    if isinstance(piece, NullConePiece):
-        raise ValueError("null pieces have no unit normal")
-    t, x = _split(P)
-    r = float(np.sqrt(np.dot(x, x)))
-    if isinstance(piece, TimeSlicePiece):
-        return np.array([float(piece.inward_sign), 0.0])
-    if isinstance(piece, CylinderPiece):
-        return np.array([0.0, float(piece.outward_sign)])
-    if isinstance(piece, ConePiece):
-        s = piece.slope
-        scale = piece.outward_sign / math.sqrt(1.0 - s * s)
-        return np.array([scale * s, scale])
-    if isinstance(piece, LevelSetPiece):
-        ts = piece.weight.t_star
-        fval = 0.25 * (r * r - (t - ts) ** 2)
-        if fval <= 0.0:
-            raise ValueError("point not on a positive level of the weight")
-        scale = piece.outward_sign / math.sqrt(fval)
-        return np.array([scale * 0.5 * (t - ts), scale * 0.5 * r])
-    raise TypeError(f"unsupported piece type {type(piece).__name__}")
-
-
-def measure_density(obj, P, n: int) -> float:
-    """Induced measure density in the radial reduction.
-
-    Bulk regions: area(S^{n-1}) r^{n-1} per dr dt; slice {t=c}: the same per
-    dr; cylinder {r=c}: area(S^{n-1}) c^{n-1} per dt; cone {r = s t}:
-    area(S^{n-1}) sqrt(1-s^2) (s t)^{n-1} per dt; level set {f=eps}:
-    area(S^{n-1}) 2 sqrt(eps) r^{n-3} * r per dt.
-    """
-    t, x = _split(P)
-    r = float(np.sqrt(np.dot(x, x)))
-    om = sphere_area(n)
-    if isinstance(obj, TimeSlicePiece):
-        return om * r ** (n - 1)
-    if isinstance(obj, CylinderPiece):
-        return om * obj.radius ** (n - 1)
-    if isinstance(obj, ConePiece):
-        rr = float(obj.radius(t))
-        return om * math.sqrt(1.0 - obj.slope ** 2) * rr ** (n - 1)
-    if isinstance(obj, LevelSetPiece):
-        rr = float(obj.radius(t))
-        return om * 2.0 * math.sqrt(obj.eps) * rr ** (n - 2)
-    # bulk region: spacetime density in (t, r)
-    return om * r ** (n - 1)
 
 
 def lateral_boundary(region: ExteriorRegionSpec) -> ConePiece:
@@ -591,19 +570,6 @@ def lateral_boundary(region: ExteriorRegionSpec) -> ConePiece:
         singular_lo=True,
         singular_hi=True,
     )
-
-
-def normal_weight_derivative_bounds(sigma: float, ray: RaySpec):
-    """Closed-form range of N(f_{t*,zeta})/t* on the cone boundary piece.
-
-    On r = sigma t the cone normal gives
-    N(f) = (sigma t* - x_hat . x(zeta(t*))) / (2 sqrt(1 - sigma^2)),
-    so N(f)/t* lies in [(sigma-|v|), (sigma+|v|)] / (2 sqrt(1-sigma^2));
-    in particular N(f) = sigma t* / (2 sqrt(1-sigma^2)) exactly for the axis.
-    """
-    v = ray.speed
-    den = 2.0 * math.sqrt(1.0 - sigma * sigma)
-    return (sigma - v) / den, (sigma + v) / den
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,13 @@
 """Deterministic composite quadrature over radial bulk regions and
 hypersurface pieces, with graded meshes toward flagged singular edges.
 
+Regions and pieces follow one protocol each (see geometry). A bulk region
+gives its time window, its inner and outer radius as functions of t and
+the edges to grade toward; `integrate_bulk` is one `integrate_profile`
+call on those. A boundary piece gives, for each refinement level, its
+nodes as (t, r, measure, f) sets built from the level's node rules
+(`_Mesh`), and `integrate_surface` sums measure * integrand over them.
+
 Bulk integrands are plain vectorized callables f(t, r); one returning a tuple
 of arrays has each of them integrated on the same mesh and gives a tuple of
 results. Bulk integrands, and integrands on a fixed-time slice (also the
@@ -26,18 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    AnnulusSpec,
-    BoxSpec,
-    ConePiece,
-    ConeSegmentSpec,
-    CylinderPiece,
-    ExteriorRegionSpec,
-    LevelSetPiece,
-    SlabSpec,
-    TimeSlicePiece,
-    sphere_area,
-)
+from .geometry import sphere_area
 
 __all__ = [
     "QuadratureSpec",
@@ -46,7 +42,6 @@ __all__ = [
     "integrate_slice",
     "integrate_profile",
     "integrate_surface",
-    "vanishing_flux_probe",
 ]
 
 _GAUSS2 = 0.5 / math.sqrt(3.0)
@@ -154,6 +149,30 @@ def _interval_nodes(a, b, cells, order, q=1.0, singular_lo=False, singular_hi=Fa
     return a + (b - a) * rel, (b - a) * w
 
 
+@dataclass(frozen=True)
+class _Mesh:
+    """Node rules of one refinement level, for a piece's `node_sets`:
+    composite nodes and weights on an interval with `factor` times the
+    spec's radial or time cells (`temporal` graded toward both ends on
+    request), and distances from a singular edge."""
+
+    q: QuadratureSpec
+    factor: int
+
+    def radial(self, a, b):
+        return _interval_nodes(a, b, self.factor * self.q.cells_r,
+                               self.q.base_order)
+
+    def temporal(self, a, b, graded=False):
+        return _interval_nodes(a, b, self.factor * self.q.cells_t,
+                               self.q.base_order, self.q.grading_exponent,
+                               graded, graded)
+
+    def from_edge(self, length):
+        return _edge_distances(length, self.factor * self.q.cells_t,
+                               self.q.grading_exponent, self.q.base_order)
+
+
 def _refine(level, q: QuadratureSpec):
     """Evaluate `level(factor)` on 1, 2, ..., 2^refinement_levels times the
     base resolution; the value is the finest, the error estimate the jump
@@ -201,8 +220,8 @@ def _weighted_sums(integrand, T, R, meas):
 # Bulk integration
 # --------------------------------------------------------------------------
 
-def integrate_slice(t, r_lo, r_hi, integrand, q: QuadratureSpec, n: int,
-                    singular_lo=False, singular_hi=False) -> QuadratureResult:
+def integrate_slice(t, r_lo, r_hi, integrand, q: QuadratureSpec,
+                    n: int) -> QuadratureResult:
     """Spatial integral at fixed time over the radial shell (r_lo, r_hi)."""
     if r_hi <= r_lo:
         return QuadratureResult(0.0, 0.0, 0)
@@ -212,8 +231,7 @@ def integrate_slice(t, r_lo, r_hi, integrand, q: QuadratureSpec, n: int,
     level_t = np.array([t], dtype=float)
 
     def level(factor):
-        rn, rw = _interval_nodes(r_lo, r_hi, factor * q.cells_r, q.base_order,
-                                 q.grading_exponent, singular_lo, singular_hi)
+        rn, rw = _interval_nodes(r_lo, r_hi, factor * q.cells_r, q.base_order)
         meas = rw * om * rn ** (n - 1)
         return _weighted_sums(integrand, level_t, rn, meas), rn.size
 
@@ -251,203 +269,34 @@ def integrate_profile(t_window, r_inner, r_outer, integrand,
 
 
 def integrate_bulk(region, integrand, q: QuadratureSpec, n: int) -> QuadratureResult:
-    """Spacetime integral of integrand(t, r) over a bulk region, with the
-    radial measure area(S^{n-1}) r^{n-1} dr dt.
-
-    Annuli are fixed-time sets and reduce to a spatial slice integral.
-    """
-    if isinstance(region, AnnulusSpec):
-        at = abs(region.t)
-        return integrate_slice(region.t, region.sigma0 * at, region.sigma1 * at,
-                               integrand, q, n)
-    if isinstance(region, BoxSpec):
-        return integrate_profile(
-            (region.t0, region.t1),
-            lambda t: np.full_like(t, region.r0),
-            lambda t: np.full_like(t, region.r1),
-            integrand, q, n)
-    if isinstance(region, SlabSpec):
-        lo, hi = region.time_window()
-        return integrate_profile(
-            (lo, hi),
-            lambda t: np.zeros_like(t),
-            lambda t: region.sigma * np.abs(t),
-            integrand, q, n)
-    if isinstance(region, ConeSegmentSpec):
-        return integrate_profile(
-            (region.t_lo, region.t_hi),
-            lambda t: np.zeros_like(t),
-            lambda t: region.sigma * t,
-            integrand, q, n)
-    if isinstance(region, ExteriorRegionSpec):
-        lo, hi = region.time_window()
-        # inner edge sits on {f = eps}: the weight vanishes there when
-        # eps = 0, so grade in r toward it and in t toward the corners
-        # where the r-interval degenerates.
-        return integrate_profile(
-            (lo, hi),
-            region.inner_radius,
-            lambda t: region.sigma * t,
-            integrand, q, n,
-            singular_r=(region.eps == 0.0, False),
-            singular_t=(True, True))
-    raise TypeError(f"unsupported bulk region {type(region).__name__}")
+    """Spacetime integral of integrand(t, r) over a bulk region (see
+    geometry.BulkRegion), with the radial measure area(S^{n-1}) r^{n-1} dr dt."""
+    return integrate_profile(region.time_window(), region.r_inner,
+                             region.r_outer, integrand, q, n,
+                             singular_r=region.singular_r,
+                             singular_t=region.singular_t)
 
 
 # --------------------------------------------------------------------------
 # Surface integration
 # --------------------------------------------------------------------------
 
-def _cone_singular_half(piece: ConePiece, integrand, cells, order, grade, n,
-                        from_hi, length):
-    """Half of a cone piece integrated in the edge-distance coordinate.
-
-    Valid only when the flagged end coincides with a root of the weight on
-    the cone, f = (1-s^2)(t_+ - t)(t - t_-)/4; the edge factor is then the
-    distance itself, exact down to subnormal scales.
-    """
-    om = sphere_area(n)
-    ts = piece.weight.t_star
-    s = piece.slope
-    t_minus = ts / (1.0 + s)
-    t_plus = ts / (1.0 - s)
-    edge = piece.t_hi if from_hi else piece.t_lo
-    root = t_plus if from_hi else t_minus
-    if abs(edge - root) > 1e-12 * max(1.0, abs(root)):
-        raise ValueError("singular cone edge does not sit on the weight's zero set")
-    d, w = _edge_distances(length, cells, grade, order)
-    if from_hi:
-        t = piece.t_hi - d
-        other = t - t_minus
-    else:
-        t = piece.t_lo + d
-        other = t_plus - t
-    f = 0.25 * (1.0 - s * s) * d * other
-    r = piece.radius(t)
-    dens = om * math.sqrt(1.0 - s * s) * r ** (n - 1)
-    vals = np.asarray(integrand(t, r, f), dtype=float)
-    _check_finite(vals, t, r)
-    return float(np.sum(w * dens * vals)), d.size
-
-
 def integrate_surface(piece, integrand, q: QuadratureSpec, n: int) -> QuadratureResult:
-    """Induced-measure integral over one hypersurface piece.
+    """Induced-measure integral over one hypersurface piece (see
+    geometry.SurfacePiece).
 
-    Pieces with a weight attached (see ConePiece/LevelSetPiece) call
-    integrand(t, r, f); plain pieces call integrand(t, r).
+    Node sets that carry a weight value f call integrand(t, r, f); the
+    others call integrand(t, r).
     """
-    om = sphere_area(n)
-    order, grade = q.base_order, q.grading_exponent
 
-    if isinstance(piece, TimeSlicePiece):
-        return integrate_slice(piece.level, piece.r_lo, piece.r_hi,
-                               integrand, q, n)
-
-    if isinstance(piece, CylinderPiece):
-        dens = om * piece.radius ** (n - 1)
-
-        def level(factor):
-            tn, tw = _interval_nodes(piece.t_lo, piece.t_hi,
-                                     factor * q.cells_t, order)
-            rr = np.full_like(tn, piece.radius)
-            vals = np.asarray(integrand(tn, rr), dtype=float)
-            _check_finite(vals, tn, rr)
-            return float(np.sum(tw * dens * vals)), tn.size
-
-        return _refine(level, q)
-
-    if isinstance(piece, ConePiece):
-        if piece.weight is not None and (piece.singular_lo or piece.singular_hi):
-            tm = 0.5 * (piece.t_lo + piece.t_hi)
-
-            def level(factor):
-                cells = factor * q.cells_t
-                total, cnt = 0.0, 0
-                if piece.singular_lo:
-                    v, c = _cone_singular_half(piece, integrand, cells, order,
-                                               grade, n, False, tm - piece.t_lo)
-                    total += v
-                    cnt += c
-                if piece.singular_hi:
-                    v, c = _cone_singular_half(piece, integrand, cells, order,
-                                               grade, n, True, piece.t_hi - tm)
-                    total += v
-                    cnt += c
-                return total, cnt
-
-            return _refine(level, q)
-
-        def level(factor):
-            tn, tw = _interval_nodes(piece.t_lo, piece.t_hi,
-                                     factor * q.cells_t, order)
-            rr = piece.radius(tn)
-            dens = om * math.sqrt(1.0 - piece.slope ** 2) * rr ** (n - 1)
-            if piece.weight is not None:
-                vals = integrand(tn, rr, piece.weight_on_piece(tn))
-            else:
-                vals = integrand(tn, rr)
+    def level(factor):
+        total, count = -0.0, 0  # -0.0 + x is x, a zero's sign included
+        for t, r, meas, f in piece.node_sets(_Mesh(q, factor), n):
+            vals = integrand(t, r) if f is None else integrand(t, r, f)
             vals = np.asarray(vals, dtype=float)
-            _check_finite(vals, tn, rr)
-            return float(np.sum(tw * dens * vals)), tn.size
+            _check_finite(vals, t, r)
+            total += float(np.sum(meas * vals))
+            count += r.size
+        return total, count
 
-        return _refine(level, q)
-
-    if isinstance(piece, LevelSetPiece):
-        eps = piece.eps
-
-        def level(factor):
-            tn, tw = _interval_nodes(piece.t_lo, piece.t_hi,
-                                     factor * q.cells_t, order,
-                                     grade, True, True)
-            rr = piece.radius(tn)
-            dens = om * 2.0 * math.sqrt(eps) * rr ** (n - 2)
-            vals = np.asarray(integrand(tn, rr, np.full_like(tn, eps)),
-                              dtype=float)
-            _check_finite(vals, tn, rr)
-            return float(np.sum(tw * dens * vals)), tn.size
-
-        return _refine(level, q)
-
-    raise TypeError(f"unsupported surface piece {type(piece).__name__}")
-
-
-# --------------------------------------------------------------------------
-# Inner flux limit probe
-# --------------------------------------------------------------------------
-
-def vanishing_flux_probe(exterior: ExteriorRegionSpec, field, a, eps_sequence,
-                         p=2.0, potential=None, q: QuadratureSpec | None = None,
-                         n: int | None = None):
-    """Flux of the Carleman current through the level sets {f = eps}.
-
-    Returns one value per eps; for C^2 fields the sequence tends to 0 as the
-    level approaches the null boundary, which callers assert.
-    """
-    from .carleman import CarlemanParams, flux_covector  # carleman builds on this module
-    from .fields import PotentialSpec
-
-    if q is None:
-        q = QuadratureSpec()
-    if n is None:
-        n = getattr(field, "dim", 3)
-    if potential is None:
-        potential = PotentialSpec.constant(1.0)
-    if sorted(eps_sequence, reverse=True) != list(eps_sequence):
-        raise ValueError("eps sequence must be decreasing")
-    params = CarlemanParams(a=a, p=p, n=n, potential=potential,
-                            shift=exterior.weight)
-    fluxes = []
-    for eps in eps_sequence:
-        sub = ExteriorRegionSpec(exterior.sigma, exterior.t_star,
-                                 exterior.ray, eps=eps)
-        t_lo, t_hi = sub.time_window()
-        piece = LevelSetPiece(exterior.weight, eps, t_lo, t_hi, outward_sign=-1)
-        ts = exterior.t_star
-
-        def flux_dot_normal(t, r, f):
-            Pt, Pr = flux_covector(params, field, t, r, fval=f)
-            scale = -1.0 / np.sqrt(f)
-            return Pt * scale * 0.5 * (t - ts) + Pr * scale * 0.5 * r
-
-        fluxes.append(integrate_surface(piece, flux_dot_normal, q, n).value)
-    return fluxes
+    return _refine(level, q)

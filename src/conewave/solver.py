@@ -139,7 +139,6 @@ class RunResult:
     status: str                      # completed | blew_up | cfl_violation
     t_blowup: float | None
     snapshots: list                  # [(t, phi, phi_t)], actual grid times
-    blow_surface: np.ndarray         # first crossing time per radius, +inf if none
     config: SolverConfig
     dt: float
     max_phi: float
@@ -177,8 +176,8 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     pairwise sums group terms by array length) and the snapshot copies run
     on the full arrays."""
     if config.cfl > 1.0 or config.cfl <= 0.0:
-        return RunResult("cfl_violation", None, [], np.array([]), config,
-                         0.0, math.nan, np.array([]), np.array([]), 0)
+        return RunResult("cfl_violation", None, [], config, 0.0, math.nan,
+                         np.array([]), np.array([]), 0)
     n, J, dr = config.n, config.J, config.dr
     s, vol = _radial_operator(n, J, dr)
     lam = _operator_norm(s, vol, dr, J)
@@ -203,7 +202,6 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
             targets.setdefault(m, t_req)
 
     snapshots = []
-    blow_time = np.full(J + 1, math.inf)
     energy_t, energy_v = [], []
 
     if 0 in targets:
@@ -263,7 +261,6 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
             e = _live_end(prev, cur)  # the causal window's end
 
             if peak > config.phi_max:
-                blow_time[mag > config.phi_max] = t
                 status, t_blowup = "blew_up", t
             elif m in targets:
                 pending = (m, t)
@@ -304,8 +301,6 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
             if config.record_energy:
                 record_energy(cur, prev, t - 0.5 * dt)
             if peak > config.phi_max:
-                # the run stops at its first crossing, so only this level crosses
-                blow_time[mag > config.phi_max] = t
                 status, t_blowup = "blew_up", t
                 break
             if m in targets:
@@ -315,8 +310,8 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
         # one-sided time derivative at the final recorded level
         snapshots.append((pending[1], cur.copy(), (cur - prev) / dt))
 
-    return RunResult(status, t_blowup, snapshots, blow_time, config, dt,
-                     max_phi, np.asarray(energy_t), np.asarray(energy_v), m)
+    return RunResult(status, t_blowup, snapshots, config, dt, max_phi,
+                     np.asarray(energy_t), np.asarray(energy_v), m)
 
 
 def blowup_estimate(coarse: RunResult, fine: RunResult) -> float:

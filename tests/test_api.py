@@ -1,0 +1,32 @@
+"""Every exported name resolves, so an export left behind by a deletion
+fails here and not in a user's star import."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import conewave
+
+MODULES = ["conewave"] + [f"conewave.{info.name}"
+                          for info in pkgutil.iter_modules(conewave.__path__)]
+
+
+def test_every_module_is_listed():
+    assert {"conewave.carleman", "conewave.cli", "conewave.energetics",
+            "conewave.exact_solutions", "conewave.fields", "conewave.geometry",
+            "conewave.quadrature", "conewave.solver"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_names_resolve(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", None)
+    if exported is not None:
+        assert len(set(exported)) == len(exported)
+        assert [n for n in exported if not hasattr(module, n)] == []
+    # the package declares no __all__: its exports are its imports, and a
+    # stale one fails the import itself; a star import exercises both forms
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert all(n in namespace for n in exported or ())

@@ -30,14 +30,11 @@ from conewave.fields import (
     zero_field,
 )
 from conewave.geometry import (
-    AdmissibleRegionSpec,
     ConePiece,
     ExteriorRegionSpec,
-    NullConePiece,
     ShiftedWeight,
-    UNSHIFTED,
 )
-from conewave.quadrature import QuadratureSpec
+from conewave.quadrature import QuadratureSpec, integrate_bulk
 from tests_helpers import closures_jet
 
 
@@ -159,8 +156,10 @@ class TestRegionLibrary:
             box_region(-0.5, 0.5, 0.3, 1.0)  # r0 < |t| corners
 
     def test_null_piece_rejected(self):
+        # a null cone piece has no unit normal, so no admissible region
+        # can carry one: slope 1 does not build
         with pytest.raises(ValueError):
-            AdmissibleRegionSpec(bulk=None, pieces=(NullConePiece(UNSHIFTED),))
+            ConePiece(1.0, 0.5, 1.5)
 
     def test_frustum_geometry_guard(self):
         with pytest.raises(ValueError):
@@ -374,8 +373,8 @@ class TestVerifyGlobalOnePass:
         q = QuadratureSpec()
         rep = verify_global(params, _offcenter_gaussian(3, 0.8, 0.0, 1.0, 0.3,
                                                         0.35), region, q)
-        lhs = carleman._bulk_integrate_region(region, lhs_integrand, q, 3)
-        rhs = carleman._bulk_integrate_region(region, rhs_integrand, q, 3)
+        lhs = integrate_bulk(region.bulk, lhs_integrand, q, 3)
+        rhs = integrate_bulk(region.bulk, rhs_integrand, q, 3)
         assert rep.lhs_bulk > 0.0 and rep.rhs_bulk > 0.0
         assert rep.lhs_bulk.hex() == lhs.value.hex()
         assert rep.rhs_bulk.hex() == rhs.value.hex()
@@ -458,10 +457,8 @@ class TestPotentialEvaluatedOnce:
                         / (8.0 * a))
 
             rep = verify_global(params, fieldobj, region, q)
-            lhs = carleman._bulk_integrate_region(region, lhs_integrand, q,
-                                                  params.n)
-            rhs = carleman._bulk_integrate_region(region, rhs_integrand, q,
-                                                  params.n)
+            lhs = integrate_bulk(region.bulk, lhs_integrand, q, params.n)
+            rhs = integrate_bulk(region.bulk, rhs_integrand, q, params.n)
             assert rep.lhs_bulk.hex() == lhs.value.hex()
             assert rep.rhs_bulk.hex() == rhs.value.hex()
             assert rep.error_estimates["lhs"].hex() == lhs.error_estimate.hex()
@@ -471,17 +468,17 @@ class TestPotentialEvaluatedOnce:
     def test_one_potential_jet_per_integrand_call(self, monkeypatch):
         counts = {"integrand": 0, "jet": 0}
         state = {"bulk": False}
-        inner_region = carleman._bulk_integrate_region
+        inner_bulk = carleman.integrate_bulk
         inner_jet = PotentialSpec.jet
 
-        def region_pass(region, integrand, q, n):
+        def bulk_pass(region, integrand, q, n):
             def counted(t, r):
                 counts["integrand"] += 1
                 return integrand(t, r)
 
             state["bulk"] = True
             try:
-                return inner_region(region, counted, q, n)
+                return inner_bulk(region, counted, q, n)
             finally:
                 state["bulk"] = False
 
@@ -489,7 +486,7 @@ class TestPotentialEvaluatedOnce:
             counts["jet"] += state["bulk"]
             return inner_jet(self, t, r)
 
-        monkeypatch.setattr(carleman, "_bulk_integrate_region", region_pass)
+        monkeypatch.setattr(carleman, "integrate_bulk", bulk_pass)
         monkeypatch.setattr(PotentialSpec, "jet", jet)
         params, fieldobj, region = _perturbed_suite_cases(1)[0]
         verify_global(params, fieldobj, region, QuadratureSpec())
@@ -535,7 +532,7 @@ class TestFrustumWeightCheck:
             rin = np.asarray(bulk.r_inner(tt))
             scan_ok = not np.any(rin ** 2 - (tt - ts) ** 2 <= 0.0)
             try:
-                carleman._require_positive_weight_frustum(bulk, ShiftedWeight(ts))
+                carleman._require_positive_weight(bulk, ShiftedWeight(ts))
                 exact_ok = True
             except ValueError:
                 exact_ok = False
@@ -595,7 +592,7 @@ class TestVerifyShifted:
         lo, hi = ext.time_window()
         tt = np.linspace(lo + 1e-3, hi - 1e-3, 21)
         for t in tt:
-            rr = np.linspace(float(ext.inner_radius(t)) + 1e-3,
+            rr = np.linspace(float(ext.r_inner(t)) + 1e-3,
                              0.5 * t - 1e-3, 11)
             if rr[0] >= rr[-1]:
                 continue

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -349,6 +350,26 @@ class TestDiagnosticsSubcommands:
         assert all(float(v) > 0.0 for row in rows[1:] for v in row.split(",")[1:])
         for name in ("profile.csv", "summary"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_window_outside_the_snapshots_names_time_and_range(self, tmp_path,
+                                                               capsys):
+        # t* = -0.08 with eta = 2 needs the field up to t*/eta = -0.04, but at
+        # J = 2048 the last snapshot sits on the grid level nearest -0.04,
+        # which is earlier (about -0.04102)
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        text = text.replace("J = 256", "J = 2048")
+        text = text.replace("t_end = -0.1", "t_end = 0.0")
+        text = text.replace("snapshot_times = -0.8 -0.5 -0.3",
+                            "snapshot_log = 0.04 1.0 16")
+        text = text.replace("sigma0 = 0.25",
+                            "sigma0 = 0.25\nfield_source = run\nt_star = -0.08")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run(["energy-profile", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"time -0\.04 outside the stored range "
+                         r"\[-1\.0, -0\.041\d*\]", err), err
 
     def test_decay_subcommand(self, tmp_path):
         text = """

@@ -22,7 +22,7 @@ from conewave.exact_solutions import (
     ball_quantity_ode,
     slab_scaling_constant,
 )
-from conewave.fields import zero_field, ode_field
+from conewave.fields import DiscreteField, gaussian_pulse, ode_field, zero_field
 from conewave.quadrature import QuadratureSpec
 from conewave.solver import SolverConfig, evolve
 
@@ -129,6 +129,26 @@ class TestLocalizedEstimate:
         assert math.isfinite(chk.ratio) and chk.ratio > 0.0
         assert chk.lhs > 0.0
 
+    @pytest.mark.parametrize("t_star", [-0.5, 0.7])
+    def test_timecone_rhs_is_the_lateral_quantity(self, t_star):
+        # |t*| times the lateral integral over {r = sigma |t|, |t| in
+        # (|t*|/eta, eta |t*|)}, the field read at the reflected time for
+        # t* < 0: the bits of that construction written out
+        from conewave.geometry import LateralSlabSpec
+        from conewave.quadrature import integrate_surface
+
+        field = gaussian_pulse(3, 1.3, 0.2, 0.6, 0.4)
+        ats, sgn = abs(t_star), math.copysign(1.0, t_star)
+        chk = localized_estimate_check(field, "timecone", 0.25, 1.2, 2.0,
+                                       t_star, 2.0, 3, Q)
+        res = integrate_surface(LateralSlabSpec(0.25, 2.0, ats).piece(),
+                                energetics._energy_density(field, ats, 2.0, sgn),
+                                Q, 3)
+        assert chk.rhs > 0.0
+        assert chk.rhs.hex() == (ats * res.value).hex()
+        assert chk.rhs == ats * lateral_quantity(field, 0.25, 2.0, t_star,
+                                                 2.0, 3, Q)[0]
+
     def test_run_ratio_positive_lower_bound(self, truncated_run_field):
         # theorem-backed: the ratio stays bounded below across the approach
         ratios = []
@@ -143,6 +163,46 @@ class TestLocalizedEstimate:
         with pytest.raises(ValueError):
             localized_estimate_check(zero_field(3), "nope", 0.25, 1.2, 2.0,
                                      -0.5, 2.0, 3, Q)
+
+
+class TestTimeCoverage:
+    """Diagnostics on stored levels check their whole time window first,
+    with the slack rule of the field's own interpolation."""
+
+    @staticmethod
+    def _field(times):
+        r = np.linspace(0.0, 2.0, 33)
+        phi = np.ones((len(times), r.size))
+        return DiscreteField(np.asarray(times, dtype=float), r, phi, 0.0 * phi, 3)
+
+    def test_eta_windows_name_the_time_and_the_range(self):
+        # t* = -0.08, eta = 2: both sides reach t*/eta = -0.04, past the
+        # last level; the slab (gamma = 1.2) alone is covered
+        fld = self._field(np.linspace(-1.0, -0.05, 20))
+        calls = (
+            lambda: lateral_quantity(fld, 0.25, 2.0, -0.08, 2.0, 3, Q),
+            lambda: localized_estimate_check(fld, "timecone", 0.25, 1.2, 2.0,
+                                             -0.08, 2.0, 3, Q),
+            lambda: localized_estimate_check(fld, "annulus", (0.25, 0.5), 1.2,
+                                             2.0, -0.08, 2.0, 3, Q),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^time -0\.04 outside the "
+                               r"stored range \[-1\.0, -0\.05\]$"):
+                call()
+
+    def test_one_slack_rule(self):
+        # the slack is 1e-9 max(1, largest |level|), for the window check and
+        # for the interpolation alike
+        fld = self._field(np.linspace(1.0, 33.0, 9))
+        inside, outside = 33.0 + 2e-8, 33.0 + 5e-8
+        energetics._require_time_coverage(fld, inside)
+        fld.value(inside, 0.5)
+        for check in (lambda: energetics._require_time_coverage(fld, outside),
+                      lambda: fld.value(outside, 0.5)):
+            with pytest.raises(ValueError, match=f"time {outside!r} outside"):
+                check()
+        energetics._require_time_coverage(zero_field(3), outside)  # closed form
 
 
 class TestDecayPartials:
@@ -167,8 +227,6 @@ class TestDecayPartials:
         # lateral cumulative stays essentially flat once the pulse leaves
         l = dict(zip(rep.horizons, rep.lateral))
         assert l[16.0] - l[8.0] <= 0.1 * l[8.0]
-        # Hoelder-controlled term finite and increasing in T
-        assert rep.holder[-1] >= rep.holder[0] >= 0.0
 
 
 class TestRateFit:

@@ -6,30 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewave.geometry import (
-    AnnulusSpec,
     BoxSpec,
     ConePiece,
-    ConeSpec,
+    ConeSegmentSpec,
     CylinderPiece,
     ExteriorRegionSpec,
     LevelSetPiece,
     MinkowskiPoint,
-    NullConePiece,
     RaySpec,
     ShiftedWeight,
     SlabSpec,
     TimeSlicePiece,
     UNSHIFTED,
-    angle_parameter,
-    contains,
     covering_check,
     eval_weight,
     eval_weight_gradient,
     lateral_boundary,
-    measure_density,
     minkowski_norm_sq,
-    normal_weight_derivative_bounds,
-    oriented_normal,
     sphere_area,
 )
 
@@ -83,33 +76,34 @@ class TestWeight:
         assert eval_weight(w, on_cone) == 0.0
 
 
+def inside(region, t, r):
+    """Open-set membership from the region protocol's window and radii."""
+    lo, hi = region.time_window()
+    tt = np.asarray(t, dtype=float)
+    return lo < t < hi and region.r_inner(tt) < r < region.r_outer(tt)
+
+
 class TestContains:
     def test_cone(self):
-        assert contains(ConeSpec(0.5), MinkowskiPoint(1.0, (0.3,)))
-        assert not contains(ConeSpec(0.5), MinkowskiPoint(1.0, (0.5,)))
-        assert not contains(ConeSpec(0.5), MinkowskiPoint(1.0, (0.0,)))
-
-    def test_annulus(self):
-        ann = AnnulusSpec(0.25, 0.5, -1.0)
-        assert not contains(ann, MinkowskiPoint(-1.0, (0.6,)))
-        assert contains(ann, MinkowskiPoint(-1.0, (0.3,)))
+        cone = ConeSegmentSpec(0.5, 0.0, 2.0)
+        assert inside(cone, 1.0, 0.3)
+        assert not inside(cone, 1.0, 0.5)
+        assert not inside(cone, 1.0, 0.0)
 
     def test_slab_negative_time(self):
         slab = SlabSpec(0.5, 1.2, -0.1)
-        assert contains(slab, MinkowskiPoint(-0.1, (0.04,)))
-        assert not contains(slab, MinkowskiPoint(-0.1, (0.06,)))
+        assert inside(slab, -0.1, 0.04)
+        assert not inside(slab, -0.1, 0.06)
 
     def test_box_and_exterior(self):
-        assert contains(BoxSpec(-0.5, 0.5, 1.0, 2.0), MinkowskiPoint(0.0, (1.5,)))
+        assert inside(BoxSpec(-0.5, 0.5, 1.0, 2.0), 0.0, 1.5)
         ext = ExteriorRegionSpec(0.5, 1.0)
-        assert contains(ext, MinkowskiPoint(1.0, (0.3,)))
-        assert not contains(ext, MinkowskiPoint(1.0, (0.0,)))  # axis excluded
+        assert inside(ext, 1.0, 0.3)
+        assert not inside(ext, 1.0, 0.0)  # axis excluded
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            ConeSpec(1.5)
-        with pytest.raises(ValueError):
-            AnnulusSpec(0.5, 0.25, -1.0)
+            ConeSegmentSpec(1.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             SlabSpec(0.5, 0.9, 1.0)
         with pytest.raises(ValueError):
@@ -117,41 +111,34 @@ class TestContains:
 
 
 class TestAngle:
-    def test_zero_at_center_time(self):
-        w = ShiftedWeight(t_star=1.0)
-        assert angle_parameter(w, MinkowskiPoint(1.0, (0.7,))) == 0.0
-
-    def test_null_direction(self):
-        assert angle_parameter(UNSHIFTED, MinkowskiPoint(1.0, (1.0,))) == pytest.approx(math.pi / 4)
-
-    def test_direct_value(self):
-        w = ShiftedWeight(t_star=1.0)
-        theta = angle_parameter(w, MinkowskiPoint(1.3, (0.6,)))
-        assert theta == pytest.approx(math.atan(0.5), rel=1e-12)
-
-    def test_axis_error(self):
-        with pytest.raises(ZeroDivisionError):
-            angle_parameter(ShiftedWeight(1.0), MinkowskiPoint(2.0, (0.0,)))
-
     def test_bounded_on_lateral_boundary(self):
+        # tan(theta) = (t - t*)/r: |theta| <= pi/4 on the cone part of the
+        # exterior-region boundary
         ext = ExteriorRegionSpec(0.5, 1.0)
         piece = lateral_boundary(ext)
-        w = ext.weight
         for t in np.linspace(piece.t_lo + 1e-9, piece.t_hi - 1e-9, 200):
-            theta = angle_parameter(w, MinkowskiPoint(float(t), (float(piece.radius(t)),)))
+            theta = math.atan2(t - ext.t_star, float(piece.radius(t)))
             assert abs(theta) <= math.pi / 4 + 1e-12
+
+
+def components(piece, t, r, f=None):
+    """(N^t, N^r) of a piece's oriented normal: its contraction with the
+    covectors dt and dr."""
+    return (piece.dot_normal(1.0, 0.0, t, r, f),
+            piece.dot_normal(0.0, 1.0, t, r, f))
 
 
 class TestNormals:
     def test_time_slice(self):
         bottom = TimeSlicePiece(0.0, 1.0, 2.0, inward_sign=+1)
-        assert oriented_normal(bottom, MinkowskiPoint(0.0, (1.5,))) == pytest.approx([1.0, 0.0])
+        assert bottom.normal == (1.0, 0.0)
+        assert components(bottom, 0.0, 1.5) == (1.0, 0.0)
         top = TimeSlicePiece(1.0, 1.0, 2.0, inward_sign=-1)
-        assert oriented_normal(top, MinkowskiPoint(1.0, (1.5,))) == pytest.approx([-1.0, 0.0])
+        assert top.normal == (-1.0, 0.0)
 
     def test_cone_normal_formula(self):
         piece = ConePiece(0.5, 1.0, 2.0)
-        N = oriented_normal(piece, MinkowskiPoint(1.5, (0.75,)))
+        N = piece.normal
         assert N == pytest.approx(np.array([0.5, 1.0]) / math.sqrt(0.75))
         assert minkowski_norm_sq(N) == pytest.approx(1.0)
 
@@ -161,11 +148,9 @@ class TestNormals:
             CylinderPiece(1.0, 0.0, 1.0, -1),
             ConePiece(0.7, 1.0, 2.0),
         ]
-        pts = [MinkowskiPoint(0.2, (0.7,)), MinkowskiPoint(0.5, (1.0,)),
-               MinkowskiPoint(1.5, (1.05,))]
         expected = [-1.0, 1.0, 1.0]
-        for piece, P, sq in zip(pieces, pts, expected):
-            assert minkowski_norm_sq(oriented_normal(piece, P)) == pytest.approx(sq)
+        for piece, sq in zip(pieces, expected):
+            assert minkowski_norm_sq(piece.normal) == pytest.approx(sq)
 
     def test_level_set_normal_against_finite_differences(self):
         # oracle: numerically normalize the finite-difference gradient of f
@@ -175,7 +160,7 @@ class TestNormals:
         piece = LevelSetPiece(w, eps, 0.5, 1.5, outward_sign=-1)
         t = 1.0
         r = 2.0 * math.sqrt(eps)
-        N = oriented_normal(piece, MinkowskiPoint(t, (r,)))
+        N = components(piece, t, r, w.value_radial(t, r))
         h = 1e-6
         df_dt = (w.value_radial(t + h, r) - w.value_radial(t - h, r)) / (2 * h)
         df_dr = (w.value_radial(t, r + h) - w.value_radial(t, r - h)) / (2 * h)
@@ -188,19 +173,36 @@ class TestNormals:
 
     def test_null_piece_rejected(self):
         with pytest.raises(ValueError):
-            oriented_normal(NullConePiece(UNSHIFTED), MinkowskiPoint(1.0, (1.0,)))
-        with pytest.raises(ValueError):
             ConePiece(1.0, 0.5, 1.5)  # slope 1 is null
+
+
+class PointMesh:
+    """Node rules with unit weights at the given nodes, so that a piece's
+    measure at the nodes is its induced density."""
+
+    def __init__(self, nodes):
+        self.nodes = np.asarray(nodes, dtype=float)
+
+    def radial(self, a, b):
+        return self.nodes, np.ones_like(self.nodes)
+
+    def temporal(self, a, b, graded=False):
+        return self.nodes, np.ones_like(self.nodes)
+
+
+def density(piece, nodes, n):
+    (_, _, meas, _), = piece.node_sets(PointMesh(nodes), n)
+    return meas
 
 
 class TestMeasureDensity:
     def test_slice_n3(self):
         piece = TimeSlicePiece(0.0, 0.5, 2.0, 1)
-        assert measure_density(piece, MinkowskiPoint(0.0, (1.0,)), 3) == pytest.approx(4 * math.pi)
+        assert density(piece, [1.0], 3)[0] == pytest.approx(4 * math.pi)
 
     def test_cone_n3(self):
         piece = ConePiece(0.5, 1.0, 3.0)
-        val = measure_density(piece, MinkowskiPoint(2.0, (1.0,)), 3)
+        val = density(piece, [2.0], 3)[0]
         assert val == pytest.approx(4 * math.pi * math.sqrt(0.75), rel=1e-12)
         assert val == pytest.approx(10.8828, rel=1e-4)
 
@@ -210,9 +212,8 @@ class TestMeasureDensity:
         # R^{2+1}: parameters (t, angle))
         sigma, t0, t1 = 0.5, 2.0, 2.1
         piece = ConePiece(sigma, t0, t1)
-        nt, na = 400, 400
+        nt = 400
         ts = np.linspace(t0, t1, nt + 1)
-        ang = np.linspace(0.0, 2 * np.pi, na + 1)
         total = 0.0
         for i in range(nt):
             tm = 0.5 * (ts[i] + ts[i + 1])
@@ -221,16 +222,13 @@ class TestMeasureDensity:
             # G_aa = r^2, G_ta = 0
             detG = abs((-1 + sigma ** 2) * rm ** 2)
             total += math.sqrt(detG) * (ts[i + 1] - ts[i]) * (2 * np.pi)
-        quad = 0.0
-        for i in range(nt):
-            tm = 0.5 * (ts[i] + ts[i + 1])
-            quad += measure_density(piece, MinkowskiPoint(tm, (sigma * tm, 0.0)), 2) \
-                * (ts[i + 1] - ts[i])
+        mids = 0.5 * (ts[:-1] + ts[1:])
+        quad = float(np.sum(density(piece, mids, 2) * np.diff(ts)))
         assert quad == pytest.approx(total, rel=1e-10)
 
     def test_n1_counts_two_points(self):
         piece = TimeSlicePiece(0.0, 0.5, 2.0, 1)
-        assert measure_density(piece, MinkowskiPoint(0.0, (1.3,)), 1) == pytest.approx(2.0)
+        assert density(piece, [1.3], 1)[0] == pytest.approx(2.0)
 
     def test_level_set_density_against_triangulation(self):
         # hyperbola piece r(t) = sqrt((t-t*)^2 + 4 eps) in n = 1: induced
@@ -246,32 +244,24 @@ class TestMeasureDensity:
             dr = rs[i + 1] - rs[i]
             seg += math.sqrt(abs(dt * dt - dr * dr))
         seg *= 2.0  # two points +-r
-        quad = 0.0
-        for i in range(len(ts) - 1):
-            tm = 0.5 * (ts[i] + ts[i + 1])
-            quad += measure_density(piece, MinkowskiPoint(tm, (float(piece.radius(tm)),)), 1) \
-                * (ts[i + 1] - ts[i])
+        mids = 0.5 * (ts[:-1] + ts[1:])
+        quad = float(np.sum(density(piece, mids, 1) * np.diff(ts)))
         assert quad == pytest.approx(seg, rel=1e-6)
 
 
 class TestNormalWeightDerivative:
     def test_positive_and_constant_for_axis(self):
+        # on r = sigma t the cone normal gives
+        # N(f) = sigma t* / (2 sqrt(1 - sigma^2)) exactly for the axis ray
         ext = ExteriorRegionSpec(0.5, 2.0)
         piece = lateral_boundary(ext)
-        c1, c2 = normal_weight_derivative_bounds(0.5, ext.ray)
-        assert c1 == c2 == pytest.approx(0.5 / (2 * math.sqrt(0.75)))
-        N = oriented_normal(piece, MinkowskiPoint(2.5, (1.25,)))
+        want = 0.5 / (2 * math.sqrt(0.75))
         for t in np.linspace(piece.t_lo + 1e-6, piece.t_hi - 1e-6, 50):
             r = float(piece.radius(t))
             ft, fr = ext.weight.grad_radial(t, r)
-            Nf = N[0] * ft + N[1] * fr
+            Nf = piece.dot_normal(ft, fr, t, r)
             assert Nf > 0.0
-            assert c1 - 1e-12 <= Nf / ext.t_star <= c2 + 1e-12
-
-    def test_offaxis_band(self):
-        ray = RaySpec((0.2, 0.0))
-        c1, c2 = normal_weight_derivative_bounds(0.5, ray)
-        assert 0.0 < c1 < c2
+            assert Nf / ext.t_star == pytest.approx(want, rel=1e-12)
 
 
 class TestCovering:

@@ -6,8 +6,8 @@ from scipy.integrate import quad as scipy_quad
 
 from conewave.exact_solutions import smoothstep
 from conewave.fields import ManufacturedField
+from conewave.carleman import vanishing_flux_probe
 from conewave.geometry import (
-    AnnulusSpec,
     BoxSpec,
     ConeSegmentSpec,
     CylinderPiece,
@@ -23,7 +23,6 @@ from conewave.quadrature import (
     integrate_bulk,
     integrate_slice,
     integrate_surface,
-    vanishing_flux_probe,
 )
 from tests_helpers import closures_jet
 
@@ -60,8 +59,8 @@ class TestSpecValidation:
 
 class TestBulk:
     def test_annulus_volume_closed_form(self):
-        res = integrate_bulk(AnnulusSpec(0.25, 0.5, -1.0), ONE,
-                             QuadratureSpec(), 3)
+        # the annulus {0.25 |t| < r < 0.5 |t|} at t = -1 is a fixed-time slice
+        res = integrate_slice(-1.0, 0.25, 0.5, ONE, QuadratureSpec(), 3)
         exact = 4 * math.pi / 3 * (0.5 ** 3 - 0.25 ** 3)
         assert res.value == pytest.approx(exact, rel=1e-12)
         assert res.error_estimate <= 1e-10
@@ -71,17 +70,17 @@ class TestBulk:
         pts = rng.uniform(-0.5, 0.5, size=(10_000_000, 3))
         rad = np.linalg.norm(pts, axis=1)
         mc = float(np.mean((rad > 0.25) & (rad < 0.5)))
-        res = integrate_bulk(AnnulusSpec(0.25, 0.5, -1.0), ONE,
-                             QuadratureSpec(), 3)
+        res = integrate_slice(-1.0, 0.25, 0.5, ONE, QuadratureSpec(), 3)
         assert res.value == pytest.approx(mc, rel=2e-3)
 
     def test_zero_integrand(self):
-        for region in (AnnulusSpec(0.25, 0.5, -1.0),
-                       BoxSpec(-0.4, 0.4, 1.0, 2.0),
+        zero = lambda t, r: np.zeros_like(r)
+        assert integrate_slice(-1.0, 0.25, 0.5, zero, QuadratureSpec(),
+                               3).value == 0.0
+        for region in (BoxSpec(-0.4, 0.4, 1.0, 2.0),
                        SlabSpec(0.5, 1.5, -1.0),
                        ConeSegmentSpec(0.5, 1.0, 4.0)):
-            res = integrate_bulk(region, lambda t, r: np.zeros_like(r),
-                                 QuadratureSpec(), 3)
+            res = integrate_bulk(region, zero, QuadratureSpec(), 3)
             assert res.value == 0.0
 
     def test_singular_power_box_matches_reference(self):

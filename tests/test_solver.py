@@ -34,7 +34,7 @@ def _plain_laplacian(u, s, vol, dr):
 def reference_evolve(cfg, data):
     """The leapfrog written with plain allocating expressions, keeping every
     level: what the buffered kernel of `evolve` must reproduce bit for bit.
-    Returns (snapshots, max_phi, t_blowup, blow_surface, dt, energy)."""
+    Returns (snapshots, max_phi, t_blowup, dt, energy)."""
     n, J, dr = cfg.n, cfg.J, cfg.dr
     s, vol = _radial_operator(n, J, dr)
     v = np.cos(np.pi * np.arange(J + 1))
@@ -84,8 +84,6 @@ def reference_evolve(cfg, data):
         trace.append(energy(nxt, levels[m], times[-1] - 0.5 * dt))
     last = len(levels) - 1
     blown = np.abs(levels[last]).max() > cfg.phi_max
-    blow_surface = np.full(J + 1, math.inf)
-    blow_surface[np.abs(levels[last]) > cfg.phi_max] = times[last]
 
     wanted = set()
     for t_req in cfg.snapshot_times:
@@ -105,7 +103,7 @@ def reference_evolve(cfg, data):
                               (levels[m] - levels[m - 1]) / dt))
     max_phi = max(float(np.abs(u).max()) for u in levels)
     t_blowup = times[last] if blown else None
-    return snapshots, max_phi, t_blowup, blow_surface, dt, np.asarray(trace)
+    return snapshots, max_phi, t_blowup, dt, np.asarray(trace)
 
 
 KERNEL_CASES = {
@@ -159,12 +157,10 @@ def test_buffered_kernel_matches_plain_leapfrog_bitwise(name):
 def assert_matches_reference(cfg, data):
     """evolve(cfg, data) equals reference_evolve bit for bit; returns the run."""
     res = evolve(cfg, data)
-    snapshots, max_phi, t_blowup, blow_surface, dt, trace = \
-        reference_evolve(cfg, data)
+    snapshots, max_phi, t_blowup, dt, trace = reference_evolve(cfg, data)
     assert res.dt == dt
     assert res.max_phi == max_phi
     assert res.t_blowup == t_blowup
-    assert_same_bits(res.blow_surface, blow_surface)
     assert len(res.snapshots) == len(snapshots) >= 1
     for got, want in zip(res.snapshots, snapshots):
         assert got[0] == want[0]
@@ -288,10 +284,9 @@ class TestEvolveBasics:
         res = evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
         assert res.status == "blew_up"
         assert abs(res.t_blowup) <= 0.05
-        # the blow-up surface is recorded exactly where the crossing happened
-        crossed = np.isfinite(res.blow_surface)
-        assert crossed.any()
-        assert np.all(res.blow_surface[crossed] <= res.t_blowup + 1e-12)
+        # the run stops at the step of the first crossing
+        assert res.max_phi > cfg.phi_max
+        assert res.t_blowup == cfg.t0 + res.steps * res.dt
 
     def test_summary_csv(self):
         cfg = SolverConfig(n=1, J=64, R=4.0, t0=0.0, t_end=0.2)
@@ -306,9 +301,12 @@ class TestEvolveBasics:
                            snapshot_times=(-0.8, -0.6), record_energy=False)
         res = evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
         paths = res.field().write_snapshots(str(tmp_path), cfg.p)
-        from conewave.fields import DiscreteField
+        from conewave.fields import DiscreteField, read_snapshot
 
-        reloaded = DiscreteField.from_snapshot_files(paths)
+        rows = [read_snapshot(path) for path in paths]  # (n, p, t, r, phi, phit)
+        reloaded = DiscreteField.from_levels(
+            [(t, phi, phit) for _, _, t, _, phi, phit in rows], rows[0][3],
+            rows[0][0])
         np.testing.assert_array_equal(reloaded.phi, res.field().phi)
         restart = InitialDataSpec.from_file(paths[0])
         cfg2 = SolverConfig(n=3, p=2.0, J=256, R=8.0, t0=res.snapshots[0][0],
@@ -381,9 +379,8 @@ class TestFiniteSpeed:
         phi = phi.copy()
         phi[-3] = 1e-6  # far-field contamination
         tampered = RunResult(res.status, res.t_blowup, [(t, phi, phit)],
-                             res.blow_surface, res.config, res.dt,
-                             res.max_phi, res.energy_times, res.energy,
-                             res.steps)
+                             res.config, res.dt, res.max_phi,
+                             res.energy_times, res.energy, res.steps)
         ok, witness = finite_speed_check(tampered, 0.5)
         assert not ok
         assert witness is not None and abs(witness[2]) == 1e-6
