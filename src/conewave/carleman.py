@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +34,8 @@ from .geometry import (
     UNSHIFTED,
     lateral_boundary,
 )
-from .quadrature import QuadratureSpec, integrate_bulk, integrate_surface
+from .quadrature import (QuadratureSpec, integrate_bulk, integrate_surface,
+                         integrate_surfaces)
 
 __all__ = [
     "CarlemanParams",
@@ -377,13 +379,11 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
 
     lhs, rhs = integrate_bulk(region.bulk, integrand, q, n)
 
-    per_piece = []
+    fluxes = _piece_fluxes(params, fieldobj, region.pieces, q)
+    per_piece = [res.value for res in fluxes]
     errors = {"lhs": lhs.error_estimate, "rhs_bulk": rhs.error_estimate}
-    for idx, piece in enumerate(region.pieces):
-        flux = _piece_flux(params, fieldobj, piece)
-        res = integrate_surface(piece, flux, q, n)
-        per_piece.append(res.value)
-        errors[f"piece{idx}"] = res.error_estimate
+    errors.update((f"piece{idx}", res.error_estimate)
+                  for idx, res in enumerate(fluxes))
 
     rhs_boundary = float(sum(per_piece))
     slack = rhs.value + rhs_boundary - lhs.value
@@ -401,15 +401,13 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
     )
 
 
-def _piece_flux(params, fieldobj, piece):
-    """Oriented boundary integrand P . N for one piece; pieces that carry
-    a weight hand it in as f (see integrate_surface)."""
-
-    def flux(t, r, f=None):
-        Pt, Pr = flux_covector(params, fieldobj, t, r, fval=f)
-        return piece.dot_normal(Pt, Pr, t, r, f)
-
-    return flux
+def _piece_fluxes(params, fieldobj, pieces, q):
+    """Oriented boundary integrals of P . N, one per piece: P from one
+    flux_covector call per group of node sets (a weight, where a piece
+    carries one, comes in as f), contracted with each piece's normal."""
+    return integrate_surfaces(
+        pieces, partial(flux_covector, params, fieldobj), q, params.n,
+        contract=lambda piece, P, t, r, f: piece.dot_normal(*P, t, r, f))
 
 
 @dataclass
@@ -455,23 +453,14 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
 
     piece = lateral_boundary(exterior)
 
-    def grad_sq(t, r, f):
-        _, phi_t, phi_r = fieldobj.jet(t, r)[:3]
-        return phi_t ** 2 + phi_r ** 2
+    def lateral(t, r, f):
+        """The four boundary terms from one field jet per node."""
+        ph, phi_t, phi_r = fieldobj.jet(t, r)[:3]
+        zeroth = ph ** 2
+        return (phi_t ** 2 + phi_r ** 2, np.abs(ph) ** (p + 1.0), zeroth,
+                f ** (-1.0 + 2.0 * a) * zeroth)
 
-    def power(t, r, f):
-        return np.abs(fieldobj.value(t, r)) ** (p + 1.0)
-
-    def zeroth(t, r, f):
-        return fieldobj.value(t, r) ** 2
-
-    def singular(t, r, f):
-        return f ** (-1.0 + 2.0 * a) * fieldobj.value(t, r) ** 2
-
-    t1 = integrate_surface(piece, grad_sq, q, n)
-    t2 = integrate_surface(piece, power, q, n)
-    t3 = integrate_surface(piece, zeroth, q, n)
-    t4 = integrate_surface(piece, singular, q, n)
+    t1, t2, t3, t4 = integrate_surface(piece, lateral, q, n)
 
     terms = {
         "t1_gradient": ts ** (1.0 + 4.0 * a) * t1.value,
@@ -518,11 +507,7 @@ def vanishing_flux_probe(exterior: ExteriorRegionSpec, field, a, eps_sequence,
         raise ValueError("eps sequence must be decreasing")
     params = CarlemanParams(a=a, p=p, n=n, potential=potential,
                             shift=exterior.weight)
-    fluxes = []
-    for eps in eps_sequence:
-        t_lo, t_hi = ExteriorRegionSpec(exterior.sigma, exterior.t_star,
-                                        exterior.ray, eps=eps).time_window()
-        piece = LevelSetPiece(exterior.weight, eps, t_lo, t_hi, outward_sign=-1)
-        fluxes.append(integrate_surface(piece, _piece_flux(params, field, piece),
-                                        q, n).value)
-    return fluxes
+    pieces = [LevelSetPiece(exterior.weight, eps, *ExteriorRegionSpec(
+        exterior.sigma, exterior.t_star, exterior.ray, eps=eps).time_window(),
+        outward_sign=-1) for eps in eps_sequence]
+    return [res.value for res in _piece_fluxes(params, field, pieces, q)]

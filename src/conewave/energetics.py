@@ -18,6 +18,7 @@ from .quadrature import (
     QuadratureSpec,
     integrate_bulk,
     integrate_slice,
+    integrate_slices,
     integrate_surface,
 )
 
@@ -191,21 +192,21 @@ def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q, sup_times=None):
     """Right side of the annulus form of the localized estimate:
     |t*| sup_tau int_{A(tau)} [|grad phi|^2 + |phi|^{p+1} + t*^{-2} phi^2],
     tau in [|t*|/eta, eta |t*|] (17 equispaced levels unless `sup_times`),
-    with the time-reflected levels for t* < 0. Returns (rhs, sup time)."""
+    with the time-reflected levels for t* < 0, integrated as one family of
+    slices (integrate_slices). Returns (rhs, the first maximizing time)."""
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
     if sup_times is None:
         sup_times = np.linspace(ats / eta, ats * eta, 17)
     sup_times = np.asarray(sup_times, dtype=float)
     _require_time_coverage(field, *(sgn * sup_times))
+    slices = integrate_slices(sgn * sup_times, sigma0 * sup_times,
+                              sigma1 * sup_times,
+                              _energy_density(field, ats, p), q, n)
     best, best_t = -math.inf, None
-    integrand = _energy_density(field, ats, p)
-    for tau in sup_times:
-        tau_signed = sgn * tau
-        res = integrate_slice(tau_signed, sigma0 * tau, sigma1 * tau,
-                              integrand, q, n)
+    for tau, res in zip(sup_times, slices):
         if res.value > best:
-            best, best_t = res.value, tau_signed
+            best, best_t = res.value, sgn * tau
     return ats * best, best_t
 
 

@@ -363,7 +363,8 @@ class DiscreteField:
 
     def _locate(self, t, r):
         """Bilinear stencil of a batch of points: flat table indices of the
-        four corners and the weights (1 - fr, fr, 1 - th, th).
+        lower-left corners, the row step to the level above (r.size, 0 with
+        a single level) and the weights (1 - fr, fr, 1 - th, th).
 
         t and r need only broadcast: the time work (level, th, row offsets)
         runs on t's own shape, so a (rows, 1) column of times costs one
@@ -375,29 +376,33 @@ class DiscreteField:
             raise ValueError("radius outside the stored grid")
         if self.times.size == 1:
             m = np.zeros(t.shape, dtype=int)
-            th = np.zeros(t.shape)
+            th, step = np.zeros(t.shape), 0
         else:
             m = np.clip(np.searchsorted(self.times, t, side="right") - 1,
                         0, self.times.size - 2)
             th = np.clip((t - self.times[m])
                          / (self.times[m + 1] - self.times[m]), 0.0, 1.0)
-        row_lo = m * self.r.size
-        row_hi = np.minimum(m + 1, self.times.size - 1) * self.r.size
+            step = self.r.size
         x = np.clip(r / self.dr, 0.0, self.r.size - 1 - 1e-12)
         j = np.minimum(x.astype(int), self.r.size - 2)
         fr = x - j
-        lo = row_lo + j
-        hi = row_hi + j
-        return lo, lo + 1, hi, hi + 1, 1.0 - fr, fr, 1.0 - th, th
+        return m * self.r.size + j, step, 1.0 - fr, fr, 1.0 - th, th
 
     @staticmethod
     def _interp(table, stencil):
-        lo0, lo1, hi0, hi1, cfr, fr, cth, th = stencil
+        """The four corners through shifted views of the flat table, the
+        weights applied in place."""
+        idx, step, cfr, fr, cth, th = stencil
         flat = table.ravel()
-        lo = flat[lo0] * cfr + flat[lo1] * fr
-        hi = flat[hi0] * cfr + flat[hi1] * fr
-        out = lo * cth + hi * th
-        return out if out.shape else float(out)
+        lo, hi = flat.take(idx), flat[step:].take(idx)
+        lo *= cfr
+        lo += flat[1:].take(idx) * fr
+        hi *= cfr
+        hi += flat[step + 1:].take(idx) * fr
+        lo *= cth
+        hi *= th
+        lo += hi
+        return lo if lo.shape else float(lo)
 
     def _phi_r_table(self):
         if getattr(self, "_phi_r_cache", None) is None:

@@ -6,21 +6,19 @@ gives its time window, its inner and outer radius as functions of t and
 the edges to grade toward; `integrate_bulk` is one `integrate_profile`
 call on those. A boundary piece gives, for each refinement level, its
 nodes as (t, r, measure, f) sets built from the level's node rules
-(`_Mesh`), and `integrate_surface` sums measure * integrand over them.
+(`_Mesh`), and `integrate_surfaces` sums measure * integrand over them.
 
-Bulk integrands are plain vectorized callables f(t, r); one returning a tuple
-of arrays has each of them integrated on the same mesh and gives a tuple of
-results. Bulk integrands, and integrands on a fixed-time slice (also the
-TimeSlicePiece surfaces), get r in full but t unbroadcast: a (rows, 1)
-column, one time per mesh row, or on a slice a one-element array holding
-the level. t always broadcasts with r, but an integrand must not assume
-t.shape == r.shape; its t-only subexpressions then cost one evaluation per
-row, not per node.
-Surface integrands on pieces that carry a weight (cone pieces of
-shifted exterior regions, level sets) are called as f(t, r, w) where w is the
-weight value computed in product form; near the weight's zero set this is the
-only representation with any relative accuracy, so singular integrands must
-use it rather than recomputing r^2 - (t - t*)^2 themselves.
+Integrands are vectorized callables f(t, r); one returning a tuple of
+arrays has each of them integrated on the same nodes and gives a tuple of
+results. On a mesh (bulk, and `integrate_slices`' family of fixed-time
+slices, one mesh row per slice) t comes unbroadcast as a (rows, 1) column,
+so t-only subexpressions cost one evaluation per row, not per node.
+Surface node sets are evaluated per group, all pieces and levels at once,
+with t as long as r; the sets that carry a weight (cone pieces of shifted
+exterior regions, level sets) call f(t, r, w) with w the weight computed
+in product form: near its zero set the only form with any relative
+accuracy, so singular integrands must use it rather than recomputing
+r^2 - (t - t*)^2 themselves.
 
 Error control is a one-level Richardson difference (cells doubled), never
 adaptive subdivision, so repeated runs are bit identical.
@@ -40,8 +38,10 @@ __all__ = [
     "QuadratureResult",
     "integrate_bulk",
     "integrate_slice",
+    "integrate_slices",
     "integrate_profile",
     "integrate_surface",
+    "integrate_surfaces",
 ]
 
 _GAUSS2 = 0.5 / math.sqrt(3.0)
@@ -101,6 +101,7 @@ def _check_finite(vals, T, R):
         T = np.broadcast_to(T, np.shape(R))
         raise NonFiniteSample(T[idx], np.asarray(R)[idx],
                               np.asarray(vals)[idx])
+    return vals
 
 
 def _breakpoints(cells, q, lo, hi):
@@ -177,42 +178,42 @@ def _refine(level, q: QuadratureSpec):
     """Evaluate `level(factor)` on 1, 2, ..., 2^refinement_levels times the
     base resolution; the value is the finest, the error estimate the jump
     from the previous level. A level returning a tuple of totals (one per
-    integrand output) gives a tuple of results."""
+    integrand output, or one per slice) gives a tuple of results."""
     values, nodes = [], 0
     for exponent in range(q.refinement_levels + 1):
         val, cnt = level(2 ** exponent)
         values.append(val)
         nodes += cnt
-    if isinstance(values[-1], tuple):
-        return tuple(QuadratureResult(v, abs(v - w), nodes)
-                     for v, w in zip(values[-1], values[-2]))
-    return QuadratureResult(values[-1], abs(values[-1] - values[-2]), nodes)
+
+    def result(fine, coarse):
+        if isinstance(fine, tuple):
+            return tuple(map(result, fine, coarse))
+        return QuadratureResult(float(fine), float(abs(fine - coarse)), nodes)
+
+    return result(values[-1], values[-2])
 
 
-def _weighted_sums(integrand, T, R, meas):
-    """sum(meas * vals) for the integrand's values on the nodes (T, R).
+def _weighted_sums(integrand, T, R, meas, axis=None):
+    """sum(meas * vals) for the integrand's values on the nodes (T, R),
+    over the whole mesh, or per row with `axis=1`.
 
-    On a 2-D mesh T is a (rows, 1) column, one time per row of R; on a 1-D
-    slice it is the one-element array of the level. The integrand is called
+    T is a (rows, 1) column, one time per row of R. The integrand is called
     on blocks of whole rows of about BLOCK_NODES nodes, so its temporaries
     stay small; the values go into full-size buffers that are checked and
     summed whole, each multiplied by `meas` in place. An integrand returning
     a tuple of arrays gives a tuple of sums, one per array."""
-    step = max(1, BLOCK_NODES // (R[0].size if R.ndim > 1 else 1))
+    step = max(1, BLOCK_NODES // R[0].size)
     bufs = None
     for lo in range(0, len(R), step):
-        out = integrand(T[lo:lo + step] if R.ndim > 1 else T,
-                        R[lo:lo + step])
+        out = integrand(T[lo:lo + step], R[lo:lo + step])
         several = isinstance(out, tuple)
         outs = out if several else (out,)
         if bufs is None:
             bufs = [np.empty(R.shape) for _ in outs]
         for buf, vals in zip(bufs, outs):
             buf[lo:lo + step] = vals
-    sums = []
-    for vals in bufs:
-        _check_finite(vals, T, R)
-        sums.append(float(np.sum(np.multiply(meas, vals, out=vals))))
+    sums = [np.sum(np.multiply(meas, _check_finite(vals, T, R), out=vals),
+                   axis=axis) for vals in bufs]
     return tuple(sums) if several else sums[0]
 
 
@@ -220,22 +221,47 @@ def _weighted_sums(integrand, T, R, meas):
 # Bulk integration
 # --------------------------------------------------------------------------
 
-def integrate_slice(t, r_lo, r_hi, integrand, q: QuadratureSpec,
-                    n: int) -> QuadratureResult:
-    """Spatial integral at fixed time over the radial shell (r_lo, r_hi)."""
-    if r_hi <= r_lo:
-        return QuadratureResult(0.0, 0.0, 0)
-    om = sphere_area(n)
-    # an array, not a scalar: numpy's scalar power differs from its array
-    # power in the last bit for a few percent of inputs
-    level_t = np.array([t], dtype=float)
+def integrate_slices(times, r_lo, r_hi, integrand, q: QuadratureSpec,
+                     n: int):
+    """Spatial integrals over the radial shells (r_lo[i], r_hi[i]) at the
+    fixed times[i], one per slice with the bits of that slice alone: each
+    level is one (slices, nodes) mesh, t a (slices, 1) array even for one
+    slice (numpy's scalar power can differ in the last bit). A zero-width
+    shell gives an exact zero, a reversed one an error; on a non-finite
+    sample the slices rerun one by one, so the error names the sample a
+    slice-by-slice pass meets first."""
+    T = np.asarray(times, dtype=float).reshape(-1, 1)
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), len(T))
+              for b in (r_lo, r_hi))
+    if np.any(hi < lo):
+        i = np.argmax(hi < lo)
+        raise ValueError(f"slice bounds reversed: r_hi = {float(hi[i])!r} "
+                         f"< r_lo = {float(lo[i])!r}")
+    live = np.flatnonzero(hi > lo)
+    span, om = (hi - lo)[live, None], sphere_area(n)
 
     def level(factor):
-        rn, rw = _interval_nodes(r_lo, r_hi, factor * q.cells_r, q.base_order)
-        meas = rw * om * rn ** (n - 1)
-        return _weighted_sums(integrand, level_t, rn, meas), rn.size
+        rel, w = _Mesh(q, factor).radial(0.0, 1.0)
+        R = lo[live, None] + span * rel
+        sums = _weighted_sums(integrand, T[live], R,
+                              span * w * om * R ** (n - 1), axis=1)
+        return tuple(zip(*sums) if isinstance(sums, tuple) else sums), rel.size
 
-    return _refine(level, q)
+    try:
+        results = iter(_refine(level, q) if live.size else ())
+    except NonFiniteSample:
+        for i in live if live.size > 1 else ():
+            integrate_slice(T[i, 0], lo[i], hi[i], integrand, q, n)
+        raise
+    return [next(results) if b > a else QuadratureResult(0.0, 0.0, 0)
+            for a, b in zip(lo, hi)]
+
+
+def integrate_slice(t, r_lo, r_hi, integrand, q: QuadratureSpec,
+                    n: int) -> QuadratureResult:
+    """Spatial integral at fixed time over the radial shell (r_lo, r_hi):
+    the one-slice case of integrate_slices."""
+    return integrate_slices([t], r_lo, r_hi, integrand, q, n)[0]
 
 
 def integrate_profile(t_window, r_inner, r_outer, integrand,
@@ -281,22 +307,45 @@ def integrate_bulk(region, integrand, q: QuadratureSpec, n: int) -> QuadratureRe
 # Surface integration
 # --------------------------------------------------------------------------
 
-def integrate_surface(piece, integrand, q: QuadratureSpec, n: int) -> QuadratureResult:
-    """Induced-measure integral over one hypersurface piece (see
-    geometry.SurfacePiece).
+def integrate_surfaces(pieces, integrand, q: QuadratureSpec, n: int,
+                       contract=None):
+    """Induced-measure integrals over hypersurface pieces (see
+    geometry.SurfacePiece), one result per piece, from one integrand call
+    per group of node sets of all pieces and levels: those carrying a
+    weight f as integrand(t, r, f), the others as integrand(t, r).
+    `contract(piece, values, t, r, f)`, if given, turns a set's share into
+    its integrand values (P . N, say). Each set is checked and summed alone
+    and a piece adds its sets in order from -0.0 (a one-set sum keeps its
+    sign bit), so the bits are those of a piece integrated set by set."""
+    sets = [(j, 2 ** e, *s) for j, piece in enumerate(pieces)
+            for e in range(q.refinement_levels + 1)
+            for s in piece.node_sets(_Mesh(q, 2 ** e), n)]
+    shares, totals, several = [None] * len(sets), {}, False
+    for weighted in (False, True):
+        group = [i for i, s in enumerate(sets) if (s[5] is None) != weighted]
+        if group:
+            out = integrand(*(np.concatenate([np.broadcast_to(
+                sets[i][k], sets[i][3].shape) for i in group])
+                for k in (2, 3, 5)[:2 + weighted]))
+            ends = np.cumsum([0] + [sets[i][3].size for i in group])
+            for i, lo, hi in zip(group, ends, ends[1:]):
+                shares[i] = (tuple(v[lo:hi] for v in out)
+                             if isinstance(out, tuple) else out[lo:hi])
+    for (j, factor, t, r, meas, f), vals in zip(sets, shares):
+        if contract is not None:
+            vals = contract(pieces[j], vals, t, r, f)
+        several = isinstance(vals, tuple)
+        parts = [float(np.sum(meas * _check_finite(np.asarray(v, float), t, r)))
+                 for v in (vals if several else (vals,))]
+        sums, count = totals.get((j, factor), ([-0.0] * len(parts), 0))
+        totals[j, factor] = [a + b for a, b in zip(sums, parts)], count + r.size
+    results = [_refine(lambda factor, j=j: (tuple(totals[j, factor][0]),
+                                            totals[j, factor][1]), q)
+               for j in range(len(pieces))]
+    return results if several else [res[0] for res in results]
 
-    Node sets that carry a weight value f call integrand(t, r, f); the
-    others call integrand(t, r).
-    """
 
-    def level(factor):
-        total, count = -0.0, 0  # -0.0 + x is x, a zero's sign included
-        for t, r, meas, f in piece.node_sets(_Mesh(q, factor), n):
-            vals = integrand(t, r) if f is None else integrand(t, r, f)
-            vals = np.asarray(vals, dtype=float)
-            _check_finite(vals, t, r)
-            total += float(np.sum(meas * vals))
-            count += r.size
-        return total, count
-
-    return _refine(level, q)
+def integrate_surface(piece, integrand, q: QuadratureSpec, n: int):
+    """Induced-measure integral over one hypersurface piece: the one-piece
+    case of integrate_surfaces."""
+    return integrate_surfaces((piece,), integrand, q, n)[0]

@@ -34,7 +34,8 @@ from conewave.geometry import (
     ExteriorRegionSpec,
     ShiftedWeight,
 )
-from conewave.quadrature import QuadratureSpec, integrate_bulk
+from conewave.geometry import lateral_boundary
+from conewave.quadrature import QuadratureSpec, integrate_bulk, integrate_surface
 from tests_helpers import closures_jet
 
 
@@ -599,3 +600,57 @@ class TestVerifyShifted:
             assert np.all(bulk_gamma(params, t, rr) > 0.0)
         rep = verify_shifted(params, gaussian_pulse(3, 1.0, 1.0, 0.3, 0.25), ext)
         assert np.isfinite(rep.ratio) and rep.ratio > 0.0
+
+
+def _four_separate_terms(params, fieldobj, exterior, q):
+    """The lateral terms of verify_shifted from four integrate_surface
+    calls, one integrand (and one field evaluation) each."""
+    a, p = params.a, params.p
+    piece = lateral_boundary(exterior)
+    integrands = (
+        lambda t, r, f: fieldobj.jet(t, r)[1] ** 2 + fieldobj.jet(t, r)[2] ** 2,
+        lambda t, r, f: np.abs(fieldobj.value(t, r)) ** (p + 1.0),
+        lambda t, r, f: fieldobj.value(t, r) ** 2,
+        lambda t, r, f: f ** (-1.0 + 2.0 * a) * fieldobj.value(t, r) ** 2,
+    )
+    return [integrate_surface(piece, g, q, params.n) for g in integrands]
+
+
+class TestVerifyShiftedOneJet:
+    @pytest.mark.parametrize("sigma,ts,a,poly", [
+        (0.5, 1.0, 0.25, False), (0.3, 2.0, 0.2, True), (0.661277, 1.5, 0.3,
+                                                         False)])
+    def test_report_matches_four_separate_calls(self, monkeypatch, sigma, ts,
+                                                a, poly):
+        from conewave.fields import polynomial_gaussian
+
+        ext = ExteriorRegionSpec(sigma, ts)
+        params = CarlemanParams(a=a, p=2.0, n=3, shift=ext.weight)
+        fieldobj = (polynomial_gaussian(3, 0.7, ts, 0.3, 0.4, c1=0.3, c2=-0.2)
+                    if poly else gaussian_pulse(3, 1.0, ts, 0.3, 0.25))
+        jets = []
+        inner = fieldobj.evaluate
+
+        def counting(t, r):
+            jets.append(np.shape(r))
+            return inner(t, r)
+
+        object.__setattr__(fieldobj, "evaluate", counting)
+        q = QuadratureSpec()
+        rep = verify_shifted(params, fieldobj, ext, q)
+        surface_calls = [shape for shape in jets if len(shape) == 1]
+        t1, t2, t3, t4 = _four_separate_terms(params, fieldobj, ext, q)
+        # one jet over the lateral piece's nodes, one over the probe's
+        assert len(surface_calls) == 2
+        assert surface_calls[0] == (t1.nodes_used,)
+        want = {"t1_gradient": ts ** (1.0 + 4.0 * a) * t1.value,
+                "t2_power": ts ** (1.0 + 4.0 * a) * t2.value,
+                "t3_zeroth": ts ** (-1.0 + 4.0 * a) * t3.value,
+                "t4_singular": ts * t4.value}
+        assert {k: v.hex() for k, v in rep.terms.items()} == \
+            {k: v.hex() for k, v in want.items()}
+        for key, res in zip(("t1", "t2", "t3", "t4"), (t1, t2, t3, t4)):
+            assert rep.error_estimates[key].hex() == res.error_estimate.hex()
+        rhs = sum(want.values())
+        assert rep.ratio.hex() == (rep.lhs / rhs).hex()
+        assert all(v != 0.0 for v in want.values())

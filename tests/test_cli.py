@@ -10,6 +10,7 @@ import conewave
 from conewave import cli
 from conewave.cli import ConfigError, parse_config, run
 from conewave.quadrature import NonFiniteSample
+from tests_helpers import one_at_a_time
 
 
 def write_config(path, text):
@@ -252,6 +253,15 @@ class TestVerifyCarleman:
         assert run(["verify-carleman", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "carleman.csv").read_bytes() == (out2 / "carleman.csv").read_bytes()
 
+    def test_bytes_match_the_piece_by_piece_path(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.cfg", BASE)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run(["verify-carleman", "--config", cfg, "--out", str(out1)]) == 0
+        one_at_a_time(monkeypatch)
+        assert run(["verify-carleman", "--config", cfg, "--out", str(out2)]) == 0
+        for name in ("carleman.csv", "summary"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_seed_changes_cases(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", BASE)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -350,6 +360,28 @@ class TestDiagnosticsSubcommands:
         assert all(float(v) > 0.0 for row in rows[1:] for v in row.split(",")[1:])
         for name in ("profile.csv", "summary"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_energy_profile_bytes_match_the_slice_by_slice_path(
+            self, tmp_path, monkeypatch):
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        text = text.replace("sigma0 = 0.25",
+                            "sigma0 = 0.25\nfield_source = run\n"
+                            "t_star = -0.45 -0.35 -0.25")
+        text = text.replace("snapshot_times = -0.8 -0.5 -0.3",
+                            "snapshot_log = 0.1 1.0 12")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        batched, alone = tmp_path / "batched", tmp_path / "alone"
+        for out in (batched, alone):
+            if out == alone:
+                one_at_a_time(monkeypatch)
+            for scenario in ("energy-profile", "verify-localized"):
+                assert run([scenario, "--config", cfg, "--out",
+                            str(out / scenario)]) == 0
+        for name in ("energy-profile/profile.csv", "energy-profile/summary",
+                     "verify-localized/localized.csv",
+                     "verify-localized/summary"):
+            assert (batched / name).read_bytes() == (alone / name).read_bytes()
 
     def test_window_outside_the_snapshots_names_time_and_range(self, tmp_path,
                                                                capsys):

@@ -25,6 +25,7 @@ from conewave.exact_solutions import (
 from conewave.fields import DiscreteField, gaussian_pulse, ode_field, zero_field
 from conewave.quadrature import QuadratureSpec
 from conewave.solver import SolverConfig, evolve
+from tests_helpers import annulus_sup_by_slice, one_at_a_time
 
 Q = QuadratureSpec()
 
@@ -59,6 +60,15 @@ class TestAnnulusQuantity:
         fld = compact_bump_field(3, 0.01, 0.2, -1.2, -0.8)
         val, _ = annulus_quantity(fld, 0.25, 0.5, -1.0, 2.0, 3, Q)
         assert val == 0.0
+
+    def test_reversed_sigmas_raise(self):
+        # sigma0 > sigma1 gave a silent (0.0, 0.0); the ordered call is 82.47
+        with pytest.raises(ValueError, match=r"r_hi = 0\.125 < r_lo = 0\.25"):
+            annulus_quantity(ode_field(2.0), 0.5, 0.25, -0.5, 2.0, 3)
+        val, _ = annulus_quantity(ode_field(2.0), 0.25, 0.5, -0.5, 2.0, 3)
+        assert val == pytest.approx(82.47, rel=1e-3)
+        zero = annulus_quantity(ode_field(2.0), 0.25, 0.25, -0.5, 2.0, 3)
+        assert zero == (0.0, 0.0)
 
 
 class TestSlabQuantity:
@@ -357,3 +367,60 @@ class TestEnergyProfileOneSlabPass:
             assert report.rhs_annulus_est[i].hex() == chk.rhs.hex()
             assert report.ratios[i].hex() == chk.ratio.hex()
             assert report.errors[i].hex() == (ae + se + me + le).hex()
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestAnnulusSupOneCall:
+    """The annulus sup integrates its 17 levels as one family of slices,
+    with the bits of one slice integration per level."""
+
+    @pytest.mark.parametrize("t_star", [-0.3, -0.12])
+    def test_discrete_field(self, truncated_run_field, t_star):
+        got = energetics._annulus_sup(truncated_run_field, 0.25, 0.5, 2.0,
+                                      t_star, 2.0, 3, Q)
+        want = annulus_sup_by_slice(truncated_run_field, 0.25, 0.5, 2.0,
+                                    t_star, 2.0, 3, Q)
+        assert got[0].hex() == want[0].hex() and got[1] == want[1]
+        assert got[0] > 0.0
+
+    @pytest.mark.parametrize("t_star,sup_times", [
+        (-0.5, None), (0.7, None), (-0.4, (0.25, 0.3, 0.55, 0.8))])
+    def test_closed_form_fields(self, t_star, sup_times):
+        # the zero field ties every level: the first level is the sup time
+        fields = [gaussian_pulse(3, 0.8, 0.2, 0.5, 0.3), zero_field(3)]
+        if t_star < 0:
+            fields.append(ode_field(2.0, 3))
+        for field in fields:
+            got = energetics._annulus_sup(field, 0.25, 0.5, 2.0, t_star, 2.0,
+                                          3, Q, sup_times)
+            want = annulus_sup_by_slice(field, 0.25, 0.5, 2.0, t_star, 2.0, 3,
+                                        Q, sup_times)
+            assert got[0].hex() == want[0].hex() and got[1] == want[1]
+
+    def test_one_jet_per_level(self, monkeypatch, truncated_run_field):
+        shapes = []
+        inner = DiscreteField.jet
+
+        def counting(self, t, r):
+            shapes.append(np.shape(r))
+            return inner(self, t, r)
+
+        monkeypatch.setattr(DiscreteField, "jet", counting)
+        energetics._annulus_sup(truncated_run_field, 0.25, 0.5, 2.0, -0.3,
+                                2.0, 3, Q)
+        assert shapes == [(17, 2 * Q.cells_r), (17, 4 * Q.cells_r)]
+
+    def test_energy_profile_matches_the_one_at_a_time_path(
+            self, monkeypatch, truncated_run_field):
+        times = (-0.4, -0.2, -0.1)
+        got = energy_profile(truncated_run_field, 0.25, 0.5, 1.2, 2.0, times,
+                             2.0, 3, Q)
+        one_at_a_time(monkeypatch)
+        want = energy_profile(truncated_run_field, 0.25, 0.5, 1.2, 2.0, times,
+                              2.0, 3, Q)
+        for name in ("annulus", "slab", "ball", "lhs_annulus_est",
+                     "rhs_annulus_est", "ratios", "lateral", "errors"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name))

@@ -44,7 +44,9 @@ from conewave.quadrature import (
     integrate_profile,
     integrate_slice,
     integrate_surface,
+    integrate_surfaces,
 )
+from tests_helpers import piece_by_piece_fluxes, set_by_set_surface
 
 Q = QuadratureSpec(cells_t=12, cells_r=10)
 
@@ -321,3 +323,106 @@ class TestBoundaryFlux:
                                    n=3)
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert all(v != 0.0 for v in got)
+
+
+# --------------------------------------------------------------------------
+# Families of pieces: one integrand call per group of node sets
+# --------------------------------------------------------------------------
+
+ALL_PIECES = [piece for name in sorted(PIECE_CASES)
+              for piece in PIECE_CASES[name]]
+
+
+def mixed_integrand(t, r, f=None):
+    return plain_integrand(t, r) if f is None else weighted_integrand(t, r, f)
+
+
+class TestSurfaceFamily:
+    @pytest.mark.parametrize("q", [Q, QuadratureSpec(base_order=2, cells_t=9,
+                                                     cells_r=7,
+                                                     grading_exponent=4.0,
+                                                     refinement_levels=2)])
+    def test_every_piece_has_the_bits_of_its_own_pass(self, q):
+        calls = []
+
+        def counting(t, r, *f):
+            calls.append(len(f))
+            assert t.shape == r.shape
+            return mixed_integrand(t, r, *f)
+
+        got = integrate_surfaces(ALL_PIECES, counting, q, 3)
+        assert sorted(calls) == [0, 1]
+        for res, piece in zip(got, ALL_PIECES):
+            want = set_by_set_surface(piece, mixed_integrand, q, 3)
+            same_bits(res, want)
+            same_bits(integrate_surface(piece, mixed_integrand, q, 3), want)
+
+    def test_tuple_outputs(self):
+        def pair(t, r, f=None):
+            return mixed_integrand(t, r, f), np.cos(t) * r
+
+        got = integrate_surfaces(ALL_PIECES, pair, Q, 2)
+        for res, piece in zip(got, ALL_PIECES):
+            assert len(res) == 2
+            for k in range(2):
+                same_bits(res[k], set_by_set_surface(
+                    piece, lambda *a: pair(*a)[k], Q, 2))
+
+    def test_nonfinite_location_follows_the_piece_order(self):
+        # a weighted piece (second group) comes before a bad plain one
+        level = PIECE_CASES["level_set"][0]
+        cylinder = PIECE_CASES["cylinder"][0]
+        pieces = [PIECE_CASES["slice"][0], level, cylinder]
+
+        def bad(t, r, f=None):
+            vals = mixed_integrand(t, r, f)
+            if f is not None:
+                return np.where(t > 1.0, np.nan, vals)
+            return np.where(r == cylinder.radius, np.inf, vals)
+
+        with pytest.raises(quadrature.NonFiniteSample) as got:
+            integrate_surfaces(pieces, bad, Q, 3)
+        with pytest.raises(quadrature.NonFiniteSample) as want:
+            for piece in pieces:
+                set_by_set_surface(piece, bad, Q, 3)
+        assert got.value.location == want.value.location
+        assert got.value.location[0] > 1.0
+
+    def test_no_pieces(self):
+        assert integrate_surfaces((), mixed_integrand, Q, 3) == []
+
+
+class TestBoundaryFluxFamily:
+    @pytest.mark.parametrize("family", ["box", "frustum", "inverted",
+                                        "clipped", "shell"])
+    def test_one_covector_call_per_group(self, monkeypatch, family):
+        shift = ShiftedWeight(1.0)
+        params = CarlemanParams(a=0.3, p=2.0, n=2, shift=shift)
+        fieldobj = _offcenter_gaussian(2, 0.9, 1.0, 0.8, 0.2, 0.2)
+        region = {"box": box_region(0.1, 0.6, 1.2, 1.7, shift),
+                  "frustum": frustum_region(0.1, 0.6, 1.2, 0.5, -3.0, shift),
+                  "inverted": inverted_frustum_region(0.1, 0.6, 2.5, 0.5,
+                                                      -2.0, shift),
+                  "clipped": clipped_exterior_region(0.5, 1.0, 1e-3, 0.8, 1.6),
+                  "shell": level_shell_region(shift, 0.01, 0.05, 0.8,
+                                              1.2)}[family]
+        rep = verify_global(params, fieldobj, region, Q)
+        want = piece_by_piece_fluxes(params, fieldobj, region.pieces, Q)
+        assert [v.hex() for v in rep.boundary_per_piece] == \
+            [w.value.hex() for w in want]
+        assert [rep.error_estimates[f"piece{i}"].hex()
+                for i in range(len(want))] == \
+            [w.error_estimate.hex() for w in want]
+        calls = []
+        inner = carleman.flux_covector
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(carleman, "flux_covector", counting)
+        verify_global(params, fieldobj, region, Q)
+        groups = {getattr(piece, "weight", None) is not None
+                  or isinstance(piece, LevelSetPiece)
+                  for piece in region.pieces}
+        assert len(calls) == len(groups)

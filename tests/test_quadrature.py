@@ -19,12 +19,14 @@ from conewave.geometry import (
 from conewave import quadrature
 from conewave.quadrature import (
     NonFiniteSample,
+    QuadratureResult,
     QuadratureSpec,
     integrate_bulk,
     integrate_slice,
+    integrate_slices,
     integrate_surface,
 )
-from tests_helpers import closures_jet
+from tests_helpers import closures_jet, slice_by_slice
 
 ONE = lambda t, r: np.ones_like(r)
 
@@ -596,9 +598,16 @@ class TestRowColumnTime:
                                      lambda t: 1.0 + t, integrand,
                                      QuadratureSpec(), 3)
         assert all(ts == (rs[0], 1) for ts, rs in shapes)
+        q = QuadratureSpec()
         shapes.clear()
-        integrate_slice(0.5, 0.0, 1.0, integrand, QuadratureSpec(), 3)
-        assert all(ts == (1,) and len(rs) == 1 for ts, rs in shapes)
+        integrate_slice(0.5, 0.0, 1.0, integrand, q, 3)
+        assert shapes == [((1, 1), (1, 2 * q.cells_r)),
+                          ((1, 1), (1, 4 * q.cells_r))]
+        shapes.clear()
+        quadrature.integrate_slices(np.linspace(0.1, 0.9, 17), 0.0, 1.0,
+                                    integrand, q, 3)
+        assert shapes == [((17, 1), (17, 2 * q.cells_r)),
+                          ((17, 1), (17, 4 * q.cells_r))]
 
     def test_nonfinite_location_with_a_time_column(self):
         def bad(t, r):
@@ -612,3 +621,135 @@ class TestRowColumnTime:
         assert err.value.location == want
         assert want[0] > 0.55 and want[1] > 1.2
         assert all(np.shape(x) == () for x in err.value.location)
+
+
+# --------------------------------------------------------------------------
+# Families of slices: one mesh per level, the bits of one slice at a time
+# --------------------------------------------------------------------------
+
+def _single(t, r):
+    return np.exp(-(t - 0.3) ** 2 - r) * np.cos(3.0 * r) + t * r
+
+
+def _pair(t, r):
+    return (np.exp(-(t - 0.3) ** 2 - r) * np.cos(3.0 * r),
+            np.abs(t) ** 1.7 * r ** 2 + 0.5)
+
+
+TIMES17 = np.linspace(-0.9, 0.7, 17)
+
+
+class TestSliceFamily:
+    @pytest.mark.parametrize("q", [QuadratureSpec(cells_r=12),
+                                   QuadratureSpec(base_order=2, cells_r=9,
+                                                  refinement_levels=2)])
+    @pytest.mark.parametrize("integrand", [_single, _pair])
+    @pytest.mark.parametrize("k", [1, 17])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_slice_by_slice_loop(self, q, integrand, k, n):
+        times = TIMES17[:k]
+        r_lo = 0.05 + 0.3 * np.abs(times)
+        r_hi = r_lo + 0.4 + 0.5 * (times + 1.0)
+        got = integrate_slices(times, r_lo, r_hi, integrand, q, n)
+        assert len(got) == k
+        for res, t, lo, hi in zip(got, times, r_lo, r_hi):
+            want = slice_by_slice(t, lo, hi, integrand, q, n)
+            assert isinstance(res, tuple) == isinstance(want, tuple)
+            _same_result_bits(res, want)
+        if k == 1:
+            _same_result_bits(integrate_slice(times[0], r_lo[0], r_hi[0],
+                                              integrand, q, n), got[0])
+
+    def test_one_call_per_level(self):
+        shapes = []
+
+        def integrand(t, r):
+            shapes.append((t.shape, r.shape))
+            return _pair(t, r)
+
+        q = QuadratureSpec()
+        integrate_slices(TIMES17, 0.1, 0.9, integrand, q, 3)
+        assert shapes == [((17, 1), (17, 2 * q.cells_r)),
+                          ((17, 1), (17, 4 * q.cells_r))]
+
+    def test_row_blocks_keep_the_bits(self, monkeypatch):
+        q = QuadratureSpec()
+        whole = integrate_slices(TIMES17, 0.1, 0.9, _pair, q, 3)
+        sizes = []
+
+        def counting(t, r):
+            sizes.append(r.shape)
+            return _pair(t, r)
+
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", 500)
+        blocked = integrate_slices(TIMES17, 0.1, 0.9, counting, q, 3)
+        assert len(sizes) > 2
+        assert all(rows * cols <= 500 for rows, cols in sizes)
+        for got, want in zip(blocked, whole):
+            _same_result_bits(got, want)
+
+    @staticmethod
+    def _last_nodes(q):
+        """The last radial node of each level on (0.1, 0.9)."""
+        return [quadrature._interval_nodes(0.1, 0.9, f * q.cells_r,
+                                           q.base_order)[0][-1]
+                for f in (1, 2)]
+
+    @pytest.mark.parametrize("output", [None, 0, 1])
+    def test_nonfinite_location_follows_the_slice_order(self, output):
+        # slice 1 is bad only at the finer level's last node, slice 3 at
+        # every level: a batched first level meets slice 3 first, the
+        # slice-by-slice loop slice 1
+        q = QuadratureSpec()
+        times = np.linspace(0.1, 0.5, 5)
+        c1, c2 = self._last_nodes(q)
+
+        def bad(t, r):
+            edge = np.full(np.shape(t), np.inf)
+            edge[t == times[1]] = 0.5 * (c1 + c2)
+            edge[t == times[3]] = 0.5
+            vals = np.where(r > edge, np.nan, 1.0 + 0.0 * r)
+            if output is None:
+                return vals
+            ok = 1.0 + 0.0 * r
+            return (vals, ok) if output == 0 else (ok, vals)
+
+        with pytest.raises(NonFiniteSample) as got:
+            integrate_slices(times, 0.1, 0.9, bad, q, 3)
+        with pytest.raises(NonFiniteSample) as want:
+            for t in times:
+                slice_by_slice(t, 0.1, 0.9, bad, q, 3)
+        assert got.value.location == want.value.location == (times[1], c2)
+        with pytest.raises(NonFiniteSample) as one:
+            integrate_slice(times[3], 0.1, 0.9, bad, q, 3)
+        assert one.value.location[0] == times[3]
+        assert one.value.location[1] > 0.5
+
+    def test_zero_width_shell_is_an_exact_zero(self):
+        rows = []
+
+        def integrand(t, r):
+            rows.append(len(r))
+            return np.full(np.shape(r), np.nan)  # never sampled on the shells
+
+        zero = QuadratureResult(0.0, 0.0, 0)
+        got = integrate_slices([0.2, 0.6], [0.5, 0.7], [0.5, 0.7], integrand,
+                               Q_DEFAULT, 3)
+        assert got == [zero, zero] and rows == []
+        assert math.copysign(1.0, got[0].value) == 1.0
+        assert integrate_slice(0.2, 0.5, 0.5, integrand, Q_DEFAULT, 3) == zero
+        mixed = integrate_slices([0.2, 0.4, 0.6], [0.5, 0.3, 0.7],
+                                 [0.5, 0.9, 0.7], _single, Q_DEFAULT, 3)
+        assert mixed[0] == mixed[2] == zero
+        _same_result_bits(mixed[1], slice_by_slice(0.4, 0.3, 0.9, _single,
+                                                   Q_DEFAULT, 3))
+
+    def test_reversed_shell_names_both_bounds(self):
+        with pytest.raises(ValueError, match=r"r_hi = 0\.25 < r_lo = 0\.5"):
+            integrate_slice(0.2, 0.5, 0.25, ONE, Q_DEFAULT, 3)
+        with pytest.raises(ValueError, match=r"r_hi = 0\.1 < r_lo = 0\.3"):
+            integrate_slices([0.2, 0.4], [0.1, 0.3], [0.9, 0.1], ONE,
+                             Q_DEFAULT, 3)
+
+
+Q_DEFAULT = QuadratureSpec()

@@ -52,3 +52,91 @@ def compact_bump_field(n, r_lo, r_hi, t_lo, t_hi, amplitude=1.0):
 
     return ManufacturedField(n, closures_jet(phi, phi_t, phi_r, box),
                              label="compact")
+
+
+# --------------------------------------------------------------------------
+# One-at-a-time quadrature: the slice and surface loops that the batched
+# integrate_slices and integrate_surfaces must reproduce bit for bit
+# --------------------------------------------------------------------------
+
+def slice_by_slice(t, r_lo, r_hi, integrand, q, n):
+    """One fixed-time slice on its own: t a one-element array, r the level's
+    nodes, each output checked and summed as measure * values."""
+    from conewave import quadrature
+    from conewave.geometry import sphere_area
+
+    level_t = np.array([t], dtype=float)
+
+    def level(factor):
+        rn, rw = quadrature._interval_nodes(r_lo, r_hi, factor * q.cells_r,
+                                            q.base_order)
+        meas = rw * sphere_area(n) * rn ** (n - 1)
+        out = integrand(level_t, rn)
+        sums = []
+        for vals in (out if isinstance(out, tuple) else (out,)):
+            vals = np.array(np.broadcast_to(vals, rn.shape), dtype=float)
+            quadrature._check_finite(vals, level_t, rn)
+            sums.append(float(np.sum(meas * vals)))
+        return (tuple(sums) if isinstance(out, tuple) else sums[0]), rn.size
+
+    return quadrature._refine(level, q)
+
+
+def set_by_set_surface(piece, integrand, q, n):
+    """One piece on its own, one integrand call per node set and level."""
+    from conewave import quadrature
+
+    def level(factor):
+        total, count = -0.0, 0
+        for t, r, meas, f in piece.node_sets(quadrature._Mesh(q, factor), n):
+            vals = integrand(t, r) if f is None else integrand(t, r, f)
+            vals = np.asarray(vals, dtype=float)
+            quadrature._check_finite(vals, t, r)
+            total += float(np.sum(meas * vals))
+            count += r.size
+        return total, count
+
+    return quadrature._refine(level, q)
+
+
+def piece_by_piece_fluxes(params, fieldobj, pieces, q):
+    """P . N through each piece from its own flux_covector calls."""
+    from conewave.carleman import flux_covector
+
+    def flux_of(piece):
+        def flux(t, r, f=None):
+            Pt, Pr = flux_covector(params, fieldobj, t, r, fval=f)
+            return piece.dot_normal(Pt, Pr, t, r, f)
+        return flux
+
+    return [set_by_set_surface(piece, flux_of(piece), q, params.n)
+            for piece in pieces]
+
+
+def annulus_sup_by_slice(field, sigma0, sigma1, eta, t_star, p, n, q,
+                         sup_times=None):
+    """The annulus sup as one slice integration per level."""
+    from conewave.energetics import _energy_density
+
+    ats = abs(t_star)
+    sgn = 1.0 if t_star > 0 else -1.0
+    if sup_times is None:
+        sup_times = np.linspace(ats / eta, ats * eta, 17)
+    best, best_t = -np.inf, None
+    integrand = _energy_density(field, ats, p)
+    for tau in np.asarray(sup_times, dtype=float):
+        res = slice_by_slice(sgn * tau, sigma0 * tau, sigma1 * tau,
+                             integrand, q, n)
+        if res.value > best:
+            best, best_t = res.value, sgn * tau
+    return ats * best, best_t
+
+
+def one_at_a_time(monkeypatch):
+    """Route energetics and carleman through the one-at-a-time loops."""
+    from conewave import carleman, energetics
+
+    monkeypatch.setattr(energetics, "integrate_slice", slice_by_slice)
+    monkeypatch.setattr(energetics, "integrate_surface", set_by_set_surface)
+    monkeypatch.setattr(energetics, "_annulus_sup", annulus_sup_by_slice)
+    monkeypatch.setattr(carleman, "_piece_fluxes", piece_by_piece_fluxes)
