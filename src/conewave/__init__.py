@@ -7,10 +7,8 @@ by deterministic quadrature.
 """
 
 from .geometry import (
-    BoxSpec,
     ConeSegmentSpec,
     ExteriorRegionSpec,
-    LateralSlabSpec,
     MinkowskiPoint,
     RaySpec,
     ShiftedWeight,

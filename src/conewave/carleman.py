@@ -15,7 +15,7 @@ the report's tolerance encodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -23,13 +23,13 @@ import numpy as np
 from .fields import ManufacturedField, PotentialSpec, signed_power
 from .geometry import (
     AdmissibleRegionSpec,
-    BoxSpec,
     BulkRegion,
     ConePiece,
     CylinderPiece,
     ExteriorRegionSpec,
     LevelSetPiece,
     ShiftedWeight,
+    SurfacePiece,
     TimeSlicePiece,
     UNSHIFTED,
     lateral_boundary,
@@ -162,151 +162,15 @@ def flux_covector(params: CarlemanParams, fieldobj, t, r, fval=None):
 # pieces; arbitrary user geometry is out of scope)
 # --------------------------------------------------------------------------
 
-def box_region(t0, t1, r0, r1, shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
-    """Rectangle in (t, r) with two spacelike and two timelike pieces."""
-    bulk = BoxSpec(t0, t1, r0, r1)
-    _require_positive_weight(bulk, shift)
-    pieces = (
-        TimeSlicePiece(t0, r0, r1, inward_sign=+1),
-        TimeSlicePiece(t1, r0, r1, inward_sign=-1),
-        CylinderPiece(r0, t0, t1, outward_sign=-1),
-        CylinderPiece(r1, t0, t1, outward_sign=+1),
-    )
-    return AdmissibleRegionSpec(bulk=bulk, pieces=pieces)
-
-
 @dataclass(frozen=True)
-class _FrustumBulk(BulkRegion):
-    """{t0 < t < t1, inner(t) < r < outer(t)} with one tilted-cone side."""
+class _SidedBulk(BulkRegion):
+    """{t0 < t < t1, inner(t) < r < outer(t)}: the radial edges are the two
+    timelike side pieces' own radius(t)."""
 
     t0: float
     t1: float
-    cone: ConePiece
-    radius: float
-    cone_is_outer: bool
-
-    def r_inner(self, t):
-        if self.cone_is_outer:
-            return np.full_like(np.asarray(t, dtype=float), self.radius)
-        return self.cone.radius(t)
-
-    def r_outer(self, t):
-        if self.cone_is_outer:
-            return self.cone.radius(t)
-        return np.full_like(np.asarray(t, dtype=float), self.radius)
-
-
-def frustum_region(t0, t1, r0, slope, t_apex,
-                   shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
-    """Inner cylinder r = r0, outer tilted timelike cone r = slope (t - t_apex)."""
-    cone = ConePiece(slope, t0, t1, t_apex=t_apex, outward_sign=+1)
-    lo = float(cone.radius(t0))
-    hi = float(cone.radius(t1))
-    if min(lo, hi) <= r0:
-        raise ValueError("cone side must stay outside the inner cylinder")
-    bulk = _FrustumBulk(t0, t1, cone, r0, cone_is_outer=True)
-    pieces = (
-        TimeSlicePiece(t0, r0, lo, inward_sign=+1),
-        TimeSlicePiece(t1, r0, hi, inward_sign=-1),
-        CylinderPiece(r0, t0, t1, outward_sign=-1),
-        cone,
-    )
-    region = AdmissibleRegionSpec(bulk=bulk, pieces=pieces)
-    _require_positive_weight(bulk, shift)
-    return region
-
-
-def inverted_frustum_region(t0, t1, r1, slope, t_apex,
-                            shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
-    """Inner tilted timelike cone, outer cylinder r = r1."""
-    cone = ConePiece(slope, t0, t1, t_apex=t_apex, outward_sign=-1)
-    lo = float(cone.radius(t0))
-    hi = float(cone.radius(t1))
-    if max(lo, hi) >= r1:
-        raise ValueError("cone side must stay inside the outer cylinder")
-    if min(lo, hi) < 0:
-        raise ValueError("cone side crosses the axis inside the window")
-    bulk = _FrustumBulk(t0, t1, cone, r1, cone_is_outer=False)
-    pieces = (
-        TimeSlicePiece(t0, lo, r1, inward_sign=+1),
-        TimeSlicePiece(t1, hi, r1, inward_sign=-1),
-        cone,
-        CylinderPiece(r1, t0, t1, outward_sign=+1),
-    )
-    region = AdmissibleRegionSpec(bulk=bulk, pieces=pieces)
-    _require_positive_weight(bulk, shift)
-    return region
-
-
-def clipped_exterior_region(sigma, t_star, eps, t0, t1) -> AdmissibleRegionSpec:
-    """Shifted exterior region {f > eps} in the cone, clipped by two planes."""
-    ext = ExteriorRegionSpec(sigma, t_star, eps=eps)
-    lo, hi = ext.time_window()
-    t0 = max(t0, lo)
-    t1 = min(t1, hi)
-    if t0 >= t1:
-        raise ValueError("clip window misses the region")
-    w = ext.weight
-    pieces = (
-        TimeSlicePiece(t0, float(ext.r_inner(t0)), sigma * t0, inward_sign=+1),
-        TimeSlicePiece(t1, float(ext.r_inner(t1)), sigma * t1, inward_sign=-1),
-        LevelSetPiece(w, eps, t0, t1, outward_sign=-1),
-        ConePiece(sigma, t0, t1, outward_sign=+1, weight=w),
-    )
-    bulk = _ClippedExteriorBulk(ext, t0, t1)
-    return AdmissibleRegionSpec(bulk=bulk, pieces=pieces)
-
-
-@dataclass(frozen=True)
-class _ClippedExteriorBulk(BulkRegion):
-    """The exterior region `ext` between the planes t0 and t1; its inner
-    edge is graded toward as in `ext`, its clipped ends are not."""
-
-    ext: ExteriorRegionSpec
-    t0: float
-    t1: float
-
-    @property
-    def singular_r(self):
-        return self.ext.singular_r
-
-    def r_inner(self, t):
-        return self.ext.r_inner(t)
-
-    def r_outer(self, t):
-        return self.ext.r_outer(t)
-
-
-def level_shell_region(shift: ShiftedWeight, eps0, eps1, t0, t1) -> AdmissibleRegionSpec:
-    """{eps0 < f < eps1} between two planes (axis-ray shift)."""
-    if not 0.0 < eps0 < eps1:
-        raise ValueError("need 0 < eps0 < eps1")
-    inner = LevelSetPiece(shift, eps0, t0, t1, outward_sign=-1)
-    outer = LevelSetPiece(shift, eps1, t0, t1, outward_sign=+1)
-    pieces = (
-        TimeSlicePiece(t0, _level_radius(shift, eps0, t0),
-                       _level_radius(shift, eps1, t0), inward_sign=+1),
-        TimeSlicePiece(t1, _level_radius(shift, eps0, t1),
-                       _level_radius(shift, eps1, t1), inward_sign=-1),
-        inner,
-        outer,
-    )
-    return AdmissibleRegionSpec(bulk=_LevelShellBulk(t0, t1, inner, outer),
-                                pieces=pieces)
-
-
-def _level_radius(shift, eps, t):
-    return float(np.sqrt((t - shift.t_star) ** 2 + 4.0 * eps))
-
-
-@dataclass(frozen=True)
-class _LevelShellBulk(BulkRegion):
-    """{t0 < t < t1} between two level sets of the weight."""
-
-    t0: float
-    t1: float
-    inner: LevelSetPiece
-    outer: LevelSetPiece
+    inner: SurfacePiece
+    outer: SurfacePiece
 
     def r_inner(self, t):
         return self.inner.radius(t)
@@ -315,15 +179,77 @@ class _LevelShellBulk(BulkRegion):
         return self.outer.radius(t)
 
 
-def _require_positive_weight(bulk: BulkRegion, shift: ShiftedWeight):
+def _sided_region(inner, outer) -> AdmissibleRegionSpec:
+    """The region between two timelike sides over the inner side's window,
+    with its four pieces derived in one order and orientation: bottom slice
+    (inward +dt), top slice (inward -dt), inner side (outward -1), outer
+    side (outward +1). The slices reject ends where 0 <= inner < outer
+    fails."""
+    t0, t1 = inner.t_lo, inner.t_hi
+    inner = replace(inner, outward_sign=-1)
+    outer = replace(outer, outward_sign=+1)
+    pieces = tuple(TimeSlicePiece(t, float(inner.radius(t)),
+                                  float(outer.radius(t)), inward_sign=sign)
+                   for t, sign in ((t0, +1), (t1, -1))) + (inner, outer)
+    return AdmissibleRegionSpec(bulk=_SidedBulk(t0, t1, inner, outer),
+                                pieces=pieces)
+
+
+def box_region(t0, t1, r0, r1, shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
+    """Rectangle in (t, r): cylinder sides r = r0 and r = r1."""
+    return _require_positive_weight(_sided_region(
+        CylinderPiece(r0, t0, t1), CylinderPiece(r1, t0, t1)), shift)
+
+
+def frustum_region(t0, t1, r0, slope, t_apex,
+                   shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
+    """Inner cylinder r = r0, outer tilted timelike cone r = slope (t - t_apex)."""
+    return _require_positive_weight(_sided_region(
+        CylinderPiece(r0, t0, t1), ConePiece(slope, t0, t1, t_apex=t_apex)),
+        shift)
+
+
+def inverted_frustum_region(t0, t1, r1, slope, t_apex,
+                            shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
+    """Inner tilted timelike cone, outer cylinder r = r1."""
+    return _require_positive_weight(_sided_region(
+        ConePiece(slope, t0, t1, t_apex=t_apex), CylinderPiece(r1, t0, t1)),
+        shift)
+
+
+def clipped_exterior_region(sigma, t_star, eps, t0, t1) -> AdmissibleRegionSpec:
+    """Shifted exterior region {f > eps} in the cone, clipped by two planes:
+    the level set {f = eps} inside the cone r = sigma t."""
+    ext = ExteriorRegionSpec(sigma, t_star, eps=eps)
+    lo, hi = ext.time_window()
+    t0 = max(t0, lo)
+    t1 = min(t1, hi)
+    if t0 >= t1:
+        raise ValueError("clip window misses the region")
+    w = ext.weight
+    return _sided_region(LevelSetPiece(w, eps, t0, t1),
+                         ConePiece(sigma, t0, t1, weight=w))
+
+
+def level_shell_region(shift: ShiftedWeight, eps0, eps1, t0, t1) -> AdmissibleRegionSpec:
+    """{eps0 < f < eps1} between two planes (axis-ray shift)."""
+    if not 0.0 < eps0 < eps1:
+        raise ValueError("need 0 < eps0 < eps1")
+    return _sided_region(LevelSetPiece(shift, eps0, t0, t1),
+                         LevelSetPiece(shift, eps1, t0, t1))
+
+
+def _require_positive_weight(region: AdmissibleRegionSpec, shift: ShiftedWeight):
+    """The region, once f > 0 holds on its inner side (checked at the ends)."""
     # Along the inner side r_inner(t)^2 - (t - t*)^2 is a constant minus a
     # square (cylinder) or a quadratic with leading coefficient
     # slope^2 - 1 < 0 (cone): concave either way, so its minimum over
     # [t0, t1] sits at an endpoint.
-    ts = shift.t_star
+    ts, bulk = shift.t_star, region.bulk
     for t in bulk.time_window():
         if float(bulk.r_inner(t)) ** 2 - (t - ts) ** 2 <= 0.0:
             raise ValueError("region closure leaves the exterior region {f > 0}")
+    return region
 
 
 # --------------------------------------------------------------------------

@@ -84,6 +84,7 @@ class RunConfig:
     cases: int = 200
     seed: int = 7
     strict: bool = False
+    sweep: dict | None = None   # the [sweep] section's raw key=value pairs
     directory: str = "out"
     precision: int = 17
 
@@ -184,7 +185,12 @@ def parse_config(path) -> RunConfig:
     cfg.ratio_band = get("diagnostics", "ratio_band", float, cfg.ratio_band)
     cfg.cases = get("verify", "cases", int, cfg.cases)
     cfg.seed = get("verify", "seed", int, cfg.seed)
-    cfg.strict = get("verify", "strict", lambda s: s.lower() == "true", cfg.strict)
+    strict = get("verify", "strict", str, "false")
+    if strict.lower() not in ("true", "false"):
+        raise ConfigError(f"[verify] strict must be true or false, got {strict!r}")
+    cfg.strict = strict.lower() == "true"
+    if parser.has_section("sweep"):
+        cfg.sweep = dict(parser["sweep"])
     cfg.directory = get("output", "directory", str, cfg.directory)
     cfg.precision = get("output", "precision", int, cfg.precision)
 
@@ -467,18 +473,15 @@ def _scenario_decay(cfg: RunConfig, outdir):
     return code
 
 
-def _scenario_sweep(cfg: RunConfig, outdir, parser, threads):
-    if not parser.has_section("sweep"):
+def _scenario_sweep(cfg: RunConfig, outdir, threads):
+    if cfg.sweep is None:
         raise ConfigError("sweep requires a [sweep] section")
-    scenario = parser.get("sweep", "scenario", fallback="")
+    scenario = cfg.sweep.get("scenario", "")
     if scenario not in ("simulate", "verify-carleman", "convergence"):
         raise ConfigError(
             "sweep scenario must be simulate, verify-carleman, or convergence")
-    grid = {}
-    for key in parser["sweep"]:
-        if key == "scenario":
-            continue
-        grid[key] = _floats(parser.get("sweep", key))
+    grid = {key: _floats(text) for key, text in cfg.sweep.items()
+            if key != "scenario"}
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ConfigError("sweep grid is empty")
 
@@ -489,13 +492,19 @@ def _scenario_sweep(cfg: RunConfig, outdir, parser, threads):
     cells = [()]
     for k in keys:
         cells = [prev + ((k, v),) for prev in cells for v in grid[k]]
-    # every cell is validated before any of them runs
+    # every cell is validated, and given its own directory, before any runs
     subs = {cell: _apply_cell(cfg, dict(cell)) for cell in cells}
+    names = {}
+    for cell in cells:
+        name = "cell_" + "_".join(f"{k}{v:g}" for k, v in cell)
+        if name in names:
+            raise ConfigError(f"sweep cells {_cell_text(names[name])} and "
+                              f"{_cell_text(cell)} share the directory {name}")
+        names[name] = cell
+    subdirs = {cell: os.path.join(outdir, name) for name, cell in names.items()}
 
     def job(cell):
-        sub = subs[cell]
-        subdir = os.path.join(outdir, "cell_" + "_".join(
-            f"{k}{v:g}" for k, v in cell))
+        sub, subdir = subs[cell], subdirs[cell]
         os.makedirs(subdir, exist_ok=True)
         if scenario == "simulate":
             code = _scenario_simulate(sub, subdir)
@@ -519,6 +528,10 @@ def _scenario_sweep(cfg: RunConfig, outdir, parser, threads):
     _summary(outdir, status="pass" if worst == 0 else "fail",
              cells=len(cells))
     return worst
+
+
+def _cell_text(cell):
+    return " ".join(f"{k}={v!r}" for k, v in cell)
 
 
 def _sweep_convergence(cfg: RunConfig, outdir, grid):
@@ -614,10 +627,7 @@ def run(argv=None) -> int:
         if args.subcommand == "decay":
             return _scenario_decay(cfg, outdir)
         if args.subcommand == "sweep":
-            parser = configparser.ConfigParser()
-            parser.optionxform = str
-            parser.read(args.config)
-            return _scenario_sweep(cfg, outdir, parser, threads)
+            return _scenario_sweep(cfg, outdir, threads)
         raise ConfigError(f"unknown subcommand {args.subcommand}")
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

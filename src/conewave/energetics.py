@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConePiece, ConeSegmentSpec, LateralSlabSpec, SlabSpec
+from .geometry import ConePiece, ConeSegmentSpec, SlabSpec
 from .quadrature import (
     QuadratureSpec,
     integrate_bulk,
@@ -141,12 +141,13 @@ def lateral_quantity(field, sigma, eta, t_star, p, n,
     + t*^{-2} phi^2 (time-reflected for t* < 0)."""
     if q is None:
         q = QuadratureSpec()
+    if eta <= 1.0:
+        raise ValueError("eta must exceed 1")
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
-    lateral = LateralSlabSpec(sigma, eta, ats)
-    _require_time_coverage(field, *(sgn * t for t in lateral.time_window()))
-    res = integrate_surface(lateral.piece(), _energy_density(field, ats, p, sgn),
-                            q, n)
+    lateral = ConePiece(sigma, ats / eta, ats * eta)
+    _require_time_coverage(field, sgn * lateral.t_lo, sgn * lateral.t_hi)
+    res = integrate_surface(lateral, _energy_density(field, ats, p, sgn), q, n)
     return res.value, res.error_estimate
 
 

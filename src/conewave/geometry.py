@@ -23,9 +23,7 @@ __all__ = [
     "RaySpec",
     "ShiftedWeight",
     "SlabSpec",
-    "LateralSlabSpec",
     "ConeSegmentSpec",
-    "BoxSpec",
     "ExteriorRegionSpec",
     "TimeSlicePiece",
     "CylinderPiece",
@@ -187,30 +185,6 @@ class SlabSpec(BulkRegion):
 
 
 @dataclass(frozen=True)
-class LateralSlabSpec:
-    """Piece of the cone boundary, {r = sigma t, t*/eta < t < eta t*}, t* > 0."""
-
-    sigma: float
-    eta: float
-    t_star: float
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("cone aperture must lie in (0, 1)")
-        if self.eta <= 1.0:
-            raise ValueError("eta must exceed 1")
-        if self.t_star <= 0.0:
-            raise ValueError("lateral slab requires t* > 0")
-
-    def time_window(self):
-        return self.t_star / self.eta, self.t_star * self.eta
-
-    def piece(self, outward_sign: int = 1) -> "ConePiece":
-        lo, hi = self.time_window()
-        return ConePiece(self.sigma, lo, hi, outward_sign=outward_sign)
-
-
-@dataclass(frozen=True)
 class ConeSegmentSpec(BulkRegion):
     """Cone interior restricted to a time window, {t_lo < t < t_hi, 0 < r < sigma t}."""
 
@@ -229,26 +203,6 @@ class ConeSegmentSpec(BulkRegion):
 
     def r_outer(self, t):
         return self.sigma * t
-
-
-@dataclass(frozen=True)
-class BoxSpec(BulkRegion):
-    """Rectangle {t0 < t < t1, r0 < r < r1} in the (t, r) half plane."""
-
-    t0: float
-    t1: float
-    r0: float
-    r1: float
-
-    def __post_init__(self):
-        if not (self.t0 < self.t1 and 0.0 <= self.r0 < self.r1):
-            raise ValueError("degenerate box")
-
-    def r_inner(self, t):
-        return np.full_like(t, self.r0, dtype=float)
-
-    def r_outer(self, t):
-        return np.full_like(t, self.r1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -318,7 +272,8 @@ class SurfacePiece:
     induced density, and `f` the weight value in product form on pieces
     that carry a weight, None on the others. `dot_normal(Pt, Pr, t, r, f)`
     contracts a covector with the oriented unit normal; a piece with a
-    constant normal gives it as `normal` = (N^t, N^r)."""
+    constant normal gives it as `normal` = (N^t, N^r). A timelike piece
+    that can bound a region's side gives its `radius(t)`."""
 
     def dot_normal(self, Pt, Pr, t, r, f=None):
         Nt, Nr = self.normal
@@ -339,7 +294,8 @@ class TimeSlicePiece(SurfacePiece):
         if self.inward_sign not in (-1, 1):
             raise ValueError("inward_sign must be +-1")
         if not 0.0 <= self.r_lo < self.r_hi:
-            raise ValueError("degenerate slice")
+            raise ValueError(f"degenerate slice at t = {self.level!r}: need "
+                             f"0 <= {self.r_lo!r} < {self.r_hi!r}")
 
     @property
     def normal(self):
@@ -354,19 +310,22 @@ class TimeSlicePiece(SurfacePiece):
 
 @dataclass(frozen=True)
 class CylinderPiece(SurfacePiece):
-    """Timelike cylinder {r = radius, t_lo < t < t_hi}; outward = +dr when the
+    """Timelike cylinder {r = r0, t_lo < t < t_hi}; outward = +dr when the
     region sits inside the cylinder, -dr when outside."""
 
-    radius: float
+    r0: float
     t_lo: float
     t_hi: float
-    outward_sign: int
+    outward_sign: int = 1
 
     def __post_init__(self):
         if self.outward_sign not in (-1, 1):
             raise ValueError("outward_sign must be +-1")
-        if self.radius <= 0.0 or self.t_lo >= self.t_hi:
+        if not (self.r0 > 0.0 and self.t_lo < self.t_hi):
             raise ValueError("degenerate cylinder")
+
+    def radius(self, t):
+        return np.full_like(np.asarray(t, dtype=float), self.r0)
 
     @property
     def normal(self):
@@ -374,8 +333,8 @@ class CylinderPiece(SurfacePiece):
 
     def node_sets(self, mesh, n):
         t, w = mesh.temporal(self.t_lo, self.t_hi)
-        return ((t, np.full_like(t, self.radius),
-                 w * (sphere_area(n) * self.radius ** (n - 1)), None),)
+        return ((t, self.radius(t),
+                 w * (sphere_area(n) * self.r0 ** (n - 1)), None),)
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,14 @@ from conewave.fields import (
 )
 from conewave.geometry import (
     ConePiece,
+    CylinderPiece,
     ExteriorRegionSpec,
     ShiftedWeight,
+    UNSHIFTED,
 )
 from conewave.geometry import lateral_boundary
 from conewave.quadrature import QuadratureSpec, integrate_bulk, integrate_surface
-from tests_helpers import closures_jet
+from tests_helpers import box_bulk, closures_jet
 
 
 def _offcenter_closures(n, A, tc, rc, wt, wr):
@@ -219,9 +221,7 @@ class TestVerifyGlobal:
             return -(Pt1 - Pt0) / (2 * h) + radial
 
         from conewave.quadrature import integrate_bulk
-        from conewave.geometry import BoxSpec
-
-        vol = integrate_bulk(BoxSpec(-0.4, 0.4, 1.0, 2.0), div,
+        vol = integrate_bulk(box_bulk(-0.4, 0.4, 1.0, 2.0), div,
                              QuadratureSpec(cells_t=96, cells_r=96), 3)
         assert vol.value == pytest.approx(rep.rhs_boundary, rel=1e-6, abs=1e-9)
 
@@ -523,23 +523,184 @@ class TestFrustumWeightCheck:
             if rng.random() < 0.5:
                 r0 = reach * rng.uniform(0.9, 1.1)
                 cone = ConePiece(slope, t0, t1, t_apex=t0 - 3.0 / slope)
-                bulk = carleman._FrustumBulk(t0, t1, cone, r0, True)
+                region = carleman._sided_region(CylinderPiece(r0, t0, t1), cone)
             else:
                 start = abs(t0 - ts) * rng.uniform(0.8, 1.3) + 1e-3
-                cone = ConePiece(slope, t0, t1, t_apex=t0 - start / slope,
-                                 outward_sign=-1)
-                bulk = carleman._FrustumBulk(t0, t1, cone, 5.0, False)
+                cone = ConePiece(slope, t0, t1, t_apex=t0 - start / slope)
+                region = carleman._sided_region(cone, CylinderPiece(5.0, t0, t1))
             tt = np.linspace(t0, t1, 4097)
-            rin = np.asarray(bulk.r_inner(tt))
+            rin = np.asarray(region.bulk.r_inner(tt))
             scan_ok = not np.any(rin ** 2 - (tt - ts) ** 2 <= 0.0)
             try:
-                carleman._require_positive_weight(bulk, ShiftedWeight(ts))
+                carleman._require_positive_weight(region, ShiftedWeight(ts))
                 exact_ok = True
             except ValueError:
                 exact_ok = False
             assert exact_ok == scan_ok
             outcomes.add(exact_ok)
         assert outcomes == {True, False}
+
+
+def _rejects(builder, *args):
+    try:
+        builder(*args)
+    except ValueError:
+        return True
+    return False
+
+
+def _sided_rejects(t0, t1, inner, outer, ts=None):
+    """An empty window, a slice end where 0 <= inner < outer fails, or (with
+    a weight centre ts) f <= 0 on the inner side at an end."""
+    if not t0 < t1:
+        return True
+    for t in (t0, t1):
+        lo, hi = inner(t), outer(t)
+        if not 0.0 <= lo < hi:
+            return True
+        if ts is not None and lo ** 2 - (t - ts) ** 2 <= 0.0:
+            return True
+    return False
+
+
+def _cylinder(r0):
+    return lambda t: r0
+
+
+def _cone(slope, t_apex=0.0):
+    return lambda t: slope * (t - t_apex)
+
+
+def _level(ts, eps):
+    return lambda t: math.sqrt((t - ts) * (t - ts) + 4.0 * eps)
+
+
+def _box_rejects(t0, t1, r0, r1, shift):
+    return _sided_rejects(t0, t1, _cylinder(r0), _cylinder(r1), shift.t_star)
+
+
+def _frustum_rejects(t0, t1, r0, slope, t_apex, shift):
+    return (not 0.0 < slope < 1.0
+            or _sided_rejects(t0, t1, _cylinder(r0), _cone(slope, t_apex),
+                              shift.t_star))
+
+
+def _inverted_rejects(t0, t1, r1, slope, t_apex, shift):
+    return (not 0.0 < slope < 1.0
+            or _sided_rejects(t0, t1, _cone(slope, t_apex), _cylinder(r1),
+                              shift.t_star))
+
+
+def _clipped_rejects(sigma, ts, eps, t0, t1):
+    if not (0.0 < sigma < 1.0 and ts > 0.0 and eps > 0.0):
+        return True
+    disc = sigma * sigma * ts * ts - 4.0 * eps * (1.0 - sigma * sigma)
+    if disc <= 0.0:
+        return True
+    root = math.sqrt(disc)
+    t0 = max(t0, (ts - root) / (1.0 - sigma * sigma))
+    t1 = min(t1, (ts + root) / (1.0 - sigma * sigma))
+    return _sided_rejects(t0, t1, _level(ts, eps), _cone(sigma))
+
+
+def _shell_rejects(shift, eps0, eps1, t0, t1):
+    return (not 0.0 < eps0 < eps1
+            or _sided_rejects(t0, t1, _level(shift.t_star, eps0),
+                              _level(shift.t_star, eps1)))
+
+
+def _random_family_inputs(rng):
+    """The window, radii and slope the way cli._random_case draws them; half
+    the time the inner radius is moved next to the zero set of f."""
+    shift_t = float(rng.uniform(-0.3, 0.3)) if rng.random() < 0.3 else 0.0
+    half_height = float(rng.uniform(0.1, 0.4))
+    tc = shift_t + float(rng.uniform(-0.2, 0.2))
+    t0, t1 = tc - half_height, tc + half_height
+    reach = max(abs(t0 - shift_t), abs(t1 - shift_t))
+    r0 = reach + float(rng.uniform(0.15, 0.8))
+    r1 = r0 + float(rng.uniform(0.4, 1.2))
+    if rng.random() < 0.5:
+        r0 = reach * float(rng.uniform(0.8, 1.2))
+    slope = float(rng.uniform(0.3, 0.9))
+    return ShiftedWeight(shift_t), t0, t1, r0, r1, slope
+
+
+def _builder_cases(rng):
+    shift, t0, t1, r0, r1, slope = _random_family_inputs(rng)
+    reach = float(rng.uniform(0.5, 1.5))
+    sigma, ts = float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.5, 2.0))
+    eps_max = sigma * sigma * ts * ts / (4.0 * (1.0 - sigma * sigma))
+    eps = eps_max * float(rng.uniform(-0.1, 1.1))
+    c0, c1 = sorted(float(v) for v in rng.uniform(0.0, 2.5 * ts, 2))
+    eps0, eps1 = eps_max * rng.uniform(-0.1, 1.0, 2)
+    return [
+        ("box", (t0, t1, r0, r1, shift)),
+        ("frustum", (t0, t1, r0, slope, t0 - r1 / slope, shift)),
+        ("frustum", (t0, t1, r0, slope, t0 - reach * r0 / slope, shift)),
+        ("inverted", (t0, t1, r1, slope, t0 - r0 / slope, shift)),
+        ("clipped", (sigma, ts, eps, c0, c1)),
+        ("shell", (ShiftedWeight(ts), float(eps0), float(eps1), c0, c1)),
+    ]
+
+
+_BUILDERS = {
+    "box": (box_region, _box_rejects),
+    "frustum": (frustum_region, _frustum_rejects),
+    "inverted": (inverted_frustum_region, _inverted_rejects),
+    "clipped": (clipped_exterior_region, _clipped_rejects),
+    "shell": (level_shell_region, _shell_rejects),
+}
+
+_EDGE_CASES = [
+    ("box", (-0.5, 0.5, 1.0, 2.0, UNSHIFTED), False),
+    ("box", (0.0, 1.0, 1.0, 2.0, UNSHIFTED), True),      # f = 0 at t1
+    ("box", (0.3, 0.3, 1.0, 2.0, UNSHIFTED), True),      # empty window
+    ("box", (0.5, 0.1, 1.0, 2.0, UNSHIFTED), True),      # reversed window
+    ("box", (-0.5, 0.5, 0.0, 2.0, UNSHIFTED), True),     # inner side on the axis
+    ("box", (-0.5, 0.5, 1.0, 1.0, UNSHIFTED), True),     # zero width
+    ("frustum", (0.1, 0.5, 0.5, 0.5, -3.9, UNSHIFTED), True),
+    ("frustum", (0.1, 0.4375, 0.5, 0.5, -3.9, UNSHIFTED), False),
+    ("frustum", (0.0, 0.5, 1.0, 0.5, -2.0, UNSHIFTED), True),  # cone = r0 at t0
+    ("frustum", (0.0, 0.5, 1.0, 1.0, -2.0, UNSHIFTED), True),  # null cone
+    ("inverted", (0.2, 0.4, 1.5, 0.5, -0.2, UNSHIFTED), True),
+    ("inverted", (0.2, 0.4, 1.5, 0.5, -0.4, UNSHIFTED), True),
+    ("inverted", (0.2, 0.4, 1.5, 0.5, -0.5, UNSHIFTED), False),
+    ("inverted", (0.0, 1.0, 1.5, 0.5, -2.0, UNSHIFTED), True),  # cone = r1 at t1
+    ("inverted", (0.0, 1.0, 1.5, 0.5, 0.5, UNSHIFTED), True),   # cone below the axis
+    ("clipped", (0.5, 1.0, 1e-3, 0.8, 1.6), False),
+    ("clipped", (0.5, 1.0, 0.0, 0.8, 1.6), True),       # eps = 0
+    ("clipped", (0.5, 1.0, 1.0, 0.8, 1.6), True),       # empty region
+    ("clipped", (0.5, 1.0, 1e-3, 5.0, 6.0), True),      # clip misses it
+    ("clipped", (1.0, 1.0, 1e-3, 0.8, 1.6), True),      # null cone
+    ("shell", (ShiftedWeight(1.0), 0.01, 0.05, 0.8, 1.2), False),
+    ("shell", (ShiftedWeight(1.0), 0.0, 0.05, 0.8, 1.2), True),
+    ("shell", (ShiftedWeight(1.0), 0.05, 0.05, 0.8, 1.2), True),
+    ("shell", (ShiftedWeight(1.0), 0.01, 0.05, 0.8, 0.8), True),
+    ("shell", (ShiftedWeight(0.0), 1e-20, 2e-20, 1.0, 2.0), True),  # equal radii
+]
+
+
+class TestBuilderRejectSet:
+    """Each region builder raises exactly when the closed-form predicate
+    says so (cli._random_case falls back to a box on an inverted frustum's
+    ValueError, so the case mix depends on this set)."""
+
+    @pytest.mark.parametrize("name,args,rejected", _EDGE_CASES)
+    def test_edge_cases(self, name, args, rejected):
+        builder, predicate = _BUILDERS[name]
+        assert predicate(*args) == rejected
+        assert _rejects(builder, *args) == rejected
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(11)
+        outcomes = {name: set() for name in _BUILDERS}
+        for _ in range(300):
+            for name, args in _builder_cases(rng):
+                builder, predicate = _BUILDERS[name]
+                rejected = predicate(*args)
+                assert _rejects(builder, *args) == rejected, (name, args)
+                outcomes[name].add(rejected)
+        assert all(seen == {True, False} for seen in outcomes.values())
 
 
 class TestVerifyShifted:

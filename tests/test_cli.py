@@ -120,6 +120,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="snapshot time 0.25"):
             cli._apply_cell(cfg, {"J": 128.0})
 
+    @pytest.mark.parametrize("value,strict", [("true", True), ("TRUE", True),
+                                              ("False", False), ("false", False)])
+    def test_strict_accepts_true_and_false_in_any_case(self, tmp_path, value,
+                                                       strict):
+        text = BASE.replace("seed = 7", f"seed = 7\nstrict = {value}")
+        assert parse_config(write_config(tmp_path / "c.cfg", text)).strict is strict
+
+    @pytest.mark.parametrize("value", ["yes", "ture", "1", "on"])
+    def test_strict_rejects_anything_else(self, tmp_path, capsys, value):
+        text = BASE.replace("seed = 7", f"seed = 7\nstrict = {value}")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        assert run(["simulate", "--config", cfg, "--out",
+                    str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"strict must be true or false, got '{value}'" in err
+
     def test_missing_file_is_config_error(self, tmp_path):
         assert run(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2
 
@@ -491,6 +507,33 @@ class TestSweep:
         assert ("error: p outside the subconformal range for this n"
                 in capsys.readouterr().err)
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("grid,first,second,name", [
+        ("p = 2.0000001 2.0000002", "p=2.0000001", "p=2.0000002", "cell_p2"),
+        ("J = 128 128", "J=128.0", "J=128.0", "cell_J128"),
+    ])
+    def test_cells_sharing_a_directory_exit_2(self, tmp_path, capsys, grid,
+                                              first, second, name):
+        text = BASE + f"\n[sweep]\nscenario = simulate\n{grid}\n"
+        cfg = write_config(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"sweep cells {first} and {second} share the directory {name}" in err
+        assert not (out / name).exists()
+        assert not (out / "sweep.csv").exists()
+
+    def test_the_sweep_section_comes_from_the_one_parse(self, tmp_path,
+                                                       monkeypatch):
+        text = BASE + "\n[sweep]\nscenario = simulate\nJ = 64 128\n"
+        path = tmp_path / "c.cfg"
+        cfg = parse_config(write_config(path, text))
+        assert cfg.sweep == {"scenario": "simulate", "J": "64 128"}
+        path.unlink()  # a second read of the file would find no [sweep]
+        monkeypatch.setattr(cli, "parse_config", lambda _: cfg)
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert len((out / "sweep.csv").read_text().strip().splitlines()) == 3
 
     def test_empty_grid_exit_2(self, tmp_path):
         text = BASE + "\n[sweep]\nscenario = simulate\n"

@@ -144,14 +144,14 @@ class TestLocalizedEstimate:
         # |t*| times the lateral integral over {r = sigma |t|, |t| in
         # (|t*|/eta, eta |t*|)}, the field read at the reflected time for
         # t* < 0: the bits of that construction written out
-        from conewave.geometry import LateralSlabSpec
+        from conewave.geometry import ConePiece
         from conewave.quadrature import integrate_surface
 
         field = gaussian_pulse(3, 1.3, 0.2, 0.6, 0.4)
         ats, sgn = abs(t_star), math.copysign(1.0, t_star)
         chk = localized_estimate_check(field, "timecone", 0.25, 1.2, 2.0,
                                        t_star, 2.0, 3, Q)
-        res = integrate_surface(LateralSlabSpec(0.25, 2.0, ats).piece(),
+        res = integrate_surface(ConePiece(0.25, ats / 2.0, ats * 2.0),
                                 energetics._energy_density(field, ats, 2.0, sgn),
                                 Q, 3)
         assert chk.rhs > 0.0

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewave.geometry import (
-    BoxSpec,
     ConePiece,
     ConeSegmentSpec,
     CylinderPiece,
@@ -25,6 +24,7 @@ from conewave.geometry import (
     minkowski_norm_sq,
     sphere_area,
 )
+from tests_helpers import box_bulk
 
 
 class TestWeight:
@@ -96,7 +96,7 @@ class TestContains:
         assert not inside(slab, -0.1, 0.06)
 
     def test_box_and_exterior(self):
-        assert inside(BoxSpec(-0.5, 0.5, 1.0, 2.0), 0.0, 1.5)
+        assert inside(box_bulk(-0.5, 0.5, 1.0, 2.0), 0.0, 1.5)
         ext = ExteriorRegionSpec(0.5, 1.0)
         assert inside(ext, 1.0, 0.3)
         assert not inside(ext, 1.0, 0.0)  # axis excluded

@@ -25,12 +25,10 @@ from conewave.carleman import (
 from conewave.cli import _offcenter_gaussian
 from conewave.fields import PotentialSpec, gaussian_pulse
 from conewave.geometry import (
-    BoxSpec,
     ConePiece,
     ConeSegmentSpec,
     CylinderPiece,
     ExteriorRegionSpec,
-    LateralSlabSpec,
     LevelSetPiece,
     ShiftedWeight,
     SlabSpec,
@@ -70,7 +68,7 @@ def level_radius(ts, eps):
 
 # (region, window, r_inner, r_outer, singular_r, singular_t)
 BULK_CASES = {
-    "box": (BoxSpec(-0.3, 0.4, 0.9, 1.7), (-0.3, 0.4),
+    "box": (box_region(-0.3, 0.4, 0.9, 1.7).bulk, (-0.3, 0.4),
             lambda t: np.full_like(t, 0.9), lambda t: np.full_like(t, 1.7),
             (False, False), (False, False)),
     "slab_past": (SlabSpec(0.5, 1.3, -0.6), (-0.6 * 1.3, -0.6 / 1.3),
@@ -98,10 +96,6 @@ BULK_CASES = {
     "clipped_exterior": (clipped_exterior_region(0.5, 1.0, 1e-3, 0.8, 1.6).bulk,
                          (0.8, 1.6), level_radius(1.0, 1e-3),
                          lambda t: 0.5 * t, (False, False), (False, False)),
-    "clipped_exterior_eps0": (
-        carleman._ClippedExteriorBulk(ExteriorRegionSpec(0.5, 1.0), 0.8, 1.6),
-        (0.8, 1.6), level_radius(1.0, 0.0), lambda t: 0.5 * t,
-        (True, False), (False, False)),
     "level_shell": (level_shell_region(ShiftedWeight(1.0), 0.01, 0.05, 0.8,
                                        1.2).bulk,
                     (0.8, 1.2), level_radius(1.0, 0.01), level_radius(1.0, 0.05),
@@ -150,8 +144,8 @@ def reference_surface(piece, integrand, q, n):
         if isinstance(piece, CylinderPiece):
             tn, tw = quadrature._interval_nodes(piece.t_lo, piece.t_hi, cells,
                                                 order)
-            dens = om * piece.radius ** (n - 1)
-            vals = integrand(tn, np.full_like(tn, piece.radius))
+            dens = om * piece.r0 ** (n - 1)
+            vals = integrand(tn, np.full_like(tn, piece.r0))
             return float(np.sum(tw * dens * vals)), tn.size
         if isinstance(piece, LevelSetPiece):
             tn, tw = quadrature._interval_nodes(piece.t_lo, piece.t_hi, cells,
@@ -212,7 +206,7 @@ PIECE_CASES = {
     "cone": [ConePiece(slope, lo, hi, t_apex=apex, outward_sign=sign)
              for slope in (0.3, 0.661277, 0.85) for lo, hi, apex in
              ((0.2, 0.9, -1.5), (0.5, 2.0, 0.0)) for sign in (-1, 1)],
-    "lateral_slab": [LateralSlabSpec(sigma, eta, ts).piece()
+    "lateral_slab": [ConePiece(sigma, ts / eta, ts * eta)
                      for sigma in (0.25, 0.5) for eta in (1.5, 2.0)
                      for ts in (0.5, 1.3)],
     "weighted_cone": [ConePiece(sigma, lo, hi, weight=WEIGHT)
@@ -378,7 +372,7 @@ class TestSurfaceFamily:
             vals = mixed_integrand(t, r, f)
             if f is not None:
                 return np.where(t > 1.0, np.nan, vals)
-            return np.where(r == cylinder.radius, np.inf, vals)
+            return np.where(r == cylinder.r0, np.inf, vals)
 
         with pytest.raises(quadrature.NonFiniteSample) as got:
             integrate_surfaces(pieces, bad, Q, 3)

@@ -8,7 +8,7 @@ from conewave.exact_solutions import smoothstep
 from conewave.fields import ManufacturedField
 from conewave.carleman import vanishing_flux_probe
 from conewave.geometry import (
-    BoxSpec,
+    ConePiece,
     ConeSegmentSpec,
     CylinderPiece,
     ExteriorRegionSpec,
@@ -26,7 +26,7 @@ from conewave.quadrature import (
     integrate_slices,
     integrate_surface,
 )
-from tests_helpers import closures_jet, slice_by_slice
+from tests_helpers import box_bulk, closures_jet, slice_by_slice
 
 ONE = lambda t, r: np.ones_like(r)
 
@@ -79,7 +79,7 @@ class TestBulk:
         zero = lambda t, r: np.zeros_like(r)
         assert integrate_slice(-1.0, 0.25, 0.5, zero, QuadratureSpec(),
                                3).value == 0.0
-        for region in (BoxSpec(-0.4, 0.4, 1.0, 2.0),
+        for region in (box_bulk(-0.4, 0.4, 1.0, 2.0),
                        SlabSpec(0.5, 1.5, -1.0),
                        ConeSegmentSpec(0.5, 1.0, 4.0)):
             res = integrate_bulk(region, zero, QuadratureSpec(), 3)
@@ -89,7 +89,7 @@ class TestBulk:
         # integrand f^{2a}, a = 1/4, bounded but with unbounded derivatives
         # nowhere in this box; plain smooth case at heart
         res = integrate_bulk(
-            BoxSpec(-0.4, 0.4, 1.0, 2.0),
+            box_bulk(-0.4, 0.4, 1.0, 2.0),
             lambda t, r: (0.25 * (r * r - t * t)) ** 0.5,
             QuadratureSpec(), 1)
         assert abs(res.value - F_HALF_BOX_REFERENCE) <= max(res.error_estimate, 1e-12)
@@ -140,7 +140,7 @@ class TestBulk:
             return out
 
         with pytest.raises(NonFiniteSample) as err:
-            integrate_bulk(BoxSpec(0.0, 1.0, 1.0, 2.0), bad, QuadratureSpec(), 1)
+            integrate_bulk(box_bulk(0.0, 1.0, 1.0, 2.0), bad, QuadratureSpec(), 1)
         t_bad, r_bad = err.value.location
         assert r_bad > 1.5
 
@@ -195,7 +195,7 @@ class TestBlockedEvaluation:
         for block in (300, 10 ** 9):
             monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
             with pytest.raises(NonFiniteSample) as err:
-                integrate_bulk(BoxSpec(0.0, 1.0, 1.0, 2.0), bad,
+                integrate_bulk(box_bulk(0.0, 1.0, 1.0, 2.0), bad,
                                QuadratureSpec(), 1)
             locations.append(err.value.location)
         assert locations[0] == locations[1]
@@ -203,9 +203,7 @@ class TestBlockedEvaluation:
 
 class TestSurface:
     def test_lateral_slab_measure_n1(self):
-        from conewave.geometry import LateralSlabSpec
-
-        piece = LateralSlabSpec(0.5, 2.0, 1.0).piece()
+        piece = ConePiece(0.5, 0.5, 2.0)
         res = integrate_surface(piece, ONE, QuadratureSpec(), 1)
         assert res.value == pytest.approx(2 * math.sqrt(0.75) * 1.5, rel=1e-12)
 
@@ -320,7 +318,7 @@ class TestConvergence:
             lambda t, r: (0.25 * (r * r - t * t)) ** 0.5,
             lambda t, r: 1.0 / (1.0 + r * r + t * t),
         ]
-        box = BoxSpec(-0.4, 0.4, 1.0, 2.0)
+        box = box_bulk(-0.4, 0.4, 1.0, 2.0)
         for fn in integrands:
             values = []
             errors = []
@@ -337,7 +335,7 @@ class TestConvergence:
             assert jump2 <= 4.0 * errors[1] + 1e-15
 
     def test_refinement_levels_sharpen_the_value(self):
-        box = BoxSpec(0.0, 1.0, 1.0, 2.0)
+        box = box_bulk(0.0, 1.0, 1.0, 2.0)
         fn = lambda t, r: np.sin(3 * t) * np.exp(-r)
         exact = integrate_bulk(box, fn,
                                QuadratureSpec(cells_t=256, cells_r=256), 1).value
@@ -354,7 +352,7 @@ class TestConvergence:
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_order_on_smooth_box(self, order):
-        box = BoxSpec(0.0, 1.0, 1.0, 2.0)
+        box = box_bulk(0.0, 1.0, 1.0, 2.0)
         fn = lambda t, r: np.sin(3 * t) * np.exp(-r)
         exact = integrate_bulk(box, fn,
                                QuadratureSpec(cells_t=256, cells_r=256,

@@ -6,6 +6,15 @@ from conewave.exact_solutions import smoothstep
 from conewave.fields import ManufacturedField
 
 
+def box_bulk(t0, t1, r0, r1):
+    """The rectangle {t0 < t < t1, r0 < r < r1}: two cylinder sides."""
+    from conewave.carleman import _SidedBulk
+    from conewave.geometry import CylinderPiece
+
+    return _SidedBulk(t0, t1, CylinderPiece(r0, t0, t1),
+                      CylinderPiece(r1, t0, t1))
+
+
 def closures_jet(phi, phi_t, phi_r, box):
     """A field jet assembled from four per-component closures."""
 
