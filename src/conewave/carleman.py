@@ -51,8 +51,6 @@ __all__ = [
     "verify_global",
     "verify_shifted",
     "vanishing_flux_probe",
-    "report_csv_header",
-    "report_csv_row",
 ]
 
 RELATIVE_SLACK_TOLERANCE = 1e-6
@@ -268,30 +266,15 @@ class CarlemanReport:
     tolerance: float
 
 
-def report_csv_header():
-    return "case_id,a,p,n,lhs,rhs_bulk,rhs_boundary,slack,err_est,pass"
-
-
-def report_csv_row(case_id, params: CarlemanParams, rep: CarlemanReport,
-                   digits: int = 17):
-    err = sum(rep.error_estimates.values())
-    vals = [rep.lhs_bulk, rep.rhs_bulk, rep.rhs_boundary, rep.slack, err]
-    nums = ",".join(f"{v:.{digits}g}" for v in vals)
-    return (f"{case_id},{params.a:.{digits}g},{params.p:.{digits}g},{params.n},"
-            f"{nums},{int(rep.passed)}")
-
-
 def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
                   region: AdmissibleRegionSpec,
-                  q: QuadratureSpec | None = None) -> CarlemanReport:
+                  q: QuadratureSpec = QuadratureSpec()) -> CarlemanReport:
     """Evaluate both sides of the global estimate on an admissible region.
 
     Slack = rhs_total - lhs must be >= -(1e-6 scale + quadrature errors);
     anything beyond that indicates a sign or measure bug rather than a
     numerical artifact, because the underlying identity is exact.
     """
-    if q is None:
-        q = QuadratureSpec()
     a, p, n = params.a, params.p, params.n
 
     def integrand(t, r):
@@ -347,7 +330,7 @@ class ShiftedReport:
 
 def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
                    exterior: ExteriorRegionSpec,
-                   q: QuadratureSpec | None = None,
+                   q: QuadratureSpec = QuadratureSpec(),
                    eps_floor: float = 1e-4) -> ShiftedReport:
     """Evaluate the shifted estimate on the exterior region (axis ray):
 
@@ -361,8 +344,6 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
     For radial fields the strengthened boundary gradient (d_t phi)^2 +
     (d_r phi)^2 coincides with the full |grad phi|^2.
     """
-    if q is None:
-        q = QuadratureSpec()
     exterior.weight.require_axis()
     if params.shift != exterior.weight:
         raise ValueError("params.shift must match the exterior region")
@@ -416,15 +397,14 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
 
 
 def vanishing_flux_probe(exterior: ExteriorRegionSpec, field, a, eps_sequence,
-                         p=2.0, potential=None, q: QuadratureSpec | None = None,
+                         p=2.0, potential=None,
+                         q: QuadratureSpec = QuadratureSpec(),
                          n: int | None = None):
     """Flux of the Carleman current through the level sets {f = eps}.
 
     Returns one value per eps; for C^2 fields the sequence tends to 0 as the
     level approaches the null boundary, which callers assert.
     """
-    if q is None:
-        q = QuadratureSpec()
     if n is None:
         n = getattr(field, "dim", 3)
     if potential is None:

@@ -23,7 +23,7 @@ from .fields import (ManufacturedField, PotentialSpec, ode_field,
                      polynomial_gaussian, traveling_bump)
 from .geometry import ShiftedWeight
 from .quadrature import NonFiniteSample, QuadratureSpec
-from .solver import SolverConfig, evolve, finite_speed_check, run_summary_csv
+from .solver import SolverConfig, evolve, finite_speed_check
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -115,9 +115,12 @@ def parse_config(path) -> RunConfig:
     cfg = RunConfig()
 
     def get(section, key, cast, default):
-        if parser.has_option(section, key):
-            return cast(parser.get(section, key))
-        return default
+        if not parser.has_option(section, key):
+            return default
+        value = cast(parser.get(section, key))
+        if any(v != v for v in (value if cast is _floats else (value,))):
+            raise ConfigError(f"[{section}] {key} must not be nan")
+        return value
 
     cfg.n = get("problem", "n", int, cfg.n)
     cfg.p = get("problem", "p", float, cfg.p)
@@ -191,6 +194,9 @@ def parse_config(path) -> RunConfig:
     cfg.strict = strict.lower() == "true"
     if parser.has_section("sweep"):
         cfg.sweep = dict(parser["sweep"])
+        for key in cfg.sweep:
+            if key != "scenario":
+                get("sweep", key, _floats, ())  # the grid's NaN check
     cfg.directory = get("output", "directory", str, cfg.directory)
     cfg.precision = get("output", "precision", int, cfg.precision)
 
@@ -215,6 +221,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("CFL factor must lie in (0, 1]")
     if any(x <= 0 for x in cfg.a_values):
         raise ConfigError("weight exponents a must be positive")
+    if cfg.precision < 1:
+        raise ConfigError("[output] precision must be at least 1")
     # causal buffer: outer boundary must not influence any diagnostic
     # region; the Dirichlet wall's influence travels at the stencil speed
     # dr/dt, bounded by the radial operator norm (about 2n/dr^2 at the
@@ -254,6 +262,14 @@ def _write(path, text):
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_csv(outdir, name, header, rows, digits):
+    """The header line, then one line per row: floats at `digits`
+    significant digits, every other value as str()."""
+    lines = [header] + [",".join(f"{v:.{digits}g}" if isinstance(v, float)
+                                 else str(v) for v in row) for row in rows]
+    _write(os.path.join(outdir, name), "\n".join(lines) + "\n")
+
+
 def _summary(outdir, **kv):
     lines = [f"{k}={v}" for k, v in kv.items()]
     _write(os.path.join(outdir, "summary"), "\n".join(lines) + "\n")
@@ -263,7 +279,9 @@ def _scenario_simulate(cfg: RunConfig, outdir):
     if cfg.data is None:
         raise ConfigError("simulate requires a [data] section")
     result = evolve(cfg.solver_config(), cfg.data)
-    _write(os.path.join(outdir, "run.csv"), run_summary_csv(result))
+    t_b = result.t_blowup if result.t_blowup is not None else math.nan
+    _write_csv(outdir, "run.csv", "status,t_b,J,dt,max_phi",
+               [(result.status, t_b, cfg.J, result.dt, result.max_phi)], 17)
     if result.snapshots:
         result.field().write_snapshots(outdir, cfg.p)
     ok = result.status in ("completed", "blew_up")
@@ -366,12 +384,14 @@ def _scenario_verify_carleman(cfg: RunConfig, outdir, threads=1):
     else:
         reports = [job(c) for c in cases]
 
-    rows = [carleman.report_csv_header()]
-    failures = 0
-    for idx, ((params, _, _), rep) in enumerate(zip(cases, reports)):
-        rows.append(carleman.report_csv_row(idx, params, rep, cfg.precision))
-        failures += 0 if rep.passed else 1
-    _write(os.path.join(outdir, "carleman.csv"), "\n".join(rows) + "\n")
+    rows = [(idx, params.a, params.p, params.n, rep.lhs_bulk, rep.rhs_bulk,
+             rep.rhs_boundary, rep.slack, sum(rep.error_estimates.values()),
+             int(rep.passed))
+            for idx, ((params, _, _), rep) in enumerate(zip(cases, reports))]
+    _write_csv(outdir, "carleman.csv",
+               "case_id,a,p,n,lhs,rhs_bulk,rhs_boundary,slack,err_est,pass",
+               rows, cfg.precision)
+    failures = sum(not rep.passed for rep in reports)
     _summary(outdir, status="pass" if failures == 0 else "fail",
              cases=cfg.cases, failures=failures, seed=cfg.seed)
     return 0 if failures == 0 else 3
@@ -392,18 +412,12 @@ def _scenario_verify_localized(cfg: RunConfig, outdir):
     if not cfg.t_star:
         raise ConfigError("verify-localized needs diagnostics.t_star")
     fieldobj = _diagnostic_field(cfg)
-    q = cfg.quadrature
-    rows = ["t_star,kind,lhs,rhs,ratio"]
-    checks = []
-    for ts in cfg.t_star:
-        chk = energetics.localized_estimate_check(
-            fieldobj, "annulus", (cfg.sigma0, cfg.sigma1), cfg.gamma,
-            cfg.eta, ts, cfg.p, cfg.n, q)
-        d = cfg.precision
-        rows.append(f"{ts:.{d}g},annulus,{chk.lhs:.{d}g},{chk.rhs:.{d}g},"
-                    f"{chk.ratio:.{d}g}")
-        checks.append(chk)
-    _write(os.path.join(outdir, "localized.csv"), "\n".join(rows) + "\n")
+    checks = [energetics.localized_estimate_check(
+        fieldobj, "annulus", (cfg.sigma0, cfg.sigma1), cfg.gamma, cfg.eta, ts,
+        cfg.p, cfg.n, cfg.quadrature) for ts in cfg.t_star]
+    _write_csv(outdir, "localized.csv", "t_star,kind,lhs,rhs,ratio",
+               [(c.t_star, c.kind, c.lhs, c.rhs, c.ratio) for c in checks],
+               cfg.precision)
     ratios = [c.ratio for c in checks if c.lhs != 0.0]  # vacuous cases pass
     if not ratios:
         _summary(outdir, status="pass", note="all cases vacuous",
@@ -423,11 +437,12 @@ def _scenario_energy_profile(cfg: RunConfig, outdir):
         t for t in cfg.snapshot_times if t < 0)
     if not times:
         raise ConfigError("no diagnostic times available")
-    report = energetics.energy_profile(fieldobj, cfg.sigma0, cfg.sigma1,
-                                       cfg.gamma, cfg.eta, times, cfg.p,
-                                       cfg.n, cfg.quadrature)
-    _write(os.path.join(outdir, "profile.csv"),
-           energetics.profile_csv(report, cfg.precision))
+    rows = energetics.energy_profile(fieldobj, cfg.sigma0, cfg.sigma1,
+                                     cfg.gamma, cfg.eta, times, cfg.p, cfg.n,
+                                     cfg.quadrature)
+    _write_csv(outdir, "profile.csv",
+               "t,annulus_q,slab_q,mz_q,lhs_1_6,rhs_1_6,ratio,err_est", rows,
+               cfg.precision)
     _summary(outdir, status="completed", times=len(times))
     return 0
 
@@ -442,13 +457,11 @@ def _scenario_rate_fit(cfg: RunConfig, outdir):
                                         cfg.quadrature)[0] for t in times]
     window = cfg.window if cfg.window else None
     report = energetics.rate_fit(times, vals, window)
-    d = cfg.precision
-    rows = ["quantity,slope,residual,window_lo,window_hi,inf,sup,last_decade_max"]
-    rows.append(f"mz_ball,{report.slope:.{d}g},{report.residual:.{d}g},"
-                f"{report.window[0]:.{d}g},{report.window[1]:.{d}g},"
-                f"{report.infimum:.{d}g},{report.supremum:.{d}g},"
-                f"{report.last_decade_max:.{d}g}")
-    _write(os.path.join(outdir, "rates.csv"), "\n".join(rows) + "\n")
+    _write_csv(outdir, "rates.csv", "quantity,slope,residual,window_lo,"
+               "window_hi,inf,sup,last_decade_max",
+               [("mz_ball", report.slope, report.residual, *report.window,
+                 report.infimum, report.supremum, report.last_decade_max)],
+               cfg.precision)
     _summary(outdir, status="completed", slope=report.slope,
              infimum=report.infimum, supremum=report.supremum)
     return 0
@@ -458,8 +471,9 @@ def _scenario_decay(cfg: RunConfig, outdir):
     fieldobj = _diagnostic_field(cfg)
     report = energetics.decay_partials(fieldobj, cfg.sigma, cfg.horizons,
                                        cfg.p, cfg.n, cfg.quadrature)
-    _write(os.path.join(outdir, "decay.csv"),
-           energetics.decay_csv(report, cfg.precision))
+    _write_csv(outdir, "decay.csv", "T,D,L",
+               zip(report.horizons, report.bulk, report.lateral),
+               cfg.precision)
     status = "completed"
     code = 0
     if cfg.strict:
@@ -518,13 +532,10 @@ def _scenario_sweep(cfg: RunConfig, outdir, threads):
     else:
         results = [job(c) for c in cells]
 
-    rows = [",".join(keys) + ",exit_code"]
-    worst = 0
-    for cell, code in results:
-        values = dict(cell)
-        rows.append(",".join(f"{values[k]:.17g}" for k in keys) + f",{code}")
-        worst = max(worst, code)
-    _write(os.path.join(outdir, "sweep.csv"), "\n".join(rows) + "\n")
+    _write_csv(outdir, "sweep.csv", ",".join(keys) + ",exit_code",
+               [tuple(v for _, v in cell) + (code,) for cell, code in results],
+               17)
+    worst = max(code for _, code in results)
     _summary(outdir, status="pass" if worst == 0 else "fail",
              cells=len(cells))
     return worst
@@ -551,10 +562,7 @@ def _sweep_convergence(cfg: RunConfig, outdir, grid):
         cfg.solver_config(), cfg.data, levels,
         reference=lambda t, r: float(sol.value(t)) + 0.0 * r,
         t_ref=t_ref, core_radius=0.5 * cfg.data.cutoff)
-    rows = ["J,error"]
-    for J in sorted(errors):
-        rows.append(f"{J},{errors[J]:.17g}")
-    _write(os.path.join(outdir, "sweep.csv"), "\n".join(rows) + "\n")
+    _write_csv(outdir, "sweep.csv", "J,error", sorted(errors.items()), 17)
     ok = abs(order - 2.0) <= 0.3
     _summary(outdir, status="pass" if ok else "fail",
              fitted_order=f"{order:.17g}", levels=len(levels))
@@ -603,11 +611,15 @@ def run(argv=None) -> int:
     ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("CONEWAVE_THREADS", "1"))
-
     try:
+        threads = args.threads
+        if threads is None:
+            text = os.environ.get("CONEWAVE_THREADS", "1")
+            try:
+                threads = int(text)
+            except ValueError:
+                raise ConfigError("CONEWAVE_THREADS must be an integer, "
+                                  f"got {text!r}") from None
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed

@@ -23,7 +23,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "EnergyReport",
     "RateReport",
     "LocalizedCheck",
     "DecayReport",
@@ -36,8 +35,6 @@ __all__ = [
     "decay_partials",
     "rate_fit",
     "energy_profile",
-    "profile_csv",
-    "decay_csv",
 ]
 
 
@@ -81,13 +78,11 @@ def _energy_and_power(field, scale, p):
 
 
 def annulus_quantity(field, sigma0, sigma1, t, p, n,
-                     q: QuadratureSpec | None = None):
+                     q: QuadratureSpec = QuadratureSpec()):
     """|t|^{2-n+4/(p-1)} int_{A(t)} (|grad phi|^2 + |t|^{-2} phi^2).
 
     Returns (value, quadrature error estimate with the same weight).
     """
-    if q is None:
-        q = QuadratureSpec()
     if t == 0:
         raise ValueError("annulus quantity undefined at t = 0")
     _require_time_coverage(field, t)
@@ -112,20 +107,16 @@ def _slab_scaled(res, t_star, p, n):
 
 
 def slab_quantity(field, sigma, gamma, t_star, p, n,
-                  q: QuadratureSpec | None = None):
+                  q: QuadratureSpec = QuadratureSpec()):
     """|t*|^{1-n+4/(p-1)} int_slab (|grad phi|^2 + |t*|^{-2} phi^2)."""
-    if q is None:
-        q = QuadratureSpec()
     slab = _slab(field, sigma, gamma, t_star)
     res = integrate_bulk(slab, _energy_density(field, abs(t_star)), q, n)
     return _slab_scaled(res, t_star, p, n)
 
 
 def lp_slab_quantity(field, sigma, gamma, t_star, p, n,
-                     q: QuadratureSpec | None = None):
+                     q: QuadratureSpec = QuadratureSpec()):
     """int_slab |phi|^{p+1} (no time weight)."""
-    if q is None:
-        q = QuadratureSpec()
     slab = _slab(field, sigma, gamma, t_star)
 
     def integrand(tt, rr):
@@ -136,11 +127,9 @@ def lp_slab_quantity(field, sigma, gamma, t_star, p, n,
 
 
 def lateral_quantity(field, sigma, eta, t_star, p, n,
-                     q: QuadratureSpec | None = None):
+                     q: QuadratureSpec = QuadratureSpec()):
     """int over the cone-boundary slab of |grad phi|^2 + |phi|^{p+1}
     + t*^{-2} phi^2 (time-reflected for t* < 0)."""
-    if q is None:
-        q = QuadratureSpec()
     if eta <= 1.0:
         raise ValueError("eta must exceed 1")
     ats = abs(t_star)
@@ -151,13 +140,12 @@ def lateral_quantity(field, sigma, eta, t_star, p, n,
     return res.value, res.error_estimate
 
 
-def weighted_ball_quantity(field, t, p, n, q: QuadratureSpec | None = None):
+def weighted_ball_quantity(field, t, p, n,
+                           q: QuadratureSpec = QuadratureSpec()):
     """Three-term weighted ball quantity over B(0, -t), t < 0:
 
     (-t)^{2/(p-1)-n/2} ||phi||_{L2} + (-t)^{2/(p-1)+1-n/2} (||d_t phi|| + ||d_r phi||).
     """
-    if q is None:
-        q = QuadratureSpec()
     if t >= 0:
         raise ValueError("ball quantity requires t < 0")
     _require_time_coverage(field, t)
@@ -180,51 +168,44 @@ class LocalizedCheck:
     ratio: float       # rhs / lhs; inf when lhs = 0 (pass by vacuity)
     kind: str
     t_star: float
-    sup_time: float | None = None
 
     @classmethod
-    def from_sides(cls, lhs, rhs, kind, t_star, sup_time=None):
+    def from_sides(cls, lhs, rhs, kind, t_star):
         ratio = math.inf if lhs == 0 else rhs / lhs
-        return cls(lhs=lhs, rhs=rhs, ratio=ratio, kind=kind, t_star=t_star,
-                   sup_time=sup_time)
+        return cls(lhs=lhs, rhs=rhs, ratio=ratio, kind=kind, t_star=t_star)
 
 
-def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q, sup_times=None):
+def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q,
+                 sup_levels=None):
     """Right side of the annulus form of the localized estimate:
     |t*| sup_tau int_{A(tau)} [|grad phi|^2 + |phi|^{p+1} + t*^{-2} phi^2],
-    tau in [|t*|/eta, eta |t*|] (17 equispaced levels unless `sup_times`),
+    tau in [|t*|/eta, eta |t*|] (17 equispaced levels unless `sup_levels`),
     with the time-reflected levels for t* < 0, integrated as one family of
-    slices (integrate_slices). Returns (rhs, the first maximizing time)."""
+    slices (integrate_slices)."""
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
-    if sup_times is None:
-        sup_times = np.linspace(ats / eta, ats * eta, 17)
-    sup_times = np.asarray(sup_times, dtype=float)
-    _require_time_coverage(field, *(sgn * sup_times))
-    slices = integrate_slices(sgn * sup_times, sigma0 * sup_times,
-                              sigma1 * sup_times,
+    if sup_levels is None:
+        sup_levels = np.linspace(ats / eta, ats * eta, 17)
+    sup_levels = np.asarray(sup_levels, dtype=float)
+    _require_time_coverage(field, *(sgn * sup_levels))
+    slices = integrate_slices(sgn * sup_levels, sigma0 * sup_levels,
+                              sigma1 * sup_levels,
                               _energy_density(field, ats, p), q, n)
-    best, best_t = -math.inf, None
-    for tau, res in zip(sup_times, slices):
-        if res.value > best:
-            best, best_t = res.value, sgn * tau
-    return ats * best, best_t
+    return ats * max(res.value for res in slices)
 
 
 def localized_estimate_check(field, kind, sigma_or_pair, gamma, eta, t_star,
-                             p, n, q: QuadratureSpec | None = None,
-                             sup_times=None) -> LocalizedCheck:
+                             p, n, q: QuadratureSpec = QuadratureSpec(),
+                             sup_levels=None) -> LocalizedCheck:
     """Both sides of the localized estimates and their ratio.
 
     kind "timecone": int_slab |phi|^{p+1} against
         |t*| int_lateral [|grad phi|^2 + |phi|^{p+1} + t*^{-2} phi^2];
     kind "annulus": the same left side against
         |t*| sup_tau int_{A(tau)} [...], tau in [|t*|/eta, eta |t*|],
-    the sup discretized over `sup_times` (default 17 equispaced levels).
+    the sup discretized over `sup_levels` (default 17 equispaced levels).
     Negative t* runs the time-reflected construction.
     """
-    if q is None:
-        q = QuadratureSpec()
     if kind not in ("timecone", "annulus"):
         raise ValueError("kind must be timecone or annulus")
 
@@ -234,16 +215,15 @@ def localized_estimate_check(field, kind, sigma_or_pair, gamma, eta, t_star,
         sigma0, sigma1 = sigma_or_pair
 
     lhs, _ = lp_slab_quantity(field, sigma0, gamma, t_star, p, n, q)
-    best_t = None
 
     if kind == "timecone":
         rhs = abs(t_star) * lateral_quantity(field, sigma0, eta, t_star, p, n,
                                              q)[0]
     else:
-        rhs, best_t = _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n,
-                                   q, sup_times)
+        rhs = _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q,
+                           sup_levels)
 
-    return LocalizedCheck.from_sides(lhs, rhs, kind, t_star, best_t)
+    return LocalizedCheck.from_sides(lhs, rhs, kind, t_star)
 
 
 @dataclass
@@ -256,7 +236,7 @@ class DecayReport:
 
 
 def decay_partials(field, sigma, horizons, p, n,
-                   q: QuadratureSpec | None = None) -> DecayReport:
+                   q: QuadratureSpec = QuadratureSpec()) -> DecayReport:
     """Truncated decay integrals; requires a forward run covering [1, max T].
 
     Each D(T) is accumulated from disjoint time segments [T_{k-1}, T_k], so
@@ -264,8 +244,6 @@ def decay_partials(field, sigma, horizons, p, n,
     by construction) rather than differences of independently meshed
     integrals, which would drown tails below the mesh error.
     """
-    if q is None:
-        q = QuadratureSpec()
     horizons = tuple(sorted(horizons))
     _require_time_coverage(field, 1.0, horizons[-1])
 
@@ -333,25 +311,12 @@ def rate_fit(times, values, window=None) -> RateReport:
     )
 
 
-@dataclass
-class EnergyReport:
-    times: tuple
-    annulus: tuple
-    slab: tuple
-    ball: tuple
-    lhs_annulus_est: tuple   # int_slab |phi|^{p+1}
-    rhs_annulus_est: tuple
-    ratios: tuple
-    lateral: tuple
-    errors: tuple
-
-
 def energy_profile(field, sigma0, sigma1, gamma, eta, times, p, n,
-                   q: QuadratureSpec | None = None) -> EnergyReport:
-    """Per-time blow-up-side diagnostics (times < 0)."""
-    if q is None:
-        q = QuadratureSpec()
-    ann, slab, ball, lhs_l, rhs_l, ratios, lat, errs = [], [], [], [], [], [], [], []
+                   q: QuadratureSpec = QuadratureSpec()) -> list:
+    """Per-time blow-up-side diagnostics (times < 0), one row per time:
+    (t, annulus, slab, ball, localized lhs, localized rhs, their ratio, the
+    summed error estimates of the annulus, slab, ball and lateral pieces)."""
+    rows = []
     for t in times:
         av, ae = annulus_quantity(field, sigma0, sigma1, t, p, n, q)
         energy, power = integrate_bulk(_slab(field, sigma0, gamma, t),
@@ -359,34 +324,9 @@ def energy_profile(field, sigma0, sigma1, gamma, eta, times, p, n,
                                        q, n)
         sv, se = _slab_scaled(energy, t, p, n)
         mv, me = weighted_ball_quantity(field, t, p, n, q)
-        lv, le = lateral_quantity(field, sigma0, eta, t, p, n, q)
-        rhs, sup_t = _annulus_sup(field, sigma0, sigma1, eta, t, p, n, q)
-        chk = LocalizedCheck.from_sides(power.value, rhs, "annulus", t, sup_t)
-        ann.append(av)
-        slab.append(sv)
-        ball.append(mv)
-        lhs_l.append(chk.lhs)
-        rhs_l.append(chk.rhs)
-        ratios.append(chk.ratio)
-        lat.append(lv)
-        errs.append(ae + se + me + le)
-    return EnergyReport(tuple(times), tuple(ann), tuple(slab), tuple(ball),
-                        tuple(lhs_l), tuple(rhs_l), tuple(ratios),
-                        tuple(lat), tuple(errs))
-
-
-def profile_csv(report: EnergyReport, digits: int = 17) -> str:
-    lines = ["t,annulus_q,slab_q,mz_q,lhs_1_6,rhs_1_6,ratio,err_est"]
-    for i, t in enumerate(report.times):
-        row = (t, report.annulus[i], report.slab[i], report.ball[i],
-               report.lhs_annulus_est[i], report.rhs_annulus_est[i],
-               report.ratios[i], report.errors[i])
-        lines.append(",".join(f"{v:.{digits}g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def decay_csv(report: DecayReport, digits: int = 17) -> str:
-    lines = ["T,D,L"]
-    for T, d, l in zip(report.horizons, report.bulk, report.lateral):
-        lines.append(f"{T:.{digits}g},{d:.{digits}g},{l:.{digits}g}")
-    return "\n".join(lines) + "\n"
+        le = lateral_quantity(field, sigma0, eta, t, p, n, q)[1]
+        rhs = _annulus_sup(field, sigma0, sigma1, eta, t, p, n, q)
+        chk = LocalizedCheck.from_sides(power.value, rhs, "annulus", t)
+        rows.append((t, av, sv, mv, chk.lhs, chk.rhs, chk.ratio,
+                     ae + se + me + le))
+    return rows

@@ -356,7 +356,7 @@ class DiscreteField:
         t = np.asarray(t, dtype=float)
         lo, hi = float(self.times[0]), float(self.times[-1])
         tol = 1e-9 * max(1.0, float(np.abs(self.times).max()))
-        outside = (t < lo - tol) | (t > hi + tol)
+        outside = ~((lo - tol <= t) & (t <= hi + tol))  # NaN is outside
         if np.any(outside):
             raise ValueError(f"time {float(t[outside][0])!r} outside the stored "
                              f"range [{lo!r}, {hi!r}]")

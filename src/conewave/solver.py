@@ -33,7 +33,6 @@ __all__ = [
     "convergence_study",
     "finite_speed_check",
     "blowup_estimate",
-    "run_summary_csv",
 ]
 
 
@@ -151,14 +150,6 @@ class RunResult:
             raise ValueError("run recorded no snapshots")
         r = np.arange(self.config.J + 1) * self.config.dr
         return DiscreteField.from_levels(self.snapshots, r, self.config.n)
-
-
-def run_summary_csv(result: RunResult) -> str:
-    header = "status,t_b,J,dt,max_phi"
-    tb = result.t_blowup if result.t_blowup is not None else math.nan
-    row = (f"{result.status},{tb:.17g},{result.config.J},"
-           f"{result.dt:.17g},{result.max_phi:.17g}")
-    return header + "\n" + row + "\n"
 
 
 def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:

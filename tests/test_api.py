@@ -30,3 +30,11 @@ def test_exported_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert all(n in namespace for n in exported or ())
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "conewave.cli"])
+def test_only_cli_exports_csv_writers(name):
+    # one writer formats every output file; the library returns numbers
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert [n for n in namespace if "csv" in n.lower()] == []

@@ -15,8 +15,6 @@ from conewave.carleman import (
     frustum_region,
     inverted_frustum_region,
     level_shell_region,
-    report_csv_header,
-    report_csv_row,
     verify_global,
     verify_shifted,
 )
@@ -311,16 +309,6 @@ class TestVerifyGlobal:
         slope_lhs = np.polyfit(logl, np.log(lhs_vals), 1)[0]
         slope_rhs = np.polyfit(logl, np.log(rhs_vals), 1)[0]
         assert slope_lhs == pytest.approx(slope_rhs, abs=1e-2)
-
-    def test_csv_row_format(self):
-        params = CarlemanParams(a=0.25, p=2.0, n=1)
-        rep = verify_global(params, constant_field(1.0, 1),
-                            box_region(-0.4, 0.4, 1.0, 2.0))
-        header = report_csv_header()
-        row = report_csv_row(3, params, rep)
-        assert header.count(",") == row.count(",")
-        assert row.startswith("3,0.25,2,1,")
-        assert row.endswith(",1")
 
 
 def _reference_bulk_gamma(params, t, r):

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -52,6 +53,45 @@ seed = 7
 [output]
 directory = out
 """
+
+
+DECAY = """
+[problem]
+n = 3
+p = 2.0
+
+[grid]
+R = 40.0
+J = 384
+cfl = 0.9
+t0 = 1.0
+t_end = 17.0
+snapshot_times = {times}
+
+[data]
+kind = gaussian
+amplitude = 0.02
+width = 0.5
+
+[diagnostics]
+sigma = 0.5
+horizons = 2 4 8 16
+
+[verify]
+strict = true
+
+[output]
+directory = out
+""".format(times=" ".join(f"{t:g}" for t in np.linspace(1.0, 17.0, 33)))
+
+# (section, key, text in BASE, replacement) for one NaN per kind of float key
+NAN_VALUES = [
+    ("diagnostics", "gamma", "gamma = 1.2", "gamma = nan"),
+    ("diagnostics", "eta", "eta = 2.0", "eta = nan"),
+    ("diagnostics", "t_star", "sigma0 = 0.25", "sigma0 = 0.25\nt_star = nan -0.5"),
+    ("problem", "p", "p = 2.0", "p = NaN"),
+    ("grid", "snapshot_times", "-0.8 -0.5 -0.3", "-0.8 nan -0.3"),
+]
 
 
 class TestConfigParsing:
@@ -139,6 +179,55 @@ class TestConfigParsing:
     def test_missing_file_is_config_error(self, tmp_path):
         assert run(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    @pytest.mark.parametrize("section,key,old,new", NAN_VALUES)
+    def test_nan_is_rejected_naming_the_key(self, tmp_path, section, key,
+                                            old, new):
+        # NaN fails every comparison, so no range check in _validate sees it
+        text = BASE.replace(old, new)
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must not be nan"):
+            parse_config(write_config(tmp_path / "c.cfg", text))
+
+    def test_nan_in_a_sweep_grid_is_rejected(self, tmp_path):
+        text = BASE + "\n[sweep]\nscenario = simulate\nJ = 64 nan\n"
+        with pytest.raises(ConfigError, match=r"\[sweep\] J must not be nan"):
+            parse_config(write_config(tmp_path / "c.cfg", text))
+
+    def test_infinite_values_keep_their_meaning(self, tmp_path):
+        text = BASE.replace("potential = constant", "potential = perturbed\n"
+                            "pot_eps = 0.1\npot_alpha = inf")
+        cfg = parse_config(write_config(tmp_path / "c.cfg", text))
+        assert cfg.potential.alpha == math.inf
+
+    @pytest.mark.parametrize("source", ["ode", "run"])
+    @pytest.mark.parametrize("section,key,old,new", NAN_VALUES[:3])
+    def test_nan_diagnostics_exit_2_before_the_quadrature(
+            self, tmp_path, capsys, source, section, key, old, new):
+        # before, exit 3 (non-finite integrand sample) on the ODE field and
+        # an uncaught IndexError from DiscreteField's level search on a run
+        t_star = "" if key == "t_star" else "\nt_star = -0.5 -0.25"
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        text = text.replace("sigma = 0.5",
+                            f"sigma = 0.5\nfield_source = {source}{t_star}")
+        text = text.replace("snapshot_times = -0.8 -0.5 -0.3",
+                            "snapshot_log = 0.1 1.0 16")
+        cfg = write_config(tmp_path / "c.cfg", text.replace(old, new))
+        assert run(["verify-localized", "--config", cfg, "--out",
+                    str(tmp_path / "out")]) == 2
+        assert f"error: [{section}] {key} must not be nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("precision", ["-1", "0"])
+    def test_precision_below_1_exit_2_before_any_scenario(self, tmp_path,
+                                                          capsys, precision):
+        text = BASE.replace("directory = out",
+                            f"directory = out\nprecision = {precision}")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run(["verify-carleman", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: [output] precision must be at least 1" in err
+        assert not (out / "summary").exists()
+
 
 class TestSimulate:
     def test_zero_data_completes(self, tmp_path):
@@ -149,6 +238,7 @@ class TestSimulate:
         assert "status=completed" in summary
         run_csv = (out / "run.csv").read_text().splitlines()
         assert run_csv[0] == "status,t_b,J,dt,max_phi"
+        assert run_csv[1].startswith("completed,nan,256,")
         snaps = sorted(p for p in os.listdir(out) if p.startswith("snap"))
         assert len(snaps) == 3
         body = (out / snaps[0]).read_text().splitlines()
@@ -303,6 +393,15 @@ class TestVerifyCarleman:
         assert run(["verify-carleman", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "carleman.csv").exists()
 
+    def test_threads_env_not_an_integer_exit_2(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setenv("CONEWAVE_THREADS", "abc")
+        cfg = write_config(tmp_path / "c.cfg", BASE)
+        assert run(["verify-carleman", "--config", cfg, "--out",
+                    str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: CONEWAVE_THREADS must be an integer, got 'abc'" in err
+
 
 class TestDiagnosticsSubcommands:
     def test_verify_localized_on_ode_field(self, tmp_path):
@@ -420,35 +519,7 @@ class TestDiagnosticsSubcommands:
                          r"\[-1\.0, -0\.041\d*\]", err), err
 
     def test_decay_subcommand(self, tmp_path):
-        text = """
-[problem]
-n = 3
-p = 2.0
-
-[grid]
-R = 40.0
-J = 384
-cfl = 0.9
-t0 = 1.0
-t_end = 17.0
-snapshot_times = {times}
-
-[data]
-kind = gaussian
-amplitude = 0.02
-width = 0.5
-
-[diagnostics]
-sigma = 0.5
-horizons = 2 4 8 16
-
-[verify]
-strict = true
-
-[output]
-directory = out
-""".format(times=" ".join(f"{t:g}" for t in np.linspace(1.0, 17.0, 33)))
-        cfg = write_config(tmp_path / "c.cfg", text)
+        cfg = write_config(tmp_path / "c.cfg", DECAY)
         out = tmp_path / "out"
         assert run(["decay", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "decay.csv").read_text().strip().splitlines()
@@ -556,3 +627,97 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         assert rows[0] == "J,error"
         assert len(rows) == 4
+
+
+class TestCsvWriter:
+    """cli._write_csv formats every output file: floats at the given
+    significant digits, every other value with str()."""
+
+    ROW = (3, "annulus", 0.1, np.float64(2.0) / 3.0, math.inf, math.nan)
+
+    @pytest.mark.parametrize("digits,line", [
+        (17, "3,annulus,0.10000000000000001,0.66666666666666663,inf,nan"),
+        (6, "3,annulus,0.1,0.666667,inf,nan"),
+    ])
+    def test_floats_at_digits_and_the_rest_with_str(self, tmp_path, digits,
+                                                    line):
+        cli._write_csv(str(tmp_path), "x.csv", "i,s,f,g,inf,nan", [self.ROW],
+                       digits)
+        assert (tmp_path / "x.csv").read_text() == f"i,s,f,g,inf,nan\n{line}\n"
+
+    def test_17_digits_round_trip(self, tmp_path):
+        values = np.random.default_rng(5).standard_normal(200) * 10.0 ** (
+            np.arange(200) % 40 - 20)
+        cli._write_csv(str(tmp_path), "x.csv", "a,b", values.reshape(100, 2),
+                       17)
+        lines = (tmp_path / "x.csv").read_text().splitlines()
+        back = [float(tok) for line in lines[1:] for tok in line.split(",")]
+        assert [v.hex() for v in back] == [float(v).hex() for v in values]
+
+
+HEADERS = {
+    "run.csv": "status,t_b,J,dt,max_phi",
+    "carleman.csv": "case_id,a,p,n,lhs,rhs_bulk,rhs_boundary,slack,err_est,pass",
+    "localized.csv": "t_star,kind,lhs,rhs,ratio",
+    "profile.csv": "t,annulus_q,slab_q,mz_q,lhs_1_6,rhs_1_6,ratio,err_est",
+    "rates.csv": "quantity,slope,residual,window_lo,window_hi,inf,sup,"
+                 "last_decade_max",
+    "decay.csv": "T,D,L",
+    "sweep.csv": "J,exit_code",
+}
+
+
+def _every_output(tmp_path, precision):
+    """{file name: text} of each CSV kind the CLI writes, at `precision`."""
+    outdir = tmp_path / f"p{precision}"
+    diag = BASE.replace("sigma0 = 0.25", "sigma0 = 0.25\nfield_source = ode\n"
+                        "t_star = -0.5 -0.25 -0.125")
+    runs = [("simulate", BASE, "run.csv"),
+            ("verify-carleman", BASE, "carleman.csv"),
+            ("verify-localized", diag, "localized.csv"),
+            ("energy-profile", diag, "profile.csv"),
+            ("rate-fit", diag, "rates.csv"),
+            ("decay", DECAY, "decay.csv"),
+            ("sweep", BASE + "\n[sweep]\nscenario = simulate\nJ = 64 128\n",
+             "sweep.csv")]
+    texts = {}
+    for scenario, text, name in runs:
+        text = text.replace("directory = out",
+                            f"directory = out\nprecision = {precision}")
+        cfg = write_config(tmp_path / f"{scenario}.cfg", text)
+        out = outdir / scenario
+        assert run([scenario, "--config", cfg, "--out", str(out)]) == 0
+        texts[name] = (out / name).read_text()
+    texts["cell run.csv"] = (outdir / "sweep" / "cell_J64" / "run.csv").read_text()
+    return texts
+
+
+def test_precision_sets_the_digits_of_every_file_but_run_and_sweep(tmp_path):
+    full, short = _every_output(tmp_path, 17), _every_output(tmp_path, 6)
+    for name in ("run.csv", "sweep.csv", "cell run.csv"):
+        assert short[name] == full[name]
+    for name in ("carleman.csv", "localized.csv", "profile.csv", "rates.csv",
+                 "decay.csv"):
+        assert short[name] != full[name]
+        rows17 = [line.split(",") for line in full[name].splitlines()]
+        rows6 = [line.split(",") for line in short[name].splitlines()]
+        assert ",".join(rows6[0]) == HEADERS[name]
+        assert len(rows6) == len(rows17) > 1
+        for row6, row17 in zip(rows6[1:], rows17[1:]):
+            assert len(row6) == len(row17) == len(rows6[0])
+            for tok6, tok17 in zip(row6, row17):
+                if not re.fullmatch(r"[-+0-9.e]+|nan|inf", tok17):
+                    assert tok6 == tok17           # kind, quantity
+                    continue
+                assert len(re.sub(r"e.*|[-.]", "", tok6).lstrip("0")) <= 6
+                assert float(tok6) == pytest.approx(float(tok17), rel=1e-5)
+    for name in ("run.csv", "sweep.csv"):
+        assert full[name].splitlines()[0] == HEADERS[name]
+    # the int columns of carleman.csv keep their digits at any precision
+    rows = [line.split(",") for line in short["carleman.csv"].splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(12))
+    assert all(row[3] in ("1", "2", "3") and row[9] in ("0", "1")
+               for row in rows)
+    assert [(r[0], r[3], r[9]) for r in rows] == [
+        (r[0], r[3], r[9]) for r in (line.split(",") for line in
+                                     full["carleman.csv"].splitlines()[1:])]

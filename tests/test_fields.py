@@ -345,6 +345,18 @@ class TestDiscreteFieldEvaluation:
         with pytest.raises(ValueError):
             fld.value(0.5, 1.5)
 
+    def test_nan_time_is_outside_the_stored_range(self):
+        # NaN fails every comparison, so it must not pass as "not below lo
+        # and not above hi"; cast to a level index it reads out of bounds
+        r = np.linspace(0, 1, 11)
+        fld = DiscreteField(np.array([0.0, 1.0]), r, np.zeros((2, 11)),
+                            np.zeros((2, 11)), 3)
+        with pytest.raises(ValueError, match=r"time nan outside the stored "
+                                             r"range \[0\.0, 1\.0\]"):
+            fld.require_times([0.5, np.nan])
+        with pytest.raises(ValueError, match="time nan outside"):
+            fld.value(np.array([[np.nan], [0.5]]), np.array([0.2, 0.4]))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             DiscreteField(np.array([0.0]), np.array([0.5, 1.0]),

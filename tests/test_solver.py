@@ -15,7 +15,6 @@ from conewave.solver import (
     convergence_study,
     evolve,
     finite_speed_check,
-    run_summary_csv,
 )
 
 
@@ -287,13 +286,6 @@ class TestEvolveBasics:
         # the run stops at the step of the first crossing
         assert res.max_phi > cfg.phi_max
         assert res.t_blowup == cfg.t0 + res.steps * res.dt
-
-    def test_summary_csv(self):
-        cfg = SolverConfig(n=1, J=64, R=4.0, t0=0.0, t_end=0.2)
-        res = evolve(cfg, zero_data())
-        text = run_summary_csv(res)
-        assert text.splitlines()[0] == "status,t_b,J,dt,max_phi"
-        assert "completed" in text
 
     def test_snapshot_files_feed_back_as_initial_data(self, tmp_path):
         # write run snapshots, reload as a field, and restart from one level

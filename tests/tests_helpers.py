@@ -123,22 +123,18 @@ def piece_by_piece_fluxes(params, fieldobj, pieces, q):
 
 
 def annulus_sup_by_slice(field, sigma0, sigma1, eta, t_star, p, n, q,
-                         sup_times=None):
+                         sup_levels=None):
     """The annulus sup as one slice integration per level."""
     from conewave.energetics import _energy_density
 
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
-    if sup_times is None:
-        sup_times = np.linspace(ats / eta, ats * eta, 17)
-    best, best_t = -np.inf, None
+    if sup_levels is None:
+        sup_levels = np.linspace(ats / eta, ats * eta, 17)
     integrand = _energy_density(field, ats, p)
-    for tau in np.asarray(sup_times, dtype=float):
-        res = slice_by_slice(sgn * tau, sigma0 * tau, sigma1 * tau,
-                             integrand, q, n)
-        if res.value > best:
-            best, best_t = res.value, sgn * tau
-    return ats * best, best_t
+    return ats * max(slice_by_slice(sgn * tau, sigma0 * tau, sigma1 * tau,
+                                    integrand, q, n).value
+                     for tau in np.asarray(sup_levels, dtype=float))
 
 
 def one_at_a_time(monkeypatch):
