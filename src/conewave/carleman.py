@@ -41,13 +41,10 @@ __all__ = [
     "CarlemanParams",
     "CarlemanReport",
     "ShiftedReport",
-    "bulk_gamma",
     "flux_covector",
     "box_region",
     "frustum_region",
     "inverted_frustum_region",
-    "clipped_exterior_region",
-    "level_shell_region",
     "verify_global",
     "verify_shifted",
     "vanishing_flux_probe",
@@ -93,8 +90,13 @@ class CarlemanParams:
 
 
 def _potential_and_gamma(params: CarlemanParams, t, r):
-    """(V, Gamma_V) at (t, r) from one evaluation of the potential's jet; a
-    constant potential gives the scalars (c0, Gamma_V)."""
+    """(V, Gamma_V) at (t, r) from one evaluation of the potential's jet,
+
+      Gamma_V = grad f . grad(log V) - (n-1+4a)/4 (p - 1 - 4/(n-1+4a)),
+
+    the contraction with the raised gradient of f (the t-derivative term
+    enters with a flipped sign); a constant potential gives the scalars
+    (c0, Gamma_V)."""
     m = params.n - 1.0 + 4.0 * params.a
     const = -(m / 4.0) * (params.p - 1.0 - 4.0 / m)
     if params.potential.kind == "constant":
@@ -102,16 +104,6 @@ def _potential_and_gamma(params: CarlemanParams, t, r):
     ft, fr = params.weight_grad(t, r)
     V, Vt, Vr = params.potential.jet(t, r)
     return V, (-ft * Vt + fr * Vr) / V + const
-
-
-def bulk_gamma(params: CarlemanParams, t, r):
-    """Gamma_V = grad f . grad(log V) - (n-1+4a)/4 (p - 1 - 4/(n-1+4a)).
-
-    The contraction uses the raised gradient of f, so the t-derivative term
-    enters with a flipped sign. For a constant potential it is exactly +0,
-    and Gamma_V is the scalar constant.
-    """
-    return _potential_and_gamma(params, t, r)[1]
 
 
 def _potential_value(params: CarlemanParams, t, r):
@@ -156,7 +148,7 @@ def flux_covector(params: CarlemanParams, fieldobj, t, r, fval=None):
 
 
 # --------------------------------------------------------------------------
-# Admissible region library (five parametric families with closed-form
+# Admissible region library (three parametric families with closed-form
 # pieces; arbitrary user geometry is out of scope)
 # --------------------------------------------------------------------------
 
@@ -177,77 +169,48 @@ class _SidedBulk(BulkRegion):
         return self.outer.radius(t)
 
 
-def _sided_region(inner, outer) -> AdmissibleRegionSpec:
-    """The region between two timelike sides over the inner side's window,
-    with its four pieces derived in one order and orientation: bottom slice
-    (inward +dt), top slice (inward -dt), inner side (outward -1), outer
-    side (outward +1). The slices reject ends where 0 <= inner < outer
-    fails."""
+def _sided_region(inner, outer, shift: ShiftedWeight) -> AdmissibleRegionSpec:
+    """The region between two timelike sides (cylinders or tilted cones)
+    over the inner side's window, with its four pieces derived in one order
+    and orientation: bottom slice (inward +dt), top slice (inward -dt),
+    inner side (outward -1), outer side (outward +1). The slices reject ends
+    where 0 <= inner < outer fails, and the region is rejected unless the
+    weight of `shift` is positive on its inner side."""
     t0, t1 = inner.t_lo, inner.t_hi
     inner = replace(inner, outward_sign=-1)
     outer = replace(outer, outward_sign=+1)
     pieces = tuple(TimeSlicePiece(t, float(inner.radius(t)),
                                   float(outer.radius(t)), inward_sign=sign)
                    for t, sign in ((t0, +1), (t1, -1))) + (inner, outer)
+    # Along the inner side r_inner(t)^2 - (t - t*)^2 is a constant minus a
+    # square (cylinder) or a quadratic with leading coefficient
+    # slope^2 - 1 < 0 (cone): concave either way, so its minimum over
+    # [t0, t1] sits at an endpoint.
+    for t in (t0, t1):
+        if float(inner.radius(t)) ** 2 - (t - shift.t_star) ** 2 <= 0.0:
+            raise ValueError("region closure leaves the exterior region {f > 0}")
     return AdmissibleRegionSpec(bulk=_SidedBulk(t0, t1, inner, outer),
                                 pieces=pieces)
 
 
 def box_region(t0, t1, r0, r1, shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
     """Rectangle in (t, r): cylinder sides r = r0 and r = r1."""
-    return _require_positive_weight(_sided_region(
-        CylinderPiece(r0, t0, t1), CylinderPiece(r1, t0, t1)), shift)
+    return _sided_region(CylinderPiece(r0, t0, t1), CylinderPiece(r1, t0, t1),
+                         shift)
 
 
 def frustum_region(t0, t1, r0, slope, t_apex,
                    shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
     """Inner cylinder r = r0, outer tilted timelike cone r = slope (t - t_apex)."""
-    return _require_positive_weight(_sided_region(
-        CylinderPiece(r0, t0, t1), ConePiece(slope, t0, t1, t_apex=t_apex)),
-        shift)
+    return _sided_region(CylinderPiece(r0, t0, t1),
+                         ConePiece(slope, t0, t1, t_apex=t_apex), shift)
 
 
 def inverted_frustum_region(t0, t1, r1, slope, t_apex,
                             shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
     """Inner tilted timelike cone, outer cylinder r = r1."""
-    return _require_positive_weight(_sided_region(
-        ConePiece(slope, t0, t1, t_apex=t_apex), CylinderPiece(r1, t0, t1)),
-        shift)
-
-
-def clipped_exterior_region(sigma, t_star, eps, t0, t1) -> AdmissibleRegionSpec:
-    """Shifted exterior region {f > eps} in the cone, clipped by two planes:
-    the level set {f = eps} inside the cone r = sigma t."""
-    ext = ExteriorRegionSpec(sigma, t_star, eps=eps)
-    lo, hi = ext.time_window()
-    t0 = max(t0, lo)
-    t1 = min(t1, hi)
-    if t0 >= t1:
-        raise ValueError("clip window misses the region")
-    w = ext.weight
-    return _sided_region(LevelSetPiece(w, eps, t0, t1),
-                         ConePiece(sigma, t0, t1, weight=w))
-
-
-def level_shell_region(shift: ShiftedWeight, eps0, eps1, t0, t1) -> AdmissibleRegionSpec:
-    """{eps0 < f < eps1} between two planes (axis-ray shift)."""
-    if not 0.0 < eps0 < eps1:
-        raise ValueError("need 0 < eps0 < eps1")
-    return _sided_region(LevelSetPiece(shift, eps0, t0, t1),
-                         LevelSetPiece(shift, eps1, t0, t1))
-
-
-def _require_positive_weight(region: AdmissibleRegionSpec, shift: ShiftedWeight):
-    """The region, once f > 0 holds on its inner side (checked at the ends)."""
-    # Along the inner side r_inner(t)^2 - (t - t*)^2 is a constant minus a
-    # square (cylinder) or a quadratic with leading coefficient
-    # slope^2 - 1 < 0 (cone): concave either way, so its minimum over
-    # [t0, t1] sits at an endpoint.
-    ts, bulk = shift.t_star, region.bulk
-    for t in bulk.time_window():
-        if float(bulk.r_inner(t)) ** 2 - (t - ts) ** 2 <= 0.0:
-            raise ValueError("region closure leaves the exterior region {f > 0}")
-    return region
+    return _sided_region(ConePiece(slope, t0, t1, t_apex=t_apex),
+                         CylinderPiece(r1, t0, t1), shift)
 
 
 # --------------------------------------------------------------------------
@@ -397,23 +360,18 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
 
 
 def vanishing_flux_probe(exterior: ExteriorRegionSpec, field, a, eps_sequence,
-                         p=2.0, potential=None,
-                         q: QuadratureSpec = QuadratureSpec(),
-                         n: int | None = None):
+                         *, p, potential: PotentialSpec, n: int,
+                         q: QuadratureSpec = QuadratureSpec()):
     """Flux of the Carleman current through the level sets {f = eps}.
 
     Returns one value per eps; for C^2 fields the sequence tends to 0 as the
     level approaches the null boundary, which callers assert.
     """
-    if n is None:
-        n = getattr(field, "dim", 3)
-    if potential is None:
-        potential = PotentialSpec.constant(1.0)
     if sorted(eps_sequence, reverse=True) != list(eps_sequence):
         raise ValueError("eps sequence must be decreasing")
     params = CarlemanParams(a=a, p=p, n=n, potential=potential,
                             shift=exterior.weight)
     pieces = [LevelSetPiece(exterior.weight, eps, *ExteriorRegionSpec(
-        exterior.sigma, exterior.t_star, exterior.ray, eps=eps).time_window(),
-        outward_sign=-1) for eps in eps_sequence]
+        exterior.sigma, exterior.t_star, exterior.ray, eps=eps).time_window())
+        for eps in eps_sequence]
     return [res.value for res in _piece_fluxes(params, field, pieces, q)]

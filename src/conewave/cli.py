@@ -223,6 +223,21 @@ def _validate(cfg: RunConfig):
         raise ConfigError("weight exponents a must be positive")
     if cfg.precision < 1:
         raise ConfigError("[output] precision must be at least 1")
+    if cfg.cells < 4:
+        raise ConfigError("[diagnostics] cells must be at least 4")
+    if cfg.cases < 1:
+        raise ConfigError("[verify] cases must be at least 1")
+    if cfg.strict and len(cfg.horizons) < 2:
+        raise ConfigError("[verify] strict = true needs at least two "
+                          "[diagnostics] horizons")
+    pot = cfg.potential
+    for ts in cfg.t_star if pot.kind == "perturbed" else ():
+        try:  # the smallness condition |grad V| |t*| <= alpha
+            PotentialSpec.perturbed(pot.c0, pot.eps, pot.center, pot.width,
+                                    pot.alpha, t_star=ts)
+        except ValueError as exc:
+            raise ConfigError(f"[problem] pot_alpha too small for t_star = "
+                              f"{ts!r}: {exc}") from None
     # causal buffer: outer boundary must not influence any diagnostic
     # region; the Dirichlet wall's influence travels at the stencil speed
     # dr/dt, bounded by the radial operator norm (about 2n/dr^2 at the

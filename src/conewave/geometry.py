@@ -269,11 +269,13 @@ class SurfacePiece:
     `node_sets(mesh, n)` gives the piece's quadrature nodes as a sequence
     of (t, r, measure, f) sets, built from the node rules of one refinement
     level (`mesh`, see quadrature): `measure` is the node weight times the
-    induced density, and `f` the weight value in product form on pieces
-    that carry a weight, None on the others. `dot_normal(Pt, Pr, t, r, f)`
-    contracts a covector with the oriented unit normal; a piece with a
-    constant normal gives it as `normal` = (N^t, N^r). A timelike piece
-    that can bound a region's side gives its `radius(t)`."""
+    induced density, and `f` the weight value in product form on the
+    pieces that carry a weight (an exterior region's cone side, level sets
+    of f), None on the others. `dot_normal(Pt, Pr, t, r, f)` contracts a
+    covector with the oriented unit normal; a piece with a constant normal
+    gives it as `normal` = (N^t, N^r). The timelike pieces give their
+    `radius(t)`; cylinders and unweighted cones are the sides of the
+    Carleman regions (see carleman._sided_region)."""
 
     def dot_normal(self, Pt, Pr, t, r, f=None):
         Nt, Nr = self.normal
@@ -342,9 +344,10 @@ class ConePiece(SurfacePiece):
     """Timelike cone piece {r = slope (t - t_apex), t_lo < t < t_hi}, slope in (0,1),
     with normal N = (1 - s^2)^{-1/2} (s d_t + d_r) times `outward_sign`.
 
-    `weight` marks the shifted weight whose zero set meets the ends of the
-    piece; quadrature then grades toward those ends and hands integrands the
-    stably computed weight value.
+    `weight` marks the shifted weight whose zero set meets both ends of the
+    piece (the cone part of an exterior region's boundary); quadrature then
+    grades toward those ends and hands integrands the stably computed
+    weight value.
     """
 
     slope: float
@@ -353,8 +356,6 @@ class ConePiece(SurfacePiece):
     t_apex: float = 0.0
     outward_sign: int = 1
     weight: ShiftedWeight | None = None
-    singular_lo: bool = False
-    singular_hi: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.slope < 1.0:
@@ -375,44 +376,26 @@ class ConePiece(SurfacePiece):
         scale = self.outward_sign / math.sqrt(1.0 - self.slope * self.slope)
         return scale * self.slope, scale
 
-    def weight_on_piece(self, t):
-        """f along the piece in product form (axis-ray weight only).
-
-        With roots t_- = t*/(1+slope), t_+ = t*/(1-slope) of f restricted to
-        the cone r = slope*t:  f = (1-slope^2)(t_+ - t)(t - t_-)/4.
-        The product form stays accurate near the roots where the naive
-        difference of squares cancels catastrophically.
-        """
-        self.weight.require_axis()
-        ts = self.weight.t_star
-        tm = ts / (1.0 + self.slope)
-        tp = ts / (1.0 - self.slope)
-        t = np.asarray(t, dtype=float)
-        return 0.25 * (1.0 - self.slope ** 2) * (tp - t) * (t - tm)
-
     def node_sets(self, mesh, n):
-        """One set over the piece, or, with a weight and flagged ends, one
-        set per flagged half in its edge-distance coordinate."""
-        if self.weight is not None and (self.singular_lo or self.singular_hi):
+        """One set over the piece, or, with a weight, one set per half in
+        its edge-distance coordinate."""
+        if self.weight is not None:
             tm = 0.5 * (self.t_lo + self.t_hi)
-            sets = []
-            if self.singular_lo:
-                sets.append(self._edge_half(mesh, n, False, tm - self.t_lo))
-            if self.singular_hi:
-                sets.append(self._edge_half(mesh, n, True, self.t_hi - tm))
-            return sets
+            return [self._edge_half(mesh, n, False, tm - self.t_lo),
+                    self._edge_half(mesh, n, True, self.t_hi - tm)]
         t, w = mesh.temporal(self.t_lo, self.t_hi)
         r = self.radius(t)
         dens = sphere_area(n) * math.sqrt(1.0 - self.slope ** 2) * r ** (n - 1)
-        f = None if self.weight is None else self.weight_on_piece(t)
-        return ((t, r, w * dens, f),)
+        return ((t, r, w * dens, None),)
 
     def _edge_half(self, mesh, n, from_hi, length):
-        """Nodes of the half of the piece at a flagged end.
+        """Nodes of the half of the piece at one end.
 
-        Valid only when the flagged end coincides with a root of the weight
-        on the cone, f = (1-s^2)(t_+ - t)(t - t_-)/4; the edge factor is then
-        the distance itself, exact down to subnormal scales.
+        Valid only when that end coincides with a root of the weight on the
+        cone, f = (1-s^2)(t_+ - t)(t - t_-)/4 with t_-+ = t*/(1 +- s) (axis
+        ray); the edge factor is then the distance itself, exact down to
+        subnormal scales, where the naive difference of squares cancels
+        catastrophically.
         """
         s = self.slope
         t_minus = self.weight.t_star / (1.0 + s)
@@ -420,7 +403,7 @@ class ConePiece(SurfacePiece):
         edge = self.t_hi if from_hi else self.t_lo
         root = t_plus if from_hi else t_minus
         if abs(edge - root) > 1e-12 * max(1.0, abs(root)):
-            raise ValueError("singular cone edge does not sit on the weight's zero set")
+            raise ValueError("weighted cone edge does not sit on the weight's zero set")
         d, w = mesh.from_edge(length)
         if from_hi:
             t = self.t_hi - d
@@ -435,23 +418,20 @@ class ConePiece(SurfacePiece):
 
 @dataclass(frozen=True)
 class LevelSetPiece(SurfacePiece):
-    """Timelike level set {f_{t*,zeta} = eps} inside the cone (axis ray),
-    with normal N = -f^{-1/2} grad f (sign flipped when the region is
-    {f < eps})."""
+    """Timelike level set {f_{t*,zeta} = eps} inside the cone (axis ray)
+    bounding the region {f > eps}, with outward normal
+    N = -f^{-1/2} grad f."""
 
     weight: ShiftedWeight
     eps: float
     t_lo: float
     t_hi: float
-    outward_sign: int = -1  # -1: region is {f > eps}; +1: region is {f < eps}
 
     def __post_init__(self):
         if self.eps <= 0.0:
             raise ValueError("level value must be positive")
         if self.t_lo >= self.t_hi:
             raise ValueError("degenerate level piece")
-        if self.outward_sign not in (-1, 1):
-            raise ValueError("outward_sign must be +-1")
         self.weight.require_axis()
 
     def radius(self, t):
@@ -459,7 +439,7 @@ class LevelSetPiece(SurfacePiece):
         return np.sqrt((t - self.weight.t_star) ** 2 + 4.0 * self.eps)
 
     def dot_normal(self, Pt, Pr, t, r, f):
-        scale = self.outward_sign / np.sqrt(f)
+        scale = -1 / np.sqrt(f)
         return (Pt * scale * 0.5 * (t - self.weight.t_star)
                 + Pr * scale * 0.5 * r)
 
@@ -516,19 +496,12 @@ def minkowski_norm_sq(vec) -> float:
 
 def lateral_boundary(region: ExteriorRegionSpec) -> ConePiece:
     """Cone part of the exterior-region boundary (axis ray), from
-    t*/(1+sigma) to t*/(1-sigma), with the weight's zero set flagged at
-    both ends."""
+    t*/(1+sigma) to t*/(1-sigma), carrying the weight whose zero set sits
+    at both ends."""
     region.weight.require_axis()
     ts, sig = region.t_star, region.sigma
-    return ConePiece(
-        slope=sig,
-        t_lo=ts / (1.0 + sig),
-        t_hi=ts / (1.0 - sig),
-        outward_sign=1,
-        weight=region.weight,
-        singular_lo=True,
-        singular_hi=True,
-    )
+    return ConePiece(sig, ts / (1.0 + sig), ts / (1.0 - sig),
+                     weight=region.weight)
 
 
 # --------------------------------------------------------------------------

@@ -340,57 +340,33 @@ def finite_speed_check(result: RunResult, support_radius: float,
 
 def convergence_study(config: SolverConfig, data: InitialDataSpec, levels,
                       reference, t_ref: float, core_radius: float):
-    """Fitted convergence order of the weighted core L2 error at the grid
-    time nearest t_ref on each level.
-
-    `reference` is a callable (t, r) -> exact phi, or the string
-    "self", which compares each level against the finest one.
-    """
+    """Fitted convergence order of the weighted core L2 error against
+    `reference`, a callable (t, r) -> exact phi, at the grid time nearest
+    t_ref on each level."""
     if len(levels) < 2:
         raise ValueError("need at least two resolution levels")
     levels = sorted(levels)
     errors = []
-    drs = []
-    runs = {}
     for J in levels:
         cfg = SolverConfig(
             n=config.n, p=config.p, potential=config.potential, R=config.R,
             J=J, cfl=config.cfl, t0=config.t0, t_end=config.t_end,
             phi_max=config.phi_max, snapshot_times=(t_ref,),
             linear=config.linear)
-        runs[J] = evolve(cfg, data)
-        if not runs[J].snapshots:
+        run = evolve(cfg, data)
+        if not run.snapshots:
             raise ValueError(f"run at J={J} recorded no snapshot near t_ref")
-
-    def core_error(J, ref_fn):
-        t, phi, _ = runs[J].snapshots[0]
+        t, phi, _ = run.snapshots[0]
         dr = config.R / J
         r = np.arange(J + 1) * dr
         mask = r < core_radius
-        diff = phi[mask] - ref_fn(t, r[mask])
+        diff = phi[mask] - reference(t, r[mask])
         w = r[mask] ** (config.n - 1) * dr
-        return math.sqrt(float(np.sum(diff * diff * w)))
-
-    if reference == "self":
-        fine = runs[levels[-1]]
-        tf, phif, _ = fine.snapshots[0]
-        rf = np.arange(levels[-1] + 1) * (config.R / levels[-1])
-
-        def ref_fn(t, r):
-            return np.interp(r, rf, phif)
-
-        fit_levels = levels[:-1]
-    else:
-        ref_fn = reference
-        fit_levels = levels
-
-    for J in fit_levels:
-        errors.append(core_error(J, ref_fn))
-        drs.append(config.R / J)
+        errors.append(math.sqrt(float(np.sum(diff * diff * w))))
     if min(errors) == 0.0:
         # exact reproduction (e.g. zero data): no rate to fit
-        return math.nan, dict(zip(fit_levels, errors))
-    logs = np.log(np.asarray(drs))
+        return math.nan, dict(zip(levels, errors))
+    logs = np.log(np.asarray([config.R / J for J in levels]))
     loge = np.log(np.asarray(errors))
     slope = float(np.polyfit(logs, loge, 1)[0])
-    return slope, dict(zip(fit_levels, errors))
+    return slope, dict(zip(levels, errors))

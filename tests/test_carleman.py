@@ -9,12 +9,9 @@ from conewave import carleman
 from conewave.carleman import (
     CarlemanParams,
     box_region,
-    bulk_gamma,
-    clipped_exterior_region,
     flux_covector,
     frustum_region,
     inverted_frustum_region,
-    level_shell_region,
     verify_global,
     verify_shifted,
 )
@@ -62,6 +59,10 @@ def offcenter_gaussian(n, A, tc, rc, wt, wr):
     return ManufacturedField(
         n, closures_jet(*_offcenter_closures(n, A, tc, rc, wt, wr)),
         label="offgauss")
+
+
+def bulk_gamma(params, t, r):
+    return carleman._potential_and_gamma(params, t, r)[1]
 
 
 class TestBulkGamma:
@@ -166,13 +167,11 @@ class TestRegionLibrary:
         with pytest.raises(ValueError):
             frustum_region(0.0, 0.5, 2.0, 0.5, -1.0)  # cone under the cylinder
 
-    def test_five_families_construct(self):
+    def test_three_families_construct(self):
         regions = [
             box_region(-0.3, 0.3, 0.8, 1.6),
             frustum_region(0.1, 0.6, 0.9, 0.5, -3.0),
             inverted_frustum_region(0.1, 0.6, 2.5, 0.5, -2.0),
-            clipped_exterior_region(0.5, 1.0, 1e-3, 0.8, 1.6),
-            level_shell_region(ShiftedWeight(1.0), 0.01, 0.05, 0.8, 1.2),
         ]
         for region in regions:
             assert len(region.pieces) == 4
@@ -259,15 +258,10 @@ class TestVerifyGlobal:
     def test_all_region_families_pass(self):
         params = CarlemanParams(a=0.3, p=2.0, n=2)
         field = offcenter_gaussian(2, 0.9, 0.3, 1.2, 0.3, 0.3)
-        shift = ShiftedWeight(1.0)
-        sparams = CarlemanParams(a=0.3, p=2.0, n=2, shift=shift)
-        sfield = offcenter_gaussian(2, 0.9, 1.0, 0.8, 0.2, 0.2)
         cases = [
             (params, field, box_region(-0.3, 0.3, 0.8, 1.6)),
             (params, field, frustum_region(0.1, 0.6, 0.9, 0.5, -3.0)),
             (params, field, inverted_frustum_region(0.1, 0.6, 2.5, 0.5, -2.0)),
-            (sparams, sfield, clipped_exterior_region(0.5, 1.0, 1e-3, 0.8, 1.6)),
-            (sparams, sfield, level_shell_region(shift, 0.01, 0.05, 0.8, 1.2)),
         ]
         for prm, fld, region in cases:
             rep = verify_global(prm, fld, region)
@@ -511,16 +505,16 @@ class TestFrustumWeightCheck:
             if rng.random() < 0.5:
                 r0 = reach * rng.uniform(0.9, 1.1)
                 cone = ConePiece(slope, t0, t1, t_apex=t0 - 3.0 / slope)
-                region = carleman._sided_region(CylinderPiece(r0, t0, t1), cone)
+                sides = (CylinderPiece(r0, t0, t1), cone)
             else:
                 start = abs(t0 - ts) * rng.uniform(0.8, 1.3) + 1e-3
                 cone = ConePiece(slope, t0, t1, t_apex=t0 - start / slope)
-                region = carleman._sided_region(cone, CylinderPiece(5.0, t0, t1))
+                sides = (cone, CylinderPiece(5.0, t0, t1))
             tt = np.linspace(t0, t1, 4097)
-            rin = np.asarray(region.bulk.r_inner(tt))
+            rin = np.asarray(sides[0].radius(tt))
             scan_ok = not np.any(rin ** 2 - (tt - ts) ** 2 <= 0.0)
             try:
-                carleman._require_positive_weight(region, ShiftedWeight(ts))
+                carleman._sided_region(*sides, ShiftedWeight(ts))
                 exact_ok = True
             except ValueError:
                 exact_ok = False
@@ -537,16 +531,16 @@ def _rejects(builder, *args):
     return False
 
 
-def _sided_rejects(t0, t1, inner, outer, ts=None):
-    """An empty window, a slice end where 0 <= inner < outer fails, or (with
-    a weight centre ts) f <= 0 on the inner side at an end."""
+def _sided_rejects(t0, t1, inner, outer, ts):
+    """An empty window, a slice end where 0 <= inner < outer fails, or f <= 0
+    (weight centre ts) on the inner side at an end."""
     if not t0 < t1:
         return True
     for t in (t0, t1):
         lo, hi = inner(t), outer(t)
         if not 0.0 <= lo < hi:
             return True
-        if ts is not None and lo ** 2 - (t - ts) ** 2 <= 0.0:
+        if lo ** 2 - (t - ts) ** 2 <= 0.0:
             return True
     return False
 
@@ -555,12 +549,8 @@ def _cylinder(r0):
     return lambda t: r0
 
 
-def _cone(slope, t_apex=0.0):
+def _cone(slope, t_apex):
     return lambda t: slope * (t - t_apex)
-
-
-def _level(ts, eps):
-    return lambda t: math.sqrt((t - ts) * (t - ts) + 4.0 * eps)
 
 
 def _box_rejects(t0, t1, r0, r1, shift):
@@ -577,24 +567,6 @@ def _inverted_rejects(t0, t1, r1, slope, t_apex, shift):
     return (not 0.0 < slope < 1.0
             or _sided_rejects(t0, t1, _cone(slope, t_apex), _cylinder(r1),
                               shift.t_star))
-
-
-def _clipped_rejects(sigma, ts, eps, t0, t1):
-    if not (0.0 < sigma < 1.0 and ts > 0.0 and eps > 0.0):
-        return True
-    disc = sigma * sigma * ts * ts - 4.0 * eps * (1.0 - sigma * sigma)
-    if disc <= 0.0:
-        return True
-    root = math.sqrt(disc)
-    t0 = max(t0, (ts - root) / (1.0 - sigma * sigma))
-    t1 = min(t1, (ts + root) / (1.0 - sigma * sigma))
-    return _sided_rejects(t0, t1, _level(ts, eps), _cone(sigma))
-
-
-def _shell_rejects(shift, eps0, eps1, t0, t1):
-    return (not 0.0 < eps0 < eps1
-            or _sided_rejects(t0, t1, _level(shift.t_star, eps0),
-                              _level(shift.t_star, eps1)))
 
 
 def _random_family_inputs(rng):
@@ -616,18 +588,11 @@ def _random_family_inputs(rng):
 def _builder_cases(rng):
     shift, t0, t1, r0, r1, slope = _random_family_inputs(rng)
     reach = float(rng.uniform(0.5, 1.5))
-    sigma, ts = float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.5, 2.0))
-    eps_max = sigma * sigma * ts * ts / (4.0 * (1.0 - sigma * sigma))
-    eps = eps_max * float(rng.uniform(-0.1, 1.1))
-    c0, c1 = sorted(float(v) for v in rng.uniform(0.0, 2.5 * ts, 2))
-    eps0, eps1 = eps_max * rng.uniform(-0.1, 1.0, 2)
     return [
         ("box", (t0, t1, r0, r1, shift)),
         ("frustum", (t0, t1, r0, slope, t0 - r1 / slope, shift)),
         ("frustum", (t0, t1, r0, slope, t0 - reach * r0 / slope, shift)),
         ("inverted", (t0, t1, r1, slope, t0 - r0 / slope, shift)),
-        ("clipped", (sigma, ts, eps, c0, c1)),
-        ("shell", (ShiftedWeight(ts), float(eps0), float(eps1), c0, c1)),
     ]
 
 
@@ -635,8 +600,6 @@ _BUILDERS = {
     "box": (box_region, _box_rejects),
     "frustum": (frustum_region, _frustum_rejects),
     "inverted": (inverted_frustum_region, _inverted_rejects),
-    "clipped": (clipped_exterior_region, _clipped_rejects),
-    "shell": (level_shell_region, _shell_rejects),
 }
 
 _EDGE_CASES = [
@@ -655,16 +618,6 @@ _EDGE_CASES = [
     ("inverted", (0.2, 0.4, 1.5, 0.5, -0.5, UNSHIFTED), False),
     ("inverted", (0.0, 1.0, 1.5, 0.5, -2.0, UNSHIFTED), True),  # cone = r1 at t1
     ("inverted", (0.0, 1.0, 1.5, 0.5, 0.5, UNSHIFTED), True),   # cone below the axis
-    ("clipped", (0.5, 1.0, 1e-3, 0.8, 1.6), False),
-    ("clipped", (0.5, 1.0, 0.0, 0.8, 1.6), True),       # eps = 0
-    ("clipped", (0.5, 1.0, 1.0, 0.8, 1.6), True),       # empty region
-    ("clipped", (0.5, 1.0, 1e-3, 5.0, 6.0), True),      # clip misses it
-    ("clipped", (1.0, 1.0, 1e-3, 0.8, 1.6), True),      # null cone
-    ("shell", (ShiftedWeight(1.0), 0.01, 0.05, 0.8, 1.2), False),
-    ("shell", (ShiftedWeight(1.0), 0.0, 0.05, 0.8, 1.2), True),
-    ("shell", (ShiftedWeight(1.0), 0.05, 0.05, 0.8, 1.2), True),
-    ("shell", (ShiftedWeight(1.0), 0.01, 0.05, 0.8, 0.8), True),
-    ("shell", (ShiftedWeight(0.0), 1e-20, 2e-20, 1.0, 2.0), True),  # equal radii
 ]
 
 

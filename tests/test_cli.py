@@ -229,6 +229,76 @@ class TestConfigParsing:
         assert not (out / "summary").exists()
 
 
+def _no_solver_run(*args, **kwargs):
+    raise AssertionError("the solver ran before validation")
+
+
+class TestValidationBeforeAnyRun:
+    """Bad values exit 2 naming the key, before the solver runs."""
+
+    def test_strict_decay_needs_two_horizons(self, tmp_path, capsys,
+                                             monkeypatch):
+        # before: an uncaught IndexError (exit 1) after the whole run
+        monkeypatch.setattr(cli, "evolve", _no_solver_run)
+        text = DECAY.replace("horizons = 2 4 8 16", "horizons = 4")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run(["decay", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: [verify] strict = true needs at least two " \
+            "[diagnostics] horizons" in err
+        assert not (out / "decay.csv").exists()
+        assert parse_config(write_config(
+            tmp_path / "d.cfg", text.replace("horizons = 4",
+                                             "horizons = 4 8"))).strict
+        assert not parse_config(write_config(
+            tmp_path / "e.cfg", text.replace("strict = true",
+                                             "strict = false"))).strict
+
+    @pytest.mark.parametrize("t_star", ["-0.5", "-0.05 -0.5"])
+    def test_pot_alpha_is_checked_at_every_t_star(self, tmp_path, capsys,
+                                                  monkeypatch, t_star):
+        # |eps| |t*| = 0.1 > alpha = 0.01 at t* = -0.5; before, exit 0
+        monkeypatch.setattr(cli, "evolve", _no_solver_run)
+        text = BASE.replace("potential = constant", "potential = perturbed\n"
+                            "pot_eps = 0.2\npot_alpha = 0.01")
+        text = text.replace("sigma0 = 0.25", "sigma0 = 0.25\n"
+                            f"field_source = ode\nt_star = {t_star}")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run(["energy-profile", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: [problem] pot_alpha too small for t_star = -0.5: " \
+            "|grad V| t* = 0.1 exceeds alpha = 0.01" in err
+        assert not (out / "profile.csv").exists()
+        for alpha in ("0.1", "inf"):
+            ok = text.replace("pot_alpha = 0.01", f"pot_alpha = {alpha}")
+            parse_config(write_config(tmp_path / "ok.cfg", ok))
+
+    @pytest.mark.parametrize("cases", ["-3", "0"])
+    def test_cases_below_1(self, tmp_path, capsys, cases):
+        # before: no case ran, and the summary read status=pass, exit 0
+        cfg = write_config(tmp_path / "c.cfg",
+                           BASE.replace("cases = 12", f"cases = {cases}"))
+        out = tmp_path / "out"
+        assert run(["verify-carleman", "--config", cfg, "--out", str(out)]) == 2
+        assert "error: [verify] cases must be at least 1" in \
+            capsys.readouterr().err
+        assert not (out / "summary").exists()
+
+    def test_cells_below_4(self, tmp_path, capsys, monkeypatch):
+        # before: rejected by QuadratureSpec after the whole solver run,
+        # with a message that named no key
+        monkeypatch.setattr(cli, "evolve", _no_solver_run)
+        text = BASE.replace("sigma0 = 0.25", "sigma0 = 0.25\ncells = 2\n"
+                            "field_source = run\nt_star = -0.5")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        assert run(["energy-profile", "--config", cfg, "--out",
+                    str(tmp_path / "out")]) == 2
+        assert "error: [diagnostics] cells must be at least 4" in \
+            capsys.readouterr().err
+
+
 class TestSimulate:
     def test_zero_data_completes(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", BASE)

@@ -157,7 +157,7 @@ class TestNormals:
         # restricted to the level set, oriented toward decreasing f
         w = ShiftedWeight(t_star=1.0)
         eps = 0.04
-        piece = LevelSetPiece(w, eps, 0.5, 1.5, outward_sign=-1)
+        piece = LevelSetPiece(w, eps, 0.5, 1.5)
         t = 1.0
         r = 2.0 * math.sqrt(eps)
         N = components(piece, t, r, w.value_radial(t, r))

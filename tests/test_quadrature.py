@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from conewave.exact_solutions import smoothstep
-from conewave.fields import ManufacturedField
+from conewave.fields import ManufacturedField, PotentialSpec
 from conewave.carleman import vanishing_flux_probe
 from conewave.geometry import (
     ConePiece,
@@ -407,13 +407,17 @@ def _compact_bump_field(n, r_lo, r_hi, t_lo, t_hi, amplitude=1.0):
                              label="compact")
 
 
+V1 = PotentialSpec.constant(1.0)
+
+
 class TestFluxProbe:
     def test_zero_field(self):
         from conewave.fields import zero_field
 
         ext = ExteriorRegionSpec(0.5, 1.0)
         vals = vanishing_flux_probe(ext, zero_field(3), 0.25,
-                                    [1e-2, 1e-3, 1e-4], p=2.0, n=3)
+                                    [1e-2, 1e-3, 1e-4], p=2.0, potential=V1,
+                                    n=3)
         assert vals == [0.0, 0.0, 0.0]
 
     def test_constant_field_decays(self):
@@ -421,7 +425,8 @@ class TestFluxProbe:
 
         ext = ExteriorRegionSpec(0.5, 1.0)
         vals = vanishing_flux_probe(ext, constant_field(1.0, 3), 0.25,
-                                    [1e-2, 1e-3, 1e-4], p=2.0, n=3)
+                                    [1e-2, 1e-3, 1e-4], p=2.0, potential=V1,
+                                    n=3)
         mags = [abs(v) for v in vals]
         assert mags[0] > mags[1] > mags[2]
         # leading term ~ eps^{2a} * sqrt(eps) measure vs eps^{-1/2} integrand:
@@ -433,7 +438,8 @@ class TestFluxProbe:
         # null cone r = |t - t*|: small-eps level sets never meet it
         ext = ExteriorRegionSpec(0.8, 1.0)
         fld = _compact_bump_field(3, 0.55, 0.75, 0.9, 1.1)
-        vals = vanishing_flux_probe(ext, fld, 0.25, [1e-4, 1e-5], p=2.0, n=3)
+        vals = vanishing_flux_probe(ext, fld, 0.25, [1e-4, 1e-5], p=2.0,
+                                    potential=V1, n=3)
         # within the bump's t-window the eps = 1e-4 level sits at
         # r <= sqrt(0.01 + 4e-4) < 0.11 << 0.55
         assert vals[0] == 0.0
@@ -444,7 +450,8 @@ class TestFluxProbe:
 
         ext = ExteriorRegionSpec(0.5, 1.0)
         with pytest.raises(ValueError):
-            vanishing_flux_probe(ext, zero_field(3), 0.25, [1e-4, 1e-3])
+            vanishing_flux_probe(ext, zero_field(3), 0.25, [1e-4, 1e-3],
+                                 p=2.0, potential=V1, n=3)
 
 
 def _reference_level_loop(t_window, r_inner, r_outer, integrand, q, n,

@@ -458,19 +458,11 @@ class TestConvergence:
             reference=lambda t, r: 0.0 * r, t_ref=0.25, core_radius=1.0)
         assert all(v == 0.0 for v in errors.values())
 
-    def test_self_reference_mode(self):
-        cfg = SolverConfig(n=3, p=2.0, R=4.0, t0=-1.0, t_end=0.0,
-                           record_energy=False)
-        data = InitialDataSpec.truncated_ode(2.0, 0.25)
-        order, _ = convergence_study(cfg, data, (256, 512, 1024, 2048),
-                                     reference="self", t_ref=-0.3,
-                                     core_radius=0.5)
-        assert order == pytest.approx(2.0, abs=0.45)
-
     def test_needs_two_levels(self):
         cfg = SolverConfig(n=1, J=64, R=4.0, t0=0.0, t_end=0.5)
         with pytest.raises(ValueError):
-            convergence_study(cfg, zero_data(), (64,), "self", 0.2, 1.0)
+            convergence_study(cfg, zero_data(), (64,),
+                              lambda t, r: 0.0 * r, 0.2, 1.0)
 
 
 class TestStability:
