@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .fields import ManufacturedField, PotentialSpec, signed_power
+from .fields import ManufacturedField, PotentialSpec
 from .geometry import (
     AdmissibleRegionSpec,
     BulkRegion,
@@ -241,13 +241,28 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
     a, p, n = params.a, params.p, params.n
 
     def integrand(t, r):
-        """Both bulk sides, from one field jet per node."""
+        """Both bulk sides, from one field jet per node and two powers:
+        f^{2a} and |phi|^p, which give f^{2a+1}, |phi|^{p+1} and the
+        signed power."""
         f = params.weight_value(t, r)
         ph, _, _, box = fieldobj.jet(t, r)
         V, gamma = _potential_and_gamma(params, t, r)
-        lhs = (f ** (2 * a) * V * gamma * np.abs(ph) ** (p + 1.0)) / (p + 1.0)
-        rhs = f ** (2 * a + 1.0) * (box + V * signed_power(ph, p)) ** 2 / (8.0 * a)
-        return lhs, rhs
+        f2a = f ** (2 * a)
+        mag = np.abs(ph)
+        powp = mag ** p
+        mag *= powp                                 # |phi|^{p+1}
+        lhs = f2a * V
+        lhs *= gamma
+        lhs *= mag
+        lhs /= p + 1.0
+        np.copysign(powp, ph, out=powp)
+        powp *= V
+        powp += box                                 # box_V phi
+        np.square(powp, out=powp)
+        f *= f2a                                    # f^{2a+1}
+        f *= powp
+        f /= 8.0 * a
+        return lhs, f
 
     lhs, rhs = integrate_bulk(region.bulk, integrand, q, n)
 

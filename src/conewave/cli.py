@@ -19,8 +19,8 @@ import numpy as np
 
 from . import carleman, energetics
 from .exact_solutions import InitialDataSpec
-from .fields import (ManufacturedField, PotentialSpec, ode_field,
-                     polynomial_gaussian, traveling_bump)
+from .fields import (ManufacturedField, PotentialSpec, gaussian_rows,
+                     ode_field, polynomial_gaussian, traveling_bump)
 from .geometry import ShiftedWeight
 from .quadrature import NonFiniteSample, QuadratureSpec
 from .solver import SolverConfig, evolve, finite_speed_check
@@ -184,6 +184,9 @@ def parse_config(path) -> RunConfig:
     cfg.horizons = get("diagnostics", "horizons", _floats, cfg.horizons)
     cfg.window = get("diagnostics", "window", _floats, cfg.window)
     cfg.field_source = get("diagnostics", "field_source", str, cfg.field_source)
+    if cfg.field_source not in ("run", "ode"):
+        raise ConfigError("[diagnostics] field_source must be run or ode, "
+                          f"got {cfg.field_source!r}")
     cfg.cells = get("diagnostics", "cells", int, cfg.cells)
     cfg.ratio_band = get("diagnostics", "ratio_band", float, cfg.ratio_band)
     cfg.cases = get("verify", "cases", int, cfg.cases)
@@ -230,14 +233,7 @@ def _validate(cfg: RunConfig):
     if cfg.strict and len(cfg.horizons) < 2:
         raise ConfigError("[verify] strict = true needs at least two "
                           "[diagnostics] horizons")
-    pot = cfg.potential
-    for ts in cfg.t_star if pot.kind == "perturbed" else ():
-        try:  # the smallness condition |grad V| |t*| <= alpha
-            PotentialSpec.perturbed(pot.c0, pot.eps, pot.center, pot.width,
-                                    pot.alpha, t_star=ts)
-        except ValueError as exc:
-            raise ConfigError(f"[problem] pot_alpha too small for t_star = "
-                              f"{ts!r}: {exc}") from None
+    _require_small_potential(cfg, cfg.t_star, "t_star")
     # causal buffer: outer boundary must not influence any diagnostic
     # region; the Dirichlet wall's influence travels at the stencil speed
     # dr/dt, bounded by the radial operator norm (about 2n/dr^2 at the
@@ -263,6 +259,20 @@ def _validate(cfg: RunConfig):
             raise ConfigError(
                 f"domain radius {cfg.R} too small for the causal buffer "
                 f"(needs >= {needed:g})")
+
+
+def _require_small_potential(cfg: RunConfig, times, name):
+    """The smallness condition |grad V| |t| <= pot_alpha of a perturbed
+    potential at each diagnostic time; `name` says where the times came
+    from."""
+    pot = cfg.potential
+    for ts in times if pot.kind == "perturbed" else ():
+        try:
+            PotentialSpec.perturbed(pot.c0, pot.eps, pot.center, pot.width,
+                                    pot.alpha, t_star=ts)
+        except ValueError as exc:
+            raise ConfigError(f"[problem] pot_alpha too small for {name} = "
+                              f"{ts!r}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -370,15 +380,23 @@ def _random_case(rng, forced_a=None):
 
 def _offcenter_gaussian(n, A, tc, rc, wt, wr) -> ManufacturedField:
     """Gaussian bump centered off the axis; fine on regions with r > 0."""
+    rows = gaussian_rows(A, tc, wt)
+    kr = 1.0 / wr ** 2
+    hr, kr2 = -0.5 * kr, kr * kr
 
     def jet(t, r):
-        g = A * np.exp(-(t - tc) ** 2 / (2 * wt ** 2)
-                       - (r - rc) ** 2 / (2 * wr ** 2))
-        phi_r = -(r - rc) / wr ** 2 * g
-        phitt = ((t - tc) ** 2 / wt ** 4 - 1.0 / wt ** 2) * g
-        phirr = ((r - rc) ** 2 / wr ** 4 - 1.0 / wr ** 2) * g
-        return (g, -(t - tc) / wt ** 2 * g, phi_r,
-                -phitt + phirr + (n - 1) / r * phi_r)
+        et, ct, bt = rows(t)
+        x = r - rc
+        x2 = x * x
+        g = np.exp(x2 * hr)
+        g *= et
+        x *= -kr
+        x *= g                      # phi_r
+        x2 *= kr2
+        x2 += bt - kr
+        x2 *= g
+        x2 += (n - 1) / r * x
+        return g, ct * g, x, x2
 
     return ManufacturedField(n, jet, label=f"offgauss(A={A:.3g})")
 
@@ -414,6 +432,13 @@ def _scenario_verify_carleman(cfg: RunConfig, outdir, threads=1):
 
 def _diagnostic_field(cfg: RunConfig):
     if cfg.field_source == "ode":
+        # the ODE profile solves the equation with V = 1 only
+        if cfg.potential.kind != "constant":
+            raise ConfigError("[problem] potential must be constant with "
+                              "field_source = ode")
+        if cfg.potential.c0 != 1.0:
+            raise ConfigError("[problem] c0 must be 1 with field_source = "
+                              f"ode, got {cfg.potential.c0!r}")
         return ode_field(cfg.p, cfg.n)
     if cfg.data is None:
         raise ConfigError("field_source=run requires a [data] section")
@@ -446,12 +471,21 @@ def _scenario_verify_localized(cfg: RunConfig, outdir):
     return 0 if (finite and stable) else 3
 
 
+def _diagnostic_times(cfg: RunConfig):
+    """The times of energy-profile and rate-fit: `t_star`, or else the
+    negative snapshot times, checked against pot_alpha as `t_star` is."""
+    if cfg.t_star:
+        return cfg.t_star
+    times = tuple(t for t in cfg.snapshot_times if t < 0)
+    _require_small_potential(cfg, times, "snapshot time")
+    return times
+
+
 def _scenario_energy_profile(cfg: RunConfig, outdir):
-    fieldobj = _diagnostic_field(cfg)
-    times = cfg.t_star if cfg.t_star else tuple(
-        t for t in cfg.snapshot_times if t < 0)
+    times = _diagnostic_times(cfg)
     if not times:
         raise ConfigError("no diagnostic times available")
+    fieldobj = _diagnostic_field(cfg)
     rows = energetics.energy_profile(fieldobj, cfg.sigma0, cfg.sigma1,
                                      cfg.gamma, cfg.eta, times, cfg.p, cfg.n,
                                      cfg.quadrature)
@@ -463,11 +497,10 @@ def _scenario_energy_profile(cfg: RunConfig, outdir):
 
 
 def _scenario_rate_fit(cfg: RunConfig, outdir):
-    fieldobj = _diagnostic_field(cfg)
-    times = cfg.t_star if cfg.t_star else tuple(
-        t for t in cfg.snapshot_times if t < 0)
+    times = _diagnostic_times(cfg)
     if len(times) < 3:
         raise ConfigError("rate fit needs at least 3 diagnostic times")
+    fieldobj = _diagnostic_field(cfg)
     vals = [energetics.weighted_ball_quantity(fieldobj, t, cfg.p, cfg.n,
                                         cfg.quadrature)[0] for t in times]
     window = cfg.window if cfg.window else None

@@ -23,6 +23,7 @@ __all__ = [
     "zero_field",
     "constant_field",
     "ode_field",
+    "gaussian_rows",
     "gaussian_pulse",
     "polynomial_gaussian",
     "traveling_bump",
@@ -132,15 +133,20 @@ class ManufacturedField:
     operator box = -d_tt + d_rr + (n-1)/r d_r (regularized at r = 0).
 
     `evaluate(t, r)` returns the jet (phi, phi_t, phi_r, box) from one
-    evaluation of the field's profile."""
+    evaluation of the field's profile, each array of the broadcast shape
+    of (t, r); r comes broadcast to that shape, so the profile may work in
+    place on arrays derived from it."""
 
     dim: int
     evaluate: Callable
     label: str = ""
 
     def jet(self, t, r):
-        return self.evaluate(np.asarray(t, dtype=float),
-                             np.asarray(r, dtype=float))
+        t = np.asarray(t, dtype=float)
+        r = np.asarray(r, dtype=float)
+        shape = np.broadcast(t, r).shape
+        return self.evaluate(t, r if r.shape == shape
+                             else np.broadcast_to(r, shape))
 
     def value(self, t, r):
         return self.jet(t, r)[0]
@@ -181,17 +187,40 @@ def ode_field(p, n=3):
     return ManufacturedField(n, jet, label=f"ode(p={p})")
 
 
+def gaussian_rows(amplitude, t_center, t_width):
+    """The t-only factors of a gaussian A exp(-(t - tc)^2 / (2 wt^2)) g_r(r):
+    rows(t) gives that t factor, phi_t / phi and -phi_tt / phi, one
+    evaluation per mesh row when t is a (rows, 1) column."""
+    kt = 1.0 / t_width ** 2
+
+    def rows(t):
+        dt = t - t_center
+        ct = -kt * dt
+        return amplitude * np.exp(0.5 * ct * dt), ct, kt - ct * ct
+
+    return rows
+
+
 def gaussian_pulse(n=3, amplitude=1.0, t_center=0.0, t_width=1.0, r_width=1.0):
     """Even-in-r separable gaussian, C^infty including the axis."""
     A, tc, wt, wr = float(amplitude), float(t_center), float(t_width), float(r_width)
+    rows = gaussian_rows(A, tc, wt)
+    kr = 1.0 / wr ** 2
+    hr, kr2 = -0.5 * kr, kr * kr
 
     def jet(t, r):
-        g = A * np.exp(-(t - tc) ** 2 / (2 * wt ** 2) - r * r / (2 * wr ** 2))
-        # (n-1)/r d_r phi = -(n-1)/wr^2 phi exactly; no axis singularity
-        phitt = ((t - tc) ** 2 / wt ** 4 - 1.0 / wt ** 2) * g
-        phirr = (r * r / wr ** 4 - 1.0 / wr ** 2) * g
-        return (g, -(t - tc) / wt ** 2 * g, -r / wr ** 2 * g,
-                -phitt + phirr - (n - 1) / wr ** 2 * g)
+        et, ct, bt = rows(t)
+        x2 = r * r
+        g = np.exp(x2 * hr)
+        g *= et
+        phi_r = r * -kr
+        phi_r *= g
+        # (n-1)/r d_r phi = -(n-1)/wr^2 phi exactly: folded into the row
+        # constant, so the axis is regular
+        x2 *= kr2
+        x2 += bt - n * kr
+        x2 *= g
+        return g, ct * g, phi_r, x2
 
     return ManufacturedField(n, jet, label=f"gauss(A={A},tc={tc})")
 
@@ -203,13 +232,19 @@ def polynomial_gaussian(n=3, amplitude=1.0, t_center=0.0, t_width=1.0,
     base = gaussian_pulse(n, A, tc, wt, wr)
 
     def jet(t, r):
-        g, gt, gr, gbox = base.evaluate(t, r)
-        q = 1.0 + c1 * (t - tc) + c2 * (t - tc) ** 2
-        dq = c1 + 2.0 * c2 * (t - tc)
-        gtt = ((t - tc) ** 2 / wt ** 4 - 1.0 / wt ** 2) * g
-        phitt = 2.0 * c2 * g + 2.0 * dq * gt + q * gtt
-        spatial = q * (gbox + gtt)  # base spatial part
-        return q * g, dq * g + q * gt, q * gr, -phitt + spatial
+        g, gt, phi_r, box = base.evaluate(t, r)
+        dt = t - tc
+        q = 1.0 + c1 * dt + c2 * (dt * dt)
+        dq = c1 + 2.0 * c2 * dt
+        # box(q g) = q box g - q'' g - 2 q' g_t
+        box *= q
+        box -= (2.0 * c2) * g
+        box -= (2.0 * dq) * gt
+        phi_r *= q
+        gt *= q
+        gt += dq * g
+        g *= q
+        return g, gt, phi_r, box
 
     return ManufacturedField(n, jet, label=f"polygauss(A={A})")
 
@@ -217,14 +252,22 @@ def polynomial_gaussian(n=3, amplitude=1.0, t_center=0.0, t_width=1.0,
 def traveling_bump(n=3, amplitude=1.0, speed=0.5, offset=2.0, width=0.3):
     """Radially traveling gaussian bump; not even in r, keep it off the axis."""
     A, v, d, w = float(amplitude), float(speed), float(offset), float(width)
+    k = 1.0 / (w * w)
+    h, k2, sv = -0.5 * k, k * k, 1.0 - v * v
 
     def jet(t, r):
-        s = r - v * t - d
-        g = A * np.exp(-s ** 2 / (2 * w * w))
-        phi_r = -s / (w * w) * g
-        sec = (s * s / w ** 4 - 1.0 / (w * w)) * g
-        return (g, v * s / (w * w) * g, phi_r,
-                -(v * v) * sec + sec + (n - 1) / r * phi_r)
+        x = r - (v * t + d)
+        x2 = x * x
+        g = np.exp(x2 * h)
+        g *= A
+        x *= -k
+        x *= g                      # phi_r
+        x2 *= k2
+        x2 -= k
+        x2 *= g                     # phi_rr, and phi_tt = v^2 phi_rr
+        x2 *= sv
+        x2 += (n - 1) / r * x
+        return g, -v * x, x, x2
 
     return ManufacturedField(n, jet, label=f"travel(v={v})")
 

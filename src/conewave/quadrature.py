@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,8 +146,19 @@ def _edge_distances(length, cells, q, order):
     return _cell_nodes(bp, order)
 
 
+@lru_cache(maxsize=256)
+def _unit_rule(cells, order, q=1.0, singular_lo=False, singular_hi=False):
+    """Composite nodes and weights on [0, 1] (`_breakpoints`, then
+    `_cell_nodes`), built once per (cells, order, grading, flags) and shared
+    read-only by every caller."""
+    rule = _cell_nodes(_breakpoints(cells, q, singular_lo, singular_hi), order)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _interval_nodes(a, b, cells, order, q=1.0, singular_lo=False, singular_hi=False):
-    rel, w = _cell_nodes(_breakpoints(cells, q, singular_lo, singular_hi), order)
+    rel, w = _unit_rule(cells, order, q, singular_lo, singular_hi)
     return a + (b - a) * rel, (b - a) * w
 
 
@@ -193,27 +205,38 @@ def _refine(level, q: QuadratureSpec):
     return result(values[-1], values[-2])
 
 
-def _weighted_sums(integrand, T, R, meas, axis=None):
-    """sum(meas * vals) for the integrand's values on the nodes (T, R),
-    over the whole mesh, or per row with `axis=1`.
+def _weighted_sums(integrand, T, mesh, cols, axis=None):
+    """sum(meas * vals) for the integrand's values on a mesh of len(T) rows
+    of `cols` nodes, over the whole mesh, or per row with `axis=1`.
 
-    T is a (rows, 1) column, one time per row of R. The integrand is called
-    on blocks of whole rows of about BLOCK_NODES nodes, so its temporaries
-    stay small; the values go into full-size buffers that are checked and
-    summed whole, each multiplied by `meas` in place. An integrand returning
-    a tuple of arrays gives a tuple of sums, one per array."""
-    step = max(1, BLOCK_NODES // R[0].size)
-    bufs = None
-    for lo in range(0, len(R), step):
-        out = integrand(T[lo:lo + step], R[lo:lo + step])
+    T is a (rows, 1) column, one time per row; `mesh(rows)` gives the radii
+    R and the measure of a slice of rows. The mesh and the integrand are
+    evaluated on blocks of whole rows of about BLOCK_NODES nodes, so their
+    temporaries stay small, and meas * vals goes into one full-size buffer
+    per output that is summed once: the sums have the bits of a whole-mesh
+    pass whatever the block size. Non-finite values are reported as a
+    whole-mesh pass meets them: every block evaluated, then the outputs in
+    order, each in row order. An integrand returning a tuple of arrays gives
+    a tuple of sums, one per array."""
+    step = max(1, BLOCK_NODES // cols)
+    bufs = bad = None
+    for lo in range(0, len(T), step):
+        rows = slice(lo, lo + step)
+        R, meas = mesh(rows)
+        out = integrand(T[rows], R)
         several = isinstance(out, tuple)
         outs = out if several else (out,)
         if bufs is None:
-            bufs = [np.empty(R.shape) for _ in outs]
-        for buf, vals in zip(bufs, outs):
-            buf[lo:lo + step] = vals
-    sums = [np.sum(np.multiply(meas, _check_finite(vals, T, R), out=vals),
-                   axis=axis) for vals in bufs]
+            bufs = [np.empty((len(T), cols)) for _ in outs]
+            bad = [None] * len(outs)
+        for k, (buf, vals) in enumerate(zip(bufs, outs)):
+            np.multiply(meas, vals, out=buf[rows])
+            if bad[k] is None and not np.isfinite(vals).all():
+                bad[k] = (np.broadcast_to(vals, R.shape), T[rows], R)
+    for args in bad:
+        if args is not None:
+            _check_finite(*args)
+    sums = [np.sum(buf, axis=axis) for buf in bufs]
     return tuple(sums) if several else sums[0]
 
 
@@ -238,13 +261,16 @@ def integrate_slices(times, r_lo, r_hi, integrand, q: QuadratureSpec,
         raise ValueError(f"slice bounds reversed: r_hi = {float(hi[i])!r} "
                          f"< r_lo = {float(lo[i])!r}")
     live = np.flatnonzero(hi > lo)
-    span, om = (hi - lo)[live, None], sphere_area(n)
+    base, span, om = lo[live, None], (hi - lo)[live, None], sphere_area(n)
 
     def level(factor):
         rel, w = _Mesh(q, factor).radial(0.0, 1.0)
-        R = lo[live, None] + span * rel
-        sums = _weighted_sums(integrand, T[live], R,
-                              span * w * om * R ** (n - 1), axis=1)
+
+        def mesh(rows):
+            R = base[rows] + span[rows] * rel
+            return R, span[rows] * w * om * R ** (n - 1)
+
+        sums = _weighted_sums(integrand, T[live], mesh, rel.size, axis=1)
         return tuple(zip(*sums) if isinstance(sums, tuple) else sums), rel.size
 
     try:
@@ -279,17 +305,22 @@ def integrate_profile(t_window, r_inner, r_outer, integrand,
         tn, tws = _interval_nodes(t_window[0], t_window[1],
                                   factor * q.cells_t, order, grade,
                                   singular_t[0], singular_t[1])
-        rlo = np.asarray(r_inner(tn), dtype=float)
-        rhi = np.asarray(r_outer(tn), dtype=float)
-        rel, rw_rel = _cell_nodes(_breakpoints(factor * q.cells_r, grade,
-                                               singular_r[0], singular_r[1]),
-                                  order)
-        span = (rhi - rlo)[:, None]
-        RR = rlo[:, None] + span * rel[None, :]
-        meas = tws[:, None] * span * rw_rel[None, :]
-        meas *= om
-        meas *= RR ** (n - 1)
-        return _weighted_sums(integrand, tn[:, None], RR, meas), RR.size
+        rlo = np.asarray(r_inner(tn), dtype=float)[:, None]
+        rhi = np.asarray(r_outer(tn), dtype=float)[:, None]
+        rel, rw_rel = _unit_rule(factor * q.cells_r, order, grade,
+                                 singular_r[0], singular_r[1])
+        span = rhi - rlo
+        wspan = tws[:, None] * span
+
+        def mesh(rows):
+            R = rlo[rows] + span[rows] * rel
+            meas = wspan[rows] * rw_rel
+            meas *= om
+            meas *= R ** (n - 1)
+            return R, meas
+
+        return (_weighted_sums(integrand, tn[:, None], mesh, rel.size),
+                tn.size * rel.size)
 
     return _refine(level, q)
 

@@ -1,8 +1,11 @@
 """Every exported name resolves, so an export left behind by a deletion
 fails here and not in a user's star import."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -38,3 +41,22 @@ def test_only_cli_exports_csv_writers(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert [n for n in namespace if "csv" in n.lower()] == []
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # runtime dependencies stay numpy-only: every import statement of every
+    # module, function-level ones included
+    allowed = set(sys.stdlib_module_names) | {"numpy", "__future__"}
+    found = {}
+    for path in sorted(pathlib.Path(conewave.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # a relative import stays in the package
+            for name in names:
+                found.setdefault(name.split(".")[0], set()).add(path.name)
+    assert "numpy" in found
+    assert {k: sorted(v) for k, v in found.items() if k not in allowed} == {}

@@ -21,7 +21,6 @@ from conewave.fields import (
     PotentialSpec,
     constant_field,
     gaussian_pulse,
-    signed_power,
     zero_field,
 )
 from conewave.geometry import (
@@ -33,7 +32,7 @@ from conewave.geometry import (
 )
 from conewave.geometry import lateral_boundary
 from conewave.quadrature import QuadratureSpec, integrate_bulk, integrate_surface
-from tests_helpers import box_bulk, closures_jet
+from tests_helpers import box_bulk, closures_jet, offcenter_closures
 
 
 def _offcenter_closures(n, A, tc, rc, wt, wr):
@@ -314,9 +313,18 @@ def _reference_bulk_gamma(params, t, r):
     return (-ft * Vt + fr * Vr) / V + const
 
 
+def _power_sides(phi, box, V, p):
+    """(|phi|^{p+1}, box_V phi) of the integrand's arithmetic: |phi|^p
+    times |phi|, and box + V copysign(|phi|^p, phi)."""
+    return (np.abs(phi) ** p * np.abs(phi),
+            box + V * np.copysign(np.abs(phi) ** p, phi))
+
+
 class TestVerifyGlobalOnePass:
     """Both bulk sides from one mesh pass give the bits of two separate
-    single-integrand passes, each evaluating the field per component."""
+    single-integrand passes, each evaluating the field per component: the
+    lhs f^{2a} V Gamma |phi|^{p+1} / (p+1), the rhs f^{2a} f (box_V phi)^2
+    / (8a), with f^{2a} and |phi|^p as the only powers."""
 
     SHIFT = ShiftedWeight(0.05)
     REGIONS = {
@@ -339,19 +347,20 @@ class TestVerifyGlobalOnePass:
                                 potential=self.POTENTIALS[potential],
                                 shift=self.SHIFT)
         a, p = params.a, params.p
-        phi, _, _, box = _offcenter_closures(3, 0.8, 0.0, 1.0, 0.3, 0.35)
+        phi, _, _, box = offcenter_closures(3, 0.8, 0.0, 1.0, 0.3, 0.35)
 
         def lhs_integrand(t, r):
             f = params.weight_value(t, r)
             V = params.potential.value(t, r)
+            power = _power_sides(phi(t, r), box(t, r), V, p)[0]
             return (f ** (2 * a) * V * _reference_bulk_gamma(params, t, r)
-                    * np.abs(phi(t, r)) ** (p + 1.0)) / (p + 1.0)
+                    * power / (p + 1.0))
 
         def rhs_integrand(t, r):
             f = params.weight_value(t, r)
-            box_v = box(t, r) + params.potential.value(t, r) * signed_power(
-                phi(t, r), p)
-            return f ** (2 * a + 1.0) * box_v ** 2 / (8.0 * a)
+            box_v = _power_sides(phi(t, r), box(t, r),
+                                 params.potential.value(t, r), p)[1]
+            return f ** (2 * a) * f * box_v ** 2 / (8.0 * a)
 
         q = QuadratureSpec()
         rep = verify_global(params, _offcenter_gaussian(3, 0.8, 0.0, 1.0, 0.3,
@@ -429,14 +438,15 @@ class TestPotentialEvaluatedOnce:
                 ft, fr = params.weight_grad(t, r)
                 V, Vt, Vr = _separate_potential(params.potential, t, r)
                 gamma = (-ft * Vt + fr * Vr) / V + const
+                ph, _, _, box = fieldobj.jet(t, r)
                 return (f ** (2 * a) * V * gamma
-                        * np.abs(fieldobj.value(t, r)) ** (p + 1.0)) / (p + 1.0)
+                        * _power_sides(ph, box, V, p)[0] / (p + 1.0))
 
             def rhs_integrand(t, r):
                 f = params.weight_value(t, r)
                 V = _separate_potential(params.potential, t, r)[0]
                 ph, _, _, box = fieldobj.jet(t, r)
-                return (f ** (2 * a + 1.0) * (box + V * signed_power(ph, p)) ** 2
+                return (f ** (2 * a) * f * _power_sides(ph, box, V, p)[1] ** 2
                         / (8.0 * a))
 
             rep = verify_global(params, fieldobj, region, q)

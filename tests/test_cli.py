@@ -275,6 +275,71 @@ class TestValidationBeforeAnyRun:
             ok = text.replace("pot_alpha = 0.01", f"pot_alpha = {alpha}")
             parse_config(write_config(tmp_path / "ok.cfg", ok))
 
+    @pytest.mark.parametrize("scenario,name", [("energy-profile", "profile.csv"),
+                                               ("rate-fit", "rates.csv")])
+    def test_pot_alpha_is_checked_at_the_fallback_snapshot_times(
+            self, tmp_path, capsys, monkeypatch, scenario, name):
+        # no t_star: the diagnostic times are the negative snapshot times,
+        # and |eps| |t| = 0.16 > alpha = 0.01 at t = -0.8; before, exit 0
+        monkeypatch.setattr(cli, "evolve", _no_solver_run)
+        text = BASE.replace("potential = constant", "potential = perturbed\n"
+                            "pot_eps = 0.2\npot_alpha = 0.01")
+        text = text.replace("sigma0 = 0.25", "sigma0 = 0.25\nfield_source = run")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run([scenario, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: [problem] pot_alpha too small for snapshot time = " \
+            "-0.8: |grad V| t* = 0.16 exceeds alpha = 0.01" in err
+        assert not (out / name).exists()
+
+    def test_snapshot_times_do_not_bind_simulate(self, tmp_path):
+        # simulate has no diagnostic times: the same config still runs
+        text = BASE.replace("potential = constant", "potential = perturbed\n"
+                            "pot_eps = 0.2\npot_alpha = 0.01")
+        cfg = write_config(tmp_path / "c.cfg", text.replace("J = 256", "J = 32"))
+        assert run(["simulate", "--config", cfg, "--out",
+                    str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("value", ["Ode", "RUN", "file", ""])
+    def test_field_source_is_run_or_ode(self, tmp_path, capsys, monkeypatch,
+                                        value):
+        # before, `Ode` ran the solver and exited 0 with a profile.csv
+        monkeypatch.setattr(cli, "evolve", _no_solver_run)
+        text = BASE.replace("sigma0 = 0.25", "sigma0 = 0.25\n"
+                            f"field_source = {value}\nt_star = -0.5")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run(["energy-profile", "--config", cfg, "--out", str(out)]) == 2
+        assert ("error: [diagnostics] field_source must be run or ode, got "
+                f"{value!r}") in capsys.readouterr().err
+        assert not (out / "profile.csv").exists()
+
+    @pytest.mark.parametrize("problem,key", [
+        ("potential = perturbed\npot_eps = 0.2", "potential"),
+        ("potential = perturbed\npot_eps = 0.0", "potential"),
+        ("potential = constant\nc0 = 2.0", "c0"),
+    ], ids=["bump", "zero-bump", "c0"])
+    @pytest.mark.parametrize("scenario", ["energy-profile", "verify-localized",
+                                          "rate-fit", "decay"])
+    def test_ode_field_needs_the_unit_potential(self, tmp_path, capsys,
+                                                scenario, problem, key):
+        # the ODE profile solves the V = 1 equation; before, pot_eps = 0.2
+        # gave the profile.csv of V = 1, byte for byte, and exit 0
+        text = BASE.replace("potential = constant\nc0 = 1.0", problem)
+        text = text.replace("sigma0 = 0.25", "sigma0 = 0.25\nfield_source = ode"
+                            "\nt_star = -0.5 -0.4 -0.3")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run([scenario, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: [problem] {key} must be " in capsys.readouterr().err
+        assert os.listdir(out) == []
+        ok = write_config(tmp_path / "ok.cfg", BASE.replace(
+            "sigma0 = 0.25", "sigma0 = 0.25\nfield_source = ode\n"
+            "t_star = -0.5 -0.4 -0.3"))
+        assert run([scenario, "--config", ok, "--out",
+                    str(tmp_path / "ok")]) == 0
+
     @pytest.mark.parametrize("cases", ["-3", "0"])
     def test_cases_below_1(self, tmp_path, capsys, cases):
         # before: no case ran, and the summary read status=pass, exit 0

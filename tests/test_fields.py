@@ -19,7 +19,13 @@ from conewave.fields import (
 )
 from conewave.cli import _offcenter_gaussian
 from conewave.exact_solutions import OdeSolution
-from tests_helpers import closures_jet
+from tests_helpers import (
+    closures_jet,
+    gaussian_closures,
+    offcenter_closures,
+    polynomial_closures,
+    travel_closures,
+)
 
 
 def linear_field(n=1):
@@ -365,9 +371,11 @@ class TestDiscreteFieldEvaluation:
 
 # --------------------------------------------------------------------------
 # Bit identity of the jets with per-component closures evaluated one by one
+# (tests_helpers), and the closed forms the jets had before their shared
+# subexpressions were built once: the same functions to rounding
 # --------------------------------------------------------------------------
 
-def _gaussian_closures(n, A, tc, wt, wr):
+def _legacy_gaussian_closures(n, A, tc, wt, wr):
     def phi(t, r):
         return A * np.exp(-(t - tc) ** 2 / (2 * wt ** 2) - r * r / (2 * wr ** 2))
 
@@ -385,8 +393,8 @@ def _gaussian_closures(n, A, tc, wt, wr):
     return phi, phi_t, phi_r, box
 
 
-def _polynomial_closures(n, A, tc, wt, wr, c1, c2):
-    b_phi, b_phi_t, b_phi_r, b_box = _gaussian_closures(n, A, tc, wt, wr)
+def _legacy_polynomial_closures(n, A, tc, wt, wr, c1, c2):
+    b_phi, b_phi_t, b_phi_r, b_box = _legacy_gaussian_closures(n, A, tc, wt, wr)
 
     def q(t):
         return 1.0 + c1 * (t - tc) + c2 * (t - tc) ** 2
@@ -413,7 +421,7 @@ def _polynomial_closures(n, A, tc, wt, wr, c1, c2):
     return phi, phi_t, phi_r, box
 
 
-def _travel_closures(n, A, v, d, w):
+def _legacy_travel_closures(n, A, v, d, w):
     def arg(t, r):
         return r - v * t - d
 
@@ -434,7 +442,7 @@ def _travel_closures(n, A, v, d, w):
     return phi, phi_t, phi_r, box
 
 
-def _offcenter_closures(n, A, tc, rc, wt, wr):
+def _legacy_offcenter_closures(n, A, tc, rc, wt, wr):
     def phi(t, r):
         return A * np.exp(-(t - tc) ** 2 / (2 * wt ** 2)
                           - (r - rc) ** 2 / (2 * wr ** 2))
@@ -484,17 +492,26 @@ def _quadrature_like_points(t_lo, t_hi, r_lo, r_hi):
     return [(T, R), (float(tn[5]), float(R[0, 7]))]
 
 
+MANUFACTURED = [
+    ("gauss", gaussian_pulse(3, 1.2, 0.3, 0.7, 0.5),
+     gaussian_closures(3, 1.2, 0.3, 0.7, 0.5),
+     _legacy_gaussian_closures(3, 1.2, 0.3, 0.7, 0.5), (-0.4, 0.9, 0.0, 2.0)),
+    ("polygauss", polynomial_gaussian(2, 0.8, -0.2, 0.6, 0.7, c1=0.4, c2=-0.3),
+     polynomial_closures(2, 0.8, -0.2, 0.6, 0.7, 0.4, -0.3),
+     _legacy_polynomial_closures(2, 0.8, -0.2, 0.6, 0.7, 0.4, -0.3),
+     (-0.5, 0.5, 0.0, 1.5)),
+    ("travel", traveling_bump(3, 1.0, 0.4, 1.5, 0.3),
+     travel_closures(3, 1.0, 0.4, 1.5, 0.3),
+     _legacy_travel_closures(3, 1.0, 0.4, 1.5, 0.3), (-0.3, 0.6, 0.5, 2.5)),
+    ("offgauss", _offcenter_gaussian(2, 0.7, 0.1, 1.3, 0.25, 0.3),
+     offcenter_closures(2, 0.7, 0.1, 1.3, 0.25, 0.3),
+     _legacy_offcenter_closures(2, 0.7, 0.1, 1.3, 0.25, 0.3),
+     (-0.2, 0.4, 0.6, 2.0)),
+]
+
+
 class TestJetBitIdentity:
-    CASES = [
-        ("gauss", gaussian_pulse(3, 1.2, 0.3, 0.7, 0.5),
-         _gaussian_closures(3, 1.2, 0.3, 0.7, 0.5), (-0.4, 0.9, 0.0, 2.0)),
-        ("polygauss", polynomial_gaussian(2, 0.8, -0.2, 0.6, 0.7, c1=0.4, c2=-0.3),
-         _polynomial_closures(2, 0.8, -0.2, 0.6, 0.7, 0.4, -0.3),
-         (-0.5, 0.5, 0.0, 1.5)),
-        ("travel", traveling_bump(3, 1.0, 0.4, 1.5, 0.3),
-         _travel_closures(3, 1.0, 0.4, 1.5, 0.3), (-0.3, 0.6, 0.5, 2.5)),
-        ("offgauss", _offcenter_gaussian(2, 0.7, 0.1, 1.3, 0.25, 0.3),
-         _offcenter_closures(2, 0.7, 0.1, 1.3, 0.25, 0.3), (-0.2, 0.4, 0.6, 2.0)),
+    CASES = [case[:3] + case[4:] for case in MANUFACTURED] + [
         ("ode", ode_field(2.5, 3), _ode_closures(2.5), (-1.0, -0.05, 0.0, 1.0)),
         ("zero", zero_field(3), _constant_closures(0.0), (-1.0, 1.0, 0.0, 1.0)),
         ("constant", constant_field(1.7, 3), _constant_closures(1.7),
@@ -510,6 +527,78 @@ class TestJetBitIdentity:
             for got, closure in zip(jet, closures):
                 assert_same_bits(got, closure(ta, ra))
             assert_same_bits(field.value(t, r), closures[0](ta, ra))
+
+
+# Largest change of a jet component from its legacy closed form, relative
+# to that component's largest magnitude on the sample: a few ulps of
+# rounding, far below any change of the function
+LEGACY_RTOL = 1e-14
+
+
+class TestJetAgainstLegacyClosedForms:
+    @pytest.mark.parametrize("field,legacy,box_",
+                             [(c[1], c[3], c[4]) for c in MANUFACTURED],
+                             ids=[c[0] for c in MANUFACTURED])
+    def test_same_function_to_rounding(self, field, legacy, box_):
+        for t, r in _quadrature_like_points(*box_):
+            ta, ra = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
+            for got, closure in zip(field.jet(t, r), legacy):
+                want = closure(ta, ra)
+                scale = np.max(np.abs(want))
+                assert scale > 0.0
+                assert np.max(np.abs(got - want)) <= LEGACY_RTOL * scale
+
+
+def _fd_jet_errors(field, t, r, h):
+    """Largest error of phi_t, phi_r and box against centred differences
+    of the field's own phi with step h, each relative to the largest
+    magnitude of the differenced value on the sample."""
+    phi = field.value
+    n = field.dim
+    p0 = phi(t, r)
+    pt = (phi(t + h, r) - phi(t - h, r)) / (2.0 * h)
+    pr = (phi(t, r + h) - phi(t, r - h)) / (2.0 * h)
+    ptt = (phi(t + h, r) - 2.0 * p0 + phi(t - h, r)) / (h * h)
+    prr = (phi(t, r + h) - 2.0 * p0 + phi(t, r - h)) / (h * h)
+    box = -ptt + prr + (n - 1) / r * pr
+    _, jt, jr, jbox = field.jet(t, r)
+    return [float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+            for got, want in ((jt, pt), (jr, pr), (jbox, box))]
+
+
+# Centred differences at h = 1e-3 carry a truncation error of about
+# h^2 / (6 w^2) relative, w >= 0.25 the narrowest width of the cases
+FD_STEP, FD_RTOL = 1e-3, 1e-4
+
+
+def _fd_points(t_lo, t_hi, r_lo, r_hi):
+    """A mesh of the case's box kept off the axis, where (n-1)/r is finite."""
+    tn = np.linspace(t_lo, t_hi, 23)[:, None]
+    R = np.linspace(max(r_lo, 0.1), r_hi, 29)[None, :] * np.ones((23, 1))
+    return tn, R
+
+
+class TestJetFiniteDifferences:
+    @pytest.mark.parametrize("field,box_",
+                             [(c[1], c[4]) for c in MANUFACTURED],
+                             ids=[c[0] for c in MANUFACTURED])
+    def test_derivatives_and_box_of_own_phi(self, field, box_):
+        errors = _fd_jet_errors(field, *_fd_points(*box_), FD_STEP)
+        assert max(errors) < FD_RTOL, errors
+
+    def test_catches_a_box_without_its_first_order_term(self):
+        # seeded mutation: the travelling bump's box loses (n-1)/r phi_r
+        good = traveling_bump(3, 1.0, 0.4, 1.5, 0.3)
+
+        def mutated(t, r):
+            phi, phi_t, phi_r, box = good.evaluate(t, r)
+            return phi, phi_t, phi_r, box - (good.dim - 1) / r * phi_r
+
+        bad = ManufacturedField(good.dim, mutated, label="mutant")
+        t, r = _fd_points(-0.3, 0.6, 0.5, 2.5)
+        errors = _fd_jet_errors(bad, t, r, FD_STEP)
+        assert errors[:2] == _fd_jet_errors(good, t, r, FD_STEP)[:2]
+        assert errors[2] > 100 * FD_RTOL
 
 
 def _reference_eval(fld, table, t, r):

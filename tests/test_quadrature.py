@@ -201,6 +201,34 @@ class TestBlockedEvaluation:
         assert locations[0] == locations[1]
         assert locations[0][0] > 0.6 and locations[0][1] > 1.5
 
+class TestUnitRuleCache:
+    """The unit node rules are built once per (cells, order, grading,
+    flags) and shared: read-only, and the bits of a rule built fresh."""
+
+    @pytest.mark.parametrize("cells,order,grade,lo,hi", [
+        (48, 4, 3.0, False, False), (96, 4, 3.0, True, False),
+        (96, 4, 3.0, False, True), (97, 4, 2.5, True, True),
+        (9, 2, 3.0, False, False), (18, 2, 1.5, True, True),
+    ])
+    def test_read_only_and_fresh_bits(self, cells, order, grade, lo, hi):
+        rule = quadrature._unit_rule(cells, order, grade, lo, hi)
+        fresh = quadrature._cell_nodes(
+            quadrature._breakpoints(cells, grade, lo, hi), order)
+        for got, want in zip(rule, fresh):
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.5
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert quadrature._unit_rule(cells, order, grade, lo, hi) is rule
+        # callers get their own arrays, scaled from the shared rule
+        nodes, weights = quadrature._interval_nodes(-1.0, 2.0, cells, order,
+                                                    grade, lo, hi)
+        assert nodes.flags.writeable and weights.flags.writeable
+        assert nodes.tobytes() == (-1.0 + 3.0 * fresh[0]).tobytes()
+        assert weights.tobytes() == (3.0 * fresh[1]).tobytes()
+
+
 class TestSurface:
     def test_lateral_slab_measure_n1(self):
         piece = ConePiece(0.5, 0.5, 2.0)

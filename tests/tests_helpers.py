@@ -24,6 +24,116 @@ def closures_jet(phi, phi_t, phi_r, box):
     return jet
 
 
+# --------------------------------------------------------------------------
+# The manufactured jets' arithmetic, one closure per component: each
+# recomputes what it needs, in the operation order of the fused jet, so the
+# fused jet must reproduce its bits
+# --------------------------------------------------------------------------
+
+def _gaussian_t(A, tc, wt):
+    """(t factor, phi_t / phi, -phi_tt / phi) of a separable gaussian."""
+    kt = 1.0 / wt ** 2
+
+    def factor(t):
+        return A * np.exp(0.5 * (-kt * (t - tc)) * (t - tc))
+
+    def ct(t):
+        return -kt * (t - tc)
+
+    def bt(t):
+        return kt - ct(t) * ct(t)
+
+    return factor, ct, bt
+
+
+def gaussian_closures(n, A, tc, wt, wr):
+    factor, ct, bt = _gaussian_t(A, tc, wt)
+    kr = 1.0 / wr ** 2
+
+    def phi(t, r):
+        return np.exp(r * r * (-0.5 * kr)) * factor(t)
+
+    def phi_t(t, r):
+        return ct(t) * phi(t, r)
+
+    def phi_r(t, r):
+        return r * -kr * phi(t, r)
+
+    def box(t, r):
+        # g (-phi_tt/phi + r^2/wr^4 - 1/wr^2 - (n-1)/wr^2)
+        return (r * r * (kr * kr) + (bt(t) - n * kr)) * phi(t, r)
+
+    return phi, phi_t, phi_r, box
+
+
+def polynomial_closures(n, A, tc, wt, wr, c1, c2):
+    g, g_t, g_r, g_box = gaussian_closures(n, A, tc, wt, wr)
+
+    def q(t):
+        return 1.0 + c1 * (t - tc) + c2 * ((t - tc) * (t - tc))
+
+    def dq(t):
+        return c1 + 2.0 * c2 * (t - tc)
+
+    def phi(t, r):
+        return q(t) * g(t, r)
+
+    def phi_t(t, r):
+        return q(t) * g_t(t, r) + dq(t) * g(t, r)
+
+    def phi_r(t, r):
+        return q(t) * g_r(t, r)
+
+    def box(t, r):
+        return (q(t) * g_box(t, r) - 2.0 * c2 * g(t, r)
+                - 2.0 * dq(t) * g_t(t, r))
+
+    return phi, phi_t, phi_r, box
+
+
+def travel_closures(n, A, v, d, w):
+    k = 1.0 / (w * w)
+
+    def s(t, r):
+        return r - (v * t + d)
+
+    def phi(t, r):
+        return np.exp(s(t, r) * s(t, r) * (-0.5 * k)) * A
+
+    def phi_r(t, r):
+        return s(t, r) * -k * phi(t, r)
+
+    def phi_t(t, r):
+        return -v * phi_r(t, r)
+
+    def box(t, r):
+        sec = (s(t, r) * s(t, r) * (k * k) - k) * phi(t, r)
+        return sec * (1.0 - v * v) + (n - 1) / r * phi_r(t, r)
+
+    return phi, phi_t, phi_r, box
+
+
+def offcenter_closures(n, A, tc, rc, wt, wr):
+    factor, ct, bt = _gaussian_t(A, tc, wt)
+    kr = 1.0 / wr ** 2
+
+    def phi(t, r):
+        return np.exp((r - rc) * (r - rc) * (-0.5 * kr)) * factor(t)
+
+    def phi_t(t, r):
+        return ct(t) * phi(t, r)
+
+    def phi_r(t, r):
+        return (r - rc) * -kr * phi(t, r)
+
+    def box(t, r):
+        x2 = (r - rc) * (r - rc)
+        return ((x2 * (kr * kr) + (bt(t) - kr)) * phi(t, r)
+                + (n - 1) / r * phi_r(t, r))
+
+    return phi, phi_t, phi_r, box
+
+
 def _smoothstep_prime(s):
     s = np.clip(s, 0.0, 1.0)
     return 30 * s ** 4 - 60 * s ** 3 + 30 * s ** 2
