@@ -1,92 +1,178 @@
 """Command-line orchestration: sectioned key=value configs in, CSV reports
 and a key=value summary out, with deterministic seeding.
 
-Exit codes: 0 success, 2 config/validation error, 3 scientific assertion
-failure or a non-finite solver value or integrand sample, 4 I/O error.
+Exit codes: 0 success, 1 an unexpected error (a library invariant or a
+bug; Python prints the traceback), 2 config/validation error
+(`ConfigError`), 3 scientific assertion failure or a non-finite solver
+value or integrand sample, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import copy
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import carleman, energetics
-from .exact_solutions import InitialDataSpec
+from .exact_solutions import InitialDataSpec, OdeSolution
 from .fields import (ManufacturedField, PotentialSpec, gaussian_rows,
                      ode_field, polynomial_gaussian, traveling_bump)
 from .geometry import ShiftedWeight
 from .quadrature import NonFiniteSample, QuadratureSpec
-from .solver import SolverConfig, evolve, finite_speed_check
+from .solver import (SolverConfig, convergence_study, evolve,
+                     finite_speed_check)
 
 __all__ = ["RunConfig", "main", "run"]
 
-SUBCOMMANDS = ("simulate", "verify-carleman", "verify-localized",
-               "energy-profile", "rate-fit", "decay", "sweep")
-
-_SCHEMA = {
-    "problem": {"n", "p", "potential", "c0", "pot_eps", "pot_center_t",
-                "pot_center_r", "pot_width", "pot_alpha"},
-    "grid": {"R", "J", "cfl", "t0", "t_end", "phi_max", "snapshot_times",
-             "snapshot_log"},
-    "data": {"kind", "M", "w", "amplitude", "width", "path"},
-    "diagnostics": {"sigma0", "sigma1", "sigma", "gamma", "eta", "t_star",
-                    "a", "horizons", "window", "field_source", "cells",
-                    "ratio_band"},
-    "verify": {"cases", "seed", "strict"},
-    "sweep": {"scenario", "J", "p", "M", "gamma", "a"},
-    "output": {"directory", "precision"},
-}
-
 
 class ConfigError(ValueError):
-    pass
+    """A config (or CLI) value the program cannot run with: exit 2."""
+
+
+class _Key(NamedTuple):
+    """One config key: `[section] key` is read by `kind` into the RunConfig
+    attribute `attr` (`key` when empty), which holds `default` unless the
+    file sets the key. `ok` tests the key's own range, which `need`
+    describes. A `sweep` key may also get a grid of values in [sweep]."""
+
+    section: str
+    key: str
+    kind: object  # int, float, str, _floats or _boolean
+    default: object
+    ok: object = None
+    need: str = ""
+    sweep: bool = False
+    attr: str = ""
 
 
 def _floats(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-@dataclass
-class RunConfig:
-    """Validated view of a config file; cross-field constraints of the owning
-    modules are checked here before any scenario executes."""
+def _boolean(text):
+    return {"true": True, "false": False}[text.lower()]  # either, any case
 
-    n: int = 3
-    p: float = 2.0
-    potential: PotentialSpec = field(default_factory=PotentialSpec.constant)
-    R: float = 4.0
-    J: int = 1024
-    cfl: float = 0.9
-    t0: float = -1.0
-    t_end: float = 0.0
-    phi_max: float = 1e6
-    snapshot_times: tuple = ()
-    data: InitialDataSpec | None = None
-    sigma0: float = 0.25
-    sigma1: float = 0.5
-    sigma: float = 0.5
-    gamma: float = 1.2
-    eta: float = 2.0
-    t_star: tuple = ()
-    a_values: tuple = (0.05, 0.25, 0.45)
-    horizons: tuple = (4.0, 8.0, 16.0, 32.0)
-    window: tuple = ()
-    field_source: str = "run"
-    cells: int = 48
-    ratio_band: float = 1.5
-    cases: int = 200
-    seed: int = 7
-    strict: bool = False
-    sweep: dict | None = None   # the [sweep] section's raw key=value pairs
-    directory: str = "out"
-    precision: int = 17
+
+def _above(low):
+    return (lambda v: v > low), f"greater than {low}"
+
+
+def _at_least(low):
+    return (lambda v: v >= low), f"at least {low}"
+
+
+def _one_of(*words):
+    return (lambda v: v in words), " or ".join(words)
+
+
+_KEYS = (
+    _Key("problem", "n", int, 3, *_at_least(1)),
+    _Key("problem", "p", float, 2.0, *_above(1), sweep=True),
+    _Key("problem", "potential", str, "constant",
+         *_one_of("constant", "perturbed"), attr="pot_kind"),
+    _Key("problem", "c0", float, 1.0, *_above(0)),
+    _Key("problem", "pot_eps", float, 0.0),
+    _Key("problem", "pot_center_t", float, 0.0),
+    _Key("problem", "pot_center_r", float, 0.0),
+    _Key("problem", "pot_width", float, 1.0, *_above(0)),
+    _Key("problem", "pot_alpha", float, math.inf),
+    _Key("grid", "R", float, 4.0, *_above(0)),
+    _Key("grid", "J", int, 1024, *_at_least(8), sweep=True),
+    _Key("grid", "cfl", float, 0.9, lambda v: 0 < v <= 1, "in (0, 1]"),
+    _Key("grid", "t0", float, -1.0),
+    _Key("grid", "t_end", float, 0.0),
+    _Key("grid", "phi_max", float, 1e6, *_above(0)),
+    _Key("grid", "snapshot_times", _floats, ()),
+    # log-spaced snapshot times on t0's side: |t|_min |t|_max per_decade
+    _Key("grid", "snapshot_log", _floats, (),
+         lambda v: not v or len(v) == 3 and 0 < v[0] < v[1] and v[2] > 0,
+         "empty or three values lo hi per with 0 < lo < hi and per > 0"),
+    _Key("data", "kind", str, "gaussian",
+         *_one_of("truncated_ode", "gaussian", "file"), attr="data_kind"),
+    _Key("data", "M", float, 2.0, *_above(0), sweep=True),
+    _Key("data", "w", float, 0.25, *_above(0)),
+    _Key("data", "amplitude", float, 1e-3),
+    _Key("data", "width", float, 0.5, *_above(0)),
+    _Key("data", "path", str, ""),
+    _Key("diagnostics", "sigma0", float, 0.25),
+    _Key("diagnostics", "sigma1", float, 0.5),
+    _Key("diagnostics", "sigma", float, 0.5, lambda v: 0 < v < 1, "in (0, 1)"),
+    _Key("diagnostics", "gamma", float, 1.2, *_above(1), sweep=True),
+    _Key("diagnostics", "eta", float, 2.0),
+    _Key("diagnostics", "t_star", _floats, (), lambda v: 0 not in v,
+         "nonzero"),
+    _Key("diagnostics", "a", _floats, (0.05, 0.25, 0.45),
+         lambda v: all(a > 0 for a in v), "positive", sweep=True),
+    _Key("diagnostics", "horizons", _floats, (4.0, 8.0, 16.0, 32.0),
+         lambda v: all(h > 1 for h in v) and len(set(v)) == len(v),
+         "distinct and greater than 1"),
+    _Key("diagnostics", "window", _floats, (),
+         lambda v: not v or len(v) == 2 and 0 < v[0] < v[1],
+         "empty or two values lo hi with 0 < lo < hi"),
+    _Key("diagnostics", "field_source", str, "run", *_one_of("run", "ode")),
+    _Key("diagnostics", "cells", int, 48, *_at_least(4)),
+    # below 1 every non-vacuous verify-localized run would fail
+    _Key("diagnostics", "ratio_band", float, 1.5, *_at_least(1)),
+    _Key("verify", "cases", int, 200, *_at_least(1)),
+    _Key("verify", "seed", int, 7, *_at_least(0)),
+    _Key("verify", "strict", _boolean, False),
+    _Key("sweep", "scenario", str, None,
+         *_one_of("simulate", "verify-carleman", "convergence"),
+         attr="sweep_scenario"),
+    _Key("output", "directory", str, "out"),
+    _Key("output", "precision", int, 17, *_at_least(1)),
+)
+# (section, key) -> row; a [sweep] grid key maps to the row it sweeps
+_ROWS = {(row.section, row.key): row for row in _KEYS}
+_ROWS.update({("sweep", row.key): row for row in _KEYS if row.sweep})
+_KIND_NAMES = {int: "an integer", float: "a float",
+               _floats: "a list of floats", _boolean: "true or false"}
+
+
+def _read(kind, text, label):
+    """`text` as a value of `kind`, with no NaN in it."""
+    try:
+        value = kind(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{label} must be {_KIND_NAMES[kind]}, "
+                          f"got {text!r}") from None
+    if any(v != v for v in (value if kind is _floats else (value,))):
+        raise ConfigError(f"{label} must not be nan")
+    return value
+
+
+def _check_range(row, value, label):
+    if row.ok is not None and not row.ok(value):
+        raise ConfigError(f"{label} must be {row.need}, got {value!r}")
+
+
+def _config_call(prefix, call, *args):
+    """call(*args) where a ValueError or OSError is the config's fault: it
+    is raised again as a ConfigError, `prefix` before its message."""
+    try:
+        return call(*args)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(prefix + str(exc)) from None
+
+
+class RunConfig:
+    """A config's values: one attribute per row of `_KEYS` (the row's
+    default unless the file sets the key), what `_build` makes of them, and
+    `sweep`, the [sweep] grids by key. `data` and `sweep` are None without
+    their section."""
+
+    def __init__(self):
+        for row in _KEYS:
+            setattr(self, row.attr or row.key, row.default)
+        self.potential = self.data = self.sweep = None
 
     @property
     def quadrature(self) -> QuadratureSpec:
@@ -102,134 +188,67 @@ class RunConfig:
 def parse_config(path) -> RunConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file {path!r} not found or unreadable")
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-
     cfg = RunConfig()
-
-    def get(section, key, cast, default):
-        if not parser.has_option(section, key):
-            return default
-        value = cast(parser.get(section, key))
-        if any(v != v for v in (value if cast is _floats else (value,))):
-            raise ConfigError(f"[{section}] {key} must not be nan")
-        return value
-
-    cfg.n = get("problem", "n", int, cfg.n)
-    cfg.p = get("problem", "p", float, cfg.p)
-    kind = get("problem", "potential", str, "constant")
-    c0 = get("problem", "c0", float, 1.0)
-    if kind == "constant":
-        cfg.potential = PotentialSpec.constant(c0)
-    elif kind == "perturbed":
-        cfg.potential = PotentialSpec.perturbed(
-            c0,
-            get("problem", "pot_eps", float, 0.0),
-            (get("problem", "pot_center_t", float, 0.0),
-             get("problem", "pot_center_r", float, 0.0)),
-            get("problem", "pot_width", float, 1.0),
-            get("problem", "pot_alpha", float, math.inf),
-        )
-    else:
-        raise ConfigError(f"unknown potential kind {kind!r}")
-
-    cfg.R = get("grid", "R", float, cfg.R)
-    cfg.J = get("grid", "J", int, cfg.J)
-    cfg.cfl = get("grid", "cfl", float, cfg.cfl)
-    cfg.t0 = get("grid", "t0", float, cfg.t0)
-    cfg.t_end = get("grid", "t_end", float, cfg.t_end)
-    cfg.phi_max = get("grid", "phi_max", float, cfg.phi_max)
-    snaps = get("grid", "snapshot_times", _floats, ())
-    log_spec = get("grid", "snapshot_log", _floats, ())
-    if log_spec:
-        if len(log_spec) != 3:
-            raise ConfigError("snapshot_log needs: |t|_min |t|_max per_decade")
-        lo, hi, per = log_spec
-        count = max(2, int(round(per * math.log10(hi / lo))) + 1)
-        mags = np.geomspace(lo, hi, count)
-        sign = -1.0 if cfg.t0 < 0 else 1.0
-        snaps = tuple(sorted(sign * mags))
-    cfg.snapshot_times = tuple(snaps)
-
-    if parser.has_section("data"):
-        dkind = get("data", "kind", str, "gaussian")
-        if dkind == "truncated_ode":
-            cfg.data = InitialDataSpec.truncated_ode(
-                get("data", "M", float, 2.0),
-                get("data", "w", float, 0.25),
-                p=cfg.p)
-        elif dkind == "gaussian":
-            cfg.data = InitialDataSpec.gaussian(
-                get("data", "amplitude", float, 1e-3),
-                get("data", "width", float, 0.5))
-        elif dkind == "file":
-            cfg.data = InitialDataSpec.from_file(get("data", "path", str, ""))
-        else:
-            raise ConfigError(f"unknown data kind {dkind!r}")
-
-    cfg.sigma0 = get("diagnostics", "sigma0", float, cfg.sigma0)
-    cfg.sigma1 = get("diagnostics", "sigma1", float, cfg.sigma1)
-    cfg.sigma = get("diagnostics", "sigma", float, cfg.sigma)
-    cfg.gamma = get("diagnostics", "gamma", float, cfg.gamma)
-    cfg.eta = get("diagnostics", "eta", float, cfg.eta)
-    cfg.t_star = get("diagnostics", "t_star", _floats, cfg.t_star)
-    cfg.a_values = get("diagnostics", "a", _floats, cfg.a_values)
-    cfg.horizons = get("diagnostics", "horizons", _floats, cfg.horizons)
-    cfg.window = get("diagnostics", "window", _floats, cfg.window)
-    cfg.field_source = get("diagnostics", "field_source", str, cfg.field_source)
-    if cfg.field_source not in ("run", "ode"):
-        raise ConfigError("[diagnostics] field_source must be run or ode, "
-                          f"got {cfg.field_source!r}")
-    cfg.cells = get("diagnostics", "cells", int, cfg.cells)
-    cfg.ratio_band = get("diagnostics", "ratio_band", float, cfg.ratio_band)
-    cfg.cases = get("verify", "cases", int, cfg.cases)
-    cfg.seed = get("verify", "seed", int, cfg.seed)
-    strict = get("verify", "strict", str, "false")
-    if strict.lower() not in ("true", "false"):
-        raise ConfigError(f"[verify] strict must be true or false, got {strict!r}")
-    cfg.strict = strict.lower() == "true"
-    if parser.has_section("sweep"):
-        cfg.sweep = dict(parser["sweep"])
-        for key in cfg.sweep:
-            if key != "scenario":
-                get("sweep", key, _floats, ())  # the grid's NaN check
-    cfg.directory = get("output", "directory", str, cfg.directory)
-    cfg.precision = get("output", "precision", int, cfg.precision)
-
+    for section in parser.sections():
+        if section not in {row.section for row in _KEYS}:
+            raise ConfigError(f"unknown section [{section}]")
+        if section == "sweep":
+            cfg.sweep = {}
+        for key, text in parser[section].items():
+            row = _ROWS.get((section, key))
+            if row is None:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            label = f"[{section}] {key}"
+            if row.section != section:  # a sweep grid: floats, for file names
+                grid = _read(_floats, text, label)
+                if row.kind is int and not all(v.is_integer() for v in grid):
+                    raise ConfigError(f"{label} must be a list of integers, "
+                                      f"got {text!r}")
+                cfg.sweep[key] = grid
+                continue
+            value = _read(row.kind, text, label)
+            _check_range(row, value, label)
+            setattr(cfg, row.attr or row.key, value)
+    _build(cfg, parser.has_section("data"))
     _validate(cfg)
     return cfg
 
 
+def _build(cfg: RunConfig, data: bool):
+    """Makes `potential`, `data` (if `data`) and the `snapshot_log` times
+    from the flat values, at parse time and again in each sweep cell."""
+    cfg.potential = _config_call(  # the bump must keep V positive
+        "[problem] c0, pot_eps, pot_width: ", PotentialSpec, cfg.pot_kind,
+        cfg.c0, cfg.pot_eps, (cfg.pot_center_t, cfg.pot_center_r),
+        cfg.pot_width, cfg.pot_alpha)
+    cfg.data = None if not data else InitialDataSpec(
+        cfg.data_kind, cfg.p, cfg.M, cfg.w, cfg.amplitude, cfg.width, cfg.path)
+    if data and cfg.data_kind == "file":
+        if not cfg.path:
+            raise ConfigError("[data] kind = file needs [data] path")
+        # reads the snapshot and checks its time against t0
+        _config_call(f"[data] path {cfg.path!r}: ", cfg.data.evaluate, cfg.t0,
+                     0.0)
+    if cfg.snapshot_log:
+        lo, hi, per = cfg.snapshot_log
+        count = max(2, int(round(per * math.log10(hi / lo))) + 1)
+        mags = np.geomspace(lo, hi, count)
+        sign = -1.0 if cfg.t0 < 0 else 1.0
+        cfg.snapshot_times = tuple(sorted(sign * mags))
+
+
 def _validate(cfg: RunConfig):
+    """The checks that span keys; each key's own range is in `_KEYS`."""
     if not 0.0 < cfg.sigma0 < cfg.sigma1 < 1.0:
         raise ConfigError("need 0 < sigma0 < sigma1 < 1")
-    if not 0.0 < cfg.sigma < 1.0:
-        raise ConfigError("need 0 < sigma < 1")
-    if cfg.gamma <= 1.0:
-        raise ConfigError("need gamma > 1")
     if cfg.eta <= cfg.gamma:
         raise ConfigError("need eta > gamma")
-    if cfg.p <= 1.0:
-        raise ConfigError("need p > 1")
     if cfg.n >= 2 and cfg.p >= 1.0 + 4.0 / (cfg.n - 1.0):
         raise ConfigError("p outside the subconformal range for this n")
-    if not 0.0 < cfg.cfl <= 1.0:
-        raise ConfigError("CFL factor must lie in (0, 1]")
-    if any(x <= 0 for x in cfg.a_values):
-        raise ConfigError("weight exponents a must be positive")
-    if cfg.precision < 1:
-        raise ConfigError("[output] precision must be at least 1")
-    if cfg.cells < 4:
-        raise ConfigError("[diagnostics] cells must be at least 4")
-    if cfg.cases < 1:
-        raise ConfigError("[verify] cases must be at least 1")
+    if cfg.t_end <= cfg.t0:
+        raise ConfigError("need t0 < t_end")
     if cfg.strict and len(cfg.horizons) < 2:
         raise ConfigError("[verify] strict = true needs at least two "
                           "[diagnostics] horizons")
@@ -267,12 +286,9 @@ def _require_small_potential(cfg: RunConfig, times, name):
     from."""
     pot = cfg.potential
     for ts in times if pot.kind == "perturbed" else ():
-        try:
-            PotentialSpec.perturbed(pot.c0, pot.eps, pot.center, pot.width,
-                                    pot.alpha, t_star=ts)
-        except ValueError as exc:
-            raise ConfigError(f"[problem] pot_alpha too small for {name} = "
-                              f"{ts!r}: {exc}") from None
+        _config_call(f"[problem] pot_alpha too small for {name} = {ts!r}: ",
+                     PotentialSpec.perturbed, pot.c0, pot.eps, pot.center,
+                     pot.width, pot.alpha, ts)
 
 
 # --------------------------------------------------------------------------
@@ -403,7 +419,7 @@ def _offcenter_gaussian(n, A, tc, rc, wt, wr) -> ManufacturedField:
 
 def _scenario_verify_carleman(cfg: RunConfig, outdir, threads=1):
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
-    forced_a = cfg.a_values[0] if len(cfg.a_values) == 1 else None
+    forced_a = cfg.a[0] if len(cfg.a) == 1 else None
     cases = [_random_case(rng, forced_a) for _ in range(cfg.cases)]
     q = cfg.quadrature
 
@@ -445,7 +461,10 @@ def _diagnostic_field(cfg: RunConfig):
     result = evolve(cfg.solver_config(), cfg.data)
     if not result.snapshots:
         raise ConfigError("run recorded no snapshots; set snapshot_times")
-    return result.field()
+    field = result.field()
+    # the config sets both the stored levels and the diagnostic windows
+    field.require_times = partial(_config_call, "", field.require_times)
+    return field
 
 
 def _scenario_verify_localized(cfg: RunConfig, outdir):
@@ -475,6 +494,9 @@ def _diagnostic_times(cfg: RunConfig):
     """The times of energy-profile and rate-fit: `t_star`, or else the
     negative snapshot times, checked against pot_alpha as `t_star` is."""
     if cfg.t_star:
+        if max(cfg.t_star) > 0:
+            raise ConfigError("energy-profile and rate-fit need negative "
+                              "[diagnostics] t_star")
         return cfg.t_star
     times = tuple(t for t in cfg.snapshot_times if t < 0)
     _require_small_potential(cfg, times, "snapshot time")
@@ -503,8 +525,8 @@ def _scenario_rate_fit(cfg: RunConfig, outdir):
     fieldobj = _diagnostic_field(cfg)
     vals = [energetics.weighted_ball_quantity(fieldobj, t, cfg.p, cfg.n,
                                         cfg.quadrature)[0] for t in times]
-    window = cfg.window if cfg.window else None
-    report = energetics.rate_fit(times, vals, window)
+    report = _config_call("rate-fit: ", energetics.rate_fit, times, vals,
+                          cfg.window or None)
     _write_csv(outdir, "rates.csv", "quantity,slope,residual,window_lo,"
                "window_hi,inf,sup,last_decade_max",
                [("mz_ball", report.slope, report.residual, *report.window,
@@ -536,18 +558,15 @@ def _scenario_decay(cfg: RunConfig, outdir):
 
 
 def _scenario_sweep(cfg: RunConfig, outdir, threads):
-    if cfg.sweep is None:
-        raise ConfigError("sweep requires a [sweep] section")
-    scenario = cfg.sweep.get("scenario", "")
-    if scenario not in ("simulate", "verify-carleman", "convergence"):
-        raise ConfigError(
-            "sweep scenario must be simulate, verify-carleman, or convergence")
-    grid = {key: _floats(text) for key, text in cfg.sweep.items()
-            if key != "scenario"}
+    if cfg.sweep is None or cfg.sweep_scenario is None:
+        raise ConfigError("sweep requires a [sweep] section with a scenario")
+    grid = cfg.sweep
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ConfigError("sweep grid is empty")
+    if "M" in grid and (cfg.data is None or cfg.data.kind != "truncated_ode"):
+        raise ConfigError("sweeping M requires truncated_ode data")
 
-    if scenario == "convergence":
+    if cfg.sweep_scenario == "convergence":
         return _sweep_convergence(cfg, outdir, grid)
 
     keys = sorted(grid)
@@ -568,11 +587,7 @@ def _scenario_sweep(cfg: RunConfig, outdir, threads):
     def job(cell):
         sub, subdir = subs[cell], subdirs[cell]
         os.makedirs(subdir, exist_ok=True)
-        if scenario == "simulate":
-            code = _scenario_simulate(sub, subdir)
-        else:
-            code = _scenario_verify_carleman(sub, subdir)
-        return cell, code
+        return cell, _SCENARIOS[cfg.sweep_scenario](sub, subdir)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -596,20 +611,21 @@ def _cell_text(cell):
 def _sweep_convergence(cfg: RunConfig, outdir, grid):
     """Resolution sweep with the homogeneous ODE core as the reference;
     aggregates a fitted order across the grid levels."""
-    from .exact_solutions import OdeSolution
-    from .solver import convergence_study
-
     if list(grid) != ["J"]:
         raise ConfigError("convergence sweep accepts only a J grid")
-    levels = tuple(int(v) for v in grid["J"])
     if cfg.data is None or cfg.data.kind != "truncated_ode":
         raise ConfigError("convergence sweep requires truncated_ode data")
+    for J in grid["J"]:  # each level is checked as a cell would be
+        _apply_cell(cfg, {"J": J})
+    levels = tuple(int(v) for v in grid["J"])
     sol = OdeSolution(cfg.p)
     t_ref = cfg.t_star[0] if cfg.t_star else 0.5 * (cfg.t0 + cfg.t_end)
-    order, errors = convergence_study(
+    # one level, or a run that stops before t_ref, is the config's fault
+    order, errors = _config_call(
+        f"convergence sweep at t_ref = {t_ref!r}: ", convergence_study,
         cfg.solver_config(), cfg.data, levels,
-        reference=lambda t, r: float(sol.value(t)) + 0.0 * r,
-        t_ref=t_ref, core_radius=0.5 * cfg.data.cutoff)
+        lambda t, r: float(sol.value(t)) + 0.0 * r, t_ref,
+        0.5 * cfg.data.cutoff)
     _write_csv(outdir, "sweep.csv", "J,error", sorted(errors.items()), 17)
     ok = abs(order - 2.0) <= 0.3
     _summary(outdir, status="pass" if ok else "fail",
@@ -618,30 +634,18 @@ def _sweep_convergence(cfg: RunConfig, outdir, grid):
 
 
 def _apply_cell(cfg: RunConfig, cell: dict) -> RunConfig:
-    import copy
-
+    """A copy of `cfg` with each swept key set to the cell's value, checked
+    and rebuilt as a parsed config is. Grid values are floats; an int key
+    takes the integer (the parse checked that it is one), a list key the
+    one-value list."""
     sub = copy.copy(cfg)
     for key, value in cell.items():
-        if key == "J":
-            sub.J = int(value)
-        elif key == "p":
-            sub.p = float(value)
-        elif key == "gamma":
-            sub.gamma = float(value)
-        elif key == "a":
-            sub.a_values = (float(value),)
-        elif key == "M":
-            if sub.data is None or sub.data.kind != "truncated_ode":
-                raise ConfigError("sweeping M requires truncated_ode data")
-            sub.data = InitialDataSpec.truncated_ode(float(value),
-                                                     sub.data.ramp_width,
-                                                     p=sub.p)
-        else:
-            raise ConfigError(f"unsupported sweep key {key!r}")
-    if "p" in cell and sub.data is not None and sub.data.kind == "truncated_ode":
-        # the truncated ODE profile is phi*(t0) for this cell's p
-        sub.data = InitialDataSpec.truncated_ode(sub.data.cutoff,
-                                                 sub.data.ramp_width, p=sub.p)
+        row = _ROWS["sweep", key]
+        value = (int(value) if row.kind is int else
+                 (value,) if row.kind is _floats else value)
+        _check_range(row, value, f"[sweep] {key}")
+        setattr(sub, row.attr or row.key, value)
+    _build(sub, sub.data is not None)
     _validate(sub)
     return sub
 
@@ -650,9 +654,17 @@ def _apply_cell(cfg: RunConfig, cell: dict) -> RunConfig:
 # Entry point
 # --------------------------------------------------------------------------
 
+_SCENARIOS = {"simulate": _scenario_simulate,
+              "verify-carleman": _scenario_verify_carleman,
+              "verify-localized": _scenario_verify_localized,
+              "energy-profile": _scenario_energy_profile,
+              "rate-fit": _scenario_rate_fit, "decay": _scenario_decay,
+              "sweep": _scenario_sweep}
+
+
 def run(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="conewave")
-    ap.add_argument("subcommand", choices=SUBCOMMANDS)
+    ap.add_argument("subcommand", choices=_SCENARIOS)
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=None)
     ap.add_argument("--seed", type=int, default=None)
@@ -662,34 +674,19 @@ def run(argv=None) -> int:
     try:
         threads = args.threads
         if threads is None:
-            text = os.environ.get("CONEWAVE_THREADS", "1")
-            try:
-                threads = int(text)
-            except ValueError:
-                raise ConfigError("CONEWAVE_THREADS must be an integer, "
-                                  f"got {text!r}") from None
+            threads = _read(int, os.environ.get("CONEWAVE_THREADS", "1"),
+                            "CONEWAVE_THREADS")
         cfg = parse_config(args.config)
         if args.seed is not None:
+            _check_range(_ROWS["verify", "seed"], args.seed, "--seed")
             cfg.seed = args.seed
         outdir = args.out if args.out is not None else cfg.directory
         os.makedirs(outdir, exist_ok=True)
 
-        if args.subcommand == "simulate":
-            return _scenario_simulate(cfg, outdir)
-        if args.subcommand == "verify-carleman":
-            return _scenario_verify_carleman(cfg, outdir, threads)
-        if args.subcommand == "verify-localized":
-            return _scenario_verify_localized(cfg, outdir)
-        if args.subcommand == "energy-profile":
-            return _scenario_energy_profile(cfg, outdir)
-        if args.subcommand == "rate-fit":
-            return _scenario_rate_fit(cfg, outdir)
-        if args.subcommand == "decay":
-            return _scenario_decay(cfg, outdir)
-        if args.subcommand == "sweep":
-            return _scenario_sweep(cfg, outdir, threads)
-        raise ConfigError(f"unknown subcommand {args.subcommand}")
-    except (ConfigError, ValueError) as exc:
+        if args.subcommand in ("verify-carleman", "sweep"):
+            return _SCENARIOS[args.subcommand](cfg, outdir, threads)
+        return _SCENARIOS[args.subcommand](cfg, outdir)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, NonFiniteSample) as exc:

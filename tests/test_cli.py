@@ -364,6 +364,123 @@ class TestValidationBeforeAnyRun:
             capsys.readouterr().err
 
 
+TYPED_ROWS = [row for row in cli._KEYS if row.kind in (int, float)]
+
+
+ODE_DIAG = BASE.replace("sigma0 = 0.25", "sigma0 = 0.25\nfield_source = ode\n"
+                        "t_star = -0.5 -0.25 -0.125")
+
+
+def _run_exit_2(tmp_path, capsys, scenario, text, message):
+    """Runs `scenario` on `text`; it must exit 2 with `message` on stderr."""
+    cfg = write_config(tmp_path / "c.cfg", text)
+    out = tmp_path / "out"
+    assert run([scenario, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err, err
+
+
+class TestConfigTable:
+    """Every key is read, typed and range-checked from its row of
+    cli._KEYS; a bad value exits 2 naming `[section] key`."""
+
+    @pytest.mark.parametrize("row", TYPED_ROWS,
+                             ids=[f"{r.section}-{r.key}" for r in TYPED_ROWS])
+    def test_a_value_of_the_wrong_type_names_its_key(self, tmp_path, capsys,
+                                                     row):
+        # before: `invalid literal for int() with base 10: '2.5'`, no key
+        value, kind = ("2.5", "an integer") if row.kind is int else \
+            ("abc", "a float")
+        text = f"[{row.section}]\n{row.key} = {value}\n"
+        _run_exit_2(tmp_path, capsys, "simulate", text,
+                    f"[{row.section}] {row.key} must be {kind}, "
+                    f"got '{value}'")
+
+    # before: simulate on the README config, rate-fit, verify-localized
+    # and decay on configs that pass otherwise
+    @pytest.mark.parametrize("section,key,value", [
+        ("grid", "snapshot_log", "0 1.0 16"),      # a ZeroDivisionError
+        ("grid", "snapshot_log", "-0.04 1.0 16"),  # `math domain error`
+        ("grid", "snapshot_log", "1.0 0.04 16"),   # exit 0
+        ("grid", "snapshot_log", "0.04 1.0 -5"),   # exit 0
+        ("diagnostics", "window", "0.5"),          # an IndexError
+        ("diagnostics", "window", "0.1 0.6 0.9"),  # 0.9 dropped, exit 0
+        ("diagnostics", "ratio_band", "0.99"),     # every run failed, exit 3
+        ("diagnostics", "horizons", "4 4 8"),      # `need 0 <= t_lo < t_hi`
+    ])
+    def test_an_out_of_range_value_names_its_key(self, tmp_path, capsys,
+                                                 section, key, value):
+        _run_exit_2(tmp_path, capsys, "simulate",
+                    f"[{section}]\n{key} = {value}\n",
+                    f"[{section}] {key} must be ")
+
+    @pytest.mark.parametrize("scenario,grid", [
+        ("simulate", "J = 256.7"),        # ran J = 256 in cell_J256.7
+        ("simulate", "J = 256 256.4"),    # ran J = 256 twice
+        ("convergence", "J = 128.5 256 512"),
+    ])
+    def test_an_int_sweep_key_takes_only_integers(self, tmp_path, capsys,
+                                                  scenario, grid):
+        text = BASE + f"\n[sweep]\nscenario = {scenario}\n{grid}\n"
+        _run_exit_2(tmp_path, capsys, "sweep", text,
+                    f"[sweep] J must be a list of integers, got "
+                    f"'{grid[4:]}'")
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("data,message", [
+        ("kind = file", "[data] kind = file needs [data] path"),  # was exit 4
+        ("kind = file\npath = absent.dat",
+         "[data] path 'absent.dat': [Errno 2] No such file"),     # was exit 4
+        ("kind = file\npath = c.cfg", "[data] path 'c.cfg': bad snapshot"),
+    ])
+    def test_file_data_is_checked_when_the_config_is_read(
+            self, tmp_path, capsys, monkeypatch, data, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "evolve", _no_solver_run)
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            data)
+        _run_exit_2(tmp_path, capsys, "simulate", text, message)
+
+    def test_a_seed_below_0_names_its_key(self, tmp_path, capsys):
+        # before: numpy's `expected non-negative integer`
+        _run_exit_2(tmp_path, capsys, "verify-carleman",
+                    BASE.replace("seed = 7", "seed = -1"),
+                    "[verify] seed must be at least 0, got -1")
+        cfg = write_config(tmp_path / "c.cfg", BASE)
+        assert run(["verify-carleman", "--config", cfg, "--out",
+                    str(tmp_path / "o"), "--seed", "-1"]) == 2
+        assert "error: --seed must be at least 0, got -1" in \
+            capsys.readouterr().err
+
+    def test_a_window_the_fit_cannot_take_is_a_config_error(self, tmp_path,
+                                                            capsys):
+        text = ODE_DIAG.replace("eta = 2.0", "eta = 2.0\nwindow = 0.01 0.02")
+        _run_exit_2(tmp_path, capsys, "rate-fit", text,
+                    "rate-fit: window selects fewer than 3 samples")
+
+    def test_any_other_value_error_is_not_a_config_error(self, tmp_path,
+                                                         monkeypatch):
+        # a library invariant that a bug trips surfaces with its traceback
+        # (exit 1 from the command line); before, it read as exit 2
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli.energetics, "energy_profile", broken)
+        cfg = write_config(tmp_path / "c.cfg", ODE_DIAG)
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            run(["energy-profile", "--config", cfg, "--out",
+                 str(tmp_path / "o")])
+
+    def test_the_readme_lists_every_key_of_the_table(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "README.md")
+        with open(readme, encoding="utf-8") as handle:
+            listed = re.findall(r"^\| `\[(\w+)\] (\w+)` \|", handle.read(),
+                                re.MULTILINE)
+        assert sorted(listed) == sorted(cli._ROWS)
+        assert len(listed) == 46
+
+
 class TestSimulate:
     def test_zero_data_completes(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", BASE)
@@ -734,7 +851,8 @@ class TestSweep:
         text = BASE + "\n[sweep]\nscenario = simulate\nJ = 64 128\n"
         path = tmp_path / "c.cfg"
         cfg = parse_config(write_config(path, text))
-        assert cfg.sweep == {"scenario": "simulate", "J": "64 128"}
+        assert cfg.sweep_scenario == "simulate"
+        assert cfg.sweep == {"J": (64.0, 128.0)}
         path.unlink()  # a second read of the file would find no [sweep]
         monkeypatch.setattr(cli, "parse_config", lambda _: cfg)
         out = tmp_path / "out"
