@@ -15,16 +15,15 @@ import copy
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from . import carleman, energetics
 from .exact_solutions import InitialDataSpec, OdeSolution
 from .fields import (ManufacturedField, PotentialSpec, gaussian_rows,
-                     ode_field, polynomial_gaussian, traveling_bump)
+                     ode_field, polynomial_gaussian, traveling_bump,
+                     write_snapshots)
 from .geometry import ShiftedWeight
 from .quadrature import NonFiniteSample, QuadratureSpec
 from .solver import (SolverConfig, convergence_study, evolve,
@@ -324,7 +323,7 @@ def _scenario_simulate(cfg: RunConfig, outdir):
     _write_csv(outdir, "run.csv", "status,t_b,J,dt,max_phi",
                [(result.status, t_b, cfg.J, result.dt, result.max_phi)], 17)
     if result.snapshots:
-        result.field().write_snapshots(outdir, cfg.p)
+        write_snapshots(outdir, cfg.n, cfg.p, result.r, result.snapshots)
     ok = result.status in ("completed", "blew_up")
     if cfg.data.kind != "file":
         speed_ok, witness = finite_speed_check(result, cfg.data.support_radius)
@@ -341,6 +340,8 @@ def _scenario_simulate(cfg: RunConfig, outdir):
 
 def _random_case(rng, forced_a=None):
     """One randomized admissible verification instance (theorem-backed)."""
+    from . import carleman
+
     n = int(rng.integers(1, 4))
     p_hi = 2.8 if n >= 3 else 3.0
     p = float(rng.uniform(1.2, p_hi))
@@ -418,6 +419,8 @@ def _offcenter_gaussian(n, A, tc, rc, wt, wr) -> ManufacturedField:
 
 
 def _scenario_verify_carleman(cfg: RunConfig, outdir, threads=1):
+    from . import carleman
+
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     forced_a = cfg.a[0] if len(cfg.a) == 1 else None
     cases = [_random_case(rng, forced_a) for _ in range(cfg.cases)]
@@ -428,6 +431,8 @@ def _scenario_verify_carleman(cfg: RunConfig, outdir, threads=1):
         return carleman.verify_global(params, fieldobj, region, q)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(job, cases))
     else:
@@ -446,15 +451,20 @@ def _scenario_verify_carleman(cfg: RunConfig, outdir, threads=1):
     return 0 if failures == 0 else 3
 
 
-def _diagnostic_field(cfg: RunConfig):
+def _diagnostic_field(cfg: RunConfig, t_late=-math.inf):
+    """The field a diagnostic reads, at times up to `t_late`."""
     if cfg.field_source == "ode":
-        # the ODE profile solves the equation with V = 1 only
+        # the ODE profile solves the equation with V = 1 only, on t < 0
         if cfg.potential.kind != "constant":
             raise ConfigError("[problem] potential must be constant with "
                               "field_source = ode")
         if cfg.potential.c0 != 1.0:
             raise ConfigError("[problem] c0 must be 1 with field_source = "
                               f"ode, got {cfg.potential.c0!r}")
+        if t_late > 0:
+            raise ConfigError("[diagnostics] field_source = ode is the blow-up "
+                              "profile on t < 0 only, read here at t = "
+                              f"{t_late!r}")
         return ode_field(cfg.p, cfg.n)
     if cfg.data is None:
         raise ConfigError("field_source=run requires a [data] section")
@@ -470,7 +480,10 @@ def _diagnostic_field(cfg: RunConfig):
 def _scenario_verify_localized(cfg: RunConfig, outdir):
     if not cfg.t_star:
         raise ConfigError("verify-localized needs diagnostics.t_star")
-    fieldobj = _diagnostic_field(cfg)
+    from . import energetics
+
+    # a positive t_star's windows lie at t > 0
+    fieldobj = _diagnostic_field(cfg, max(cfg.t_star))
     checks = [energetics.localized_estimate_check(
         fieldobj, "annulus", (cfg.sigma0, cfg.sigma1), cfg.gamma, cfg.eta, ts,
         cfg.p, cfg.n, cfg.quadrature) for ts in cfg.t_star]
@@ -507,6 +520,8 @@ def _scenario_energy_profile(cfg: RunConfig, outdir):
     times = _diagnostic_times(cfg)
     if not times:
         raise ConfigError("no diagnostic times available")
+    from . import energetics
+
     fieldobj = _diagnostic_field(cfg)
     rows = energetics.energy_profile(fieldobj, cfg.sigma0, cfg.sigma1,
                                      cfg.gamma, cfg.eta, times, cfg.p, cfg.n,
@@ -522,6 +537,8 @@ def _scenario_rate_fit(cfg: RunConfig, outdir):
     times = _diagnostic_times(cfg)
     if len(times) < 3:
         raise ConfigError("rate fit needs at least 3 diagnostic times")
+    from . import energetics
+
     fieldobj = _diagnostic_field(cfg)
     vals = [energetics.weighted_ball_quantity(fieldobj, t, cfg.p, cfg.n,
                                         cfg.quadrature)[0] for t in times]
@@ -538,7 +555,10 @@ def _scenario_rate_fit(cfg: RunConfig, outdir):
 
 
 def _scenario_decay(cfg: RunConfig, outdir):
-    fieldobj = _diagnostic_field(cfg)
+    from . import energetics
+
+    # the decay integrals run over t in [1, max horizon]
+    fieldobj = _diagnostic_field(cfg, max(cfg.horizons))
     report = energetics.decay_partials(fieldobj, cfg.sigma, cfg.horizons,
                                        cfg.p, cfg.n, cfg.quadrature)
     _write_csv(outdir, "decay.csv", "T,D,L",
@@ -590,6 +610,8 @@ def _scenario_sweep(cfg: RunConfig, outdir, threads):
         return cell, _SCENARIOS[cfg.sweep_scenario](sub, subdir)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(job, cells))
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +30,7 @@ __all__ = [
     "traveling_bump",
     "signed_power",
     "write_snapshot",
+    "write_snapshots",
     "read_snapshot",
 ]
 
@@ -326,6 +328,21 @@ def write_snapshot(path, n, p, t, r, phi, phit):
                  np.asarray(phit, dtype=float))
 
 
+def write_snapshots(directory, n, p, r, levels):
+    """One `write_snapshot` file `snap_{m:04d}.dat` per level (t, phi, phit)
+    of `levels`, written from the level's own arrays; the levels share the
+    grid `r`, so its column is formatted once for all of them. Returns the
+    paths."""
+    r_text = _grid_text(r)
+    paths = []
+    for m, (t, phi, phit) in enumerate(levels):
+        path = os.path.join(directory, f"snap_{m:04d}.dat")
+        _write_level(path, n, p, t, r_text, np.asarray(phi, dtype=float),
+                     np.asarray(phit, dtype=float))
+        paths.append(path)
+    return paths
+
+
 def read_snapshot(path):
     """Returns (n, p, t, r, phi, phit)."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -462,16 +479,3 @@ class DiscreteField:
         return tuple(self._interp(table, stencil) for table in
                      (self.phi, self.phi_t, self._phi_r_table()))
 
-    def write_snapshots(self, directory, p, prefix="snap"):
-        """One `write_snapshot` file per level; the levels share the grid,
-        so its `r` column is formatted once for all of them."""
-        import os
-
-        r_text = _grid_text(self.r)
-        paths = []
-        for m, t in enumerate(self.times):
-            path = os.path.join(directory, f"{prefix}_{m:04d}.dat")
-            _write_level(path, self.dim, p, t, r_text, self.phi[m],
-                         self.phi_t[m])
-            paths.append(path)
-        return paths

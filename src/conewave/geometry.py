@@ -267,11 +267,12 @@ class SurfacePiece:
     """The piece protocol.
 
     `node_sets(mesh, n)` gives the piece's quadrature nodes as a sequence
-    of (t, r, measure, f) sets, built from the node rules of one refinement
-    level (`mesh`, see quadrature): `measure` is the node weight times the
-    induced density, and `f` the weight value in product form on the
-    pieces that carry a weight (an exterior region's cone side, level sets
-    of f), None on the others. `dot_normal(Pt, Pr, t, r, f)` contracts a
+    of (t, r, measure, f) sets of arrays of one length, built from the node
+    rules of one refinement level (`mesh`, see quadrature): `measure` is the
+    node weight times the induced density, and `f` the weight value in
+    product form on the pieces that carry a weight (an exterior region's
+    cone side, level sets of f), None on the others.
+    `dot_normal(Pt, Pr, t, r, f)` contracts a
     covector with the oriented unit normal; a piece with a constant normal
     gives it as `normal` = (N^t, N^r). The timelike pieces give their
     `radius(t)`; cylinders and unweighted cones are the sides of the
@@ -304,9 +305,9 @@ class TimeSlicePiece(SurfacePiece):
         return float(self.inward_sign), 0.0
 
     def node_sets(self, mesh, n):
-        """The radial nodes, with t the level as a one-element array."""
+        """The radial nodes, with t the level at each of them."""
         r, w = mesh.radial(self.r_lo, self.r_hi)
-        return ((np.array([self.level], dtype=float), r,
+        return ((np.full(r.shape, float(self.level)), r,
                  w * sphere_area(n) * r ** (n - 1), None),)
 
 

@@ -355,9 +355,8 @@ def integrate_surfaces(pieces, integrand, q: QuadratureSpec, n: int,
     for weighted in (False, True):
         group = [i for i, s in enumerate(sets) if (s[5] is None) != weighted]
         if group:
-            out = integrand(*(np.concatenate([np.broadcast_to(
-                sets[i][k], sets[i][3].shape) for i in group])
-                for k in (2, 3, 5)[:2 + weighted]))
+            out = integrand(*(np.concatenate([sets[i][k] for i in group])
+                              for k in (2, 3, 5)[:2 + weighted]))
             ends = np.cumsum([0] + [sets[i][3].size for i in group])
             for i, lo, hi in zip(group, ends, ends[1:]):
                 shares[i] = (tuple(v[lo:hi] for v in out)

@@ -145,11 +145,15 @@ class RunResult:
     energy: np.ndarray
     steps: int
 
+    @property
+    def r(self) -> np.ndarray:
+        """The radial grid of every level."""
+        return np.arange(self.config.J + 1) * self.config.dr
+
     def field(self) -> DiscreteField:
         if not self.snapshots:
             raise ValueError("run recorded no snapshots")
-        r = np.arange(self.config.J + 1) * self.config.dr
-        return DiscreteField.from_levels(self.snapshots, r, self.config.n)
+        return DiscreteField.from_levels(self.snapshots, self.r, self.config.n)
 
 
 def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,8 +338,30 @@ class TestValidationBeforeAnyRun:
         ok = write_config(tmp_path / "ok.cfg", BASE.replace(
             "sigma0 = 0.25", "sigma0 = 0.25\nfield_source = ode\n"
             "t_star = -0.5 -0.4 -0.3"))
-        assert run([scenario, "--config", ok, "--out",
-                    str(tmp_path / "ok")]) == 0
+        # decay reads the field on t >= 1, where the profile is not defined
+        assert run([scenario, "--config", ok, "--out", str(tmp_path / "ok")
+                    ]) == (2 if scenario == "decay" else 0)
+
+    @pytest.mark.parametrize("scenario,text", [
+        ("decay", DECAY.replace("sigma = 0.5", "sigma = 0.5\nfield_source = ode")),
+        ("decay", DECAY.replace("p = 2.0", "p = 1.8").replace(
+            "sigma = 0.5", "sigma = 0.5\nfield_source = ode")),
+        ("verify-localized", BASE.replace(
+            "sigma0 = 0.25", "sigma0 = 0.25\nfield_source = ode\n"
+            "t_star = -0.5 0.25")),
+    ], ids=["decay-p2", "decay-p1.8", "localized-positive-t_star"])
+    def test_ode_field_is_not_read_at_positive_times(self, tmp_path, capsys,
+                                                     scenario, text):
+        # the blow-up profile C (-t)^(-k) lives on t < 0; before, decay wrote
+        # C t^-2 with exit 0 at p = 2 and exited 3 on NaN samples at p = 1.8,
+        # and verify-localized read the profile at t > 0 with exit 0
+        cfg = write_config(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run([scenario, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: [diagnostics] field_source = ode is the blow-up " \
+            "profile on t < 0 only" in err
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("cases", ["-3", "0"])
     def test_cases_below_1(self, tmp_path, capsys, cases):
@@ -465,7 +488,7 @@ class TestConfigTable:
         def broken(*args, **kwargs):
             raise ValueError("operands could not be broadcast together")
 
-        monkeypatch.setattr(cli.energetics, "energy_profile", broken)
+        monkeypatch.setattr("conewave.energetics.energy_profile", broken)
         cfg = write_config(tmp_path / "c.cfg", ODE_DIAG)
         with pytest.raises(ValueError, match="could not be broadcast"):
             run(["energy-profile", "--config", cfg, "--out",
@@ -517,6 +540,26 @@ class TestSimulate:
         first = (outs[0] / snaps[0]).read_text().splitlines()
         assert first[-1].endswith(" 0 0") and not first[2].endswith(" 0 0")
 
+    def test_the_stored_levels_are_held_once(self, tmp_path):
+        # the snapshots are written from the run's own levels; before, a
+        # DiscreteField copy of every level doubled the peak
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        text = text.replace("J = 256", "J = 2048").replace(
+            "t_end = -0.1", "t_end = 0.0").replace(
+            "snapshot_times = -0.8 -0.5 -0.3", "snapshot_log = 0.04 1.0 64")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        levels = len([n for n in os.listdir(out) if n.startswith("snap_")])
+        assert levels > 80
+        assert peak < 1.5 * 16 * levels * (2048 + 1)
+
     def test_malformed_config_exit_2(self, tmp_path):
         bad = BASE.replace("gamma = 1.2", "gamma = 0.8")
         cfg = write_config(tmp_path / "c.cfg", bad)
@@ -538,7 +581,8 @@ class TestSimulate:
         def bad_profile(*args, **kwargs):
             raise NonFiniteSample(-0.5, 0.25, float("nan"))
 
-        monkeypatch.setattr(cli.energetics, "energy_profile", bad_profile)
+        monkeypatch.setattr("conewave.energetics.energy_profile",
+                            bad_profile)
         text = BASE.replace("sigma0 = 0.25",
                             "sigma0 = 0.25\nfield_source = ode\nt_star = -0.5")
         cfg = write_config(tmp_path / "c.cfg", text)
@@ -580,6 +624,26 @@ def test_overflow_prints_only_the_error_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: non-finite solver value at t=")
+
+
+def test_simulate_loads_only_what_it_runs(tmp_path):
+    # the package root re-exports nothing, and the Carleman verifier, the
+    # energetics layer and the thread pool load only where a scenario runs
+    # them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conewave.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg = write_config(tmp_path / "c.cfg", BASE.replace("J = 256", "J = 32"))
+    code = ("import sys\nimport conewave.cli as cli\n"
+            "cli.parse_config(sys.argv[1])\nprint(*sorted(sys.modules))\n"
+            "assert cli.run(['simulate', '--config', sys.argv[1]]) == 0\n"
+            "print(*sorted(sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code, cfg], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    parsed, simulated = (set(line.split()) for line in proc.stdout.splitlines())
+    assert "conewave.solver" in parsed and "conewave.fields" in parsed
+    unused = {"conewave.carleman", "conewave.energetics", "concurrent.futures"}
+    assert parsed & unused == simulated & unused == set()
 
 
 def test_module_entry_point_runs(tmp_path):
@@ -858,6 +922,22 @@ class TestSweep:
         out = tmp_path / "out"
         assert run(["sweep", "--config", str(path), "--out", str(out)]) == 0
         assert len((out / "sweep.csv").read_text().strip().splitlines()) == 3
+
+    def test_threads_do_not_change_bytes(self, tmp_path):
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        text = text.replace("t_end = -0.1", "t_end = 0.0")
+        text += "\n[sweep]\nscenario = simulate\nJ = 64 128\np = 1.5 2.0\n"
+        cfg = write_config(tmp_path / "c.cfg", text)
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert run(["sweep", "--config", cfg, "--out", str(out),
+                        "--threads", threads]) == 0
+            trees.append({str(path.relative_to(out)): path.read_bytes()
+                          for path in out.rglob("*") if path.is_file()})
+        assert len(trees[0]) == 1 + 1 + 4 * 5  # sweep.csv, summary, 4 cells
+        assert trees[0] == trees[1]
 
     def test_empty_grid_exit_2(self, tmp_path):
         text = BASE + "\n[sweep]\nscenario = simulate\n"

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conewave.fields import (
     signed_power,
     traveling_bump,
     write_snapshot,
+    write_snapshots,
     zero_field,
 )
 from conewave.cli import _offcenter_gaussian
@@ -305,17 +307,16 @@ class TestSnapshotWriterLiveEdge:
                   if WRITER_LEVELS[name][0].size == size]
         r = levels[0][0]
         times = np.arange(len(levels)) * 0.125 - 1.0
-        fld = DiscreteField(times, r, np.vstack([lv[1] for lv in levels]),
-                            np.vstack([lv[2] for lv in levels]), 2)
-        paths = fld.write_snapshots(str(tmp_path), 1.5)
-        assert len(paths) == len(levels)
-        for m, path in enumerate(paths):
+        stored = [(t, phi, phit) for t, (_, phi, phit) in zip(times, levels)]
+        paths = write_snapshots(str(tmp_path), 2, 1.5, r, stored)
+        assert [os.path.basename(path) for path in paths] == [
+            f"snap_{m:04d}.dat" for m in range(len(levels))]
+        for m, (t, phi, phit) in enumerate(stored):
             one = tmp_path / f"one_{m}.dat"
-            write_snapshot(one, 2, 1.5, times[m], r, fld.phi[m], fld.phi_t[m])
+            write_snapshot(one, 2, 1.5, t, r, phi, phit)
             want = tmp_path / f"want_{m}.dat"
-            format_every_row(want, 2, 1.5, times[m], r, fld.phi[m],
-                             fld.phi_t[m])
-            with open(path, "rb") as handle:
+            format_every_row(want, 2, 1.5, t, r, phi, phit)
+            with open(paths[m], "rb") as handle:
                 got = handle.read()
             assert got == one.read_bytes() == want.read_bytes()
 

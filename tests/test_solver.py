@@ -292,8 +292,10 @@ class TestEvolveBasics:
         cfg = SolverConfig(n=3, p=2.0, J=256, R=8.0, t0=-1.0, t_end=-0.4,
                            snapshot_times=(-0.8, -0.6), record_energy=False)
         res = evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
-        paths = res.field().write_snapshots(str(tmp_path), cfg.p)
-        from conewave.fields import DiscreteField, read_snapshot
+        from conewave.fields import DiscreteField, read_snapshot, write_snapshots
+
+        paths = write_snapshots(str(tmp_path), cfg.n, cfg.p, res.r,
+                                res.snapshots)
 
         rows = [read_snapshot(path) for path in paths]  # (n, p, t, r, phi, phit)
         reloaded = DiscreteField.from_levels(
