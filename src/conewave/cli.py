@@ -108,8 +108,10 @@ _KEYS = (
     _Key("diagnostics", "eta", float, 2.0),
     _Key("diagnostics", "t_star", _floats, (), lambda v: 0 not in v,
          "nonzero"),
-    _Key("diagnostics", "a", _floats, (0.05, 0.25, 0.45),
-         lambda v: all(a > 0 for a in v), "positive", sweep=True),
+    # empty: each verify-carleman case draws its own a
+    _Key("diagnostics", "a", _floats, (),
+         lambda v: len(v) <= 1 and all(a > 0 for a in v),
+         "empty or one positive value", sweep=True),
     _Key("diagnostics", "horizons", _floats, (4.0, 8.0, 16.0, 32.0),
          lambda v: all(h > 1 for h in v) and len(set(v)) == len(v),
          "distinct and greater than 1"),
@@ -291,7 +293,8 @@ def _require_small_potential(cfg: RunConfig, times, name):
 
 
 # --------------------------------------------------------------------------
-# Scenario implementations
+# Scenario implementations: each returns its outcome, (exit code, summary
+# key -> value, CSV tables), and `_emit` writes it
 # --------------------------------------------------------------------------
 
 def _write(path, text):
@@ -310,32 +313,35 @@ def _write_csv(outdir, name, header, rows, digits):
     _write(os.path.join(outdir, name), "\n".join(lines) + "\n")
 
 
-def _summary(outdir, **kv):
-    lines = [f"{k}={v}" for k, v in kv.items()]
-    _write(os.path.join(outdir, "summary"), "\n".join(lines) + "\n")
+def _emit(outdir, code, summary, tables):
+    """Writes a scenario's outcome into `outdir`: each (name, header, rows,
+    digits) table as a CSV, then `summary` (key -> value) as the last file.
+    Returns the exit code `code`."""
+    for table in tables:
+        _write_csv(outdir, *table)
+    _write(os.path.join(outdir, "summary"),
+           "".join(f"{k}={v}\n" for k, v in summary.items()))
+    return code
 
 
 def _scenario_simulate(cfg: RunConfig, outdir):
     if cfg.data is None:
         raise ConfigError("simulate requires a [data] section")
     result = evolve(cfg.solver_config(), cfg.data)
-    t_b = result.t_blowup if result.t_blowup is not None else math.nan
-    _write_csv(outdir, "run.csv", "status,t_b,J,dt,max_phi",
-               [(result.status, t_b, cfg.J, result.dt, result.max_phi)], 17)
     if result.snapshots:
         write_snapshots(outdir, cfg.n, cfg.p, result.r, result.snapshots)
-    ok = result.status in ("completed", "blew_up")
     if cfg.data.kind != "file":
         speed_ok, witness = finite_speed_check(result, cfg.data.support_radius)
     else:
         speed_ok, witness = True, None
-    _summary(outdir, status=result.status,
-             t_b=result.t_blowup if result.t_blowup is not None else "nan",
-             J=cfg.J, dt=f"{result.dt:.17g}", max_phi=f"{result.max_phi:.17g}",
-             finite_speed="pass" if speed_ok else f"fail at {witness}")
-    if not ok or not speed_ok:
-        return 3
-    return 0
+    ok = speed_ok and result.status in ("completed", "blew_up")
+    t_b = result.t_blowup if result.t_blowup is not None else math.nan
+    summary = dict(status=result.status, t_b=t_b, J=cfg.J,
+                   dt=f"{result.dt:.17g}", max_phi=f"{result.max_phi:.17g}",
+                   finite_speed="pass" if speed_ok else f"fail at {witness}")
+    return 0 if ok else 3, summary, [
+        ("run.csv", "status,t_b,J,dt,max_phi",
+         [(result.status, t_b, cfg.J, result.dt, result.max_phi)], 17)]
 
 
 def _random_case(rng, forced_a=None):
@@ -418,37 +424,25 @@ def _offcenter_gaussian(n, A, tc, rc, wt, wr) -> ManufacturedField:
     return ManufacturedField(n, jet, label=f"offgauss(A={A:.3g})")
 
 
-def _scenario_verify_carleman(cfg: RunConfig, outdir, threads=1):
+def _scenario_verify_carleman(cfg: RunConfig, outdir):
     from . import carleman
 
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
-    forced_a = cfg.a[0] if len(cfg.a) == 1 else None
+    forced_a = cfg.a[0] if cfg.a else None
     cases = [_random_case(rng, forced_a) for _ in range(cfg.cases)]
     q = cfg.quadrature
-
-    def job(item):
-        params, fieldobj, region = item
-        return carleman.verify_global(params, fieldobj, region, q)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(job, cases))
-    else:
-        reports = [job(c) for c in cases]
-
+    reports = [carleman.verify_global(*case, q) for case in cases]
     rows = [(idx, params.a, params.p, params.n, rep.lhs_bulk, rep.rhs_bulk,
              rep.rhs_boundary, rep.slack, sum(rep.error_estimates.values()),
              int(rep.passed))
             for idx, ((params, _, _), rep) in enumerate(zip(cases, reports))]
-    _write_csv(outdir, "carleman.csv",
-               "case_id,a,p,n,lhs,rhs_bulk,rhs_boundary,slack,err_est,pass",
-               rows, cfg.precision)
     failures = sum(not rep.passed for rep in reports)
-    _summary(outdir, status="pass" if failures == 0 else "fail",
-             cases=cfg.cases, failures=failures, seed=cfg.seed)
-    return 0 if failures == 0 else 3
+    summary = dict(status="pass" if failures == 0 else "fail",
+                   cases=cfg.cases, failures=failures, seed=cfg.seed)
+    return 0 if failures == 0 else 3, summary, [
+        ("carleman.csv",
+         "case_id,a,p,n,lhs,rhs_bulk,rhs_boundary,slack,err_est,pass", rows,
+         cfg.precision)]
 
 
 def _diagnostic_field(cfg: RunConfig, t_late=-math.inf):
@@ -487,20 +481,18 @@ def _scenario_verify_localized(cfg: RunConfig, outdir):
     checks = [energetics.localized_estimate_check(
         fieldobj, "annulus", (cfg.sigma0, cfg.sigma1), cfg.gamma, cfg.eta, ts,
         cfg.p, cfg.n, cfg.quadrature) for ts in cfg.t_star]
-    _write_csv(outdir, "localized.csv", "t_star,kind,lhs,rhs,ratio",
+    tables = [("localized.csv", "t_star,kind,lhs,rhs,ratio",
                [(c.t_star, c.kind, c.lhs, c.rhs, c.ratio) for c in checks],
-               cfg.precision)
+               cfg.precision)]
     ratios = [c.ratio for c in checks if c.lhs != 0.0]  # vacuous cases pass
     if not ratios:
-        _summary(outdir, status="pass", note="all cases vacuous",
-                 band=cfg.ratio_band)
-        return 0
+        return 0, dict(status="pass", note="all cases vacuous",
+                       band=cfg.ratio_band), tables
     finite = all(math.isfinite(x) and x > 0 for x in ratios)
     stable = finite and max(ratios) / min(ratios) <= cfg.ratio_band
-    _summary(outdir, status="pass" if (finite and stable) else "fail",
-             ratio_min=min(ratios), ratio_max=max(ratios),
-             band=cfg.ratio_band)
-    return 0 if (finite and stable) else 3
+    return 0 if stable else 3, dict(
+        status="pass" if stable else "fail", ratio_min=min(ratios),
+        ratio_max=max(ratios), band=cfg.ratio_band), tables
 
 
 def _diagnostic_times(cfg: RunConfig):
@@ -526,11 +518,9 @@ def _scenario_energy_profile(cfg: RunConfig, outdir):
     rows = energetics.energy_profile(fieldobj, cfg.sigma0, cfg.sigma1,
                                      cfg.gamma, cfg.eta, times, cfg.p, cfg.n,
                                      cfg.quadrature)
-    _write_csv(outdir, "profile.csv",
-               "t,annulus_q,slab_q,mz_q,lhs_1_6,rhs_1_6,ratio,err_est", rows,
-               cfg.precision)
-    _summary(outdir, status="completed", times=len(times))
-    return 0
+    return 0, dict(status="completed", times=len(times)), [
+        ("profile.csv", "t,annulus_q,slab_q,mz_q,lhs_1_6,rhs_1_6,ratio,err_est",
+         rows, cfg.precision)]
 
 
 def _scenario_rate_fit(cfg: RunConfig, outdir):
@@ -544,14 +534,13 @@ def _scenario_rate_fit(cfg: RunConfig, outdir):
                                         cfg.quadrature)[0] for t in times]
     report = _config_call("rate-fit: ", energetics.rate_fit, times, vals,
                           cfg.window or None)
-    _write_csv(outdir, "rates.csv", "quantity,slope,residual,window_lo,"
-               "window_hi,inf,sup,last_decade_max",
-               [("mz_ball", report.slope, report.residual, *report.window,
-                 report.infimum, report.supremum, report.last_decade_max)],
-               cfg.precision)
-    _summary(outdir, status="completed", slope=report.slope,
-             infimum=report.infimum, supremum=report.supremum)
-    return 0
+    return 0, dict(status="completed", slope=report.slope,
+                   infimum=report.infimum, supremum=report.supremum), [
+        ("rates.csv", "quantity,slope,residual,window_lo,window_hi,inf,sup,"
+         "last_decade_max",
+         [("mz_ball", report.slope, report.residual, *report.window,
+           report.infimum, report.supremum, report.last_decade_max)],
+         cfg.precision)]
 
 
 def _scenario_decay(cfg: RunConfig, outdir):
@@ -561,23 +550,19 @@ def _scenario_decay(cfg: RunConfig, outdir):
     fieldobj = _diagnostic_field(cfg, max(cfg.horizons))
     report = energetics.decay_partials(fieldobj, cfg.sigma, cfg.horizons,
                                        cfg.p, cfg.n, cfg.quadrature)
-    _write_csv(outdir, "decay.csv", "T,D,L",
-               zip(report.horizons, report.bulk, report.lateral),
-               cfg.precision)
-    status = "completed"
     code = 0
     if cfg.strict:
         # tail masses after the first horizon must decrease strictly
         tails = report.bulk_segments[1:]
         cauchy_ok = all(b < a for a, b in zip(tails, tails[1:])) and tails[-1] > 0
-        if not cauchy_ok:
-            status, code = "fail", 3
-    _summary(outdir, status=status,
-             D_final=report.bulk[-1], L_final=report.lateral[-1])
-    return code
+        code = 0 if cauchy_ok else 3
+    return code, dict(status="fail" if code else "completed",
+                      D_final=report.bulk[-1], L_final=report.lateral[-1]), [
+        ("decay.csv", "T,D,L", zip(report.horizons, report.bulk,
+                                   report.lateral), cfg.precision)]
 
 
-def _scenario_sweep(cfg: RunConfig, outdir, threads):
+def _scenario_sweep(cfg: RunConfig, outdir):
     if cfg.sweep is None or cfg.sweep_scenario is None:
         raise ConfigError("sweep requires a [sweep] section with a scenario")
     grid = cfg.sweep
@@ -587,14 +572,14 @@ def _scenario_sweep(cfg: RunConfig, outdir, threads):
         raise ConfigError("sweeping M requires truncated_ode data")
 
     if cfg.sweep_scenario == "convergence":
-        return _sweep_convergence(cfg, outdir, grid)
+        return _sweep_convergence(cfg, grid)
 
     keys = sorted(grid)
     cells = [()]
     for k in keys:
         cells = [prev + ((k, v),) for prev in cells for v in grid[k]]
     # every cell is validated, and given its own directory, before any runs
-    subs = {cell: _apply_cell(cfg, dict(cell)) for cell in cells}
+    subs = [_apply_cell(cfg, dict(cell)) for cell in cells]
     names = {}
     for cell in cells:
         name = "cell_" + "_".join(f"{k}{v:g}" for k, v in cell)
@@ -602,35 +587,24 @@ def _scenario_sweep(cfg: RunConfig, outdir, threads):
             raise ConfigError(f"sweep cells {_cell_text(names[name])} and "
                               f"{_cell_text(cell)} share the directory {name}")
         names[name] = cell
-    subdirs = {cell: os.path.join(outdir, name) for name, cell in names.items()}
-
-    def job(cell):
-        sub, subdir = subs[cell], subdirs[cell]
+    codes = []
+    for name, sub in zip(names, subs):
+        subdir = os.path.join(outdir, name)
         os.makedirs(subdir, exist_ok=True)
-        return cell, _SCENARIOS[cfg.sweep_scenario](sub, subdir)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, cells))
-    else:
-        results = [job(c) for c in cells]
-
-    _write_csv(outdir, "sweep.csv", ",".join(keys) + ",exit_code",
-               [tuple(v for _, v in cell) + (code,) for cell, code in results],
-               17)
-    worst = max(code for _, code in results)
-    _summary(outdir, status="pass" if worst == 0 else "fail",
-             cells=len(cells))
-    return worst
+        codes.append(_emit(subdir, *_SCENARIOS[cfg.sweep_scenario](sub, subdir)))
+    worst = max(codes)
+    return worst, dict(status="pass" if worst == 0 else "fail",
+                       cells=len(cells)), [
+        ("sweep.csv", ",".join(keys) + ",exit_code",
+         [tuple(v for _, v in cell) + (code,)
+          for cell, code in zip(cells, codes)], 17)]
 
 
 def _cell_text(cell):
     return " ".join(f"{k}={v!r}" for k, v in cell)
 
 
-def _sweep_convergence(cfg: RunConfig, outdir, grid):
+def _sweep_convergence(cfg: RunConfig, grid):
     """Resolution sweep with the homogeneous ODE core as the reference;
     aggregates a fitted order across the grid levels."""
     if list(grid) != ["J"]:
@@ -648,11 +622,11 @@ def _sweep_convergence(cfg: RunConfig, outdir, grid):
         cfg.solver_config(), cfg.data, levels,
         lambda t, r: float(sol.value(t)) + 0.0 * r, t_ref,
         0.5 * cfg.data.cutoff)
-    _write_csv(outdir, "sweep.csv", "J,error", sorted(errors.items()), 17)
     ok = abs(order - 2.0) <= 0.3
-    _summary(outdir, status="pass" if ok else "fail",
-             fitted_order=f"{order:.17g}", levels=len(levels))
-    return 0 if ok else 3
+    return 0 if ok else 3, dict(status="pass" if ok else "fail",
+                                fitted_order=f"{order:.17g}",
+                                levels=len(levels)), [
+        ("sweep.csv", "J,error", sorted(errors.items()), 17)]
 
 
 def _apply_cell(cfg: RunConfig, cell: dict) -> RunConfig:
@@ -690,24 +664,18 @@ def run(argv=None) -> int:
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=None)
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=None)
+    # every run is serial; the flag stays for callers that pass --threads 1
+    ap.add_argument("--threads", type=int, choices=[1])
     args = ap.parse_args(argv)
 
     try:
-        threads = args.threads
-        if threads is None:
-            threads = _read(int, os.environ.get("CONEWAVE_THREADS", "1"),
-                            "CONEWAVE_THREADS")
         cfg = parse_config(args.config)
         if args.seed is not None:
             _check_range(_ROWS["verify", "seed"], args.seed, "--seed")
             cfg.seed = args.seed
         outdir = args.out if args.out is not None else cfg.directory
         os.makedirs(outdir, exist_ok=True)
-
-        if args.subcommand in ("verify-carleman", "sweep"):
-            return _SCENARIOS[args.subcommand](cfg, outdir, threads)
-        return _SCENARIOS[args.subcommand](cfg, outdir)
+        return _emit(outdir, *_SCENARIOS[args.subcommand](cfg, outdir))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

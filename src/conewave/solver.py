@@ -18,7 +18,7 @@ because the axis row pushes lam_max above 4/dr^2 (2n/dr^2 at the axis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -330,8 +330,7 @@ def finite_speed_check(result: RunResult, support_radius: float,
     only C^2 at its support edge, so a unit coefficient would reject
     correct runs.
     """
-    cfg = result.config
-    r = np.arange(cfg.J + 1) * cfg.dr
+    cfg, r = result.config, result.r
     speed = cfg.dr / result.dt
     for (t, phi, _) in result.snapshots:
         bound = support_radius + (t - cfg.t0) * speed + 2.0 * cfg.dr
@@ -352,20 +351,15 @@ def convergence_study(config: SolverConfig, data: InitialDataSpec, levels,
     levels = sorted(levels)
     errors = []
     for J in levels:
-        cfg = SolverConfig(
-            n=config.n, p=config.p, potential=config.potential, R=config.R,
-            J=J, cfl=config.cfl, t0=config.t0, t_end=config.t_end,
-            phi_max=config.phi_max, snapshot_times=(t_ref,),
-            linear=config.linear)
-        run = evolve(cfg, data)
+        run = evolve(replace(config, J=J, snapshot_times=(t_ref,),
+                             record_energy=False), data)
         if not run.snapshots:
             raise ValueError(f"run at J={J} recorded no snapshot near t_ref")
         t, phi, _ = run.snapshots[0]
-        dr = config.R / J
-        r = np.arange(J + 1) * dr
+        r = run.r
         mask = r < core_radius
         diff = phi[mask] - reference(t, r[mask])
-        w = r[mask] ** (config.n - 1) * dr
+        w = r[mask] ** (config.n - 1) * run.config.dr
         errors.append(math.sqrt(float(np.sum(diff * diff * w))))
     if min(errors) == 0.0:
         # exact reproduction (e.g. zero data): no rate to fit

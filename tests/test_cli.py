@@ -430,6 +430,7 @@ class TestConfigTable:
         ("diagnostics", "window", "0.1 0.6 0.9"),  # 0.9 dropped, exit 0
         ("diagnostics", "ratio_band", "0.99"),     # every run failed, exit 3
         ("diagnostics", "horizons", "4 4 8"),      # `need 0 <= t_lo < t_hi`
+        ("diagnostics", "a", "0.1 0.3"),           # ignored, exit 0
     ])
     def test_an_out_of_range_value_names_its_key(self, tmp_path, capsys,
                                                  section, key, value):
@@ -502,6 +503,22 @@ class TestConfigTable:
                                 re.MULTILINE)
         assert sorted(listed) == sorted(cli._ROWS)
         assert len(listed) == 46
+
+    def test_the_readme_synopsis_names_every_flag_of_the_parser(self,
+                                                                capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        accepted = re.findall(r"--\w+", capsys.readouterr().out)
+        readme = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "README.md")
+        with open(readme, encoding="utf-8") as handle:
+            synopsis = re.findall(r"^    conewave SUBCOMMAND (.*)$",
+                                  handle.read(), re.MULTILINE)
+        assert len(synopsis) == 1
+        # argparse's own --help aside, each flag once in each
+        assert sorted(re.findall(r"--\w+", synopsis[0])) == \
+            sorted(set(accepted) - {"--help"})
 
 
 class TestSimulate:
@@ -627,9 +644,9 @@ def test_overflow_prints_only_the_error_line(tmp_path):
 
 
 def test_simulate_loads_only_what_it_runs(tmp_path):
-    # the package root re-exports nothing, and the Carleman verifier, the
-    # energetics layer and the thread pool load only where a scenario runs
-    # them
+    # the package root re-exports nothing, the Carleman verifier and the
+    # energetics layer load only where a scenario runs them, and no run
+    # loads a thread pool
     src = os.path.dirname(os.path.dirname(os.path.abspath(conewave.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     cfg = write_config(tmp_path / "c.cfg", BASE.replace("J = 256", "J = 32"))
@@ -693,30 +710,44 @@ class TestVerifyCarleman:
                     "--seed", "2"]) == 0
         assert (out1 / "carleman.csv").read_text() != (out2 / "carleman.csv").read_text()
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
+    def test_threads_above_1_exit_2(self, tmp_path, capsys):
+        # every run is serial; before, --threads 2 started a pool
+        cfg = write_config(tmp_path / "c.cfg", BASE)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["verify-carleman", "--config", cfg, "--out", str(out),
+                 "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads: invalid choice: 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_environment_does_not_change_a_run(self, tmp_path,
+                                                   monkeypatch):
+        # before, CONEWAVE_THREADS = abc was exit 2
         cfg = write_config(tmp_path / "c.cfg", BASE)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run(["verify-carleman", "--config", cfg, "--out", str(out1),
-                    "--threads", "1"]) == 0
-        assert run(["verify-carleman", "--config", cfg, "--out", str(out2),
-                    "--threads", "4"]) == 0
-        assert (out1 / "carleman.csv").read_bytes() == (out2 / "carleman.csv").read_bytes()
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONEWAVE_THREADS", "3")
-        cfg = write_config(tmp_path / "c.cfg", BASE)
-        out = tmp_path / "env"
-        assert run(["verify-carleman", "--config", cfg, "--out", str(out)]) == 0
-        assert (out / "carleman.csv").exists()
-
-    def test_threads_env_not_an_integer_exit_2(self, tmp_path, monkeypatch,
-                                               capsys):
+        assert run(["verify-carleman", "--config", cfg, "--out", str(out1)]) == 0
         monkeypatch.setenv("CONEWAVE_THREADS", "abc")
-        cfg = write_config(tmp_path / "c.cfg", BASE)
-        assert run(["verify-carleman", "--config", cfg, "--out",
-                    str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "error: CONEWAVE_THREADS must be an integer, got 'abc'" in err
+        assert run(["verify-carleman", "--config", cfg, "--out", str(out2)]) == 0
+        for name in ("carleman.csv", "summary"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_one_a_sets_every_case_and_two_exit_2(self, tmp_path, capsys):
+        text = BASE.replace("cases = 12", "cases = 4")
+        one = write_config(tmp_path / "one.cfg", text.replace(
+            "eta = 2.0", "eta = 2.0\na = 0.2"))
+        out = tmp_path / "one"
+        assert run(["verify-carleman", "--config", one, "--out", str(out)]) == 0
+        rows = (out / "carleman.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0.20000000000000001"] * 4
+        # before, two values were ignored: each case drew its own a, exit 0
+        two = write_config(tmp_path / "two.cfg", text.replace(
+            "eta = 2.0", "eta = 2.0\na = 0.1 0.3"))
+        out = tmp_path / "two"
+        assert run(["verify-carleman", "--config", two, "--out", str(out)]) == 2
+        assert ("error: [diagnostics] a must be empty or one positive value, "
+                "got (0.1, 0.3)") in capsys.readouterr().err
+        assert not (out / "carleman.csv").exists()
 
 
 class TestDiagnosticsSubcommands:
@@ -924,16 +955,17 @@ class TestSweep:
         assert len((out / "sweep.csv").read_text().strip().splitlines()) == 3
 
     def test_threads_do_not_change_bytes(self, tmp_path):
+        # the cells run one after another: a rerun with --threads 1, the
+        # one value the flag takes, writes the same tree byte for byte
         text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
                             "kind = truncated_ode\nM = 2.0\nw = 0.25")
         text = text.replace("t_end = -0.1", "t_end = 0.0")
         text += "\n[sweep]\nscenario = simulate\nJ = 64 128\np = 1.5 2.0\n"
         cfg = write_config(tmp_path / "c.cfg", text)
         trees = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            assert run(["sweep", "--config", cfg, "--out", str(out),
-                        "--threads", threads]) == 0
+        for flag in ([], ["--threads", "1"]):
+            out = tmp_path / f"run{len(trees)}"
+            assert run(["sweep", "--config", cfg, "--out", str(out)] + flag) == 0
             trees.append({str(path.relative_to(out)): path.read_bytes()
                           for path in out.rglob("*") if path.is_file()})
         assert len(trees[0]) == 1 + 1 + 4 * 5  # sweep.csv, summary, 4 cells
@@ -1000,21 +1032,36 @@ HEADERS = {
 }
 
 
+# (subcommand, a config it runs with exit 0, the CSV it writes)
+EVERY_SCENARIO = [("simulate", BASE, "run.csv"),
+                  ("verify-carleman", BASE, "carleman.csv"),
+                  ("verify-localized", ODE_DIAG, "localized.csv"),
+                  ("energy-profile", ODE_DIAG, "profile.csv"),
+                  ("rate-fit", ODE_DIAG, "rates.csv"),
+                  ("decay", DECAY, "decay.csv"),
+                  ("sweep", BASE + "\n[sweep]\nscenario = simulate\n"
+                   "J = 64 128\n", "sweep.csv")]
+
+
+@pytest.mark.parametrize("scenario,text,name", EVERY_SCENARIO,
+                         ids=[run[0] for run in EVERY_SCENARIO])
+def test_a_summary_that_cannot_be_written_is_exit_4(tmp_path, capsys,
+                                                    scenario, text, name):
+    # the CSV is written first and `summary` last, in one place
+    out = tmp_path / "out"
+    (out / "summary").mkdir(parents=True)
+    cfg = write_config(tmp_path / "c.cfg", text)
+    assert run([scenario, "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"io error: cannot write {out / 'summary'}: "), err
+    assert (out / name).is_file()
+
+
 def _every_output(tmp_path, precision):
     """{file name: text} of each CSV kind the CLI writes, at `precision`."""
     outdir = tmp_path / f"p{precision}"
-    diag = BASE.replace("sigma0 = 0.25", "sigma0 = 0.25\nfield_source = ode\n"
-                        "t_star = -0.5 -0.25 -0.125")
-    runs = [("simulate", BASE, "run.csv"),
-            ("verify-carleman", BASE, "carleman.csv"),
-            ("verify-localized", diag, "localized.csv"),
-            ("energy-profile", diag, "profile.csv"),
-            ("rate-fit", diag, "rates.csv"),
-            ("decay", DECAY, "decay.csv"),
-            ("sweep", BASE + "\n[sweep]\nscenario = simulate\nJ = 64 128\n",
-             "sweep.csv")]
     texts = {}
-    for scenario, text, name in runs:
+    for scenario, text, name in EVERY_SCENARIO:
         text = text.replace("directory = out",
                             f"directory = out\nprecision = {precision}")
         cfg = write_config(tmp_path / f"{scenario}.cfg", text)
