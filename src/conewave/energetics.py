@@ -175,35 +175,31 @@ class LocalizedCheck:
         return cls(lhs=lhs, rhs=rhs, ratio=ratio, kind=kind, t_star=t_star)
 
 
-def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q,
-                 sup_levels=None):
+def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q):
     """Right side of the annulus form of the localized estimate:
     |t*| sup_tau int_{A(tau)} [|grad phi|^2 + |phi|^{p+1} + t*^{-2} phi^2],
-    tau in [|t*|/eta, eta |t*|] (17 equispaced levels unless `sup_levels`),
-    with the time-reflected levels for t* < 0, integrated as one family of
-    slices (integrate_slices)."""
+    tau over 17 equispaced levels in [|t*|/eta, eta |t*|], with the
+    time-reflected levels for t* < 0, integrated as one family of slices
+    (integrate_slices)."""
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
-    if sup_levels is None:
-        sup_levels = np.linspace(ats / eta, ats * eta, 17)
-    sup_levels = np.asarray(sup_levels, dtype=float)
-    _require_time_coverage(field, *(sgn * sup_levels))
-    slices = integrate_slices(sgn * sup_levels, sigma0 * sup_levels,
-                              sigma1 * sup_levels,
+    levels = np.linspace(ats / eta, ats * eta, 17)
+    _require_time_coverage(field, *(sgn * levels))
+    slices = integrate_slices(sgn * levels, sigma0 * levels, sigma1 * levels,
                               _energy_density(field, ats, p), q, n)
     return ats * max(res.value for res in slices)
 
 
 def localized_estimate_check(field, kind, sigma_or_pair, gamma, eta, t_star,
-                             p, n, q: QuadratureSpec = QuadratureSpec(),
-                             sup_levels=None) -> LocalizedCheck:
+                             p, n, q: QuadratureSpec = QuadratureSpec()
+                             ) -> LocalizedCheck:
     """Both sides of the localized estimates and their ratio.
 
     kind "timecone": int_slab |phi|^{p+1} against
         |t*| int_lateral [|grad phi|^2 + |phi|^{p+1} + t*^{-2} phi^2];
     kind "annulus": the same left side against
         |t*| sup_tau int_{A(tau)} [...], tau in [|t*|/eta, eta |t*|],
-    the sup discretized over `sup_levels` (default 17 equispaced levels).
+    the sup discretized over 17 equispaced levels.
     Negative t* runs the time-reflected construction.
     """
     if kind not in ("timecone", "annulus"):
@@ -220,8 +216,7 @@ def localized_estimate_check(field, kind, sigma_or_pair, gamma, eta, t_star,
         rhs = abs(t_star) * lateral_quantity(field, sigma0, eta, t_star, p, n,
                                              q)[0]
     else:
-        rhs = _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q,
-                           sup_levels)
+        rhs = _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q)
 
     return LocalizedCheck.from_sides(lhs, rhs, kind, t_star)
 

@@ -18,7 +18,6 @@ from .fields import read_snapshot
 
 __all__ = [
     "OdeSolution",
-    "ode_value",
     "InitialDataSpec",
     "smoothstep",
     "annulus_scaling_constant",
@@ -62,12 +61,6 @@ class OdeSolution:
         if level <= 0:
             raise ValueError("level must be positive")
         return -((self.amplitude / level) ** (1.0 / self.k))
-
-
-def ode_value(p, t):
-    """(phi*(t), d_t phi*(t)) for t < 0."""
-    sol = OdeSolution(p)
-    return float(sol.value(t)), float(sol.dvalue(t))
 
 
 def smoothstep(s):
@@ -127,8 +120,8 @@ class InitialDataSpec:
         r = np.asarray(r, dtype=float)
         if self.kind == "truncated_ode":
             ramp = 1.0 - smoothstep((r - self.cutoff) / self.ramp_width)
-            v, dv = ode_value(self.p, t0)
-            return v * ramp, dv * ramp
+            sol = OdeSolution(self.p)
+            return float(sol.value(t0)) * ramp, float(sol.dvalue(t0)) * ramp
         if self.kind == "gaussian":
             ramp = 1.0 - smoothstep((r - 5.0 * self.width) / self.width)
             phi = self.amplitude * np.exp(-r * r / (2.0 * self.width ** 2)) * ramp
@@ -182,10 +175,8 @@ def slab_scaling_constant(p, n, sigma0, gamma):
     return c_grad, c_phi
 
 
-def ball_quantity_ode(p, n, t=None):
-    """Three-term weighted ball quantity for phi*; t-independent, equal to
+def ball_quantity_ode(p, n):
+    """Three-term weighted ball quantity for phi*, the same at every t < 0:
     C (1 + k) sqrt(V_n). The spatial gradient term contributes zero."""
     sol = OdeSolution(p)
-    if t is not None and t >= 0:
-        raise ValueError("phi* requires t < 0")
     return sol.amplitude * (1.0 + sol.k) * math.sqrt(ball_volume(n))

@@ -29,8 +29,6 @@ __all__ = [
     "polynomial_gaussian",
     "traveling_bump",
     "signed_power",
-    "write_snapshot",
-    "write_snapshots",
     "read_snapshot",
 ]
 
@@ -119,10 +117,6 @@ class PotentialSpec:
             return np.full(np.broadcast(np.asarray(t), np.asarray(r)).shape,
                            self.c0)
         return self.c0 + self.eps * self._bump(t, r)[0]
-
-    def gradient(self, t, r):
-        """(d_t V, d_r V)."""
-        return self.jet(t, r)[1:]
 
 
 # --------------------------------------------------------------------------
@@ -317,28 +311,23 @@ def _write_level(path, n, p, t, r_text, phi, phit):
         handle.write(" 0 0\n".join(r_text[edge:] + [""]))
 
 
-def write_snapshot(path, n, p, t, r, phi, phit):
-    """Text snapshot: header `# n p t`, rows `r phi phit`, 17 sig digits.
-
-    The rows past the last one where phi or phit is not +0.0 read `r 0 0`;
-    they are written without formatting a value, so a level that the data
-    has not reached in full (the solver's causal window) costs little past
-    its live edge."""
-    _write_level(path, n, p, t, _grid_text(r), np.asarray(phi, dtype=float),
-                 np.asarray(phit, dtype=float))
-
-
 def write_snapshots(directory, n, p, r, levels):
-    """One `write_snapshot` file `snap_{m:04d}.dat` per level (t, phi, phit)
-    of `levels`, written from the level's own arrays; the levels share the
-    grid `r`, so its column is formatted once for all of them. Returns the
-    paths."""
+    """One text snapshot `snap_{m:04d}.dat` per level (t, phi, phit) of
+    `levels`, from the level's own arrays: header `# n p t`, rows `r phi
+    phit` at 17 significant digits, the `r` column formatted once for all.
+    Rows past the last one where phi or phit is not +0.0 read `r 0 0`,
+    written without formatting a value, so a level the data has not reached
+    in full (the solver's causal window) costs little past its live edge.
+    Returns the paths; an OSError names the file it could not write."""
     r_text = _grid_text(r)
     paths = []
     for m, (t, phi, phit) in enumerate(levels):
         path = os.path.join(directory, f"snap_{m:04d}.dat")
-        _write_level(path, n, p, t, r_text, np.asarray(phi, dtype=float),
-                     np.asarray(phit, dtype=float))
+        try:
+            _write_level(path, n, p, t, r_text, np.asarray(phi, dtype=float),
+                         np.asarray(phit, dtype=float))
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc}") from exc
         paths.append(path)
     return paths
 

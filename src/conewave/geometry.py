@@ -532,13 +532,14 @@ def _in_exterior_cartesian(t, x, sigma, t_star, center):
 
 
 def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
-                   sample_count=2000, n=3, eta=None, seed=0) -> CoveringResult:
+                   sample_count=2000, n=3, eta=None) -> CoveringResult:
     """Sample the slab and test coverage by the two exterior regions.
 
     Deterministic lattice in the plane spanned by the two ray velocities,
     plus targeted probes near the excluded double-cone tips zeta_i(t*), plus
-    seeded random points in the full ball. When `eta` is given, also checks
-    that both cone-boundary pieces sit inside the lateral slab of that eta.
+    random points in the full ball drawn with seed 0. When `eta` is given,
+    also checks that both cone-boundary pieces sit inside the lateral slab
+    of that eta.
     """
     if t_star <= 0:
         raise ValueError("covering check requires t* > 0")
@@ -603,7 +604,7 @@ def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
                 rho = 0.5 * abs(t - t_star)
                 x = c + rho * direction
                 samples.append((t, x))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(sample_count):
         t = rng.uniform(t_lo, t_hi)
         u = rng.standard_normal(n)

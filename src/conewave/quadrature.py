@@ -51,28 +51,21 @@ BLOCK_NODES = 8192  # nodes per integrand call in the slice and bulk loops
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite-rule parameters.
-
-    base_order 2 is the midpoint rule, 4 the two-point Gauss rule per cell.
-    grading_exponent controls how fast cell edges accumulate toward flagged
-    singular boundaries (breakpoints at relative distance (j/K)^q).
+    """Composite two-point Gauss rule parameters: cells per direction at
+    the coarse level (the fine level doubles them), and how fast cell edges
+    accumulate toward flagged singular boundaries (breakpoints at relative
+    distance (j/K)^q, q = grading_exponent).
     """
 
-    base_order: int = 4
     cells_t: int = 48
     cells_r: int = 48
     grading_exponent: float = 3.0
-    refinement_levels: int = 1
 
     def __post_init__(self):
-        if self.base_order not in (2, 4):
-            raise ValueError("base_order must be 2 (midpoint) or 4 (Gauss-2)")
         if self.cells_t < 4 or self.cells_r < 4:
             raise ValueError("need at least 4 cells per direction")
         if self.grading_exponent < 1.0:
             raise ValueError("grading_exponent must be >= 1")
-        if self.refinement_levels < 1:
-            raise ValueError("refinement_levels must be >= 1")
 
 
 @dataclass
@@ -120,12 +113,10 @@ def _breakpoints(cells, q, lo, hi):
     return u
 
 
-def _cell_nodes(bp, order):
-    """Nodes and weights for composite rule on breakpoints bp (ascending)."""
+def _cell_nodes(bp):
+    """Nodes and weights for the composite Gauss-2 rule on breakpoints bp."""
     h = np.diff(bp)
     mid = 0.5 * (bp[:-1] + bp[1:])
-    if order == 2:
-        return mid, h
     off = h * _GAUSS2
     nodes = np.empty(2 * h.size)
     weights = np.empty(2 * h.size)
@@ -136,29 +127,29 @@ def _cell_nodes(bp, order):
     return nodes, weights
 
 
-def _edge_distances(length, cells, q, order):
+def _edge_distances(length, cells, q):
     """Nodes as distances from a singular edge, d in (0, length].
 
     Breakpoints d_j = length (j/K)^q keep sub-eps distances exactly
     representable, which absolute coordinates cannot.
     """
     bp = length * (np.arange(cells + 1) / cells) ** q
-    return _cell_nodes(bp, order)
+    return _cell_nodes(bp)
 
 
 @lru_cache(maxsize=256)
-def _unit_rule(cells, order, q=1.0, singular_lo=False, singular_hi=False):
+def _unit_rule(cells, q=1.0, singular_lo=False, singular_hi=False):
     """Composite nodes and weights on [0, 1] (`_breakpoints`, then
-    `_cell_nodes`), built once per (cells, order, grading, flags) and shared
+    `_cell_nodes`), built once per (cells, grading, flags) and shared
     read-only by every caller."""
-    rule = _cell_nodes(_breakpoints(cells, q, singular_lo, singular_hi), order)
+    rule = _cell_nodes(_breakpoints(cells, q, singular_lo, singular_hi))
     for arr in rule:
         arr.flags.writeable = False
     return rule
 
 
-def _interval_nodes(a, b, cells, order, q=1.0, singular_lo=False, singular_hi=False):
-    rel, w = _unit_rule(cells, order, q, singular_lo, singular_hi)
+def _interval_nodes(a, b, cells, q=1.0, singular_lo=False, singular_hi=False):
+    rel, w = _unit_rule(cells, q, singular_lo, singular_hi)
     return a + (b - a) * rel, (b - a) * w
 
 
@@ -173,36 +164,31 @@ class _Mesh:
     factor: int
 
     def radial(self, a, b):
-        return _interval_nodes(a, b, self.factor * self.q.cells_r,
-                               self.q.base_order)
+        return _interval_nodes(a, b, self.factor * self.q.cells_r)
 
     def temporal(self, a, b, graded=False):
         return _interval_nodes(a, b, self.factor * self.q.cells_t,
-                               self.q.base_order, self.q.grading_exponent,
-                               graded, graded)
+                               self.q.grading_exponent, graded, graded)
 
     def from_edge(self, length):
         return _edge_distances(length, self.factor * self.q.cells_t,
-                               self.q.grading_exponent, self.q.base_order)
+                               self.q.grading_exponent)
 
 
-def _refine(level, q: QuadratureSpec):
-    """Evaluate `level(factor)` on 1, 2, ..., 2^refinement_levels times the
-    base resolution; the value is the finest, the error estimate the jump
-    from the previous level. A level returning a tuple of totals (one per
-    integrand output, or one per slice) gives a tuple of results."""
-    values, nodes = [], 0
-    for exponent in range(q.refinement_levels + 1):
-        val, cnt = level(2 ** exponent)
-        values.append(val)
-        nodes += cnt
+def _refine(level):
+    """Evaluate `level(factor)` at 1 and 2 times the base resolution; the
+    value is the fine one, the error estimate the jump from the coarse one.
+    A level returning a tuple of totals (one per integrand output, or one
+    per slice) gives a tuple of results."""
+    (coarse, n_coarse), (fine, n_fine) = level(1), level(2)
+    nodes = n_coarse + n_fine
 
     def result(fine, coarse):
         if isinstance(fine, tuple):
             return tuple(map(result, fine, coarse))
         return QuadratureResult(float(fine), float(abs(fine - coarse)), nodes)
 
-    return result(values[-1], values[-2])
+    return result(fine, coarse)
 
 
 def _weighted_sums(integrand, T, mesh, cols, axis=None):
@@ -274,7 +260,7 @@ def integrate_slices(times, r_lo, r_hi, integrand, q: QuadratureSpec,
         return tuple(zip(*sums) if isinstance(sums, tuple) else sums), rel.size
 
     try:
-        results = iter(_refine(level, q) if live.size else ())
+        results = iter(_refine(level) if live.size else ())
     except NonFiniteSample:
         for i in live if live.size > 1 else ():
             integrate_slice(T[i, 0], lo[i], hi[i], integrand, q, n)
@@ -298,16 +284,15 @@ def integrate_profile(t_window, r_inner, r_outer, integrand,
     r_outer(t)} with the radial spacetime measure; `singular_r`/`singular_t`
     flag edges toward which the mesh grades."""
     om = sphere_area(n)
-    order = q.base_order
     grade = q.grading_exponent
 
     def level(factor):
         tn, tws = _interval_nodes(t_window[0], t_window[1],
-                                  factor * q.cells_t, order, grade,
+                                  factor * q.cells_t, grade,
                                   singular_t[0], singular_t[1])
         rlo = np.asarray(r_inner(tn), dtype=float)[:, None]
         rhi = np.asarray(r_outer(tn), dtype=float)[:, None]
-        rel, rw_rel = _unit_rule(factor * q.cells_r, order, grade,
+        rel, rw_rel = _unit_rule(factor * q.cells_r, grade,
                                  singular_r[0], singular_r[1])
         span = rhi - rlo
         wspan = tws[:, None] * span
@@ -322,7 +307,7 @@ def integrate_profile(t_window, r_inner, r_outer, integrand,
         return (_weighted_sums(integrand, tn[:, None], mesh, rel.size),
                 tn.size * rel.size)
 
-    return _refine(level, q)
+    return _refine(level)
 
 
 def integrate_bulk(region, integrand, q: QuadratureSpec, n: int) -> QuadratureResult:
@@ -348,9 +333,9 @@ def integrate_surfaces(pieces, integrand, q: QuadratureSpec, n: int,
     its integrand values (P . N, say). Each set is checked and summed alone
     and a piece adds its sets in order from -0.0 (a one-set sum keeps its
     sign bit), so the bits are those of a piece integrated set by set."""
-    sets = [(j, 2 ** e, *s) for j, piece in enumerate(pieces)
-            for e in range(q.refinement_levels + 1)
-            for s in piece.node_sets(_Mesh(q, 2 ** e), n)]
+    sets = [(j, factor, *s) for j, piece in enumerate(pieces)
+            for factor in (1, 2)
+            for s in piece.node_sets(_Mesh(q, factor), n)]
     shares, totals, several = [None] * len(sets), {}, False
     for weighted in (False, True):
         group = [i for i, s in enumerate(sets) if (s[5] is None) != weighted]
@@ -370,7 +355,7 @@ def integrate_surfaces(pieces, integrand, q: QuadratureSpec, n: int,
         sums, count = totals.get((j, factor), ([-0.0] * len(parts), 0))
         totals[j, factor] = [a + b for a, b in zip(sums, parts)], count + r.size
     results = [_refine(lambda factor, j=j: (tuple(totals[j, factor][0]),
-                                            totals[j, factor][1]), q)
+                                            totals[j, factor][1]))
                for j in range(len(pieces))]
     return results if several else [res[0] for res in results]
 

@@ -305,9 +305,9 @@ class TestVerifyGlobal:
 
 
 def _reference_bulk_gamma(params, t, r):
-    ft, fr = params.weight_grad(t, r)
+    ft, fr = params.shift.grad_radial(t, r)
     V = params.potential.value(t, r)
-    Vt, Vr = params.potential.gradient(t, r)
+    Vt, Vr = params.potential.jet(t, r)[1:]
     m = params.n - 1.0 + 4.0 * params.a
     const = -(m / 4.0) * (params.p - 1.0 - 4.0 / m)
     return (-ft * Vt + fr * Vr) / V + const
@@ -350,14 +350,14 @@ class TestVerifyGlobalOnePass:
         phi, _, _, box = offcenter_closures(3, 0.8, 0.0, 1.0, 0.3, 0.35)
 
         def lhs_integrand(t, r):
-            f = params.weight_value(t, r)
+            f = params.shift.value_radial(t, r)
             V = params.potential.value(t, r)
             power = _power_sides(phi(t, r), box(t, r), V, p)[0]
             return (f ** (2 * a) * V * _reference_bulk_gamma(params, t, r)
                     * power / (p + 1.0))
 
         def rhs_integrand(t, r):
-            f = params.weight_value(t, r)
+            f = params.shift.value_radial(t, r)
             box_v = _power_sides(phi(t, r), box(t, r),
                                  params.potential.value(t, r), p)[1]
             return f ** (2 * a) * f * box_v ** 2 / (8.0 * a)
@@ -423,8 +423,6 @@ class TestPotentialEvaluatedOnce:
             for got, ref in zip(pot.jet(tn, R), want):
                 assert got.tobytes() == ref.tobytes()
             assert pot.value(tn, R).tobytes() == want[0].tobytes()
-            for got, ref in zip(pot.gradient(tn, R), want[1:]):
-                assert got.tobytes() == ref.tobytes()
 
     def test_suite_cases_match_separate_evaluations(self):
         q = QuadratureSpec()
@@ -434,8 +432,8 @@ class TestPotentialEvaluatedOnce:
             const = -(m / 4.0) * (params.p - 1.0 - 4.0 / m)
 
             def lhs_integrand(t, r):
-                f = params.weight_value(t, r)
-                ft, fr = params.weight_grad(t, r)
+                f = params.shift.value_radial(t, r)
+                ft, fr = params.shift.grad_radial(t, r)
                 V, Vt, Vr = _separate_potential(params.potential, t, r)
                 gamma = (-ft * Vt + fr * Vr) / V + const
                 ph, _, _, box = fieldobj.jet(t, r)
@@ -443,7 +441,7 @@ class TestPotentialEvaluatedOnce:
                         * _power_sides(ph, box, V, p)[0] / (p + 1.0))
 
             def rhs_integrand(t, r):
-                f = params.weight_value(t, r)
+                f = params.shift.value_radial(t, r)
                 V = _separate_potential(params.potential, t, r)[0]
                 ph, _, _, box = fieldobj.jet(t, r)
                 return (f ** (2 * a) * f * _power_sides(ph, box, V, p)[1] ** 2

@@ -502,7 +502,7 @@ class TestConfigTable:
             listed = re.findall(r"^\| `\[(\w+)\] (\w+)` \|", handle.read(),
                                 re.MULTILINE)
         assert sorted(listed) == sorted(cli._ROWS)
-        assert len(listed) == 46
+        assert len(listed) == 45
 
     def test_the_readme_synopsis_names_every_flag_of_the_parser(self,
                                                                 capsys):
@@ -556,6 +556,29 @@ class TestSimulate:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         first = (outs[0] / snaps[0]).read_text().splitlines()
         assert first[-1].endswith(" 0 0") and not first[2].endswith(" 0 0")
+
+    def test_file_data_skips_the_finite_speed_check(self, tmp_path):
+        # the support of file data is unknown, so the check cannot run;
+        # before, the summary said finite_speed=pass
+        start = BASE.replace("amplitude = 0.0", "amplitude = 0.01")
+        first = tmp_path / "first"
+        assert run(["simulate", "--config", write_config(
+            tmp_path / "start.cfg", start), "--out", str(first)]) == 0
+        snap = first / "snap_0000.dat"
+        t0 = snap.read_text().splitlines()[1].split()[2]
+        text = start.replace("t0 = -1.0", f"t0 = {t0}").replace(
+            "snapshot_times = -0.8 -0.5 -0.3", "snapshot_times = -0.5 -0.3")
+        text = text.replace("kind = gaussian", f"kind = file\npath = {snap}")
+        cfg = write_config(tmp_path / "file.cfg", text)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert "finite_speed=skipped\n" in (outs[0] / "summary").read_text()
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        assert {"run.csv", "summary", "snap_0001.dat"} <= set(names)
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_the_stored_levels_are_held_once(self, tmp_path):
         # the snapshots are written from the run's own levels; before, a
@@ -971,6 +994,22 @@ class TestSweep:
         assert len(trees[0]) == 1 + 1 + 4 * 5  # sweep.csv, summary, 4 cells
         assert trees[0] == trees[1]
 
+    # before: exit 0, with cells that differ in name only
+    @pytest.mark.parametrize("scenario,grid,message", [
+        ("verify-carleman", "p = 1.5 2.0", "[sweep] p is not read by "
+         "verify-carleman"),
+        ("simulate", "J = 64 128\na = 0.1 0.2", "[sweep] a is not read by "
+         "simulate"),
+        ("convergence", "J = 256 512\nM = 1.0 2.0", "[sweep] M is not read by "
+         "convergence"),
+        ("simulate", "gamma = 1.2 1.5", "unknown key 'gamma' in [sweep]"),
+    ], ids=["verify-carleman-p", "simulate-a", "convergence-M", "simulate-gamma"])
+    def test_a_key_the_scenario_does_not_read_exit_2(self, tmp_path, capsys,
+                                                     scenario, grid, message):
+        text = BASE + f"\n[sweep]\nscenario = {scenario}\n{grid}\n"
+        _run_exit_2(tmp_path, capsys, "sweep", text, message)
+        assert list((tmp_path / "out").glob("*")) == []  # no cell ran
+
     def test_empty_grid_exit_2(self, tmp_path):
         text = BASE + "\n[sweep]\nscenario = simulate\n"
         cfg = write_config(tmp_path / "c.cfg", text)
@@ -1043,18 +1082,29 @@ EVERY_SCENARIO = [("simulate", BASE, "run.csv"),
                    "J = 64 128\n", "sweep.csv")]
 
 
-@pytest.mark.parametrize("scenario,text,name", EVERY_SCENARIO,
-                         ids=[run[0] for run in EVERY_SCENARIO])
+# (subcommand, config, the file that cannot be written, the file written
+# before it or None): each CSV is written first and `summary` last, in one
+# place, and simulate writes its snapshots before both
+BLOCKED_WRITES = [(scenario, text, "summary", name)
+                  for scenario, text, name in EVERY_SCENARIO] + [
+                      ("simulate", BASE, "snap_0000.dat", None)]
+
+
+@pytest.mark.parametrize(
+    "scenario,text,blocked,before", BLOCKED_WRITES,
+    ids=[run[0] for run in EVERY_SCENARIO] + ["simulate-snapshot"])
 def test_a_summary_that_cannot_be_written_is_exit_4(tmp_path, capsys,
-                                                    scenario, text, name):
-    # the CSV is written first and `summary` last, in one place
+                                                    scenario, text, blocked,
+                                                    before):
+    # every file that cannot be written gives the same error line; before,
+    # a snapshot printed the bare OSError
     out = tmp_path / "out"
-    (out / "summary").mkdir(parents=True)
+    (out / blocked).mkdir(parents=True)
     cfg = write_config(tmp_path / "c.cfg", text)
     assert run([scenario, "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"io error: cannot write {out / 'summary'}: "), err
-    assert (out / name).is_file()
+    assert err.startswith(f"io error: cannot write {out / blocked}: "), err
+    assert before is None or (out / before).is_file()
 
 
 def _every_output(tmp_path, precision):

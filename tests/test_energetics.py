@@ -376,15 +376,17 @@ class TestAnnulusSupOneCall:
         assert got.hex() == want.hex()
         assert got > 0.0
 
+    # the sup levels of the reference: its default, or for t* = -0.4 with
+    # eta = 2 the 17 equispaced levels of [0.2, 0.8] written out
     @pytest.mark.parametrize("t_star,sup_times", [
-        (-0.5, None), (0.7, None), (-0.4, (0.25, 0.3, 0.55, 0.8))])
+        (-0.5, None), (0.7, None), (-0.4, np.linspace(0.2, 0.8, 17))])
     def test_closed_form_fields(self, t_star, sup_times):
         fields = [gaussian_pulse(3, 0.8, 0.2, 0.5, 0.3), zero_field(3)]
         if t_star < 0:
             fields.append(ode_field(2.0, 3))
         for field in fields:
             got = energetics._annulus_sup(field, 0.25, 0.5, 2.0, t_star, 2.0,
-                                          3, Q, sup_times)
+                                          3, Q)
             want = annulus_sup_by_slice(field, 0.25, 0.5, 2.0, t_star, 2.0, 3,
                                         Q, sup_times)
             assert got.hex() == want.hex()

@@ -9,12 +9,12 @@ from conewave.exact_solutions import (
     OdeSolution,
     annulus_scaling_constant,
     ball_quantity_ode,
-    ode_value,
     slab_scaling_constant,
     smoothstep,
 )
 from conewave.fields import ode_field
 from conewave.quadrature import QuadratureSpec
+from tests_helpers import write_level
 
 # closed forms frozen from the independent derivation (see oracles below)
 ANNULUS_GRAD_N3_P2 = 65.97344572538566
@@ -24,22 +24,25 @@ MZ_N3_P2 = 36.839761486073584
 
 class TestOdeSolution:
     def test_p2_values(self):
-        assert ode_value(2.0, -1.0) == pytest.approx((6.0, 12.0))
+        sol = OdeSolution(2.0)
+        assert (sol.value(-1.0), sol.dvalue(-1.0)) == pytest.approx((6.0, 12.0))
 
     def test_p3_values(self):
-        v, dv = ode_value(3.0, -1.0)
-        assert v == pytest.approx(math.sqrt(2.0))
-        assert dv == pytest.approx(math.sqrt(2.0))
+        sol = OdeSolution(3.0)
+        assert sol.value(-1.0) == pytest.approx(math.sqrt(2.0))
+        assert sol.dvalue(-1.0) == pytest.approx(math.sqrt(2.0))
 
     def test_decay_at_early_times(self):
-        v, dv = ode_value(2.0, -1e6)
-        assert v < 1e-10 and dv < 1e-16
+        sol = OdeSolution(2.0)
+        assert sol.value(-1e6) < 1e-10 and sol.dvalue(-1e6) < 1e-16
 
     def test_rejects_nonnegative_time(self):
         with pytest.raises(ValueError):
-            ode_value(2.0, 0.0)
+            OdeSolution(2.0).value(0.0)
         with pytest.raises(ValueError):
-            ode_value(0.9, -1.0)
+            OdeSolution(2.0).dvalue(0.0)
+        with pytest.raises(ValueError):
+            OdeSolution(0.9)
 
     def test_ode_identity_at_random_samples(self):
         # d_tt phi* = |phi*|^{p-1} phi* to 1e-10 relative, 100 samples
@@ -140,7 +143,16 @@ class TestMzQuantity:
         assert ball_quantity_ode(2.0, 3) == pytest.approx(expected)
 
     def test_exact_self_similarity(self):
-        assert ball_quantity_ode(2.0, 3, -0.4) == ball_quantity_ode(2.0, 3, -0.2)
+        # the three terms from the closed form of phi* at each t: phi* and
+        # d_t phi* are constant on B(0, -t), and d_r phi* vanishes
+        from conewave.geometry import ball_volume
+
+        sol, n, k = OdeSolution(2.0), 3, OdeSolution(2.0).k
+        for t in (-0.4, -0.2, -0.01):
+            root_vol = math.sqrt(ball_volume(n) * (-t) ** n)
+            val = ((-t) ** (k - 0.5 * n) * sol.value(t) * root_vol
+                   + (-t) ** (k + 1.0 - 0.5 * n) * sol.dvalue(t) * root_vol)
+            assert val == pytest.approx(ball_quantity_ode(2.0, n), rel=1e-13)
 
 
 class TestInitialData:
@@ -175,11 +187,8 @@ class TestInitialData:
         assert data.support_radius == 3.0
 
     def test_file_round_trip(self, tmp_path):
-        from conewave.fields import write_snapshot
-
         r = np.linspace(0, 2, 33)
-        path = tmp_path / "ic.dat"
-        write_snapshot(path, 3, 2.0, -1.0, r, np.sin(r), np.cos(r))
+        path = write_level(tmp_path, 3, 2.0, -1.0, r, np.sin(r), np.cos(r))
         data = InitialDataSpec.from_file(str(path))
         phi, phit = data.evaluate(-1.0, r)
         np.testing.assert_allclose(phi, np.sin(r))

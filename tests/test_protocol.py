@@ -124,7 +124,7 @@ class TestRegionProtocol:
 
 def reference_surface(piece, integrand, q, n):
     om = sphere_area(n)
-    order, grade = q.base_order, q.grading_exponent
+    grade = q.grading_exponent
 
     if isinstance(piece, TimeSlicePiece):
         return integrate_slice(piece.level, piece.r_lo, piece.r_hi,
@@ -133,14 +133,13 @@ def reference_surface(piece, integrand, q, n):
     def level(factor):
         cells = factor * q.cells_t
         if isinstance(piece, CylinderPiece):
-            tn, tw = quadrature._interval_nodes(piece.t_lo, piece.t_hi, cells,
-                                                order)
+            tn, tw = quadrature._interval_nodes(piece.t_lo, piece.t_hi, cells)
             dens = om * piece.r0 ** (n - 1)
             vals = integrand(tn, np.full_like(tn, piece.r0))
             return float(np.sum(tw * dens * vals)), tn.size
         if isinstance(piece, LevelSetPiece):
             tn, tw = quadrature._interval_nodes(piece.t_lo, piece.t_hi, cells,
-                                                order, grade, True, True)
+                                                grade, True, True)
             ts, eps = piece.weight.t_star, piece.eps
             rr = np.sqrt((tn - ts) ** 2 + 4.0 * eps)
             dens = om * 2.0 * math.sqrt(eps) * rr ** (n - 2)
@@ -154,7 +153,7 @@ def reference_surface(piece, integrand, q, n):
             total, count = 0.0, 0
             for from_hi, length in ((False, tm - piece.t_lo),
                                     (True, piece.t_hi - tm)):
-                d, w = quadrature._edge_distances(length, cells, grade, order)
+                d, w = quadrature._edge_distances(length, cells, grade)
                 if from_hi:
                     t = piece.t_hi - d
                     other = t - t_minus
@@ -167,13 +166,12 @@ def reference_surface(piece, integrand, q, n):
                 total += float(np.sum(w * dens * integrand(t, r, f)))
                 count += d.size
             return total, count
-        tn, tw = quadrature._interval_nodes(piece.t_lo, piece.t_hi, cells,
-                                            order)
+        tn, tw = quadrature._interval_nodes(piece.t_lo, piece.t_hi, cells)
         rr = s * (tn - piece.t_apex)
         dens = om * math.sqrt(1.0 - s ** 2) * rr ** (n - 1)
         return float(np.sum(tw * dens * integrand(tn, rr))), tn.size
 
-    return quadrature._refine(level, q)
+    return quadrature._refine(level)
 
 
 WEIGHT = ShiftedWeight(1.0)
@@ -215,10 +213,8 @@ def weighted_integrand(t, r, f):
 
 class TestPieceProtocol:
     @pytest.mark.parametrize("name", sorted(PIECE_CASES))
-    @pytest.mark.parametrize("q", [Q, QuadratureSpec(base_order=2, cells_t=9,
-                                                     cells_r=7,
-                                                     grading_exponent=4.0,
-                                                     refinement_levels=2)])
+    @pytest.mark.parametrize("q", [Q, QuadratureSpec(cells_t=9, cells_r=7,
+                                                     grading_exponent=4.0)])
     def test_surface_matches_the_formulas_it_replaced(self, name, q):
         for piece in PIECE_CASES[name]:
             weighted = getattr(piece, "weight", None) is not None
@@ -309,10 +305,8 @@ def mixed_integrand(t, r, f=None):
 
 
 class TestSurfaceFamily:
-    @pytest.mark.parametrize("q", [Q, QuadratureSpec(base_order=2, cells_t=9,
-                                                     cells_r=7,
-                                                     grading_exponent=4.0,
-                                                     refinement_levels=2)])
+    @pytest.mark.parametrize("q", [Q, QuadratureSpec(cells_t=9, cells_r=7,
+                                                     grading_exponent=4.0)])
     def test_every_piece_has_the_bits_of_its_own_pass(self, q):
         calls = []
 

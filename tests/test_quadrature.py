@@ -50,13 +50,9 @@ def substitution_oracle(a):
 class TestSpecValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(base_order=3)
-        with pytest.raises(ValueError):
             QuadratureSpec(cells_t=2)
         with pytest.raises(ValueError):
             QuadratureSpec(grading_exponent=0.5)
-        with pytest.raises(ValueError):
-            QuadratureSpec(refinement_levels=0)
 
 
 class TestBulk:
@@ -168,7 +164,7 @@ class TestBlockedEvaluation:
         calls = []
         blocked = integrate_bulk(region, self._pair(calls), q, 3)
         cols = {shape[1] for shape in calls}
-        assert len(calls) > q.refinement_levels + 1      # several blocks
+        assert len(calls) > 2                            # several blocks
         assert cols == {2 * q.cells_r, 4 * q.cells_r}    # whole rows only
         monkeypatch.setattr(quadrature, "BLOCK_NODES", 10 ** 9)
         whole = integrate_bulk(region, self._pair([]), q, 3)
@@ -202,28 +198,33 @@ class TestBlockedEvaluation:
         assert locations[0][0] > 0.6 and locations[0][1] > 1.5
 
 class TestUnitRuleCache:
-    """The unit node rules are built once per (cells, order, grading,
-    flags) and shared: read-only, and the bits of a rule built fresh."""
+    """The unit node rules are built once per (cells, grading, flags) and
+    shared: read-only, the bits of a rule built fresh, and of the rule's
+    order on any grading (exact for polynomials of degree below it)."""
 
     @pytest.mark.parametrize("cells,order,grade,lo,hi", [
         (48, 4, 3.0, False, False), (96, 4, 3.0, True, False),
         (96, 4, 3.0, False, True), (97, 4, 2.5, True, True),
-        (9, 2, 3.0, False, False), (18, 2, 1.5, True, True),
+        (9, 4, 3.0, False, False), (18, 4, 1.5, True, True),
     ])
     def test_read_only_and_fresh_bits(self, cells, order, grade, lo, hi):
-        rule = quadrature._unit_rule(cells, order, grade, lo, hi)
+        rule = quadrature._unit_rule(cells, grade, lo, hi)
         fresh = quadrature._cell_nodes(
-            quadrature._breakpoints(cells, grade, lo, hi), order)
+            quadrature._breakpoints(cells, grade, lo, hi))
         for got, want in zip(rule, fresh):
             assert not got.flags.writeable
             with pytest.raises(ValueError):
                 got[0] = 0.5
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        assert quadrature._unit_rule(cells, order, grade, lo, hi) is rule
+        assert quadrature._unit_rule(cells, grade, lo, hi) is rule
+        nodes, weights = rule  # exact below its order on any grading
+        for degree in range(order):
+            assert np.sum(weights * nodes ** degree) == pytest.approx(
+                1.0 / (degree + 1), rel=1e-13)
         # callers get their own arrays, scaled from the shared rule
-        nodes, weights = quadrature._interval_nodes(-1.0, 2.0, cells, order,
-                                                    grade, lo, hi)
+        nodes, weights = quadrature._interval_nodes(-1.0, 2.0, cells, grade,
+                                                    lo, hi)
         assert nodes.flags.writeable and weights.flags.writeable
         assert nodes.tobytes() == (-1.0 + 3.0 * fresh[0]).tobytes()
         assert weights.tobytes() == (3.0 * fresh[1]).tobytes()
@@ -351,8 +352,7 @@ class TestConvergence:
             values = []
             errors = []
             for factor in (1, 2, 4):
-                q = QuadratureSpec(cells_t=8 * factor, cells_r=8 * factor,
-                                   base_order=2)
+                q = QuadratureSpec(cells_t=8 * factor, cells_r=8 * factor)
                 res = integrate_bulk(box, fn, q, 1)
                 values.append(res.value)
                 errors.append(res.error_estimate)
@@ -362,32 +362,15 @@ class TestConvergence:
             assert jump1 <= 4.0 * errors[0] + 1e-15
             assert jump2 <= 4.0 * errors[1] + 1e-15
 
-    def test_refinement_levels_sharpen_the_value(self):
-        box = box_bulk(0.0, 1.0, 1.0, 2.0)
-        fn = lambda t, r: np.sin(3 * t) * np.exp(-r)
-        exact = integrate_bulk(box, fn,
-                               QuadratureSpec(cells_t=256, cells_r=256), 1).value
-        one = integrate_bulk(box, fn,
-                             QuadratureSpec(cells_t=6, cells_r=6,
-                                            base_order=2), 1)
-        three = integrate_bulk(box, fn,
-                               QuadratureSpec(cells_t=6, cells_r=6,
-                                              base_order=2,
-                                              refinement_levels=3), 1)
-        assert three.nodes_used > one.nodes_used
-        assert abs(three.value - exact) < abs(one.value - exact)
-        assert three.error_estimate < one.error_estimate
-
-    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("order", [4])  # of the two-point Gauss rule
     def test_order_on_smooth_box(self, order):
         box = box_bulk(0.0, 1.0, 1.0, 2.0)
         fn = lambda t, r: np.sin(3 * t) * np.exp(-r)
         exact = integrate_bulk(box, fn,
-                               QuadratureSpec(cells_t=256, cells_r=256,
-                                              base_order=4), 1).value
+                               QuadratureSpec(cells_t=256, cells_r=256), 1).value
         hs, errs = [], []
         for cells in (4, 8, 16, 32):
-            q = QuadratureSpec(cells_t=cells, cells_r=cells, base_order=order)
+            q = QuadratureSpec(cells_t=cells, cells_r=cells)
             val = integrate_bulk(box, fn, q, 1).value
             hs.append(1.0 / cells)
             errs.append(abs(val - exact) + 1e-300)
@@ -492,17 +475,15 @@ def _reference_level_loop(t_window, r_inner, r_outer, integrand, q, n,
 
     om = sphere_area(n)
     values, nodes = [], 0
-    for exponent in range(q.refinement_levels + 1):
-        factor = 2 ** exponent
+    for factor in (1, 2):
         tn, tws = quadrature._interval_nodes(
-            t_window[0], t_window[1], factor * q.cells_t, q.base_order,
+            t_window[0], t_window[1], factor * q.cells_t,
             q.grading_exponent, singular_t[0], singular_t[1])
         rlo = np.asarray(r_inner(tn), dtype=float)
         rhi = np.asarray(r_outer(tn), dtype=float)
         rel, rw_rel = quadrature._cell_nodes(
             quadrature._breakpoints(factor * q.cells_r, q.grading_exponent,
-                                    singular_r[0], singular_r[1]),
-            q.base_order)
+                                    singular_r[0], singular_r[1]))
         span = (rhi - rlo)[:, None]
         RR = rlo[:, None] + span * rel[None, :]
         WW = tws[:, None] * span * rw_rel[None, :]
@@ -576,9 +557,7 @@ class TestRowColumnTime:
                 "ode": ode_power}
 
     @pytest.mark.parametrize("q", [QuadratureSpec(),
-                                   QuadratureSpec(base_order=2, cells_t=12,
-                                                  cells_r=10,
-                                                  refinement_levels=2)])
+                                   QuadratureSpec(cells_t=12, cells_r=10)])
     @pytest.mark.parametrize("name", ["manufactured", "discrete", "ode"])
     def test_profile_sums_match_per_node_times(self, name, q):
         integrand = self._integrands()[name]
@@ -607,8 +586,7 @@ class TestRowColumnTime:
             values = []
             for factor in (1, 2):
                 rn, rw = quadrature._interval_nodes(0.1, 1.9,
-                                                    factor * q.cells_r,
-                                                    q.base_order)
+                                                    factor * q.cells_r)
                 out = integrand(np.full_like(rn, t), rn)
                 outs = out if isinstance(out, tuple) else (out,)
                 values.append([float(np.sum(rw * sphere_area(3) * rn ** 2 * v))
@@ -674,8 +652,7 @@ TIMES17 = np.linspace(-0.9, 0.7, 17)
 
 class TestSliceFamily:
     @pytest.mark.parametrize("q", [QuadratureSpec(cells_r=12),
-                                   QuadratureSpec(base_order=2, cells_r=9,
-                                                  refinement_levels=2)])
+                                   QuadratureSpec(cells_r=9)])
     @pytest.mark.parametrize("integrand", [_single, _pair])
     @pytest.mark.parametrize("k", [1, 17])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -724,8 +701,7 @@ class TestSliceFamily:
     @staticmethod
     def _last_nodes(q):
         """The last radial node of each level on (0.1, 0.9)."""
-        return [quadrature._interval_nodes(0.1, 0.9, f * q.cells_r,
-                                           q.base_order)[0][-1]
+        return [quadrature._interval_nodes(0.1, 0.9, f * q.cells_r)[0][-1]
                 for f in (1, 2)]
 
     @pytest.mark.parametrize("output", [None, 0, 1])

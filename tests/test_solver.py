@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conewave.exact_solutions import InitialDataSpec, OdeSolution, smoothstep
-from conewave.fields import PotentialSpec, signed_power, write_snapshot
+from conewave.fields import PotentialSpec, signed_power
 from conewave.geometry import sphere_area
 from conewave.solver import (
     RunResult,
@@ -16,6 +16,7 @@ from conewave.solver import (
     evolve,
     finite_speed_check,
 )
+from tests_helpers import write_level
 
 
 def zero_data():
@@ -195,8 +196,7 @@ def test_negative_zero_tail_of_start_data_matches_plain_leapfrog_bitwise(tmp_pat
     r = np.arange(J + 1) * (R / J)
     phi = 1e-3 * (1.0 - smoothstep(r - 1.0))
     phi[r >= 2.0] = -0.0
-    path = tmp_path / "start.dat"
-    write_snapshot(path, 3, 2.0, -1.0, r, phi, np.zeros_like(r))
+    path = write_level(tmp_path, 3, 2.0, -1.0, r, phi, np.zeros_like(r))
     assert "\n6 -0 0\n" in path.read_text()
     data = InitialDataSpec.from_file(str(path))
     probe = SolverConfig(n=3, p=2.0, J=J, R=R, t0=-1.0, t_end=-0.5)
@@ -266,9 +266,11 @@ class TestEvolveBasics:
             assert np.all(phi == 0.0) and np.all(phit == 0.0)
 
     def test_cfl_violation_status(self):
-        cfg = SolverConfig(n=1, J=64, R=4.0, t0=0.0, t_end=0.5, cfl=1.5)
-        res = evolve(cfg, zero_data())
-        assert res.status == "cfl_violation"
+        # a cfl outside (0, 1] is rejected with the config, as the other
+        # fields are; no run reaches the solver with it
+        for cfl in (1.5, 0.0, -0.5):
+            with pytest.raises(ValueError, match="cfl"):
+                SolverConfig(n=1, J=64, R=4.0, t0=0.0, t_end=0.5, cfl=cfl)
 
     def test_snapshots_at_nearest_grid_times(self):
         cfg = SolverConfig(n=1, J=64, R=4.0, t0=0.0, t_end=1.0,

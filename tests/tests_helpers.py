@@ -1,9 +1,11 @@
 """Shared test fixtures: compactly supported C^2 fields."""
 
+import pathlib
+
 import numpy as np
 
 from conewave.exact_solutions import smoothstep
-from conewave.fields import ManufacturedField
+from conewave.fields import ManufacturedField, write_snapshots
 
 
 def box_bulk(t0, t1, r0, r1):
@@ -13,6 +15,13 @@ def box_bulk(t0, t1, r0, r1):
 
     return _SidedBulk(t0, t1, CylinderPiece(r0, t0, t1),
                       CylinderPiece(r1, t0, t1))
+
+
+def write_level(directory, n, p, t, r, phi, phit):
+    """One level (t, phi, phit) written through write_snapshots into
+    `directory`; returns the file's path."""
+    return pathlib.Path(write_snapshots(str(directory), n, p, r,
+                                        [(t, phi, phit)])[0])
 
 
 def closures_jet(phi, phi_t, phi_r, box):
@@ -187,8 +196,7 @@ def slice_by_slice(t, r_lo, r_hi, integrand, q, n):
     level_t = np.array([t], dtype=float)
 
     def level(factor):
-        rn, rw = quadrature._interval_nodes(r_lo, r_hi, factor * q.cells_r,
-                                            q.base_order)
+        rn, rw = quadrature._interval_nodes(r_lo, r_hi, factor * q.cells_r)
         meas = rw * sphere_area(n) * rn ** (n - 1)
         out = integrand(level_t, rn)
         sums = []
@@ -198,7 +206,7 @@ def slice_by_slice(t, r_lo, r_hi, integrand, q, n):
             sums.append(float(np.sum(meas * vals)))
         return (tuple(sums) if isinstance(out, tuple) else sums[0]), rn.size
 
-    return quadrature._refine(level, q)
+    return quadrature._refine(level)
 
 
 def set_by_set_surface(piece, integrand, q, n):
@@ -215,7 +223,7 @@ def set_by_set_surface(piece, integrand, q, n):
             count += r.size
         return total, count
 
-    return quadrature._refine(level, q)
+    return quadrature._refine(level)
 
 
 def piece_by_piece_fluxes(params, fieldobj, pieces, q):
@@ -234,7 +242,8 @@ def piece_by_piece_fluxes(params, fieldobj, pieces, q):
 
 def annulus_sup_by_slice(field, sigma0, sigma1, eta, t_star, p, n, q,
                          sup_levels=None):
-    """The annulus sup as one slice integration per level."""
+    """The annulus sup as one slice integration per level, over
+    `sup_levels` (by default 17 equispaced levels, as the library's)."""
     from conewave.energetics import _energy_density
 
     ats = abs(t_star)
