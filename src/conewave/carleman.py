@@ -22,7 +22,6 @@ import numpy as np
 
 from .fields import ManufacturedField, PotentialSpec
 from .geometry import (
-    AdmissibleRegionSpec,
     BulkRegion,
     ConePiece,
     CylinderPiece,
@@ -150,12 +149,16 @@ def flux_covector(params: CarlemanParams, fieldobj, t, r, fval=None):
 @dataclass(frozen=True)
 class _SidedBulk(BulkRegion):
     """{t0 < t < t1, inner(t) < r < outer(t)}: the radial edges are the two
-    timelike side pieces' own radius(t)."""
+    timelike side pieces' own radius(t). `pieces` is the closed boundary
+    per the divergence-theorem conventions: every piece spacelike or
+    timelike, oriented normals inward on spacelike and outward on timelike
+    pieces."""
 
     t0: float
     t1: float
     inner: SurfacePiece
     outer: SurfacePiece
+    pieces: tuple
 
     def r_inner(self, t):
         return self.inner.radius(t)
@@ -164,7 +167,7 @@ class _SidedBulk(BulkRegion):
         return self.outer.radius(t)
 
 
-def _sided_region(inner, outer, shift: ShiftedWeight) -> AdmissibleRegionSpec:
+def _sided_region(inner, outer, shift: ShiftedWeight) -> _SidedBulk:
     """The region between two timelike sides (cylinders or tilted cones)
     over the inner side's window, with its four pieces derived in one order
     and orientation: bottom slice (inward +dt), top slice (inward -dt),
@@ -184,25 +187,24 @@ def _sided_region(inner, outer, shift: ShiftedWeight) -> AdmissibleRegionSpec:
     for t in (t0, t1):
         if float(inner.radius(t)) ** 2 - (t - shift.t_star) ** 2 <= 0.0:
             raise ValueError("region closure leaves the exterior region {f > 0}")
-    return AdmissibleRegionSpec(bulk=_SidedBulk(t0, t1, inner, outer),
-                                pieces=pieces)
+    return _SidedBulk(t0, t1, inner, outer, pieces)
 
 
-def box_region(t0, t1, r0, r1, shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
+def box_region(t0, t1, r0, r1, shift: ShiftedWeight = UNSHIFTED) -> _SidedBulk:
     """Rectangle in (t, r): cylinder sides r = r0 and r = r1."""
     return _sided_region(CylinderPiece(r0, t0, t1), CylinderPiece(r1, t0, t1),
                          shift)
 
 
 def frustum_region(t0, t1, r0, slope, t_apex,
-                   shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
+                   shift: ShiftedWeight = UNSHIFTED) -> _SidedBulk:
     """Inner cylinder r = r0, outer tilted timelike cone r = slope (t - t_apex)."""
     return _sided_region(CylinderPiece(r0, t0, t1),
                          ConePiece(slope, t0, t1, t_apex=t_apex), shift)
 
 
 def inverted_frustum_region(t0, t1, r1, slope, t_apex,
-                            shift: ShiftedWeight = UNSHIFTED) -> AdmissibleRegionSpec:
+                            shift: ShiftedWeight = UNSHIFTED) -> _SidedBulk:
     """Inner tilted timelike cone, outer cylinder r = r1."""
     return _sided_region(ConePiece(slope, t0, t1, t_apex=t_apex),
                          CylinderPiece(r1, t0, t1), shift)
@@ -225,7 +227,7 @@ class CarlemanReport:
 
 
 def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
-                  region: AdmissibleRegionSpec,
+                  region: _SidedBulk,
                   q: QuadratureSpec = QuadratureSpec()) -> CarlemanReport:
     """Evaluate both sides of the global estimate on an admissible region.
 
@@ -259,7 +261,7 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
         f /= 8.0 * a
         return lhs, f
 
-    lhs, rhs = integrate_bulk(region.bulk, integrand, q, n)
+    lhs, rhs = integrate_bulk(region, integrand, q, n)
 
     fluxes = _piece_fluxes(params, fieldobj, region.pieces, q)
     per_piece = [res.value for res in fluxes]
@@ -304,7 +306,7 @@ class ShiftedReport:
 def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
                    exterior: ExteriorRegionSpec,
                    q: QuadratureSpec = QuadratureSpec()) -> ShiftedReport:
-    """Evaluate the shifted estimate on the exterior region (axis ray):
+    """Evaluate the shifted estimate on the exterior region:
 
     int_D f^{2a} |phi|^{p+1}  <=  K [ t*^{1+4a} int_G |grad phi|^2
         + t*^{1+4a} int_G |phi|^{p+1} + t*^{-1+4a} int_G phi^2
@@ -316,7 +318,6 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
     For radial fields the strengthened boundary gradient (d_t phi)^2 +
     (d_r phi)^2 coincides with the full |grad phi|^2.
     """
-    exterior.weight.require_axis()
     if params.shift != exterior.weight:
         raise ValueError("params.shift must match the exterior region")
     if not params.shifted_range_ok:
@@ -376,6 +377,6 @@ def vanishing_flux_probe(exterior: ExteriorRegionSpec, field, a, eps_sequence,
     params = CarlemanParams(a=a, p=p, n=n, potential=potential,
                             shift=exterior.weight)
     pieces = [LevelSetPiece(exterior.weight, eps, *ExteriorRegionSpec(
-        exterior.sigma, exterior.t_star, exterior.ray, eps=eps).time_window())
+        exterior.sigma, exterior.t_star, eps).time_window())
         for eps in eps_sequence]
     return [res.value for res in _piece_fluxes(params, field, pieces, q)]

@@ -24,7 +24,6 @@ from .exact_solutions import InitialDataSpec, OdeSolution
 from .fields import (ManufacturedField, PotentialSpec, gaussian_rows,
                      ode_field, polynomial_gaussian, traveling_bump,
                      write_snapshots)
-from .geometry import ShiftedWeight
 from .quadrature import NonFiniteSample, QuadratureSpec
 from .solver import (SolverConfig, convergence_study, evolve,
                      finite_speed_check)
@@ -190,7 +189,11 @@ class RunConfig:
 def parse_config(path) -> RunConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    if not parser.read(path):
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from None
+    if not found:
         raise ConfigError(f"config file {path!r} not found or unreadable")
     cfg = RunConfig()
     for section in parser.sections():
@@ -224,7 +227,7 @@ def _build(cfg: RunConfig, data: bool):
     cfg.potential = _config_call(  # the bump must keep V positive
         "[problem] c0, pot_eps, pot_width: ", PotentialSpec, cfg.pot_kind,
         cfg.c0, cfg.pot_eps, (cfg.pot_center_t, cfg.pot_center_r),
-        cfg.pot_width, cfg.pot_alpha)
+        cfg.pot_width)
     cfg.data = None if not data else InitialDataSpec(
         cfg.data_kind, cfg.p, cfg.M, cfg.w, cfg.amplitude, cfg.width, cfg.path)
     if data and cfg.data_kind == "file":
@@ -283,13 +286,14 @@ def _validate(cfg: RunConfig):
 
 def _require_small_potential(cfg: RunConfig, times, name):
     """The smallness condition |grad V| |t| <= pot_alpha of a perturbed
-    potential at each diagnostic time; `name` says where the times came
-    from."""
-    pot = cfg.potential
-    for ts in times if pot.kind == "perturbed" else ():
-        _config_call(f"[problem] pot_alpha too small for {name} = {ts!r}: ",
-                     PotentialSpec.perturbed, pot.c0, pot.eps, pot.center,
-                     pot.width, pot.alpha, ts)
+    potential (sup |grad V| = |pot_eps|) at each diagnostic time; `name`
+    says where the times came from."""
+    for ts in times if cfg.pot_kind == "perturbed" else ():
+        grad_t = abs(cfg.pot_eps) * abs(ts)
+        if grad_t > cfg.pot_alpha + 1e-15:
+            raise ConfigError(
+                f"[problem] pot_alpha too small for {name} = {float(ts)!r}: "
+                f"|grad V| t* = {grad_t:g} exceeds alpha = {cfg.pot_alpha:g}")
 
 
 # --------------------------------------------------------------------------
@@ -346,6 +350,7 @@ def _scenario_simulate(cfg: RunConfig, outdir):
 def _random_case(rng, forced_a=None):
     """One randomized admissible verification instance (theorem-backed)."""
     from . import carleman
+    from .geometry import ShiftedWeight
 
     n = int(rng.integers(1, 4))
     p_hi = 2.8 if n >= 3 else 3.0
@@ -615,6 +620,9 @@ def _sweep_convergence(cfg: RunConfig, grid):
     for J in grid["J"]:  # each level is checked as a cell would be
         _apply_cell(cfg, {"J": J})
     levels = tuple(int(v) for v in grid["J"])
+    for i, J in enumerate(levels):
+        if J in levels[:i]:
+            raise ConfigError(f"[sweep] J lists {J} more than once")
     sol = OdeSolution(cfg.p)
     t_ref = cfg.t_star[0] if cfg.t_star else 0.5 * (cfg.t0 + cfg.t_end)
     # one level, or a run that stops before t_ref, is the config's fault

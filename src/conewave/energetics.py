@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConePiece, ConeSegmentSpec, SlabSpec
+from .geometry import ConePiece, ConeSegmentSpec
 from .quadrature import (
     QuadratureSpec,
     integrate_bulk,
@@ -95,7 +95,14 @@ def annulus_quantity(field, sigma0, sigma1, t, p, n,
 
 
 def _slab(field, sigma, gamma, t_star):
-    slab = SlabSpec(sigma, gamma, t_star)
+    """The slab {|t*|/gamma < |t| < gamma |t*|} on t*'s side of t = 0,
+    inside the cone of aperture sigma, which `field` must cover."""
+    if gamma <= 1.0:
+        raise ValueError("slab thickness parameter gamma must exceed 1")
+    if t_star == 0.0:
+        raise ValueError("slab center time must be nonzero")
+    a, b = abs(t_star) / gamma, abs(t_star) * gamma
+    slab = ConeSegmentSpec(sigma, *((a, b) if t_star > 0 else (-b, -a)))
     _require_time_coverage(field, *slab.time_window())
     return slab
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ball_volume
+from .quadrature import ball_volume
 from .fields import read_snapshot
 
 __all__ = [

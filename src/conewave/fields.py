@@ -50,7 +50,7 @@ class PotentialSpec:
     The bump profile is the unit-gradient gaussian
     b(t, r) = width sqrt(e) exp(-rho^2 / (2 width^2)), rho = dist to center,
     so sup|grad V| = |eps| exactly and the slab smallness condition reduces
-    to |eps| t* <= alpha.
+    to |eps| t* <= alpha (checked by the CLI's `pot_alpha`).
     """
 
     kind: str = "constant"
@@ -58,7 +58,6 @@ class PotentialSpec:
     eps: float = 0.0
     center: tuple = (0.0, 0.0)  # (t, r)
     width: float = 1.0
-    alpha: float = math.inf
 
     def __post_init__(self):
         if self.kind not in ("constant", "perturbed"):
@@ -68,30 +67,13 @@ class PotentialSpec:
         if self.kind == "perturbed":
             if self.width <= 0.0:
                 raise ValueError("bump width must be positive")
-            if self.c0 - abs(self.eps) * self.bump_amplitude() <= 0.0:
+            amplitude = self.width * math.sqrt(math.e)  # the bump's maximum
+            if self.c0 - abs(self.eps) * amplitude <= 0.0:
                 raise ValueError("perturbation destroys positivity of V")
 
     @classmethod
     def constant(cls, c0=1.0):
         return cls(kind="constant", c0=c0)
-
-    @classmethod
-    def perturbed(cls, c0, eps, center, width, alpha, t_star=None):
-        spec = cls(kind="perturbed", c0=c0, eps=eps, center=center,
-                   width=width, alpha=alpha)
-        if t_star is not None and abs(eps) * abs(t_star) > alpha + 1e-15:
-            raise ValueError(
-                f"|grad V| t* = {abs(eps) * abs(t_star):g} exceeds alpha = {alpha:g}")
-        return spec
-
-    def bump_amplitude(self) -> float:
-        return self.width * math.sqrt(math.e)
-
-    @property
-    def bound(self) -> float:
-        """C with C^{-1} <= V <= C."""
-        amp = abs(self.eps) * self.bump_amplitude() if self.kind == "perturbed" else 0.0
-        return max(self.c0 + amp, 1.0 / (self.c0 - amp), 1.0)
 
     def _bump(self, t, r):
         """(b, t - tc, r - rc) of the perturbed potential."""

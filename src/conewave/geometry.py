@@ -12,24 +12,22 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import sphere_area
+
 __all__ = [
-    "sphere_area",
-    "ball_volume",
     "MinkowskiPoint",
     "RaySpec",
     "ShiftedWeight",
-    "SlabSpec",
     "ConeSegmentSpec",
     "ExteriorRegionSpec",
     "TimeSlicePiece",
     "CylinderPiece",
     "ConePiece",
     "LevelSetPiece",
-    "AdmissibleRegionSpec",
     "eval_weight",
     "eval_weight_gradient",
     "minkowski_norm_sq",
@@ -37,16 +35,6 @@ __all__ = [
     "covering_check",
     "CoveringResult",
 ]
-
-
-def sphere_area(n: int) -> float:
-    """Area of the unit (n-1)-sphere; for n = 1 this is 2 (two points)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n."""
-    return sphere_area(n) / n
 
 
 @dataclass(frozen=True)
@@ -154,39 +142,10 @@ class BulkRegion:
 
 
 @dataclass(frozen=True)
-class SlabSpec(BulkRegion):
-    """Time slab inside the cone around |t| = |t*|.
-
-    For t* > 0 the set is {t*/gamma < t < gamma t*} within the future cone;
-    for t* < 0 the reflected set within the past cone.
-    """
-
-    sigma: float
-    gamma: float
-    t_star: float
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("cone aperture must lie in (0, 1)")
-        if self.gamma <= 1.0:
-            raise ValueError("slab thickness parameter gamma must exceed 1")
-        if self.t_star == 0.0:
-            raise ValueError("slab center time must be nonzero")
-
-    def time_window(self):
-        a = abs(self.t_star) / self.gamma
-        b = abs(self.t_star) * self.gamma
-        if self.t_star > 0:
-            return a, b
-        return -b, -a
-
-    def r_outer(self, t):
-        return self.sigma * np.abs(t)
-
-
-@dataclass(frozen=True)
 class ConeSegmentSpec(BulkRegion):
-    """Cone interior restricted to a time window, {t_lo < t < t_hi, 0 < r < sigma t}."""
+    """The future or past cone interior over a time window on one side of
+    t = 0, {t_lo < t < t_hi, 0 < r < sigma |t|}; a slab around |t*| is the
+    window (|t*|/gamma, gamma |t*|) on t*'s side."""
 
     sigma: float
     t_lo: float
@@ -195,20 +154,20 @@ class ConeSegmentSpec(BulkRegion):
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
             raise ValueError("cone aperture must lie in (0, 1)")
-        if not 0.0 <= self.t_lo < self.t_hi:
-            raise ValueError("need 0 <= t_lo < t_hi")
+        if not self.t_lo < self.t_hi or self.t_lo < 0.0 < self.t_hi:
+            raise ValueError("need t_lo < t_hi on one side of t = 0")
 
     def time_window(self):
         return self.t_lo, self.t_hi
 
     def r_outer(self, t):
-        return self.sigma * t
+        return self.sigma * np.abs(t)
 
 
 @dataclass(frozen=True)
 class ExteriorRegionSpec(BulkRegion):
     """Intersection of the cone with the exterior of the double null cone
-    from zeta(t*): {|t - t*| < |x - x(zeta(t*))|} n {0 < r < sigma t}.
+    from (t*, 0) on the axis: {|t - t*| < r} n {0 < r < sigma t}.
 
     The inner edge sits on {f = eps}: the weight vanishes there when
     eps = 0, so quadrature grades in r toward it, and in t toward the
@@ -216,7 +175,6 @@ class ExteriorRegionSpec(BulkRegion):
 
     sigma: float
     t_star: float
-    ray: RaySpec = AXIS_RAY
     eps: float = 0.0  # inner cut {f > eps}; 0 means up to the null boundary
 
     singular_t = (True, True)
@@ -226,25 +184,21 @@ class ExteriorRegionSpec(BulkRegion):
             raise ValueError("cone aperture must lie in (0, 1)")
         if self.t_star <= 0.0:
             raise ValueError("exterior region requires t* > 0")
-        if not self.ray.inside_cone(self.sigma):
-            raise ValueError("ray must lie inside the cone")
         if self.eps < 0.0:
             raise ValueError("eps must be >= 0")
 
     @property
     def weight(self) -> ShiftedWeight:
-        return ShiftedWeight(self.t_star, self.ray)
+        return ShiftedWeight(self.t_star)
 
     @property
     def singular_r(self):
         return self.eps == 0.0, False
 
     def time_window(self):
-        """t-range of the region (axis ray).
-
-        Solves r_min(t) = sigma t with r_min = sqrt((t-t*)^2 + 4 eps).
+        """t-range of the region: solves r_min(t) = sigma t with
+        r_min = sqrt((t-t*)^2 + 4 eps).
         """
-        self.weight.require_axis()
         sig, ts, eps = self.sigma, self.t_star, self.eps
         disc = sig * sig * ts * ts - 4.0 * eps * (1.0 - sig * sig)
         if disc <= 0.0:
@@ -453,16 +407,6 @@ class LevelSetPiece(SurfacePiece):
         return ((t, r, w * dens, np.full_like(t, self.eps)),)
 
 
-@dataclass(frozen=True)
-class AdmissibleRegionSpec:
-    """Bulk region with a closed piecewise boundary per the divergence-theorem
-    conventions: every piece spacelike or timelike, oriented normals inward
-    on spacelike and outward on timelike pieces."""
-
-    bulk: BulkRegion
-    pieces: tuple = field(default_factory=tuple)
-
-
 # --------------------------------------------------------------------------
 # Operations
 # --------------------------------------------------------------------------
@@ -496,10 +440,8 @@ def minkowski_norm_sq(vec) -> float:
 
 
 def lateral_boundary(region: ExteriorRegionSpec) -> ConePiece:
-    """Cone part of the exterior-region boundary (axis ray), from
-    t*/(1+sigma) to t*/(1-sigma), carrying the weight whose zero set sits
-    at both ends."""
-    region.weight.require_axis()
+    """Cone part of the exterior-region boundary, from t*/(1+sigma) to
+    t*/(1-sigma), carrying the weight whose zero set sits at both ends."""
     ts, sig = region.t_star, region.sigma
     return ConePiece(sig, ts / (1.0 + sig), ts / (1.0 - sig),
                      weight=region.weight)

@@ -32,9 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import sphere_area
-
 __all__ = [
+    "sphere_area",
+    "ball_volume",
     "QuadratureSpec",
     "QuadratureResult",
     "integrate_bulk",
@@ -47,6 +47,16 @@ __all__ = [
 
 _GAUSS2 = 0.5 / math.sqrt(3.0)
 BLOCK_NODES = 8192  # nodes per integrand call in the slice and bulk loops
+
+
+def sphere_area(n: int) -> float:
+    """Area of the unit (n-1)-sphere; for n = 1 this is 2 (two points)."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def ball_volume(n: int) -> float:
+    """Volume of the unit ball in R^n."""
+    return sphere_area(n) / n
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,7 @@ class NonFiniteSample(ArithmeticError):
     """Raised when an integrand evaluates to a non-finite value."""
 
     def __init__(self, t, r, value):
+        t, r, value = float(t), float(r), float(value)
         super().__init__(f"non-finite integrand sample {value!r} at "
                          f"(t={t!r}, r={r!r})")
         self.location = (t, r)

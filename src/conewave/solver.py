@@ -24,7 +24,7 @@ import numpy as np
 
 from .exact_solutions import InitialDataSpec
 from .fields import DiscreteField, PotentialSpec, _live_end, signed_power
-from .geometry import sphere_area
+from .quadrature import sphere_area
 
 __all__ = [
     "SolverConfig",
@@ -346,6 +346,8 @@ def convergence_study(config: SolverConfig, data: InitialDataSpec, levels,
     t_ref on each level."""
     if len(levels) < 2:
         raise ValueError("need at least two resolution levels")
+    if len(set(levels)) < len(levels):
+        raise ValueError("resolution levels must be distinct")
     levels = sorted(levels)
     errors = []
     for J in levels:

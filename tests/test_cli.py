@@ -122,6 +122,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="causal buffer"):
             parse_config(write_config(tmp_path / "c.cfg", bad))
 
+    @pytest.mark.parametrize("text,error", [
+        ("[grid]\nJ = 64\nJ = 128\n",
+         "option 'J' in section 'grid' already exists"),
+        ("[grid]\nJ = 64\n[grid]\nR = 4.0\n",
+         "section 'grid' already exists"),
+        ("J = 64\n", "File contains no section headers"),
+        ("[grid]\nJ 64 oops\n", "Source contains parsing errors"),
+        (b"[grid]\nJ = 6\xff4\n", "can't decode byte 0xff"),
+    ], ids=["duplicate-option", "duplicate-section", "no-section-header",
+            "no-delimiter", "not-utf-8"])
+    def test_a_file_configparser_rejects_exit_2(self, tmp_path, capsys, text,
+                                                error):
+        # before, exit 1 with configparser's or the codec's traceback
+        path = tmp_path / "c.cfg"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        assert run(["simulate", "--config", str(path), "--out",
+                    str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {str(path)!r}: "), err
+        assert error in err
+        assert "Traceback" not in err
+
     def test_snapshot_log_generator(self, tmp_path):
         text = BASE.replace("snapshot_times = -0.8 -0.5 -0.3",
                             "snapshot_log = 0.1 1.0 8")
@@ -197,7 +222,7 @@ class TestConfigParsing:
         text = BASE.replace("potential = constant", "potential = perturbed\n"
                             "pot_eps = 0.1\npot_alpha = inf")
         cfg = parse_config(write_config(tmp_path / "c.cfg", text))
-        assert cfg.potential.alpha == math.inf
+        assert cfg.pot_alpha == math.inf
 
     @pytest.mark.parametrize("source", ["ode", "run"])
     @pytest.mark.parametrize("section,key,old,new", NAN_VALUES[:3])
@@ -293,6 +318,19 @@ class TestValidationBeforeAnyRun:
         assert "error: [problem] pot_alpha too small for snapshot time = " \
             "-0.8: |grad V| t* = 0.16 exceeds alpha = 0.01" in err
         assert not (out / name).exists()
+
+    def test_pot_alpha_names_a_snapshot_log_time_as_a_float(
+            self, tmp_path, capsys, monkeypatch):
+        # the snapshot_log times are numpy floats; before, the message read
+        # `snapshot time = np.float64(-1.0)`
+        monkeypatch.setattr(cli, "evolve", _no_solver_run)
+        text = BASE.replace("potential = constant", "potential = perturbed\n"
+                            "pot_eps = 0.2\npot_alpha = 0.01")
+        text = text.replace("snapshot_times = -0.8 -0.5 -0.3",
+                            "snapshot_log = 0.1 1.0 8")
+        _run_exit_2(tmp_path, capsys, "energy-profile", text,
+                    "[problem] pot_alpha too small for snapshot time = -1.0: "
+                    "|grad V| t* = 0.2 exceeds alpha = 0.01")
 
     def test_snapshot_times_do_not_bind_simulate(self, tmp_path):
         # simulate has no diagnostic times: the same config still runs
@@ -667,9 +705,9 @@ def test_overflow_prints_only_the_error_line(tmp_path):
 
 
 def test_simulate_loads_only_what_it_runs(tmp_path):
-    # the package root re-exports nothing, the Carleman verifier and the
-    # energetics layer load only where a scenario runs them, and no run
-    # loads a thread pool
+    # the package root re-exports nothing, the Carleman verifier, the
+    # energetics layer and the region geometry load only where a scenario
+    # runs them, and no run loads a thread pool
     src = os.path.dirname(os.path.dirname(os.path.abspath(conewave.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     cfg = write_config(tmp_path / "c.cfg", BASE.replace("J = 256", "J = 32"))
@@ -682,7 +720,8 @@ def test_simulate_loads_only_what_it_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     parsed, simulated = (set(line.split()) for line in proc.stdout.splitlines())
     assert "conewave.solver" in parsed and "conewave.fields" in parsed
-    unused = {"conewave.carleman", "conewave.energetics", "concurrent.futures"}
+    unused = {"conewave.carleman", "conewave.energetics", "conewave.geometry",
+              "concurrent.futures"}
     assert parsed & unused == simulated & unused == set()
 
 
@@ -1009,6 +1048,20 @@ class TestSweep:
         text = BASE + f"\n[sweep]\nscenario = {scenario}\n{grid}\n"
         _run_exit_2(tmp_path, capsys, "sweep", text, message)
         assert list((tmp_path / "out").glob("*")) == []  # no cell ran
+
+    @pytest.mark.parametrize("grid,repeated", [
+        ("128 128", 128), ("128 128 256", 128), ("256 128 256", 256)])
+    def test_a_repeated_convergence_level_exit_2(self, tmp_path, capsys, grid,
+                                                 repeated):
+        # before, `128 128` exited 3 with a numpy RankWarning and
+        # `128 128 256` wrote levels=3 over two rows
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        text = text.replace("t_end = -0.1", "t_end = 0.0")
+        text += f"\n[sweep]\nscenario = convergence\nJ = {grid}\n"
+        _run_exit_2(tmp_path, capsys, "sweep", text,
+                    f"[sweep] J lists {repeated} more than once")
+        assert list((tmp_path / "out").glob("*")) == []
 
     def test_empty_grid_exit_2(self, tmp_path):
         text = BASE + "\n[sweep]\nscenario = simulate\n"

@@ -138,14 +138,14 @@ class TestMzQuantity:
     def test_gradient_term_contributes_zero(self):
         # spatial homogeneity: quantity equals the two t-derivative terms
         sol = OdeSolution(2.0)
-        from conewave.geometry import ball_volume
+        from conewave.quadrature import ball_volume
         expected = sol.amplitude * (1 + sol.k) * math.sqrt(ball_volume(3))
         assert ball_quantity_ode(2.0, 3) == pytest.approx(expected)
 
     def test_exact_self_similarity(self):
         # the three terms from the closed form of phi* at each t: phi* and
         # d_t phi* are constant on B(0, -t), and d_r phi* vanishes
-        from conewave.geometry import ball_volume
+        from conewave.quadrature import ball_volume
 
         sol, n, k = OdeSolution(2.0), 3, OdeSolution(2.0).k
         for t in (-0.4, -0.2, -0.01):

@@ -18,7 +18,8 @@ from conewave.fields import (
     write_snapshots,
     zero_field,
 )
-from conewave.cli import _offcenter_gaussian
+from conewave.cli import (ConfigError, RunConfig, _offcenter_gaussian,
+                          _require_small_potential)
 from conewave.exact_solutions import OdeSolution
 from tests_helpers import (
     closures_jet,
@@ -47,7 +48,6 @@ class TestPotential:
         V = PotentialSpec.constant(2.0)
         assert V.value(0.3, 1.2) == 2.0
         assert V.jet(0.3, 1.2)[1:] == (0.0, 0.0)
-        assert V.bound == 2.0
 
     def test_perturbed_unit_gradient_profile(self):
         V = PotentialSpec(kind="perturbed", c0=1.0, eps=0.3,
@@ -57,15 +57,18 @@ class TestPotential:
         T, R = np.meshgrid(tt, rr)
         Vt, Vr = V.jet(T, R)[1:]
         assert np.max(np.hypot(Vt, Vr)) <= abs(V.eps) + 1e-12
-        assert np.all(V.value(T, R) >= 1.0 / V.bound - 1e-12)
+        # the bump peaks at width sqrt(e): |V - c0| <= |eps| width sqrt(e)
+        amp = abs(V.eps) * V.width * math.sqrt(math.e)
+        assert np.all(np.abs(V.value(T, R) - V.c0) <= amp + 1e-12)
 
     def test_slab_smallness_enforced(self):
-        with pytest.raises(ValueError):
-            PotentialSpec.perturbed(1.0, 0.5, (0.0, 1.0), 0.5, alpha=0.1,
-                                    t_star=1.0)
-        V = PotentialSpec.perturbed(1.0, 0.05, (0.0, 1.0), 0.5, alpha=0.1,
-                                    t_star=1.0)
-        assert abs(V.eps) * 1.0 <= 0.1   # sup|grad V| t* = |eps| t*
+        # sup|grad V| t* = |eps| t*: the CLI checks it against pot_alpha
+        cfg = RunConfig()
+        cfg.pot_kind, cfg.pot_eps, cfg.pot_alpha = "perturbed", 0.5, 0.1
+        with pytest.raises(ConfigError, match=r"\|grad V\| t\* = 0.5 exceeds"):
+            _require_small_potential(cfg, (1.0,), "t_star")
+        cfg.pot_eps = 0.05
+        _require_small_potential(cfg, (1.0, -2.0), "t_star")
 
     def test_positivity_guard(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from conewave.geometry import (
     MinkowskiPoint,
     RaySpec,
     ShiftedWeight,
-    SlabSpec,
     TimeSlicePiece,
     UNSHIFTED,
     covering_check,
@@ -22,8 +21,9 @@ from conewave.geometry import (
     eval_weight_gradient,
     lateral_boundary,
     minkowski_norm_sq,
-    sphere_area,
 )
+from conewave.energetics import _slab
+from conewave.quadrature import sphere_area
 from tests_helpers import box_bulk
 
 
@@ -91,7 +91,7 @@ class TestContains:
         assert not inside(cone, 1.0, 0.0)
 
     def test_slab_negative_time(self):
-        slab = SlabSpec(0.5, 1.2, -0.1)
+        slab = _slab(None, 0.5, 1.2, -0.1)
         assert inside(slab, -0.1, 0.04)
         assert not inside(slab, -0.1, 0.06)
 
@@ -105,9 +105,11 @@ class TestContains:
         with pytest.raises(ValueError):
             ConeSegmentSpec(1.5, 0.0, 1.0)
         with pytest.raises(ValueError):
-            SlabSpec(0.5, 0.9, 1.0)
-        with pytest.raises(ValueError):
-            ExteriorRegionSpec(0.5, 1.0, ray=RaySpec((0.7,)))
+            ConeSegmentSpec(0.5, -1.0, 1.0)  # the window straddles t = 0
+        with pytest.raises(ValueError, match="gamma must exceed 1"):
+            _slab(None, 0.5, 0.9, 1.0)
+        with pytest.raises(ValueError, match="center time must be nonzero"):
+            _slab(None, 0.5, 1.2, 0.0)
 
 
 class TestAngle:

@@ -21,6 +21,7 @@ from conewave.carleman import (
     verify_global,
 )
 from conewave.cli import _offcenter_gaussian
+from conewave.energetics import _slab
 from conewave.fields import PotentialSpec, gaussian_pulse
 from conewave.geometry import (
     ConePiece,
@@ -29,13 +30,12 @@ from conewave.geometry import (
     ExteriorRegionSpec,
     LevelSetPiece,
     ShiftedWeight,
-    SlabSpec,
     TimeSlicePiece,
     lateral_boundary,
-    sphere_area,
 )
 from conewave.quadrature import (
     QuadratureSpec,
+    sphere_area,
     integrate_bulk,
     integrate_profile,
     integrate_slice,
@@ -66,13 +66,13 @@ def level_radius(ts, eps):
 
 # (region, window, r_inner, r_outer, singular_r, singular_t)
 BULK_CASES = {
-    "box": (box_region(-0.3, 0.4, 0.9, 1.7).bulk, (-0.3, 0.4),
+    "box": (box_region(-0.3, 0.4, 0.9, 1.7), (-0.3, 0.4),
             lambda t: np.full_like(t, 0.9), lambda t: np.full_like(t, 1.7),
             (False, False), (False, False)),
-    "slab_past": (SlabSpec(0.5, 1.3, -0.6), (-0.6 * 1.3, -0.6 / 1.3),
+    "slab_past": (_slab(None, 0.5, 1.3, -0.6), (-0.6 * 1.3, -0.6 / 1.3),
                   np.zeros_like, lambda t: 0.5 * np.abs(t),
                   (False, False), (False, False)),
-    "slab_future": (SlabSpec(0.5, 1.3, 0.6), (0.6 / 1.3, 0.6 * 1.3),
+    "slab_future": (_slab(None, 0.5, 1.3, 0.6), (0.6 / 1.3, 0.6 * 1.3),
                     np.zeros_like, lambda t: 0.5 * np.abs(t),
                     (False, False), (False, False)),
     "cone_segment": (ConeSegmentSpec(0.4, 0.5, 2.0), (0.5, 2.0),
@@ -84,10 +84,10 @@ BULK_CASES = {
     "exterior_eps": (ExteriorRegionSpec(0.5, 1.0, eps=0.01),
                      exterior_window(0.5, 1.0, 0.01), level_radius(1.0, 0.01),
                      lambda t: 0.5 * t, (False, False), (True, True)),
-    "frustum": (frustum_region(0.1, 0.6, 0.9, 0.5, -3.0).bulk, (0.1, 0.6),
+    "frustum": (frustum_region(0.1, 0.6, 0.9, 0.5, -3.0), (0.1, 0.6),
                 lambda t: np.full_like(t, 0.9), lambda t: 0.5 * (t + 3.0),
                 (False, False), (False, False)),
-    "inverted_frustum": (inverted_frustum_region(0.1, 0.6, 2.5, 0.5, -2.0).bulk,
+    "inverted_frustum": (inverted_frustum_region(0.1, 0.6, 2.5, 0.5, -2.0),
                          (0.1, 0.6), lambda t: 0.5 * (t + 2.0),
                          lambda t: np.full_like(t, 2.5),
                          (False, False), (False, False)),

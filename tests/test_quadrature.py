@@ -12,7 +12,6 @@ from conewave.geometry import (
     ConeSegmentSpec,
     CylinderPiece,
     ExteriorRegionSpec,
-    SlabSpec,
     TimeSlicePiece,
     lateral_boundary,
 )
@@ -76,7 +75,7 @@ class TestBulk:
         assert integrate_slice(-1.0, 0.25, 0.5, zero, QuadratureSpec(),
                                3).value == 0.0
         for region in (box_bulk(-0.4, 0.4, 1.0, 2.0),
-                       SlabSpec(0.5, 1.5, -1.0),
+                       ConeSegmentSpec(0.5, -1.5, -1.0 / 1.5),
                        ConeSegmentSpec(0.5, 1.0, 4.0)):
             res = integrate_bulk(region, zero, QuadratureSpec(), 3)
             assert res.value == 0.0
@@ -92,10 +91,12 @@ class TestBulk:
 
     def test_slab_volume(self):
         # slab gamma=2, t*=-1, n=1: int_{-2}^{-1/2} 2 sigma |t| dt = 2 sigma (4-1/4)/2
-        res = integrate_bulk(SlabSpec(0.5, 2.0, -1.0), ONE, QuadratureSpec(), 1)
+        res = integrate_bulk(ConeSegmentSpec(0.5, -2.0, -0.5), ONE,
+                             QuadratureSpec(), 1)
         assert res.value == pytest.approx(2 * 0.5 * (4 - 0.25) / 2, rel=1e-12)
         # and the reflected slab at t* = +1 has the same volume
-        res_pos = integrate_bulk(SlabSpec(0.5, 2.0, 1.0), ONE, QuadratureSpec(), 1)
+        res_pos = integrate_bulk(ConeSegmentSpec(0.5, 0.5, 2.0), ONE,
+                                 QuadratureSpec(), 1)
         assert res_pos.value == pytest.approx(res.value, rel=1e-12)
 
     def test_exterior_region_eps_window(self):
@@ -139,6 +140,19 @@ class TestBulk:
             integrate_bulk(box_bulk(0.0, 1.0, 1.0, 2.0), bad, QuadratureSpec(), 1)
         t_bad, r_bad = err.value.location
         assert r_bad > 1.5
+
+    def test_nonfinite_sample_message_has_plain_floats(self):
+        # before, numpy 2's scalar reprs: `np.float64(nan) at
+        # (t=np.float64(-0.5), ...`
+        def bad(t, r):
+            return np.where(r > 0.5, np.nan, 1.0) + 0.0 * t
+
+        with pytest.raises(NonFiniteSample) as err:
+            integrate_slice(-0.5, 0.0, 1.0, bad, QuadratureSpec(), 3)
+        message = str(err.value)
+        assert message.startswith("non-finite integrand sample nan at "
+                                  "(t=-0.5, r=")
+        assert "np." not in message
 
 
 class TestBlockedEvaluation:
@@ -471,7 +485,7 @@ def _reference_level_loop(t_window, r_inner, r_outer, integrand, q, n,
     broadcast over the mesh, the measure WW * om * RR^(n-1) kept whole, one
     integrand call per level and sum(meas * vals). Returns the results as
     integrate_profile does, or the location of the first non-finite sample."""
-    from conewave.geometry import sphere_area
+    from conewave.quadrature import sphere_area
 
     om = sphere_area(n)
     values, nodes = [], 0
@@ -576,7 +590,7 @@ class TestRowColumnTime:
 
     @pytest.mark.parametrize("name", ["manufactured", "discrete", "ode"])
     def test_slice_sums_match_per_node_times(self, name):
-        from conewave.geometry import sphere_area
+        from conewave.quadrature import sphere_area
 
         integrand = self._integrands()[name]
         q = QuadratureSpec(cells_r=8)

@@ -5,7 +5,7 @@ import pytest
 
 from conewave.exact_solutions import InitialDataSpec, OdeSolution, smoothstep
 from conewave.fields import PotentialSpec, signed_power
-from conewave.geometry import sphere_area
+from conewave.quadrature import sphere_area
 from conewave.solver import (
     RunResult,
     SolverConfig,
@@ -122,8 +122,8 @@ KERNEL_CASES = {
         InitialDataSpec.truncated_ode(2.0, 0.25)),
     "p2.5_perturbed": (
         SolverConfig(n=3, p=2.5, J=400, R=6.0, t0=-1.0, t_end=0.5,
-                     potential=PotentialSpec.perturbed(1.0, 0.2, (-0.5, 0.3),
-                                                       0.5, 10.0),
+                     potential=PotentialSpec("perturbed", 1.0, 0.2,
+                                             (-0.5, 0.3), 0.5),
                      snapshot_times=(-0.8, -0.4)),
         InitialDataSpec.truncated_ode(2.0, 0.25, p=2.5)),
     "linear": (
@@ -215,7 +215,7 @@ def test_negative_zero_tail_of_start_data_matches_plain_leapfrog_bitwise(tmp_pat
     (2.0, PotentialSpec.constant()),
     (2.0, PotentialSpec.constant(0.7)),
     (2.5, PotentialSpec.constant(0.7)),
-    (2.0, PotentialSpec.perturbed(1.0, 0.2, (-0.5, 0.3), 0.5, 10.0)),
+    (2.0, PotentialSpec("perturbed", 1.0, 0.2, (-0.5, 0.3), 0.5)),
 ])
 def test_nonlinear_term_matches_signed_power_bitwise(p, potential):
     # signed zeros, subnormals, squares that underflow or overflow
@@ -467,6 +467,15 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_study(cfg, zero_data(), (64,),
                               lambda t, r: 0.0 * r, 0.2, 1.0)
+
+    def test_repeated_levels_are_rejected(self):
+        # before, (64, 64) fitted a slope through two equal abscissae and
+        # (64, 64, 128) counted the 64 run twice
+        cfg = SolverConfig(n=1, J=64, R=4.0, t0=0.0, t_end=0.5)
+        for levels in ((64, 64), (64, 64, 128)):
+            with pytest.raises(ValueError, match="must be distinct"):
+                convergence_study(cfg, zero_data(), levels,
+                                  lambda t, r: 0.0 * r, 0.2, 1.0)
 
 
 class TestStability:

@@ -9,12 +9,13 @@ from conewave.fields import ManufacturedField, write_snapshots
 
 
 def box_bulk(t0, t1, r0, r1):
-    """The rectangle {t0 < t < t1, r0 < r < r1}: two cylinder sides."""
+    """The rectangle {t0 < t < t1, r0 < r < r1}: two cylinder sides, with
+    no boundary pieces (box_region's, unlike these, need f > 0 inside)."""
     from conewave.carleman import _SidedBulk
     from conewave.geometry import CylinderPiece
 
     return _SidedBulk(t0, t1, CylinderPiece(r0, t0, t1),
-                      CylinderPiece(r1, t0, t1))
+                      CylinderPiece(r1, t0, t1), ())
 
 
 def write_level(directory, n, p, t, r, phi, phit):
@@ -191,7 +192,7 @@ def slice_by_slice(t, r_lo, r_hi, integrand, q, n):
     """One fixed-time slice on its own: t a one-element array, r the level's
     nodes, each output checked and summed as measure * values."""
     from conewave import quadrature
-    from conewave.geometry import sphere_area
+    from conewave.quadrature import sphere_area
 
     level_t = np.array([t], dtype=float)
 
