@@ -99,13 +99,6 @@ def _potential_and_gamma(params: CarlemanParams, t, r):
     return V, (-ft * Vt + fr * Vr) / V + const
 
 
-def _potential_value(params: CarlemanParams, t, r):
-    """V at (t, r); a constant potential stays the scalar c0."""
-    if params.potential.kind == "constant":
-        return params.potential.c0
-    return params.potential.value(t, r)
-
-
 def flux_covector(params: CarlemanParams, fieldobj, t, r, fval=None):
     """Covariant components (P_t, P_r) of the multiplier current
 
@@ -125,7 +118,7 @@ def flux_covector(params: CarlemanParams, fieldobj, t, r, fval=None):
         raise ValueError("flux vector requires f > 0")
     ft, fr = params.shift.grad_radial(t, r)
     ph, pt, pr = fieldobj.jet(t, r)[:3]
-    V = _potential_value(params, t, r)
+    V = params.potential.value(t, r)
     a, p, n = params.a, params.p, params.n
 
     grad_f_dot_phi = -ft * pt + fr * pr   # raised-index contraction

@@ -82,7 +82,8 @@ _KEYS = (
     _Key("problem", "pot_center_r", float, 0.0),
     _Key("problem", "pot_width", float, 1.0, *_above(0)),
     _Key("problem", "pot_alpha", float, math.inf),
-    _Key("grid", "R", float, 4.0, *_above(0)),
+    _Key("grid", "R", float, 4.0, lambda v: 0 < v < math.inf,
+         "finite and greater than 0"),
     _Key("grid", "J", int, 1024, *_at_least(8),
          sweep=("simulate", "convergence")),
     _Key("grid", "cfl", float, 0.9, lambda v: 0 < v <= 1, "in (0, 1]"),
@@ -92,8 +93,9 @@ _KEYS = (
     _Key("grid", "snapshot_times", _floats, ()),
     # log-spaced snapshot times on t0's side: |t|_min |t|_max per_decade
     _Key("grid", "snapshot_log", _floats, (),
-         lambda v: not v or len(v) == 3 and 0 < v[0] < v[1] and v[2] > 0,
-         "empty or three values lo hi per with 0 < lo < hi and per > 0"),
+         lambda v: not v or len(v) == 3 and 0 < v[0] < v[1] < math.inf
+         and 0 < v[2] < math.inf,
+         "empty or three finite values lo hi per with 0 < lo < hi and per > 0"),
     _Key("data", "kind", str, "gaussian",
          *_one_of("truncated_ode", "gaussian", "file"), attr="data_kind"),
     _Key("data", "M", float, 2.0, *_above(0), sweep=("simulate",)),
@@ -106,8 +108,9 @@ _KEYS = (
     _Key("diagnostics", "sigma", float, 0.5, lambda v: 0 < v < 1, "in (0, 1)"),
     _Key("diagnostics", "gamma", float, 1.2, *_above(1)),
     _Key("diagnostics", "eta", float, 2.0),
-    _Key("diagnostics", "t_star", _floats, (), lambda v: 0 not in v,
-         "nonzero"),
+    _Key("diagnostics", "t_star", _floats, (),
+         lambda v: all(t != 0 and math.isfinite(t) for t in v),
+         "each finite and nonzero"),
     # empty: each verify-carleman case draws its own a
     _Key("diagnostics", "a", _floats, (),
          lambda v: len(v) <= 1 and all(a > 0 for a in v),

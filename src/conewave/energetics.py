@@ -295,8 +295,8 @@ def rate_fit(times, values, window=None) -> RateReport:
     if window is None:
         window = (np.abs(times).min(), np.abs(times).max())
     mask = (np.abs(times) >= window[0] - 1e-12) & (np.abs(times) <= window[1] + 1e-12)
-    if mask.sum() < 3:
-        raise ValueError("window selects fewer than 3 samples")
+    if np.unique(np.abs(times[mask])).size < 3:
+        raise ValueError("window selects fewer than 3 samples at distinct |t|")
     x = np.log(np.abs(times[mask]))
     y = np.log(values[mask])
     slope, intercept = np.polyfit(x, y, 1)

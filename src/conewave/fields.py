@@ -13,6 +13,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -315,14 +316,26 @@ def write_snapshots(directory, n, p, r, levels):
 
 
 def read_snapshot(path):
-    """Returns (n, p, t, r, phi, phit)."""
+    """Returns (n, p, t, r, phi, phit) of a valid level: the header, the
+    line `n p t`, then at least two rows `r phi phit` of finite numbers
+    with r strictly increasing; anything else is a ValueError."""
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
         if header != SNAPSHOT_HEADER:
             raise ValueError(f"bad snapshot header {header!r}")
         first = handle.readline().split()
+        if len(first) != 3:
+            raise ValueError(f"snapshot line 2 must read `n p t`, got "
+                             f"{' '.join(first)!r}")
         n, p, t = int(first[0]), float(first[1]), float(first[2])
         data = np.loadtxt(io.StringIO(handle.read()), ndmin=2)
+    if data.shape[0] < 2 or data.shape[1] != 3:
+        raise ValueError(f"snapshot rows must be `r phi phit`, at least two: "
+                         f"got {data.shape[0]} rows of {data.shape[1]}")
+    if not (math.isfinite(p) and math.isfinite(t) and np.isfinite(data).all()):
+        raise ValueError("snapshot holds a non-finite value")
+    if np.any(np.diff(data[:, 0]) <= 0.0):
+        raise ValueError("snapshot radii must be strictly increasing")
     return n, p, t, data[:, 0].copy(), data[:, 1].copy(), data[:, 2].copy()
 
 
@@ -363,17 +376,17 @@ class DiscreteField:
         phit = np.vstack([row[2] for row in levels])
         return cls(times, np.asarray(r, dtype=float), phi, phit, dim)
 
-    # -- derivative arrays ---------------------------------------------------
-
-    def phi_r_level(self, m):
-        """Centered radial derivative of level m, even at the axis,
-        one-sided at the outer end."""
-        u = self.phi[m]
-        dr = self.dr
+    @cached_property
+    def phi_r(self) -> np.ndarray:
+        """Centered radial derivative of every level, even at the axis,
+        one-sided at the outer end; built on first use."""
+        u, h = self.phi, 2.0 * self.dr
         out = np.empty_like(u)
-        out[0] = 0.0
-        out[1:-1] = (u[2:] - u[:-2]) / (2.0 * dr)
-        out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
+        out[:, 0] = 0.0
+        inner = out[:, 1:-1]
+        np.subtract(u[:, 2:], u[:, :-2], out=inner)
+        np.divide(inner, h, out=inner)
+        out[:, -1] = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / h
         return out
 
     # -- interpolating evaluation surface -------------------------------------
@@ -435,12 +448,6 @@ class DiscreteField:
         lo += hi
         return lo if lo.shape else float(lo)
 
-    def _phi_r_table(self):
-        if getattr(self, "_phi_r_cache", None) is None:
-            self._phi_r_cache = np.vstack([self.phi_r_level(m)
-                                           for m in range(self.times.size)])
-        return self._phi_r_cache
-
     def value(self, t, r):
         return self._interp(self.phi, self._locate(t, r))
 
@@ -448,5 +455,5 @@ class DiscreteField:
         """(phi, phi_t, phi_r) from one stencil per batch of points."""
         stencil = self._locate(t, r)
         return tuple(self._interp(table, stencil) for table in
-                     (self.phi, self.phi_t, self._phi_r_table()))
+                     (self.phi, self.phi_t, self.phi_r))
 

@@ -67,9 +67,6 @@ class RaySpec:
         if self.speed >= 1.0:
             raise ValueError("ray velocity must satisfy |v| < 1")
 
-    def inside_cone(self, sigma: float) -> bool:
-        return self.speed < sigma
-
     @property
     def is_axis(self) -> bool:
         return self.speed == 0.0
@@ -456,46 +453,29 @@ class CoveringResult:
     covered: bool
     witness: MinkowskiPoint | None = None
     boundary_ok: bool | None = None
-    boundary_witness: MinkowskiPoint | None = None
 
     def __bool__(self):
-        ok = self.covered
-        if self.boundary_ok is not None:
-            ok = ok and self.boundary_ok
-        return ok
-
-
-def _in_exterior_cartesian(t, x, sigma, t_star, center):
-    r = math.sqrt(float(np.dot(x, x)))
-    if not (0.0 < r < sigma * t):
-        return False
-    d = x - center
-    return abs(t - t_star) < math.sqrt(float(np.dot(d, d)))
+        return self.covered and self.boundary_ok is not False
 
 
 def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
                    sample_count=2000, n=3, eta=None) -> CoveringResult:
-    """Sample the slab and test coverage by the two exterior regions.
+    """Sample the slab and test coverage by the two exterior regions
+    {f_{t*,zeta_i} > 0} of the cone.
 
     Deterministic lattice in the plane spanned by the two ray velocities,
     plus targeted probes near the excluded double-cone tips zeta_i(t*), plus
     random points in the full ball drawn with seed 0. When `eta` is given,
     also checks that both cone-boundary pieces sit inside the lateral slab
-    of that eta.
+    of that eta: the piece of a ray of speed |v| spans
+    t*(1-|v|)/(1+sigma) < t < t*(1+|v|)/(1-sigma).
     """
     if t_star <= 0:
         raise ValueError("covering check requires t* > 0")
-    for ray in (ray0, ray1):
-        if not ray.inside_cone(sigma):
-            raise ValueError("rays must lie inside the cone")
-
-    def embed(v):
-        out = np.zeros(n)
-        out[: len(v)] = v
-        return out
-
-    c0 = embed(ray0.velocity) * t_star
-    c1 = embed(ray1.velocity) * t_star
+    if max(ray0.speed, ray1.speed) >= sigma:
+        raise ValueError("rays must lie inside the cone")
+    weights = (ShiftedWeight(t_star, ray0), ShiftedWeight(t_star, ray1))
+    c0, c1 = (w.center(n) for w in weights)
     # orthonormal pair spanning the plane of the two centers
     e1 = np.zeros(n)
     e1[0] = 1.0
@@ -517,10 +497,6 @@ def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
                 if np.linalg.norm(trial) > 1e-8:
                     e2 = trial / np.linalg.norm(trial)
                     break
-
-    def in_union(t, x):
-        return (_in_exterior_cartesian(t, x, sigma, t_star, c0)
-                or _in_exterior_cartesian(t, x, sigma, t_star, c1))
 
     t_lo, t_hi = t_star / gamma, t_star * gamma
     m = max(8, int(round(sample_count ** (1.0 / 3.0))))
@@ -559,35 +535,17 @@ def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
         r = math.sqrt(float(np.dot(x, x)))
         if not (0.0 < r < sigma * t and t_lo < t < t_hi):
             continue
-        if not in_union(t, x):
-            witness = MinkowskiPoint(float(t), tuple(x))
+        P = MinkowskiPoint(float(t), tuple(x))
+        if all(eval_weight(w, P) <= 0.0 for w in weights):
+            witness = P
             break
 
     result = CoveringResult(covered=witness is None, witness=witness)
     if eta is not None:
         if eta <= 1.0:
             raise ValueError("eta must exceed 1")
-        bad = None
-        for c in (c0, c1):
-            for t in np.linspace(t_star / (1.0 + sigma) * 0.5,
-                                 t_star / (1.0 - sigma) * 1.5, 160):
-                if t <= 0:
-                    continue
-                dirs = [e1, -e1]
-                if e2 is not None:
-                    dirs += [e2, -e2, (e1 + e2) / math.sqrt(2.0)]
-                for d in dirs:
-                    x = sigma * t * d
-                    dx = x - c
-                    if abs(t - t_star) < math.sqrt(float(np.dot(dx, dx))):
-                        # point on the relevant boundary piece
-                        if not (t_star / eta < t < t_star * eta):
-                            bad = MinkowskiPoint(float(t), tuple(x))
-                            break
-                if bad:
-                    break
-            if bad:
-                break
-        result.boundary_ok = bad is None
-        result.boundary_witness = bad
+        result.boundary_ok = all(
+            t_star / eta <= t_star * (1.0 - ray.speed) / (1.0 + sigma)
+            and t_star * (1.0 + ray.speed) / (1.0 - sigma) <= t_star * eta
+            for ray in (ray0, ray1))
     return result

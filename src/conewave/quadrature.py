@@ -217,19 +217,21 @@ def _weighted_sums(integrand, T, mesh, cols, axis=None):
     a tuple of sums, one per array."""
     step = max(1, BLOCK_NODES // cols)
     bufs = bad = None
-    for lo in range(0, len(T), step):
-        rows = slice(lo, lo + step)
-        R, meas = mesh(rows)
-        out = integrand(T[rows], R)
-        several = isinstance(out, tuple)
-        outs = out if several else (out,)
-        if bufs is None:
-            bufs = [np.empty((len(T), cols)) for _ in outs]
-            bad = [None] * len(outs)
-        for k, (buf, vals) in enumerate(zip(bufs, outs)):
-            np.multiply(meas, vals, out=buf[rows])
-            if bad[k] is None and not np.isfinite(vals).all():
-                bad[k] = (np.broadcast_to(vals, R.shape), T[rows], R)
+    # non-finite values are reported below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, len(T), step):
+            rows = slice(lo, lo + step)
+            R, meas = mesh(rows)
+            out = integrand(T[rows], R)
+            several = isinstance(out, tuple)
+            outs = out if several else (out,)
+            if bufs is None:
+                bufs = [np.empty((len(T), cols)) for _ in outs]
+                bad = [None] * len(outs)
+            for k, (buf, vals) in enumerate(zip(bufs, outs)):
+                np.multiply(meas, vals, out=buf[rows])
+                if bad[k] is None and not np.isfinite(vals).all():
+                    bad[k] = (np.broadcast_to(vals, R.shape), T[rows], R)
     for args in bad:
         if args is not None:
             _check_finite(*args)
@@ -351,8 +353,10 @@ def integrate_surfaces(pieces, integrand, q: QuadratureSpec, n: int,
     for weighted in (False, True):
         group = [i for i, s in enumerate(sets) if (s[5] is None) != weighted]
         if group:
-            out = integrand(*(np.concatenate([sets[i][k] for i in group])
-                              for k in (2, 3, 5)[:2 + weighted]))
+            # non-finite values are reported by _check_finite below
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                out = integrand(*(np.concatenate([sets[i][k] for i in group])
+                                  for k in (2, 3, 5)[:2 + weighted]))
             ends = np.cumsum([0] + [sets[i][3].size for i in group])
             for i, lo, hi in zip(group, ends, ends[1:]):
                 shares[i] = (tuple(v[lo:hi] for v in out)

@@ -169,9 +169,10 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     stencil reads one cell to each side, so it maps +0.0 neighbourhoods to
     +0.0 and moves e by one cell, to at most J + 1; the cells past e are
     those the full-grid step would have left at +0.0, so every level is
-    bit-for-bit the full-grid one. The start step, the energy trace (whose
-    pairwise sums group terms by array length) and the snapshot copies run
-    on the full arrays."""
+    bit-for-bit the full-grid one. The start step is the loop's first, with
+    phi0 as the newest level and phi_t0 in place of the oldest. The energy
+    trace (whose pairwise sums group terms by array length) and the snapshot
+    copies run on the full arrays."""
     n, J, dr = config.n, config.J, config.dr
     s, vol = _radial_operator(n, J, dr)
     lam = _operator_norm(s, vol, dr, J)
@@ -217,13 +218,13 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
 
     # step buffers: the force Lap_h u + V |u|^{p-1} u, the flux and
     # nonlinear-term scratch, |phi| of the newest level (`mag`, which the
-    # next step's nonlinear term reads), and three levels; `nxt` starts at
-    # +0.0 because the steps write only the causal window
+    # next step's nonlinear term reads), and three levels; `prev` and `nxt`
+    # start at +0.0 because the steps write only the causal window
     force = np.empty(J + 1)
     flux = np.empty(J)
     work = np.empty(J + 1)
     mag = np.empty(J + 1)
-    prev, cur, nxt = phi0, np.empty(J + 1), np.zeros(J + 1)
+    prev, cur, nxt = np.zeros(J + 1), phi0, np.zeros(J + 1)
 
     m = 0
     t = config.t0
@@ -231,35 +232,11 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     status = "completed"
     t_blowup = None
     pending = None  # snapshot waiting for the next level's centered phi_t
+    e = _live_end(phi0, phit0)  # the causal window's end
 
     # overflow is reported by the finiteness test below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if total_steps > 0:
-            # second-order start
-            _laplacian(phi0, s, vol, dr, force, flux)
-            if not config.linear:
-                np.add(force, _nonlinear_term(V, config.p, t, r, phi0, mag, work),
-                       out=force)
-            np.multiply(phit0, dt, out=cur)
-            np.add(phi0, cur, out=cur)
-            np.multiply(force, 0.5 * dt * dt, out=force)
-            np.add(cur, force, out=cur)
-            cur[J] = 0.0
-            m = 1
-            t = config.t0 + dt
-            peak = float(np.abs(cur, out=mag).max())
-            max_phi = max(max_phi, peak)
-
-            if config.record_energy:
-                record_energy(cur, prev, config.t0 + 0.5 * dt)
-            e = _live_end(prev, cur)  # the causal window's end
-
-            if peak > config.phi_max:
-                status, t_blowup = "blew_up", t
-            elif m in targets:
-                pending = (m, t)
-
-        while status == "completed" and m < total_steps:
+        while m < total_steps:
             # a step moves the window end by one cell; the Laplacian of the
             # last cell inside the window reads cur[e]
             e = min(J + 1, e + 1)
@@ -269,11 +246,18 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
             if not config.linear:
                 np.add(f, _nonlinear_term(V, config.p, t, r[:e], cur[:e],
                                           mag[:e], work[:e]), out=f)
-            # (2 cur - prev) + dt^2 force, in the order of the plain expression
             x = nxt[:e]
-            np.multiply(cur[:e], 2.0, out=x)
-            np.subtract(x, prev[:e], out=x)
-            np.multiply(f, dt * dt, out=f)
+            if m == 0:
+                # second-order start: (phi0 + dt phit0) + dt^2/2 force
+                np.multiply(phit0[:e], dt, out=x)
+                np.add(cur[:e], x, out=x)
+                np.multiply(f, 0.5 * dt * dt, out=f)
+            else:
+                # (2 cur - prev) + dt^2 force, in the order of the plain
+                # expression
+                np.multiply(cur[:e], 2.0, out=x)
+                np.subtract(x, prev[:e], out=x)
+                np.multiply(f, dt * dt, out=f)
             np.add(x, f, out=x)
             nxt[J] = 0.0
             # the max of |nxt| is non-finite iff some entry is; past the
@@ -293,7 +277,9 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
             t = config.t0 + m * dt
             max_phi = max(max_phi, peak)
             if config.record_energy:
-                record_energy(cur, prev, t - 0.5 * dt)
+                # t0 + dt/2 at m = 1, where (t0 + dt) - dt/2 may round apart
+                record_energy(cur, prev, t - 0.5 * dt if m > 1
+                              else config.t0 + 0.5 * dt)
             if peak > config.phi_max:
                 status, t_blowup = "blew_up", t
                 break

@@ -469,6 +469,10 @@ class TestConfigTable:
         ("diagnostics", "ratio_band", "0.99"),     # every run failed, exit 3
         ("diagnostics", "horizons", "4 4 8"),      # `need 0 <= t_lo < t_hi`
         ("diagnostics", "a", "0.1 0.3"),           # ignored, exit 0
+        ("grid", "R", "inf"),                      # exit 0 with dt=inf
+        ("grid", "snapshot_log", "0.04 inf 16"),   # an OverflowError
+        ("grid", "snapshot_log", "0.04 1.0 inf"),  # an OverflowError
+        ("diagnostics", "t_star", "-inf"),         # exit 1 in energy-profile
     ])
     def test_an_out_of_range_value_names_its_key(self, tmp_path, capsys,
                                                  section, key, value):
@@ -503,6 +507,23 @@ class TestConfigTable:
                             data)
         _run_exit_2(tmp_path, capsys, "simulate", text, message)
 
+    @pytest.mark.parametrize("level,message", [
+        ("3 2\n0 0 0\n1 0 0", "line 2 must read `n p t`, got '3 2'"),
+        ("3 2 -1\n0 0\n1 0", "rows must be `r phi phit`, at least two"),
+        ("3 2 -1\n0 0 0\n1 0 0\n0.5 0 0", "radii must be strictly increasing"),
+        ("3 2 -1\n0 nan 0\n1 0 0", "holds a non-finite value"),
+    ], ids=["n_p", "two_columns", "unsorted_r", "nan"])
+    def test_a_snapshot_that_is_not_a_valid_level_exit_2(
+            self, tmp_path, capsys, monkeypatch, level, message):
+        # before: an IndexError (exit 1) for the first two, and exit 0 on
+        # np.interp of unsorted radii or with max_phi=nan for the others
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.dat").write_text(f"# n p t\n{level}\n")
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = file\npath = s.dat")
+        _run_exit_2(tmp_path, capsys, "simulate", text,
+                    f"[data] path 's.dat': snapshot {message}")
+
     def test_a_seed_below_0_names_its_key(self, tmp_path, capsys):
         # before: numpy's `expected non-negative integer`
         _run_exit_2(tmp_path, capsys, "verify-carleman",
@@ -519,6 +540,14 @@ class TestConfigTable:
         text = ODE_DIAG.replace("eta = 2.0", "eta = 2.0\nwindow = 0.01 0.02")
         _run_exit_2(tmp_path, capsys, "rate-fit", text,
                     "rate-fit: window selects fewer than 3 samples")
+
+    def test_a_fit_through_repeated_times_is_a_config_error(self, tmp_path,
+                                                            capsys):
+        # before: exit 0 with slope=-2.6016 and a numpy RankWarning
+        text = ODE_DIAG.replace("t_star = -0.5 -0.25 -0.125",
+                                "t_star = -0.5 -0.5 -0.5")
+        _run_exit_2(tmp_path, capsys, "rate-fit", text, "rate-fit: window "
+                    "selects fewer than 3 samples at distinct |t|")
 
     def test_any_other_value_error_is_not_a_config_error(self, tmp_path,
                                                          monkeypatch):
@@ -655,6 +684,19 @@ class TestSimulate:
         assert code == 3
         assert "error: non-finite solver value" in capsys.readouterr().err
 
+    def test_non_finite_value_at_the_first_step_exit_3(self, tmp_path,
+                                                          capsys):
+        # the start step overflows; before, it skipped the finiteness test
+        # and the run wrote status=blew_up, max_phi=inf with exit 0
+        text = BASE.replace("amplitude = 0.0", "amplitude = 1e200")
+        text = text.replace("t_end = -0.1", "t_end = -0.5\nphi_max = 1e300")
+        text = text.replace("-0.8 -0.5 -0.3", "-0.8")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "error: non-finite solver value at t=-0.9" in \
+            capsys.readouterr().err
+
     def test_non_finite_integrand_exit_3(self, tmp_path, capsys, monkeypatch):
         def bad_profile(*args, **kwargs):
             raise NonFiniteSample(-0.5, 0.25, float("nan"))
@@ -702,6 +744,23 @@ def test_overflow_prints_only_the_error_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: non-finite solver value at t=")
+
+
+def test_a_non_finite_integrand_prints_only_the_error_line(tmp_path):
+    # the ODE profile overflows at t* = -1e-320; quadrature reports it, and
+    # before, four numpy RuntimeWarnings came first
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conewave.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg = write_config(tmp_path / "c.cfg", ODE_DIAG.replace(
+        "t_star = -0.5 -0.25 -0.125", "t_star = -1e-320"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "conewave.cli", "energy-profile", "--config",
+         cfg, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: non-finite integrand sample inf at ")
 
 
 def test_simulate_loads_only_what_it_runs(tmp_path):

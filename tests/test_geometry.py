@@ -309,6 +309,18 @@ class TestCovering:
         assert above.boundary_ok
         assert not below.boundary_ok
 
+    def test_eta_threshold_for_a_fast_ray(self):
+        # the piece of v = 0.8 reaches t = 18 t* > 0.95 eta* t*; before, the
+        # sampled extent stopped at 1.5 t*/(1 - sigma) = 15 t* and passed it
+        sigma, v = 0.9, 0.8
+        eta_star = max((1 + v) / (1 - sigma), (1 + sigma) / (1 - v))
+        assert eta_star == pytest.approx(18.0)
+        for factor, ok in ((0.95, False), (1.05, True)):
+            res = covering_check(sigma, 1.1, 1.0, RaySpec(()),
+                                 RaySpec((v, 0.0)), sample_count=200, n=3,
+                                 eta=eta_star * factor)
+            assert res.boundary_ok is ok
+
 
 class TestSlabWeightLowerBound:
     def test_max_shifted_weight_positive_on_slab(self):
