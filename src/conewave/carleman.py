@@ -33,8 +33,7 @@ from .geometry import (
     UNSHIFTED,
     lateral_boundary,
 )
-from .quadrature import (QuadratureSpec, integrate_bulk, integrate_surface,
-                         integrate_surfaces)
+from .quadrature import QuadratureSpec, integrate_bulk, integrate_surfaces
 
 __all__ = [
     "CarlemanParams",
@@ -333,7 +332,7 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
         return (phi_t ** 2 + phi_r ** 2, np.abs(ph) ** (p + 1.0), zeroth,
                 f ** (-1.0 + 2.0 * a) * zeroth)
 
-    t1, t2, t3, t4 = integrate_surface(piece, lateral, q, n)
+    [(t1, t2, t3, t4)] = integrate_surfaces((piece,), lateral, q, n)
 
     terms = {
         "t1_gradient": ts ** (1.0 + 4.0 * a) * t1.value,

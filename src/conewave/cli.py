@@ -233,12 +233,14 @@ def _build(cfg: RunConfig, data: bool):
         cfg.pot_width)
     cfg.data = None if not data else InitialDataSpec(
         cfg.data_kind, cfg.p, cfg.M, cfg.w, cfg.amplitude, cfg.width, cfg.path)
-    if data and cfg.data_kind == "file":
-        if not cfg.path:
+    if data:
+        if cfg.data_kind == "file" and not cfg.path:
             raise ConfigError("[data] kind = file needs [data] path")
-        # reads the snapshot and checks its time against t0
-        _config_call(f"[data] path {cfg.path!r}: ", cfg.data.evaluate, cfg.t0,
-                     0.0)
+        # evaluated out to the grid's last radius: a snapshot is read and
+        # checked against t0 and R, and phi* needs t0 < 0
+        _config_call(f"[data] path {cfg.path!r}: " if cfg.data_kind == "file"
+                     else f"[data] kind = {cfg.data_kind}: ",
+                     cfg.data.evaluate, cfg.t0, cfg.J * (cfg.R / cfg.J))
     if cfg.snapshot_log:
         lo, hi, per = cfg.snapshot_log
         count = max(2, int(round(per * math.log10(hi / lo))) + 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -17,9 +18,8 @@ from .geometry import ConePiece, ConeSegmentSpec
 from .quadrature import (
     QuadratureSpec,
     integrate_bulk,
-    integrate_slice,
     integrate_slices,
-    integrate_surface,
+    integrate_surfaces,
 )
 
 __all__ = [
@@ -66,17 +66,6 @@ def _energy_density(field, scale, p=None, sgn=1.0):
     return integrand
 
 
-def _energy_and_power(field, scale, p):
-    """slab_quantity's and lp_slab_quantity's integrands as one pair from
-    one jet per node: (`_density` without the power term, |phi|^{p+1})."""
-
-    def integrand(tt, rr):
-        v, v_t, v_r = field.jet(tt, rr)[:3]
-        return _density(v, v_t, v_r, scale), np.abs(v) ** (p + 1.0)
-
-    return integrand
-
-
 def annulus_quantity(field, sigma0, sigma1, t, p, n,
                      q: QuadratureSpec = QuadratureSpec()):
     """|t|^{2-n+4/(p-1)} int_{A(t)} (|grad phi|^2 + |t|^{-2} phi^2).
@@ -89,8 +78,8 @@ def annulus_quantity(field, sigma0, sigma1, t, p, n,
     at = abs(t)
     expo = 2.0 - n + 4.0 / (p - 1.0)
 
-    res = integrate_slice(t, sigma0 * at, sigma1 * at,
-                          _energy_density(field, at), q, n)
+    [res] = integrate_slices([t], sigma0 * at, sigma1 * at,
+                             _energy_density(field, at), q, n)
     return at ** expo * res.value, at ** expo * res.error_estimate
 
 
@@ -107,18 +96,22 @@ def _slab(field, sigma, gamma, t_star):
     return slab
 
 
-def _slab_scaled(res, t_star, p, n):
-    """slab_quantity's |t*|^{1-n+4/(p-1)} weight applied to a slab result."""
-    weight = abs(t_star) ** (1.0 - n + 4.0 / (p - 1.0))
-    return weight * res.value, weight * res.error_estimate
-
-
 def slab_quantity(field, sigma, gamma, t_star, p, n,
                   q: QuadratureSpec = QuadratureSpec()):
-    """|t*|^{1-n+4/(p-1)} int_slab (|grad phi|^2 + |t*|^{-2} phi^2)."""
-    slab = _slab(field, sigma, gamma, t_star)
-    res = integrate_bulk(slab, _energy_density(field, abs(t_star)), q, n)
-    return _slab_scaled(res, t_star, p, n)
+    """((S, S_err), (L, L_err)) from one jet per node: the weighted energy S =
+    |t*|^{1-n+4/(p-1)} int_slab (|grad phi|^2 + |t*|^{-2} phi^2) and the
+    mass L = int_slab |phi|^{p+1}, each with its error estimate."""
+    ats = abs(t_star)
+
+    def integrand(tt, rr):
+        v, v_t, v_r = field.jet(tt, rr)[:3]
+        return _density(v, v_t, v_r, ats), np.abs(v) ** (p + 1.0)
+
+    energy, mass = integrate_bulk(_slab(field, sigma, gamma, t_star),
+                                  integrand, q, n)
+    weight = ats ** (1.0 - n + 4.0 / (p - 1.0))
+    return ((weight * energy.value, weight * energy.error_estimate),
+            (mass.value, mass.error_estimate))
 
 
 def lp_slab_quantity(field, sigma, gamma, t_star, p, n,
@@ -143,7 +136,8 @@ def lateral_quantity(field, sigma, eta, t_star, p, n,
     sgn = 1.0 if t_star > 0 else -1.0
     lateral = ConePiece(sigma, ats / eta, ats * eta)
     _require_time_coverage(field, sgn * lateral.t_lo, sgn * lateral.t_hi)
-    res = integrate_surface(lateral, _energy_density(field, ats, p, sgn), q, n)
+    [res] = integrate_surfaces((lateral,), _energy_density(field, ats, p, sgn),
+                               q, n)
     return res.value, res.error_estimate
 
 
@@ -162,7 +156,7 @@ def weighted_ball_quantity(field, t, p, n,
     def squares(tt, rr):
         return tuple(v ** 2 for v in field.jet(tt, rr)[:3])
 
-    res = integrate_slice(t, 0.0, at, squares, q, n)
+    [res] = integrate_slices([t], 0.0, at, squares, q, n)
     n0, n1, n2 = (math.sqrt(max(r.value, 0.0)) for r in res)
     val = at ** (k2 - 0.5 * n) * n0 + at ** (k2 + 1.0 - 0.5 * n) * (n1 + n2)
     return val, sum(r.error_estimate for r in res)
@@ -256,20 +250,16 @@ def decay_partials(field, sigma, horizons, p, n,
         v, v_t, v_r = field.jet(tt, rr)[:3]
         return v_t ** 2 + v_r ** 2 + np.abs(v) ** (p + 1.0)
 
-    bulk, lateral, segments = [], [], []
-    acc_b = acc_l = 0.0
-    t_prev = 1.0
-    for T in horizons:
-        seg = ConeSegmentSpec(sigma, t_prev, T)
-        piece = ConePiece(sigma, t_prev, T, outward_sign=1)
-        mass = integrate_bulk(seg, bulk_integrand, q, n).value
-        acc_b += mass
-        acc_l += integrate_surface(piece, lat_integrand, q, n).value
-        bulk.append(acc_b)
-        lateral.append(acc_l)
-        segments.append(mass)
-        t_prev = T
-    return DecayReport(horizons, tuple(bulk), tuple(lateral), tuple(segments))
+    spans = list(zip((1.0,) + horizons, horizons))
+    segments = tuple(integrate_bulk(ConeSegmentSpec(sigma, *span),
+                                    bulk_integrand, q, n).value
+                     for span in spans)
+    sides = integrate_surfaces([ConePiece(sigma, *span, outward_sign=1)
+                                for span in spans], lat_integrand, q, n)
+    # running sums added one segment at a time from 0.0, in horizon order
+    bulk, lateral = (tuple(accumulate(parts, initial=0.0))[1:] for parts in
+                     (segments, [res.value for res in sides]))
+    return DecayReport(horizons, bulk, lateral, segments)
 
 
 @dataclass
@@ -321,14 +311,11 @@ def energy_profile(field, sigma0, sigma1, gamma, eta, times, p, n,
     rows = []
     for t in times:
         av, ae = annulus_quantity(field, sigma0, sigma1, t, p, n, q)
-        energy, power = integrate_bulk(_slab(field, sigma0, gamma, t),
-                                       _energy_and_power(field, abs(t), p),
-                                       q, n)
-        sv, se = _slab_scaled(energy, t, p, n)
+        (sv, se), (mass, _) = slab_quantity(field, sigma0, gamma, t, p, n, q)
         mv, me = weighted_ball_quantity(field, t, p, n, q)
         le = lateral_quantity(field, sigma0, eta, t, p, n, q)[1]
         rhs = _annulus_sup(field, sigma0, sigma1, eta, t, p, n, q)
-        chk = LocalizedCheck.from_sides(power.value, rhs, "annulus", t)
+        chk = LocalizedCheck.from_sides(mass, rhs, "annulus", t)
         rows.append((t, av, sv, mv, chk.lhs, chk.rhs, chk.ratio,
                      ae + se + me + le))
     return rows

@@ -76,7 +76,8 @@ class InitialDataSpec:
     truncated_ode: phi*(t0) for r <= M, ramped C^2 to zero on [M, M+w].
     gaussian: amplitude A, width s, cut hard to zero on [5s, 6s] so the data
     is compactly supported (the tail beyond 5s is below 4e-6 of A).
-    file: snapshot file in the shared text format.
+    file: snapshot file in the shared text format, starting at r = 0; it
+    extends by zero past its last row, which must then read `r 0 0`.
     """
 
     kind: str
@@ -129,6 +130,10 @@ class InitialDataSpec:
         n, p, t, rfile, phi, phit = read_snapshot(self.path)
         if abs(t - t0) > 1e-9 * max(1.0, abs(t0)):
             raise ValueError(f"snapshot time {t} does not match start time {t0}")
+        if np.max(r) > rfile[-1] and (phi[-1] != 0.0 or phit[-1] != 0.0):
+            raise ValueError(f"snapshot ends at r = {float(rfile[-1])!r}, "
+                             f"short of r = {float(np.max(r))!r}, on a row "
+                             f"other than `r 0 0`")
         return np.interp(r, rfile, phi), np.interp(r, rfile, phit)
 
 

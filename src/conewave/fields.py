@@ -9,7 +9,6 @@ files feed back into it as initial data.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -318,7 +317,7 @@ def write_snapshots(directory, n, p, r, levels):
 def read_snapshot(path):
     """Returns (n, p, t, r, phi, phit) of a valid level: the header, the
     line `n p t`, then at least two rows `r phi phit` of finite numbers
-    with r strictly increasing; anything else is a ValueError."""
+    with r strictly increasing from 0; anything else is a ValueError."""
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
         if header != SNAPSHOT_HEADER:
@@ -328,12 +327,17 @@ def read_snapshot(path):
             raise ValueError(f"snapshot line 2 must read `n p t`, got "
                              f"{' '.join(first)!r}")
         n, p, t = int(first[0]), float(first[1]), float(first[2])
-        data = np.loadtxt(io.StringIO(handle.read()), ndmin=2)
+        rows = [line for line in handle if line.partition("#")[0].strip()]
+    # loadtxt warns on a body without rows
+    data = np.loadtxt(rows, ndmin=2) if rows else np.empty((0, 3))
     if data.shape[0] < 2 or data.shape[1] != 3:
         raise ValueError(f"snapshot rows must be `r phi phit`, at least two: "
                          f"got {data.shape[0]} rows of {data.shape[1]}")
     if not (math.isfinite(p) and math.isfinite(t) and np.isfinite(data).all()):
         raise ValueError("snapshot holds a non-finite value")
+    if data[0, 0] != 0.0:
+        raise ValueError(f"snapshot radii must start at r = 0, got "
+                         f"{float(data[0, 0])!r}")
     if np.any(np.diff(data[:, 0]) <= 0.0):
         raise ValueError("snapshot radii must be strictly increasing")
     return n, p, t, data[:, 0].copy(), data[:, 1].copy(), data[:, 2].copy()

@@ -3,10 +3,11 @@ hypersurface pieces, with graded meshes toward flagged singular edges.
 
 Regions and pieces follow one protocol each (see geometry). A bulk region
 gives its time window, its inner and outer radius as functions of t and
-the edges to grade toward; `integrate_bulk` is one `integrate_profile`
-call on those. A boundary piece gives, for each refinement level, its
-nodes as (t, r, measure, f) sets built from the level's node rules
-(`_Mesh`), and `integrate_surfaces` sums measure * integrand over them.
+the edges to grade toward, which `integrate_bulk` meshes. A boundary piece
+gives, for each refinement level, its nodes as (t, r, measure, f) sets
+built from the level's node rules (`_Mesh`), and `integrate_surfaces` sums
+measure * integrand over a family of pieces. A lone piece, or a lone
+fixed-time slice of `integrate_slices`, is a one-element family.
 
 Integrands are vectorized callables f(t, r); one returning a tuple of
 arrays has each of them integrated on the same nodes and gives a tuple of
@@ -38,10 +39,7 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
     "integrate_bulk",
-    "integrate_slice",
     "integrate_slices",
-    "integrate_profile",
-    "integrate_surface",
     "integrate_surfaces",
 ]
 
@@ -276,37 +274,27 @@ def integrate_slices(times, r_lo, r_hi, integrand, q: QuadratureSpec,
         results = iter(_refine(level) if live.size else ())
     except NonFiniteSample:
         for i in live if live.size > 1 else ():
-            integrate_slice(T[i, 0], lo[i], hi[i], integrand, q, n)
+            integrate_slices(T[i], lo[i], hi[i], integrand, q, n)
         raise
     return [next(results) if b > a else QuadratureResult(0.0, 0.0, 0)
             for a, b in zip(lo, hi)]
 
 
-def integrate_slice(t, r_lo, r_hi, integrand, q: QuadratureSpec,
-                    n: int) -> QuadratureResult:
-    """Spatial integral at fixed time over the radial shell (r_lo, r_hi):
-    the one-slice case of integrate_slices."""
-    return integrate_slices([t], r_lo, r_hi, integrand, q, n)[0]
-
-
-def integrate_profile(t_window, r_inner, r_outer, integrand,
-                      q: QuadratureSpec, n: int,
-                      singular_r=(False, False),
-                      singular_t=(False, False)) -> QuadratureResult:
-    """Tensor composite quadrature over {t_lo < t < t_hi, r_inner(t) < r <
-    r_outer(t)} with the radial spacetime measure; `singular_r`/`singular_t`
-    flag edges toward which the mesh grades."""
+def integrate_bulk(region, integrand, q: QuadratureSpec, n: int) -> QuadratureResult:
+    """Spacetime integral of integrand(t, r) over a bulk region (see
+    geometry.BulkRegion), with the radial measure area(S^{n-1}) r^{n-1} dr dt:
+    a tensor composite rule over {t_lo < t < t_hi, r_inner(t) < r <
+    r_outer(t)}, graded toward the region's `singular_r`/`singular_t` edges."""
     om = sphere_area(n)
     grade = q.grading_exponent
+    t_lo, t_hi = region.time_window()
 
     def level(factor):
-        tn, tws = _interval_nodes(t_window[0], t_window[1],
-                                  factor * q.cells_t, grade,
-                                  singular_t[0], singular_t[1])
-        rlo = np.asarray(r_inner(tn), dtype=float)[:, None]
-        rhi = np.asarray(r_outer(tn), dtype=float)[:, None]
-        rel, rw_rel = _unit_rule(factor * q.cells_r, grade,
-                                 singular_r[0], singular_r[1])
+        tn, tws = _interval_nodes(t_lo, t_hi, factor * q.cells_t, grade,
+                                  *region.singular_t)
+        rlo = np.asarray(region.r_inner(tn), dtype=float)[:, None]
+        rhi = np.asarray(region.r_outer(tn), dtype=float)[:, None]
+        rel, rw_rel = _unit_rule(factor * q.cells_r, grade, *region.singular_r)
         span = rhi - rlo
         wspan = tws[:, None] * span
 
@@ -321,15 +309,6 @@ def integrate_profile(t_window, r_inner, r_outer, integrand,
                 tn.size * rel.size)
 
     return _refine(level)
-
-
-def integrate_bulk(region, integrand, q: QuadratureSpec, n: int) -> QuadratureResult:
-    """Spacetime integral of integrand(t, r) over a bulk region (see
-    geometry.BulkRegion), with the radial measure area(S^{n-1}) r^{n-1} dr dt."""
-    return integrate_profile(region.time_window(), region.r_inner,
-                             region.r_outer, integrand, q, n,
-                             singular_r=region.singular_r,
-                             singular_t=region.singular_t)
 
 
 # --------------------------------------------------------------------------
@@ -374,8 +353,3 @@ def integrate_surfaces(pieces, integrand, q: QuadratureSpec, n: int,
                for j in range(len(pieces))]
     return results if several else [res[0] for res in results]
 
-
-def integrate_surface(piece, integrand, q: QuadratureSpec, n: int):
-    """Induced-measure integral over one hypersurface piece: the one-piece
-    case of integrate_surfaces."""
-    return integrate_surfaces((piece,), integrand, q, n)[0]

@@ -150,7 +150,7 @@ def test_criterion_4_ode_scaling_laws():
         val, _ = annulus_quantity(field, 0.25, 0.5, t, 2.0, 3, Q)
         worst = max(worst, abs(val - (cg + cp)) / (cg + cp))
     for ts in (-0.9, -0.09, -0.009):
-        val, _ = slab_quantity(field, 0.25, 1.2, ts, 2.0, 3, Q)
+        (val, _), _ = slab_quantity(field, 0.25, 1.2, ts, 2.0, 3, Q)
         worst = max(worst, abs(val - (sg + sp)) / (sg + sp))
     ok = worst < 1e-2
     report(4, ok, f"annulus {cg + cp:.4f} (grad {cg:.2f}, phi^2 {cp:.2f}), "

@@ -31,7 +31,8 @@ from conewave.geometry import (
     UNSHIFTED,
 )
 from conewave.geometry import lateral_boundary
-from conewave.quadrature import QuadratureSpec, integrate_bulk, integrate_surface
+from conewave.quadrature import (QuadratureSpec, integrate_bulk,
+                                 integrate_surfaces)
 from tests_helpers import box_bulk, closures_jet, offcenter_closures
 
 
@@ -713,8 +714,9 @@ class TestVerifyShifted:
 
 
 def _four_separate_terms(params, fieldobj, exterior, q):
-    """The lateral terms of verify_shifted from four integrate_surface
-    calls, one integrand (and one field evaluation) each."""
+    """The lateral terms of verify_shifted from four one-piece
+    integrate_surfaces calls, one integrand (and one field evaluation)
+    each."""
     a, p = params.a, params.p
     piece = lateral_boundary(exterior)
     integrands = (
@@ -723,7 +725,8 @@ def _four_separate_terms(params, fieldobj, exterior, q):
         lambda t, r, f: fieldobj.value(t, r) ** 2,
         lambda t, r, f: f ** (-1.0 + 2.0 * a) * fieldobj.value(t, r) ** 2,
     )
-    return [integrate_surface(piece, g, q, params.n) for g in integrands]
+    return [integrate_surfaces((piece,), g, q, params.n)[0]
+            for g in integrands]
 
 
 class TestVerifyShiftedOneJet:

@@ -512,17 +512,51 @@ class TestConfigTable:
         ("3 2 -1\n0 0\n1 0", "rows must be `r phi phit`, at least two"),
         ("3 2 -1\n0 0 0\n1 0 0\n0.5 0 0", "radii must be strictly increasing"),
         ("3 2 -1\n0 nan 0\n1 0 0", "holds a non-finite value"),
-    ], ids=["n_p", "two_columns", "unsorted_r", "nan"])
+        ("3 2 -1\n0.5 1e-3 0\n1 0 0", "radii must start at r = 0, got 0.5"),
+        ("3 2 -1\n0 1e-3 0\n1 1e-3 0",
+         "ends at r = 1.0, short of r = 6.0, on a row other than `r 0 0`"),
+    ], ids=["n_p", "two_columns", "unsorted_r", "nan", "late_start",
+            "short_end"])
     def test_a_snapshot_that_is_not_a_valid_level_exit_2(
             self, tmp_path, capsys, monkeypatch, level, message):
         # before: an IndexError (exit 1) for the first two, and exit 0 on
-        # np.interp of unsorted radii or with max_phi=nan for the others
+        # np.interp of unsorted radii or with max_phi=nan for the others;
+        # exit 0 for the last two, np.interp holding the first value on
+        # r < 0.5 or the last one (1e-3) out to R
         monkeypatch.chdir(tmp_path)
         (tmp_path / "s.dat").write_text(f"# n p t\n{level}\n")
         text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
                             "kind = file\npath = s.dat")
         _run_exit_2(tmp_path, capsys, "simulate", text,
                     f"[data] path 's.dat': snapshot {message}")
+
+    def test_a_snapshot_without_rows_is_one_error_line(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # before: numpy's `UserWarning: loadtxt: input contained no data`
+        # on stderr ahead of the error line
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.dat").write_text("# n p t\n3 2 -1\n")
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = file\npath = s.dat")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        assert run(["simulate", "--config", cfg, "--out", "out"]) == 2
+        assert capsys.readouterr().err == (
+            "error: [data] path 's.dat': snapshot rows must be `r phi phit`, "
+            "at least two: got 0 rows of 3\n")
+
+    @pytest.mark.parametrize("t0", ["0.5", "0.0"])
+    def test_truncated_ode_data_at_t0_ge_0_exit_2(self, tmp_path, capsys,
+                                                  monkeypatch, t0):
+        # before: `ValueError: phi* is defined for t < 0` from the solver,
+        # exit 1 with a traceback
+        monkeypatch.setattr(cli, "evolve", _no_solver_run)
+        text = BASE.replace("t0 = -1.0", f"t0 = {t0}").replace(
+            "t_end = -0.1", "t_end = 1.0").replace(
+            "snapshot_times = -0.8 -0.5 -0.3", "snapshot_times = 0.8").replace(
+            "kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+            "kind = truncated_ode")
+        _run_exit_2(tmp_path, capsys, "simulate", text,
+                    "[data] kind = truncated_ode: phi* is defined for t < 0")
 
     def test_a_seed_below_0_names_its_key(self, tmp_path, capsys):
         # before: numpy's `expected non-negative integer`

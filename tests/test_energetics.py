@@ -75,18 +75,18 @@ class TestSlabQuantity:
         field = ode_field(2.0, 3)
         cg, cp = slab_scaling_constant(2.0, 3, 0.25, 1.5)
         for ts in (-0.8, -0.3):
-            val, err = slab_quantity(field, 0.25, 1.5, ts, 2.0, 3, Q)
+            (val, err), _ = slab_quantity(field, 0.25, 1.5, ts, 2.0, 3, Q)
             assert val == pytest.approx(cg + cp, rel=1e-8 + err)
 
     def test_zero_field(self):
-        val, _ = slab_quantity(zero_field(3), 0.25, 1.5, -0.5, 2.0, 3, Q)
-        assert val == 0.0
+        assert slab_quantity(zero_field(3), 0.25, 1.5, -0.5, 2.0, 3, Q) == \
+            ((0.0, 0.0), (0.0, 0.0))
 
     def test_thin_slab_linearity(self):
         # doubling gamma - 1 roughly doubles the slab quantity for phi*
         field = ode_field(2.0, 3)
-        v1, _ = slab_quantity(field, 0.25, 1.05, -0.5, 2.0, 3, Q)
-        v2, _ = slab_quantity(field, 0.25, 1.10, -0.5, 2.0, 3, Q)
+        (v1, _), _ = slab_quantity(field, 0.25, 1.05, -0.5, 2.0, 3, Q)
+        (v2, _), _ = slab_quantity(field, 0.25, 1.10, -0.5, 2.0, 3, Q)
         assert v2 == pytest.approx(2.0 * v1, rel=0.1)
 
 
@@ -144,15 +144,15 @@ class TestLocalizedEstimate:
         # (|t*|/eta, eta |t*|)}, the field read at the reflected time for
         # t* < 0: the bits of that construction written out
         from conewave.geometry import ConePiece
-        from conewave.quadrature import integrate_surface
+        from conewave.quadrature import integrate_surfaces
 
         field = gaussian_pulse(3, 1.3, 0.2, 0.6, 0.4)
         ats, sgn = abs(t_star), math.copysign(1.0, t_star)
         chk = localized_estimate_check(field, "timecone", 0.25, 1.2, 2.0,
                                        t_star, 2.0, 3, Q)
-        res = integrate_surface(ConePiece(0.25, ats / 2.0, ats * 2.0),
-                                energetics._energy_density(field, ats, 2.0, sgn),
-                                Q, 3)
+        [res] = integrate_surfaces(
+            (ConePiece(0.25, ats / 2.0, ats * 2.0),),
+            energetics._energy_density(field, ats, 2.0, sgn), Q, 3)
         assert chk.rhs > 0.0
         assert chk.rhs.hex() == (ats * res.value).hex()
         assert chk.rhs == ats * lateral_quantity(field, 0.25, 2.0, t_star,
@@ -237,6 +237,30 @@ class TestDecayPartials:
         l = dict(zip(rep.horizons, rep.lateral))
         assert l[16.0] - l[8.0] <= 0.1 * l[8.0]
 
+    def test_lateral_pieces_are_one_family(self, monkeypatch):
+        # one integrate_surfaces call for every horizon, with the bits of
+        # one piece integrated at a time
+        cfg = SolverConfig(n=3, p=2.0, J=256, R=16.0, t0=1.0, t_end=8.5,
+                           snapshot_times=tuple(np.linspace(1.0, 8.5, 31)),
+                           record_energy=False)
+        field = evolve(cfg, InitialDataSpec.gaussian(0.02, 0.5)).field()
+        horizons = (2.0, 4.0, 8.0)
+        calls = []
+        inner = energetics.integrate_surfaces
+
+        def counting(pieces, *args):
+            calls.append(len(pieces))
+            return inner(pieces, *args)
+
+        monkeypatch.setattr(energetics, "integrate_surfaces", counting)
+        got = decay_partials(field, 0.5, horizons, 2.0, 3, Q)
+        assert calls == [len(horizons)]
+        one_at_a_time(monkeypatch)
+        want = decay_partials(field, 0.5, horizons, 2.0, 3, Q)
+        assert all(v > 0.0 for v in got.lateral + got.bulk_segments)
+        for part in ("bulk", "lateral", "bulk_segments"):
+            assert _bits(getattr(got, part)) == _bits(getattr(want, part))
+
 
 class TestRateFit:
     def test_pure_power_law(self):
@@ -289,7 +313,7 @@ class TestProfilesAndCsv:
                 res = evolve(cfg, InitialDataSpec.truncated_ode(M, 0.25))
                 field = res.field()
                 ts = -0.3
-                sv, _ = slab_quantity(field, 0.25, 1.2, ts, 2.0, 3, Q)
+                (sv, _), _ = slab_quantity(field, 0.25, 1.2, ts, 2.0, 3, Q)
                 window = [t for t in field.times
                           if abs(ts) / 2 <= -t <= min(1.0, 2 * abs(ts))]
                 ann = max(annulus_quantity(field, 0.25, 0.5, t, 2.0, 3, Q)[0]
@@ -300,7 +324,7 @@ class TestProfilesAndCsv:
     def test_no_inner_concentration_diagnostic(self, truncated_run_field):
         # inner-mass hypothesis holds on the shipped blow-up scenario, and
         # the annulus quantity then stays bounded below over the same window
-        from conewave.quadrature import integrate_slice
+        from conewave.quadrature import integrate_slices
 
         field = truncated_run_field
         window = [t for t in field.times if -0.5 <= t <= -0.05]
@@ -313,7 +337,7 @@ class TestProfilesAndCsv:
                 v, v_t, v_r = field.jet(tt, rr)
                 return v_t ** 2 + v_r ** 2 + v ** 2 / (at * at)
 
-            res = integrate_slice(t, 0.0, 0.25 * at, integrand, Q, 3)
+            [res] = integrate_slices([t], 0.0, 0.25 * at, integrand, Q, 3)
             inner_vals.append(at ** (2.0 - 3 + k2) * res.value)
             annulus_vals.append(annulus_quantity(field, 0.25, 0.5, t,
                                                  2.0, 3, Q)[0])
@@ -322,8 +346,9 @@ class TestProfilesAndCsv:
 
 
 class TestEnergyProfileOneSlabPass:
-    """energy_profile integrates each slab once for both slab_quantity and
-    the localized check's left side, with the bits of the separate calls."""
+    """energy_profile integrates each slab once, through slab_quantity, for
+    both the weighted energy and the localized check's left side; the mass
+    has the bits of lp_slab_quantity's power-only pass."""
 
     def test_one_bulk_integral_per_time(self, monkeypatch, truncated_run_field):
         field = truncated_run_field
@@ -341,7 +366,7 @@ class TestEnergyProfileOneSlabPass:
         monkeypatch.setattr(energetics, "integrate_bulk", inner)
 
         for t, row in zip(times, rows):
-            sv, se = slab_quantity(field, 0.25, 1.2, t, 2.0, 3, Q)
+            (sv, se), (mass, _) = slab_quantity(field, 0.25, 1.2, t, 2.0, 3, Q)
             lv, _ = lp_slab_quantity(field, 0.25, 1.2, t, 2.0, 3, Q)
             chk = localized_estimate_check(field, "annulus", (0.25, 0.5), 1.2,
                                            2.0, t, 2.0, 3, Q)
@@ -353,7 +378,7 @@ class TestEnergyProfileOneSlabPass:
             assert row[1].hex() == av.hex()
             assert row[2].hex() == sv.hex()
             assert row[3].hex() == mv.hex()
-            assert row[4].hex() == lv.hex() == chk.lhs.hex()
+            assert row[4].hex() == mass.hex() == lv.hex() == chk.lhs.hex()
             assert row[5].hex() == chk.rhs.hex()
             assert row[6].hex() == chk.ratio.hex()
             assert row[7].hex() == (ae + se + me + le).hex()

@@ -107,7 +107,7 @@ class TestScalingConstants:
         cg, cp = slab_scaling_constant(2.0, 3, 0.25, 1.5)
         expected = cg + cp
         for ts in (-0.8, -0.2):
-            val, err = slab_quantity(field, 0.25, 1.5, ts, 2.0, 3, q)
+            (val, err), _ = slab_quantity(field, 0.25, 1.5, ts, 2.0, 3, q)
             assert val == pytest.approx(expected, rel=max(1e-3, err / expected))
 
     def test_slab_exponent_identity(self):

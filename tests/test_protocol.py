@@ -1,7 +1,7 @@
 """The region and piece protocols pinned bit for bit to the formulas they
-replaced: every bulk family against one integrate_profile call with its
-window, radii and singular flags written out, every piece kind against its
-node rule, measure product and oriented normal written out, and the
+replaced: every bulk family against integrate_bulk on a region object with
+its window, radii and singular flags written out, every piece kind against
+its node rule, measure product and oriented normal written out, and the
 boundary fluxes of verify_global and the inner-flux probe against the
 per-piece normal formulas."""
 
@@ -37,12 +37,11 @@ from conewave.quadrature import (
     QuadratureSpec,
     sphere_area,
     integrate_bulk,
-    integrate_profile,
-    integrate_slice,
-    integrate_surface,
+    integrate_slices,
     integrate_surfaces,
 )
-from tests_helpers import piece_by_piece_fluxes, set_by_set_surface
+from tests_helpers import (piece_by_piece_fluxes, set_by_set_surface,
+                           written_region)
 
 Q = QuadratureSpec(cells_t=12, cells_r=10)
 
@@ -105,21 +104,19 @@ class TestRegionProtocol:
         assert region.singular_r == sing_r
         assert region.singular_t == sing_t
         got = integrate_bulk(region, bulk_integrand, Q, 3)
-        want = integrate_profile(window, r_in, r_out, bulk_integrand, Q, 3,
-                                 singular_r=sing_r, singular_t=sing_t)
+        want = integrate_bulk(written_region(window, r_in, r_out, sing_r,
+                                             sing_t), bulk_integrand, Q, 3)
         same_bits(got, want)
         # the pin has the power to see a wrong flag
-        for flipped in (dict(singular_r=(not sing_r[0], sing_r[1]),
-                             singular_t=sing_t),
-                        dict(singular_r=sing_r,
-                             singular_t=(not sing_t[0], sing_t[1]))):
-            other = integrate_profile(window, r_in, r_out, bulk_integrand, Q,
-                                      3, **flipped)
+        for flags in [((not sing_r[0], sing_r[1]), sing_t),
+                      (sing_r, (not sing_t[0], sing_t[1]))]:
+            other = integrate_bulk(written_region(window, r_in, r_out, *flags),
+                                   bulk_integrand, Q, 3)
             assert other.value != got.value
 
 
 # --------------------------------------------------------------------------
-# Pieces: the per-type branches of integrate_surface, written out
+# Pieces: the per-type branches of integrate_surfaces, written out
 # --------------------------------------------------------------------------
 
 def reference_surface(piece, integrand, q, n):
@@ -127,8 +124,8 @@ def reference_surface(piece, integrand, q, n):
     grade = q.grading_exponent
 
     if isinstance(piece, TimeSlicePiece):
-        return integrate_slice(piece.level, piece.r_lo, piece.r_hi,
-                               integrand, q, n)
+        return integrate_slices([piece.level], piece.r_lo, piece.r_hi,
+                                integrand, q, n)[0]
 
     def level(factor):
         cells = factor * q.cells_t
@@ -219,7 +216,7 @@ class TestPieceProtocol:
         for piece in PIECE_CASES[name]:
             weighted = getattr(piece, "weight", None) is not None
             integrand = weighted_integrand if weighted else plain_integrand
-            got = integrate_surface(piece, integrand, q, 3)
+            [got] = integrate_surfaces((piece,), integrand, q, 3)
             assert got.value != 0.0
             same_bits(got, reference_surface(piece, integrand, q, 3))
 
@@ -266,11 +263,11 @@ class TestBoundaryFlux:
                                                       -2.0)}[family]
         rep = verify_global(params, fieldobj, region, Q)
         for got, piece in zip(rep.boundary_per_piece, region.pieces):
-            want = integrate_surface(piece, reference_flux(params, fieldobj,
-                                                           piece), Q,
-                                     params.n).value
+            [want] = integrate_surfaces(
+                (piece,), reference_flux(params, fieldobj, piece), Q,
+                params.n)
             assert got != 0.0
-            assert got.hex() == want.hex()
+            assert got.hex() == want.value.hex()
 
     def test_inner_flux_probe_matches_the_level_set_formula(self):
         ext = ExteriorRegionSpec(0.5, 1.0)
@@ -283,8 +280,9 @@ class TestBoundaryFlux:
         for eps in eps_seq:
             lo, hi = exterior_window(0.5, 1.0, eps)
             piece = LevelSetPiece(ext.weight, eps, lo, hi)
-            want.append(integrate_surface(
-                piece, reference_flux(params, fieldobj, piece), Q, 3).value)
+            [res] = integrate_surfaces(
+                (piece,), reference_flux(params, fieldobj, piece), Q, 3)
+            want.append(res.value)
         got = vanishing_flux_probe(ext, fieldobj, 0.25, eps_seq, p=2.0,
                                    potential=PotentialSpec.constant(1.0),
                                    q=Q, n=3)
@@ -320,7 +318,8 @@ class TestSurfaceFamily:
         for res, piece in zip(got, ALL_PIECES):
             want = set_by_set_surface(piece, mixed_integrand, q, 3)
             same_bits(res, want)
-            same_bits(integrate_surface(piece, mixed_integrand, q, 3), want)
+            same_bits(integrate_surfaces((piece,), mixed_integrand, q, 3)[0],
+                      want)
 
     def test_tuple_outputs(self):
         def pair(t, r, f=None):

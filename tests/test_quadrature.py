@@ -21,11 +21,11 @@ from conewave.quadrature import (
     QuadratureResult,
     QuadratureSpec,
     integrate_bulk,
-    integrate_slice,
     integrate_slices,
-    integrate_surface,
+    integrate_surfaces,
 )
-from tests_helpers import box_bulk, closures_jet, slice_by_slice
+from tests_helpers import (box_bulk, closures_jet, slice_by_slice,
+                           written_region)
 
 ONE = lambda t, r: np.ones_like(r)
 
@@ -57,7 +57,7 @@ class TestSpecValidation:
 class TestBulk:
     def test_annulus_volume_closed_form(self):
         # the annulus {0.25 |t| < r < 0.5 |t|} at t = -1 is a fixed-time slice
-        res = integrate_slice(-1.0, 0.25, 0.5, ONE, QuadratureSpec(), 3)
+        [res] = integrate_slices([-1.0], 0.25, 0.5, ONE, QuadratureSpec(), 3)
         exact = 4 * math.pi / 3 * (0.5 ** 3 - 0.25 ** 3)
         assert res.value == pytest.approx(exact, rel=1e-12)
         assert res.error_estimate <= 1e-10
@@ -67,13 +67,13 @@ class TestBulk:
         pts = rng.uniform(-0.5, 0.5, size=(10_000_000, 3))
         rad = np.linalg.norm(pts, axis=1)
         mc = float(np.mean((rad > 0.25) & (rad < 0.5)))
-        res = integrate_slice(-1.0, 0.25, 0.5, ONE, QuadratureSpec(), 3)
+        [res] = integrate_slices([-1.0], 0.25, 0.5, ONE, QuadratureSpec(), 3)
         assert res.value == pytest.approx(mc, rel=2e-3)
 
     def test_zero_integrand(self):
         zero = lambda t, r: np.zeros_like(r)
-        assert integrate_slice(-1.0, 0.25, 0.5, zero, QuadratureSpec(),
-                               3).value == 0.0
+        assert integrate_slices([-1.0], 0.25, 0.5, zero, QuadratureSpec(),
+                                3)[0].value == 0.0
         for region in (box_bulk(-0.4, 0.4, 1.0, 2.0),
                        ConeSegmentSpec(0.5, -1.5, -1.0 / 1.5),
                        ConeSegmentSpec(0.5, 1.0, 4.0)):
@@ -148,7 +148,7 @@ class TestBulk:
             return np.where(r > 0.5, np.nan, 1.0) + 0.0 * t
 
         with pytest.raises(NonFiniteSample) as err:
-            integrate_slice(-0.5, 0.0, 1.0, bad, QuadratureSpec(), 3)
+            integrate_slices([-0.5], 0.0, 1.0, bad, QuadratureSpec(), 3)
         message = str(err.value)
         assert message.startswith("non-finite integrand sample nan at "
                                   "(t=-0.5, r=")
@@ -190,10 +190,11 @@ class TestBlockedEvaluation:
 
     def test_slice_several_integrands(self):
         pair = self._pair([])
-        both = integrate_slice(-0.4, 0.1, 0.9, pair, QuadratureSpec(), 3)
+        [both] = integrate_slices([-0.4], 0.1, 0.9, pair, QuadratureSpec(), 3)
         for k in range(2):
-            assert both[k] == integrate_slice(
-                -0.4, 0.1, 0.9, lambda t, r: pair(t, r)[k], QuadratureSpec(), 3)
+            assert [both[k]] == integrate_slices(
+                [-0.4], 0.1, 0.9, lambda t, r: pair(t, r)[k], QuadratureSpec(),
+                3)
 
     def test_nonfinite_location_does_not_depend_on_blocks(self, monkeypatch):
         def bad(t, r):
@@ -247,7 +248,7 @@ class TestUnitRuleCache:
 class TestSurface:
     def test_lateral_slab_measure_n1(self):
         piece = ConePiece(0.5, 0.5, 2.0)
-        res = integrate_surface(piece, ONE, QuadratureSpec(), 1)
+        [res] = integrate_surfaces((piece,), ONE, QuadratureSpec(), 1)
         assert res.value == pytest.approx(2 * math.sqrt(0.75) * 1.5, rel=1e-12)
 
     def test_angle_parameter_bounded_at_quadrature_nodes(self):
@@ -262,18 +263,18 @@ class TestSurface:
             worst.append(np.max(np.abs(theta)))
             return np.zeros_like(r)
 
-        integrate_surface(piece, recorder,
-                          QuadratureSpec(cells_t=64, grading_exponent=6.0), 3)
+        integrate_surfaces((piece,), recorder,
+                           QuadratureSpec(cells_t=64, grading_exponent=6.0), 3)
         assert max(worst) <= math.pi / 4 + 1e-12
 
     def test_ball_slice_volume(self):
         piece = TimeSlicePiece(-1.0, 0.0, 0.5, 1)
-        res = integrate_surface(piece, ONE, QuadratureSpec(), 3)
+        [res] = integrate_surfaces((piece,), ONE, QuadratureSpec(), 3)
         assert res.value == pytest.approx(4 * math.pi / 3 * 0.125, rel=1e-12)
 
     def test_cylinder_measure(self):
         piece = CylinderPiece(1.5, 0.0, 2.0, 1)
-        res = integrate_surface(piece, ONE, QuadratureSpec(), 3)
+        [res] = integrate_surfaces((piece,), ONE, QuadratureSpec(), 3)
         assert res.value == pytest.approx(4 * math.pi * 1.5 ** 2 * 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("a,cells,grading", [
@@ -293,9 +294,9 @@ class TestSurface:
             cos2t = 4.0 * f / (r * r + (t - ts) ** 2)
             return cos2t ** (-1.0 + 2.0 * a)
 
-        res = integrate_surface(piece, integrand,
-                                QuadratureSpec(cells_t=cells,
-                                               grading_exponent=grading), 1)
+        [res] = integrate_surfaces((piece,), integrand,
+                                   QuadratureSpec(cells_t=cells,
+                                                  grading_exponent=grading), 1)
         # oracle works in the angle variable; convert the cone-measure
         # integral: on r = sigma t, theta parametrizes the piece with
         # dt = r_shift sec^2(theta) dtheta / (1 - sigma tan(theta))... the
@@ -345,9 +346,8 @@ class TestSurface:
                 dens = 2.0 * math.sqrt(1 - sigma ** 2)
                 return cos2t ** (-1.0 + 2.0 * a) * dth_dt / dens
 
-            res = integrate_surface(piece, integrand,
-                                    QuadratureSpec(cells_t=cells,
-                                                   grading_exponent=grading), 1)
+            spec = QuadratureSpec(cells_t=cells, grading_exponent=grading)
+            [res] = integrate_surfaces((piece,), integrand, spec, 1)
             oracle = substitution_oracle(a)
             assert res.value == pytest.approx(oracle, rel=1e-4), a
 
@@ -481,10 +481,10 @@ class TestFluxProbe:
 
 def _reference_level_loop(t_window, r_inner, r_outer, integrand, q, n,
                           singular_r=(False, False), singular_t=(False, False)):
-    """integrate_profile with every node given its own t: the time column
+    """integrate_bulk with every node given its own t: the time column
     broadcast over the mesh, the measure WW * om * RR^(n-1) kept whole, one
     integrand call per level and sum(meas * vals). Returns the results as
-    integrate_profile does, or the location of the first non-finite sample."""
+    integrate_bulk does, or the location of the first non-finite sample."""
     from conewave.quadrature import sphere_area
 
     om = sphere_area(n)
@@ -530,7 +530,7 @@ def _same_result_bits(got, want):
 
 
 class TestRowColumnTime:
-    """integrate_profile passes t as a (rows, 1) column; its sums must be
+    """integrate_bulk passes t as a (rows, 1) column; its sums must be
     the bits of a loop that hands every node its own t."""
 
     @staticmethod
@@ -582,8 +582,8 @@ class TestRowColumnTime:
              dict(singular_r=(True, False), singular_t=(True, True))),
         ]
         for window, r_in, r_out, flags in cases:
-            got = quadrature.integrate_profile(window, r_in, r_out, integrand,
-                                               q, 3, **flags)
+            got = integrate_bulk(written_region(window, r_in, r_out, **flags),
+                                 integrand, q, 3)
             want = _reference_level_loop(window, r_in, r_out, integrand, q, 3,
                                          **flags)
             _same_result_bits(got, want)
@@ -605,7 +605,7 @@ class TestRowColumnTime:
                 outs = out if isinstance(out, tuple) else (out,)
                 values.append([float(np.sum(rw * sphere_area(3) * rn ** 2 * v))
                                for v in outs])
-            got = integrate_slice(t, 0.1, 1.9, integrand, q, 3)
+            [got] = integrate_slices([t], 0.1, 1.9, integrand, q, 3)
             for g, fine, coarse in zip(
                     got if isinstance(got, tuple) else (got,),
                     values[1], values[0]):
@@ -619,13 +619,13 @@ class TestRowColumnTime:
             shapes.append((np.shape(t), np.shape(r)))
             return np.ones_like(r)
 
-        quadrature.integrate_profile((0.0, 1.0), lambda t: 0.0 * t,
-                                     lambda t: 1.0 + t, integrand,
-                                     QuadratureSpec(), 3)
+        integrate_bulk(written_region((0.0, 1.0), lambda t: 0.0 * t,
+                                      lambda t: 1.0 + t), integrand,
+                       QuadratureSpec(), 3)
         assert all(ts == (rs[0], 1) for ts, rs in shapes)
         q = QuadratureSpec()
         shapes.clear()
-        integrate_slice(0.5, 0.0, 1.0, integrand, q, 3)
+        integrate_slices([0.5], 0.0, 1.0, integrand, q, 3)
         assert shapes == [((1, 1), (1, 2 * q.cells_r)),
                           ((1, 1), (1, 4 * q.cells_r))]
         shapes.clear()
@@ -638,11 +638,10 @@ class TestRowColumnTime:
         def bad(t, r):
             return np.where((r > 1.2) & (t > 0.55), np.nan, 1.0 + 0.0 * r)
 
-        args = ((0.0, 1.0), lambda t: 0.5 + 0.0 * t, lambda t: 2.0 - 0.5 * t,
-                bad, QuadratureSpec(), 3)
+        shape = ((0.0, 1.0), lambda t: 0.5 + 0.0 * t, lambda t: 2.0 - 0.5 * t)
         with pytest.raises(NonFiniteSample) as err:
-            quadrature.integrate_profile(*args)
-        want = _reference_level_loop(*args)
+            integrate_bulk(written_region(*shape), bad, QuadratureSpec(), 3)
+        want = _reference_level_loop(*shape, bad, QuadratureSpec(), 3)
         assert err.value.location == want
         assert want[0] > 0.55 and want[1] > 1.2
         assert all(np.shape(x) == () for x in err.value.location)
@@ -680,9 +679,6 @@ class TestSliceFamily:
             want = slice_by_slice(t, lo, hi, integrand, q, n)
             assert isinstance(res, tuple) == isinstance(want, tuple)
             _same_result_bits(res, want)
-        if k == 1:
-            _same_result_bits(integrate_slice(times[0], r_lo[0], r_hi[0],
-                                              integrand, q, n), got[0])
 
     def test_one_call_per_level(self):
         shapes = []
@@ -744,7 +740,7 @@ class TestSliceFamily:
                 slice_by_slice(t, 0.1, 0.9, bad, q, 3)
         assert got.value.location == want.value.location == (times[1], c2)
         with pytest.raises(NonFiniteSample) as one:
-            integrate_slice(times[3], 0.1, 0.9, bad, q, 3)
+            integrate_slices([times[3]], 0.1, 0.9, bad, q, 3)
         assert one.value.location[0] == times[3]
         assert one.value.location[1] > 0.5
 
@@ -760,7 +756,8 @@ class TestSliceFamily:
                                Q_DEFAULT, 3)
         assert got == [zero, zero] and rows == []
         assert math.copysign(1.0, got[0].value) == 1.0
-        assert integrate_slice(0.2, 0.5, 0.5, integrand, Q_DEFAULT, 3) == zero
+        assert integrate_slices([0.2], 0.5, 0.5, integrand, Q_DEFAULT,
+                                3) == [zero]
         mixed = integrate_slices([0.2, 0.4, 0.6], [0.5, 0.3, 0.7],
                                  [0.5, 0.9, 0.7], _single, Q_DEFAULT, 3)
         assert mixed[0] == mixed[2] == zero
@@ -769,7 +766,7 @@ class TestSliceFamily:
 
     def test_reversed_shell_names_both_bounds(self):
         with pytest.raises(ValueError, match=r"r_hi = 0\.25 < r_lo = 0\.5"):
-            integrate_slice(0.2, 0.5, 0.25, ONE, Q_DEFAULT, 3)
+            integrate_slices([0.2], 0.5, 0.25, ONE, Q_DEFAULT, 3)
         with pytest.raises(ValueError, match=r"r_hi = 0\.1 < r_lo = 0\.3"):
             integrate_slices([0.2, 0.4], [0.1, 0.3], [0.9, 0.1], ONE,
                              Q_DEFAULT, 3)

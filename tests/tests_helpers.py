@@ -1,6 +1,7 @@
 """Shared test fixtures: compactly supported C^2 fields."""
 
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -16,6 +17,15 @@ def box_bulk(t0, t1, r0, r1):
 
     return _SidedBulk(t0, t1, CylinderPiece(r0, t0, t1),
                       CylinderPiece(r1, t0, t1), ())
+
+
+def written_region(window, r_inner, r_outer, singular_r=(False, False),
+                   singular_t=(False, False)):
+    """A bulk region written out (see geometry.BulkRegion): its time window,
+    its radii as functions of t and the edges its mesh grades toward."""
+    return SimpleNamespace(time_window=lambda: window, r_inner=r_inner,
+                           r_outer=r_outer, singular_r=singular_r,
+                           singular_t=singular_t)
 
 
 def write_level(directory, n, p, t, r, phi, phit):
@@ -257,11 +267,22 @@ def annulus_sup_by_slice(field, sigma0, sigma1, eta, t_star, p, n, q,
                      for tau in np.asarray(sup_levels, dtype=float))
 
 
+def slices_one_by_one(times, r_lo, r_hi, integrand, q, n):
+    """A family of slices as one `slice_by_slice` pass per slice."""
+    bounds = np.broadcast_arrays(np.asarray(times, dtype=float), r_lo, r_hi)
+    return [slice_by_slice(t, lo, hi, integrand, q, n)
+            for t, lo, hi in zip(*bounds)]
+
+
+def surfaces_one_by_one(pieces, integrand, q, n):
+    """A family of pieces as one `set_by_set_surface` pass per piece."""
+    return [set_by_set_surface(piece, integrand, q, n) for piece in pieces]
+
+
 def one_at_a_time(monkeypatch):
     """Route energetics and carleman through the one-at-a-time loops."""
     from conewave import carleman, energetics
 
-    monkeypatch.setattr(energetics, "integrate_slice", slice_by_slice)
-    monkeypatch.setattr(energetics, "integrate_surface", set_by_set_surface)
-    monkeypatch.setattr(energetics, "_annulus_sup", annulus_sup_by_slice)
+    monkeypatch.setattr(energetics, "integrate_slices", slices_one_by_one)
+    monkeypatch.setattr(energetics, "integrate_surfaces", surfaces_one_by_one)
     monkeypatch.setattr(carleman, "_piece_fluxes", piece_by_piece_fluxes)
