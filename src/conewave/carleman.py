@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -211,7 +210,6 @@ class CarlemanReport:
     lhs_bulk: float
     rhs_bulk: float
     rhs_boundary: float
-    boundary_per_piece: tuple
     error_estimates: dict
     passed: bool
     slack: float
@@ -256,12 +254,11 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
     lhs, rhs = integrate_bulk(region, integrand, q, n)
 
     fluxes = _piece_fluxes(params, fieldobj, region.pieces, q)
-    per_piece = [res.value for res in fluxes]
     errors = {"lhs": lhs.error_estimate, "rhs_bulk": rhs.error_estimate}
     errors.update((f"piece{idx}", res.error_estimate)
                   for idx, res in enumerate(fluxes))
 
-    rhs_boundary = float(sum(per_piece))
+    rhs_boundary = float(sum(res.value for res in fluxes))
     slack = rhs.value + rhs_boundary - lhs.value
     scale = abs(lhs.value) + abs(rhs.value + rhs_boundary)
     tol = RELATIVE_SLACK_TOLERANCE * scale + sum(errors.values())
@@ -269,7 +266,6 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
         lhs_bulk=lhs.value,
         rhs_bulk=rhs.value,
         rhs_boundary=rhs_boundary,
-        boundary_per_piece=tuple(per_piece),
         error_estimates=errors,
         passed=bool(slack >= -tol),
         slack=slack,
@@ -282,7 +278,7 @@ def _piece_fluxes(params, fieldobj, pieces, q):
     flux_covector call per group of node sets (a weight, where a piece
     carries one, comes in as f), contracted with each piece's normal."""
     return integrate_surfaces(
-        pieces, partial(flux_covector, params, fieldobj), q, params.n,
+        pieces, lambda *tr: flux_covector(params, fieldobj, *tr), q, params.n,
         contract=lambda piece, P, t, r, f: piece.dot_normal(*P, t, r, f))
 
 
@@ -350,24 +346,23 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
     rhs_total = sum(terms.values())
     ratio = lhs.value / rhs_total if rhs_total > 0 else math.inf if lhs.value > 0 else 0.0
 
-    trail = vanishing_flux_probe(exterior, fieldobj, a, (1e-2, 1e-3, 1e-4),
-                                 p=p, potential=params.potential, q=q, n=n)
+    trail = vanishing_flux_probe(params, fieldobj, exterior,
+                                 (1e-2, 1e-3, 1e-4), q)
     return ShiftedReport(lhs=lhs.value, terms=terms, ratio=ratio,
                          flux_trail=tuple(trail), error_estimates=errors)
 
 
-def vanishing_flux_probe(exterior: ExteriorRegionSpec, field, a, eps_sequence,
-                         *, p, potential: PotentialSpec, n: int,
-                         q: QuadratureSpec = QuadratureSpec()):
+def vanishing_flux_probe(params: CarlemanParams, field, exterior,
+                         eps_sequence, q: QuadratureSpec = QuadratureSpec()):
     """Flux of the Carleman current through the level sets {f = eps}.
 
     Returns one value per eps; for C^2 fields the sequence tends to 0 as the
     level approaches the null boundary, which callers assert.
     """
+    if params.shift != exterior.weight:
+        raise ValueError("params.shift must match the exterior region")
     if sorted(eps_sequence, reverse=True) != list(eps_sequence):
         raise ValueError("eps sequence must be decreasing")
-    params = CarlemanParams(a=a, p=p, n=n, potential=potential,
-                            shift=exterior.weight)
     pieces = [LevelSetPiece(exterior.weight, eps, *ExteriorRegionSpec(
         exterior.sigma, exterior.t_star, eps).time_window())
         for eps in eps_sequence]

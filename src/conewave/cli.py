@@ -3,8 +3,8 @@ and a key=value summary out, with deterministic seeding.
 
 Exit codes: 0 success, 1 an unexpected error (a library invariant or a
 bug; Python prints the traceback), 2 config/validation error
-(`ConfigError`), 3 scientific assertion failure or a non-finite solver
-value or integrand sample, 4 I/O error.
+(`ConfigError`, `LevelRangeError`), 3 scientific assertion failure or a
+non-finite solver value or integrand sample, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ import copy
 import math
 import os
 import sys
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .exact_solutions import InitialDataSpec, OdeSolution
-from .fields import (ManufacturedField, PotentialSpec, gaussian_rows,
-                     ode_field, polynomial_gaussian, traveling_bump,
+from .exact_solutions import InitialDataSpec, OdeSolution, ode_field
+from .fields import (LevelRangeError, ManufacturedField, PotentialSpec,
+                     gaussian_rows, polynomial_gaussian, traveling_bump,
                      write_snapshots)
 from .quadrature import NonFiniteSample, QuadratureSpec
 from .solver import (SolverConfig, convergence_study, evolve,
@@ -101,20 +100,21 @@ _KEYS = (
     _Key("data", "M", float, 2.0, *_above(0), sweep=("simulate",)),
     _Key("data", "w", float, 0.25, *_above(0)),
     _Key("data", "amplitude", float, 1e-3),
-    _Key("data", "width", float, 0.5, *_above(0)),
+    _Key("data", "width", float, 0.5, lambda v: 0 < v and 0 < v * v < math.inf,
+         "greater than 0 with a finite nonzero square"),
     _Key("data", "path", str, ""),
     _Key("diagnostics", "sigma0", float, 0.25),
     _Key("diagnostics", "sigma1", float, 0.5),
     _Key("diagnostics", "sigma", float, 0.5, lambda v: 0 < v < 1, "in (0, 1)"),
     _Key("diagnostics", "gamma", float, 1.2, *_above(1)),
-    _Key("diagnostics", "eta", float, 2.0),
+    _Key("diagnostics", "eta", float, 2.0, math.isfinite, "finite"),
     _Key("diagnostics", "t_star", _floats, (),
          lambda v: all(t != 0 and math.isfinite(t) for t in v),
          "each finite and nonzero"),
     # empty: each verify-carleman case draws its own a
     _Key("diagnostics", "a", _floats, (),
-         lambda v: len(v) <= 1 and all(a > 0 for a in v),
-         "empty or one positive value", sweep=("verify-carleman",)),
+         lambda v: len(v) <= 1 and all(0 < a < math.inf for a in v),
+         "empty or one finite positive value", sweep=("verify-carleman",)),
     _Key("diagnostics", "horizons", _floats, (4.0, 8.0, 16.0, 32.0),
          lambda v: all(h > 1 for h in v) and len(set(v)) == len(v),
          "distinct and greater than 1"),
@@ -231,6 +231,9 @@ def _build(cfg: RunConfig, data: bool):
         "[problem] c0, pot_eps, pot_width: ", PotentialSpec, cfg.pot_kind,
         cfg.c0, cfg.pot_eps, (cfg.pot_center_t, cfg.pot_center_r),
         cfg.pot_width)
+    # before the data are evaluated: phi* overflows for some such p
+    if cfg.n >= 2 and cfg.p >= 1.0 + 4.0 / (cfg.n - 1.0):
+        raise ConfigError("p outside the subconformal range for this n")
     cfg.data = None if not data else InitialDataSpec(
         cfg.data_kind, cfg.p, cfg.M, cfg.w, cfg.amplitude, cfg.width, cfg.path)
     if data:
@@ -255,8 +258,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError("need 0 < sigma0 < sigma1 < 1")
     if cfg.eta <= cfg.gamma:
         raise ConfigError("need eta > gamma")
-    if cfg.n >= 2 and cfg.p >= 1.0 + 4.0 / (cfg.n - 1.0):
-        raise ConfigError("p outside the subconformal range for this n")
     if cfg.t_end <= cfg.t0:
         raise ConfigError("need t0 < t_end")
     if cfg.strict and len(cfg.horizons) < 2:
@@ -339,15 +340,15 @@ def _scenario_simulate(cfg: RunConfig, outdir):
     result = evolve(cfg.solver_config(), cfg.data)
     if result.snapshots:
         write_snapshots(outdir, cfg.n, cfg.p, result.r, result.snapshots)
-    speed_ok, speed = True, "skipped"  # file data has no known support
+    ok, witness = None, None  # file data has no known support
     if cfg.data.kind != "file":
-        speed_ok, witness = finite_speed_check(result, cfg.data.support_radius)
-        speed = "pass" if speed_ok else f"fail at {witness}"
+        ok, witness = finite_speed_check(result, cfg.data.support_radius)
+    speed = {None: "skipped", True: "pass"}.get(ok, f"fail at {witness}")
     t_b = result.t_blowup if result.t_blowup is not None else math.nan
     summary = dict(status=result.status, t_b=t_b, J=cfg.J,
                    dt=f"{result.dt:.17g}", max_phi=f"{result.max_phi:.17g}",
                    finite_speed=speed)
-    return 0 if speed_ok else 3, summary, [
+    return 3 if ok is False else 0, summary, [
         ("run.csv", "status,t_b,J,dt,max_phi",
          [(result.status, t_b, cfg.J, result.dt, result.max_phi)], 17)]
 
@@ -430,7 +431,7 @@ def _offcenter_gaussian(n, A, tc, rc, wt, wr) -> ManufacturedField:
         x2 += (n - 1) / r * x
         return g, ct * g, x, x2
 
-    return ManufacturedField(n, jet, label=f"offgauss(A={A:.3g})")
+    return ManufacturedField(n, jet)
 
 
 def _scenario_verify_carleman(cfg: RunConfig, outdir):
@@ -468,16 +469,14 @@ def _diagnostic_field(cfg: RunConfig, t_late=-math.inf):
             raise ConfigError("[diagnostics] field_source = ode is the blow-up "
                               "profile on t < 0 only, read here at t = "
                               f"{t_late!r}")
-        return ode_field(cfg.p, cfg.n)
+        return _config_call("[diagnostics] field_source = ode: ",
+                            ode_field, cfg.p, cfg.n)
     if cfg.data is None:
         raise ConfigError("field_source=run requires a [data] section")
     result = evolve(cfg.solver_config(), cfg.data)
     if not result.snapshots:
         raise ConfigError("run recorded no snapshots; set snapshot_times")
-    field = result.field()
-    # the config sets both the stored levels and the diagnostic windows
-    field.require_times = partial(_config_call, "", field.require_times)
-    return field
+    return result.field()
 
 
 def _scenario_verify_localized(cfg: RunConfig, outdir):
@@ -690,7 +689,7 @@ def run(argv=None) -> int:
         outdir = args.out if args.out is not None else cfg.directory
         os.makedirs(outdir, exist_ok=True)
         return _emit(outdir, *_SCENARIOS[args.subcommand](cfg, outdir))
-    except ConfigError as exc:
+    except (ConfigError, LevelRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, NonFiniteSample) as exc:

@@ -38,14 +38,6 @@ __all__ = [
 ]
 
 
-def _require_time_coverage(field, *times):
-    """A field sampled on stored levels (see DiscreteField.require_times)
-    must cover `times`; closed-form fields cover every time."""
-    require = getattr(field, "require_times", None)
-    if require is not None:
-        require(times)
-
-
 def _density(v, v_t, v_r, scale, p=None):
     """|grad phi|^2 [+ |phi|^{p+1}] + scale^{-2} phi^2 from jet values; the
     power term only when `p` is given."""
@@ -74,7 +66,7 @@ def annulus_quantity(field, sigma0, sigma1, t, p, n,
     """
     if t == 0:
         raise ValueError("annulus quantity undefined at t = 0")
-    _require_time_coverage(field, t)
+    field.require_times(t)
     at = abs(t)
     expo = 2.0 - n + 4.0 / (p - 1.0)
 
@@ -92,7 +84,7 @@ def _slab(field, sigma, gamma, t_star):
         raise ValueError("slab center time must be nonzero")
     a, b = abs(t_star) / gamma, abs(t_star) * gamma
     slab = ConeSegmentSpec(sigma, *((a, b) if t_star > 0 else (-b, -a)))
-    _require_time_coverage(field, *slab.time_window())
+    field.require_times(slab.time_window())
     return slab
 
 
@@ -135,7 +127,7 @@ def lateral_quantity(field, sigma, eta, t_star, p, n,
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
     lateral = ConePiece(sigma, ats / eta, ats * eta)
-    _require_time_coverage(field, sgn * lateral.t_lo, sgn * lateral.t_hi)
+    field.require_times((sgn * lateral.t_lo, sgn * lateral.t_hi))
     [res] = integrate_surfaces((lateral,), _energy_density(field, ats, p, sgn),
                                q, n)
     return res.value, res.error_estimate
@@ -149,7 +141,7 @@ def weighted_ball_quantity(field, t, p, n,
     """
     if t >= 0:
         raise ValueError("ball quantity requires t < 0")
-    _require_time_coverage(field, t)
+    field.require_times(t)
     at = -t
     k2 = 2.0 / (p - 1.0)
 
@@ -185,7 +177,7 @@ def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q):
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
     levels = np.linspace(ats / eta, ats * eta, 17)
-    _require_time_coverage(field, *(sgn * levels))
+    field.require_times(sgn * levels)
     slices = integrate_slices(sgn * levels, sigma0 * levels, sigma1 * levels,
                               _energy_density(field, ats, p), q, n)
     return ats * max(res.value for res in slices)
@@ -241,7 +233,7 @@ def decay_partials(field, sigma, horizons, p, n,
     integrals, which would drown tails below the mesh error.
     """
     horizons = tuple(sorted(horizons))
-    _require_time_coverage(field, 1.0, horizons[-1])
+    field.require_times((1.0, horizons[-1]))
 
     def bulk_integrand(tt, rr):
         return np.abs(field.value(tt, rr)) ** (p + 1.0) / tt

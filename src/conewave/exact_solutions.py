@@ -1,5 +1,5 @@
-"""The homogeneous blow-up solution, initial data families, and the
-closed-form scaling constants it produces on annuli and slabs.
+"""The homogeneous blow-up solution (and its field), initial data families,
+and the closed-form scaling constants it produces on annuli and slabs.
 
 The amplitude constant satisfies C^{p-1} = 2(p+1)/(p-1)^2, forced by direct
 substitution into d_tt phi = |phi|^{p-1} phi (a printed source gives the
@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import ball_volume
-from .fields import read_snapshot
+from .fields import ManufacturedField, read_snapshot
 
 __all__ = [
     "OdeSolution",
+    "ode_field",
     "InitialDataSpec",
     "smoothstep",
     "annulus_scaling_constant",
@@ -35,6 +36,11 @@ class OdeSolution:
     def __post_init__(self):
         if self.p <= 1.0:
             raise ValueError("exponent must satisfy p > 1")
+        try:
+            self.amplitude
+        except OverflowError:
+            raise ValueError(f"the amplitude C of phi* overflows at "
+                             f"p = {self.p!r}") from None
 
     @property
     def k(self) -> float:
@@ -61,6 +67,22 @@ class OdeSolution:
         if level <= 0:
             raise ValueError("level must be positive")
         return -((self.amplitude / level) ** (1.0 / self.k))
+
+
+def ode_field(p, n=3):
+    """The homogeneous blow-up solution as a field on {t < 0}."""
+    sol = OdeSolution(p)
+    C, k = sol.amplitude, sol.k
+
+    def jet(t, r):
+        zero = 0.0 * r
+        # box phi* = -d_tt phi* = -|phi*|^{p-1} phi* by the defining equation
+        return (C * (-t) ** (-k) + zero,
+                C * k * (-t) ** (-k - 1) + zero,
+                np.zeros(np.broadcast(t, r).shape),
+                -C * k * (k + 1) * (-t) ** (-k - 2) + zero)
+
+    return ManufacturedField(n, jet)
 
 
 def smoothstep(s):
@@ -104,10 +126,6 @@ class InitialDataSpec:
     @classmethod
     def gaussian(cls, amplitude, width):
         return cls(kind="gaussian", amplitude=amplitude, width=width)
-
-    @classmethod
-    def from_file(cls, path):
-        return cls(kind="file", path=path)
 
     @property
     def support_radius(self) -> float:

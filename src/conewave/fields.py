@@ -1,10 +1,11 @@
 """Field representations and the snapshot file format.
 
-Two field kinds share one evaluation surface: `jet(t, r)` returns phi, phi_t
-and phi_r (and, for closed-form manufactured fields, the wave operator) from
-one evaluation per batch of points, and `value(t, r)` returns phi alone.
-Discrete radial space-time histories are produced by the solver; snapshot
-files feed back into it as initial data.
+Two field kinds share one protocol: `jet(t, r)` returns phi, phi_t and
+phi_r (and, for closed-form manufactured fields, the wave operator) from
+one evaluation per batch of points, `value(t, r)` returns phi alone, and
+`require_times(t)` raises `LevelRangeError` unless the field covers every
+time in `t`. Discrete radial space-time histories are produced by the
+solver; snapshot files feed back into it as initial data.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ __all__ = [
     "PotentialSpec",
     "ManufacturedField",
     "DiscreteField",
-    "zero_field",
-    "constant_field",
-    "ode_field",
+    "LevelRangeError",
     "gaussian_rows",
     "gaussian_pulse",
     "polynomial_gaussian",
@@ -117,7 +116,9 @@ class ManufacturedField:
 
     dim: int
     evaluate: Callable
-    label: str = ""
+
+    def require_times(self, t):
+        """A closed form covers every time."""
 
     def jet(self, t, r):
         t = np.asarray(t, dtype=float)
@@ -128,41 +129,6 @@ class ManufacturedField:
 
     def value(self, t, r):
         return self.jet(t, r)[0]
-
-
-def zero_field(n=3):
-    def jet(t, r):
-        shape = np.broadcast(t, r).shape
-        return tuple(np.zeros(shape) for _ in range(4))
-
-    return ManufacturedField(n, jet, label="zero")
-
-
-def constant_field(c, n=3):
-    def jet(t, r):
-        shape = np.broadcast(t, r).shape
-        return (np.full(shape, float(c)), np.zeros(shape), np.zeros(shape),
-                np.zeros(shape))
-
-    return ManufacturedField(n, jet, label=f"constant({c})")
-
-
-def ode_field(p, n=3):
-    """The homogeneous blow-up solution as a field on {t < 0}."""
-    from .exact_solutions import OdeSolution
-
-    sol = OdeSolution(p)
-    C, k = sol.amplitude, sol.k
-
-    def jet(t, r):
-        zero = 0.0 * r
-        # box phi* = -d_tt phi* = -|phi*|^{p-1} phi* by the defining equation
-        return (C * (-t) ** (-k) + zero,
-                C * k * (-t) ** (-k - 1) + zero,
-                np.zeros(np.broadcast(t, r).shape),
-                -C * k * (k + 1) * (-t) ** (-k - 2) + zero)
-
-    return ManufacturedField(n, jet, label=f"ode(p={p})")
 
 
 def gaussian_rows(amplitude, t_center, t_width):
@@ -200,7 +166,7 @@ def gaussian_pulse(n=3, amplitude=1.0, t_center=0.0, t_width=1.0, r_width=1.0):
         x2 *= g
         return g, ct * g, phi_r, x2
 
-    return ManufacturedField(n, jet, label=f"gauss(A={A},tc={tc})")
+    return ManufacturedField(n, jet)
 
 
 def polynomial_gaussian(n=3, amplitude=1.0, t_center=0.0, t_width=1.0,
@@ -224,7 +190,7 @@ def polynomial_gaussian(n=3, amplitude=1.0, t_center=0.0, t_width=1.0,
         g *= q
         return g, gt, phi_r, box
 
-    return ManufacturedField(n, jet, label=f"polygauss(A={A})")
+    return ManufacturedField(n, jet)
 
 
 def traveling_bump(n=3, amplitude=1.0, speed=0.5, offset=2.0, width=0.3):
@@ -247,7 +213,7 @@ def traveling_bump(n=3, amplitude=1.0, speed=0.5, offset=2.0, width=0.3):
         x2 += (n - 1) / r * x
         return g, -v * x, x, x2
 
-    return ManufacturedField(n, jet, label=f"travel(v={v})")
+    return ManufacturedField(n, jet)
 
 
 # --------------------------------------------------------------------------
@@ -343,6 +309,10 @@ def read_snapshot(path):
     return n, p, t, data[:, 0].copy(), data[:, 1].copy(), data[:, 2].copy()
 
 
+class LevelRangeError(ValueError):
+    """A time outside the levels a DiscreteField stores."""
+
+
 @dataclass
 class DiscreteField:
     """Radial space-time history: uniform grid r_j = j dr, levels t_m with
@@ -352,7 +322,6 @@ class DiscreteField:
     r: np.ndarray              # (J+1,)
     phi: np.ndarray            # (M, J+1)
     phi_t: np.ndarray          # (M, J+1)
-    dim: int
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -372,13 +341,13 @@ class DiscreteField:
         return float(self.r[1] - self.r[0])
 
     @classmethod
-    def from_levels(cls, levels, r, dim):
+    def from_levels(cls, levels, r):
         """levels: iterable of (t, phi_array, phit_array)."""
         levels = sorted(levels, key=lambda row: row[0])
         times = np.array([row[0] for row in levels])
         phi = np.vstack([row[1] for row in levels])
         phit = np.vstack([row[2] for row in levels])
-        return cls(times, np.asarray(r, dtype=float), phi, phit, dim)
+        return cls(times, np.asarray(r, dtype=float), phi, phit)
 
     @cached_property
     def phi_r(self) -> np.ndarray:
@@ -399,15 +368,15 @@ class DiscreteField:
     # solver order.
 
     def require_times(self, t):
-        """Raises ValueError naming the first time in `t` outside the stored
-        levels, beyond a slack of 1e-9 times max(1, largest |level|)."""
+        """Raises LevelRangeError naming the first time in `t` outside the
+        stored levels, beyond a slack of 1e-9 times max(1, largest |level|)."""
         t = np.asarray(t, dtype=float)
         lo, hi = float(self.times[0]), float(self.times[-1])
         tol = 1e-9 * max(1.0, float(np.abs(self.times).max()))
         outside = ~((lo - tol <= t) & (t <= hi + tol))  # NaN is outside
         if np.any(outside):
-            raise ValueError(f"time {float(t[outside][0])!r} outside the stored "
-                             f"range [{lo!r}, {hi!r}]")
+            raise LevelRangeError(f"time {float(t[outside][0])!r} outside the "
+                                  f"stored range [{lo!r}, {hi!r}]")
 
     def _locate(self, t, r):
         """Bilinear stencil of a batch of points: flat table indices of the

@@ -22,9 +22,10 @@ from conewave.exact_solutions import (
     OdeSolution,
     annulus_scaling_constant,
     ball_quantity_ode,
+    ode_field,
     slab_scaling_constant,
 )
-from conewave.fields import gaussian_pulse, ode_field, polynomial_gaussian
+from conewave.fields import gaussian_pulse, polynomial_gaussian
 from conewave.geometry import (
     ExteriorRegionSpec,
     MinkowskiPoint,

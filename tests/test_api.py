@@ -60,3 +60,34 @@ def test_package_imports_only_numpy_and_the_standard_library():
                 found.setdefault(name.split(".")[0], set()).add(path.name)
     assert "numpy" in found
     assert {k: sorted(v) for k, v in found.items() if k not in allowed} == {}
+
+
+def _relative_imports(path):
+    """The package modules that `path` imports, function-level imports
+    included: `from .x import ...` gives x, `from . import x, y` x and y."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module.split(".")[0]} if node.module else
+                      {alias.name for alias in node.names})
+    return found
+
+
+def test_the_module_graph_has_no_cycle():
+    # before: fields.ode_field imported exact_solutions, which imports fields
+    root = pathlib.Path(conewave.__path__[0])
+    graph = {path.stem: _relative_imports(path) for path in root.glob("*.py")}
+    done, path = set(), []
+
+    def visit(node):
+        assert node not in path, " -> ".join(path + [node])
+        if node not in done:
+            path.append(node)
+            for child in sorted(graph.get(node, ())):
+                visit(child)
+            path.pop()
+            done.add(node)
+
+    for node in sorted(graph):
+        visit(node)
+    assert graph["fields"] == set()  # the field protocol stands alone

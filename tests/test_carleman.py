@@ -19,9 +19,7 @@ from conewave.cli import _offcenter_gaussian
 from conewave.fields import (
     ManufacturedField,
     PotentialSpec,
-    constant_field,
     gaussian_pulse,
-    zero_field,
 )
 from conewave.geometry import (
     ConePiece,
@@ -33,7 +31,8 @@ from conewave.geometry import (
 from conewave.geometry import lateral_boundary
 from conewave.quadrature import (QuadratureSpec, integrate_bulk,
                                  integrate_surfaces)
-from tests_helpers import box_bulk, closures_jet, offcenter_closures
+from tests_helpers import (box_bulk, closures_jet, constant_field,
+                           offcenter_closures, zero_field)
 
 
 def _offcenter_closures(n, A, tc, rc, wt, wr):
@@ -57,8 +56,7 @@ def _offcenter_closures(n, A, tc, rc, wt, wr):
 
 def offcenter_gaussian(n, A, tc, rc, wt, wr):
     return ManufacturedField(
-        n, closures_jet(*_offcenter_closures(n, A, tc, rc, wt, wr)),
-        label="offgauss")
+        n, closures_jet(*_offcenter_closures(n, A, tc, rc, wt, wr)))
 
 
 def bulk_gamma(params, t, r):
@@ -230,7 +228,7 @@ class TestVerifyGlobal:
         for _ in range(8):
             params, field, region = _random_case(rng)
             rep = verify_global(params, field, region)
-            assert rep.passed, (params, field.label, rep.slack, rep.tolerance)
+            assert rep.passed, (params, field, rep.slack, rep.tolerance)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -11,6 +11,7 @@ import pytest
 import conewave
 from conewave import cli
 from conewave.cli import ConfigError, parse_config, run
+from conewave.fields import DiscreteField
 from conewave.quadrature import NonFiniteSample
 from tests_helpers import one_at_a_time
 
@@ -473,6 +474,10 @@ class TestConfigTable:
         ("grid", "snapshot_log", "0.04 inf 16"),   # an OverflowError
         ("grid", "snapshot_log", "0.04 1.0 inf"),  # an OverflowError
         ("diagnostics", "t_star", "-inf"),         # exit 1 in energy-profile
+        ("data", "width", "1e300"),                # an OverflowError
+        ("data", "width", "1e-200"),               # nan at r = 0, exit 3
+        ("diagnostics", "a", "inf"),               # exit 3 in verify-carleman
+        ("diagnostics", "eta", "inf"),             # exit 3, field_source=ode
     ])
     def test_an_out_of_range_value_names_its_key(self, tmp_path, capsys,
                                                  section, key, value):
@@ -622,6 +627,61 @@ class TestConfigTable:
             sorted(set(accepted) - {"--help"})
 
 
+# the blow-up data: phi* cut off past r = M
+BLOWUP = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                      "kind = truncated_ode\nM = 2.0\nw = 0.25")
+
+OVERFLOW_AT_P = "the amplitude C of phi* overflows at p = 1.01"
+
+
+class TestAmplitudeOverflow:
+    """A p whose blow-up amplitude overflows is a config error: exit 2
+    naming it, before any run."""
+
+    # before: OverflowError from OdeSolution.amplitude, exit 1 with a
+    # traceback, in each scenario, in a convergence sweep, and with
+    # field_source = ode and no [data]
+    @pytest.mark.parametrize("scenario", ["simulate", "energy-profile",
+                                          "verify-localized", "rate-fit"])
+    def test_p_near_1_with_truncated_ode_data(self, tmp_path, capsys,
+                                              monkeypatch, scenario):
+        monkeypatch.setattr(cli, "evolve", _no_solver_run)
+        _run_exit_2(tmp_path, capsys, scenario,
+                    BLOWUP.replace("p = 2.0", "p = 1.01"),
+                    f"[data] kind = truncated_ode: {OVERFLOW_AT_P}")
+
+    def test_p_near_1_in_a_convergence_sweep(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(cli, "evolve", _no_solver_run)
+        text = BLOWUP.replace("p = 2.0", "p = 1.01") + \
+            "\n[sweep]\nscenario = convergence\nJ = 128 256\n"
+        _run_exit_2(tmp_path, capsys, "sweep", text,
+                    f"[data] kind = truncated_ode: {OVERFLOW_AT_P}")
+
+    @pytest.mark.parametrize("scenario", ["energy-profile", "verify-localized",
+                                          "rate-fit"])
+    def test_p_near_1_with_the_ode_field(self, tmp_path, capsys, scenario):
+        _run_exit_2(tmp_path, capsys, scenario,
+                    "[problem]\np = 1.01\n\n[diagnostics]\n"
+                    "field_source = ode\nt_star = -0.5 -0.25 -0.125\n",
+                    f"[diagnostics] field_source = ode: {OVERFLOW_AT_P}")
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_p_1_015_runs(self, tmp_path):
+        text = BLOWUP.replace("p = 2.0", "p = 1.015")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        assert run(["simulate", "--config", cfg, "--out",
+                    str(tmp_path / "out")]) == 0
+
+    def test_huge_p_meets_the_subconformal_check_first(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # before: the data were evaluated first, and (p - 1)^2 overflowed
+        monkeypatch.setattr(cli, "evolve", _no_solver_run)
+        _run_exit_2(tmp_path, capsys, "simulate",
+                    BLOWUP.replace("p = 2.0", "p = 1e300"),
+                    "p outside the subconformal range for this n")
+
+
 class TestSimulate:
     def test_zero_data_completes(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", BASE)
@@ -680,6 +740,20 @@ class TestSimulate:
         assert {"run.csv", "summary", "snap_0001.dat"} <= set(names)
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("text", [
+        BLOWUP.replace("M = 2.0", "M = 5.9"),
+        BASE.replace("snapshot_times = -0.8 -0.5 -0.3\n", ""),
+    ], ids=["support-past-the-grid", "no-snapshots"])
+    def test_finite_speed_is_skipped_when_no_cell_is_checked(self, tmp_path,
+                                                             text):
+        # the data's support grown at the stencil speed covers the grid at
+        # every level (6.15 > R = 6), or no level is stored; before, the
+        # summary said finite_speed=pass
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", write_config(
+            tmp_path / "c.cfg", text), "--out", str(out)]) == 0
+        assert "finite_speed=skipped\n" in (out / "summary").read_text()
 
     def test_the_stored_levels_are_held_once(self, tmp_path):
         # the snapshots are written from the run's own levels; before, a
@@ -900,8 +974,8 @@ class TestVerifyCarleman:
             "eta = 2.0", "eta = 2.0\na = 0.1 0.3"))
         out = tmp_path / "two"
         assert run(["verify-carleman", "--config", two, "--out", str(out)]) == 2
-        assert ("error: [diagnostics] a must be empty or one positive value, "
-                "got (0.1, 0.3)") in capsys.readouterr().err
+        assert ("error: [diagnostics] a must be empty or one finite positive "
+                "value, got (0.1, 0.3)") in capsys.readouterr().err
         assert not (out / "carleman.csv").exists()
 
 
@@ -1019,6 +1093,15 @@ class TestDiagnosticsSubcommands:
         err = capsys.readouterr().err
         assert re.search(r"time -0\.04 outside the stored range "
                          r"\[-1\.0, -0\.041\d*\]", err), err
+
+    def test_the_run_field_is_not_patched(self, tmp_path):
+        # the field checks its own time window, and `run` maps its
+        # LevelRangeError to exit 2; before, require_times was overwritten
+        # on the instance to raise a ConfigError
+        cfg = parse_config(write_config(tmp_path / "c.cfg", BASE))
+        field = cli._diagnostic_field(cfg)
+        assert isinstance(field, DiscreteField)
+        assert "require_times" not in vars(field)
 
     def test_decay_subcommand(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", DECAY)

@@ -19,12 +19,13 @@ from conewave.exact_solutions import (
     InitialDataSpec,
     annulus_scaling_constant,
     ball_quantity_ode,
+    ode_field,
     slab_scaling_constant,
 )
-from conewave.fields import DiscreteField, gaussian_pulse, ode_field, zero_field
+from conewave.fields import DiscreteField, LevelRangeError, gaussian_pulse
 from conewave.quadrature import QuadratureSpec
 from conewave.solver import SolverConfig, evolve
-from tests_helpers import annulus_sup_by_slice, one_at_a_time
+from tests_helpers import annulus_sup_by_slice, one_at_a_time, zero_field
 
 Q = QuadratureSpec()
 
@@ -182,7 +183,7 @@ class TestTimeCoverage:
     def _field(times):
         r = np.linspace(0.0, 2.0, 33)
         phi = np.ones((len(times), r.size))
-        return DiscreteField(np.asarray(times, dtype=float), r, phi, 0.0 * phi, 3)
+        return DiscreteField(np.asarray(times, dtype=float), r, phi, 0.0 * phi)
 
     def test_eta_windows_name_the_time_and_the_range(self):
         # t* = -0.08, eta = 2: both sides reach t*/eta = -0.04, past the
@@ -205,13 +206,14 @@ class TestTimeCoverage:
         # for the interpolation alike
         fld = self._field(np.linspace(1.0, 33.0, 9))
         inside, outside = 33.0 + 2e-8, 33.0 + 5e-8
-        energetics._require_time_coverage(fld, inside)
+        fld.require_times(inside)
         fld.value(inside, 0.5)
-        for check in (lambda: energetics._require_time_coverage(fld, outside),
+        for check in (lambda: fld.require_times(outside),
                       lambda: fld.value(outside, 0.5)):
-            with pytest.raises(ValueError, match=f"time {outside!r} outside"):
+            with pytest.raises(LevelRangeError,
+                               match=f"time {outside!r} outside"):
                 check()
-        energetics._require_time_coverage(zero_field(3), outside)  # closed form
+        zero_field(3).require_times(outside)  # a closed form covers it
 
 
 class TestDecayPartials:

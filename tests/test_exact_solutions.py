@@ -9,10 +9,10 @@ from conewave.exact_solutions import (
     OdeSolution,
     annulus_scaling_constant,
     ball_quantity_ode,
+    ode_field,
     slab_scaling_constant,
     smoothstep,
 )
-from conewave.fields import ode_field
 from conewave.quadrature import QuadratureSpec
 from tests_helpers import write_level
 
@@ -189,7 +189,7 @@ class TestInitialData:
     def test_file_round_trip(self, tmp_path):
         r = np.linspace(0, 2, 33)
         path = write_level(tmp_path, 3, 2.0, -1.0, r, np.sin(r), np.cos(r))
-        data = InitialDataSpec.from_file(str(path))
+        data = InitialDataSpec("file", path=str(path))
         phi, phit = data.evaluate(-1.0, r)
         np.testing.assert_allclose(phi, np.sin(r))
         with pytest.raises(ValueError):

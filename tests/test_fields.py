@@ -6,28 +6,28 @@ import pytest
 
 from conewave.fields import (
     DiscreteField,
+    LevelRangeError,
     ManufacturedField,
     PotentialSpec,
-    constant_field,
     gaussian_pulse,
-    ode_field,
     polynomial_gaussian,
     read_snapshot,
     signed_power,
     traveling_bump,
     write_snapshots,
-    zero_field,
 )
 from conewave.cli import (ConfigError, RunConfig, _offcenter_gaussian,
                           _require_small_potential)
-from conewave.exact_solutions import OdeSolution
+from conewave.exact_solutions import OdeSolution, ode_field
 from tests_helpers import (
     closures_jet,
+    constant_field,
     gaussian_closures,
     offcenter_closures,
     polynomial_closures,
     travel_closures,
     write_level,
+    zero_field,
 )
 
 
@@ -39,7 +39,6 @@ def linear_field(n=1):
             lambda t, r: np.ones(np.broadcast(t, r).shape),
             lambda t, r: np.ones(np.broadcast(t, r).shape),
             lambda t, r: (n - 1) / r * np.ones(np.broadcast(t, r).shape)),
-        label="t+r",
     )
 
 
@@ -149,14 +148,14 @@ class TestNonlinearResidual:
 
 
 class TestManufacturedDerivatives:
-    @pytest.mark.parametrize("field", [
-        gaussian_pulse(3, 1.2, 0.3, 0.7, 0.5),
-        polynomial_gaussian(3, 0.8, -0.2, 0.6, 0.7, c1=0.4, c2=-0.3),
-        traveling_bump(3, 1.0, 0.4, 1.5, 0.3),
-        ode_field(2.0, 3),
+    @pytest.mark.parametrize("field,t0,r0", [
+        (gaussian_pulse(3, 1.2, 0.3, 0.7, 0.5), 0.25, 0.9),
+        (polynomial_gaussian(3, 0.8, -0.2, 0.6, 0.7, c1=0.4, c2=-0.3), 0.25,
+         0.9),
+        (traveling_bump(3, 1.0, 0.4, 1.5, 0.3), 0.25, 0.9),
+        (ode_field(2.0, 3), -0.5, 0.8),
     ], ids=["gauss", "polygauss", "travel", "ode"])
-    def test_derivatives_match_finite_differences(self, field):
-        t0, r0 = (-0.5, 0.8) if field.label.startswith("ode") else (0.25, 0.9)
+    def test_derivatives_match_finite_differences(self, field, t0, r0):
         hs = np.array([1e-2, 1e-3, 1e-4])
         for k, axis in ((1, "t"), (2, "r")):
             errs = []
@@ -230,8 +229,8 @@ class TestSnapshots:
             path = write_level(tmp_path, 2, 2.0, t, r, r * t, r * 0)
             n, _, t_read, r_read, phi, phit = read_snapshot(str(path))
             levels.append((t_read, phi, phit))
-        fld = DiscreteField.from_levels(levels, r_read, n)
-        assert fld.dim == 2
+        fld = DiscreteField.from_levels(levels, r_read)
+        assert n == 2
         assert fld.value(0.05, 0.5) == pytest.approx(0.025)
 
 
@@ -332,7 +331,7 @@ class TestDiscreteFieldEvaluation:
         times = np.array([0.0, 0.5, 1.0])
         phi = np.vstack([3.0 * t + 2.0 * r for t in times])
         phit = np.vstack([np.full_like(r, 3.0) for _ in times])
-        fld = DiscreteField(times, r, phi, phit, 1)
+        fld = DiscreteField(times, r, phi, phit)
         assert fld.value(0.25, 0.33) == pytest.approx(3 * 0.25 + 2 * 0.33)
         assert fld.jet(0.7, 1.0)[1] == pytest.approx(3.0)
         assert fld.jet(0.7, 1.3)[2] == pytest.approx(2.0)
@@ -340,13 +339,13 @@ class TestDiscreteFieldEvaluation:
     def test_even_extension(self):
         r = np.linspace(0, 1, 11)
         fld = DiscreteField(np.array([0.0]), r, (r * r)[None, :],
-                            np.zeros((1, 11)), 3)
+                            np.zeros((1, 11)))
         assert fld.value(0.0, -0.5) == fld.value(0.0, 0.5)
 
     def test_out_of_range_raises(self):
         r = np.linspace(0, 1, 11)
         fld = DiscreteField(np.array([0.0, 1.0]), r, np.zeros((2, 11)),
-                            np.zeros((2, 11)), 3)
+                            np.zeros((2, 11)))
         with pytest.raises(ValueError):
             fld.value(2.0, 0.5)
         with pytest.raises(ValueError):
@@ -357,8 +356,8 @@ class TestDiscreteFieldEvaluation:
         # and not above hi"; cast to a level index it reads out of bounds
         r = np.linspace(0, 1, 11)
         fld = DiscreteField(np.array([0.0, 1.0]), r, np.zeros((2, 11)),
-                            np.zeros((2, 11)), 3)
-        with pytest.raises(ValueError, match=r"time nan outside the stored "
+                            np.zeros((2, 11)))
+        with pytest.raises(LevelRangeError, match=r"time nan outside the stored "
                                              r"range \[0\.0, 1\.0\]"):
             fld.require_times([0.5, np.nan])
         with pytest.raises(ValueError, match="time nan outside"):
@@ -367,7 +366,7 @@ class TestDiscreteFieldEvaluation:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             DiscreteField(np.array([0.0]), np.array([0.5, 1.0]),
-                          np.zeros((1, 2)), np.zeros((1, 2)), 3)
+                          np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 # --------------------------------------------------------------------------
@@ -595,7 +594,7 @@ class TestJetFiniteDifferences:
             phi, phi_t, phi_r, box = good.evaluate(t, r)
             return phi, phi_t, phi_r, box - (good.dim - 1) / r * phi_r
 
-        bad = ManufacturedField(good.dim, mutated, label="mutant")
+        bad = ManufacturedField(good.dim, mutated)
         t, r = _fd_points(-0.3, 0.6, 0.5, 2.5)
         errors = _fd_jet_errors(bad, t, r, FD_STEP)
         assert errors[:2] == _fd_jet_errors(good, t, r, FD_STEP)[:2]
@@ -647,7 +646,7 @@ class TestDiscreteJetBitIdentity:
             else np.array([-0.5])
         phi = rng.standard_normal((levels, r.size))
         phit = rng.standard_normal((levels, r.size))
-        return DiscreteField(times, r, phi, phit, 3)
+        return DiscreteField(times, r, phi, phit)
 
     @staticmethod
     def _points(fld):

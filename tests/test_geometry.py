@@ -24,7 +24,7 @@ from conewave.geometry import (
 )
 from conewave.energetics import _slab
 from conewave.quadrature import sphere_area
-from tests_helpers import box_bulk
+from tests_helpers import box_bulk, zero_field
 
 
 class TestWeight:
@@ -91,7 +91,7 @@ class TestContains:
         assert not inside(cone, 1.0, 0.0)
 
     def test_slab_negative_time(self):
-        slab = _slab(None, 0.5, 1.2, -0.1)
+        slab = _slab(zero_field(3), 0.5, 1.2, -0.1)
         assert inside(slab, -0.1, 0.04)
         assert not inside(slab, -0.1, 0.06)
 
@@ -107,9 +107,9 @@ class TestContains:
         with pytest.raises(ValueError):
             ConeSegmentSpec(0.5, -1.0, 1.0)  # the window straddles t = 0
         with pytest.raises(ValueError, match="gamma must exceed 1"):
-            _slab(None, 0.5, 0.9, 1.0)
+            _slab(zero_field(3), 0.5, 0.9, 1.0)
         with pytest.raises(ValueError, match="center time must be nonzero"):
-            _slab(None, 0.5, 1.2, 0.0)
+            _slab(zero_field(3), 0.5, 1.2, 0.0)
 
 
 class TestAngle:

@@ -6,7 +6,7 @@ from scipy.integrate import quad as scipy_quad
 
 from conewave.exact_solutions import smoothstep
 from conewave.fields import ManufacturedField, PotentialSpec
-from conewave.carleman import vanishing_flux_probe
+from conewave.carleman import CarlemanParams, vanishing_flux_probe
 from conewave.geometry import (
     ConePiece,
     ConeSegmentSpec,
@@ -24,8 +24,8 @@ from conewave.quadrature import (
     integrate_slices,
     integrate_surfaces,
 )
-from tests_helpers import (box_bulk, closures_jet, slice_by_slice,
-                           written_region)
+from tests_helpers import (box_bulk, closures_jet, constant_field,
+                           slice_by_slice, written_region, zero_field)
 
 ONE = lambda t, r: np.ones_like(r)
 
@@ -428,30 +428,28 @@ def _compact_bump_field(n, r_lo, r_hi, t_lo, t_hi, amplitude=1.0):
                 - (phi_t(t + h, r) - phi_t(t - h, r)) / (2 * h)
                 + (n - 1) / r * phi_r(t, r))
 
-    return ManufacturedField(n, closures_jet(phi, phi_t, phi_r, box),
-                             label="compact")
+    return ManufacturedField(n, closures_jet(phi, phi_t, phi_r, box))
 
 
-V1 = PotentialSpec.constant(1.0)
+def _params(ext):
+    """The probe's Carleman parameters: a = 1/4, p = 2, n = 3, V = 1 and
+    the exterior region's weight."""
+    return CarlemanParams(a=0.25, p=2.0, n=3,
+                          potential=PotentialSpec.constant(1.0),
+                          shift=ext.weight)
 
 
 class TestFluxProbe:
     def test_zero_field(self):
-        from conewave.fields import zero_field
-
         ext = ExteriorRegionSpec(0.5, 1.0)
-        vals = vanishing_flux_probe(ext, zero_field(3), 0.25,
-                                    [1e-2, 1e-3, 1e-4], p=2.0, potential=V1,
-                                    n=3)
+        vals = vanishing_flux_probe(_params(ext), zero_field(3), ext,
+                                    [1e-2, 1e-3, 1e-4])
         assert vals == [0.0, 0.0, 0.0]
 
     def test_constant_field_decays(self):
-        from conewave.fields import constant_field
-
         ext = ExteriorRegionSpec(0.5, 1.0)
-        vals = vanishing_flux_probe(ext, constant_field(1.0, 3), 0.25,
-                                    [1e-2, 1e-3, 1e-4], p=2.0, potential=V1,
-                                    n=3)
+        vals = vanishing_flux_probe(_params(ext), constant_field(1.0, 3), ext,
+                                    [1e-2, 1e-3, 1e-4])
         mags = [abs(v) for v in vals]
         assert mags[0] > mags[1] > mags[2]
         # leading term ~ eps^{2a} * sqrt(eps) measure vs eps^{-1/2} integrand:
@@ -463,20 +461,23 @@ class TestFluxProbe:
         # null cone r = |t - t*|: small-eps level sets never meet it
         ext = ExteriorRegionSpec(0.8, 1.0)
         fld = _compact_bump_field(3, 0.55, 0.75, 0.9, 1.1)
-        vals = vanishing_flux_probe(ext, fld, 0.25, [1e-4, 1e-5], p=2.0,
-                                    potential=V1, n=3)
+        vals = vanishing_flux_probe(_params(ext), fld, ext, [1e-4, 1e-5])
         # within the bump's t-window the eps = 1e-4 level sits at
         # r <= sqrt(0.01 + 4e-4) < 0.11 << 0.55
         assert vals[0] == 0.0
         assert vals[1] == 0.0
 
     def test_rejects_increasing_sequence(self):
-        from conewave.fields import zero_field
-
         ext = ExteriorRegionSpec(0.5, 1.0)
-        with pytest.raises(ValueError):
-            vanishing_flux_probe(ext, zero_field(3), 0.25, [1e-4, 1e-3],
-                                 p=2.0, potential=V1, n=3)
+        with pytest.raises(ValueError, match="decreasing"):
+            vanishing_flux_probe(_params(ext), zero_field(3), ext,
+                                 [1e-4, 1e-3])
+
+    def test_rejects_a_shift_other_than_the_region_weight(self):
+        ext = ExteriorRegionSpec(0.5, 1.0)
+        with pytest.raises(ValueError, match="must match the exterior"):
+            vanishing_flux_probe(CarlemanParams(a=0.25, p=2.0, n=3),
+                                 zero_field(3), ext, [1e-2, 1e-3])
 
 
 def _reference_level_loop(t_window, r_inner, r_outer, integrand, q, n,
@@ -541,11 +542,12 @@ class TestRowColumnTime:
         r = np.linspace(0.0, 2.5, 129)
         times = np.linspace(-1.0, 0.2, 13)
         return DiscreteField(times, r, rng.standard_normal((13, r.size)),
-                             rng.standard_normal((13, r.size)), 3)
+                             rng.standard_normal((13, r.size)))
 
     def _integrands(self):
         from conewave.cli import _offcenter_gaussian
-        from conewave.fields import PotentialSpec, ode_field
+        from conewave.exact_solutions import ode_field
+        from conewave.fields import PotentialSpec
         from conewave.geometry import ShiftedWeight
 
         gauss = _offcenter_gaussian(3, 0.8, -0.1, 1.0, 0.3, 0.35)

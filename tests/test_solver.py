@@ -198,7 +198,7 @@ def test_negative_zero_tail_of_start_data_matches_plain_leapfrog_bitwise(tmp_pat
     phi[r >= 2.0] = -0.0
     path = write_level(tmp_path, 3, 2.0, -1.0, r, phi, np.zeros_like(r))
     assert "\n6 -0 0\n" in path.read_text()
-    data = InitialDataSpec.from_file(str(path))
+    data = InitialDataSpec("file", path=str(path))
     probe = SolverConfig(n=3, p=2.0, J=J, R=R, t0=-1.0, t_end=-0.5)
     dt = evolve(probe, data).dt
     # the first levels: a window that missed the -0.0 cells would leave
@@ -301,10 +301,9 @@ class TestEvolveBasics:
 
         rows = [read_snapshot(path) for path in paths]  # (n, p, t, r, phi, phit)
         reloaded = DiscreteField.from_levels(
-            [(t, phi, phit) for _, _, t, _, phi, phit in rows], rows[0][3],
-            rows[0][0])
+            [(t, phi, phit) for _, _, t, _, phi, phit in rows], rows[0][3])
         np.testing.assert_array_equal(reloaded.phi, res.field().phi)
-        restart = InitialDataSpec.from_file(paths[0])
+        restart = InitialDataSpec("file", path=paths[0])
         cfg2 = SolverConfig(n=3, p=2.0, J=256, R=8.0, t0=res.snapshots[0][0],
                             t_end=-0.4, snapshot_times=(-0.6,),
                             record_energy=False)

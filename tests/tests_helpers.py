@@ -1,4 +1,4 @@
-"""Shared test fixtures: compactly supported C^2 fields."""
+"""Shared test fixtures: constant and compactly supported C^2 fields."""
 
 import pathlib
 from types import SimpleNamespace
@@ -7,6 +7,23 @@ import numpy as np
 
 from conewave.exact_solutions import smoothstep
 from conewave.fields import ManufacturedField, write_snapshots
+
+
+def zero_field(n=3):
+    def jet(t, r):
+        shape = np.broadcast(t, r).shape
+        return tuple(np.zeros(shape) for _ in range(4))
+
+    return ManufacturedField(n, jet)
+
+
+def constant_field(c, n=3):
+    def jet(t, r):
+        shape = np.broadcast(t, r).shape
+        return (np.full(shape, float(c)), np.zeros(shape), np.zeros(shape),
+                np.zeros(shape))
+
+    return ManufacturedField(n, jet)
 
 
 def box_bulk(t0, t1, r0, r1):
@@ -189,8 +206,7 @@ def compact_bump_field(n, r_lo, r_hi, t_lo, t_hi, amplitude=1.0):
                 - (phi_t(t + h, r) - phi_t(t - h, r)) / (2 * h)
                 + (n - 1) / np.maximum(r, 1e-30) * phi_r(t, r))
 
-    return ManufacturedField(n, closures_jet(phi, phi_t, phi_r, box),
-                             label="compact")
+    return ManufacturedField(n, closures_jet(phi, phi_t, phi_r, box))
 
 
 # --------------------------------------------------------------------------
