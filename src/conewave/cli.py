@@ -62,6 +62,10 @@ def _above(low):
     return (lambda v: v > low), f"greater than {low}"
 
 
+def _finite_above(low):
+    return (lambda v: low < v < math.inf), f"finite and greater than {low}"
+
+
 def _at_least(low):
     return (lambda v: v >= low), f"at least {low}"
 
@@ -72,17 +76,16 @@ def _one_of(*words):
 
 _KEYS = (
     _Key("problem", "n", int, 3, *_at_least(1)),
-    _Key("problem", "p", float, 2.0, *_above(1), sweep=("simulate",)),
+    _Key("problem", "p", float, 2.0, *_finite_above(1), sweep=("simulate",)),
     _Key("problem", "potential", str, "constant",
          *_one_of("constant", "perturbed"), attr="pot_kind"),
-    _Key("problem", "c0", float, 1.0, *_above(0)),
+    _Key("problem", "c0", float, 1.0, *_finite_above(0)),
     _Key("problem", "pot_eps", float, 0.0),
     _Key("problem", "pot_center_t", float, 0.0),
     _Key("problem", "pot_center_r", float, 0.0),
-    _Key("problem", "pot_width", float, 1.0, *_above(0)),
+    _Key("problem", "pot_width", float, 1.0, *_finite_above(0)),
     _Key("problem", "pot_alpha", float, math.inf),
-    _Key("grid", "R", float, 4.0, lambda v: 0 < v < math.inf,
-         "finite and greater than 0"),
+    _Key("grid", "R", float, 4.0, *_finite_above(0)),
     _Key("grid", "J", int, 1024, *_at_least(8),
          sweep=("simulate", "convergence")),
     _Key("grid", "cfl", float, 0.9, lambda v: 0 < v <= 1, "in (0, 1]"),

@@ -34,8 +34,8 @@ class OdeSolution:
     p: float
 
     def __post_init__(self):
-        if self.p <= 1.0:
-            raise ValueError("exponent must satisfy p > 1")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError("exponent must be finite and satisfy p > 1")
         try:
             self.amplitude
         except OverflowError:

@@ -61,11 +61,11 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "perturbed"):
             raise ValueError("potential kind must be constant or perturbed")
-        if self.c0 <= 0.0:
-            raise ValueError("base level must be positive")
+        if not 0.0 < self.c0 < math.inf:
+            raise ValueError("base level must be finite and positive")
         if self.kind == "perturbed":
-            if self.width <= 0.0:
-                raise ValueError("bump width must be positive")
+            if not 0.0 < self.width < math.inf:
+                raise ValueError("bump width must be finite and positive")
             amplitude = self.width * math.sqrt(math.e)  # the bump's maximum
             if self.c0 - abs(self.eps) * amplitude <= 0.0:
                 raise ValueError("perturbation destroys positivity of V")

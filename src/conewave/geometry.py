@@ -445,7 +445,7 @@ def lateral_boundary(region: ExteriorRegionSpec) -> ConePiece:
 
 
 # --------------------------------------------------------------------------
-# Two-ray covering check
+# Two-ray covering lemma
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -459,87 +459,36 @@ class CoveringResult:
 
 
 def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
-                   sample_count=2000, n=3, eta=None) -> CoveringResult:
-    """Sample the slab and test coverage by the two exterior regions
-    {f_{t*,zeta_i} > 0} of the cone.
+                   n=3, eta=None) -> CoveringResult:
+    """Decide whether the exterior regions {f_{t*,zeta_i} > 0} of the two
+    rays cover the slab t*/gamma < t < gamma t*, 0 < r < sigma t.
 
-    Deterministic lattice in the plane spanned by the two ray velocities,
-    plus targeted probes near the excluded double-cone tips zeta_i(t*), plus
-    random points in the full ball drawn with seed 0. When `eta` is given,
-    also checks that both cone-boundary pieces sit inside the lateral slab
-    of that eta: the piece of a ray of speed |v| spans
-    t*(1-|v|)/(1+sigma) < t < t*(1+|v|)/(1-sigma).
+    With centres c_i = v_i t*, covered iff t*(gamma - 1) <= |c0 - c1|/2.
+    Necessary: a slab point outside both regions has |x - c_i| <= |t - t*|,
+    so |c0 - c1| <= 2|t - t*| < 2 t*(gamma - 1). Sufficient: given the
+    margin m = t*(gamma - 1) - |c0 - c1|/2 > 0, the midpoint of the centres
+    (moved off the origin by less than m/2) at t = t* + |c0 - c1|/2 + m/2 is
+    outside both regions, and inside the cone since |v_i| < sigma; it is
+    returned as the witness (in doubles, once m exceeds the rounding of t*).
+
+    When `eta` is given, also checks that both cone-boundary pieces sit
+    inside the lateral slab of that eta: the piece of a ray of speed |v|
+    spans t*(1-|v|)/(1+sigma) < t < t*(1+|v|)/(1-sigma).
     """
     if t_star <= 0:
         raise ValueError("covering check requires t* > 0")
     if max(ray0.speed, ray1.speed) >= sigma:
         raise ValueError("rays must lie inside the cone")
-    weights = (ShiftedWeight(t_star, ray0), ShiftedWeight(t_star, ray1))
-    c0, c1 = (w.center(n) for w in weights)
-    # orthonormal pair spanning the plane of the two centers
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    if np.linalg.norm(c0) > 0:
-        e1 = c0 / np.linalg.norm(c0)
-    elif np.linalg.norm(c1) > 0:
-        e1 = c1 / np.linalg.norm(c1)
-    e2 = None
-    if n > 1:
-        cand = c1 - c0
-        cand = cand - np.dot(cand, e1) * e1
-        if np.linalg.norm(cand) > 1e-14:
-            e2 = cand / np.linalg.norm(cand)
-        else:
-            for k in range(n):
-                trial = np.zeros(n)
-                trial[k] = 1.0
-                trial -= np.dot(trial, e1) * e1
-                if np.linalg.norm(trial) > 1e-8:
-                    e2 = trial / np.linalg.norm(trial)
-                    break
-
-    t_lo, t_hi = t_star / gamma, t_star * gamma
-    m = max(8, int(round(sample_count ** (1.0 / 3.0))))
-    tgrid = np.linspace(t_lo, t_hi, m + 2)[1:-1]
-    samples = []
-    for t in tgrid:
-        rmax = sigma * t
-        for u in np.linspace(-rmax, rmax, m + 2)[1:-1]:
-            if e2 is None:
-                x = u * e1
-                samples.append((t, x))
-            else:
-                for w in np.linspace(-rmax, rmax, m + 2)[1:-1]:
-                    if u * u + w * w < rmax * rmax:
-                        samples.append((t, u * e1 + w * e2))
-    # probes near the excluded tips at several offsets from t*
-    for c in (c0, c1):
-        cd = np.linalg.norm(c)
-        direction = -c / cd if cd > 0 else e1
-        for frac in (0.5, 0.25, 0.1):
-            for sgn in (-1.0, 1.0):
-                t = t_star + sgn * frac * (gamma - 1.0) * t_star
-                rho = 0.5 * abs(t - t_star)
-                x = c + rho * direction
-                samples.append((t, x))
-    rng = np.random.default_rng(0)
-    for _ in range(sample_count):
-        t = rng.uniform(t_lo, t_hi)
-        u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        x = u * (rng.uniform(0, 1) ** (1.0 / n) * sigma * t)
-        samples.append((t, x))
-
+    c0, c1 = (ShiftedWeight(t_star, ray).center(n) for ray in (ray0, ray1))
+    half = 0.5 * float(np.linalg.norm(c0 - c1))
+    margin = t_star * (gamma - 1.0) - half
     witness = None
-    for (t, x) in samples:
-        r = math.sqrt(float(np.dot(x, x)))
-        if not (0.0 < r < sigma * t and t_lo < t < t_hi):
-            continue
-        P = MinkowskiPoint(float(t), tuple(x))
-        if all(eval_weight(w, P) <= 0.0 for w in weights):
-            witness = P
-            break
-
+    if margin > 0.0:
+        x = 0.5 * (c0 + c1)
+        if not np.dot(x, x) > 0.0:  # the origin, or too near it to square
+            x[0] += 0.25 * min(margin, sigma * t_star)
+        witness = MinkowskiPoint(t_star + half + 0.5 * margin,
+                                 tuple(x.tolist()))
     result = CoveringResult(covered=witness is None, witness=witness)
     if eta is not None:
         if eta <= 1.0:

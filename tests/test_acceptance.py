@@ -287,9 +287,8 @@ def test_criterion_10_two_ray_covering():
     # pieces sit in the lateral slab of eta exactly when eta > eta*
     sigma, v = 0.5, 0.25
     rays = (RaySpec(()), RaySpec((v, 0.0)))
-    tight = covering_check(sigma, 1.0 + 1e-6, 1.0, *rays, sample_count=500,
-                           n=3)
-    wide = covering_check(sigma, 10.0, 1.0, *rays, sample_count=500, n=3)
+    tight = covering_check(sigma, 1.0 + 1e-6, 1.0, *rays, n=3)
+    wide = covering_check(sigma, 10.0, 1.0, *rays, n=3)
     P = wide.witness
     # a genuine witness: in the slab and the cone, outside both regions
     genuine = (P is not None and 0.1 < P.t < 10.0 and 0.0 < P.r < sigma * P.t
@@ -298,9 +297,9 @@ def test_criterion_10_two_ray_covering():
     v = 0.2
     rays = (RaySpec(()), RaySpec((v, 0.0)))
     eta_star = max((1 + v) / (1 - sigma), (1 + sigma) / (1 - v))
-    above = covering_check(sigma, 1.1, 1.0, *rays, sample_count=200, n=3,
+    above = covering_check(sigma, 1.1, 1.0, *rays, n=3,
                            eta=eta_star * 1.05)
-    below = covering_check(sigma, 1.1, 1.0, *rays, sample_count=200, n=3,
+    below = covering_check(sigma, 1.1, 1.0, *rays, n=3,
                            eta=eta_star * 0.9)
     ok = (bool(tight) and not wide.covered and genuine
           and above.boundary_ok and not below.boundary_ok)

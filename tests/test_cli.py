@@ -1,5 +1,7 @@
+import importlib
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import conewave
 from conewave import cli
 from conewave.cli import ConfigError, parse_config, run
 from conewave.fields import DiscreteField
-from conewave.quadrature import NonFiniteSample
+from conewave.quadrature import NonFiniteSample, QuadratureSpec
 from tests_helpers import one_at_a_time
 
 
@@ -432,6 +434,10 @@ TYPED_ROWS = [row for row in cli._KEYS if row.kind in (int, float)]
 ODE_DIAG = BASE.replace("sigma0 = 0.25", "sigma0 = 0.25\nfield_source = ode\n"
                         "t_star = -0.5 -0.25 -0.125")
 
+# the blow-up data: phi* cut off past r = M
+BLOWUP = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                      "kind = truncated_ode\nM = 2.0\nw = 0.25")
+
 
 def _run_exit_2(tmp_path, capsys, scenario, text, message):
     """Runs `scenario` on `text`; it must exit 2 with `message` on stderr."""
@@ -484,6 +490,19 @@ class TestConfigTable:
         _run_exit_2(tmp_path, capsys, "simulate",
                     f"[{section}]\n{key} = {value}\n",
                     f"[{section}] {key} must be ")
+
+    # before: energy-profile exited 0 with the constant field 1 (p = inf
+    # with n = 1 and the ODE field), or 3 on a non-finite solver value
+    @pytest.mark.parametrize("key,text", [
+        ("p", ODE_DIAG.replace("n = 3\np = 2.0", "n = 1\np = inf")),
+        ("c0", BLOWUP.replace("c0 = 1.0", "c0 = inf")),
+        ("pot_width", BLOWUP.replace(
+            "potential = constant", "potential = perturbed\npot_width = inf")),
+    ], ids=["p", "c0", "pot_width"])
+    def test_an_infinite_problem_value_names_its_key(self, tmp_path, capsys,
+                                                     key, text):
+        _run_exit_2(tmp_path, capsys, "energy-profile", text,
+                    f"[problem] {key} must be finite and greater than ")
 
     @pytest.mark.parametrize("scenario,grid", [
         ("simulate", "J = 256.7"),        # ran J = 256 in cell_J256.7
@@ -626,10 +645,6 @@ class TestConfigTable:
         assert sorted(re.findall(r"--\w+", synopsis[0])) == \
             sorted(set(accepted) - {"--help"})
 
-
-# the blow-up data: phi* cut off past r = M
-BLOWUP = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
-                      "kind = truncated_ode\nM = 2.0\nw = 0.25")
 
 OVERFLOW_AT_P = "the amplitude C of phi* overflows at p = 1.01"
 
@@ -1309,6 +1324,42 @@ EVERY_SCENARIO = [("simulate", BASE, "run.csv"),
                   ("decay", DECAY, "decay.csv"),
                   ("sweep", BASE + "\n[sweep]\nscenario = simulate\n"
                    "J = 64 128\n", "sweep.csv")]
+
+
+# the scenarios that integrate: all but simulate and sweep
+QUADRATURE_RUNS = [run[:2] for run in EVERY_SCENARIO
+                   if run[0] not in ("simulate", "sweep")]
+
+
+@pytest.mark.parametrize("scenario,text", QUADRATURE_RUNS,
+                         ids=[run[0] for run in QUADRATURE_RUNS])
+def test_the_cells_key_reaches_every_quadrature_call(tmp_path, monkeypatch,
+                                                     scenario, text):
+    # a caller that dropped its QuadratureSpec would integrate at the
+    # default 48 cells, which a run at the default cannot tell apart
+    calls = []
+
+    def spy(name, entry):
+        def call(*args, **kwargs):
+            [q] = [a for a in (*args, *kwargs.values())
+                   if isinstance(a, QuadratureSpec)]
+            calls.append((name, q.cells_t, q.cells_r))
+            return entry(*args, **kwargs)
+        return call
+
+    for info in pkgutil.iter_modules(conewave.__path__):
+        module = importlib.import_module(f"conewave.{info.name}")
+        for name in ("integrate_bulk", "integrate_slices",
+                     "integrate_surfaces"):
+            if hasattr(module, name) and info.name != "quadrature":
+                monkeypatch.setattr(module, name,
+                                    spy(name, getattr(module, name)))
+    text = text.replace("[diagnostics]\n", "[diagnostics]\ncells = 5\n")
+    cfg = write_config(tmp_path / "c.cfg", text)
+    assert run([scenario, "--config", cfg, "--out",
+                str(tmp_path / "out")]) == 0
+    assert calls
+    assert {(t, r) for _, t, r in calls} == {(5, 5)}, calls
 
 
 # (subcommand, config, the file that cannot be written, the file written

@@ -44,6 +44,12 @@ class TestOdeSolution:
         with pytest.raises(ValueError):
             OdeSolution(0.9)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_a_non_finite_exponent(self, p):
+        # before: p = inf gave amplitude nan ** 0 = 1 and k = 0
+        with pytest.raises(ValueError, match="finite"):
+            OdeSolution(p)
+
     def test_ode_identity_at_random_samples(self):
         # d_tt phi* = |phi*|^{p-1} phi* to 1e-10 relative, 100 samples
         rng = np.random.default_rng(42)

@@ -74,6 +74,13 @@ class TestPotential:
             PotentialSpec(kind="perturbed", c0=0.5, eps=1.0,
                           center=(0.0, 0.0), width=1.0)
 
+    @pytest.mark.parametrize("c0,width", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_rejects_a_non_finite_level_or_width(self, c0, width):
+        # before: c0 = inf gave V = inf, and width = inf with eps = 0 a
+        # nan bump
+        with pytest.raises(ValueError, match="finite"):
+            PotentialSpec(kind="perturbed", c0=c0, width=width)
+
 
 def residual(field, potential, p, t, r):
     """box phi + V |phi|^{p-1} phi from one jet; zero for exact solutions."""

@@ -269,12 +269,12 @@ class TestNormalWeightDerivative:
 class TestCovering:
     def test_two_rays_tiny_gamma(self):
         res = covering_check(0.5, 1.0 + 1e-6, 1.0, RaySpec(()),
-                             RaySpec((0.25, 0.0)), sample_count=500, n=3)
+                             RaySpec((0.25, 0.0)), n=3)
         assert res.covered and bool(res)
 
     def test_large_gamma_fails_with_witness(self):
         res = covering_check(0.5, 10.0, 1.0, RaySpec(()), RaySpec((0.25, 0.0)),
-                             sample_count=500, n=3)
+                             n=3)
         assert not res.covered
         assert res.witness is not None
         # witness must be a genuine counterexample: in the slab, not in either region
@@ -284,16 +284,16 @@ class TestCovering:
     def test_single_ray_always_fails(self):
         for gamma in (1.0 + 1e-6, 1.5, 4.0):
             res = covering_check(0.5, gamma, 1.0, RaySpec(()), RaySpec(()),
-                                 sample_count=200, n=3)
+                                 n=3)
             assert not res.covered
 
     def test_boundary_containment_with_eta(self):
         # axis ray boundary spans t in (t*/(1+sigma), t*/(1-sigma))
         res = covering_check(0.5, 1.1, 1.0, RaySpec(()), RaySpec((0.2, 0.0)),
-                             sample_count=300, n=3, eta=4.0)
+                             n=3, eta=4.0)
         assert res.boundary_ok
         res2 = covering_check(0.5, 1.1, 1.0, RaySpec(()), RaySpec((0.2, 0.0)),
-                              sample_count=300, n=3, eta=1.4)
+                              n=3, eta=1.4)
         assert not res2.boundary_ok  # eta too small to contain the boundary
 
     def test_eta_threshold_matches_closed_form(self):
@@ -303,9 +303,9 @@ class TestCovering:
         sigma, v = 0.5, 0.2
         eta_star = max((1 + v) / (1 - sigma), (1 + sigma) / (1 - v))
         above = covering_check(sigma, 1.1, 1.0, RaySpec(()), RaySpec((v, 0.0)),
-                               sample_count=200, n=3, eta=eta_star * 1.05)
+                               n=3, eta=eta_star * 1.05)
         below = covering_check(sigma, 1.1, 1.0, RaySpec(()), RaySpec((v, 0.0)),
-                               sample_count=200, n=3, eta=eta_star * 0.9)
+                               n=3, eta=eta_star * 0.9)
         assert above.boundary_ok
         assert not below.boundary_ok
 
@@ -317,9 +317,64 @@ class TestCovering:
         assert eta_star == pytest.approx(18.0)
         for factor, ok in ((0.95, False), (1.05, True)):
             res = covering_check(sigma, 1.1, 1.0, RaySpec(()),
-                                 RaySpec((v, 0.0)), sample_count=200, n=3,
+                                 RaySpec((v, 0.0)), n=3,
                                  eta=eta_star * factor)
             assert res.boundary_ok is ok
+
+    @staticmethod
+    def _assert_genuine_witness(res, sigma, gamma, t_star, rays):
+        """The witness lies in the slab and the cone, outside both regions."""
+        P = res.witness
+        assert not res.covered and P is not None
+        assert t_star / gamma < P.t < t_star * gamma
+        assert 0.0 < P.r < sigma * P.t
+        for ray in rays:
+            assert eval_weight(ShiftedWeight(t_star, ray), P) <= 0.0
+
+    def test_threshold_is_half_the_centre_distance(self):
+        # gamma* = 1 + |v0 - v1|/2 = 1.125; the sampler called 1.126 and
+        # 1.13 covered
+        rays = (RaySpec(()), RaySpec((0.25, 0.0)))
+        assert covering_check(0.5, 1.124, 1.0, *rays).covered
+        for gamma in (1.126, 1.13):
+            res = covering_check(0.5, gamma, 1.0, *rays)
+            self._assert_genuine_witness(res, 0.5, gamma, 1.0, rays)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        sigma=st.floats(0.05, 0.95),
+        u0=st.lists(st.floats(-1, 1), min_size=3, max_size=3),
+        u1=st.lists(st.floats(-1, 1), min_size=3, max_size=3),
+        frac=st.floats(0.0, 0.99),
+        pair=st.sampled_from(["free", "equal", "opposite"]),
+        gamma=st.floats(1.0, 3.0, exclude_min=True, exclude_max=True),
+        t_star=st.floats(0.01, 100.0),
+    )
+    def test_decision_is_the_closed_form(self, n, sigma, u0, u1, frac, pair,
+                                         gamma, t_star):
+        scale = frac * sigma / math.sqrt(n)  # so that |v_i| < sigma
+        v0 = scale * np.asarray(u0[:n])
+        v1 = {"free": scale * np.asarray(u1[:n]), "equal": v0,
+              "opposite": -v0}[pair]
+        rays = (RaySpec(tuple(v0)), RaySpec(tuple(v1)))
+        res = covering_check(sigma, gamma, t_star, *rays, n=n)
+        c0, c1 = v0 * t_star, v1 * t_star
+        half = 0.5 * float(np.linalg.norm(c0 - c1))
+        assert res.covered == (t_star * (gamma - 1.0) <= half)
+        if not res.covered:
+            # a witness in doubles needs a margin above the rounding of t*
+            if t_star * (gamma - 1.0) - half > 1e-12 * t_star:
+                self._assert_genuine_witness(res, sigma, gamma, t_star, rays)
+            return
+        rng = np.random.default_rng(0)
+        t = rng.uniform(t_star / gamma, t_star * gamma, 2000)
+        u = rng.standard_normal((2000, n))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        x = u * (sigma * t * rng.uniform(0, 1, 2000) ** (1.0 / n))[:, None]
+        f = [0.25 * (np.sum((x - c) ** 2, axis=1) - (t - t_star) ** 2)
+             for c in (c0, c1)]
+        assert np.all(np.maximum(*f) > 0.0)
 
 
 class TestSlabWeightLowerBound:
