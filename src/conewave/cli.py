@@ -102,7 +102,7 @@ _KEYS = (
          *_one_of("truncated_ode", "gaussian", "file"), attr="data_kind"),
     _Key("data", "M", float, 2.0, *_above(0), sweep=("simulate",)),
     _Key("data", "w", float, 0.25, *_above(0)),
-    _Key("data", "amplitude", float, 1e-3),
+    _Key("data", "amplitude", float, 1e-3, math.isfinite, "finite"),
     _Key("data", "width", float, 0.5, lambda v: 0 < v and 0 < v * v < math.inf,
          "greater than 0 with a finite nonzero square"),
     _Key("data", "path", str, ""),

@@ -118,6 +118,8 @@ class InitialDataSpec:
                 raise ValueError("truncation needs M > 0 and w > 0")
         if self.kind == "gaussian" and self.width <= 0:
             raise ValueError("gaussian width must be positive")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
 
     @classmethod
     def truncated_ode(cls, M, w, p=2.0):

@@ -232,6 +232,14 @@ def _live_end(a, b):
     return int(live[-1]) + 1 if live.size else 0
 
 
+def _head_end(a, b):
+    """Length of the leading run of cells where the float64 arrays a and b
+    both equal their cell 0 bit for bit (-0.0 differs from +0.0)."""
+    ua, ub = a.view(np.uint64), b.view(np.uint64)
+    differ = np.flatnonzero((ua != ua[:1]) | (ub != ub[:1]))
+    return int(differ[0]) if differ.size else len(a)
+
+
 def _grid_text(r):
     """The `r` column of a snapshot, one string per row."""
     return ["%.17g" % x for x in np.asarray(r, dtype=float).tolist()]
@@ -240,16 +248,23 @@ def _grid_text(r):
 def _write_level(path, n, p, t, r_text, phi, phit):
     """One snapshot file with the `r` column given as `_grid_text(r)`.
 
-    Rows before the level's live edge are formatted a block at a time, so
-    the text held in memory stays bounded whatever the grid size; the rows
-    from the edge on, where phi and phit are +0.0, are `r 0 0`."""
+    The leading rows where phi and phit equal their cell-0 values bit for
+    bit (the head: a blow-up run's ODE core) share one formatted
+    ` phi phit` ending. The rows from there to the level's live edge are
+    formatted a block at a time, so the formatted values held in memory
+    stay bounded whatever the grid size; the rows from the edge on, where
+    phi and phit are +0.0, are `r 0 0`."""
     if not len(r_text) == len(phi) == len(phit):
         raise ValueError("r, phi and phit differ in length")
     edge = _live_end(phi, phit)
+    head = min(_head_end(phi, phit), edge)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{SNAPSHOT_HEADER}\n")
         handle.write(f"{n:d} {p:.17g} {t:.17g}\n")
-        for start in range(0, edge, SNAPSHOT_BLOCK_ROWS):
+        if head:
+            row = " %.17g %.17g\n" % (phi[0].item(), phit[0].item())
+            handle.write(row.join(r_text[:head] + [""]))
+        for start in range(head, edge, SNAPSHOT_BLOCK_ROWS):
             stop = min(start + SNAPSHOT_BLOCK_ROWS, edge)
             values = [None] * (3 * (stop - start))
             values[0::3] = r_text[start:stop]
@@ -265,8 +280,10 @@ def write_snapshots(directory, n, p, r, levels):
     phit` at 17 significant digits, the `r` column formatted once for all.
     Rows past the last one where phi or phit is not +0.0 read `r 0 0`,
     written without formatting a value, so a level the data has not reached
-    in full (the solver's causal window) costs little past its live edge.
-    Returns the paths; an OSError names the file it could not write."""
+    in full (the solver's causal window) costs little past its live edge;
+    the leading rows that repeat the r = 0 values bit for bit (the ODE core
+    of a blow-up run) format those values once. Returns the paths; an
+    OSError names the file it could not write."""
     r_text = _grid_text(r)
     paths = []
     for m, (t, phi, phit) in enumerate(levels):

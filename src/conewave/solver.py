@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exact_solutions import InitialDataSpec
-from .fields import DiscreteField, PotentialSpec, _live_end, signed_power
+from .fields import (DiscreteField, PotentialSpec, _head_end, _live_end,
+                     signed_power)
 from .quadrature import sphere_area
 
 __all__ = [
@@ -172,7 +173,17 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     bit-for-bit the full-grid one. The start step is the loop's first, with
     phi0 as the newest level and phi_t0 in place of the oldest. The energy
     trace (whose pairwise sums group terms by array length) and the snapshot
-    copies run on the full arrays."""
+    copies run on the full arrays.
+
+    With a constant potential the steps also skip the head [0, c): the
+    leading cells that equal cell 0 bit for bit in the two newest levels,
+    the ODE core of truncated-ODE data. The Laplacian of equal neighbours
+    is exactly +0.0 (x - x is +0.0 for finite x, and so is the axis row's
+    2n (u_1 - u_0)/dr^2), so every cell whose stencil lies in the head
+    takes the same next value: the head shrinks by at most one cell per
+    step, and a step computes [lo, e) with lo <= c - 2 and copies cell lo
+    into [0, lo). An r-dependent potential breaks the homogeneity, so
+    there c is 0."""
     n, J, dr = config.n, config.J, config.dr
     s, vol = _radial_operator(n, J, dr)
     lam = _operator_norm(s, vol, dr, J)
@@ -233,36 +244,47 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     t_blowup = None
     pending = None  # snapshot waiting for the next level's centered phi_t
     e = _live_end(phi0, phit0)  # the causal window's end
+    c = _head_end(phi0, phit0) if V.kind == "constant" else 0  # head's end
 
     # overflow is reported by the finiteness test below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         while m < total_steps:
             # a step moves the window end by one cell; the Laplacian of the
-            # last cell inside the window reads cur[e]
+            # last cell inside the window reads cur[e]. Cells [lo, e) are
+            # computed, lo's stencil inside the head; the Laplacian slice
+            # starts a cell earlier for lo's left flux, and that cell's
+            # axis-formula value is discarded
             e = min(J + 1, e + 1)
             k = min(e + 1, J + 1)
-            _laplacian(cur[:k], s[:k], vol[:k], dr, force[:k], flux[:k - 1])
-            f = force[:e]
+            lo = max(0, min(c - 2, e - 1))
+            a = max(0, lo - 1)
+            _laplacian(cur[a:k], s[a:k], vol[a:k], dr, force[a:k],
+                       flux[a:k - 1])
+            f = force[lo:e]
             if not config.linear:
-                np.add(f, _nonlinear_term(V, config.p, t, r[:e], cur[:e],
-                                          mag[:e], work[:e]), out=f)
-            x = nxt[:e]
+                np.add(f, _nonlinear_term(V, config.p, t, r[lo:e], cur[lo:e],
+                                          mag[lo:e], work[lo:e]), out=f)
+            x = nxt[lo:e]
             if m == 0:
                 # second-order start: (phi0 + dt phit0) + dt^2/2 force
-                np.multiply(phit0[:e], dt, out=x)
-                np.add(cur[:e], x, out=x)
+                np.multiply(phit0[lo:e], dt, out=x)
+                np.add(cur[lo:e], x, out=x)
                 np.multiply(f, 0.5 * dt * dt, out=f)
             else:
                 # (2 cur - prev) + dt^2 force, in the order of the plain
                 # expression
-                np.multiply(cur[:e], 2.0, out=x)
-                np.subtract(x, prev[:e], out=x)
+                np.multiply(cur[lo:e], 2.0, out=x)
+                np.subtract(x, prev[lo:e], out=x)
                 np.multiply(f, dt * dt, out=f)
             np.add(x, f, out=x)
             nxt[J] = 0.0
             # the max of |nxt| is non-finite iff some entry is; past the
-            # window |nxt| and mag are +0.0
-            peak = float(np.abs(x, out=mag[:e]).max())
+            # window |nxt| and mag are +0.0, and the head repeats cell lo
+            peak = float(np.abs(x, out=mag[lo:e]).max())
+            # filled before the test, which names the first non-finite cell
+            nxt[:lo] = nxt[lo]
+            mag[:lo] = mag[lo]
+            c -= 1
             if not math.isfinite(peak):
                 bad = int(np.argmax(~np.isfinite(nxt)))
                 raise FloatingPointError(

@@ -484,6 +484,10 @@ class TestConfigTable:
         ("data", "width", "1e-200"),               # nan at r = 0, exit 3
         ("diagnostics", "a", "inf"),               # exit 3 in verify-carleman
         ("diagnostics", "eta", "inf"),             # exit 3, field_source=ode
+        # two `RuntimeWarning: invalid value encountered in multiply`, then
+        # `non-finite solver value at t=-0.983322, r=0`, exit 3
+        ("data", "amplitude", "inf"),
+        ("data", "amplitude", "-inf"),
     ])
     def test_an_out_of_range_value_names_its_key(self, tmp_path, capsys,
                                                  section, key, value):

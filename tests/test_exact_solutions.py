@@ -192,6 +192,12 @@ class TestInitialData:
         assert np.all(phit == 0.0)
         assert data.support_radius == 3.0
 
+    @pytest.mark.parametrize("amplitude", [math.inf, -math.inf])
+    def test_a_non_finite_gaussian_amplitude_is_refused(self, amplitude):
+        # before: accepted, and evaluate gave nan at r >= 6 s (inf * 0)
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            InitialDataSpec.gaussian(amplitude, 0.5)
+
     def test_file_round_trip(self, tmp_path):
         r = np.linspace(0, 2, 33)
         path = write_level(tmp_path, 3, 2.0, -1.0, r, np.sin(r), np.cos(r))

@@ -9,6 +9,7 @@ from conewave.fields import (
     LevelRangeError,
     ManufacturedField,
     PotentialSpec,
+    _head_end,
     gaussian_pulse,
     polynomial_gaussian,
     read_snapshot,
@@ -263,6 +264,14 @@ def writer_level(size, live=(), dr=6.0 / 8192):
     return np.arange(size) * dr, phi, phit
 
 
+def headed_level(size, head, values, live=()):
+    """writer_level(size, live) with its first `head` rows set to the
+    (phi, phit) pair `values`: a head the writer formats once."""
+    r, phi, phit = writer_level(size, live)
+    phi[:head], phit[:head] = values
+    return r, phi, phit
+
+
 WRITER_LEVELS = {
     "all_zero": writer_level(40),
     "zero_phi_live_phit_in_tail": writer_level(
@@ -286,12 +295,39 @@ WRITER_LEVELS = {
         3 * 1024, {7: (1.0, 1.0), 2047: (-2.5, 0.0)}),
     "dense": (np.linspace(0.0, 3.0, 301), np.sin(np.linspace(0.0, 9.0, 301)),
               np.cos(np.linspace(0.0, 9.0, 301))),
+    # heads: leading rows equal to row 0 bit for bit
+    "head_positive": headed_level(
+        40, 11, (6.0, 12.0), {11: (6.0, 11.5), 12: (5.0, 12.0), 20: (1.0, 0.0)}),
+    "head_negative_zero_next_to_positive_zero": headed_level(
+        40, 6, (-0.0, 0.0), {6: (0.0, 0.0), 9: (0.0, -0.0), 15: (0.25, 0.0)}),
+    "head_to_the_live_edge": headed_level(40, 17, (-1e-300, math.pi)),
+    "head_of_every_row": headed_level(40, 40, (2.0 / 3.0, -0.0)),
+    "head_longer_than_a_block": headed_level(
+        3 * 1024, 1500, (1e200, 7.0), {2500: (1.0, 1.0)}),
+    "no_head": headed_level(40, 0, (0.0, 0.0), {0: (1.0, 2.0), 1: (1.0, 2.5),
+                                                 2: (1.0, 2.0)}),
 }
+
+
+@pytest.mark.parametrize("phi,phit,head", [
+    ([], [], 0),
+    ([1.0], [2.0], 1),
+    ([1.0, 1.0, 1.0], [2.0, 2.0, 2.0], 3),
+    ([1.0, 1.0, 1.0], [2.0, 2.0, 3.0], 2),
+    ([0.0, -0.0, 0.0], [0.0, 0.0, 0.0], 1),        # -0.0 is not +0.0
+    ([-0.0, -0.0, 0.0], [5.0, 5.0, 5.0], 2),
+    ([math.nan, math.nan, 1.0], [0.0, 0.0, 0.0], 2),  # same nan bits
+    ([1.0, 1.0 + 2 ** -52, 1.0], [0.0, 0.0, 0.0], 1),
+])
+def test_head_end_compares_bits(phi, phit, head):
+    assert _head_end(np.array(phi, dtype=float),
+                     np.array(phit, dtype=float)) == head
 
 
 class TestSnapshotWriterLiveEdge:
     """Rows past a level's live edge are written without formatting their
-    values; the bytes must be those of formatting every row."""
+    values, and a head's rows share one formatting of theirs; the bytes
+    must be those of formatting every row."""
 
     @pytest.mark.parametrize("name", sorted(WRITER_LEVELS))
     def test_same_bytes_as_formatting_every_row(self, tmp_path, name):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conewave import solver
 from conewave.exact_solutions import InitialDataSpec, OdeSolution, smoothstep
-from conewave.fields import PotentialSpec, signed_power
+from conewave.fields import PotentialSpec, _head_end, signed_power
 from conewave.quadrature import sphere_area
 from conewave.solver import (
     RunResult,
@@ -140,6 +141,29 @@ KERNEL_CASES = {
         SolverConfig(n=3, p=2.0, J=300, R=6.0, t0=-1.0, t_end=0.5,
                      record_energy=True, snapshot_times=(-0.9, -0.2)),
         InitialDataSpec.truncated_ode(2.0, 0.25)),
+    # the head: leading cells that equal cell 0 bit for bit, which the
+    # steps of a constant-potential run skip
+    "head_shrinks_to_0": (
+        SolverConfig(n=3, p=2.0, J=128, R=6.0, t0=-1.0, t_end=-0.2,
+                     snapshot_times=(-0.9, -0.6, -0.2)),
+        InitialDataSpec.truncated_ode(0.5, 0.25)),
+    "head_n1": (
+        SolverConfig(n=1, p=2.0, J=400, R=6.0, t0=-1.0, t_end=0.5,
+                     snapshot_times=(-0.8, -0.4, -0.05)),
+        InitialDataSpec.truncated_ode(2.0, 0.25)),
+    "head_n2": (
+        SolverConfig(n=2, p=2.0, J=400, R=6.0, t0=-1.0, t_end=0.5,
+                     snapshot_times=(-0.8, -0.4, -0.05)),
+        InitialDataSpec.truncated_ode(2.0, 0.25)),
+    "head_p2.5_c0.7": (
+        SolverConfig(n=3, p=2.5, J=400, R=6.0, t0=-1.0, t_end=0.5,
+                     potential=PotentialSpec.constant(0.7),
+                     snapshot_times=(-0.8, -0.4, -0.05)),
+        InitialDataSpec.truncated_ode(2.0, 0.25, p=2.5)),
+    "head_energy_trace_n2": (
+        SolverConfig(n=2, p=2.0, J=256, R=6.0, t0=-1.0, t_end=-0.3,
+                     record_energy=True, snapshot_times=(-0.9, -0.3)),
+        InitialDataSpec.truncated_ode(1.0, 0.25)),
 }
 
 
@@ -209,6 +233,87 @@ def test_negative_zero_tail_of_start_data_matches_plain_leapfrog_bitwise(tmp_pat
     assert len(res.snapshots) == 6
     assert np.signbit(res.snapshots[0][1][J - 1])
     assert not np.signbit(res.snapshots[2][1][J - 1])
+
+
+def test_file_data_from_a_blow_up_level_matches_plain_leapfrog_bitwise(
+        tmp_path):
+    # a restart from a written blow-up level: the ODE core survives the
+    # `%.17g` round trip bit for bit, so the restarted run has a head too
+    cfg = SolverConfig(n=3, p=2.0, J=256, R=6.0, t0=-1.0, t_end=-0.5,
+                       snapshot_times=(-0.5,))
+    run = evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
+    t, phi, phit = run.snapshots[0]
+    data = InitialDataSpec("file", path=str(
+        write_level(tmp_path, 3, 2.0, t, run.r, phi, phit)))
+    assert _head_end(*data.evaluate(t, run.r)) > 2
+    restart = SolverConfig(n=3, p=2.0, J=256, R=6.0, t0=t, t_end=0.5,
+                           snapshot_times=(t, -0.3, -0.1, -0.02))
+    assert assert_matches_reference(restart, data).status == "blew_up"
+
+
+@pytest.mark.parametrize("phi,phit", [(0.0, 1e-3), (1e-3, 0.0),
+                                      (2e-3, -1e-3)])
+def test_constant_data_out_to_the_wall_matches_plain_leapfrog_bitwise(
+        tmp_path, phi, phit):
+    # data constant out to r = R: the window spans the grid from the first
+    # step, and the head reaches the Dirichlet cell (it holds all J + 1
+    # cells when phi = 0, the wall setting phi0[J] = 0.0 as the data does)
+    J, R = 64, 2.0
+    r = np.arange(J + 1) * (R / J)
+    data = InitialDataSpec("file", path=str(write_level(
+        tmp_path, 3, 2.0, 0.0, r, np.full_like(r, phi), np.full_like(r, phit))))
+    cfg = SolverConfig(n=3, p=2.0, J=J, R=R, t0=0.0, t_end=2.0,
+                       snapshot_times=(0.0, 0.05, 0.5, 1.0, 2.0))
+    res = assert_matches_reference(cfg, data)
+    assert res.status == "completed" and res.steps > J + 1
+
+
+def _slice_starts(monkeypatch, cfg, data):
+    """The run, and the first cell of each step's Laplacian slice."""
+    starts = []
+    laplacian = solver._laplacian
+
+    def recording(u, s, vol, dr, out, flux):
+        # the index of vol[0] in the array of all cell volumes
+        whole = vol if vol.base is None else vol.base
+        starts.append((vol.__array_interface__["data"][0]
+                       - whole.__array_interface__["data"][0]) // vol.itemsize)
+        return laplacian(u, s, vol, dr, out, flux)
+
+    monkeypatch.setattr(solver, "_laplacian", recording)
+    res = evolve(cfg, data)
+    # the power iteration's calls come first, one call per step after them
+    return res, starts[len(starts) - res.steps:]
+
+
+@pytest.mark.parametrize("name", ["p2_unit_constant", "head_shrinks_to_0",
+                                  "head_n1", "head_energy_trace_n2"])
+def test_the_steps_skip_the_head(monkeypatch, name):
+    # the bitwise cases pass whether or not the head is skipped; this pins
+    # the skip itself: step m computes from cell c - 2 - m, its Laplacian
+    # slice from one cell earlier
+    cfg, data = KERNEL_CASES[name]
+    res, starts = _slice_starts(monkeypatch, cfg, data)
+    c = _head_end(*data.evaluate(cfg.t0, res.r))
+    assert c > 3 and starts[0] > 0
+    assert starts == [max(0, c - 3 - m) for m in range(res.steps)]
+
+
+@pytest.mark.parametrize("name", ["p2.5_perturbed", "linear", "energy_trace"])
+def test_the_steps_start_at_the_axis_without_a_head(monkeypatch, name):
+    # an r-dependent potential, or data that varies from cell 0 on
+    cfg, data = KERNEL_CASES[name]
+    res, starts = _slice_starts(monkeypatch, cfg, data)
+    assert res.steps > 0 and starts == [0] * res.steps
+
+
+def test_an_overflow_in_the_head_names_the_axis():
+    # the skipped cells are filled before the finiteness test, so the first
+    # non-finite cell is r = 0, as on the full grid
+    cfg = SolverConfig(n=3, p=2.0, J=256, R=6.0, t0=-1.0, t_end=0.5,
+                       phi_max=1e300)
+    with pytest.raises(FloatingPointError, match=r"at t=0\.\d+, r=0 before"):
+        evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
 
 
 @pytest.mark.parametrize("p, potential", [
