@@ -100,8 +100,8 @@ _KEYS = (
          "empty or three finite values lo hi per with 0 < lo < hi and per > 0"),
     _Key("data", "kind", str, "gaussian",
          *_one_of("truncated_ode", "gaussian", "file"), attr="data_kind"),
-    _Key("data", "M", float, 2.0, *_above(0), sweep=("simulate",)),
-    _Key("data", "w", float, 0.25, *_above(0)),
+    _Key("data", "M", float, 2.0, *_finite_above(0), sweep=("simulate",)),
+    _Key("data", "w", float, 0.25, *_finite_above(0)),
     _Key("data", "amplitude", float, 1e-3, math.isfinite, "finite"),
     _Key("data", "width", float, 0.5, lambda v: 0 < v and 0 < v * v < math.inf,
          "greater than 0 with a finite nonzero square"),
@@ -286,7 +286,9 @@ def _validate(cfg: RunConfig):
             raise ConfigError(
                 f"snapshot time {float(outside[0])!r} outside [t0, t_end] = "
                 f"[{cfg.t0!r}, {cfg.t_end!r}]")
-        needed = cfg.solver_config().causal_radius(r_diag)
+        needed = _config_call(
+            f"[problem] n = {cfg.n}, [grid] R = {cfg.R!r}, J = {cfg.J}: ",
+            cfg.solver_config).causal_radius(r_diag)
         if cfg.R < needed:
             raise ConfigError(
                 f"domain radius {cfg.R} too small for the causal buffer "
@@ -341,8 +343,8 @@ def _scenario_simulate(cfg: RunConfig, outdir):
     if cfg.data is None:
         raise ConfigError("simulate requires a [data] section")
     result = evolve(cfg.solver_config(), cfg.data)
-    if result.snapshots:
-        write_snapshots(outdir, cfg.n, cfg.p, result.r, result.snapshots)
+    if result.levels is not None:
+        write_snapshots(outdir, cfg.n, cfg.p, result.levels)
     ok, witness = None, None  # file data has no known support
     if cfg.data.kind != "file":
         ok, witness = finite_speed_check(result, cfg.data.support_radius)
@@ -476,10 +478,10 @@ def _diagnostic_field(cfg: RunConfig, t_late=-math.inf):
                             ode_field, cfg.p, cfg.n)
     if cfg.data is None:
         raise ConfigError("field_source=run requires a [data] section")
-    result = evolve(cfg.solver_config(), cfg.data)
-    if not result.snapshots:
+    levels = evolve(cfg.solver_config(), cfg.data).levels
+    if levels is None:
         raise ConfigError("run recorded no snapshots; set snapshot_times")
-    return result.field()
+    return levels
 
 
 def _scenario_verify_localized(cfg: RunConfig, outdir):

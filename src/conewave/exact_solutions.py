@@ -114,8 +114,9 @@ class InitialDataSpec:
         if self.kind not in ("truncated_ode", "gaussian", "file"):
             raise ValueError(f"unknown initial data kind {self.kind!r}")
         if self.kind == "truncated_ode":
-            if self.cutoff <= 0 or self.ramp_width <= 0:
-                raise ValueError("truncation needs M > 0 and w > 0")
+            if not (0 < self.cutoff < math.inf
+                    and 0 < self.ramp_width < math.inf):
+                raise ValueError("truncation needs finite M > 0 and w > 0")
         if self.kind == "gaussian" and self.width <= 0:
             raise ValueError("gaussian width must be positive")
         if not math.isfinite(self.amplitude):
@@ -140,7 +141,9 @@ class InitialDataSpec:
     def evaluate(self, t0, r):
         r = np.asarray(r, dtype=float)
         if self.kind == "truncated_ode":
-            ramp = 1.0 - smoothstep((r - self.cutoff) / self.ramp_width)
+            # a quotient that overflows is the +-inf that smoothstep clips
+            with np.errstate(over="ignore"):
+                ramp = 1.0 - smoothstep((r - self.cutoff) / self.ramp_width)
             sol = OdeSolution(self.p)
             return float(sol.value(t0)) * ramp, float(sol.dvalue(t0)) * ramp
         if self.kind == "gaussian":

@@ -240,13 +240,9 @@ def _head_end(a, b):
     return int(differ[0]) if differ.size else len(a)
 
 
-def _grid_text(r):
-    """The `r` column of a snapshot, one string per row."""
-    return ["%.17g" % x for x in np.asarray(r, dtype=float).tolist()]
-
-
 def _write_level(path, n, p, t, r_text, phi, phit):
-    """One snapshot file with the `r` column given as `_grid_text(r)`.
+    """One snapshot file with the `r` column given preformatted, one string
+    per row.
 
     The leading rows where phi and phit equal their cell-0 values bit for
     bit (the head: a blow-up run's ODE core) share one formatted
@@ -254,8 +250,6 @@ def _write_level(path, n, p, t, r_text, phi, phit):
     formatted a block at a time, so the formatted values held in memory
     stay bounded whatever the grid size; the rows from the edge on, where
     phi and phit are +0.0, are `r 0 0`."""
-    if not len(r_text) == len(phi) == len(phit):
-        raise ValueError("r, phi and phit differ in length")
     edge = _live_end(phi, phit)
     head = min(_head_end(phi, phit), edge)
     with open(path, "w", encoding="utf-8") as handle:
@@ -274,23 +268,23 @@ def _write_level(path, n, p, t, r_text, phi, phit):
         handle.write(" 0 0\n".join(r_text[edge:] + [""]))
 
 
-def write_snapshots(directory, n, p, r, levels):
-    """One text snapshot `snap_{m:04d}.dat` per level (t, phi, phit) of
-    `levels`, from the level's own arrays: header `# n p t`, rows `r phi
-    phit` at 17 significant digits, the `r` column formatted once for all.
+def write_snapshots(directory, n, p, levels):
+    """One text snapshot `snap_{m:04d}.dat` per level of the DiscreteField
+    `levels`, from its own rows: header `# n p t`, rows `r phi phit` at 17
+    significant digits, the `r` column formatted once for all.
     Rows past the last one where phi or phit is not +0.0 read `r 0 0`,
     written without formatting a value, so a level the data has not reached
     in full (the solver's causal window) costs little past its live edge;
     the leading rows that repeat the r = 0 values bit for bit (the ODE core
     of a blow-up run) format those values once. Returns the paths; an
     OSError names the file it could not write."""
-    r_text = _grid_text(r)
+    r_text = ["%.17g" % x for x in levels.r.tolist()]
     paths = []
-    for m, (t, phi, phit) in enumerate(levels):
+    for m, (t, phi, phit) in enumerate(zip(levels.times.tolist(), levels.phi,
+                                           levels.phi_t)):
         path = os.path.join(directory, f"snap_{m:04d}.dat")
         try:
-            _write_level(path, n, p, t, r_text, np.asarray(phi, dtype=float),
-                         np.asarray(phit, dtype=float))
+            _write_level(path, n, p, t, r_text, phi, phit)
         except OSError as exc:
             raise OSError(f"cannot write {path}: {exc}") from exc
         paths.append(path)
@@ -333,7 +327,8 @@ class LevelRangeError(ValueError):
 @dataclass
 class DiscreteField:
     """Radial space-time history: uniform grid r_j = j dr, levels t_m with
-    stored (phi, d_t phi); even extension across r = 0."""
+    stored (phi, d_t phi); even extension across r = 0. A solver run
+    returns its recorded levels as one, its own tables."""
 
     times: np.ndarray          # (M,)
     r: np.ndarray              # (J+1,)
@@ -345,8 +340,9 @@ class DiscreteField:
         self.r = np.asarray(self.r, dtype=float)
         self.phi = np.ascontiguousarray(self.phi, dtype=float)
         self.phi_t = np.ascontiguousarray(self.phi_t, dtype=float)
-        if self.phi.shape != (self.times.size, self.r.size):
-            raise ValueError("phi shape does not match (times, r)")
+        if not self.phi.shape == self.phi_t.shape == (self.times.size,
+                                                       self.r.size):
+            raise ValueError("phi or phi_t shape does not match (times, r)")
         dr = np.diff(self.r)
         if self.r[0] != 0.0 or dr.size and not np.allclose(dr, dr[0], rtol=1e-12):
             raise ValueError("radial grid must be uniform starting at r = 0")
@@ -356,15 +352,6 @@ class DiscreteField:
     @property
     def dr(self) -> float:
         return float(self.r[1] - self.r[0])
-
-    @classmethod
-    def from_levels(cls, levels, r):
-        """levels: iterable of (t, phi_array, phit_array)."""
-        levels = sorted(levels, key=lambda row: row[0])
-        times = np.array([row[0] for row in levels])
-        phi = np.vstack([row[1] for row in levels])
-        phit = np.vstack([row[2] for row in levels])
-        return cls(times, np.asarray(r, dtype=float), phi, phit)
 
     @cached_property
     def phi_r(self) -> np.ndarray:

@@ -65,6 +65,13 @@ class SolverConfig:
             raise ValueError("blow-up threshold must be positive")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must be in (0, 1]")
+        # the steps divide by the cell volumes and scale by the areas
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            weights = np.concatenate(_radial_operator(self.n, self.J, self.dr))
+        if not np.all((np.finfo(float).tiny <= weights) & (weights < math.inf)):
+            raise ValueError(
+                "the half-node areas r^(n-1) or cell volumes of the radial "
+                "grid leave the normal float range")
 
     @property
     def dr(self) -> float:
@@ -140,7 +147,7 @@ def _operator_norm(s, vol, dr, J):
 class RunResult:
     status: str                      # completed | blew_up
     t_blowup: float | None
-    snapshots: list                  # [(t, phi, phi_t)], actual grid times
+    levels: DiscreteField | None     # recorded levels at their grid times
     config: SolverConfig
     dt: float
     max_phi: float
@@ -148,22 +155,13 @@ class RunResult:
     energy: np.ndarray
     steps: int
 
-    @property
-    def r(self) -> np.ndarray:
-        """The radial grid of every level."""
-        return np.arange(self.config.J + 1) * self.config.dr
-
-    def field(self) -> DiscreteField:
-        if not self.snapshots:
-            raise ValueError("run recorded no snapshots")
-        return DiscreteField.from_levels(self.snapshots, self.r)
-
 
 def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     """Leapfrog evolution; halts with status blew_up at the first step whose
     max |phi| exceeds the threshold. Outer boundary is homogeneous Dirichlet
-    behind the causal buffer. Snapshots are recorded at the grid times
-    nearest the requested ones, with centered d_t phi.
+    behind the causal buffer. The levels at the grid times nearest the
+    requested ones are recorded, with centered d_t phi, each into its own
+    row of the returned field's tables (`levels`, None if there is none).
 
     The steps run on a causal window [0, e): every cell at index >= e is
     exactly +0.0 (bits; -0.0 is live) in the two newest levels. A step's
@@ -172,8 +170,8 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     those the full-grid step would have left at +0.0, so every level is
     bit-for-bit the full-grid one. The start step is the loop's first, with
     phi0 as the newest level and phi_t0 in place of the oldest. The energy
-    trace (whose pairwise sums group terms by array length) and the snapshot
-    copies run on the full arrays.
+    trace (whose pairwise sums group terms by array length) and the recorded
+    rows run on the full arrays.
 
     With a constant potential the steps also skip the head [0, c): the
     leading cells that equal cell 0 bit for bit in the two newest levels,
@@ -207,11 +205,25 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
         if 0 <= m <= total_steps:
             targets.setdefault(m, t_req)
 
-    snapshots = []
+    # one row per target, an upper bound: a blow-up can stop the run first
+    times = []
+    phi = np.empty((len(targets), J + 1))
+    phi_t = np.empty((len(targets), J + 1))
     energy_t, energy_v = [], []
 
     if 0 in targets:
-        snapshots.append((config.t0, phi0.copy(), phit0.copy()))
+        times.append(config.t0)
+        phi[0] = phi0
+        phi_t[0] = phit0
+
+    def record(tm, u, later, earlier, span):
+        """Level u at time tm into the next row, with d_t phi the
+        difference quotient (later - earlier) / span."""
+        row = len(times)
+        times.append(tm)
+        phi[row] = u
+        np.subtract(later, earlier, out=phi_t[row])
+        np.divide(phi_t[row], span, out=phi_t[row])
 
     def record_energy(u1, u0, tm):
         du = (u1 - u0) / dt
@@ -242,7 +254,7 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     max_phi = float(np.abs(phi0, out=mag).max())
     status = "completed"
     t_blowup = None
-    pending = None  # snapshot waiting for the next level's centered phi_t
+    pending = None  # time of the level waiting for its centered phi_t
     e = _live_end(phi0, phit0)  # the causal window's end
     c = _head_end(phi0, phit0) if V.kind == "constant" else 0  # head's end
 
@@ -291,8 +303,7 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
                     f"non-finite solver value at t={t + dt:.6g}, r={r[bad]:.6g} "
                     f"before the blow-up threshold was reached")
             if pending is not None:
-                snapshots.append((pending[1], cur.copy(),
-                                  (nxt - prev) / (2.0 * dt)))
+                record(pending, cur, nxt, prev, 2.0 * dt)
                 pending = None
             prev, cur, nxt = cur, nxt, prev
             m += 1
@@ -306,13 +317,17 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
                 status, t_blowup = "blew_up", t
                 break
             if m in targets:
-                pending = (m, t)
+                pending = t
 
     if pending is not None:
         # one-sided time derivative at the final recorded level
-        snapshots.append((pending[1], cur.copy(), (cur - prev) / dt))
+        record(pending, cur, cur, prev, dt)
 
-    return RunResult(status, t_blowup, snapshots, config, dt, max_phi,
+    # rows past the recorded ones stay unread
+    count = len(times)
+    levels = (DiscreteField(times, r, phi[:count], phi_t[:count]) if count
+              else None)
+    return RunResult(status, t_blowup, levels, config, dt, max_phi,
                      np.asarray(energy_t), np.asarray(energy_v), m)
 
 
@@ -337,10 +352,12 @@ def finite_speed_check(result: RunResult, support_radius: float):
     only C^2 at its support edge, so a unit coefficient would reject
     correct runs.
     """
-    cfg, r = result.config, result.r
-    speed = cfg.dr / result.dt
+    cfg, levels = result.config, result.levels
+    if levels is None:
+        return None, None
+    r, speed = levels.r, cfg.dr / result.dt
     checked = False
-    for (t, phi, _) in result.snapshots:
+    for t, phi in zip(levels.times.tolist(), levels.phi):
         bound = support_radius + (t - cfg.t0) * speed + 2.0 * cfg.dr
         outside = np.abs(phi[r > bound])
         if outside.size and outside.max() > 1e-12:
@@ -364,10 +381,9 @@ def convergence_study(config: SolverConfig, data: InitialDataSpec, levels,
     for J in levels:
         run = evolve(replace(config, J=J, snapshot_times=(t_ref,),
                              record_energy=False), data)
-        if not run.snapshots:
+        if run.levels is None:
             raise ValueError(f"run at J={J} recorded no snapshot near t_ref")
-        t, phi, _ = run.snapshots[0]
-        r = run.r
+        t, r, phi = run.levels.times.item(0), run.levels.r, run.levels.phi[0]
         mask = r < core_radius
         diff = phi[mask] - reference(t, r[mask])
         w = r[mask] ** (config.n - 1) * run.config.dr

@@ -53,7 +53,7 @@ def truncated_run_field():
     cfg = SolverConfig(n=3, p=2.0, J=2048, R=4.0, t0=-1.0, t_end=0.0,
                        snapshot_times=times, record_energy=False)
     res = evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
-    return res.field()
+    return res.levels
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def decay_run_field():
                        record_energy=False)
     res = evolve(cfg, InitialDataSpec.gaussian(0.02, 0.5))
     assert res.status == "completed"
-    return res.field()
+    return res.levels
 
 
 def test_criterion_1_weight_identity():

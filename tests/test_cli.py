@@ -488,6 +488,9 @@ class TestConfigTable:
         # `non-finite solver value at t=-0.983322, r=0`, exit 3
         ("data", "amplitude", "inf"),
         ("data", "amplitude", "-inf"),
+        # exit 0 with finite_speed=skipped on the untruncated ODE data
+        ("data", "M", "inf"),
+        ("data", "w", "inf"),
     ])
     def test_an_out_of_range_value_names_its_key(self, tmp_path, capsys,
                                                  section, key, value):
@@ -855,6 +858,28 @@ kind = truncated_ode
 M = 2.0
 w = 0.25
 """
+
+
+@pytest.mark.parametrize("old,new", [("M = 2.0", "M = 1e308"),
+                                     ("w = 0.25", "w = 1e-310")])
+def test_a_ramp_past_the_float_range_runs_without_a_warning(tmp_path, old,
+                                                            new):
+    # before: two `RuntimeWarning: overflow encountered in divide` from the
+    # ramp, errors under the suite's warning filter
+    cfg = write_config(tmp_path / "c.cfg", BLOWUP.replace(old, new))
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("n", [400, 200])
+def test_radial_weights_past_the_float_range_are_exit_2(tmp_path, capsys, n):
+    # before: n = 400 printed five numpy RuntimeWarnings, then exited 3
+    # blaming the solver; n = 200 exited 0 with a subnormal first cell volume
+    text = BASE.replace("n = 3\np = 2.0", f"n = {n}\np = 1.005").replace(
+        "R = 6.0\nJ = 256", "R = 30.0\nJ = 512").replace(
+        "amplitude = 0.0", "amplitude = 1e-3")
+    _run_exit_2(tmp_path, capsys, "simulate", text,
+                f"[problem] n = {n}, [grid] R = 30.0, J = 512: the half-node "
+                f"areas r^(n-1) or cell volumes")
 
 
 def test_overflow_prints_only_the_error_line(tmp_path):

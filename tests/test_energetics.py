@@ -38,7 +38,7 @@ def truncated_run_field():
                        snapshot_times=tuple(sorted(times)),
                        record_energy=False)
     res = evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
-    return res.field()
+    return res.levels
 
 
 class TestAnnulusQuantity:
@@ -227,7 +227,7 @@ class TestDecayPartials:
                            snapshot_times=tuple(np.linspace(1.0, 17.0, 65)),
                            record_energy=False)
         res = evolve(cfg, InitialDataSpec.gaussian(0.02, 0.5))
-        field = res.field()
+        field = res.levels
         rep = decay_partials(field, 0.5, (2.0, 4.0, 8.0, 16.0), 2.0, 3, Q)
         seg = dict(zip(rep.horizons, rep.bulk_segments))
         # tail masses strictly decrease: the pulse leaves the cone interior
@@ -245,7 +245,7 @@ class TestDecayPartials:
         cfg = SolverConfig(n=3, p=2.0, J=256, R=16.0, t0=1.0, t_end=8.5,
                            snapshot_times=tuple(np.linspace(1.0, 8.5, 31)),
                            record_energy=False)
-        field = evolve(cfg, InitialDataSpec.gaussian(0.02, 0.5)).field()
+        field = evolve(cfg, InitialDataSpec.gaussian(0.02, 0.5)).levels
         horizons = (2.0, 4.0, 8.0)
         calls = []
         inner = energetics.integrate_surfaces
@@ -313,7 +313,7 @@ class TestProfilesAndCsv:
                                    t_end=0.0, record_energy=False,
                                    snapshot_times=tuple(-np.geomspace(0.1, 1.0, 25)))
                 res = evolve(cfg, InitialDataSpec.truncated_ode(M, 0.25))
-                field = res.field()
+                field = res.levels
                 ts = -0.3
                 (sv, _), _ = slab_quantity(field, 0.25, 1.2, ts, 2.0, 3, Q)
                 window = [t for t in field.times

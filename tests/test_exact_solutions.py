@@ -192,6 +192,20 @@ class TestInitialData:
         assert np.all(phit == 0.0)
         assert data.support_radius == 3.0
 
+    @pytest.mark.parametrize("M,w", [(math.inf, 0.25), (2.0, math.inf)])
+    def test_a_non_finite_truncation_is_refused(self, M, w):
+        # before: accepted, and M = inf evaluated the untruncated ODE data
+        with pytest.raises(ValueError, match="needs finite M > 0 and w > 0"):
+            InitialDataSpec.truncated_ode(M, w)
+
+    @pytest.mark.parametrize("M,w", [(1e308, 0.25), (2.0, 1e-310)])
+    def test_a_ramp_quotient_past_the_float_range_is_clipped(self, M, w):
+        # before: `overflow encountered in divide`; the +-inf quotient is
+        # the limit smoothstep clips, so the ramp is exact
+        r = np.array([0.0, 1.0, 2.0, 3.0])
+        phi, _ = InitialDataSpec.truncated_ode(M, w).evaluate(-1.0, r)
+        assert phi.tolist() == [6.0, 6.0, 6.0, 6.0 if M > 3.0 else 0.0]
+
     @pytest.mark.parametrize("amplitude", [math.inf, -math.inf])
     def test_a_non_finite_gaussian_amplitude_is_refused(self, amplitude):
         # before: accepted, and evaluate gave nan at r >= 6 s (inf * 0)

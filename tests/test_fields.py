@@ -237,7 +237,8 @@ class TestSnapshots:
             path = write_level(tmp_path, 2, 2.0, t, r, r * t, r * 0)
             n, _, t_read, r_read, phi, phit = read_snapshot(str(path))
             levels.append((t_read, phi, phit))
-        fld = DiscreteField.from_levels(levels, r_read)
+        times, phi, phit = zip(*levels)
+        fld = DiscreteField(times, r_read, phi, phit)
         assert n == 2
         assert fld.value(0.05, 0.5) == pytest.approx(0.025)
 
@@ -349,11 +350,13 @@ class TestSnapshotWriterLiveEdge:
                   if WRITER_LEVELS[name][0].size == size]
         r = levels[0][0]
         times = np.arange(len(levels)) * 0.125 - 1.0
-        stored = [(t, phi, phit) for t, (_, phi, phit) in zip(times, levels)]
-        paths = write_snapshots(str(tmp_path), 2, 1.5, r, stored)
+        stored = DiscreteField(times, r, [phi for _, phi, _ in levels],
+                               [phit for _, _, phit in levels])
+        paths = write_snapshots(str(tmp_path), 2, 1.5, stored)
         assert [os.path.basename(path) for path in paths] == [
             f"snap_{m:04d}.dat" for m in range(len(levels))]
-        for m, (t, phi, phit) in enumerate(stored):
+        for m, (t, phi, phit) in enumerate(zip(times, stored.phi,
+                                               stored.phi_t)):
             (tmp_path / f"one_{m}").mkdir()
             one = write_level(tmp_path / f"one_{m}", 2, 1.5, t, r, phi, phit)
             want = tmp_path / f"want_{m}.dat"
@@ -366,6 +369,8 @@ class TestSnapshotWriterLiveEdge:
         r, phi, phit = WRITER_LEVELS["all_zero"]
         with pytest.raises(ValueError):
             write_level(tmp_path, 3, 2.0, 0.0, r[:-1], phi, phit)
+        with pytest.raises(ValueError):
+            write_level(tmp_path, 3, 2.0, 0.0, r, phi, phit[:-1])
 
 
 class TestDiscreteFieldEvaluation:
@@ -410,6 +415,14 @@ class TestDiscreteFieldEvaluation:
         with pytest.raises(ValueError):
             DiscreteField(np.array([0.0]), np.array([0.5, 1.0]),
                           np.zeros((1, 2)), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("shape", [(1, 11), (2, 10), (2,)])
+    def test_phi_t_must_have_the_shape_of_phi(self, shape):
+        # before: only phi's shape was checked; evaluating phi_t then gave
+        # an IndexError or the values of shifted rows
+        with pytest.raises(ValueError, match="phi_t shape does not match"):
+            DiscreteField(np.array([0.0, 1.0]), np.linspace(0, 1, 11),
+                          np.zeros((2, 11)), np.zeros(shape))
 
 
 # --------------------------------------------------------------------------

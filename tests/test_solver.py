@@ -5,7 +5,7 @@ import pytest
 
 from conewave import solver
 from conewave.exact_solutions import InitialDataSpec, OdeSolution, smoothstep
-from conewave.fields import PotentialSpec, _head_end, signed_power
+from conewave.fields import DiscreteField, PotentialSpec, _head_end, signed_power
 from conewave.quadrature import sphere_area
 from conewave.solver import (
     RunResult,
@@ -185,17 +185,31 @@ def assert_matches_reference(cfg, data):
     assert res.dt == dt
     assert res.max_phi == max_phi
     assert res.t_blowup == t_blowup
-    assert len(res.snapshots) == len(snapshots) >= 1
-    for got, want in zip(res.snapshots, snapshots):
-        assert got[0] == want[0]
-        assert_same_bits(got[1], want[1])
-        assert_same_bits(got[2], want[2])
+    levels = res.levels
+    assert levels.times.tolist() == [t for t, _, _ in snapshots]
+    shape = (len(snapshots), cfg.J + 1)
+    assert levels.phi.shape == levels.phi_t.shape == shape
+    for m, (_, phi, phit) in enumerate(snapshots):
+        assert_same_bits(levels.phi[m], phi)
+        assert_same_bits(levels.phi_t[m], phit)
     if cfg.record_energy:
         assert_same_bits(res.energy, trace)
         assert len(res.energy_times) == len(trace)
     else:
         assert res.energy.size == 0
     return res
+
+
+def test_a_run_that_blows_up_first_holds_only_its_recorded_rows():
+    # the tables have a row for each of the four requested times; the
+    # blow-up stops the run before the last two, whose rows are never
+    # written and must not be part of the field
+    cfg = SolverConfig(n=3, p=2.0, J=256, R=6.0, t0=-1.0, t_end=0.5,
+                       snapshot_times=(-0.5, -0.1, 0.1, 0.3))
+    res = assert_matches_reference(cfg,
+                                   InitialDataSpec.truncated_ode(2.0, 0.25))
+    assert res.status == "blew_up" and res.t_blowup < 0.1
+    assert res.levels.phi.shape == res.levels.phi_t.shape == (2, cfg.J + 1)
 
 
 def test_causal_window_that_saturates_matches_plain_leapfrog_bitwise():
@@ -207,7 +221,7 @@ def test_causal_window_that_saturates_matches_plain_leapfrog_bitwise():
     assert data.support_radius < 0.5 * cfg.R
     res = assert_matches_reference(cfg, data)
     assert res.status == "completed" and res.steps > cfg.J
-    first, last = res.snapshots[0][1], res.snapshots[-1][1]
+    first, last = res.levels.phi[0], res.levels.phi[-1]
     assert not first[cfg.J // 2:].any()
     assert last[cfg.J - 1] != 0.0  # live next to the Dirichlet end
 
@@ -230,9 +244,9 @@ def test_negative_zero_tail_of_start_data_matches_plain_leapfrog_bitwise(tmp_pat
     cfg = SolverConfig(n=3, p=2.0, J=J, R=R, t0=-1.0, t_end=-0.5,
                        snapshot_times=tuple(-1.0 + m * dt for m in range(6)))
     res = assert_matches_reference(cfg, data)
-    assert len(res.snapshots) == 6
-    assert np.signbit(res.snapshots[0][1][J - 1])
-    assert not np.signbit(res.snapshots[2][1][J - 1])
+    assert res.levels.times.size == 6
+    assert np.signbit(res.levels.phi[0, J - 1])
+    assert not np.signbit(res.levels.phi[2, J - 1])
 
 
 def test_file_data_from_a_blow_up_level_matches_plain_leapfrog_bitwise(
@@ -242,10 +256,10 @@ def test_file_data_from_a_blow_up_level_matches_plain_leapfrog_bitwise(
     cfg = SolverConfig(n=3, p=2.0, J=256, R=6.0, t0=-1.0, t_end=-0.5,
                        snapshot_times=(-0.5,))
     run = evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
-    t, phi, phit = run.snapshots[0]
-    data = InitialDataSpec("file", path=str(
-        write_level(tmp_path, 3, 2.0, t, run.r, phi, phit)))
-    assert _head_end(*data.evaluate(t, run.r)) > 2
+    t, r = run.levels.times.item(0), run.levels.r
+    data = InitialDataSpec("file", path=str(write_level(
+        tmp_path, 3, 2.0, t, r, run.levels.phi[0], run.levels.phi_t[0])))
+    assert _head_end(*data.evaluate(t, r)) > 2
     restart = SolverConfig(n=3, p=2.0, J=256, R=6.0, t0=t, t_end=0.5,
                            snapshot_times=(t, -0.3, -0.1, -0.02))
     assert assert_matches_reference(restart, data).status == "blew_up"
@@ -294,7 +308,7 @@ def test_the_steps_skip_the_head(monkeypatch, name):
     # slice from one cell earlier
     cfg, data = KERNEL_CASES[name]
     res, starts = _slice_starts(monkeypatch, cfg, data)
-    c = _head_end(*data.evaluate(cfg.t0, res.r))
+    c = _head_end(*data.evaluate(cfg.t0, np.arange(cfg.J + 1) * cfg.dr))
     assert c > 3 and starts[0] > 0
     assert starts == [max(0, c - 3 - m) for m in range(res.steps)]
 
@@ -349,7 +363,7 @@ def test_last_level_not_past_t_end(J):
     t_last = cfg.t0 + res.steps * res.dt
     assert t_last <= cfg.t_end + 1e-12
     assert t_last + res.dt > cfg.t_end
-    assert [t for t, _, _ in res.snapshots] == [t_last]
+    assert res.levels.times.tolist() == [t_last]
 
 
 def test_interval_shorter_than_one_step_takes_no_step():
@@ -358,7 +372,7 @@ def test_interval_shorter_than_one_step_takes_no_step():
     res = evolve(cfg, InitialDataSpec.gaussian(1e-3, 0.5))
     assert res.dt > cfg.t_end - cfg.t0
     assert res.status == "completed" and res.steps == 0
-    assert [t for t, _, _ in res.snapshots] == [0.0]
+    assert res.levels.times.tolist() == [0.0]
 
 
 class TestEvolveBasics:
@@ -367,8 +381,8 @@ class TestEvolveBasics:
                            snapshot_times=(0.0, 0.25, 0.5))
         res = evolve(cfg, zero_data())
         assert res.status == "completed"
-        for (_, phi, phit) in res.snapshots:
-            assert np.all(phi == 0.0) and np.all(phit == 0.0)
+        assert res.levels.times.size == 3
+        assert np.all(res.levels.phi == 0.0) and np.all(res.levels.phi_t == 0.0)
 
     def test_cfl_violation_status(self):
         # a cfl outside (0, 1] is rejected with the config, as the other
@@ -381,8 +395,8 @@ class TestEvolveBasics:
         cfg = SolverConfig(n=1, J=64, R=4.0, t0=0.0, t_end=1.0,
                            snapshot_times=(0.333, 0.666))
         res = evolve(cfg, zero_data())
-        assert len(res.snapshots) == 2
-        for (t, _, _), req in zip(res.snapshots, (0.333, 0.666)):
+        assert res.levels.times.size == 2
+        for t, req in zip(res.levels.times, (0.333, 0.666)):
             assert abs(t - req) <= 0.5 * res.dt + 1e-12
 
     def test_blowup_truncated_ode(self):
@@ -399,25 +413,25 @@ class TestEvolveBasics:
         cfg = SolverConfig(n=3, p=2.0, J=256, R=8.0, t0=-1.0, t_end=-0.4,
                            snapshot_times=(-0.8, -0.6), record_energy=False)
         res = evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
-        from conewave.fields import DiscreteField, read_snapshot, write_snapshots
+        from conewave.fields import read_snapshot, write_snapshots
 
-        paths = write_snapshots(str(tmp_path), cfg.n, cfg.p, res.r,
-                                res.snapshots)
+        paths = write_snapshots(str(tmp_path), cfg.n, cfg.p, res.levels)
 
         rows = [read_snapshot(path) for path in paths]  # (n, p, t, r, phi, phit)
-        reloaded = DiscreteField.from_levels(
-            [(t, phi, phit) for _, _, t, _, phi, phit in rows], rows[0][3])
-        np.testing.assert_array_equal(reloaded.phi, res.field().phi)
+        reloaded = DiscreteField([t for _, _, t, _, _, _ in rows], rows[0][3],
+                                 [phi for _, _, _, _, phi, _ in rows],
+                                 [phit for _, _, _, _, _, phit in rows])
+        np.testing.assert_array_equal(reloaded.times, res.levels.times)
+        np.testing.assert_array_equal(reloaded.phi, res.levels.phi)
         restart = InitialDataSpec("file", path=paths[0])
-        cfg2 = SolverConfig(n=3, p=2.0, J=256, R=8.0, t0=res.snapshots[0][0],
-                            t_end=-0.4, snapshot_times=(-0.6,),
-                            record_energy=False)
+        cfg2 = SolverConfig(n=3, p=2.0, J=256, R=8.0,
+                            t0=res.levels.times.item(0), t_end=-0.4,
+                            snapshot_times=(-0.6,), record_energy=False)
         res2 = evolve(cfg2, restart)
         assert res2.status == "completed"
         # restarted core agrees with the original run to discretization error
-        t2, phi2, _ = res2.snapshots[0]
-        t1, phi1, _ = res.snapshots[1]
-        assert abs(phi2[0] - phi1[0]) <= 5e-3 * abs(phi1[0])
+        phi2, phi1 = res2.levels.phi[0, 0], res.levels.phi[1, 0]
+        assert abs(phi2 - phi1) <= 5e-3 * abs(phi1)
 
 
 @pytest.fixture(scope="module")
@@ -441,8 +455,8 @@ def blowup_runs():
 class TestDecayRun:
     def test_completes_and_amplitude_decays(self, decay_result):
         assert decay_result.status == "completed"
-        first = np.abs(decay_result.snapshots[0][1]).max()
-        last = np.abs(decay_result.snapshots[-1][1]).max()
+        first = np.abs(decay_result.levels.phi[0]).max()
+        last = np.abs(decay_result.levels.phi[-1]).max()
         assert last < 0.5 * first
 
     def test_discrete_energy_nonincreasing_per_step(self, decay_result):
@@ -475,15 +489,20 @@ class TestFiniteSpeed:
         cfg = SolverConfig(n=1, J=128, R=8.0, t0=0.0, t_end=1.0,
                            snapshot_times=(0.5,))
         res = evolve(cfg, zero_data())
-        t, phi, phit = res.snapshots[0]
-        phi = phi.copy()
-        phi[-3] = 1e-6  # far-field contamination
-        tampered = RunResult(res.status, res.t_blowup, [(t, phi, phit)],
+        levels = res.levels
+        phi = levels.phi.copy()
+        phi[0, -3] = 1e-6  # far-field contamination
+        tampered = RunResult(res.status, res.t_blowup,
+                             DiscreteField(levels.times, levels.r, phi,
+                                           levels.phi_t),
                              res.config, res.dt, res.max_phi,
                              res.energy_times, res.energy, res.steps)
         ok, witness = finite_speed_check(tampered, 0.5)
         assert not ok
         assert witness is not None and abs(witness[2]) == 1e-6
+        # Python floats: a numpy scalar would print as np.float64(...) in
+        # the summary's `fail at` witness
+        assert [type(x) for x in witness] == [float] * 3
 
 
 class TestCoreTracking:
@@ -501,7 +520,7 @@ class TestCoreTracking:
                             phi_max=1e3, record_energy=False,
                             snapshot_times=(-0.5, -0.2, -0.1))
         res2 = evolve(cfg2, InitialDataSpec.truncated_ode(2.0, 0.25))
-        for (t, phi, _) in res2.snapshots:
+        for t, phi in zip(res2.levels.times, res2.levels.phi):
             exact = float(sol.value(t))
             assert abs(phi[0] - exact) <= 0.01 * exact
 

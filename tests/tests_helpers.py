@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from conewave.exact_solutions import smoothstep
-from conewave.fields import ManufacturedField, write_snapshots
+from conewave.fields import DiscreteField, ManufacturedField, write_snapshots
 
 
 def zero_field(n=3):
@@ -48,8 +48,8 @@ def written_region(window, r_inner, r_outer, singular_r=(False, False),
 def write_level(directory, n, p, t, r, phi, phit):
     """One level (t, phi, phit) written through write_snapshots into
     `directory`; returns the file's path."""
-    return pathlib.Path(write_snapshots(str(directory), n, p, r,
-                                        [(t, phi, phit)])[0])
+    level = DiscreteField([t], r, np.asarray(phi)[None], np.asarray(phit)[None])
+    return pathlib.Path(write_snapshots(str(directory), n, p, level)[0])
 
 
 def closures_jet(phi, phi_t, phi_r, box):
