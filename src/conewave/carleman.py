@@ -25,12 +25,10 @@ from .geometry import (
     ConePiece,
     CylinderPiece,
     ExteriorRegionSpec,
-    LevelSetPiece,
     ShiftedWeight,
     SurfacePiece,
     TimeSlicePiece,
     UNSHIFTED,
-    lateral_boundary,
 )
 from .quadrature import QuadratureSpec, integrate_bulk, integrate_surfaces
 
@@ -319,8 +317,6 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
 
     lhs = integrate_bulk(exterior, lhs_integrand, q, n)
 
-    piece = lateral_boundary(exterior)
-
     def lateral(t, r, f):
         """The four boundary terms from one field jet per node."""
         ph, phi_t, phi_r = fieldobj.jet(t, r)[:3]
@@ -328,7 +324,7 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
         return (phi_t ** 2 + phi_r ** 2, np.abs(ph) ** (p + 1.0), zeroth,
                 f ** (-1.0 + 2.0 * a) * zeroth)
 
-    [(t1, t2, t3, t4)] = integrate_surfaces((piece,), lateral, q, n)
+    [(t1, t2, t3, t4)] = integrate_surfaces((exterior.lateral,), lateral, q, n)
 
     terms = {
         "t1_gradient": ts ** (1.0 + 4.0 * a) * t1.value,
@@ -363,7 +359,5 @@ def vanishing_flux_probe(params: CarlemanParams, field, exterior,
         raise ValueError("params.shift must match the exterior region")
     if sorted(eps_sequence, reverse=True) != list(eps_sequence):
         raise ValueError("eps sequence must be decreasing")
-    pieces = [LevelSetPiece(exterior.weight, eps, *ExteriorRegionSpec(
-        exterior.sigma, exterior.t_star, eps).time_window())
-        for eps in eps_sequence]
+    pieces = [exterior.level_set(eps) for eps in eps_sequence]
     return [res.value for res in _piece_fluxes(params, field, pieces, q)]

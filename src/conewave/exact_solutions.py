@@ -147,8 +147,12 @@ class InitialDataSpec:
             sol = OdeSolution(self.p)
             return float(sol.value(t0)) * ramp, float(sol.dvalue(t0)) * ramp
         if self.kind == "gaussian":
-            ramp = 1.0 - smoothstep((r - 5.0 * self.width) / self.width)
-            phi = self.amplitude * np.exp(-r * r / (2.0 * self.width ** 2)) * ramp
+            # an overflowing r * r gives exp(-inf) = 0, and smoothstep clips
+            # an overflowing quotient
+            with np.errstate(over="ignore"):
+                ramp = 1.0 - smoothstep((r - 5.0 * self.width) / self.width)
+                phi = (self.amplitude * np.exp(-r * r / (2.0 * self.width ** 2))
+                       * ramp)
             return phi, np.zeros_like(r)
         n, p, t, rfile, phi, phit = read_snapshot(self.path)
         if abs(t - t0) > 1e-9 * max(1.0, abs(t0)):

@@ -31,7 +31,6 @@ __all__ = [
     "eval_weight",
     "eval_weight_gradient",
     "minkowski_norm_sq",
-    "lateral_boundary",
     "covering_check",
     "CoveringResult",
 ]
@@ -164,16 +163,18 @@ class ConeSegmentSpec(BulkRegion):
 @dataclass(frozen=True)
 class ExteriorRegionSpec(BulkRegion):
     """Intersection of the cone with the exterior of the double null cone
-    from (t*, 0) on the axis: {|t - t*| < r} n {0 < r < sigma t}.
+    from (t*, 0) on the axis: {|t - t*| < r} n {0 < r < sigma t}, over
+    t*/(1 + sigma) < t < t*/(1 - sigma).
 
-    The inner edge sits on {f = eps}: the weight vanishes there when
-    eps = 0, so quadrature grades in r toward it, and in t toward the
-    corners where the r-interval degenerates."""
+    The weight vanishes on the inner edge, so quadrature grades in r toward
+    it, and in t toward the corners where the r-interval degenerates. The
+    region carries its boundary: the cone piece `lateral`, and the level
+    sets {f = eps} that cut it from inside (`level_set`)."""
 
     sigma: float
     t_star: float
-    eps: float = 0.0  # inner cut {f > eps}; 0 means up to the null boundary
 
+    singular_r = (True, False)
     singular_t = (True, True)
 
     def __post_init__(self):
@@ -181,33 +182,37 @@ class ExteriorRegionSpec(BulkRegion):
             raise ValueError("cone aperture must lie in (0, 1)")
         if self.t_star <= 0.0:
             raise ValueError("exterior region requires t* > 0")
-        if self.eps < 0.0:
-            raise ValueError("eps must be >= 0")
 
     @property
     def weight(self) -> ShiftedWeight:
         return ShiftedWeight(self.t_star)
 
-    @property
-    def singular_r(self):
-        return self.eps == 0.0, False
-
     def time_window(self):
-        """t-range of the region: solves r_min(t) = sigma t with
-        r_min = sqrt((t-t*)^2 + 4 eps).
-        """
-        sig, ts, eps = self.sigma, self.t_star, self.eps
+        return (self.t_star / (1.0 + self.sigma),
+                self.t_star / (1.0 - self.sigma))
+
+    def r_inner(self, t):
+        return np.abs(np.asarray(t, dtype=float) - self.t_star)
+
+    def r_outer(self, t):
+        return self.sigma * np.asarray(t, dtype=float)
+
+    @property
+    def lateral(self) -> ConePiece:
+        """The cone part of the boundary, carrying the weight whose zero
+        set sits at both ends."""
+        return ConePiece(self.sigma, *self.time_window(), weight=self.weight)
+
+    def level_set(self, eps) -> LevelSetPiece:
+        """The level set {f = eps} inside the cone, over the t-range where
+        its radius sqrt((t - t*)^2 + 4 eps) stays below sigma t."""
+        sig, ts = self.sigma, self.t_star
         disc = sig * sig * ts * ts - 4.0 * eps * (1.0 - sig * sig)
         if disc <= 0.0:
             raise ValueError("eps too large: region is empty")
         root = math.sqrt(disc)
-        return (ts - root) / (1.0 - sig * sig), (ts + root) / (1.0 - sig * sig)
-
-    def r_inner(self, t):
-        return np.sqrt((np.asarray(t, dtype=float) - self.t_star) ** 2 + 4.0 * self.eps)
-
-    def r_outer(self, t):
-        return self.sigma * np.asarray(t, dtype=float)
+        return LevelSetPiece(self.weight, eps, (ts - root) / (1.0 - sig * sig),
+                             (ts + root) / (1.0 - sig * sig))
 
 
 # --------------------------------------------------------------------------
@@ -434,14 +439,6 @@ def minkowski_norm_sq(vec) -> float:
     """g(v, v) with signature (-,+,...,+); vec = (t component, spatial...)."""
     v = np.asarray(vec, dtype=float)
     return float(-v[0] ** 2 + np.dot(v[1:], v[1:]))
-
-
-def lateral_boundary(region: ExteriorRegionSpec) -> ConePiece:
-    """Cone part of the exterior-region boundary, from t*/(1+sigma) to
-    t*/(1-sigma), carrying the weight whose zero set sits at both ends."""
-    ts, sig = region.t_star, region.sigma
-    return ConePiece(sig, ts / (1.0 + sig), ts / (1.0 - sig),
-                     weight=region.weight)
 
 
 # --------------------------------------------------------------------------

@@ -200,12 +200,14 @@ def _refine(level):
     return result(fine, coarse)
 
 
-def _weighted_sums(integrand, T, mesh, cols, axis=None):
-    """sum(meas * vals) for the integrand's values on a mesh of len(T) rows
-    of `cols` nodes, over the whole mesh, or per row with `axis=1`.
+def _weighted_sums(integrand, T, lo, span, rule, n, wspan=None, axis=None):
+    """sum(meas * vals) for the integrand's values on a radial-row mesh,
+    over the whole mesh, or per row with `axis=1`.
 
-    T is a (rows, 1) column, one time per row; `mesh(rows)` gives the radii
-    R and the measure of a slice of rows. The mesh and the integrand are
+    Row i sits at the time T[i] (T a (rows, 1) column) and carries the unit
+    rule (rel, w) mapped onto (lo[i], lo[i] + span[i]), with the measure
+    wspan[i] w area(S^{n-1}) R^{n-1} (`wspan` defaults to `span`; a bulk
+    region folds its time weights into it). The mesh and the integrand are
     evaluated on blocks of whole rows of about BLOCK_NODES nodes, so their
     temporaries stay small, and meas * vals goes into one full-size buffer
     per output that is summed once: the sums have the bits of a whole-mesh
@@ -213,13 +215,20 @@ def _weighted_sums(integrand, T, mesh, cols, axis=None):
     whole-mesh pass meets them: every block evaluated, then the outputs in
     order, each in row order. An integrand returning a tuple of arrays gives
     a tuple of sums, one per array."""
+    rel, w = rule
+    wspan = span if wspan is None else wspan
+    om = sphere_area(n)
+    cols = rel.size
     step = max(1, BLOCK_NODES // cols)
     bufs = bad = None
     # non-finite values are reported below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo in range(0, len(T), step):
-            rows = slice(lo, lo + step)
-            R, meas = mesh(rows)
+        for start in range(0, len(T), step):
+            rows = slice(start, start + step)
+            R = lo[rows] + span[rows] * rel
+            meas = wspan[rows] * w
+            meas *= om
+            meas *= R ** (n - 1)
             out = integrand(T[rows], R)
             several = isinstance(out, tuple)
             outs = out if several else (out,)
@@ -258,17 +267,13 @@ def integrate_slices(times, r_lo, r_hi, integrand, q: QuadratureSpec,
         raise ValueError(f"slice bounds reversed: r_hi = {float(hi[i])!r} "
                          f"< r_lo = {float(lo[i])!r}")
     live = np.flatnonzero(hi > lo)
-    base, span, om = lo[live, None], (hi - lo)[live, None], sphere_area(n)
+    base, span = lo[live, None], (hi - lo)[live, None]
 
     def level(factor):
-        rel, w = _Mesh(q, factor).radial(0.0, 1.0)
-
-        def mesh(rows):
-            R = base[rows] + span[rows] * rel
-            return R, span[rows] * w * om * R ** (n - 1)
-
-        sums = _weighted_sums(integrand, T[live], mesh, rel.size, axis=1)
-        return tuple(zip(*sums) if isinstance(sums, tuple) else sums), rel.size
+        rule = _unit_rule(factor * q.cells_r)
+        sums = _weighted_sums(integrand, T[live], base, span, rule, n, axis=1)
+        return (tuple(zip(*sums) if isinstance(sums, tuple) else sums),
+                rule[0].size)
 
     try:
         results = iter(_refine(level) if live.size else ())
@@ -285,7 +290,6 @@ def integrate_bulk(region, integrand, q: QuadratureSpec, n: int) -> QuadratureRe
     geometry.BulkRegion), with the radial measure area(S^{n-1}) r^{n-1} dr dt:
     a tensor composite rule over {t_lo < t < t_hi, r_inner(t) < r <
     r_outer(t)}, graded toward the region's `singular_r`/`singular_t` edges."""
-    om = sphere_area(n)
     grade = q.grading_exponent
     t_lo, t_hi = region.time_window()
 
@@ -294,19 +298,11 @@ def integrate_bulk(region, integrand, q: QuadratureSpec, n: int) -> QuadratureRe
                                   *region.singular_t)
         rlo = np.asarray(region.r_inner(tn), dtype=float)[:, None]
         rhi = np.asarray(region.r_outer(tn), dtype=float)[:, None]
-        rel, rw_rel = _unit_rule(factor * q.cells_r, grade, *region.singular_r)
+        rule = _unit_rule(factor * q.cells_r, grade, *region.singular_r)
         span = rhi - rlo
-        wspan = tws[:, None] * span
-
-        def mesh(rows):
-            R = rlo[rows] + span[rows] * rel
-            meas = wspan[rows] * rw_rel
-            meas *= om
-            meas *= R ** (n - 1)
-            return R, meas
-
-        return (_weighted_sums(integrand, tn[:, None], mesh, rel.size),
-                tn.size * rel.size)
+        return (_weighted_sums(integrand, tn[:, None], rlo, span, rule, n,
+                               wspan=tws[:, None] * span),
+                tn.size * rule[0].size)
 
     return _refine(level)
 

@@ -65,13 +65,18 @@ class SolverConfig:
             raise ValueError("blow-up threshold must be positive")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must be in (0, 1]")
-        # the steps divide by the cell volumes and scale by the areas
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            weights = np.concatenate(_radial_operator(self.n, self.J, self.dr))
+        # the steps divide by the cell volumes and scale by the areas, and
+        # the power iteration squares lam, which lies between 1/dr^2 and
+        # max(4.9, 2.2 n)/dr^2
+        with np.errstate(all="ignore"):
+            lam = np.array([1.0, max(4.9, 2.2 * self.n)]) / np.float64(self.dr) ** 2
+            weights = np.concatenate(_radial_operator(self.n, self.J, self.dr)
+                                     + (lam * lam,))
         if not np.all((np.finfo(float).tiny <= weights) & (weights < math.inf)):
             raise ValueError(
                 "the half-node areas r^(n-1) or cell volumes of the radial "
-                "grid leave the normal float range")
+                "grid, or the square of its operator scale 1/dr^2, leave the "
+                "normal float range")
 
     @property
     def dr(self) -> float:
@@ -132,7 +137,6 @@ def _operator_norm(s, vol, dr, J):
     v = np.cos(np.pi * np.arange(J + 1))
     v[J] = 0.0
     v /= np.linalg.norm(v)
-    lam = 4.0 / dr ** 2
     w = np.empty_like(v)
     flux = np.empty(J)
     for _ in range(200):
@@ -332,8 +336,10 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
 
 
 def blowup_estimate(coarse: RunResult, fine: RunResult) -> float:
-    """Richardson extrapolation of the first-crossing times across two grids
-    (fine must have twice the resolution of coarse)."""
+    """Richardson extrapolation of the first-crossing times across two grids:
+    fine must be coarse's run at twice its J, nothing else changed."""
+    if fine.config != replace(coarse.config, J=2 * coarse.config.J):
+        raise ValueError("the fine run must be the coarse run at twice its J")
     if coarse.t_blowup is None or fine.t_blowup is None:
         raise ValueError("both runs must have blown up")
     return 2.0 * fine.t_blowup - coarse.t_blowup

@@ -28,7 +28,6 @@ from conewave.geometry import (
     ShiftedWeight,
     UNSHIFTED,
 )
-from conewave.geometry import lateral_boundary
 from conewave.quadrature import (QuadratureSpec, integrate_bulk,
                                  integrate_surfaces)
 from tests_helpers import (box_bulk, closures_jet, constant_field,
@@ -716,7 +715,7 @@ def _four_separate_terms(params, fieldobj, exterior, q):
     integrate_surfaces calls, one integrand (and one field evaluation)
     each."""
     a, p = params.a, params.p
-    piece = lateral_boundary(exterior)
+    piece = exterior.lateral
     integrands = (
         lambda t, r, f: fieldobj.jet(t, r)[1] ** 2 + fieldobj.jet(t, r)[2] ** 2,
         lambda t, r, f: np.abs(fieldobj.value(t, r)) ** (p + 1.0),

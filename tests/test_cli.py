@@ -882,6 +882,27 @@ def test_radial_weights_past_the_float_range_are_exit_2(tmp_path, capsys, n):
                 f"areas r^(n-1) or cell volumes")
 
 
+@pytest.mark.parametrize("R,times,width", [
+    ("1e300", "t0 = -1.0\nt_end = -0.1", "1e-150"),
+    ("1e-299", "t0 = 0.0\nt_end = 1e-300", "1e-160")], ids=["huge", "tiny"])
+def test_an_operator_scale_past_the_float_range_is_exit_2(tmp_path, capsys,
+                                                          R, times, width):
+    # before: R = 1e300 exited 1 with an OverflowError from the power
+    # iteration's dead starting value 4 / dr^2 (after two numpy warnings
+    # from the gaussian data), R = 1e-299 with a ZeroDivisionError
+    text = BASE.replace("n = 3", "n = 1").replace(
+        "R = 6.0\nJ = 256", f"R = {R}\nJ = 64").replace(
+        "t0 = -1.0\nt_end = -0.1", times).replace(
+        "snapshot_times = -0.8 -0.5 -0.3\n", "").replace(
+        "amplitude = 0.0\nwidth = 0.5", f"amplitude = 1e-3\nwidth = {width}")
+    cfg = write_config(tmp_path / "c.cfg", text)
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [problem] n = 1, [grid] R = {float(R)!r}, J = 64: the "
+        f"half-node areas r^(n-1) or cell volumes of the radial grid, or the "
+        f"square of its operator scale 1/dr^2, leave the normal float range"]
+
+
 def test_overflow_prints_only_the_error_line(tmp_path):
     # the ODE core overflows past t = 0 before reaching the threshold; the
     # solver's finiteness test reports it, with no numpy warning before it

@@ -212,6 +212,14 @@ class TestInitialData:
         with pytest.raises(ValueError, match="amplitude must be finite"):
             InitialDataSpec.gaussian(amplitude, 0.5)
 
+    def test_a_gaussian_past_the_float_range_is_zero_without_a_warning(self):
+        # before: `overflow encountered in multiply` from r * r, and with
+        # the quotient (r - 5 s)/s also `in scalar divide`
+        phi, _ = InitialDataSpec.gaussian(1e-3, 1e-150).evaluate(
+            0.0, np.array([0.0, 1e-151, 1e200, 1e300]))
+        assert phi[0] == 1e-3 and 0.0 < phi[1] < 1e-3
+        assert phi[2:].tolist() == [0.0, 0.0]
+
     def test_file_round_trip(self, tmp_path):
         r = np.linspace(0, 2, 33)
         path = write_level(tmp_path, 3, 2.0, -1.0, r, np.sin(r), np.cos(r))

@@ -416,6 +416,24 @@ class TestDiscreteFieldEvaluation:
             DiscreteField(np.array([0.0]), np.array([0.5, 1.0]),
                           np.zeros((1, 2)), np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_a_non_uniform_grid_is_refused_at_every_scale(self, scale):
+        # before: numpy's default atol = 1e-8 let r = [0, 1, 5, 6] * 1e-9
+        # through, with dr read as 1e-9
+        r = np.array([0.0, 1.0, 5.0, 6.0]) * scale
+        with pytest.raises(ValueError, match="radial grid must be uniform"):
+            DiscreteField(np.array([0.0]), r, np.zeros((1, 4)),
+                          np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("R,J", [(72.0, 100000), (0.37, 12345),
+                                     (4.0, 262144), (1e-6, 4096),
+                                     (1e6, 8)])
+    def test_solver_grids_pass(self, R, J):
+        r = np.arange(J + 1) * (R / J)
+        fld = DiscreteField(np.array([0.0]), r, np.zeros((1, J + 1)),
+                            np.zeros((1, J + 1)))
+        assert fld.dr == r[1]
+
     @pytest.mark.parametrize("shape", [(1, 11), (2, 10), (2,)])
     def test_phi_t_must_have_the_shape_of_phi(self, shape):
         # before: only phi's shape was checked; evaluating phi_t then gave

@@ -19,7 +19,6 @@ from conewave.geometry import (
     covering_check,
     eval_weight,
     eval_weight_gradient,
-    lateral_boundary,
     minkowski_norm_sq,
 )
 from conewave.energetics import _slab
@@ -112,12 +111,35 @@ class TestContains:
             _slab(zero_field(3), 0.5, 1.2, 0.0)
 
 
+class TestExteriorBoundary:
+    @settings(max_examples=300, deadline=None)
+    @given(sigma=st.floats(0.01, 0.99), ts=st.floats(1e-3, 1e3))
+    def test_window_is_the_lateral_piece(self, sigma, ts):
+        ext = ExteriorRegionSpec(sigma, ts)
+        lo, hi = ext.time_window()
+        assert (lo.hex(), hi.hex()) == (ext.lateral.t_lo.hex(),
+                                        ext.lateral.t_hi.hex())
+        assert ext.lateral.weight == ext.weight
+
+    @pytest.mark.parametrize("sigma,ts,eps,lo,hi", [
+        (0.5, 1.0, 1e-2, "0x1.6a77b5c72d6c5p-1", "0x1.f56ecfc713f48p+0"),
+        (0.5, 1.0, 1e-4, "0x1.5589c72294cb1p-1", "0x1.ffe5c71960453p+0"),
+        (0.3, 1.7, 1e-3, "0x1.4fc6d51f9e6c7p+0", "0x1.365a794e6eadap+1"),
+        (0.7, 3.0, 0.05, "0x1.d006c8990a537p+0", "0x1.3e779f65572e1p+3"),
+    ])
+    def test_level_set_window_bits(self, sigma, ts, eps, lo, hi):
+        # the window of the former bulk region {f > eps}, pinned in hex
+        level = ExteriorRegionSpec(sigma, ts).level_set(eps)
+        assert (level.t_lo.hex(), level.t_hi.hex()) == (lo, hi)
+        assert level.eps == eps and level.weight == ShiftedWeight(ts)
+
+
 class TestAngle:
-    def test_bounded_on_lateral_boundary(self):
+    def test_bounded_on_the_lateral_piece(self):
         # tan(theta) = (t - t*)/r: |theta| <= pi/4 on the cone part of the
         # exterior-region boundary
         ext = ExteriorRegionSpec(0.5, 1.0)
-        piece = lateral_boundary(ext)
+        piece = ext.lateral
         for t in np.linspace(piece.t_lo + 1e-9, piece.t_hi - 1e-9, 200):
             theta = math.atan2(t - ext.t_star, float(piece.radius(t)))
             assert abs(theta) <= math.pi / 4 + 1e-12
@@ -256,7 +278,7 @@ class TestNormalWeightDerivative:
         # on r = sigma t the cone normal gives
         # N(f) = sigma t* / (2 sqrt(1 - sigma^2)) exactly for the axis ray
         ext = ExteriorRegionSpec(0.5, 2.0)
-        piece = lateral_boundary(ext)
+        piece = ext.lateral
         want = 0.5 / (2 * math.sqrt(0.75))
         for t in np.linspace(piece.t_lo + 1e-6, piece.t_hi - 1e-6, 50):
             r = float(piece.radius(t))

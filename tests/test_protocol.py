@@ -31,7 +31,6 @@ from conewave.geometry import (
     LevelSetPiece,
     ShiftedWeight,
     TimeSlicePiece,
-    lateral_boundary,
 )
 from conewave.quadrature import (
     QuadratureSpec,
@@ -59,10 +58,6 @@ def exterior_window(sigma, ts, eps):
             (ts + root) / (1.0 - sigma * sigma))
 
 
-def level_radius(ts, eps):
-    return lambda t: np.sqrt((np.asarray(t, dtype=float) - ts) ** 2 + 4.0 * eps)
-
-
 # (region, window, r_inner, r_outer, singular_r, singular_t)
 BULK_CASES = {
     "box": (box_region(-0.3, 0.4, 0.9, 1.7), (-0.3, 0.4),
@@ -77,12 +72,9 @@ BULK_CASES = {
     "cone_segment": (ConeSegmentSpec(0.4, 0.5, 2.0), (0.5, 2.0),
                      np.zeros_like, lambda t: 0.4 * t,
                      (False, False), (False, False)),
-    "exterior": (ExteriorRegionSpec(0.5, 1.0), exterior_window(0.5, 1.0, 0.0),
-                 level_radius(1.0, 0.0), lambda t: 0.5 * t,
+    "exterior": (ExteriorRegionSpec(0.5, 1.0), (1.0 / 1.5, 1.0 / 0.5),
+                 lambda t: np.abs(t - 1.0), lambda t: 0.5 * t,
                  (True, False), (True, True)),
-    "exterior_eps": (ExteriorRegionSpec(0.5, 1.0, eps=0.01),
-                     exterior_window(0.5, 1.0, 0.01), level_radius(1.0, 0.01),
-                     lambda t: 0.5 * t, (False, False), (True, True)),
     "frustum": (frustum_region(0.1, 0.6, 0.9, 0.5, -3.0), (0.1, 0.6),
                 lambda t: np.full_like(t, 0.9), lambda t: 0.5 * (t + 3.0),
                 (False, False), (False, False)),
@@ -192,7 +184,7 @@ PIECE_CASES = {
     "weighted_cone": [ConePiece(sigma, 1.0 / (1.0 + sigma), 1.0 / (1.0 - sigma),
                                 outward_sign=sign, weight=WEIGHT)
                       for sigma in (0.3, 0.5, 0.758952) for sign in (-1, 1)],
-    "singular_cone": [lateral_boundary(ExteriorRegionSpec(sigma, ts))
+    "singular_cone": [ExteriorRegionSpec(sigma, ts).lateral
                       for sigma in (0.3, 0.5, 0.661277) for ts in (1.0, 2.5)],
     "level_set": [LevelSetPiece(WEIGHT, eps, lo, hi)
                   for eps in (0.003, 0.01, 0.05)

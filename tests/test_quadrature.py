@@ -13,7 +13,6 @@ from conewave.geometry import (
     CylinderPiece,
     ExteriorRegionSpec,
     TimeSlicePiece,
-    lateral_boundary,
 )
 from conewave import quadrature
 from conewave.quadrature import (
@@ -100,13 +99,12 @@ class TestBulk:
         assert res_pos.value == pytest.approx(res.value, rel=1e-12)
 
     def test_exterior_region_eps_window(self):
-        ext = ExteriorRegionSpec(0.5, 1.0, eps=0.01)
-        lo, hi = ext.time_window()
-        full = ExteriorRegionSpec(0.5, 1.0)
-        lo0, hi0 = full.time_window()
-        assert lo0 < lo < hi < hi0    # positive eps shrinks the window
-        with pytest.raises(ValueError):
-            ExteriorRegionSpec(0.5, 1.0, eps=10.0).time_window()
+        ext = ExteriorRegionSpec(0.5, 1.0)
+        level = ext.level_set(0.01)
+        lo0, hi0 = ext.time_window()
+        assert lo0 < level.t_lo < level.t_hi < hi0  # eps > 0 shrinks it
+        with pytest.raises(ValueError, match="eps too large"):
+            ext.level_set(10.0)
 
     def test_exterior_region_weighted_volume(self):
         # int over D of f^{2a}: compare against a dense reference computed
@@ -255,7 +253,7 @@ class TestSurface:
         # every node the singular-piece integrator generates on the lateral
         # boundary satisfies |theta| <= pi/4 (+ roundoff)
         ext = ExteriorRegionSpec(0.5, 1.0)
-        piece = lateral_boundary(ext)
+        piece = ext.lateral
         worst = []
 
         def recorder(t, r, f):
@@ -287,7 +285,7 @@ class TestSurface:
         # region, n = 1; cos 2 theta = 4 f / (r^2 + (t-t*)^2) in terms of the
         # weight value supplied by the piece
         ext = ExteriorRegionSpec(0.5, 1.0)
-        piece = lateral_boundary(ext)
+        piece = ext.lateral
         ts = 1.0
 
         def integrand(t, r, f):
@@ -334,7 +332,7 @@ class TestSurface:
         for a, cells, grading in ((0.05, 512, 30.0), (0.25, 256, 6.0),
                                   (0.45, 128, 3.0)):
             ext = ExteriorRegionSpec(0.5, 1.0)
-            piece = lateral_boundary(ext)
+            piece = ext.lateral
             ts = 1.0
             sigma = 0.5
 

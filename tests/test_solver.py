@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -391,6 +392,22 @@ class TestEvolveBasics:
             with pytest.raises(ValueError, match="cfl"):
                 SolverConfig(n=1, J=64, R=4.0, t0=0.0, t_end=0.5, cfl=cfl)
 
+    @pytest.mark.parametrize("R", [1e300, 1e140, 1e79, 1e-78, 1e-140,
+                                   1e-299])
+    def test_an_operator_scale_past_the_float_range_is_refused(self, R):
+        # before: R = 1e300 raised OverflowError from the power iteration's
+        # dead start 4 / dr^2 and R = 1e-299 ZeroDivisionError; between,
+        # the norm's squares left the float range, lam became nan and dt
+        # silently fell back to dr
+        with pytest.raises(ValueError, match="square of its operator scale"):
+            SolverConfig(n=1, J=64, R=R, t0=0.0, t_end=1.0)
+
+    @pytest.mark.parametrize("R", [1e-74, 1e76])
+    def test_an_operator_scale_inside_the_float_range_runs(self, R):
+        cfg = SolverConfig(n=1, J=64, R=R, t0=0.0, t_end=R / 16)
+        res = evolve(cfg, zero_data())
+        assert res.status == "completed" and 0.0 < res.dt < cfg.dr
+
     def test_snapshots_at_nearest_grid_times(self):
         cfg = SolverConfig(n=1, J=64, R=4.0, t0=0.0, t_end=1.0,
                            snapshot_times=(0.333, 0.666))
@@ -542,6 +559,23 @@ class TestBlowupRefinement:
             est = blowup_estimate(blowup_runs[coarse], blowup_runs[fine])
             assert abs(est - t_exact) <= blowup_runs[coarse].dt
             assert abs(est - t_exact) < abs(blowup_runs[coarse].t_blowup - t_exact)
+
+
+    @pytest.mark.parametrize("coarse,fine", [(2048, 1024), (512, 2048),
+                                             (1024, 1024)])
+    def test_refuses_a_pair_that_is_not_coarse_and_twice_as_fine(
+            self, blowup_runs, coarse, fine):
+        # before: (2048, 1024) returned +0.002062 against the crossing's
+        # -0.002449, a blow-up after the singularity
+        with pytest.raises(ValueError, match="twice its J"):
+            blowup_estimate(blowup_runs[coarse], blowup_runs[fine])
+
+    def test_refuses_runs_of_different_problems(self, blowup_runs):
+        other = dataclasses.replace(
+            blowup_runs[1024],
+            config=dataclasses.replace(blowup_runs[1024].config, cfl=0.8))
+        with pytest.raises(ValueError, match="twice its J"):
+            blowup_estimate(blowup_runs[512], other)
 
 
 class TestConvergence:

@@ -1,11 +1,30 @@
 """The test configuration itself: a failing test is reported as a failure
-and the session goes on, whatever plugin reports it."""
+and the session goes on, whatever plugin reports it. And the benchmark's
+command lines: each workload's argv and config still parse and validate."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
 
-PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+import pytest
+
+from conewave import cli
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+
+
+def _load_workloads():
+    """bench/workloads.py, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
 
 PROPERTY_TESTS = '''
 from hypothesis import given, strategies as st
@@ -35,3 +54,22 @@ def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout
     assert "Falsifying example" in proc.stdout
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_a_benchmark_command_line_parses_and_validates(tmp_path, monkeypatch,
+                                                       name):
+    # the workload's scenario is stubbed: exit 0 shows that argparse took
+    # its argv, `--threads 1` included, and that its config validated
+    cfg = tmp_path / "workload.cfg"
+    cfg.write_text(WORKLOADS.config_text(name, WORKLOADS.DEFAULT_SEED))
+    argv = WORKLOADS.cli_args(name, str(cfg), str(tmp_path / "out"))
+    seen = []
+
+    def stub(run_cfg, outdir):
+        seen.append(run_cfg)
+        return 0, {"status": "stub"}, []
+
+    monkeypatch.setitem(cli._SCENARIOS, argv[0], stub)
+    assert cli.run(argv) == 0
+    assert len(seen) == 1
