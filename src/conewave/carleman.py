@@ -313,7 +313,7 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
 
     def lhs_integrand(t, r):
         return (params.shift.value_radial(t, r) ** (2 * a)
-                * np.abs(fieldobj.value(t, r)) ** (p + 1.0))
+                * np.abs(fieldobj.jet(t, r)[0]) ** (p + 1.0))
 
     lhs = integrate_bulk(exterior, lhs_integrand, q, n)
 

@@ -276,6 +276,10 @@ def _validate(cfg: RunConfig):
     if cfg.t_star:
         r_diag = max(r_diag, max(cfg.sigma1, cfg.sigma) * cfg.eta
                      * max(abs(t) for t in cfg.t_star))
+    # and the ball B(0, |t|) of rate-fit and energy-profile at each negative
+    # diagnostic time (`_diagnostic_times`)
+    r_diag = max([r_diag] + [-t for t in cfg.t_star or cfg.snapshot_times
+                             if t < 0])
     if cfg.data is not None:
         # a snapshot time outside the run would be dropped; snapshot_log
         # puts its endpoints on t0 or t_end up to rounding
@@ -492,10 +496,10 @@ def _scenario_verify_localized(cfg: RunConfig, outdir):
     # a positive t_star's windows lie at t > 0
     fieldobj = _diagnostic_field(cfg, max(cfg.t_star))
     checks = [energetics.localized_estimate_check(
-        fieldobj, "annulus", (cfg.sigma0, cfg.sigma1), cfg.gamma, cfg.eta, ts,
-        cfg.p, cfg.n, cfg.quadrature) for ts in cfg.t_star]
+        fieldobj, cfg.sigma0, cfg.sigma1, cfg.gamma, cfg.eta, ts, cfg.p,
+        cfg.n, cfg.quadrature) for ts in cfg.t_star]
     tables = [("localized.csv", "t_star,kind,lhs,rhs,ratio",
-               [(c.t_star, c.kind, c.lhs, c.rhs, c.ratio) for c in checks],
+               [(c.t_star, "annulus", c.lhs, c.rhs, c.ratio) for c in checks],
                cfg.precision)]
     ratios = [c.ratio for c in checks if c.lhs != 0.0]  # vacuous cases pass
     if not ratios:

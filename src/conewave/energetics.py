@@ -28,7 +28,6 @@ __all__ = [
     "DecayReport",
     "annulus_quantity",
     "slab_quantity",
-    "lp_slab_quantity",
     "lateral_quantity",
     "weighted_ball_quantity",
     "localized_estimate_check",
@@ -106,18 +105,6 @@ def slab_quantity(field, sigma, gamma, t_star, p, n,
             (mass.value, mass.error_estimate))
 
 
-def lp_slab_quantity(field, sigma, gamma, t_star, p, n,
-                     q: QuadratureSpec = QuadratureSpec()):
-    """int_slab |phi|^{p+1} (no time weight)."""
-    slab = _slab(field, sigma, gamma, t_star)
-
-    def integrand(tt, rr):
-        return np.abs(field.value(tt, rr)) ** (p + 1.0)
-
-    res = integrate_bulk(slab, integrand, q, n)
-    return res.value, res.error_estimate
-
-
 def lateral_quantity(field, sigma, eta, t_star, p, n,
                      q: QuadratureSpec = QuadratureSpec()):
     """int over the cone-boundary slab of |grad phi|^2 + |phi|^{p+1}
@@ -159,13 +146,12 @@ class LocalizedCheck:
     lhs: float
     rhs: float
     ratio: float       # rhs / lhs; inf when lhs = 0 (pass by vacuity)
-    kind: str
     t_star: float
 
     @classmethod
-    def from_sides(cls, lhs, rhs, kind, t_star):
+    def from_sides(cls, lhs, rhs, t_star):
         ratio = math.inf if lhs == 0 else rhs / lhs
-        return cls(lhs=lhs, rhs=rhs, ratio=ratio, kind=kind, t_star=t_star)
+        return cls(lhs=lhs, rhs=rhs, ratio=ratio, t_star=t_star)
 
 
 def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q):
@@ -183,35 +169,18 @@ def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q):
     return ats * max(res.value for res in slices)
 
 
-def localized_estimate_check(field, kind, sigma_or_pair, gamma, eta, t_star,
-                             p, n, q: QuadratureSpec = QuadratureSpec()
+def localized_estimate_check(field, sigma0, sigma1, gamma, eta, t_star, p, n,
+                             q: QuadratureSpec = QuadratureSpec()
                              ) -> LocalizedCheck:
-    """Both sides of the localized estimates and their ratio.
-
-    kind "timecone": int_slab |phi|^{p+1} against
-        |t*| int_lateral [|grad phi|^2 + |phi|^{p+1} + t*^{-2} phi^2];
-    kind "annulus": the same left side against
-        |t*| sup_tau int_{A(tau)} [...], tau in [|t*|/eta, eta |t*|],
-    the sup discretized over 17 equispaced levels.
-    Negative t* runs the time-reflected construction.
+    """Both sides of the localized estimate and their ratio: the slab mass
+    int_slab |phi|^{p+1} (`slab_quantity`, aperture sigma0) against
+    |t*| sup_tau int_{A(tau)} [|grad phi|^2 + |phi|^{p+1} + t*^{-2} phi^2],
+    tau in [|t*|/eta, eta |t*|], the sup discretized over 17 equispaced
+    levels. Negative t* runs the time-reflected construction.
     """
-    if kind not in ("timecone", "annulus"):
-        raise ValueError("kind must be timecone or annulus")
-
-    if kind == "timecone":
-        sigma0 = float(sigma_or_pair)
-    else:
-        sigma0, sigma1 = sigma_or_pair
-
-    lhs, _ = lp_slab_quantity(field, sigma0, gamma, t_star, p, n, q)
-
-    if kind == "timecone":
-        rhs = abs(t_star) * lateral_quantity(field, sigma0, eta, t_star, p, n,
-                                             q)[0]
-    else:
-        rhs = _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q)
-
-    return LocalizedCheck.from_sides(lhs, rhs, kind, t_star)
+    lhs = slab_quantity(field, sigma0, gamma, t_star, p, n, q)[1][0]
+    rhs = _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q)
+    return LocalizedCheck.from_sides(lhs, rhs, t_star)
 
 
 @dataclass
@@ -236,7 +205,7 @@ def decay_partials(field, sigma, horizons, p, n,
     field.require_times((1.0, horizons[-1]))
 
     def bulk_integrand(tt, rr):
-        return np.abs(field.value(tt, rr)) ** (p + 1.0) / tt
+        return np.abs(field.jet(tt, rr)[0]) ** (p + 1.0) / tt
 
     def lat_integrand(tt, rr):
         v, v_t, v_r = field.jet(tt, rr)[:3]
@@ -307,7 +276,7 @@ def energy_profile(field, sigma0, sigma1, gamma, eta, times, p, n,
         mv, me = weighted_ball_quantity(field, t, p, n, q)
         le = lateral_quantity(field, sigma0, eta, t, p, n, q)[1]
         rhs = _annulus_sup(field, sigma0, sigma1, eta, t, p, n, q)
-        chk = LocalizedCheck.from_sides(mass, rhs, "annulus", t)
+        chk = LocalizedCheck.from_sides(mass, rhs, t)
         rows.append((t, av, sv, mv, chk.lhs, chk.rhs, chk.ratio,
                      ae + se + me + le))
     return rows

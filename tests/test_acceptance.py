@@ -206,8 +206,8 @@ def test_criterion_7_localized_ratio(truncated_run_field):
     def spread(field):
         ratios = []
         for ts in (-0.5, -0.25, -0.125):
-            chk = localized_estimate_check(field, "annulus", (0.25, 0.5),
-                                           1.2, 2.0, ts, 2.0, 3, Q)
+            chk = localized_estimate_check(field, 0.25, 0.5, 1.2, 2.0, ts,
+                                           2.0, 3, Q)
             if not (math.isfinite(chk.ratio) and chk.ratio > 0):
                 return math.inf, ratios
             ratios.append(chk.ratio)
@@ -231,6 +231,38 @@ def test_criterion_8_decay_diagnostic(decay_run_field):
     ok = inc[0] > inc[1] > inc[2] > 0.0 and lateral_growth < 0.10
     report(8, ok, f"D increments {['%.2e' % v for v in inc]} strictly "
                   f"decreasing, L(8->16) growth {lateral_growth:.2e}")
+
+
+# No benchmark workload reaches the localized check or the decay partials,
+# so their bits on criterion 7's and criterion 8's runs are pinned in hex.
+LOCALIZED_BITS = {
+    -0.5: ("0x1.5292d3b14b628p+4", "0x1.54ab98b031074p+12",
+           "0x1.0195dbcf77b8dp+8"),
+    -0.25: ("0x1.5283cdf82c5f9p+6", "0x1.53a7ca8a64c8cp+14",
+            "0x1.00dcd032018bap+8"),
+    -0.125: ("0x1.527daf31e7d12p+8", "0x1.5314e678c6b08p+16",
+             "0x1.00725d41f215cp+8"),
+}
+DECAY_BITS = {
+    "bulk": ["0x1.0568a2fc85ae2p-21", "0x1.057317756a1d3p-21",
+             "0x1.057317756ae81p-21", "0x1.057317756b0e6p-21"],
+    "lateral": ["0x1.4f9b145ea505bp-9", "0x1.60c48d8c116c6p-9",
+                "0x1.60c48d926fe6ep-9", "0x1.60c48d92dbfb9p-9"],
+    "bulk_segments": ["0x1.0568a2fc85ae2p-21", "0x1.4e8f1c8de1dafp-34",
+                      "0x1.95c912d3e76b2p-62", "0x1.326579f5eaa76p-64"],
+}
+
+
+def test_localized_and_decay_bits_are_pinned(truncated_run_field,
+                                             decay_run_field):
+    for ts, want in LOCALIZED_BITS.items():
+        chk = localized_estimate_check(truncated_run_field, 0.25, 0.5, 1.2,
+                                       2.0, ts, 2.0, 3, Q)
+        assert (chk.lhs.hex(), chk.rhs.hex(), chk.ratio.hex()) == want
+    rep = decay_partials(decay_run_field, 0.5, (4.0, 8.0, 16.0, 32.0),
+                         2.0, 3, Q)
+    for part, want in DECAY_BITS.items():
+        assert [v.hex() for v in getattr(rep, part)] == want
 
 
 def test_criterion_9_reproducibility(tmp_path):

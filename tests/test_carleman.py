@@ -718,9 +718,9 @@ def _four_separate_terms(params, fieldobj, exterior, q):
     piece = exterior.lateral
     integrands = (
         lambda t, r, f: fieldobj.jet(t, r)[1] ** 2 + fieldobj.jet(t, r)[2] ** 2,
-        lambda t, r, f: np.abs(fieldobj.value(t, r)) ** (p + 1.0),
-        lambda t, r, f: fieldobj.value(t, r) ** 2,
-        lambda t, r, f: f ** (-1.0 + 2.0 * a) * fieldobj.value(t, r) ** 2,
+        lambda t, r, f: np.abs(fieldobj.jet(t, r)[0]) ** (p + 1.0),
+        lambda t, r, f: fieldobj.jet(t, r)[0] ** 2,
+        lambda t, r, f: f ** (-1.0 + 2.0 * a) * fieldobj.jet(t, r)[0] ** 2,
     )
     return [integrate_surfaces((piece,), g, q, params.n)[0]
             for g in integrands]

@@ -903,6 +903,51 @@ def test_an_operator_scale_past_the_float_range_is_exit_2(tmp_path, capsys,
         f"square of its operator scale 1/dr^2, leave the normal float range"]
 
 
+BALL = """
+[problem]
+n = 3
+p = 2.0
+
+[grid]
+R = 0.86
+J = 440
+t0 = -1.0
+t_end = -0.5
+snapshot_times = -1.0 -0.95 -0.9 -0.85 -0.8 -0.75 -0.7 -0.65 -0.6 -0.55 -0.5
+
+[data]
+kind = truncated_ode
+M = 2.0
+w = 0.25
+
+[diagnostics]
+sigma0 = 0.05
+sigma1 = 0.1
+sigma = 0.1
+gamma = 1.2
+eta = 1.5
+t_star = -0.79 -0.7 -0.6
+
+[output]
+directory = out
+"""
+
+
+@pytest.mark.parametrize("t_star,needed", [("-0.79 -0.7 -0.6", "1.50362"),
+                                           ("-0.92 -0.7 -0.6", "1.63362")])
+def test_the_causal_buffer_covers_the_ball(tmp_path, capsys, t_star, needed):
+    # rate-fit integrates over B(0, |t|) at each t*; the buffer covered only
+    # the cones, so the first config exited 0 with slope 0.604 read from
+    # cells the wall had reached (0.0112 at R = 3, J = 1536), and the second
+    # exited 1 with "radius outside the stored grid"
+    cfg = write_config(tmp_path / "c.cfg",
+                       BALL.replace("-0.79 -0.7 -0.6", t_star))
+    assert run(["rate-fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: domain radius 0.86 too small for the causal buffer "
+        f"(needs >= {needed})"]
+
+
 def test_overflow_prints_only_the_error_line(tmp_path):
     # the ODE core overflows past t = 0 before reaching the threshold; the
     # solver's finiteness test reports it, with no numpy warning before it

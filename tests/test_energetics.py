@@ -10,7 +10,6 @@ from conewave.energetics import (
     energy_profile,
     lateral_quantity,
     localized_estimate_check,
-    lp_slab_quantity,
     weighted_ball_quantity,
     rate_fit,
     slab_quantity,
@@ -114,10 +113,29 @@ class TestWeightedBallQuantity:
             weighted_ball_quantity(ode_field(2.0, 3), 0.5, 2.0, 3, Q)
 
 
+class TestLateralQuantity:
+    @pytest.mark.parametrize("t_star", [-0.5, 0.7])
+    def test_the_cone_piece_integral_written_out(self, t_star):
+        # the integral over {r = sigma |t|, |t| in (|t*|/eta, eta |t*|)},
+        # the field read at the reflected time for t* < 0: the bits of that
+        # construction written out
+        from conewave.geometry import ConePiece
+        from conewave.quadrature import integrate_surfaces
+
+        field = gaussian_pulse(3, 1.3, 0.2, 0.6, 0.4)
+        ats, sgn = abs(t_star), math.copysign(1.0, t_star)
+        [res] = integrate_surfaces(
+            (ConePiece(0.25, ats / 2.0, ats * 2.0),),
+            energetics._energy_density(field, ats, 2.0, sgn), Q, 3)
+        got = lateral_quantity(field, 0.25, 2.0, t_star, 2.0, 3, Q)[0]
+        assert got > 0.0
+        assert got.hex() == res.value.hex()
+
+
 class TestLocalizedEstimate:
     def test_zero_field_vacuity(self):
-        chk = localized_estimate_check(zero_field(3), "annulus", (0.25, 0.5),
-                                       1.2, 2.0, -0.5, 2.0, 3, Q)
+        chk = localized_estimate_check(zero_field(3), 0.25, 0.5, 1.2, 2.0,
+                                       -0.5, 2.0, 3, Q)
         assert chk.lhs == 0.0 and chk.rhs == 0.0
         assert math.isinf(chk.ratio)
 
@@ -126,53 +144,21 @@ class TestLocalizedEstimate:
         field = ode_field(2.0, 3)
         ratios = []
         for ts in (-0.5, -0.25, -0.125):
-            chk = localized_estimate_check(field, "annulus", (0.25, 0.5),
-                                           1.2, 2.0, ts, 2.0, 3, Q)
+            chk = localized_estimate_check(field, 0.25, 0.5, 1.2, 2.0, ts,
+                                           2.0, 3, Q)
             assert math.isfinite(chk.ratio) and chk.ratio > 0.0
             ratios.append(chk.ratio)
         assert max(ratios) <= 1.2 * min(ratios)
-
-    def test_timecone_kind_runs(self):
-        field = ode_field(2.0, 3)
-        chk = localized_estimate_check(field, "timecone", 0.25, 1.2, 2.0,
-                                       -0.5, 2.0, 3, Q)
-        assert math.isfinite(chk.ratio) and chk.ratio > 0.0
-        assert chk.lhs > 0.0
-
-    @pytest.mark.parametrize("t_star", [-0.5, 0.7])
-    def test_timecone_rhs_is_the_lateral_quantity(self, t_star):
-        # |t*| times the lateral integral over {r = sigma |t|, |t| in
-        # (|t*|/eta, eta |t*|)}, the field read at the reflected time for
-        # t* < 0: the bits of that construction written out
-        from conewave.geometry import ConePiece
-        from conewave.quadrature import integrate_surfaces
-
-        field = gaussian_pulse(3, 1.3, 0.2, 0.6, 0.4)
-        ats, sgn = abs(t_star), math.copysign(1.0, t_star)
-        chk = localized_estimate_check(field, "timecone", 0.25, 1.2, 2.0,
-                                       t_star, 2.0, 3, Q)
-        [res] = integrate_surfaces(
-            (ConePiece(0.25, ats / 2.0, ats * 2.0),),
-            energetics._energy_density(field, ats, 2.0, sgn), Q, 3)
-        assert chk.rhs > 0.0
-        assert chk.rhs.hex() == (ats * res.value).hex()
-        assert chk.rhs == ats * lateral_quantity(field, 0.25, 2.0, t_star,
-                                                 2.0, 3, Q)[0]
 
     def test_run_ratio_positive_lower_bound(self, truncated_run_field):
         # theorem-backed: the ratio stays bounded below across the approach
         ratios = []
         for ts in (-0.5, -0.25, -0.125):
-            chk = localized_estimate_check(truncated_run_field, "annulus",
-                                           (0.25, 0.5), 1.2, 2.0, ts, 2.0, 3, Q)
+            chk = localized_estimate_check(truncated_run_field, 0.25, 0.5,
+                                           1.2, 2.0, ts, 2.0, 3, Q)
             ratios.append(chk.ratio)
         assert min(ratios) > 0.0
         assert max(ratios) <= 1.5 * min(ratios)
-
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            localized_estimate_check(zero_field(3), "nope", 0.25, 1.2, 2.0,
-                                     -0.5, 2.0, 3, Q)
 
 
 class TestTimeCoverage:
@@ -191,10 +177,8 @@ class TestTimeCoverage:
         fld = self._field(np.linspace(-1.0, -0.05, 20))
         calls = (
             lambda: lateral_quantity(fld, 0.25, 2.0, -0.08, 2.0, 3, Q),
-            lambda: localized_estimate_check(fld, "timecone", 0.25, 1.2, 2.0,
-                                             -0.08, 2.0, 3, Q),
-            lambda: localized_estimate_check(fld, "annulus", (0.25, 0.5), 1.2,
-                                             2.0, -0.08, 2.0, 3, Q),
+            lambda: localized_estimate_check(fld, 0.25, 0.5, 1.2, 2.0, -0.08,
+                                             2.0, 3, Q),
         )
         for call in calls:
             with pytest.raises(ValueError, match=r"^time -0\.04 outside the "
@@ -207,9 +191,9 @@ class TestTimeCoverage:
         fld = self._field(np.linspace(1.0, 33.0, 9))
         inside, outside = 33.0 + 2e-8, 33.0 + 5e-8
         fld.require_times(inside)
-        fld.value(inside, 0.5)
+        fld.jet(inside, 0.5)
         for check in (lambda: fld.require_times(outside),
-                      lambda: fld.value(outside, 0.5)):
+                      lambda: fld.jet(outside, 0.5)):
             with pytest.raises(LevelRangeError,
                                match=f"time {outside!r} outside"):
                 check()
@@ -349,8 +333,7 @@ class TestProfilesAndCsv:
 
 class TestEnergyProfileOneSlabPass:
     """energy_profile integrates each slab once, through slab_quantity, for
-    both the weighted energy and the localized check's left side; the mass
-    has the bits of lp_slab_quantity's power-only pass."""
+    both the weighted energy and the localized check's left side."""
 
     def test_one_bulk_integral_per_time(self, monkeypatch, truncated_run_field):
         field = truncated_run_field
@@ -369,18 +352,17 @@ class TestEnergyProfileOneSlabPass:
 
         for t, row in zip(times, rows):
             (sv, se), (mass, _) = slab_quantity(field, 0.25, 1.2, t, 2.0, 3, Q)
-            lv, _ = lp_slab_quantity(field, 0.25, 1.2, t, 2.0, 3, Q)
-            chk = localized_estimate_check(field, "annulus", (0.25, 0.5), 1.2,
-                                           2.0, t, 2.0, 3, Q)
+            chk = localized_estimate_check(field, 0.25, 0.5, 1.2, 2.0, t,
+                                           2.0, 3, Q)
             av, ae = annulus_quantity(field, 0.25, 0.5, t, 2.0, 3, Q)
             mv, me = weighted_ball_quantity(field, t, 2.0, 3, Q)
             _, le = lateral_quantity(field, 0.25, 2.0, t, 2.0, 3, Q)
-            assert lv > 0.0
+            assert mass > 0.0
             assert row[0] == t
             assert row[1].hex() == av.hex()
             assert row[2].hex() == sv.hex()
             assert row[3].hex() == mv.hex()
-            assert row[4].hex() == mass.hex() == lv.hex() == chk.lhs.hex()
+            assert row[4].hex() == mass.hex() == chk.lhs.hex()
             assert row[5].hex() == chk.rhs.hex()
             assert row[6].hex() == chk.ratio.hex()
             assert row[7].hex() == (ae + se + me + le).hex()

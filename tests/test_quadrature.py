@@ -565,7 +565,7 @@ class TestRowColumnTime:
             return v_t ** 2 + v_r ** 2 + v * v / (0.3 * 0.3)
 
         def ode_power(t, r):
-            return np.abs(ode.value(t - 1.5, r)) ** 3.0 / (t - 1.5) ** 2
+            return np.abs(ode.jet(t - 1.5, r)[0]) ** 3.0 / (t - 1.5) ** 2
 
         return {"manufactured": manufactured, "discrete": discrete,
                 "ode": ode_power}
