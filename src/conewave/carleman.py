@@ -226,9 +226,10 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
     a, p, n = params.a, params.p, params.n
 
     def integrand(t, r):
-        """Both bulk sides, from one field jet per node and two powers:
-        f^{2a} and |phi|^p, which give f^{2a+1}, |phi|^{p+1} and the
-        signed power."""
+        """Both bulk sides without their constants 1/(p+1) and 1/(8a),
+        which scale the results: from one field jet per node and two
+        powers, f^{2a} and |phi|^p, which give f^{2a+1}, |phi|^{p+1} and
+        the signed power."""
         f = params.shift.value_radial(t, r)
         ph, _, _, box = fieldobj.jet(t, r)
         V, gamma = _potential_and_gamma(params, t, r)
@@ -236,20 +237,20 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
         mag = np.abs(ph)
         powp = mag ** p
         mag *= powp                                 # |phi|^{p+1}
-        lhs = f2a * V
-        lhs *= gamma
+        lhs = f2a * (V * gamma)
         lhs *= mag
-        lhs /= p + 1.0
         np.copysign(powp, ph, out=powp)
         powp *= V
         powp += box                                 # box_V phi
         np.square(powp, out=powp)
         f *= f2a                                    # f^{2a+1}
         f *= powp
-        f /= 8.0 * a
         return lhs, f
 
-    lhs, rhs = integrate_bulk(region, integrand, q, n)
+    lhs, rhs = (replace(res, value=res.value / c,
+                        error_estimate=res.error_estimate / c)
+                for res, c in zip(integrate_bulk(region, integrand, q, n),
+                                  (p + 1.0, 8.0 * a)))
 
     fluxes = _piece_fluxes(params, fieldobj, region.pieces, q)
     errors = {"lhs": lhs.error_estimate, "rhs_bulk": rhs.error_estimate}

@@ -512,15 +512,20 @@ def _scenario_verify_localized(cfg: RunConfig, outdir):
         ratio_max=max(ratios), band=cfg.ratio_band), tables
 
 
-def _diagnostic_times(cfg: RunConfig):
+def _diagnostic_times(cfg: RunConfig, fieldobj=None):
     """The times of energy-profile and rate-fit: `t_star`, or else the
-    negative snapshot times, checked against pot_alpha as `t_star` is."""
+    negative snapshot times, checked against pot_alpha as `t_star` is.
+    Without a field these are the requested times, checked before any run;
+    given the run's levels (`field_source = run`), the times the run
+    stored, each on the grid level nearest its requested time."""
     if cfg.t_star:
         if max(cfg.t_star) > 0:
             raise ConfigError("energy-profile and rate-fit need negative "
                               "[diagnostics] t_star")
         return cfg.t_star
-    times = tuple(t for t in cfg.snapshot_times if t < 0)
+    stored = fieldobj is not None and cfg.field_source == "run"
+    times = fieldobj.times.tolist() if stored else cfg.snapshot_times
+    times = tuple(t for t in times if t < 0)
     _require_small_potential(cfg, times, "snapshot time")
     return times
 
@@ -532,6 +537,7 @@ def _scenario_energy_profile(cfg: RunConfig, outdir):
     from . import energetics
 
     fieldobj = _diagnostic_field(cfg)
+    times = _diagnostic_times(cfg, fieldobj)
     rows = energetics.energy_profile(fieldobj, cfg.sigma0, cfg.sigma1,
                                      cfg.gamma, cfg.eta, times, cfg.p, cfg.n,
                                      cfg.quadrature)
@@ -547,6 +553,7 @@ def _scenario_rate_fit(cfg: RunConfig, outdir):
     from . import energetics
 
     fieldobj = _diagnostic_field(cfg)
+    times = _diagnostic_times(cfg, fieldobj)
     vals = [energetics.weighted_ball_quantity(fieldobj, t, cfg.p, cfg.n,
                                         cfg.quadrature)[0] for t in times]
     report = _config_call("rate-fit: ", energetics.rate_fit, times, vals,

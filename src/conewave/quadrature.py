@@ -21,6 +21,16 @@ in product form: near its zero set the only form with any relative
 accuracy, so singular integrands must use it rather than recomputing
 r^2 - (t - t*)^2 themselves.
 
+A mesh is evaluated on blocks of whole rows of about BLOCK_NODES nodes,
+and each block is reduced to per-row sums of measure * integrand while it
+is in cache; no full-mesh buffer is kept. A row's sum is numpy's pairwise
+sum along the row, a slice's result is its row's sum, and a bulk total is
+the pairwise sum of the row sums, so no sum depends on BLOCK_NODES. A
+non-finite sample makes its row's sum non-finite; only then is the mesh
+evaluated again block by block and tested, and the error names the first
+non-finite sample of the first output that has one, in row order.
+Surface node sets are summed one set at a time.
+
 Error control is a one-level Richardson difference (cells doubled), never
 adaptive subdivision, so repeated runs are bit identical.
 """
@@ -208,42 +218,54 @@ def _weighted_sums(integrand, T, lo, span, rule, n, wspan=None, axis=None):
     rule (rel, w) mapped onto (lo[i], lo[i] + span[i]), with the measure
     wspan[i] w area(S^{n-1}) R^{n-1} (`wspan` defaults to `span`; a bulk
     region folds its time weights into it). The mesh and the integrand are
-    evaluated on blocks of whole rows of about BLOCK_NODES nodes, so their
-    temporaries stay small, and meas * vals goes into one full-size buffer
-    per output that is summed once: the sums have the bits of a whole-mesh
-    pass whatever the block size. Non-finite values are reported as a
-    whole-mesh pass meets them: every block evaluated, then the outputs in
-    order, each in row order. An integrand returning a tuple of arrays gives
-    a tuple of sums, one per array."""
+    evaluated on blocks of whole rows of about BLOCK_NODES nodes, and each
+    block is reduced to its rows' sums while it is in cache: a row's sum is
+    numpy's pairwise sum of meas * vals along the row, and a whole-mesh
+    total is the pairwise sum of the row sums. So the sums do not depend
+    on the block size, and no full-mesh buffer is kept.
+
+    A non-finite value makes its row's sum non-finite. Only then are the
+    blocks evaluated again and tested, and the error names the sample a
+    whole-mesh pass meets first: the outputs in order, each in row order.
+    Finite values whose weighted sum overflows give inf, with no error and
+    no warning. An integrand returning a tuple of arrays gives a tuple of
+    sums, one per array."""
     rel, w = rule
     wspan = span if wspan is None else wspan
     om = sphere_area(n)
-    cols = rel.size
-    step = max(1, BLOCK_NODES // cols)
-    bufs = bad = None
+    step = max(1, BLOCK_NODES // rel.size)
+    blocks = [slice(start, start + step) for start in range(0, len(T), step)]
+
+    def evaluate(rows):
+        R = lo[rows] + span[rows] * rel
+        out = integrand(T[rows], R)
+        return R, out, out if isinstance(out, tuple) else (out,)
+
     # non-finite values are reported below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, len(T), step):
-            rows = slice(start, start + step)
-            R = lo[rows] + span[rows] * rel
+        row_sums = None
+        for rows in blocks:
+            R, out, outs = evaluate(rows)
             meas = wspan[rows] * w
             meas *= om
-            meas *= R ** (n - 1)
-            out = integrand(T[rows], R)
-            several = isinstance(out, tuple)
-            outs = out if several else (out,)
-            if bufs is None:
-                bufs = [np.empty((len(T), cols)) for _ in outs]
-                bad = [None] * len(outs)
-            for k, (buf, vals) in enumerate(zip(bufs, outs)):
-                np.multiply(meas, vals, out=buf[rows])
-                if bad[k] is None and not np.isfinite(vals).all():
-                    bad[k] = (np.broadcast_to(vals, R.shape), T[rows], R)
-    for args in bad:
-        if args is not None:
-            _check_finite(*args)
-    sums = [np.sum(buf, axis=axis) for buf in bufs]
-    return tuple(sums) if several else sums[0]
+            # the bits of meas *= R ** (n - 1), without a pass for R ** 0
+            # or a copy for R ** 1
+            if n == 2:
+                meas *= R
+            elif n > 2:
+                meas *= R ** (n - 1)
+            if row_sums is None:
+                row_sums = np.empty((len(outs), len(T)))
+            for sums, vals in zip(row_sums, outs):
+                np.sum(np.multiply(meas, vals), axis=1, out=sums[rows])
+        if not np.isfinite(row_sums).all():
+            for k in range(len(row_sums)):
+                for rows in blocks:
+                    R, _, outs = evaluate(rows)
+                    _check_finite(np.broadcast_to(outs[k], R.shape), T[rows],
+                                  R)
+        sums = row_sums if axis == 1 else np.sum(row_sums, axis=1)
+    return tuple(sums) if isinstance(out, tuple) else sums[0]
 
 
 # --------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from conewave.geometry import (
     ShiftedWeight,
     UNSHIFTED,
 )
-from conewave.quadrature import (QuadratureSpec, integrate_bulk,
-                                 integrate_surfaces)
+from conewave.quadrature import (QuadratureResult, QuadratureSpec,
+                                 integrate_bulk, integrate_surfaces)
 from tests_helpers import (box_bulk, closures_jet, constant_field,
                            offcenter_closures, zero_field)
 
@@ -318,11 +318,19 @@ def _power_sides(phi, box, V, p):
             box + V * np.copysign(np.abs(phi) ** p, phi))
 
 
+def _scaled(res, c):
+    """A bulk side's result with its constant 1/c applied to the value and
+    the error estimate."""
+    return QuadratureResult(res.value / c, res.error_estimate / c,
+                            res.nodes_used)
+
+
 class TestVerifyGlobalOnePass:
     """Both bulk sides from one mesh pass give the bits of two separate
     single-integrand passes, each evaluating the field per component: the
-    lhs f^{2a} V Gamma |phi|^{p+1} / (p+1), the rhs f^{2a} f (box_V phi)^2
-    / (8a), with f^{2a} and |phi|^p as the only powers."""
+    lhs f^{2a} (V Gamma) |phi|^{p+1}, the rhs f^{2a} f (box_V phi)^2, with
+    f^{2a} and |phi|^p as the only powers, and 1/(p+1) and 1/(8a) applied
+    to each result's value and error estimate."""
 
     SHIFT = ShiftedWeight(0.05)
     REGIONS = {
@@ -351,20 +359,20 @@ class TestVerifyGlobalOnePass:
             f = params.shift.value_radial(t, r)
             V = params.potential.value(t, r)
             power = _power_sides(phi(t, r), box(t, r), V, p)[0]
-            return (f ** (2 * a) * V * _reference_bulk_gamma(params, t, r)
-                    * power / (p + 1.0))
+            return (f ** (2 * a) * (V * _reference_bulk_gamma(params, t, r))
+                    * power)
 
         def rhs_integrand(t, r):
             f = params.shift.value_radial(t, r)
             box_v = _power_sides(phi(t, r), box(t, r),
                                  params.potential.value(t, r), p)[1]
-            return f ** (2 * a) * f * box_v ** 2 / (8.0 * a)
+            return f ** (2 * a) * f * box_v ** 2
 
         q = QuadratureSpec()
         rep = verify_global(params, _offcenter_gaussian(3, 0.8, 0.0, 1.0, 0.3,
                                                         0.35), region, q)
-        lhs = integrate_bulk(region, lhs_integrand, q, 3)
-        rhs = integrate_bulk(region, rhs_integrand, q, 3)
+        lhs = _scaled(integrate_bulk(region, lhs_integrand, q, 3), p + 1.0)
+        rhs = _scaled(integrate_bulk(region, rhs_integrand, q, 3), 8.0 * a)
         assert rep.lhs_bulk > 0.0 and rep.rhs_bulk > 0.0
         assert rep.lhs_bulk.hex() == lhs.value.hex()
         assert rep.rhs_bulk.hex() == rhs.value.hex()
@@ -435,19 +443,20 @@ class TestPotentialEvaluatedOnce:
                 V, Vt, Vr = _separate_potential(params.potential, t, r)
                 gamma = (-ft * Vt + fr * Vr) / V + const
                 ph, _, _, box = fieldobj.jet(t, r)
-                return (f ** (2 * a) * V * gamma
-                        * _power_sides(ph, box, V, p)[0] / (p + 1.0))
+                return (f ** (2 * a) * (V * gamma)
+                        * _power_sides(ph, box, V, p)[0])
 
             def rhs_integrand(t, r):
                 f = params.shift.value_radial(t, r)
                 V = _separate_potential(params.potential, t, r)[0]
                 ph, _, _, box = fieldobj.jet(t, r)
-                return (f ** (2 * a) * f * _power_sides(ph, box, V, p)[1] ** 2
-                        / (8.0 * a))
+                return f ** (2 * a) * f * _power_sides(ph, box, V, p)[1] ** 2
 
             rep = verify_global(params, fieldobj, region, q)
-            lhs = integrate_bulk(region, lhs_integrand, q, params.n)
-            rhs = integrate_bulk(region, rhs_integrand, q, params.n)
+            lhs = _scaled(integrate_bulk(region, lhs_integrand, q, params.n),
+                          p + 1.0)
+            rhs = _scaled(integrate_bulk(region, rhs_integrand, q, params.n),
+                          8.0 * a)
             assert rep.lhs_bulk.hex() == lhs.value.hex()
             assert rep.rhs_bulk.hex() == rhs.value.hex()
             assert rep.error_estimates["lhs"].hex() == lhs.error_estimate.hex()

@@ -1144,6 +1144,39 @@ class TestDiagnosticsSubcommands:
         slope = float(text_rates.strip().splitlines()[1].split(",")[1])
         assert abs(slope) < 1e-6
 
+    def test_rate_fit_without_t_star_reads_the_stored_times(self, tmp_path,
+                                                             monkeypatch):
+        # before: the requested end time -0.5, which the run stores on the
+        # grid level at -0.49966, was read instead, and rate-fit exited 2
+        # with "time -0.5 outside the stored range [-0.4996641575968831, ...]"
+        from conewave import energetics
+
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        text = text.replace("J = 256", "J = 1024").replace(
+            "t_end = -0.1", "t_end = 0.0").replace(
+            "snapshot_times = -0.8 -0.5 -0.3", "snapshot_log = 0.1 0.5 16")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        run_cfg = parse_config(cfg)
+        stored = [t for t in cli.evolve(run_cfg.solver_config(),
+                                        run_cfg.data).levels.times.tolist()
+                  if t < 0]
+        seen = []
+        inner = energetics.weighted_ball_quantity
+
+        def recorded(field, t, *args):
+            seen.append(t)
+            return inner(field, t, *args)
+
+        monkeypatch.setattr(energetics, "weighted_ball_quantity", recorded)
+        out = tmp_path / "out"
+        assert run(["rate-fit", "--config", cfg, "--out", str(out)]) == 0
+        assert seen == stored and len(seen) == 12
+        assert min(seen) == -0.4996641575968831
+        slope = float((out / "rates.csv").read_text().splitlines()[1]
+                      .split(",")[1])
+        assert abs(slope) < 1e-3
+
     def test_energy_profile_on_a_run_reruns_byte_identical(self, tmp_path):
         text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
                             "kind = truncated_ode\nM = 2.0\nw = 0.25")

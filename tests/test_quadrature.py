@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from scipy.integrate import quad as scipy_quad
 
 from conewave.exact_solutions import smoothstep
 from conewave.fields import ManufacturedField, PotentialSpec
-from conewave.carleman import CarlemanParams, vanishing_flux_probe
+from conewave.carleman import (CarlemanParams, frustum_region,
+                               vanishing_flux_probe)
 from conewave.geometry import (
     ConePiece,
     ConeSegmentSpec,
@@ -200,15 +202,77 @@ class TestBlockedEvaluation:
             out[(r > 1.5) & (t > 0.6)] = np.nan
             return out
 
-        locations = []
-        for block in (300, 10 ** 9):
-            monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
-            with pytest.raises(NonFiniteSample) as err:
-                integrate_bulk(box_bulk(0.0, 1.0, 1.0, 2.0), bad,
-                               QuadratureSpec(), 1)
-            locations.append(err.value.location)
-        assert locations[0] == locations[1]
-        assert locations[0][0] > 0.6 and locations[0][1] > 1.5
+        for region in (box_bulk(0.0, 1.0, 1.0, 2.0),
+                       # r_outer from 1.5 to 1.95: each row its own span
+                       frustum_region(0.0, 0.9, 1.0, 0.5, -3.0)):
+            locations = []
+            for block in (300, 10 ** 9):
+                monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
+                with pytest.raises(NonFiniteSample) as err:
+                    integrate_bulk(region, bad, QuadratureSpec(), 1)
+                locations.append(err.value.location)
+            assert locations[0] == locations[1]
+            assert locations[0][0] > 0.6 and locations[0][1] > 1.5
+
+    def test_a_nan_in_the_second_output_names_its_first_node(self):
+        # the first output is finite everywhere; the error names the first
+        # bad node of the second in row order on the coarse mesh
+        def pair(t, r):
+            second = t * r
+            second[(r > 1.5) & (t > 0.6)] = np.nan
+            return np.ones_like(r), second
+
+        q = QuadratureSpec()
+        with pytest.raises(NonFiniteSample) as err:
+            integrate_bulk(box_bulk(0.0, 1.0, 1.0, 2.0), pair, q, 1)
+        tn = quadrature._interval_nodes(0.0, 1.0, q.cells_t)[0]
+        rn = quadrature._interval_nodes(1.0, 2.0, q.cells_r)[0]
+        assert err.value.location == (float(tn[tn > 0.6][0]),
+                                      float(rn[rn > 1.5][0]))
+
+    def test_the_outputs_are_tested_in_order(self, monkeypatch):
+        # the first output's NaN sits in a later block than the second's;
+        # the error still names the first output's sample
+        def pair(t, r):
+            first, second = np.ones_like(r), t * r
+            first[(r > 1.5) & (t > 0.9)] = np.nan
+            second[(r > 1.5) & (t > 0.3)] = np.nan
+            return first, second
+
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", 300)
+        with pytest.raises(NonFiniteSample) as err:
+            integrate_bulk(box_bulk(0.0, 1.0, 1.0, 2.0), pair,
+                           QuadratureSpec(), 1)
+        assert err.value.location[0] > 0.9
+
+    def test_an_overflowing_weighted_sum_is_inf(self):
+        # every value is finite, every meas * value overflows: the sums are
+        # inf, with no error and no warning (warnings are errors here)
+        big = np.finfo(float).max
+        T, lo = np.array([[0.0], [0.5]]), np.ones((2, 1))
+        span = np.full((2, 1), 2.0)
+        rule = quadrature._unit_rule(8)
+
+        def pair(t, r):
+            return np.full(r.shape, big), np.full(r.shape, -big)
+
+        total = quadrature._weighted_sums(pair, T, lo, span, rule, 3)
+        rows = quadrature._weighted_sums(pair, T, lo, span, rule, 3, axis=1)
+        assert total == (math.inf, -math.inf)
+        assert [list(v) for v in rows] == [[math.inf] * 2, [-math.inf] * 2]
+
+    def test_no_full_mesh_buffer(self):
+        # cells = 192: the fine level is 768 x 768 nodes, and one float64
+        # array of that mesh is 4.72 MB
+        q = QuadratureSpec(cells_t=192, cells_r=192)
+        integrand = self._pair([])
+        tracemalloc.start()
+        try:
+            integrate_bulk(ConeSegmentSpec(0.5, 1.0, 2.0), integrand, q, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 768 * 768 * 8
 
 class TestUnitRuleCache:
     """The unit node rules are built once per (cells, grading, flags) and
@@ -482,7 +546,8 @@ def _reference_level_loop(t_window, r_inner, r_outer, integrand, q, n,
                           singular_r=(False, False), singular_t=(False, False)):
     """integrate_bulk with every node given its own t: the time column
     broadcast over the mesh, the measure WW * om * RR^(n-1) kept whole, one
-    integrand call per level and sum(meas * vals). Returns the results as
+    integrand call per level and sum(meas * vals), summed along each row
+    and then over the row sums. Returns the results as
     integrate_bulk does, or the location of the first non-finite sample."""
     from conewave.quadrature import sphere_area
 
@@ -510,7 +575,7 @@ def _reference_level_loop(t_window, r_inner, r_outer, integrand, q, n,
             if np.any(bad):
                 idx = np.unravel_index(np.argmax(bad), bad.shape)
                 return TT[idx], RR[idx]
-            sums.append(float(np.sum(meas * vals)))
+            sums.append(float(np.sum(np.sum(meas * vals, axis=1))))
         values.append(tuple(sums) if isinstance(out, tuple) else sums[0])
         nodes += RR.size
     if isinstance(values[-1], tuple):

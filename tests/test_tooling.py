@@ -1,6 +1,7 @@
 """The test configuration itself: a failing test is reported as a failure
 and the session goes on, whatever plugin reports it. And the benchmark's
-command lines: each workload's argv and config still parse and validate."""
+command lines: each workload's argv and config still parse and validate,
+and its seed-7 outputs pass the benchmark's own output checks."""
 
 import importlib.util
 import pathlib
@@ -15,16 +16,32 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 
 
-def _load_workloads():
-    """bench/workloads.py, loaded by path and only read."""
+def _load_bench(name):
+    """bench/<name>.py, loaded by path and only read."""
     spec = importlib.util.spec_from_file_location(
-        "bench_workloads", ROOT / "bench" / "workloads.py")
+        f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-WORKLOADS = _load_workloads()
+def _load_checks():
+    """bench/checks.py, which imports `workloads` by its bare name (the
+    benchmark runs with bench/ on the path): that name is bound to the
+    loaded workloads only while checks.py loads."""
+    saved = sys.modules.get("workloads")
+    sys.modules["workloads"] = WORKLOADS
+    try:
+        return _load_bench("checks")
+    finally:
+        if saved is None:
+            del sys.modules["workloads"]
+        else:
+            sys.modules["workloads"] = saved
+
+
+WORKLOADS = _load_bench("workloads")
+CHECKS = _load_checks()
 
 PROPERTY_TESTS = '''
 from hypothesis import given, strategies as st
@@ -73,3 +90,17 @@ def test_a_benchmark_command_line_parses_and_validates(tmp_path, monkeypatch,
     monkeypatch.setitem(cli._SCENARIOS, argv[0], stub)
     assert cli.run(argv) == 0
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_a_benchmark_workload_passes_its_output_checks(tmp_path, name):
+    # the benchmark's correctness gate at its default seed, the outputs
+    # compared with bench/reference_seed7.json at its tolerances
+    seed = WORKLOADS.DEFAULT_SEED
+    cfg = tmp_path / "workload.cfg"
+    cfg.write_text(WORKLOADS.config_text(name, seed))
+    out = tmp_path / "out"
+    code = cli.run(WORKLOADS.cli_args(name, str(cfg), str(out)))
+    checks = CHECKS.output_checks(name, seed, str(out), code)
+    assert len(checks) > 1
+    assert [(check, detail) for check, ok, detail in checks if not ok] == []
