@@ -267,19 +267,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[verify] strict = true needs at least two "
                           "[diagnostics] horizons")
     _require_small_potential(cfg, cfg.t_star, "t_star")
-    # causal buffer: outer boundary must not influence any diagnostic
-    # region; the Dirichlet wall's influence travels at the stencil speed
-    # dr/dt, bounded by the radial operator norm (about 2n/dr^2 at the
-    # axis for n >= 3).
-    tmax = max(abs(cfg.t0), abs(cfg.t_end))
-    r_diag = max(cfg.sigma1, cfg.sigma) * tmax
-    if cfg.t_star:
-        r_diag = max(r_diag, max(cfg.sigma1, cfg.sigma) * cfg.eta
-                     * max(abs(t) for t in cfg.t_star))
-    # and the ball B(0, |t|) of rate-fit and energy-profile at each negative
-    # diagnostic time (`_diagnostic_times`)
-    r_diag = max([r_diag] + [-t for t in cfg.t_star or cfg.snapshot_times
-                             if t < 0])
     if cfg.data is not None:
         # a snapshot time outside the run would be dropped; snapshot_log
         # puts its endpoints on t0 or t_end up to rounding
@@ -290,13 +277,9 @@ def _validate(cfg: RunConfig):
             raise ConfigError(
                 f"snapshot time {float(outside[0])!r} outside [t0, t_end] = "
                 f"[{cfg.t0!r}, {cfg.t_end!r}]")
-        needed = _config_call(
+        _config_call(
             f"[problem] n = {cfg.n}, [grid] R = {cfg.R!r}, J = {cfg.J}: ",
-            cfg.solver_config).causal_radius(r_diag)
-        if cfg.R < needed:
-            raise ConfigError(
-                f"domain radius {cfg.R} too small for the causal buffer "
-                f"(needs >= {needed:g})")
+            cfg.solver_config)
 
 
 def _require_small_potential(cfg: RunConfig, times, name):
@@ -512,12 +495,14 @@ def _scenario_verify_localized(cfg: RunConfig, outdir):
         ratio_max=max(ratios), band=cfg.ratio_band), tables
 
 
-def _diagnostic_times(cfg: RunConfig, fieldobj=None):
+def _diagnostic_times(cfg: RunConfig, fieldobj=None, windowed=False):
     """The times of energy-profile and rate-fit: `t_star`, or else the
     negative snapshot times, checked against pot_alpha as `t_star` is.
     Without a field these are the requested times, checked before any run;
     given the run's levels (`field_source = run`), the times the run
-    stored, each on the grid level nearest its requested time."""
+    stored, each on the grid level nearest its requested time. `windowed`
+    (energy-profile) keeps only the stored times whose window
+    [eta t, t/eta] the levels cover."""
     if cfg.t_star:
         if max(cfg.t_star) > 0:
             raise ConfigError("energy-profile and rate-fit need negative "
@@ -526,8 +511,26 @@ def _diagnostic_times(cfg: RunConfig, fieldobj=None):
     stored = fieldobj is not None and cfg.field_source == "run"
     times = fieldobj.times.tolist() if stored else cfg.snapshot_times
     times = tuple(t for t in times if t < 0)
+    if stored and windowed:
+        from .energetics import scaled_window
+
+        times = tuple(t for t in times
+                      if _covers(fieldobj, scaled_window(t, cfg.eta)))
+        if not times:
+            raise ConfigError(
+                "no stored time t < 0 has its window [eta t, t/eta] inside "
+                "the stored levels; set [diagnostics] t_star")
     _require_small_potential(cfg, times, "snapshot time")
     return times
+
+
+def _covers(fieldobj, times):
+    """Whether the field's `require_times` accepts `times`."""
+    try:
+        fieldobj.require_times(times)
+    except LevelRangeError:
+        return False
+    return True
 
 
 def _scenario_energy_profile(cfg: RunConfig, outdir):
@@ -537,7 +540,7 @@ def _scenario_energy_profile(cfg: RunConfig, outdir):
     from . import energetics
 
     fieldobj = _diagnostic_field(cfg)
-    times = _diagnostic_times(cfg, fieldobj)
+    times = _diagnostic_times(cfg, fieldobj, windowed=True)
     rows = energetics.energy_profile(fieldobj, cfg.sigma0, cfg.sigma1,
                                      cfg.gamma, cfg.eta, times, cfg.p, cfg.n,
                                      cfg.quadrature)

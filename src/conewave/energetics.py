@@ -34,7 +34,16 @@ __all__ = [
     "decay_partials",
     "rate_fit",
     "energy_profile",
+    "scaled_window",
 ]
+
+
+def scaled_window(t_star, factor):
+    """The times t with |t*|/factor <= |t| <= factor |t*| on t*'s side of
+    t = 0, as (lo, hi): the slab's window for factor gamma, and for factor
+    eta the window the lateral piece and the annulus sup read at t*."""
+    a, b = abs(t_star) / factor, abs(t_star) * factor
+    return (a, b) if t_star > 0 else (-b, -a)
 
 
 def _density(v, v_t, v_r, scale, p=None):
@@ -81,8 +90,7 @@ def _slab(field, sigma, gamma, t_star):
         raise ValueError("slab thickness parameter gamma must exceed 1")
     if t_star == 0.0:
         raise ValueError("slab center time must be nonzero")
-    a, b = abs(t_star) / gamma, abs(t_star) * gamma
-    slab = ConeSegmentSpec(sigma, *((a, b) if t_star > 0 else (-b, -a)))
+    slab = ConeSegmentSpec(sigma, *scaled_window(t_star, gamma))
     field.require_times(slab.time_window())
     return slab
 
@@ -113,10 +121,9 @@ def lateral_quantity(field, sigma, eta, t_star, p, n,
         raise ValueError("eta must exceed 1")
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
-    lateral = ConePiece(sigma, ats / eta, ats * eta)
-    field.require_times((sgn * lateral.t_lo, sgn * lateral.t_hi))
-    [res] = integrate_surfaces((lateral,), _energy_density(field, ats, p, sgn),
-                               q, n)
+    field.require_times(scaled_window(t_star, eta))
+    [res] = integrate_surfaces((ConePiece(sigma, ats / eta, ats * eta),),
+                               _energy_density(field, ats, p, sgn), q, n)
     return res.value, res.error_estimate
 
 
@@ -162,8 +169,8 @@ def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q):
     (integrate_slices)."""
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
+    field.require_times(scaled_window(t_star, eta))
     levels = np.linspace(ats / eta, ats * eta, 17)
-    field.require_times(sgn * levels)
     slices = integrate_slices(sgn * levels, sigma0 * levels, sigma1 * levels,
                               _energy_density(field, ats, p), q, n)
     return ats * max(res.value for res in slices)

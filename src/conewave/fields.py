@@ -4,8 +4,8 @@ Two field kinds share one protocol of two methods: `jet(t, r)` returns
 phi, phi_t and phi_r (and, for closed-form manufactured fields, the wave
 operator) from one evaluation per batch of points, and `require_times(t)`
 raises `LevelRangeError` unless the field covers every time in `t`.
-Discrete radial space-time histories are produced by the solver; snapshot
-files feed back into it as initial data.
+Discrete radial space-time histories, read out to each level's wall limit,
+are produced by the solver; snapshot files feed back into it as initial data.
 """
 
 from __future__ import annotations
@@ -318,25 +318,29 @@ def read_snapshot(path):
 
 
 class LevelRangeError(ValueError):
-    """A time outside the levels a DiscreteField stores."""
+    """A time outside a DiscreteField's levels or a radius past their limit."""
 
 
 @dataclass
 class DiscreteField:
     """Radial space-time history: uniform grid r_j = j dr, levels t_m with
     stored (phi, d_t phi); even extension across r = 0. A solver run
-    returns its recorded levels as one, its own tables."""
+    returns its recorded levels as one, its own tables, with the wall limit
+    of each level (`r_limit`, see `evolve`; the grid's end by default)."""
 
     times: np.ndarray          # (M,)
     r: np.ndarray              # (J+1,)
     phi: np.ndarray            # (M, J+1)
     phi_t: np.ndarray          # (M, J+1)
+    r_limit: np.ndarray | None = None  # (M,)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.r = np.asarray(self.r, dtype=float)
         self.phi = np.ascontiguousarray(self.phi, dtype=float)
         self.phi_t = np.ascontiguousarray(self.phi_t, dtype=float)
+        self.r_limit = np.asarray(self.r_limit if self.r_limit is not None
+                                  else np.full(self.times.size, self.r[-1]))
         if not self.phi.shape == self.phi_t.shape == (self.times.size,
                                                        self.r.size):
             raise ValueError("phi or phi_t shape does not match (times, r)")
@@ -384,6 +388,22 @@ class DiscreteField:
             raise LevelRangeError(f"time {float(t[outside][0])!r} outside the "
                                   f"stored range [{lo!r}, {hi!r}]")
 
+    def require_radii(self, t, r):
+        """Raises LevelRangeError naming the first point (t, r) past the
+        limit of the levels it reads (from t_m on, level m + 1's), beyond a
+        slack of 1e-9 R; levels are looked up only past the least limit."""
+        slack = 1e-9 * self.r[-1]
+        if not np.any(r > self.r_limit.min() + slack):
+            return
+        level = np.searchsorted(self.times, t, "right").clip(1)
+        limit = self.r_limit[np.minimum(level, self.times.size - 1)]
+        past = r > limit + slack
+        if np.any(past):
+            t, r, limit = (float(a[past][0])
+                           for a in np.broadcast_arrays(t, r, limit))
+            raise LevelRangeError(f"radius {r!r} at time {t!r} is past the "
+                                  f"levels' wall limit (r > {limit:g})")
+
     def _locate(self, t, r):
         """Bilinear stencil of a batch of points: flat table indices of the
         lower-left corners, the row step to the level above (r.size, 0 with
@@ -395,8 +415,7 @@ class DiscreteField:
         t = np.asarray(t, dtype=float)
         r = np.abs(np.asarray(r, dtype=float))  # even extension
         self.require_times(t)
-        if np.any(r > self.r[-1] + 1e-9 * self.r[-1]):
-            raise ValueError("radius outside the stored grid")
+        self.require_radii(t, r)
         if self.times.size == 1:
             m = np.zeros(t.shape, dtype=int)
             th, step = np.zeros(t.shape), 0

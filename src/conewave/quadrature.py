@@ -93,8 +93,9 @@ class QuadratureResult:
     nodes_used: int
 
     def __post_init__(self):
-        if self.error_estimate < 0:
-            raise ValueError("error estimate must be >= 0")
+        if not self.error_estimate >= 0:  # NaN too
+            raise ValueError(f"error estimate must be >= 0, got "
+                             f"{self.error_estimate!r}")
 
 
 class NonFiniteSample(ArithmeticError):
@@ -196,16 +197,19 @@ class _Mesh:
 
 def _refine(level):
     """Evaluate `level(factor)` at 1 and 2 times the base resolution; the
-    value is the fine one, the error estimate the jump from the coarse one.
-    A level returning a tuple of totals (one per integrand output, or one
-    per slice) gives a tuple of results."""
+    value is the fine one, the error estimate the jump from the coarse one,
+    inf when both are infinite. A level returning a tuple of totals (one
+    per integrand output, or one per slice) gives a tuple of results."""
     (coarse, n_coarse), (fine, n_fine) = level(1), level(2)
     nodes = n_coarse + n_fine
 
     def result(fine, coarse):
         if isinstance(fine, tuple):
             return tuple(map(result, fine, coarse))
-        return QuadratureResult(float(fine), float(abs(fine - coarse)), nodes)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            jump = abs(fine - coarse)
+        return QuadratureResult(float(fine), math.inf if np.isinf(fine)
+                                and np.isinf(coarse) else float(jump), nodes)
 
     return result(fine, coarse)
 

@@ -82,16 +82,6 @@ class SolverConfig:
     def dr(self) -> float:
         return self.R / self.J
 
-    def stencil_speed_bound(self) -> float:
-        """Upper bound on dr/dt before the operator norm is measured,
-        from lam dr^2 <= max(4.9, 2.2 n)."""
-        return max(1.0, math.sqrt(max(4.9, 2.2 * self.n)) / 2.0) / self.cfl
-
-    def causal_radius(self, r_diag_max: float) -> float:
-        """Least R whose Dirichlet wall, its influence moving at the stencil
-        speed dr/dt, cannot reach the diagnostics out to r_diag_max."""
-        return r_diag_max + (self.t_end - self.t0) * self.stencil_speed_bound()
-
 
 def _radial_operator(n, J, dr):
     """Conservative radial Laplacian pieces: half-node areas and cell volumes."""
@@ -163,9 +153,13 @@ class RunResult:
 def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     """Leapfrog evolution; halts with status blew_up at the first step whose
     max |phi| exceeds the threshold. Outer boundary is homogeneous Dirichlet
-    behind the causal buffer. The levels at the grid times nearest the
-    requested ones are recorded, with centered d_t phi, each into its own
-    row of the returned field's tables (`levels`, None if there is none).
+    at R. The levels at the grid times nearest the requested ones are
+    recorded, with centered d_t phi, each into its own row of the returned
+    field's tables (`levels`, None if there is none). The level of step k
+    has the wall limit (J - k - 2) dr (`r_limit`): the wall at J reaches one
+    cell a step, so cells J - k on, and phi_t (steps k +- 1) and phi_r from
+    J - k - 1 on, may differ from a run with a farther wall; a read at r
+    takes cells floor(r/dr) and floor(r/dr) + 1.
 
     The steps run on a causal window [0, e): every cell at index >= e is
     exactly +0.0 (bits; -0.0 is live) in the two newest levels. A step's
@@ -210,21 +204,23 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
             targets.setdefault(m, t_req)
 
     # one row per target, an upper bound: a blow-up can stop the run first
-    times = []
+    times, limits = [], []
     phi = np.empty((len(targets), J + 1))
     phi_t = np.empty((len(targets), J + 1))
     energy_t, energy_v = [], []
 
     if 0 in targets:
         times.append(config.t0)
+        limits.append((J - 2) * dr)
         phi[0] = phi0
         phi_t[0] = phit0
 
-    def record(tm, u, later, earlier, span):
-        """Level u at time tm into the next row, with d_t phi the
+    def record(k, u, later, earlier, span):
+        """Level u of step k into the next row, with d_t phi the
         difference quotient (later - earlier) / span."""
         row = len(times)
-        times.append(tm)
+        times.append(config.t0 + k * dt)
+        limits.append((J - k - 2) * dr)
         phi[row] = u
         np.subtract(later, earlier, out=phi_t[row])
         np.divide(phi_t[row], span, out=phi_t[row])
@@ -258,7 +254,7 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     max_phi = float(np.abs(phi0, out=mag).max())
     status = "completed"
     t_blowup = None
-    pending = None  # time of the level waiting for its centered phi_t
+    pending = None  # step of the level waiting for its centered phi_t
     e = _live_end(phi0, phit0)  # the causal window's end
     c = _head_end(phi0, phit0) if V.kind == "constant" else 0  # head's end
 
@@ -321,7 +317,7 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
                 status, t_blowup = "blew_up", t
                 break
             if m in targets:
-                pending = t
+                pending = m
 
     if pending is not None:
         # one-sided time derivative at the final recorded level
@@ -329,8 +325,8 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
 
     # rows past the recorded ones stay unread
     count = len(times)
-    levels = (DiscreteField(times, r, phi[:count], phi_t[:count]) if count
-              else None)
+    levels = (DiscreteField(times, r, phi[:count], phi_t[:count], limits)
+              if count else None)
     return RunResult(status, t_blowup, levels, config, dt, max_phi,
                      np.asarray(energy_t), np.asarray(energy_v), m)
 
@@ -390,6 +386,7 @@ def convergence_study(config: SolverConfig, data: InitialDataSpec, levels,
         if run.levels is None:
             raise ValueError(f"run at J={J} recorded no snapshot near t_ref")
         t, r, phi = run.levels.times.item(0), run.levels.r, run.levels.phi[0]
+        run.levels.require_radii(t, core_radius)
         mask = r < core_radius
         diff = phi[mask] - reference(t, r[mask])
         w = r[mask] ** (config.n - 1) * run.config.dr

@@ -98,6 +98,20 @@ NAN_VALUES = [
 ]
 
 
+def _readme_config():
+    """The README's blow-up config: the indented block after "A blow-up
+    run:", read from README.md itself."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        block = re.search(r"A blow-up run:\n\n((?: {4}.*\n|\n)+)",
+                          handle.read()).group(1)
+    return "".join(line[4:] + "\n" for line in block.splitlines())
+
+
+README_CONFIG = _readme_config()
+
+
 class TestConfigParsing:
     def test_parses_base(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "c.cfg", BASE))
@@ -120,10 +134,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sigma0 < sigma1"):
             parse_config(write_config(tmp_path / "c.cfg", bad))
 
-    def test_causal_buffer_enforced(self, tmp_path):
-        bad = BASE.replace("R = 6.0", "R = 1.0")
-        with pytest.raises(ConfigError, match="causal buffer"):
-            parse_config(write_config(tmp_path / "c.cfg", bad))
+    def test_causal_buffer_enforced(self, tmp_path, capsys):
+        # the run's levels refuse a read their wall has reached, after the
+        # run; before, parse_config refused R = 1 for every scenario, and
+        # simulate, which reads no run cell, too
+        cfg = write_config(tmp_path / "c.cfg", BASE.replace("R = 6.0", "R = 1.0"))
+        parse_config(cfg)
+        assert run(["rate-fit", "--config", cfg, "--out",
+                    str(tmp_path / "r")]) == 2
+        assert re.fullmatch(
+            r"error: radius 0\.29\d* at time -0\.79\d* is past the levels' "
+            r"wall limit \(r > 0\.289062\)\n",
+            capsys.readouterr().err)
+        assert run(["simulate", "--config", cfg, "--out",
+                    str(tmp_path / "s")]) == 0
 
     @pytest.mark.parametrize("text,error", [
         ("[grid]\nJ = 64\nJ = 128\n",
@@ -636,6 +660,14 @@ class TestConfigTable:
         assert sorted(listed) == sorted(cli._ROWS)
         assert len(listed) == 45
 
+    @pytest.mark.parametrize("scenario", ["simulate", "energy-profile",
+                                          "verify-localized", "rate-fit"])
+    def test_the_readme_config_runs(self, tmp_path, scenario):
+        # the README's own text; it once exited 2 on an inline comment
+        cfg = write_config(tmp_path / "c.cfg", README_CONFIG)
+        assert run([scenario, "--config", cfg, "--out",
+                    str(tmp_path / "o")]) == 0
+
     def test_the_readme_synopsis_names_every_flag_of_the_parser(self,
                                                                 capsys):
         with pytest.raises(SystemExit) as exc:
@@ -933,19 +965,21 @@ directory = out
 """
 
 
-@pytest.mark.parametrize("t_star,needed", [("-0.79 -0.7 -0.6", "1.50362"),
-                                           ("-0.92 -0.7 -0.6", "1.63362")])
-def test_the_causal_buffer_covers_the_ball(tmp_path, capsys, t_star, needed):
-    # rate-fit integrates over B(0, |t|) at each t*; the buffer covered only
-    # the cones, so the first config exited 0 with slope 0.604 read from
-    # cells the wall had reached (0.0112 at R = 3, J = 1536), and the second
-    # exited 1 with "radius outside the stored grid"
+@pytest.mark.parametrize("t_star,refused", [
+    ("-0.79 -0.7 -0.6", "radius 0.506730278256873 at time -0.79 is past the "
+     "levels' wall limit (r > 0.504273)"),
+    ("-0.92 -0.7 -0.6", "radius 0.7242829400797339 at time -0.92 is past the "
+     "levels' wall limit (r > 0.715364)")],
+    ids=["-0.79 -0.7 -0.6", "-0.92 -0.7 -0.6"])
+def test_the_causal_buffer_covers_the_ball(tmp_path, capsys, t_star, refused):
+    # rate-fit integrates over B(0, |t|) at each t*; a parse-time buffer that
+    # covered only the cones let the first config exit 0 with slope 0.604
+    # read from cells the wall had reached (0.0112 at R = 3, J = 1536), and
+    # the second exit 1 with "radius outside the stored grid"
     cfg = write_config(tmp_path / "c.cfg",
                        BALL.replace("-0.79 -0.7 -0.6", t_star))
     assert run(["rate-fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: domain radius 0.86 too small for the causal buffer "
-        f"(needs >= {needed})"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {refused}"]
 
 
 def test_overflow_prints_only_the_error_line(tmp_path):
@@ -1177,6 +1211,38 @@ class TestDiagnosticsSubcommands:
                       .split(",")[1])
         assert abs(slope) < 1e-3
 
+    def test_energy_profile_without_t_star_keeps_the_covered_times(
+            self, tmp_path):
+        # before: every negative stored time was taken, and the window of the
+        # earliest reached past the first level: exit 2 with "time
+        # -0.5995969891162597 outside the stored range [-0.4996641575968831,
+        # -0.09939548367438955]"
+        text = README_CONFIG.replace("J = 2048", "J = 1024").replace(
+            "snapshot_log = 0.04 1.0 16", "snapshot_log = 0.1 0.5 16")
+        text = text.replace("t_star = -0.5 -0.25 -0.125\n", "")
+        covered = "-0.24115730568860594 -0.20780158286173156"
+        outs = []
+        for name, body in (("fallback", text), ("t_star", text.replace(
+                "eta = 2.0", f"eta = 2.0\nt_star = {covered}"))):
+            cfg = write_config(tmp_path / f"{name}.cfg", body)
+            outs.append(tmp_path / name)
+            assert run(["energy-profile", "--config", cfg, "--out",
+                        str(outs[-1])]) == 0
+        rows = (outs[0] / "profile.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == covered.split()
+        assert rows[1].startswith(f"{covered.split()[0]},82.449")
+        for name in ("profile.csv", "summary"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_energy_profile_without_a_covered_time_names_t_star(self, tmp_path,
+                                                                capsys):
+        # BASE stores -0.8, -0.5 and -0.3: eta = 2 reaches past them all
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        _run_exit_2(tmp_path, capsys, "energy-profile", text,
+                    "no stored time t < 0 has its window [eta t, t/eta] "
+                    "inside the stored levels; set [diagnostics] t_star")
+
     def test_energy_profile_on_a_run_reruns_byte_identical(self, tmp_path):
         text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
                             "kind = truncated_ode\nM = 2.0\nw = 0.25")
@@ -1386,6 +1452,21 @@ class TestSweep:
         text = BASE + "\n[sweep]\nscenario = simulate\n"
         cfg = write_config(tmp_path / "c.cfg", text)
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_a_convergence_core_past_the_wall_limit_exit_2(self, tmp_path,
+                                                          capsys):
+        # the core r < M/2 = 1 at t_ref = -0.2, where the wall of R = 2 has
+        # reached r = 0.86; before, this passed with fitted_order=1.9939
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        text = text.replace("t_end = -0.1", "t_end = 0.0").replace(
+            "R = 6.0", "R = 2.0")
+        text = text.replace("sigma0 = 0.25", "sigma0 = 0.25\nt_star = -0.2")
+        text += "\n[sweep]\nscenario = convergence\nJ = 256 512\n"
+        _run_exit_2(tmp_path, capsys, "sweep", text,
+                    "convergence sweep at t_ref = -0.2: radius 1.0 at time "
+                    "-0.1994626521550129 is past the levels' wall limit "
+                    "(r > 0.859375)")
 
     def test_convergence_sweep_fits_second_order(self, tmp_path):
         text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",

@@ -441,6 +441,51 @@ class TestDiscreteFieldEvaluation:
                             np.zeros((1, J + 1)))
         assert fld.dr == r[1]
 
+    @staticmethod
+    def _walled():
+        """Levels at t = 0, 1, 2 on r in [0, 1], with the wall limits that
+        a solver run would leave at steps 2, 4 and 6 of dr = 0.1."""
+        return DiscreteField(np.array([0.0, 1.0, 2.0]), np.linspace(0, 1, 11),
+                             np.ones((3, 11)), np.zeros((3, 11)),
+                             r_limit=[0.8, 0.6, 0.4])
+
+    def test_a_point_at_its_level_limit_reads(self):
+        fld = self._walled()
+        assert fld.jet(2.0, 0.4)[0] == 1.0
+        assert fld.jet(0.0, 0.6)[0] == 1.0  # level 1 is also read, th = 0
+        assert fld.jet(np.array([[0.5], [1.5]]), np.array([0.1, 0.4]))[0].shape \
+            == (2, 2)
+
+    def test_a_point_past_its_level_limit_names_t_r_and_the_limit(self):
+        # before: a grid-end test only, a plain ValueError (exit 1)
+        fld = self._walled()
+        with pytest.raises(LevelRangeError, match=r"^radius 0\.41 at time 2\.0 "
+                           r"is past the levels' wall limit "
+                           r"\(r > 0\.4\)$"):
+            fld.jet(2.0, 0.41)
+        with pytest.raises(LevelRangeError, match=r"radius 0\.41 at time 1\.5"):
+            fld.jet(np.array([[0.5], [1.5]]), np.array([0.1, 0.41]))
+        with pytest.raises(LevelRangeError, match=r"radius 0\.61 at time 0\.0"):
+            fld.jet(0.0, -0.61)  # the even extension reads |r|
+
+    def test_a_point_between_two_levels_takes_the_later_limit(self):
+        fld = self._walled()
+        assert fld.jet(0.5, 0.6)[0] == 1.0
+        with pytest.raises(LevelRangeError, match=r"time 0\.5 .*\(r > 0\.6\)"):
+            fld.jet(0.5, 0.7)  # level 0 alone would allow 0.8
+        with pytest.raises(LevelRangeError, match=r"time 1\.5 .*\(r > 0\.4\)"):
+            fld.jet(1.5, 0.5)
+
+    def test_a_field_built_directly_reads_to_its_grid_end(self):
+        r = np.linspace(0, 1, 11)
+        for times in ([0.0], [0.0, 1.0]):
+            fld = DiscreteField(np.array(times), r, np.ones((len(times), 11)),
+                                np.zeros((len(times), 11)))
+            assert fld.r_limit.tolist() == [1.0] * len(times)
+            assert fld.jet(times[-1], 1.0 + 1e-10)[0] == 1.0  # the slack
+            with pytest.raises(LevelRangeError, match=r"\(r > 1\)"):
+                fld.jet(times[-1], 1.0 + 1e-8)
+
     @pytest.mark.parametrize("shape", [(1, 11), (2, 10), (2,)])
     def test_phi_t_must_have_the_shape_of_phi(self, shape):
         # before: only phi's shape was checked; evaluating phi_t then gave

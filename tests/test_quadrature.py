@@ -261,6 +261,19 @@ class TestBlockedEvaluation:
         assert total == (math.inf, -math.inf)
         assert [list(v) for v in rows] == [[math.inf] * 2, [-math.inf] * 2]
 
+    def test_an_integral_whose_two_levels_overflow_estimates_inf(self):
+        # before: inf - inf gave error_estimate=nan, after a RuntimeWarning
+        # (an error here)
+        [res] = integrate_slices(
+            [0.0], 1.0, 3.0, lambda t, r: np.full(r.shape, np.finfo(float).max),
+            QuadratureSpec(), 3)
+        assert res.value == math.inf and res.error_estimate == math.inf
+
+    @pytest.mark.parametrize("estimate", [-1.0, math.nan])
+    def test_a_result_refuses_a_negative_or_nan_estimate(self, estimate):
+        with pytest.raises(ValueError, match="error estimate must be >= 0"):
+            QuadratureResult(1.0, estimate, 8)
+
     def test_no_full_mesh_buffer(self):
         # cells = 192: the fine level is 768 x 768 nodes, and one float64
         # array of that mesh is 4.72 MB

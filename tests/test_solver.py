@@ -6,7 +6,8 @@ import pytest
 
 from conewave import solver
 from conewave.exact_solutions import InitialDataSpec, OdeSolution, smoothstep
-from conewave.fields import DiscreteField, PotentialSpec, _head_end, signed_power
+from conewave.fields import (DiscreteField, LevelRangeError, PotentialSpec,
+                             _head_end, signed_power)
 from conewave.quadrature import sphere_area
 from conewave.solver import (
     RunResult,
@@ -633,6 +634,70 @@ class TestConvergence:
             with pytest.raises(ValueError, match="must be distinct"):
                 convergence_study(cfg, zero_data(), levels,
                                   lambda t, r: 0.0 * r, 0.2, 1.0)
+
+    def test_a_core_radius_past_the_wall_limit_is_refused(self):
+        # at t_ref = -0.2 the wall of R = 2 has reached r = 0.86 from the
+        # outside; before, the core r < 1 was read and the fit passed
+        cfg = SolverConfig(n=3, p=2.0, R=2.0, t0=-1.0, t_end=0.0)
+        sol = OdeSolution(2.0)
+        with pytest.raises(LevelRangeError, match=r"radius 1\.0 at time "
+                           r"-0\.199\d* is past the levels' wall limit "
+                           r"\(r > 0\.859375\)"):
+            convergence_study(cfg, InitialDataSpec.truncated_ode(2.0, 0.25),
+                              (256, 512),
+                              lambda t, r: float(sol.value(t)) + 0.0 * r,
+                              t_ref=-0.2, core_radius=1.0)
+
+
+# --------------------------------------------------------------------------
+# The wall limit of each recorded level
+# --------------------------------------------------------------------------
+
+def test_each_level_carries_the_limit_of_its_step():
+    cfg = SolverConfig(n=3, p=2.0, J=128, R=6.0, t0=-1.0, t_end=-0.2,
+                       snapshot_times=(-1.0, -0.6, -0.2))
+    res = evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
+    steps = [round((t - cfg.t0) / res.dt) for t in res.levels.times]
+    assert steps[0] == 0 and steps[-1] == res.steps
+    assert res.levels.r_limit.tolist() == [(cfg.J - k - 2) * cfg.dr
+                                           for k in steps]
+
+
+@pytest.mark.parametrize("data", [InitialDataSpec.truncated_ode(2.0, 0.25),
+                                  InitialDataSpec.gaussian(1.0, 0.5)],
+                         ids=["truncated_ode", "gaussian"])
+def test_reads_inside_the_wall_limit_match_a_farther_wall(monkeypatch, data):
+    # the limit rests on this identity: (R, J) = (2, 1024) and (4, 2048)
+    # share dr, and with the operator norm pinned they share dt, so every
+    # cell a read at or inside a level's limit touches (floor(r/dr) and the
+    # next) is the same in both runs, and so is every such read
+    lam = solver._operator_norm(*solver._radial_operator(3, 2048, 2.0 ** -9),
+                                2.0 ** -9, 2048)
+    monkeypatch.setattr(solver, "_operator_norm", lambda *args: lam)
+    near, far = (evolve(SolverConfig(n=3, p=2.0, R=R, J=J, t0=-1.0,
+                                     t_end=-0.2,
+                                     snapshot_times=(-0.9, -0.6, -0.3, -0.2)),
+                        data).levels for R, J in ((2.0, 1024), (4.0, 2048)))
+    assert near.times.tolist() == far.times.tolist()
+    assert near.dr == far.dr
+    walled = False
+    for m, limit in enumerate(near.r_limit.tolist()):
+        end = round(limit / near.dr) + 2
+        for name in ("phi", "phi_t", "phi_r"):
+            assert_same_bits(getattr(near, name)[m, :end],
+                             getattr(far, name)[m, :end])
+            walled |= not np.array_equal(getattr(near, name)[m],
+                                         getattr(far, name)[m, :1025])
+    assert walled  # the near wall does change the cells past the limits
+    # on the levels and between them: a point from level m's time on reads
+    # level m + 1 too (with weight 0 at t_m) and takes its limit
+    t = np.concatenate((near.times, 0.5 * (near.times[1:] + near.times[:-1])))
+    limits = near.r_limit[[1, 2, 3, 3, 1, 2, 3]]
+    r = np.linspace(0.0, 1.0, 257) * limits[:, None]
+    for got, want in zip(near.jet(t[:, None], r), far.jet(t[:, None], r)):
+        assert_same_bits(got, want)
+    with pytest.raises(LevelRangeError, match="past the levels' wall limit"):
+        near.jet(t[-1], limits[-1] + 1e-6)
 
 
 class TestStability:
