@@ -62,7 +62,7 @@ class CarlemanParams:
     a: float
     p: float
     n: int
-    potential: PotentialSpec = field(default_factory=PotentialSpec.constant)
+    potential: PotentialSpec = field(default_factory=PotentialSpec)
     shift: ShiftedWeight = UNSHIFTED
 
     def __post_init__(self):
@@ -88,7 +88,7 @@ def _potential_and_gamma(params: CarlemanParams, t, r):
     (c0, Gamma_V)."""
     m = params.n - 1.0 + 4.0 * params.a
     const = -(m / 4.0) * (params.p - 1.0 - 4.0 / m)
-    if params.potential.kind == "constant":
+    if params.potential.is_constant:
         return params.potential.c0, const + 0.0
     ft, fr = params.shift.grad_radial(t, r)
     V, Vt, Vr = params.potential.jet(t, r)

@@ -89,8 +89,8 @@ _KEYS = (
     _Key("grid", "J", int, 1024, *_at_least(8),
          sweep=("simulate", "convergence")),
     _Key("grid", "cfl", float, 0.9, lambda v: 0 < v <= 1, "in (0, 1]"),
-    _Key("grid", "t0", float, -1.0),
-    _Key("grid", "t_end", float, 0.0),
+    _Key("grid", "t0", float, -1.0, math.isfinite, "finite"),
+    _Key("grid", "t_end", float, 0.0, math.isfinite, "finite"),
     _Key("grid", "phi_max", float, 1e6, *_above(0)),
     _Key("grid", "snapshot_times", _floats, ()),
     # log-spaced snapshot times on t0's side: |t|_min |t|_max per_decade
@@ -231,9 +231,9 @@ def _build(cfg: RunConfig, data: bool):
     """Makes `potential`, `data` (if `data`) and the `snapshot_log` times
     from the flat values, at parse time and again in each sweep cell."""
     cfg.potential = _config_call(  # the bump must keep V positive
-        "[problem] c0, pot_eps, pot_width: ", PotentialSpec, cfg.pot_kind,
-        cfg.c0, cfg.pot_eps, (cfg.pot_center_t, cfg.pot_center_r),
-        cfg.pot_width)
+        "[problem] c0, pot_eps, pot_width: ", PotentialSpec, cfg.c0,
+        cfg.pot_eps if cfg.pot_kind == "perturbed" else 0.0,
+        (cfg.pot_center_t, cfg.pot_center_r), cfg.pot_width)
     # before the data are evaluated: phi* overflows for some such p
     if cfg.n >= 2 and cfg.p >= 1.0 + 4.0 / (cfg.n - 1.0):
         raise ConfigError("p outside the subconformal range for this n")
@@ -249,8 +249,12 @@ def _build(cfg: RunConfig, data: bool):
                      cfg.data.evaluate, cfg.t0, cfg.J * (cfg.R / cfg.J))
     if cfg.snapshot_log:
         lo, hi, per = cfg.snapshot_log
-        count = max(2, int(round(per * math.log10(hi / lo))) + 1)
-        mags = np.geomspace(lo, hi, count)
+        try:  # a count past what numpy can allocate is the config's fault
+            count = max(2, int(round(per * math.log10(hi / lo))) + 1)
+            mags = np.geomspace(lo, hi, count)
+        except (OverflowError, ValueError) as exc:
+            raise ConfigError(f"[grid] snapshot_log {lo!r} {hi!r} {per!r} "
+                              f"asks for too many times: {exc}") from None
         sign = -1.0 if cfg.t0 < 0 else 1.0
         cfg.snapshot_times = tuple(sorted(sign * mags))
 
@@ -263,6 +267,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("need eta > gamma")
     if cfg.t_end <= cfg.t0:
         raise ConfigError("need t0 < t_end")
+    if not math.isfinite(cfg.t_end - cfg.t0):  # both are finite
+        raise ConfigError("[grid] t_end - t0 must be finite, got inf")
     if cfg.strict and len(cfg.horizons) < 2:
         raise ConfigError("[verify] strict = true needs at least two "
                           "[diagnostics] horizons")
@@ -332,9 +338,7 @@ def _scenario_simulate(cfg: RunConfig, outdir):
     result = evolve(cfg.solver_config(), cfg.data)
     if result.levels is not None:
         write_snapshots(outdir, cfg.n, cfg.p, result.levels)
-    ok, witness = None, None  # file data has no known support
-    if cfg.data.kind != "file":
-        ok, witness = finite_speed_check(result, cfg.data.support_radius)
+    ok, witness = finite_speed_check(result, cfg.data.support_radius)
     speed = {None: "skipped", True: "pass"}.get(ok, f"fail at {witness}")
     t_b = result.t_blowup if result.t_blowup is not None else math.nan
     summary = dict(status=result.status, t_b=t_b, J=cfg.J,
@@ -378,9 +382,9 @@ def _random_case(rng, forced_a=None):
         except ValueError:
             region = carleman.box_region(t0, t1, r0, r1, shift=shift)
     if rng.random() < 0.7:
-        V = PotentialSpec.constant(float(rng.uniform(0.5, 2.0)))
+        V = PotentialSpec(float(rng.uniform(0.5, 2.0)))
     else:
-        V = PotentialSpec(kind="perturbed", c0=float(rng.uniform(0.8, 1.5)),
+        V = PotentialSpec(c0=float(rng.uniform(0.8, 1.5)),
                           eps=float(rng.uniform(-0.2, 0.2)),
                           center=(tc, 0.5 * (r0 + r1)),
                           width=float(rng.uniform(0.5, 1.5)))
@@ -451,7 +455,7 @@ def _diagnostic_field(cfg: RunConfig, t_late=-math.inf):
     """The field a diagnostic reads, at times up to `t_late`."""
     if cfg.field_source == "ode":
         # the ODE profile solves the equation with V = 1 only, on t < 0
-        if cfg.potential.kind != "constant":
+        if not cfg.potential.is_constant:
             raise ConfigError("[problem] potential must be constant with "
                               "field_source = ode")
         if cfg.potential.c0 != 1.0:

@@ -131,12 +131,12 @@ class InitialDataSpec:
         return cls(kind="gaussian", amplitude=amplitude, width=width)
 
     @property
-    def support_radius(self) -> float:
+    def support_radius(self) -> float | None:
         if self.kind == "truncated_ode":
             return self.cutoff + self.ramp_width
         if self.kind == "gaussian":
             return 6.0 * self.width
-        raise ValueError("support radius unknown for file data")
+        return None  # file data: the support is not known
 
     def evaluate(self, t0, r):
         r = np.asarray(r, dtype=float)

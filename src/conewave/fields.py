@@ -44,7 +44,8 @@ def signed_power(phi, p):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Bounded positive potential, constant or constant plus a smooth bump.
+    """Bounded positive potential V = c0 + eps b: constant (`is_constant`)
+    exactly when eps = 0, the other fields then unread.
 
     The bump profile is the unit-gradient gaussian
     b(t, r) = width sqrt(e) exp(-rho^2 / (2 width^2)), rho = dist to center,
@@ -52,27 +53,24 @@ class PotentialSpec:
     to |eps| t* <= alpha (checked by the CLI's `pot_alpha`).
     """
 
-    kind: str = "constant"
     c0: float = 1.0
     eps: float = 0.0
     center: tuple = (0.0, 0.0)  # (t, r)
     width: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "perturbed"):
-            raise ValueError("potential kind must be constant or perturbed")
         if not 0.0 < self.c0 < math.inf:
             raise ValueError("base level must be finite and positive")
-        if self.kind == "perturbed":
+        if not self.is_constant:
             if not 0.0 < self.width < math.inf:
                 raise ValueError("bump width must be finite and positive")
             amplitude = self.width * math.sqrt(math.e)  # the bump's maximum
             if self.c0 - abs(self.eps) * amplitude <= 0.0:
                 raise ValueError("perturbation destroys positivity of V")
 
-    @classmethod
-    def constant(cls, c0=1.0):
-        return cls(kind="constant", c0=c0)
+    @property
+    def is_constant(self) -> bool:
+        return self.eps == 0.0
 
     def _bump(self, t, r):
         """(b, t - tc, r - rc) of the perturbed potential."""
@@ -85,7 +83,7 @@ class PotentialSpec:
 
     def jet(self, t, r):
         """(V, d_t V, d_r V) from one evaluation of the bump."""
-        if self.kind == "constant":
+        if self.is_constant:
             V = self.value(t, r)
             return V, np.zeros(V.shape), np.zeros(V.shape)
         b, dt, dr = self._bump(t, r)
@@ -94,7 +92,7 @@ class PotentialSpec:
 
     def value(self, t, r):
         """V alone: the solver calls this every step and needs no gradient."""
-        if self.kind == "constant":
+        if self.is_constant:
             return np.full(np.broadcast(np.asarray(t), np.asarray(r)).shape,
                            self.c0)
         return self.c0 + self.eps * self._bump(t, r)[0]

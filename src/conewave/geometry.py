@@ -199,9 +199,10 @@ class ExteriorRegionSpec(BulkRegion):
 
     @property
     def lateral(self) -> ConePiece:
-        """The cone part of the boundary, carrying the weight whose zero
-        set sits at both ends."""
-        return ConePiece(self.sigma, *self.time_window(), weight=self.weight)
+        """The cone part of the boundary, from the time window's ends, where
+        the weight vanishes: its nodes grade toward both ends and carry the
+        weight value (see `_EdgeGradedCone`)."""
+        return _EdgeGradedCone(self.sigma, *self.time_window())
 
     def level_set(self, eps) -> LevelSetPiece:
         """The level set {f = eps} inside the cone, over the t-range where
@@ -300,19 +301,14 @@ class CylinderPiece(SurfacePiece):
 class ConePiece(SurfacePiece):
     """Timelike cone piece {r = slope (t - t_apex), t_lo < t < t_hi}, slope in (0,1),
     with normal N = (1 - s^2)^{-1/2} (s d_t + d_r) times `outward_sign`.
-
-    `weight` marks the shifted weight whose zero set meets both ends of the
-    piece (the cone part of an exterior region's boundary); quadrature then
-    grades toward those ends and hands integrands the stably computed
-    weight value.
-    """
+    Its nodes carry no weight value; the cone side of an exterior region,
+    which does, is that region's `lateral`."""
 
     slope: float
     t_lo: float
     t_hi: float
     t_apex: float = 0.0
     outward_sign: int = 1
-    weight: ShiftedWeight | None = None
 
     def __post_init__(self):
         if not 0.0 < self.slope < 1.0:
@@ -322,8 +318,6 @@ class ConePiece(SurfacePiece):
             raise ValueError("degenerate cone piece")
         if self.outward_sign not in (-1, 1):
             raise ValueError("outward_sign must be +-1")
-        if self.weight is not None and self.t_apex != 0.0:
-            raise ValueError("a weighted cone piece has its apex at the origin")
 
     def radius(self, t):
         return self.slope * (np.asarray(t, dtype=float) - self.t_apex)
@@ -334,40 +328,38 @@ class ConePiece(SurfacePiece):
         return scale * self.slope, scale
 
     def node_sets(self, mesh, n):
-        """One set over the piece, or, with a weight, one set per half in
-        its edge-distance coordinate."""
-        if self.weight is not None:
-            tm = 0.5 * (self.t_lo + self.t_hi)
-            return [self._edge_half(mesh, n, False, tm - self.t_lo),
-                    self._edge_half(mesh, n, True, self.t_hi - tm)]
+        """One set over the piece."""
         t, w = mesh.temporal(self.t_lo, self.t_hi)
         r = self.radius(t)
         dens = sphere_area(n) * math.sqrt(1.0 - self.slope ** 2) * r ** (n - 1)
         return ((t, r, w * dens, None),)
 
-    def _edge_half(self, mesh, n, from_hi, length):
-        """Nodes of the half of the piece at one end.
 
-        Valid only when that end coincides with a root of the weight on the
-        cone, f = (1-s^2)(t_+ - t)(t - t_-)/4 with t_-+ = t*/(1 +- s) (axis
-        ray); the edge factor is then the distance itself, exact down to
-        subnormal scales, where the naive difference of squares cancels
-        catastrophically.
-        """
+class _EdgeGradedCone(ConePiece):
+    """A cone piece from the origin whose ends t_lo, t_hi are the roots
+    t*/(1 + s), t*/(1 - s) of the axis-ray weight on it,
+    f = (1-s^2)(t_hi - t)(t - t_lo)/4: an exterior region's `lateral`.
+
+    Its nodes come one set per half, in the distance to that half's end,
+    with f in product form: the edge factor is the distance itself, exact
+    down to subnormal scales, where the naive difference of squares
+    cancels catastrophically."""
+
+    def node_sets(self, mesh, n):
+        tm = 0.5 * (self.t_lo + self.t_hi)
+        return [self._edge_half(mesh, n, False, tm - self.t_lo),
+                self._edge_half(mesh, n, True, self.t_hi - tm)]
+
+    def _edge_half(self, mesh, n, from_hi, length):
+        """Nodes of the half of the piece at one end."""
         s = self.slope
-        t_minus = self.weight.t_star / (1.0 + s)
-        t_plus = self.weight.t_star / (1.0 - s)
-        edge = self.t_hi if from_hi else self.t_lo
-        root = t_plus if from_hi else t_minus
-        if abs(edge - root) > 1e-12 * max(1.0, abs(root)):
-            raise ValueError("weighted cone edge does not sit on the weight's zero set")
         d, w = mesh.from_edge(length)
         if from_hi:
             t = self.t_hi - d
-            other = t - t_minus
+            other = t - self.t_lo
         else:
             t = self.t_lo + d
-            other = t_plus - t
+            other = self.t_hi - t
         r = self.radius(t)
         dens = sphere_area(n) * math.sqrt(1.0 - s * s) * r ** (n - 1)
         return t, r, w * dens, 0.25 * (1.0 - s * s) * d * other

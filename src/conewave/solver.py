@@ -39,9 +39,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A run's problem, grid and recording; `potential` None is a linear
+    run (no nonlinear term, for reference problems)."""
+
     n: int = 3
     p: float = 2.0
-    potential: PotentialSpec = field(default_factory=PotentialSpec.constant)
+    potential: PotentialSpec | None = field(default_factory=PotentialSpec)
     R: float = 4.0
     J: int = 1024
     cfl: float = 0.9
@@ -49,7 +52,6 @@ class SolverConfig:
     t_end: float = 0.0
     phi_max: float = 1e6
     snapshot_times: tuple = ()
-    linear: bool = False      # drop the nonlinear term (reference problems)
     record_energy: bool = False  # per-step energy trace, on request only
 
     def __post_init__(self):
@@ -61,6 +63,8 @@ class SolverConfig:
             raise ValueError("domain radius must be positive")
         if self.t_end <= self.t0:
             raise ValueError("t_end must exceed t0")
+        if not math.isfinite(self.t_end - self.t0):
+            raise ValueError("t_end - t0 must be finite")
         if self.phi_max <= 0:
             raise ValueError("blow-up threshold must be positive")
         if not 0.0 < self.cfl <= 1.0:
@@ -115,7 +119,7 @@ def _nonlinear_term(V, p, t, r, u, absu, work):
         term = np.multiply(np.add(u, 0.0, out=work), absu, out=work)
     else:
         term = signed_power(u, p)
-    if V.kind != "constant":
+    if not V.is_constant:
         return V.value(t, r) * term
     if V.c0 != 1.0:
         np.multiply(term, V.c0, out=term)
@@ -171,15 +175,15 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     trace (whose pairwise sums group terms by array length) and the recorded
     rows run on the full arrays.
 
-    With a constant potential the steps also skip the head [0, c): the
-    leading cells that equal cell 0 bit for bit in the two newest levels,
-    the ODE core of truncated-ODE data. The Laplacian of equal neighbours
-    is exactly +0.0 (x - x is +0.0 for finite x, and so is the axis row's
-    2n (u_1 - u_0)/dr^2), so every cell whose stencil lies in the head
-    takes the same next value: the head shrinks by at most one cell per
-    step, and a step computes [lo, e) with lo <= c - 2 and copies cell lo
-    into [0, lo). An r-dependent potential breaks the homogeneity, so
-    there c is 0."""
+    With a constant potential, or none, the steps also skip the head
+    [0, c): the leading cells that equal cell 0 bit for bit in the two
+    newest levels, the ODE core of truncated-ODE data. The Laplacian of
+    equal neighbours is exactly +0.0 (x - x is +0.0 for finite x, and so
+    is the axis row's 2n (u_1 - u_0)/dr^2), so every cell whose stencil
+    lies in the head takes the same next value: the head shrinks by at
+    most one cell per step, and a step computes [lo, e) with lo <= c - 2
+    and copies cell lo into [0, lo). An r-dependent potential breaks the
+    homogeneity, so there c is 0."""
     n, J, dr = config.n, config.J, config.dr
     s, vol = _radial_operator(n, J, dr)
     lam = _operator_norm(s, vol, dr, J)
@@ -229,7 +233,7 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
         du = (u1 - u0) / dt
         kin = float(np.dot(vol, du * du))
         grad = float(np.sum(s[:-1] * (u1[1:] - u1[:-1]) * (u0[1:] - u0[:-1])) / dr)
-        if config.linear:
+        if V is None:
             pot = 0.0
         else:
             Vm = V.value(tm, r)
@@ -256,7 +260,7 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     t_blowup = None
     pending = None  # step of the level waiting for its centered phi_t
     e = _live_end(phi0, phit0)  # the causal window's end
-    c = _head_end(phi0, phit0) if V.kind == "constant" else 0  # head's end
+    c = _head_end(phi0, phit0) if V is None or V.is_constant else 0  # head end
 
     # overflow is reported by the finiteness test below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -273,7 +277,7 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
             _laplacian(cur[a:k], s[a:k], vol[a:k], dr, force[a:k],
                        flux[a:k - 1])
             f = force[lo:e]
-            if not config.linear:
+            if V is not None:
                 np.add(f, _nonlinear_term(V, config.p, t, r[lo:e], cur[lo:e],
                                           mag[lo:e], work[lo:e]), out=f)
             x = nxt[lo:e]
@@ -341,10 +345,11 @@ def blowup_estimate(coarse: RunResult, fine: RunResult) -> float:
     return 2.0 * fine.t_blowup - coarse.t_blowup
 
 
-def finite_speed_check(result: RunResult, support_radius: float):
+def finite_speed_check(result: RunResult, support_radius: float | None):
     """(ok, witness): ok is True iff every recorded level vanishes (to
     1e-12) outside the expanded support r <= R0 + (t - t0) (dr/dt) + 2 dr,
-    None if no level has a cell outside it; a failure names (t, r, phi).
+    None if no level has a cell outside it or the support radius R0 is
+    None (unknown); a failure names (t, r, phi).
 
     The propagation coefficient is the stencil speed dr/dt, which makes the
     bound exact: untouched cells stay identically +0.0, the invariant of
@@ -355,7 +360,7 @@ def finite_speed_check(result: RunResult, support_radius: float):
     correct runs.
     """
     cfg, levels = result.config, result.levels
-    if levels is None:
+    if levels is None or support_radius is None:
         return None, None
     r, speed = levels.r, cfg.dr / result.dt
     checked = False

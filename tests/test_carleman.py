@@ -75,8 +75,7 @@ class TestBulkGamma:
 
     def test_perturbed_matches_constant_where_gradient_vanishes(self):
         # the bump gradient vanishes at its center
-        V = PotentialSpec(kind="perturbed", c0=1.0, eps=0.2,
-                          center=(0.3, 1.0), width=0.5)
+        V = PotentialSpec(c0=1.0, eps=0.2, center=(0.3, 1.0), width=0.5)
         params_pert = CarlemanParams(a=0.25, p=2.0, n=3, potential=V)
         params_const = CarlemanParams(a=0.25, p=2.0, n=3)
         assert bulk_gamma(params_pert, 0.3, 1.0) == pytest.approx(
@@ -340,9 +339,9 @@ class TestVerifyGlobalOnePass:
                                                       -1.4, shift=s),
     }
     POTENTIALS = {
-        "constant": PotentialSpec.constant(1.3),
-        "perturbed": PotentialSpec(kind="perturbed", c0=1.1, eps=0.15,
-                                   center=(0.0, 1.0), width=0.8),
+        "constant": PotentialSpec(1.3),
+        "perturbed": PotentialSpec(c0=1.1, eps=0.15, center=(0.0, 1.0),
+                                   width=0.8),
     }
 
     @pytest.mark.parametrize("potential", sorted(POTENTIALS))
@@ -386,7 +385,7 @@ def _separate_potential(pot, t, r):
     had before they read one jet."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    if pot.kind == "constant":
+    if pot.eps == 0.0:
         shape = np.broadcast(t, r).shape
         return np.full(shape, pot.c0), np.zeros(shape), np.zeros(shape)
     tc, rc = pot.center
@@ -408,7 +407,7 @@ def _perturbed_suite_cases(count, seed=7):
     cases = []
     while len(cases) < count:
         case = _random_case(rng)
-        if case[0].potential.kind == "perturbed":
+        if not case[0].potential.is_constant:
             cases.append(case)
     return cases
 
@@ -420,11 +419,11 @@ class TestPotentialEvaluatedOnce:
     def test_jet_matches_separate_expressions(self):
         tn = np.linspace(-0.6, 0.4, 23)[:, None]
         R = np.linspace(0.0, 2.0, 31)[None, :] * np.ones((23, 1))
-        for pot in (PotentialSpec.constant(1.3),
-                    PotentialSpec(kind="perturbed", c0=1.1, eps=0.15,
-                                  center=(0.0, 1.0), width=0.8),
-                    PotentialSpec(kind="perturbed", c0=0.9, eps=-0.2,
-                                  center=(-0.2, 0.6), width=0.5)):
+        for pot in (PotentialSpec(1.3),
+                    PotentialSpec(c0=1.1, eps=0.15, center=(0.0, 1.0),
+                                  width=0.8),
+                    PotentialSpec(c0=0.9, eps=-0.2, center=(-0.2, 0.6),
+                                  width=0.5)):
             want = _separate_potential(pot, tn, R)
             for got, ref in zip(pot.jet(tn, R), want):
                 assert got.tobytes() == ref.tobytes()
@@ -703,7 +702,7 @@ class TestVerifyShifted:
         # |grad V| t* small: the bulk factor stays positive on the region
         # and the report is finite
         ext = ExteriorRegionSpec(0.5, 1.0)
-        V = PotentialSpec("perturbed", 1.0, 0.05, (1.0, 0.2), 0.5)
+        V = PotentialSpec(1.0, 0.05, (1.0, 0.2), 0.5)
         assert abs(V.eps) * ext.t_star <= 0.1
         params = CarlemanParams(a=0.25, p=2.0, n=3, potential=V,
                                 shift=ext.weight)

@@ -383,9 +383,8 @@ class TestValidationBeforeAnyRun:
 
     @pytest.mark.parametrize("problem,key", [
         ("potential = perturbed\npot_eps = 0.2", "potential"),
-        ("potential = perturbed\npot_eps = 0.0", "potential"),
         ("potential = constant\nc0 = 2.0", "c0"),
-    ], ids=["bump", "zero-bump", "c0"])
+    ], ids=["bump", "c0"])
     @pytest.mark.parametrize("scenario", ["energy-profile", "verify-localized",
                                           "rate-fit", "decay"])
     def test_ode_field_needs_the_unit_potential(self, tmp_path, capsys,
@@ -406,6 +405,26 @@ class TestValidationBeforeAnyRun:
         # decay reads the field on t >= 1, where the profile is not defined
         assert run([scenario, "--config", ok, "--out", str(tmp_path / "ok")
                     ]) == (2 if scenario == "decay" else 0)
+
+    @pytest.mark.parametrize("scenario", ["energy-profile", "verify-localized",
+                                          "rate-fit", "decay"])
+    def test_ode_field_takes_a_zero_bump(self, tmp_path, capsys, scenario):
+        # perturbed with pot_eps = 0 is V = 1; before, it exited 2 naming
+        # [problem] potential
+        diag = ("sigma0 = 0.25", "sigma0 = 0.25\nfield_source = ode\n"
+                "t_star = -0.5 -0.4 -0.3")
+        outcomes = []
+        for name, problem in [("zero", "potential = perturbed\npot_eps = 0.0"),
+                              ("constant", "potential = constant")]:
+            text = BASE.replace("potential = constant", problem)
+            cfg = write_config(tmp_path / f"{name}.cfg", text.replace(*diag))
+            out = tmp_path / name
+            code = run([scenario, "--config", cfg, "--out", str(out)])
+            files = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+            outcomes.append((code, capsys.readouterr().err, files))
+        assert outcomes[0] == outcomes[1]
+        # decay reads the field on t >= 1, where the profile is not defined
+        assert outcomes[0][0] == (2 if scenario == "decay" else 0)
 
     @pytest.mark.parametrize("scenario,text", [
         ("decay", DECAY.replace("sigma = 0.5", "sigma = 0.5\nfield_source = ode")),
@@ -688,6 +707,70 @@ class TestConfigTable:
 OVERFLOW_AT_P = "the amplitude C of phi* overflows at p = 1.01"
 
 
+NO_DATA = BASE.replace("[data]\nkind = gaussian\namplitude = 0.0\n"
+                       "width = 0.5\n", "")
+NO_SNAPSHOTS = BASE.replace("snapshot_times = -0.8 -0.5 -0.3\n", "")
+T_STAR = ("sigma0 = 0.25", "sigma0 = 0.25\nt_star = {}")
+
+
+@pytest.mark.parametrize("scenario,text,message", [
+    ("simulate", BASE.replace("eta = 2.0", "eta = 1.1"), "need eta > gamma"),
+    ("simulate", BASE.replace("t_end = -0.1", "t_end = -1.0"),
+     "need t0 < t_end"),
+    ("simulate", NO_DATA, "simulate requires a [data] section"),
+    ("energy-profile", NO_DATA.replace(T_STAR[0], T_STAR[1].format(-0.5)),
+     "field_source=run requires a [data] section"),
+    ("energy-profile",
+     NO_SNAPSHOTS.replace(T_STAR[0], T_STAR[1].format(-0.5)),
+     "run recorded no snapshots; set snapshot_times"),
+    ("verify-localized", BASE, "verify-localized needs diagnostics.t_star"),
+    ("energy-profile", BASE.replace(T_STAR[0], T_STAR[1].format(0.5)),
+     "energy-profile and rate-fit need negative [diagnostics] t_star"),
+    ("energy-profile", NO_SNAPSHOTS, "no diagnostic times available"),
+    ("rate-fit", BASE.replace(T_STAR[0], T_STAR[1].format("-0.5 -0.4")),
+     "rate fit needs at least 3 diagnostic times"),
+    ("sweep", BASE, "sweep requires a [sweep] section with a scenario"),
+    ("sweep", BASE + "\n[sweep]\nscenario = simulate\nM = 1 2\n",
+     "sweeping M requires truncated_ode data"),
+    ("sweep", BASE + "\n[sweep]\nscenario = convergence\nJ = 64 128\n",
+     "convergence sweep requires truncated_ode data"),
+], ids=["eta-gamma", "t0-t_end", "simulate-no-data", "run-field-no-data",
+        "no-snapshots-recorded", "localized-no-t_star", "positive-t_star",
+        "no-diagnostic-times", "rate-fit-two-times", "no-sweep-section",
+        "sweep-M-gaussian", "convergence-gaussian"])
+def test_a_refusal_across_keys_or_sections_exits_2(tmp_path, capsys,
+                                                    scenario, text, message):
+    _run_exit_2(tmp_path, capsys, scenario, text, message)
+
+
+@pytest.mark.parametrize("scenario", ["simulate", "rate-fit"])
+@pytest.mark.parametrize("grid,message", [
+    ("t0 = -1.0\nt_end = inf", "[grid] t_end must be finite, got inf"),
+    ("t0 = -inf\nt_end = -0.1", "[grid] t0 must be finite, got -inf"),
+    ("t0 = -1e308\nt_end = 1e308", "[grid] t_end - t0 must be finite, got inf"),
+], ids=["t_end-inf", "t0-inf", "span-overflows"])
+def test_a_non_finite_run_span_exits_2(tmp_path, capsys, scenario, grid,
+                                       message):
+    # before: exit 1, an OverflowError from the solver's step count
+    _run_exit_2(tmp_path, capsys, scenario,
+                BASE.replace("t0 = -1.0\nt_end = -0.1", grid), message)
+
+
+@pytest.mark.parametrize("log,shown", [
+    ("0.1 1.0 1e300", "0.1 1.0 1e+300"),
+    ("1e-300 1e300 1", "1e-300 1e+300 1.0"),
+], ids=["count-past-the-limit", "infinite-count"])
+def test_a_snapshot_log_past_any_array_size_exits_2(tmp_path, capsys, log,
+                                                     shown):
+    # before: exit 1, numpy's "Maximum allowed size exceeded" for a count
+    # past its limit and an OverflowError for an infinite count; a count
+    # numpy accepts would allocate it
+    text = BASE.replace("snapshot_times = -0.8 -0.5 -0.3",
+                        f"snapshot_log = {log}")
+    _run_exit_2(tmp_path, capsys, "simulate", text,
+                f"[grid] snapshot_log {shown} asks for too many times")
+
+
 class TestAmplitudeOverflow:
     """A p whose blow-up amplitude overflows is a config error: exit 2
     naming it, before any run."""
@@ -808,6 +891,23 @@ class TestSimulate:
         assert run(["simulate", "--config", write_config(
             tmp_path / "c.cfg", text), "--out", str(out)]) == 0
         assert "finite_speed=skipped\n" in (out / "summary").read_text()
+
+    @pytest.mark.parametrize("c0", ["1.0", "0.7"])
+    def test_a_zero_bump_runs_as_the_constant_potential(self, tmp_path, c0):
+        # perturbed with pot_eps = 0 is the constant potential c0: every
+        # output file, the snapshots included, has its bytes
+        files = []
+        for name, kind in [("zero", "perturbed\npot_eps = 0.0\n"
+                            "pot_center_r = 1.0\npot_width = 0.5"),
+                           ("constant", "constant")]:
+            text = BLOWUP.replace("potential = constant\nc0 = 1.0",
+                                  f"potential = {kind}\nc0 = {c0}")
+            out = tmp_path / name
+            assert run(["simulate", "--config", write_config(
+                tmp_path / f"{name}.cfg", text), "--out", str(out)]) == 0
+            files.append({f: (out / f).read_bytes()
+                          for f in sorted(os.listdir(out))})
+        assert len(files[0]) == 5 and files[0] == files[1]
 
     def test_the_stored_levels_are_held_once(self, tmp_path):
         # the snapshots are written from the run's own levels; before, a

@@ -192,6 +192,10 @@ class TestInitialData:
         assert np.all(phit == 0.0)
         assert data.support_radius == 3.0
 
+    def test_file_data_has_no_known_support(self):
+        # before: support_radius raised ValueError
+        assert InitialDataSpec("file", path="snap.dat").support_radius is None
+
     @pytest.mark.parametrize("M,w", [(math.inf, 0.25), (2.0, math.inf)])
     def test_a_non_finite_truncation_is_refused(self, M, w):
         # before: accepted, and M = inf evaluated the untruncated ODE data

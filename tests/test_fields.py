@@ -45,13 +45,19 @@ def linear_field(n=1):
 
 class TestPotential:
     def test_constant(self):
-        V = PotentialSpec.constant(2.0)
+        V = PotentialSpec(2.0)
         assert V.value(0.3, 1.2) == 2.0
         assert V.jet(0.3, 1.2)[1:] == (0.0, 0.0)
 
+    def test_constant_exactly_when_eps_is_zero(self):
+        for eps in (0.0, -0.0):
+            V = PotentialSpec(2.0, eps, (0.3, 1.0), 0.5)
+            assert V.is_constant
+            assert V.jet(0.3, 1.0) == PotentialSpec(2.0).jet(0.3, 1.0)
+        assert not PotentialSpec(2.0, 1e-300, (0.3, 1.0), 0.5).is_constant
+
     def test_perturbed_unit_gradient_profile(self):
-        V = PotentialSpec(kind="perturbed", c0=1.0, eps=0.3,
-                          center=(0.0, 1.0), width=0.5)
+        V = PotentialSpec(c0=1.0, eps=0.3, center=(0.0, 1.0), width=0.5)
         tt = np.linspace(-2, 2, 101)
         rr = np.linspace(0, 3, 101)
         T, R = np.meshgrid(tt, rr)
@@ -72,15 +78,13 @@ class TestPotential:
 
     def test_positivity_guard(self):
         with pytest.raises(ValueError):
-            PotentialSpec(kind="perturbed", c0=0.5, eps=1.0,
-                          center=(0.0, 0.0), width=1.0)
+            PotentialSpec(c0=0.5, eps=1.0, center=(0.0, 0.0), width=1.0)
 
     @pytest.mark.parametrize("c0,width", [(math.inf, 1.0), (1.0, math.inf)])
     def test_rejects_a_non_finite_level_or_width(self, c0, width):
-        # before: c0 = inf gave V = inf, and width = inf with eps = 0 a
-        # nan bump
+        # before: c0 = inf gave V = inf, and width = inf a nan bump
         with pytest.raises(ValueError, match="finite"):
-            PotentialSpec(kind="perturbed", c0=c0, width=width)
+            PotentialSpec(c0=c0, eps=0.1, width=width)
 
 
 def residual(field, potential, p, t, r):
@@ -139,17 +143,17 @@ class TestBoxOperator:
 
 class TestNonlinearResidual:
     def test_zero_field(self):
-        V = PotentialSpec.constant(1.0)
+        V = PotentialSpec(1.0)
         assert residual(zero_field(3), V, 2.0, 0.5, 1.0) == 0.0
 
     def test_constant_field(self):
-        V = PotentialSpec.constant(1.0)
+        V = PotentialSpec(1.0)
         c = 1.7
         val = residual(constant_field(c, 3), V, 2.0, 0.5, 1.0)
         assert val == pytest.approx(c ** 2)
 
     def test_ode_solution_exact_zero(self):
-        V = PotentialSpec.constant(1.0)
+        V = PotentialSpec(1.0)
         for p in (1.5, 2.0, 3.0):
             val = residual(ode_field(p, 3), V, p, -0.7, 0.2)
             assert val == pytest.approx(0.0, abs=1e-10)
@@ -838,11 +842,9 @@ class TestColumnContract:
                     _same_broadcast_bits(got, want)
 
     @pytest.mark.parametrize("potential", [
-        PotentialSpec.constant(1.3),
-        PotentialSpec(kind="perturbed", c0=1.1, eps=0.15, center=(0.0, 1.0),
-                      width=0.8),
-        PotentialSpec(kind="perturbed", c0=2.0, eps=-0.4, center=(-0.3, 0.2),
-                      width=0.45),
+        PotentialSpec(1.3),
+        PotentialSpec(c0=1.1, eps=0.15, center=(0.0, 1.0), width=0.8),
+        PotentialSpec(c0=2.0, eps=-0.4, center=(-0.3, 0.2), width=0.45),
     ], ids=["constant", "perturbed", "perturbed-neg"])
     def test_potential(self, potential):
         for col, full, R in _column_and_full(-0.6, 0.4, 0.0, 1.8):

@@ -119,7 +119,8 @@ class TestExteriorBoundary:
         lo, hi = ext.time_window()
         assert (lo.hex(), hi.hex()) == (ext.lateral.t_lo.hex(),
                                         ext.lateral.t_hi.hex())
-        assert ext.lateral.weight == ext.weight
+        # the ends are the weight's roots on the cone, t*/(1 -+ sigma)
+        assert (lo, hi) == (ts / (1.0 + sigma), ts / (1.0 - sigma))
 
     @pytest.mark.parametrize("sigma,ts,eps,lo,hi", [
         (0.5, 1.0, 1e-2, "0x1.6a77b5c72d6c5p-1", "0x1.f56ecfc713f48p+0"),

@@ -6,6 +6,7 @@ boundary fluxes of verify_global and the inner-flux probe against the
 per-piece normal formulas."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from conewave.geometry import (
     LevelSetPiece,
     ShiftedWeight,
     TimeSlicePiece,
+    _EdgeGradedCone,
 )
 from conewave.quadrature import (
     QuadratureSpec,
@@ -135,9 +137,10 @@ def reference_surface(piece, integrand, q, n):
             vals = integrand(tn, rr, np.full_like(tn, eps))
             return float(np.sum(tw * dens * vals)), tn.size
         s = piece.slope
-        if piece.weight is not None:
-            ts = piece.weight.t_star
-            t_minus, t_plus = ts / (1.0 + s), ts / (1.0 - s)
+        if isinstance(piece, _EdgeGradedCone):
+            # an exterior region's cone side: its ends are the weight's
+            # roots t*/(1 + s), t*/(1 - s)
+            t_minus, t_plus = piece.t_lo, piece.t_hi
             tm = 0.5 * (piece.t_lo + piece.t_hi)
             total, count = 0.0, 0
             for from_hi, length in ((False, tm - piece.t_lo),
@@ -181,8 +184,8 @@ PIECE_CASES = {
     "lateral_slab": [ConePiece(sigma, ts / eta, ts * eta)
                      for sigma in (0.25, 0.5) for eta in (1.5, 2.0)
                      for ts in (0.5, 1.3)],
-    "weighted_cone": [ConePiece(sigma, 1.0 / (1.0 + sigma), 1.0 / (1.0 - sigma),
-                                outward_sign=sign, weight=WEIGHT)
+    "weighted_cone": [replace(ExteriorRegionSpec(sigma, 1.0).lateral,
+                              outward_sign=sign)
                       for sigma in (0.3, 0.5, 0.758952) for sign in (-1, 1)],
     "singular_cone": [ExteriorRegionSpec(sigma, ts).lateral
                       for sigma in (0.3, 0.5, 0.661277) for ts in (1.0, 2.5)],
@@ -206,7 +209,7 @@ class TestPieceProtocol:
                                                      grading_exponent=4.0)])
     def test_surface_matches_the_formulas_it_replaced(self, name, q):
         for piece in PIECE_CASES[name]:
-            weighted = getattr(piece, "weight", None) is not None
+            weighted = isinstance(piece, (LevelSetPiece, _EdgeGradedCone))
             integrand = weighted_integrand if weighted else plain_integrand
             [got] = integrate_surfaces((piece,), integrand, q, 3)
             assert got.value != 0.0
@@ -246,8 +249,8 @@ class TestBoundaryFlux:
     def test_verify_global_pieces_match_the_normal_formulas(self, family):
         params = CarlemanParams(
             a=0.3, p=2.2, n=3,
-            potential=PotentialSpec(kind="perturbed", c0=1.1, eps=0.15,
-                                    center=(0.0, 1.0), width=0.8))
+            potential=PotentialSpec(c0=1.1, eps=0.15, center=(0.0, 1.0),
+                                    width=0.8))
         fieldobj = _offcenter_gaussian(3, 0.8, 0.3, 1.2, 0.3, 0.35)
         region = {"box": box_region(0.1, 0.6, 0.9, 1.7),
                   "frustum": frustum_region(0.1, 0.6, 0.9, 0.5, -3.0),
@@ -270,7 +273,7 @@ class TestBoundaryFlux:
         fieldobj = gaussian_pulse(3, 1.0, 1.0, 0.3, 0.25)
         eps_seq = [1e-2, 1e-3]
         params = CarlemanParams(a=0.25, p=2.0, n=3,
-                                potential=PotentialSpec.constant(1.0),
+                                potential=PotentialSpec(1.0),
                                 shift=ext.weight)
         want = []
         for eps in eps_seq:

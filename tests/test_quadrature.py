@@ -510,7 +510,7 @@ def _params(ext):
     """The probe's Carleman parameters: a = 1/4, p = 2, n = 3, V = 1 and
     the exterior region's weight."""
     return CarlemanParams(a=0.25, p=2.0, n=3,
-                          potential=PotentialSpec.constant(1.0),
+                          potential=PotentialSpec(1.0),
                           shift=ext.weight)
 
 
@@ -628,8 +628,7 @@ class TestRowColumnTime:
 
         gauss = _offcenter_gaussian(3, 0.8, -0.1, 1.0, 0.3, 0.35)
         disc = self._discrete_field()
-        pot = PotentialSpec(kind="perturbed", c0=1.1, eps=0.15,
-                            center=(0.0, 1.0), width=0.8)
+        pot = PotentialSpec(c0=1.1, eps=0.15, center=(0.0, 1.0), width=0.8)
         weight = ShiftedWeight(0.4)
         ode = ode_field(2.5, 3)
 

@@ -58,7 +58,7 @@ def reference_evolve(cfg, data):
 
     def force(t, u):
         out = _plain_laplacian(u, s, vol, dr)
-        if not cfg.linear:
+        if V is not None:
             out = out + V.value(t, r) * signed_power(u, cfg.p)
         return out
 
@@ -67,7 +67,7 @@ def reference_evolve(cfg, data):
         kin = float(np.dot(vol, du * du))
         grad = float(np.sum(s[:-1] * (u1[1:] - u1[:-1]) * (u0[1:] - u0[:-1])) / dr)
         pot = 0.0
-        if not cfg.linear:
+        if V is not None:
             pot = float(np.dot(vol, V.value(tm, r) * (np.abs(u1) ** (cfg.p + 1)
                                                       + np.abs(u0) ** (cfg.p + 1))))
             pot /= (cfg.p + 1.0)
@@ -116,7 +116,7 @@ KERNEL_CASES = {
         InitialDataSpec.truncated_ode(2.0, 0.25)),
     "p2_scaled_constant": (
         SolverConfig(n=3, p=2.0, J=400, R=6.0, t0=-1.0, t_end=-0.1,
-                     potential=PotentialSpec.constant(0.7),
+                     potential=PotentialSpec(0.7),
                      snapshot_times=(-0.7, -0.3, -0.1)),
         InitialDataSpec.truncated_ode(2.0, 0.25)),
     "p2_blowup_at_first_step": (
@@ -125,13 +125,12 @@ KERNEL_CASES = {
         InitialDataSpec.truncated_ode(2.0, 0.25)),
     "p2.5_perturbed": (
         SolverConfig(n=3, p=2.5, J=400, R=6.0, t0=-1.0, t_end=0.5,
-                     potential=PotentialSpec("perturbed", 1.0, 0.2,
-                                             (-0.5, 0.3), 0.5),
+                     potential=PotentialSpec(1.0, 0.2, (-0.5, 0.3), 0.5),
                      snapshot_times=(-0.8, -0.4)),
         InitialDataSpec.truncated_ode(2.0, 0.25, p=2.5)),
     "linear": (
         SolverConfig(n=1, p=2.0, J=250, R=15.0, t0=0.0, t_end=4.0,
-                     linear=True, snapshot_times=(1.0, 2.5, 4.0)),
+                     potential=None, snapshot_times=(1.0, 2.5, 4.0)),
         InitialDataSpec.gaussian(1e-3, 0.5)),
     "energy_trace": (
         SolverConfig(n=3, p=2.0, J=256, R=24.0, t0=1.0, t_end=5.0,
@@ -159,7 +158,7 @@ KERNEL_CASES = {
         InitialDataSpec.truncated_ode(2.0, 0.25)),
     "head_p2.5_c0.7": (
         SolverConfig(n=3, p=2.5, J=400, R=6.0, t0=-1.0, t_end=0.5,
-                     potential=PotentialSpec.constant(0.7),
+                     potential=PotentialSpec(0.7),
                      snapshot_times=(-0.8, -0.4, -0.05)),
         InitialDataSpec.truncated_ode(2.0, 0.25, p=2.5)),
     "head_energy_trace_n2": (
@@ -333,10 +332,10 @@ def test_an_overflow_in_the_head_names_the_axis():
 
 
 @pytest.mark.parametrize("p, potential", [
-    (2.0, PotentialSpec.constant()),
-    (2.0, PotentialSpec.constant(0.7)),
-    (2.5, PotentialSpec.constant(0.7)),
-    (2.0, PotentialSpec("perturbed", 1.0, 0.2, (-0.5, 0.3), 0.5)),
+    (2.0, PotentialSpec()),
+    (2.0, PotentialSpec(0.7)),
+    (2.5, PotentialSpec(0.7)),
+    (2.0, PotentialSpec(1.0, 0.2, (-0.5, 0.3), 0.5)),
 ])
 def test_nonlinear_term_matches_signed_power_bitwise(p, potential):
     # signed zeros, subnormals, squares that underflow or overflow
@@ -392,6 +391,14 @@ class TestEvolveBasics:
         for cfl in (1.5, 0.0, -0.5):
             with pytest.raises(ValueError, match="cfl"):
                 SolverConfig(n=1, J=64, R=4.0, t0=0.0, t_end=0.5, cfl=cfl)
+
+    @pytest.mark.parametrize("t0,t_end", [(-1.0, math.inf),
+                                          (-math.inf, 0.0),
+                                          (-1e308, 1e308)])
+    def test_a_non_finite_run_span_is_refused(self, t0, t_end):
+        # before: evolve raised OverflowError from its step count
+        with pytest.raises(ValueError, match="t_end - t0 must be finite"):
+            SolverConfig(n=1, J=64, R=4.0, t0=t0, t_end=t_end)
 
     @pytest.mark.parametrize("R", [1e300, 1e140, 1e79, 1e-78, 1e-140,
                                    1e-299])
@@ -521,6 +528,8 @@ class TestFiniteSpeed:
         # Python floats: a numpy scalar would print as np.float64(...) in
         # the summary's `fail at` witness
         assert [type(x) for x in witness] == [float] * 3
+        # an unknown support (file data) skips the check
+        assert finite_speed_check(tampered, None) == (None, None)
 
 
 class TestCoreTracking:
@@ -604,7 +613,7 @@ class TestConvergence:
             return 1e-3 * np.exp(-u * u / (2 * s * s)) * ramp
 
         cfg = SolverConfig(n=1, p=2.0, R=16.0, t0=0.0, t_end=4.0,
-                           linear=True, record_energy=False)
+                           potential=None, record_energy=False)
         data = InitialDataSpec.gaussian(1e-3, s)
         order, _ = convergence_study(
             cfg, data, (256, 512, 1024),
