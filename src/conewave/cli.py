@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
+import ctypes
 import math
 import os
 import sys
@@ -350,7 +351,9 @@ def _scenario_simulate(cfg: RunConfig, outdir):
 
 
 def _random_case(rng, forced_a=None):
-    """One randomized admissible verification instance (theorem-backed)."""
+    """One randomized admissible verification instance (theorem-backed), as
+    ((params, field, region), fell_back): `fell_back` says that the drawn
+    inverted frustum was rejected by its builder and the region is a box."""
     from . import carleman
     from .geometry import ShiftedWeight
 
@@ -367,6 +370,7 @@ def _random_case(rng, forced_a=None):
     r0 = reach + float(rng.uniform(0.15, 0.8))
     r1 = r0 + float(rng.uniform(0.4, 1.2))
     family = rng.random()
+    fell_back = False
     if family < 0.5:
         region = carleman.box_region(t0, t1, r0, r1, shift=shift)
     elif family < 0.75:
@@ -381,6 +385,7 @@ def _random_case(rng, forced_a=None):
                                                       shift=shift)
         except ValueError:
             region = carleman.box_region(t0, t1, r0, r1, shift=shift)
+            fell_back = True
     if rng.random() < 0.7:
         V = PotentialSpec(float(rng.uniform(0.5, 2.0)))
     else:
@@ -404,7 +409,7 @@ def _random_case(rng, forced_a=None):
         speed = float(rng.uniform(-0.8, 0.8))
         fieldobj = traveling_bump(n, amp, speed, fc_r - speed * fc_t, wr)
     params = carleman.CarlemanParams(a=a, p=p, n=n, potential=V, shift=shift)
-    return params, fieldobj, region
+    return (params, fieldobj, region), fell_back
 
 
 def _offcenter_gaussian(n, A, tc, rc, wt, wr) -> ManufacturedField:
@@ -435,7 +440,8 @@ def _scenario_verify_carleman(cfg: RunConfig, outdir):
 
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     forced_a = cfg.a[0] if cfg.a else None
-    cases = [_random_case(rng, forced_a) for _ in range(cfg.cases)]
+    cases, fell_back = zip(*(_random_case(rng, forced_a)
+                             for _ in range(cfg.cases)))
     q = cfg.quadrature
     reports = [carleman.verify_global(*case, q) for case in cases]
     rows = [(idx, params.a, params.p, params.n, rep.lhs_bulk, rep.rhs_bulk,
@@ -444,7 +450,8 @@ def _scenario_verify_carleman(cfg: RunConfig, outdir):
             for idx, ((params, _, _), rep) in enumerate(zip(cases, reports))]
     failures = sum(not rep.passed for rep in reports)
     summary = dict(status="pass" if failures == 0 else "fail",
-                   cases=cfg.cases, failures=failures, seed=cfg.seed)
+                   cases=cfg.cases, failures=failures, seed=cfg.seed,
+                   inverted_fallbacks=sum(fell_back))
     return 0 if failures == 0 else 3, summary, [
         ("carleman.csv",
          "case_id,a,p,n,lhs,rhs_bulk,rhs_boundary,slack,err_est,pass", rows,
@@ -694,7 +701,28 @@ _SCENARIOS = {"simulate": _scenario_simulate,
               "sweep": _scenario_sweep}
 
 
+def _keep_freed_heap():
+    """Fixes glibc's heap trim and mmap thresholds at the ceilings its
+    dynamic rule raises them to on a 64-bit machine.
+
+    By default glibc returns the free top of its heap to the kernel once
+    more than 128 KiB of it is free, so each quadrature block faults its
+    freed temporaries back in, zero-filled. Setting the trim threshold alone
+    turns off the dynamic rule that raises the mmap threshold, so both are
+    set. No number a run computes depends on this; where the C library has
+    no mallopt it does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def run(argv=None) -> int:
+    _keep_freed_heap()
     ap = argparse.ArgumentParser(prog="conewave")
     ap.add_argument("subcommand", choices=_SCENARIOS)
     ap.add_argument("--config", required=True)

@@ -92,7 +92,7 @@ def test_criterion_2_global_carleman_suite():
     failures = 0
     worst_slack = math.inf
     for idx in range(200):
-        params, fieldobj, region = _random_case(rng)
+        (params, fieldobj, region), _ = _random_case(rng)
         rep = verify_global(params, fieldobj, region, Q)
         worst_slack = min(worst_slack, rep.slack + rep.tolerance)
         if not rep.passed:

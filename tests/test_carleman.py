@@ -224,7 +224,7 @@ class TestVerifyGlobal:
 
         rng = np.random.default_rng(seed)
         for _ in range(8):
-            params, field, region = _random_case(rng)
+            (params, field, region), _ = _random_case(rng)
             rep = verify_global(params, field, region)
             assert rep.passed, (params, field, rep.slack, rep.tolerance)
 
@@ -406,7 +406,7 @@ def _perturbed_suite_cases(count, seed=7):
     rng = np.random.default_rng(np.random.PCG64(seed))
     cases = []
     while len(cases) < count:
-        case = _random_case(rng)
+        case, _ = _random_case(rng)
         if not case[0].potential.is_constant:
             cases.append(case)
     return cases

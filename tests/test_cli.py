@@ -1,7 +1,9 @@
+import ctypes
 import importlib
 import math
 import os
 import pkgutil
+import platform
 import re
 import subprocess
 import sys
@@ -1147,6 +1149,51 @@ def test_module_entry_point_runs(tmp_path):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="measures glibc's heap trimming")
+def test_a_second_run_faults_few_pages_in(tmp_path):
+    # glibc gave the free top of its heap back to the kernel after each
+    # quadrature block, and the next block faulted the pages back in: about
+    # 7,000 minor faults on this second run. A fresh interpreter, because a run
+    # earlier in this process has set the thresholds already.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conewave.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg = write_config(tmp_path / "c.cfg", "[verify]\ncases = 40\nseed = 7\n")
+    code = ("import resource, sys\nimport conewave.cli as cli\n"
+            "argv = ['verify-carleman', '--config', sys.argv[1], '--out', 'o']\n"
+            "assert cli.run(argv) == 0\n"
+            "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "assert cli.run(argv) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)\n")
+    proc = subprocess.run([sys.executable, "-c", code, cfg], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 500
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()],
+                         ids=["no-library", "no-mallopt"])
+def test_a_c_library_without_mallopt_changes_no_output(tmp_path, monkeypatch,
+                                                       cdll):
+    cfg = write_config(tmp_path / "c.cfg", BASE.replace("cases = 12",
+                                                        "cases = 2"))
+    assert run(["verify-carleman", "--config", cfg, "--out",
+                str(tmp_path / "a")]) == 0
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: calls.append(name) or cdll(name))
+    assert run(["verify-carleman", "--config", cfg, "--out",
+                str(tmp_path / "b")]) == 0
+    assert calls == [None]
+    for name in ("carleman.csv", "summary"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+
+
 class TestVerifyCarleman:
     def test_small_suite_passes(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", BASE)
@@ -1204,6 +1251,41 @@ class TestVerifyCarleman:
         assert run(["verify-carleman", "--config", cfg, "--out", str(out2)]) == 0
         for name in ("carleman.csv", "summary"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_summary_counts_the_inverted_frustums_that_became_boxes(
+            self, tmp_path, monkeypatch):
+        # before, a drawn inverted frustum that its builder rejected became a
+        # box, and no output said so
+        from conewave import carleman
+
+        build, rejected = carleman.inverted_frustum_region, []
+
+        def counted(*args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except ValueError:
+                rejected.append(args)
+                raise
+
+        monkeypatch.setattr(carleman, "inverted_frustum_region", counted)
+        text = BASE.replace("cases = 12", "cases = 6").replace("seed = 7",
+                                                               "seed = 11")
+        direct = write_config(tmp_path / "direct.cfg", text)
+        out = tmp_path / "direct"
+        assert run(["verify-carleman", "--config", direct, "--out",
+                    str(out)]) == 0
+        assert rejected == []
+        assert (out / "summary").read_text() == (
+            "status=pass\ncases=6\nfailures=0\nseed=11\ninverted_fallbacks=0\n")
+        # a forced a draws one number fewer per case, so case 4 falls back
+        swept = write_config(tmp_path / "sweep.cfg", text + (
+            "\n[sweep]\nscenario = verify-carleman\na = 0.05 0.45\n"))
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--config", swept, "--out", str(out)]) == 0
+        assert len(rejected) == 2
+        for cell in ("cell_a0.05", "cell_a0.45"):
+            assert (out / cell / "summary").read_text().endswith(
+                "seed=11\ninverted_fallbacks=1\n")
 
     def test_one_a_sets_every_case_and_two_exit_2(self, tmp_path, capsys):
         text = BASE.replace("cases = 12", "cases = 4")
