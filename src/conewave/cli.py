@@ -93,7 +93,8 @@ _KEYS = (
     _Key("grid", "t0", float, -1.0, math.isfinite, "finite"),
     _Key("grid", "t_end", float, 0.0, math.isfinite, "finite"),
     _Key("grid", "phi_max", float, 1e6, *_above(0)),
-    _Key("grid", "snapshot_times", _floats, ()),
+    _Key("grid", "snapshot_times", _floats, (),
+         lambda v: all(map(math.isfinite, v)), "each finite"),
     # log-spaced snapshot times on t0's side: |t|_min |t|_max per_decade
     _Key("grid", "snapshot_log", _floats, (),
          lambda v: not v or len(v) == 3 and 0 < v[0] < v[1] < math.inf
@@ -238,11 +239,14 @@ def _build(cfg: RunConfig, data: bool):
     # before the data are evaluated: phi* overflows for some such p
     if cfg.n >= 2 and cfg.p >= 1.0 + 4.0 / (cfg.n - 1.0):
         raise ConfigError("p outside the subconformal range for this n")
-    cfg.data = None if not data else InitialDataSpec(
-        cfg.data_kind, cfg.p, cfg.M, cfg.w, cfg.amplitude, cfg.width, cfg.path)
+    cfg.data = None
     if data:
         if cfg.data_kind == "file" and not cfg.path:
             raise ConfigError("[data] kind = file needs [data] path")
+        cfg.data = (InitialDataSpec.file(cfg.path) if cfg.data_kind == "file"
+                    else InitialDataSpec.gaussian(cfg.amplitude, cfg.width)
+                    if cfg.data_kind == "gaussian"
+                    else InitialDataSpec.truncated_ode(cfg.M, cfg.w, cfg.p))
         # evaluated out to the grid's last radius: a snapshot is read and
         # checked against t0 and R, and phi* needs t0 < 0
         _config_call(f"[data] path {cfg.path!r}: " if cfg.data_kind == "file"
@@ -610,7 +614,7 @@ def _scenario_sweep(cfg: RunConfig, outdir):
         if cfg.sweep_scenario not in _ROWS["sweep", key].sweep:
             raise ConfigError(f"[sweep] {key} is not read by "
                               f"{cfg.sweep_scenario}")
-    if "M" in grid and (cfg.data is None or cfg.data.kind != "truncated_ode"):
+    if "M" in grid and (cfg.data is None or cfg.data_kind != "truncated_ode"):
         raise ConfigError("sweeping M requires truncated_ode data")
 
     if cfg.sweep_scenario == "convergence":
@@ -649,7 +653,7 @@ def _cell_text(cell):
 def _sweep_convergence(cfg: RunConfig, grid):
     """Resolution sweep with the homogeneous ODE core as the reference;
     aggregates a fitted order across the grid levels."""
-    if cfg.data is None or cfg.data.kind != "truncated_ode":
+    if cfg.data is None or cfg.data_kind != "truncated_ode":
         raise ConfigError("convergence sweep requires truncated_ode data")
     for J in grid["J"]:  # each level is checked as a cell would be
         _apply_cell(cfg, {"J": J})
@@ -664,7 +668,7 @@ def _sweep_convergence(cfg: RunConfig, grid):
         f"convergence sweep at t_ref = {t_ref!r}: ", convergence_study,
         cfg.solver_config(), cfg.data, levels,
         lambda t, r: float(sol.value(t)) + 0.0 * r, t_ref,
-        0.5 * cfg.data.cutoff)
+        0.5 * cfg.M)
     ok = abs(order - 2.0) <= 0.3
     return 0 if ok else 3, dict(status="pass" if ok else "fail",
                                 fitted_order=f"{order:.17g}",

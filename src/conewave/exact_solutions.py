@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -93,7 +94,9 @@ def smoothstep(s):
 
 @dataclass(frozen=True)
 class InitialDataSpec:
-    """Initial data (phi, d_t phi) evaluated at a start time t0.
+    """Initial data (phi, d_t phi) at a start time t0: `profile(t0, r)`
+    returns the pair on an array r, and `support_radius` is the radius
+    past which the data vanish (None if it is not known). The families:
 
     truncated_ode: phi*(t0) for r <= M, ramped C^2 to zero on [M, M+w].
     gaussian: amplitude A, width s, cut hard to zero on [5s, 6s] so the data
@@ -102,66 +105,57 @@ class InitialDataSpec:
     extends by zero past its last row, which must then read `r 0 0`.
     """
 
-    kind: str
-    p: float = 2.0
-    cutoff: float = 2.0      # M for truncated_ode
-    ramp_width: float = 0.25  # w for truncated_ode
-    amplitude: float = 1e-3  # A for gaussian
-    width: float = 0.5       # s for gaussian
-    path: str = ""
+    profile: Callable
+    support_radius: float | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("truncated_ode", "gaussian", "file"):
-            raise ValueError(f"unknown initial data kind {self.kind!r}")
-        if self.kind == "truncated_ode":
-            if not (0 < self.cutoff < math.inf
-                    and 0 < self.ramp_width < math.inf):
-                raise ValueError("truncation needs finite M > 0 and w > 0")
-        if self.kind == "gaussian" and self.width <= 0:
-            raise ValueError("gaussian width must be positive")
-        if not math.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
+    def evaluate(self, t0, r):
+        return self.profile(t0, np.asarray(r, dtype=float))
 
     @classmethod
     def truncated_ode(cls, M, w, p=2.0):
-        return cls(kind="truncated_ode", p=p, cutoff=M, ramp_width=w)
+        if not (0 < M < math.inf and 0 < w < math.inf):
+            raise ValueError("truncation needs finite M > 0 and w > 0")
+
+        def profile(t0, r):
+            # a quotient that overflows is the +-inf that smoothstep clips
+            with np.errstate(over="ignore"):
+                ramp = 1.0 - smoothstep((r - M) / w)
+            sol = OdeSolution(p)
+            return float(sol.value(t0)) * ramp, float(sol.dvalue(t0)) * ramp
+
+        return cls(profile, M + w)
 
     @classmethod
     def gaussian(cls, amplitude, width):
-        return cls(kind="gaussian", amplitude=amplitude, width=width)
+        if width <= 0:
+            raise ValueError("gaussian width must be positive")
+        if not math.isfinite(amplitude):
+            raise ValueError("amplitude must be finite")
 
-    @property
-    def support_radius(self) -> float | None:
-        if self.kind == "truncated_ode":
-            return self.cutoff + self.ramp_width
-        if self.kind == "gaussian":
-            return 6.0 * self.width
-        return None  # file data: the support is not known
-
-    def evaluate(self, t0, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "truncated_ode":
-            # a quotient that overflows is the +-inf that smoothstep clips
-            with np.errstate(over="ignore"):
-                ramp = 1.0 - smoothstep((r - self.cutoff) / self.ramp_width)
-            sol = OdeSolution(self.p)
-            return float(sol.value(t0)) * ramp, float(sol.dvalue(t0)) * ramp
-        if self.kind == "gaussian":
+        def profile(t0, r):
             # an overflowing r * r gives exp(-inf) = 0, and smoothstep clips
             # an overflowing quotient
             with np.errstate(over="ignore"):
-                ramp = 1.0 - smoothstep((r - 5.0 * self.width) / self.width)
-                phi = (self.amplitude * np.exp(-r * r / (2.0 * self.width ** 2))
-                       * ramp)
+                ramp = 1.0 - smoothstep((r - 5.0 * width) / width)
+                phi = amplitude * np.exp(-r * r / (2.0 * width ** 2)) * ramp
             return phi, np.zeros_like(r)
-        n, p, t, rfile, phi, phit = read_snapshot(self.path)
-        if abs(t - t0) > 1e-9 * max(1.0, abs(t0)):
-            raise ValueError(f"snapshot time {t} does not match start time {t0}")
-        if np.max(r) > rfile[-1] and (phi[-1] != 0.0 or phit[-1] != 0.0):
-            raise ValueError(f"snapshot ends at r = {float(rfile[-1])!r}, "
-                             f"short of r = {float(np.max(r))!r}, on a row "
-                             f"other than `r 0 0`")
-        return np.interp(r, rfile, phi), np.interp(r, rfile, phit)
+
+        return cls(profile, 6.0 * width)
+
+    @classmethod
+    def file(cls, path):
+        def profile(t0, r):
+            n, p, t, rfile, phi, phit = read_snapshot(path)
+            if abs(t - t0) > 1e-9 * max(1.0, abs(t0)):
+                raise ValueError(f"snapshot time {t} does not match start "
+                                 f"time {t0}")
+            if np.max(r) > rfile[-1] and (phi[-1] != 0.0 or phit[-1] != 0.0):
+                raise ValueError(f"snapshot ends at r = {float(rfile[-1])!r}, "
+                                 f"short of r = {float(np.max(r))!r}, on a "
+                                 f"row other than `r 0 0`")
+            return np.interp(r, rfile, phi), np.interp(r, rfile, phit)
+
+        return cls(profile)
 
 
 def _window_integral(m, gamma):

@@ -55,6 +55,8 @@ __all__ = [
 
 _GAUSS2 = 0.5 / math.sqrt(3.0)
 BLOCK_NODES = 8192  # nodes per integrand call in the slice and bulk loops
+# non-finite values are reported by the finiteness tests, not as warnings
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def sphere_area(n: int) -> float:
@@ -99,22 +101,23 @@ class QuadratureResult:
 
 
 class NonFiniteSample(ArithmeticError):
-    """Raised when an integrand evaluates to a non-finite value."""
+    """Raised when an integrand evaluates to a non-finite value, or when a
+    total is not finite and a quadrature weight is not (`what`)."""
 
-    def __init__(self, t, r, value):
+    def __init__(self, t, r, value, what="integrand sample"):
         t, r, value = float(t), float(r), float(value)
-        super().__init__(f"non-finite integrand sample {value!r} at "
+        super().__init__(f"non-finite {what} {value!r} at "
                          f"(t={t!r}, r={r!r})")
         self.location = (t, r)
 
 
-def _check_finite(vals, T, R):
+def _check_finite(vals, T, R, what="integrand sample"):
     bad = ~np.isfinite(vals)
     if np.any(bad):
         idx = np.unravel_index(np.argmax(bad), np.shape(bad))
         T = np.broadcast_to(T, np.shape(R))
         raise NonFiniteSample(T[idx], np.asarray(R)[idx],
-                              np.asarray(vals)[idx])
+                              np.asarray(vals)[idx], what)
     return vals
 
 
@@ -230,10 +233,11 @@ def _weighted_sums(integrand, T, lo, span, rule, n, wspan=None, axis=None):
 
     A non-finite value makes its row's sum non-finite. Only then are the
     blocks evaluated again and tested, and the error names the sample a
-    whole-mesh pass meets first: the outputs in order, each in row order.
-    Finite values whose weighted sum overflows give inf, with no error and
-    no warning. An integrand returning a tuple of arrays gives a tuple of
-    sums, one per array."""
+    whole-mesh pass meets first: the outputs in order, each in row order;
+    with every sample finite, it names the first node whose weight is not
+    (inf * 0 is nan). Finite values and weights whose weighted sum
+    overflows give inf, with no error and no warning. An integrand
+    returning a tuple of arrays gives a tuple of sums, one per array."""
     rel, w = rule
     wspan = span if wspan is None else wspan
     om = sphere_area(n)
@@ -245,19 +249,22 @@ def _weighted_sums(integrand, T, lo, span, rule, n, wspan=None, axis=None):
         out = integrand(T[rows], R)
         return R, out, out if isinstance(out, tuple) else (out,)
 
-    # non-finite values are reported below, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    def measure(rows, R):
+        meas = wspan[rows] * w
+        meas *= om
+        # the bits of meas *= R ** (n - 1), without a pass for R ** 0
+        # or a copy for R ** 1
+        if n == 2:
+            meas *= R
+        elif n > 2:
+            meas *= R ** (n - 1)
+        return meas
+
+    with np.errstate(**_QUIET):
         row_sums = None
         for rows in blocks:
             R, out, outs = evaluate(rows)
-            meas = wspan[rows] * w
-            meas *= om
-            # the bits of meas *= R ** (n - 1), without a pass for R ** 0
-            # or a copy for R ** 1
-            if n == 2:
-                meas *= R
-            elif n > 2:
-                meas *= R ** (n - 1)
+            meas = measure(rows, R)
             if row_sums is None:
                 row_sums = np.empty((len(outs), len(T)))
             for sums, vals in zip(row_sums, outs):
@@ -268,6 +275,9 @@ def _weighted_sums(integrand, T, lo, span, rule, n, wspan=None, axis=None):
                     R, _, outs = evaluate(rows)
                     _check_finite(np.broadcast_to(outs[k], R.shape), T[rows],
                                   R)
+            for rows in blocks:
+                R = lo[rows] + span[rows] * rel
+                _check_finite(measure(rows, R), T[rows], R, "quadrature weight")
         sums = row_sums if axis == 1 else np.sum(row_sums, axis=1)
     return tuple(sums) if isinstance(out, tuple) else sums[0]
 
@@ -326,9 +336,10 @@ def integrate_bulk(region, integrand, q: QuadratureSpec, n: int) -> QuadratureRe
         rhi = np.asarray(region.r_outer(tn), dtype=float)[:, None]
         rule = _unit_rule(factor * q.cells_r, grade, *region.singular_r)
         span = rhi - rlo
+        with np.errstate(**_QUIET):  # an inf weight is named on a nan total
+            wspan = tws[:, None] * span
         return (_weighted_sums(integrand, tn[:, None], rlo, span, rule, n,
-                               wspan=tws[:, None] * span),
-                tn.size * rule[0].size)
+                               wspan=wspan), tn.size * rule[0].size)
 
     return _refine(level)
 
@@ -347,15 +358,15 @@ def integrate_surfaces(pieces, integrand, q: QuadratureSpec, n: int,
     its integrand values (P . N, say). Each set is checked and summed alone
     and a piece adds its sets in order from -0.0 (a one-set sum keeps its
     sign bit), so the bits are those of a piece integrated set by set."""
-    sets = [(j, factor, *s) for j, piece in enumerate(pieces)
-            for factor in (1, 2)
-            for s in piece.node_sets(_Mesh(q, factor), n)]
+    with np.errstate(**_QUIET):  # an inf weight is named on a nan total
+        sets = [(j, factor, *s) for j, piece in enumerate(pieces)
+                for factor in (1, 2)
+                for s in piece.node_sets(_Mesh(q, factor), n)]
     shares, totals, several = [None] * len(sets), {}, False
     for weighted in (False, True):
         group = [i for i, s in enumerate(sets) if (s[5] is None) != weighted]
         if group:
-            # non-finite values are reported by _check_finite below
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with np.errstate(**_QUIET):
                 out = integrand(*(np.concatenate([sets[i][k] for i in group])
                                   for k in (2, 3, 5)[:2 + weighted]))
             ends = np.cumsum([0] + [sets[i][3].size for i in group])
@@ -366,8 +377,12 @@ def integrate_surfaces(pieces, integrand, q: QuadratureSpec, n: int,
         if contract is not None:
             vals = contract(pieces[j], vals, t, r, f)
         several = isinstance(vals, tuple)
-        parts = [float(np.sum(meas * _check_finite(np.asarray(v, float), t, r)))
-                 for v in (vals if several else (vals,))]
+        with np.errstate(**_QUIET):
+            parts = [float(np.sum(meas * _check_finite(np.asarray(v, float),
+                                                       t, r)))
+                     for v in (vals if several else (vals,))]
+        if not all(map(math.isfinite, parts)):
+            _check_finite(meas, t, r, "quadrature weight")
         sums, count = totals.get((j, factor), ([-0.0] * len(parts), 0))
         totals[j, factor] = [a + b for a, b in zip(sums, parts)], count + r.size
     results = [_refine(lambda factor, j=j: (tuple(totals[j, factor][0]),

@@ -158,12 +158,14 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     """Leapfrog evolution; halts with status blew_up at the first step whose
     max |phi| exceeds the threshold. Outer boundary is homogeneous Dirichlet
     at R. The levels at the grid times nearest the requested ones are
-    recorded, with centered d_t phi, each into its own row of the returned
-    field's tables (`levels`, None if there is none). The level of step k
-    has the wall limit (J - k - 2) dr (`r_limit`): the wall at J reaches one
-    cell a step, so cells J - k on, and phi_t (steps k +- 1) and phi_r from
-    J - k - 1 on, may differ from a run with a farther wall; a read at r
-    takes cells floor(r/dr) and floor(r/dr) + 1.
+    recorded by step, each into its own row of the returned field's tables
+    (`levels`, None if there is none): step k at t0 + k dt (t0 at k = 0),
+    with d_t phi centered, the data's at k = 0 and one-sided at the end of
+    a completed run; a level past the threshold is not recorded. The level
+    of step k has the wall limit (J - k - 2) dr (`r_limit`): the wall at J
+    reaches one cell a step, so cells J - k on, and phi_t (steps k +- 1)
+    and phi_r from J - k - 1 on, may differ from a run with a farther wall;
+    a read at r takes cells floor(r/dr) and floor(r/dr) + 1.
 
     The steps run on a causal window [0, e): every cell at index >= e is
     exactly +0.0 (bits; -0.0 is live) in the two newest levels. A step's
@@ -199,32 +201,30 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
 
     # the last level is the last grid time <= t_end
     total_steps = int(math.floor((config.t_end - config.t0) / dt + 1e-9))
-    targets = {}
+    targets = set()
     for t_req in config.snapshot_times:
         m = int(round((t_req - config.t0) / dt))
         if t_req <= config.t_end:
             m = min(m, total_steps)
         if 0 <= m <= total_steps:
-            targets.setdefault(m, t_req)
+            targets.add(m)
 
     # one row per target, an upper bound: a blow-up can stop the run first
-    times, limits = [], []
+    steps = []  # the step of each recorded row
     phi = np.empty((len(targets), J + 1))
     phi_t = np.empty((len(targets), J + 1))
     energy_t, energy_v = [], []
 
     if 0 in targets:
-        times.append(config.t0)
-        limits.append((J - 2) * dr)
+        steps.append(0)
         phi[0] = phi0
         phi_t[0] = phit0
 
     def record(k, u, later, earlier, span):
         """Level u of step k into the next row, with d_t phi the
         difference quotient (later - earlier) / span."""
-        row = len(times)
-        times.append(config.t0 + k * dt)
-        limits.append((J - k - 2) * dr)
+        row = len(steps)
+        steps.append(k)
         phi[row] = u
         np.subtract(later, earlier, out=phi_t[row])
         np.divide(phi_t[row], span, out=phi_t[row])
@@ -258,7 +258,6 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     max_phi = float(np.abs(phi0, out=mag).max())
     status = "completed"
     t_blowup = None
-    pending = None  # step of the level waiting for its centered phi_t
     e = _live_end(phi0, phit0)  # the causal window's end
     c = _head_end(phi0, phit0) if V is None or V.is_constant else 0  # head end
 
@@ -306,9 +305,8 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
                 raise FloatingPointError(
                     f"non-finite solver value at t={t + dt:.6g}, r={r[bad]:.6g} "
                     f"before the blow-up threshold was reached")
-            if pending is not None:
-                record(pending, cur, nxt, prev, 2.0 * dt)
-                pending = None
+            if m in targets and m > 0:
+                record(m, cur, nxt, prev, 2.0 * dt)
             prev, cur, nxt = cur, nxt, prev
             m += 1
             t = config.t0 + m * dt
@@ -320,16 +318,17 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
             if peak > config.phi_max:
                 status, t_blowup = "blew_up", t
                 break
-            if m in targets:
-                pending = m
 
-    if pending is not None:
-        # one-sided time derivative at the final recorded level
-        record(pending, cur, cur, prev, dt)
+    if status == "completed" and m in targets and m > 0:
+        # one-sided time derivative at the final level
+        record(m, cur, cur, prev, dt)
 
-    # rows past the recorded ones stay unread
-    count = len(times)
-    levels = (DiscreteField(times, r, phi[:count], phi_t[:count], limits)
+    # rows past the recorded ones stay unread; level 0 keeps t0's own bits
+    # (-0.0 + 0.0 would be +0.0)
+    count = len(steps)
+    levels = (DiscreteField([config.t0 + k * dt if k else config.t0
+                             for k in steps], r, phi[:count], phi_t[:count],
+                            [(J - k - 2) * dr for k in steps])
               if count else None)
     return RunResult(status, t_blowup, levels, config, dt, max_phi,
                      np.asarray(energy_t), np.asarray(energy_v), m)

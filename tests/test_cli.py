@@ -525,6 +525,9 @@ class TestConfigTable:
         ("grid", "snapshot_log", "0.04 inf 16"),   # an OverflowError
         ("grid", "snapshot_log", "0.04 1.0 inf"),  # an OverflowError
         ("diagnostics", "t_star", "-inf"),         # exit 1 in energy-profile
+        # with field_source = ode and no [data]: exit 1 in energy-profile,
+        # exit 3 in rate-fit on a nan sample at (t=-inf, r=inf)
+        ("grid", "snapshot_times", "-inf -0.5 -0.3"),
         ("data", "width", "1e300"),                # an OverflowError
         ("data", "width", "1e-200"),               # nan at r = 0, exit 3
         ("diagnostics", "a", "inf"),               # exit 3 in verify-carleman
@@ -1115,6 +1118,27 @@ def test_a_non_finite_integrand_prints_only_the_error_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: non-finite integrand sample inf at ")
+
+
+@pytest.mark.parametrize("scenario", ["energy-profile", "verify-localized"])
+def test_a_weight_past_the_float_range_prints_only_the_error_line(tmp_path,
+                                                                  scenario):
+    # at t* = -1e300 the measure r^(n-1) overflows to inf where the ODE
+    # profile underflows to 0; before, inf * 0 gave a nan total: a numpy
+    # RuntimeWarning, then a ValueError `error estimate must be >= 0, got
+    # nan`, exit 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conewave.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg = write_config(tmp_path / "c.cfg", ODE_DIAG.replace(
+        "t_star = -0.5 -0.25 -0.125", "t_star = -1e300"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "conewave.cli", scenario, "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: non-finite quadrature weight inf at ")
 
 
 def test_simulate_loads_only_what_it_runs(tmp_path):

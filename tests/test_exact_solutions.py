@@ -194,7 +194,7 @@ class TestInitialData:
 
     def test_file_data_has_no_known_support(self):
         # before: support_radius raised ValueError
-        assert InitialDataSpec("file", path="snap.dat").support_radius is None
+        assert InitialDataSpec.file("snap.dat").support_radius is None
 
     @pytest.mark.parametrize("M,w", [(math.inf, 0.25), (2.0, math.inf)])
     def test_a_non_finite_truncation_is_refused(self, M, w):
@@ -227,7 +227,7 @@ class TestInitialData:
     def test_file_round_trip(self, tmp_path):
         r = np.linspace(0, 2, 33)
         path = write_level(tmp_path, 3, 2.0, -1.0, r, np.sin(r), np.cos(r))
-        data = InitialDataSpec("file", path=str(path))
+        data = InitialDataSpec.file(str(path))
         phi, phit = data.evaluate(-1.0, r)
         np.testing.assert_allclose(phi, np.sin(r))
         with pytest.raises(ValueError):

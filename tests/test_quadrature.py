@@ -261,6 +261,28 @@ class TestBlockedEvaluation:
         assert total == (math.inf, -math.inf)
         assert [list(v) for v in rows] == [[math.inf] * 2, [-math.inf] * 2]
 
+    def test_a_weight_past_the_float_range_is_named(self):
+        # n = 3 near r = 1e300: every r^2 overflows to inf and the integrand
+        # is 0, so each product is nan. Before: a ValueError `error
+        # estimate must be >= 0, got nan`
+        with pytest.raises(NonFiniteSample,
+                           match="non-finite quadrature weight inf") as err:
+            integrate_slices([0.5], 1e300, 2e300, lambda t, r: 0.0 * r,
+                             QuadratureSpec(), 3)
+        rel = quadrature._unit_rule(QuadratureSpec().cells_r)[0]
+        assert err.value.location == (0.5, 1e300 + 1e300 * rel[0])
+
+    def test_a_surface_weight_past_the_float_range_is_named(self):
+        # a cone piece at r near 1e300: r^(n-1) overflows in its node set.
+        # Before: an `overflow encountered in power` warning, then
+        # inf * 0 = nan and the ValueError on its error estimate
+        with pytest.raises(NonFiniteSample,
+                           match="non-finite quadrature weight inf") as err:
+            integrate_surfaces([ConePiece(0.5, 2e300, 4e300)],
+                               lambda t, r: 0.0 * r, QuadratureSpec(), 3)
+        t = 2e300 + 2e300 * quadrature._unit_rule(QuadratureSpec().cells_t)[0][0]
+        assert err.value.location == (t, 0.5 * t)
+
     def test_an_integral_whose_two_levels_overflow_estimates_inf(self):
         # before: inf - inf gave error_estimate=nan, after a RuntimeWarning
         # (an error here)

@@ -237,7 +237,7 @@ def test_negative_zero_tail_of_start_data_matches_plain_leapfrog_bitwise(tmp_pat
     phi[r >= 2.0] = -0.0
     path = write_level(tmp_path, 3, 2.0, -1.0, r, phi, np.zeros_like(r))
     assert "\n6 -0 0\n" in path.read_text()
-    data = InitialDataSpec("file", path=str(path))
+    data = InitialDataSpec.file(str(path))
     probe = SolverConfig(n=3, p=2.0, J=J, R=R, t0=-1.0, t_end=-0.5)
     dt = evolve(probe, data).dt
     # the first levels: a window that missed the -0.0 cells would leave
@@ -258,7 +258,7 @@ def test_file_data_from_a_blow_up_level_matches_plain_leapfrog_bitwise(
                        snapshot_times=(-0.5,))
     run = evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
     t, r = run.levels.times.item(0), run.levels.r
-    data = InitialDataSpec("file", path=str(write_level(
+    data = InitialDataSpec.file(str(write_level(
         tmp_path, 3, 2.0, t, r, run.levels.phi[0], run.levels.phi_t[0])))
     assert _head_end(*data.evaluate(t, r)) > 2
     restart = SolverConfig(n=3, p=2.0, J=256, R=6.0, t0=t, t_end=0.5,
@@ -275,7 +275,7 @@ def test_constant_data_out_to_the_wall_matches_plain_leapfrog_bitwise(
     # cells when phi = 0, the wall setting phi0[J] = 0.0 as the data does)
     J, R = 64, 2.0
     r = np.arange(J + 1) * (R / J)
-    data = InitialDataSpec("file", path=str(write_level(
+    data = InitialDataSpec.file(str(write_level(
         tmp_path, 3, 2.0, 0.0, r, np.full_like(r, phi), np.full_like(r, phit))))
     cfg = SolverConfig(n=3, p=2.0, J=J, R=R, t0=0.0, t_end=2.0,
                        snapshot_times=(0.0, 0.05, 0.5, 1.0, 2.0))
@@ -448,7 +448,7 @@ class TestEvolveBasics:
                                  [phit for _, _, _, _, _, phit in rows])
         np.testing.assert_array_equal(reloaded.times, res.levels.times)
         np.testing.assert_array_equal(reloaded.phi, res.levels.phi)
-        restart = InitialDataSpec("file", path=paths[0])
+        restart = InitialDataSpec.file(paths[0])
         cfg2 = SolverConfig(n=3, p=2.0, J=256, R=8.0,
                             t0=res.levels.times.item(0), t_end=-0.4,
                             snapshot_times=(-0.6,), record_energy=False)
@@ -672,6 +672,42 @@ def test_each_level_carries_the_limit_of_its_step():
                                            for k in steps]
 
 
+def test_level_times_and_limits_follow_the_step():
+    # level 0 keeps the bits of t0 = -0.0, which -0.0 + 0 * dt would turn
+    # into +0.0; every later level has t0 + k dt and (J - k - 2) dr
+    cfg = SolverConfig(n=3, p=2.0, J=64, R=4.0, t0=-0.0, t_end=1.0,
+                       snapshot_times=(0.0, 0.3, 1.0))
+    res = evolve(cfg, InitialDataSpec.gaussian(1e-3, 0.5))
+    steps = [0, round(0.3 / res.dt), res.steps]
+    times = res.levels.times.tolist()
+    assert times[0].hex() == "-0x0.0p+0"
+    assert times[1:] == [-0.0 + k * res.dt for k in steps[1:]]
+    assert res.levels.r_limit.tolist() == [(cfg.J - k - 2) * cfg.dr
+                                           for k in steps]
+
+
+def test_the_recorder_at_the_threshold_and_at_the_end():
+    # a level past the threshold is not recorded, and the level before it
+    # has the centered phi_t; a run that ends on a requested step records
+    # that step with the one-sided phi_t
+    data = InitialDataSpec.truncated_ode(2.0, 0.25)
+    cfg = SolverConfig(n=3, p=2.0, J=128, R=6.0, t0=-1.0, t_end=0.5)
+    probe = evolve(cfg, data)
+    k, dt = probe.steps, probe.dt
+    wanted = (cfg.t0 + (k - 1) * dt, cfg.t0 + k * dt)
+    blown = assert_matches_reference(
+        dataclasses.replace(cfg, snapshot_times=wanted), data)
+    assert blown.status == "blew_up" and blown.steps == k
+    assert blown.levels.times.tolist() == [wanted[0]]
+    ends = assert_matches_reference(dataclasses.replace(
+        cfg, t_end=wanted[1], phi_max=1e300, snapshot_times=wanted), data)
+    assert ends.status == "completed" and ends.steps == k
+    assert ends.levels.times.tolist() == list(wanted)
+    assert_same_bits(ends.levels.phi_t[0], blown.levels.phi_t[0])
+    assert_same_bits(ends.levels.phi_t[1],
+                     (ends.levels.phi[1] - ends.levels.phi[0]) / dt)
+
+
 @pytest.mark.parametrize("data", [InitialDataSpec.truncated_ode(2.0, 0.25),
                                   InitialDataSpec.gaussian(1.0, 0.5)],
                          ids=["truncated_ode", "gaussian"])
@@ -724,25 +760,15 @@ class TestStability:
 
     def test_noisy_data_stays_bounded(self):
         # random C^0 noise must not excite instability at the default CFL
-        class NoiseData(InitialDataSpec):
-            def __init__(self):
-                object.__setattr__(self, "kind", "gaussian")
-                object.__setattr__(self, "p", 2.0)
-                object.__setattr__(self, "cutoff", 2.0)
-                object.__setattr__(self, "ramp_width", 0.25)
-                object.__setattr__(self, "amplitude", 1e-8)
-                object.__setattr__(self, "width", 0.5)
-                object.__setattr__(self, "path", "")
-
-            def evaluate(self, t0, r):
-                rng = np.random.default_rng(0)
-                phi = 1e-8 * rng.standard_normal(r.size)
-                phi[-1] = 0.0
-                return phi, np.zeros_like(r)
+        def noise(t0, r):
+            rng = np.random.default_rng(0)
+            phi = 1e-8 * rng.standard_normal(r.size)
+            phi[-1] = 0.0
+            return phi, np.zeros_like(r)
 
         cfg = SolverConfig(n=3, J=256, R=1.0, t0=0.0, t_end=2.0, cfl=0.9,
                            record_energy=False)
-        res = evolve(cfg, NoiseData())
+        res = evolve(cfg, InitialDataSpec(noise))
         assert res.status == "completed"
         # noise gradient energy sloshes into displacement (growth ~ 1/dr
         # relative to the 1e-8 amplitude); instability at this step count
