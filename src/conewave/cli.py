@@ -82,8 +82,8 @@ _KEYS = (
          *_one_of("constant", "perturbed"), attr="pot_kind"),
     _Key("problem", "c0", float, 1.0, *_finite_above(0)),
     _Key("problem", "pot_eps", float, 0.0),
-    _Key("problem", "pot_center_t", float, 0.0),
-    _Key("problem", "pot_center_r", float, 0.0),
+    _Key("problem", "pot_center_t", float, 0.0, math.isfinite, "finite"),
+    _Key("problem", "pot_center_r", float, 0.0, math.isfinite, "finite"),
     _Key("problem", "pot_width", float, 1.0, *_finite_above(0)),
     _Key("problem", "pot_alpha", float, math.inf),
     _Key("grid", "R", float, 4.0, *_finite_above(0)),
@@ -224,6 +224,8 @@ def parse_config(path) -> RunConfig:
             value = _read(row.kind, text, label)
             _check_range(row, value, label)
             setattr(cfg, row.attr or row.key, value)
+    if cfg.snapshot_times and cfg.snapshot_log:
+        raise ConfigError("[grid] set snapshot_times or snapshot_log, not both")
     _build(cfg, parser.has_section("data"))
     _validate(cfg)
     return cfg
@@ -731,16 +733,12 @@ def run(argv=None) -> int:
     ap.add_argument("subcommand", choices=_SCENARIOS)
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=None)
-    ap.add_argument("--seed", type=int, default=None)
     # every run is serial; the flag stays for callers that pass --threads 1
     ap.add_argument("--threads", type=int, choices=[1])
     args = ap.parse_args(argv)
 
     try:
         cfg = parse_config(args.config)
-        if args.seed is not None:
-            _check_range(_ROWS["verify", "seed"], args.seed, "--seed")
-            cfg.seed = args.seed
         outdir = args.out if args.out is not None else cfg.directory
         os.makedirs(outdir, exist_ok=True)
         return _emit(outdir, *_SCENARIOS[args.subcommand](cfg, outdir))

@@ -76,11 +76,18 @@ class SolverConfig:
             lam = np.array([1.0, max(4.9, 2.2 * self.n)]) / np.float64(self.dr) ** 2
             weights = np.concatenate(_radial_operator(self.n, self.J, self.dr)
                                      + (lam * lam,))
+            # at lam's upper bound the run's dt = cfl min(dr, 2/sqrt(lam)) is
+            # least, so the run takes at most `steps` steps
+            steps = (self.t_end - self.t0) / (
+                self.cfl * np.minimum(self.dr, 2.0 / np.sqrt(lam[1])))
         if not np.all((np.finfo(float).tiny <= weights) & (weights < math.inf)):
             raise ValueError(
                 "the half-node areas r^(n-1) or cell volumes of the radial "
                 "grid, or the square of its operator scale 1/dr^2, leave the "
                 "normal float range")
+        if not math.isfinite(steps):
+            raise ValueError(f"t_end - t0 = {self.t_end - self.t0!r} spans "
+                             f"{steps} steps of dt, more than a float counts")
 
     @property
     def dr(self) -> float:

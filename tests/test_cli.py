@@ -183,6 +183,20 @@ class TestConfigParsing:
         assert len(cfg.snapshot_times) >= 8
         assert all(t < 0 for t in cfg.snapshot_times)
 
+    def test_snapshot_times_and_snapshot_log_together_exit_2(self, tmp_path,
+                                                             capsys):
+        # before: exit 0, snapshot_log's times silently replacing
+        # snapshot_times' (levels at -1, -0.316 and -0.0994 only)
+        text = BASE.replace("snapshot_times = -0.8 -0.5 -0.3",
+                            "snapshot_times = -0.9 -0.5\n"
+                            "snapshot_log = 0.1 1.0 2")
+        cfg = write_config(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [grid] set snapshot_times or snapshot_log, not both"]
+        assert not out.exists()
+
     def test_snapshot_times_outside_the_run_rejected(self, tmp_path, capsys):
         # a run drops such times: simulate would exit 0 with one snapshot
         text = BASE.replace("t_end = -0.1", "t_end = 0.0").replace(
@@ -539,6 +553,10 @@ class TestConfigTable:
         # exit 0 with finite_speed=skipped on the untruncated ODE data
         ("data", "M", "inf"),
         ("data", "w", "inf"),
+        # with potential = perturbed and pot_eps = 0.1: exit 0 with the
+        # bytes of potential = constant, the bump silently zero
+        ("problem", "pot_center_t", "inf"),
+        ("problem", "pot_center_r", "-inf"),
     ])
     def test_an_out_of_range_value_names_its_key(self, tmp_path, capsys,
                                                  section, key, value):
@@ -642,11 +660,6 @@ class TestConfigTable:
         _run_exit_2(tmp_path, capsys, "verify-carleman",
                     BASE.replace("seed = 7", "seed = -1"),
                     "[verify] seed must be at least 0, got -1")
-        cfg = write_config(tmp_path / "c.cfg", BASE)
-        assert run(["verify-carleman", "--config", cfg, "--out",
-                    str(tmp_path / "o"), "--seed", "-1"]) == 2
-        assert "error: --seed must be at least 0, got -1" in \
-            capsys.readouterr().err
 
     def test_a_window_the_fit_cannot_take_is_a_config_error(self, tmp_path,
                                                             capsys):
@@ -1040,6 +1053,21 @@ def test_an_operator_scale_past_the_float_range_is_exit_2(tmp_path, capsys,
         f"square of its operator scale 1/dr^2, leave the normal float range"]
 
 
+def test_a_step_count_past_the_float_range_is_exit_2(tmp_path, capsys):
+    # before: exit 1, `OverflowError: cannot convert float infinity to
+    # integer` from the solver's step count
+    cfg = write_config(tmp_path / "c.cfg",
+                       "[problem]\nn = 1\n\n[grid]\nR = 8e-70\nJ = 8\n"
+                       "t0 = -1e300\nt_end = 0\n\n[data]\nkind = gaussian\n"
+                       "width = 1e-70\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [problem] n = 1, [grid] R = 8e-70, J = 8: t_end - t0 = 1e+300 "
+        "spans inf steps of dt, more than a float counts"]
+    assert not out.exists()
+
+
 BALL = """
 [problem]
 n = 3
@@ -1246,12 +1274,15 @@ class TestVerifyCarleman:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_changes_cases(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", BASE)
+        cfg1 = write_config(tmp_path / "c1.cfg",
+                            BASE.replace("seed = 7", "seed = 1"))
+        cfg2 = write_config(tmp_path / "c2.cfg",
+                            BASE.replace("seed = 7", "seed = 2"))
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run(["verify-carleman", "--config", cfg, "--out", str(out1),
-                    "--seed", "1"]) == 0
-        assert run(["verify-carleman", "--config", cfg, "--out", str(out2),
-                    "--seed", "2"]) == 0
+        assert run(["verify-carleman", "--config", cfg1, "--out",
+                    str(out1)]) == 0
+        assert run(["verify-carleman", "--config", cfg2, "--out",
+                    str(out2)]) == 0
         assert (out1 / "carleman.csv").read_text() != (out2 / "carleman.csv").read_text()
 
     def test_threads_above_1_exit_2(self, tmp_path, capsys):
@@ -1263,6 +1294,17 @@ class TestVerifyCarleman:
                  "--threads", "2"])
         assert exc.value.code == 2
         assert "--threads: invalid choice: 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_option_is_a_usage_error(self, tmp_path, capsys):
+        # the seed is [verify] seed alone; before, --seed 3 replaced it
+        cfg = write_config(tmp_path / "c.cfg", BASE)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["verify-carleman", "--config", cfg, "--out", str(out),
+                 "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_the_environment_does_not_change_a_run(self, tmp_path,

@@ -400,6 +400,16 @@ class TestEvolveBasics:
         with pytest.raises(ValueError, match="t_end - t0 must be finite"):
             SolverConfig(n=1, J=64, R=4.0, t0=t0, t_end=t_end)
 
+    @pytest.mark.parametrize("R,t0,cfl", [(8e-70, -1e300, 0.9),
+                                          (4.0, -1.0, 5e-324)])
+    def test_a_non_finite_step_count_is_refused(self, R, t0, cfl):
+        # before: evolve raised OverflowError from its step count, or
+        # ZeroDivisionError where dt underflowed to 0
+        with pytest.raises(ValueError, match="spans inf steps of dt"):
+            SolverConfig(n=1, J=8, R=R, t0=t0, t_end=0.0, cfl=cfl)
+        # a finite count, however large, is not refused
+        SolverConfig(n=1, J=8, R=R, t0=-1e200, t_end=0.0)
+
     @pytest.mark.parametrize("R", [1e300, 1e140, 1e79, 1e-78, 1e-140,
                                    1e-299])
     def test_an_operator_scale_past_the_float_range_is_refused(self, R):
