@@ -240,8 +240,8 @@ LOCALIZED_BITS = {
            "0x1.0195dbcf77b8dp+8"),
     -0.25: ("0x1.5283cdf82c5f9p+6", "0x1.53a7ca8a64c8cp+14",
             "0x1.00dcd032018bap+8"),
-    -0.125: ("0x1.527daf31e7d12p+8", "0x1.5314e678c6b08p+16",
-             "0x1.00725d41f215cp+8"),
+    -0.125: ("0x1.527daf31e7d13p+8", "0x1.5314e678c6b08p+16",
+             "0x1.00725d41f215bp+8"),
 }
 DECAY_BITS = {
     "bulk": ["0x1.0568a2fc85ae2p-21", "0x1.057317756a1d3p-21",

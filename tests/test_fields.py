@@ -490,6 +490,27 @@ class TestDiscreteFieldEvaluation:
             with pytest.raises(LevelRangeError, match=r"\(r > 1\)"):
                 fld.jet(times[-1], 1.0 + 1e-8)
 
+    def test_a_nan_radius_is_refused_naming_the_point(self):
+        # before: NaN passed `r > limit`, then its cast to a cell index read
+        # out of bounds (an IndexError, exit 1)
+        fld = self._walled()
+        with pytest.raises(LevelRangeError, match=r"^radius nan at time 0\.5 "
+                                                  r"is not a number$"):
+            fld.jet(0.5, np.nan)
+        with pytest.raises(LevelRangeError, match=r"radius nan at time 1\.5"):
+            fld.jet(np.array([[0.5], [1.5]]), np.array([[0.1, 0.2],
+                                                        [0.3, -np.nan]]))
+
+    @pytest.mark.parametrize("limit", [[np.nan, np.nan], [1.0, np.nan], [1.0],
+                                       [[1.0, 1.0]], 1.0])
+    def test_a_limit_must_be_one_per_level_and_not_nan(self, limit):
+        # before: a NaN limit turned the wall check off, and a limit of the
+        # wrong shape was an IndexError at the first read
+        with pytest.raises(ValueError, match="r_limit must hold one limit per "
+                                             "level and no NaN"):
+            DiscreteField(np.array([0.0, 1.0]), np.linspace(0, 2, 21),
+                          np.zeros((2, 21)), np.zeros((2, 21)), r_limit=limit)
+
     @pytest.mark.parametrize("shape", [(1, 11), (2, 10), (2,)])
     def test_phi_t_must_have_the_shape_of_phi(self, shape):
         # before: only phi's shape was checked; evaluating phi_t then gave
@@ -733,7 +754,9 @@ class TestJetFiniteDifferences:
 
 
 def _reference_eval(fld, table, t, r):
-    """Bilinear interpolation of one table, written out per table."""
+    """Linear in t, then linear in r, written out per point: the levels'
+    combination G_k = P[m, k] (1 - th) + P[m + 1, k] th at the point's two
+    cells k = j, j + 1, then G_j + fr (G_{j+1} - G_j)."""
     t = np.asarray(t, dtype=float)
     r = np.abs(np.asarray(r, dtype=float))
     t, r = np.broadcast_arrays(t, r)
@@ -749,9 +772,9 @@ def _reference_eval(fld, table, t, r):
     j = np.minimum(x.astype(int), fld.r.size - 2)
     fr = x - j
     m2 = np.minimum(m + 1, fld.times.size - 1)
-    lo = table[m, j] * (1.0 - fr) + table[m, j + 1] * fr
-    hi = table[m2, j] * (1.0 - fr) + table[m2, j + 1] * fr
-    out = lo * (1.0 - th) + hi * th
+    g0 = table[m, j] * (1.0 - th) + table[m2, j] * th
+    g1 = table[m, j + 1] * (1.0 - th) + table[m2, j + 1] * th
+    out = g0 + fr * (g1 - g0)
     return out if out.shape else float(out)
 
 
@@ -797,6 +820,37 @@ class TestDiscreteJetBitIdentity:
         for t, r in self._points(fld):
             for got, table in zip(fld.jet(t, r), tables):
                 assert_same_bits(got, _reference_eval(fld, table, t, r))
+
+    @pytest.mark.parametrize("levels", [1, 2, 9])
+    @pytest.mark.parametrize("points", [64, 2])
+    def test_rows_at_the_axis_and_in_the_last_cell_read_inside_the_table(
+            self, levels, points):
+        # a batch shares one window width, so the row in the last cell needs
+        # its window start clamped; unclamped, its window on the top level
+        # runs past the table's end (an IndexError). Two points per row make
+        # the windows too wide for the batch, which then reads one row per
+        # point, with the same bits
+        fld = self._field(levels)
+        t = np.array([[fld.times[-1]], [fld.times[0]], [fld.times[-1]]])
+        r = np.array([np.linspace(fld.r[-2], 2.0, points),
+                      np.linspace(0.0, 1.5, points),
+                      np.linspace(-fld.dr / 2, 0.0, points)])
+        tables = (fld.phi, fld.phi_t, _reference_phi_r(fld))
+        for got, table in zip(fld.jet(t, r), tables):
+            assert_same_bits(got, _reference_eval(fld, table, t, r))
+
+    @pytest.mark.parametrize("levels", [1, 2, 9])
+    def test_a_per_point_time_matches_per_table_interpolation(self, levels):
+        # a surface batch: every point has its own (t, r)
+        fld = self._field(levels)
+        rng = np.random.default_rng(17)
+        t = rng.uniform(fld.times[0], fld.times[-1], (6, 5))
+        r = rng.uniform(-2.0, 2.0, (6, 5))
+        r[0, :2] = 0.0, 2.0
+        tables = (fld.phi, fld.phi_t, _reference_phi_r(fld))
+        for got, table in zip(fld.jet(t, r), tables):
+            assert got.shape == (6, 5)
+            assert_same_bits(got, _reference_eval(fld, table, t, r))
 
 
 # --------------------------------------------------------------------------
