@@ -21,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact_solutions import InitialDataSpec, OdeSolution, ode_field
-from .fields import (LevelRangeError, ManufacturedField, PotentialSpec,
-                     gaussian_rows, polynomial_gaussian, traveling_bump,
-                     write_snapshots)
+from .fields import (ArgumentError, LevelRangeError, ManufacturedField,
+                     PotentialSpec, gaussian_rows, polynomial_gaussian,
+                     traveling_bump, write_snapshots)
 from .quadrature import NonFiniteSample, QuadratureSpec
 from .solver import (SolverConfig, convergence_study, evolve,
                      finite_speed_check)
@@ -49,6 +49,7 @@ class _Key(NamedTuple):
     need: str = ""
     sweep: tuple = ()  # the scenarios that read the key
     attr: str = ""
+    args: tuple = ()  # the library arguments it sets, which check its range
 
 
 def _floats(text):
@@ -57,10 +58,6 @@ def _floats(text):
 
 def _boolean(text):
     return {"true": True, "false": False}[text.lower()]  # either, any case
-
-
-def _above(low):
-    return (lambda v: v > low), f"greater than {low}"
 
 
 def _finite_above(low):
@@ -76,25 +73,23 @@ def _one_of(*words):
 
 
 _KEYS = (
-    _Key("problem", "n", int, 3, *_at_least(1)),
-    _Key("problem", "p", float, 2.0, *_finite_above(1), sweep=("simulate",)),
+    _Key("problem", "n", int, 3, args=("n",)),
+    _Key("problem", "p", float, 2.0, sweep=("simulate",), args=("p",)),
     _Key("problem", "potential", str, "constant",
          *_one_of("constant", "perturbed"), attr="pot_kind"),
-    _Key("problem", "c0", float, 1.0, *_finite_above(0)),
-    _Key("problem", "pot_eps", float, 0.0),
-    _Key("problem", "pot_center_t", float, 0.0, math.isfinite, "finite"),
-    _Key("problem", "pot_center_r", float, 0.0, math.isfinite, "finite"),
-    _Key("problem", "pot_width", float, 1.0, *_finite_above(0)),
+    _Key("problem", "c0", float, 1.0, args=("c0",)),
+    _Key("problem", "pot_eps", float, 0.0, args=("eps",)),
+    _Key("problem", "pot_center_t", float, 0.0, args=("center[0]",)),
+    _Key("problem", "pot_center_r", float, 0.0, args=("center[1]",)),
+    _Key("problem", "pot_width", float, 1.0, args=("width",)),
     _Key("problem", "pot_alpha", float, math.inf),
-    _Key("grid", "R", float, 4.0, *_finite_above(0)),
-    _Key("grid", "J", int, 1024, *_at_least(8),
-         sweep=("simulate", "convergence")),
-    _Key("grid", "cfl", float, 0.9, lambda v: 0 < v <= 1, "in (0, 1]"),
-    _Key("grid", "t0", float, -1.0, math.isfinite, "finite"),
-    _Key("grid", "t_end", float, 0.0, math.isfinite, "finite"),
-    _Key("grid", "phi_max", float, 1e6, *_above(0)),
-    _Key("grid", "snapshot_times", _floats, (),
-         lambda v: all(map(math.isfinite, v)), "each finite"),
+    _Key("grid", "R", float, 4.0, args=("R",)),
+    _Key("grid", "J", int, 1024, sweep=("simulate", "convergence"), args=("J",)),
+    _Key("grid", "cfl", float, 0.9, args=("cfl",)),
+    _Key("grid", "t0", float, -1.0, args=("t0",)),
+    _Key("grid", "t_end", float, 0.0, args=("t_end",)),
+    _Key("grid", "phi_max", float, 1e6, args=("phi_max",)),
+    _Key("grid", "snapshot_times", _floats, (), args=("snapshot_times",)),
     # log-spaced snapshot times on t0's side: |t|_min |t|_max per_decade
     _Key("grid", "snapshot_log", _floats, (),
          lambda v: not v or len(v) == 3 and 0 < v[0] < v[1] < math.inf
@@ -111,7 +106,7 @@ _KEYS = (
     _Key("diagnostics", "sigma0", float, 0.25),
     _Key("diagnostics", "sigma1", float, 0.5),
     _Key("diagnostics", "sigma", float, 0.5, lambda v: 0 < v < 1, "in (0, 1)"),
-    _Key("diagnostics", "gamma", float, 1.2, *_above(1)),
+    _Key("diagnostics", "gamma", float, 1.2, lambda v: v > 1, "greater than 1"),
     _Key("diagnostics", "eta", float, 2.0, math.isfinite, "finite"),
     _Key("diagnostics", "t_star", _floats, (),
          lambda v: all(t != 0 and math.isfinite(t) for t in v),
@@ -127,7 +122,7 @@ _KEYS = (
          lambda v: not v or len(v) == 2 and 0 < v[0] < v[1],
          "empty or two values lo hi with 0 < lo < hi"),
     _Key("diagnostics", "field_source", str, "run", *_one_of("run", "ode")),
-    _Key("diagnostics", "cells", int, 48, *_at_least(4)),
+    _Key("diagnostics", "cells", int, 48, args=("cells_t", "cells_r")),
     # below 1 every non-vacuous verify-localized run would fail
     _Key("diagnostics", "ratio_band", float, 1.5, *_at_least(1)),
     _Key("verify", "cases", int, 200, *_at_least(1)),
@@ -142,6 +137,7 @@ _KEYS = (
 # (section, key) -> row; a [sweep] grid key maps to the row it sweeps
 _ROWS = {(row.section, row.key): row for row in _KEYS}
 _ROWS.update({("sweep", row.key): row for row in _KEYS if row.sweep})
+_ARGS = {arg: row for row in _KEYS for arg in row.args}
 _KIND_NAMES = {int: "an integer", float: "a float",
                _floats: "a list of floats", _boolean: "true or false"}
 
@@ -174,24 +170,14 @@ def _config_call(prefix, call, *args):
 
 class RunConfig:
     """A config's values: one attribute per row of `_KEYS` (the row's
-    default unless the file sets the key), what `_build` makes of them, and
-    `sweep`, the [sweep] grids by key. `data` and `sweep` are None without
-    their section."""
+    default unless the file sets the key), the library objects `_build`
+    makes of them, and `sweep`, the [sweep] grids by key. `data` and
+    `sweep` are None without their section."""
 
     def __init__(self):
         for row in _KEYS:
             setattr(self, row.attr or row.key, row.default)
-        self.potential = self.data = self.sweep = None
-
-    @property
-    def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(cells_t=self.cells, cells_r=self.cells)
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(n=self.n, p=self.p, potential=self.potential,
-                            R=self.R, J=self.J, cfl=self.cfl, t0=self.t0,
-                            t_end=self.t_end, phi_max=self.phi_max,
-                            snapshot_times=self.snapshot_times)
+        self.data = self.sweep = None
 
 
 def parse_config(path) -> RunConfig:
@@ -227,21 +213,40 @@ def parse_config(path) -> RunConfig:
     if cfg.snapshot_times and cfg.snapshot_log:
         raise ConfigError("[grid] set snapshot_times or snapshot_log, not both")
     _build(cfg, parser.has_section("data"))
-    _validate(cfg)
     return cfg
 
 
-def _build(cfg: RunConfig, data: bool):
-    """Makes `potential`, `data` (if `data`) and the `snapshot_log` times
-    from the flat values, at parse time and again in each sweep cell."""
-    cfg.potential = _config_call(  # the bump must keep V positive
-        "[problem] c0, pot_eps, pot_width: ", PotentialSpec, cfg.c0,
-        cfg.pot_eps if cfg.pot_kind == "perturbed" else 0.0,
-        (cfg.pot_center_t, cfg.pot_center_r), cfg.pot_width)
+def _build(cfg: RunConfig, data: bool, swept=()):
+    """Makes the library objects of `cfg` (`data` if `data`) and runs the
+    checks across keys, at parse time and in each sweep cell (keys `swept`)."""
+    if cfg.snapshot_log:
+        lo, hi, per = cfg.snapshot_log
+        try:  # a count past what numpy can allocate is the config's fault
+            count = max(2, int(round(per * math.log10(hi / lo))) + 1)
+            mags = np.geomspace(lo, hi, count)
+        except (OverflowError, ValueError) as exc:
+            raise ConfigError(f"[grid] snapshot_log {lo!r} {hi!r} {per!r} "
+                              f"asks for too many times: {exc}") from None
+        sign = -1.0 if cfg.t0 < 0 else 1.0
+        cfg.snapshot_times = tuple(sorted(sign * mags))
+    try:
+        cfg.potential = PotentialSpec(
+            cfg.c0, cfg.pot_eps if cfg.pot_kind == "perturbed" else 0.0,
+            (cfg.pot_center_t, cfg.pot_center_r), cfg.pot_width)
+        cfg.solver = SolverConfig(
+            n=cfg.n, p=cfg.p, potential=cfg.potential, R=cfg.R, J=cfg.J,
+            cfl=cfg.cfl, t0=cfg.t0, t_end=cfg.t_end, phi_max=cfg.phi_max,
+            snapshot_times=cfg.snapshot_times)
+        cfg.quadrature = QuadratureSpec(cells_t=cfg.cells, cells_r=cfg.cells)
+    except ArgumentError as exc:  # each argument named by its config key
+        rows = [_ROWS["grid", "snapshot_log"] if name == "snapshot_times"
+                and cfg.snapshot_log else _ARGS[name] for name in exc.names]
+        raise ConfigError(", ".join(
+            f"[{'sweep' if row.key in swept else row.section}] {row.key}"
+            for row in rows) + exc.detail) from None
     # before the data are evaluated: phi* overflows for some such p
     if cfg.n >= 2 and cfg.p >= 1.0 + 4.0 / (cfg.n - 1.0):
         raise ConfigError("p outside the subconformal range for this n")
-    cfg.data = None
     if data:
         if cfg.data_kind == "file" and not cfg.path:
             raise ConfigError("[data] kind = file needs [data] path")
@@ -253,46 +258,15 @@ def _build(cfg: RunConfig, data: bool):
         # checked against t0 and R, and phi* needs t0 < 0
         _config_call(f"[data] path {cfg.path!r}: " if cfg.data_kind == "file"
                      else f"[data] kind = {cfg.data_kind}: ",
-                     cfg.data.evaluate, cfg.t0, cfg.J * (cfg.R / cfg.J))
-    if cfg.snapshot_log:
-        lo, hi, per = cfg.snapshot_log
-        try:  # a count past what numpy can allocate is the config's fault
-            count = max(2, int(round(per * math.log10(hi / lo))) + 1)
-            mags = np.geomspace(lo, hi, count)
-        except (OverflowError, ValueError) as exc:
-            raise ConfigError(f"[grid] snapshot_log {lo!r} {hi!r} {per!r} "
-                              f"asks for too many times: {exc}") from None
-        sign = -1.0 if cfg.t0 < 0 else 1.0
-        cfg.snapshot_times = tuple(sorted(sign * mags))
-
-
-def _validate(cfg: RunConfig):
-    """The checks that span keys; each key's own range is in `_KEYS`."""
+                     cfg.data.evaluate, cfg.t0, cfg.J * cfg.solver.dr)
     if not 0.0 < cfg.sigma0 < cfg.sigma1 < 1.0:
         raise ConfigError("need 0 < sigma0 < sigma1 < 1")
     if cfg.eta <= cfg.gamma:
         raise ConfigError("need eta > gamma")
-    if cfg.t_end <= cfg.t0:
-        raise ConfigError("need t0 < t_end")
-    if not math.isfinite(cfg.t_end - cfg.t0):  # both are finite
-        raise ConfigError("[grid] t_end - t0 must be finite, got inf")
     if cfg.strict and len(cfg.horizons) < 2:
         raise ConfigError("[verify] strict = true needs at least two "
                           "[diagnostics] horizons")
     _require_small_potential(cfg, cfg.t_star, "t_star")
-    if cfg.data is not None:
-        # a snapshot time outside the run would be dropped; snapshot_log
-        # puts its endpoints on t0 or t_end up to rounding
-        tol = 1e-9 * max(1.0, abs(cfg.t0), abs(cfg.t_end))
-        outside = [t for t in cfg.snapshot_times
-                   if not cfg.t0 - tol <= t <= cfg.t_end + tol]
-        if outside:
-            raise ConfigError(
-                f"snapshot time {float(outside[0])!r} outside [t0, t_end] = "
-                f"[{cfg.t0!r}, {cfg.t_end!r}]")
-        _config_call(
-            f"[problem] n = {cfg.n}, [grid] R = {cfg.R!r}, J = {cfg.J}: ",
-            cfg.solver_config)
 
 
 def _require_small_potential(cfg: RunConfig, times, name):
@@ -342,7 +316,7 @@ def _emit(outdir, code, summary, tables):
 def _scenario_simulate(cfg: RunConfig, outdir):
     if cfg.data is None:
         raise ConfigError("simulate requires a [data] section")
-    result = evolve(cfg.solver_config(), cfg.data)
+    result = evolve(cfg.solver, cfg.data)
     if result.levels is not None:
         write_snapshots(outdir, cfg.n, cfg.p, result.levels)
     ok, witness = finite_speed_check(result, cfg.data.support_radius)
@@ -482,7 +456,7 @@ def _diagnostic_field(cfg: RunConfig, t_late=-math.inf):
                             ode_field, cfg.p, cfg.n)
     if cfg.data is None:
         raise ConfigError("field_source=run requires a [data] section")
-    levels = evolve(cfg.solver_config(), cfg.data).levels
+    levels = evolve(cfg.solver, cfg.data).levels
     if levels is None:
         raise ConfigError("run recorded no snapshots; set snapshot_times")
     return levels
@@ -668,7 +642,7 @@ def _sweep_convergence(cfg: RunConfig, grid):
     # one level, or a run that stops before t_ref, is the config's fault
     order, errors = _config_call(
         f"convergence sweep at t_ref = {t_ref!r}: ", convergence_study,
-        cfg.solver_config(), cfg.data, levels,
+        cfg.solver, cfg.data, levels,
         lambda t, r: float(sol.value(t)) + 0.0 * r, t_ref,
         0.5 * cfg.M)
     ok = abs(order - 2.0) <= 0.3
@@ -690,8 +664,7 @@ def _apply_cell(cfg: RunConfig, cell: dict) -> RunConfig:
                  (value,) if row.kind is _floats else value)
         _check_range(row, value, f"[sweep] {key}")
         setattr(sub, row.attr or row.key, value)
-    _build(sub, sub.data is not None)
-    _validate(sub)
+    _build(sub, sub.data is not None, cell)
     return sub
 
 

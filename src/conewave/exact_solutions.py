@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import ball_volume
-from .fields import ManufacturedField, read_snapshot
+from .fields import ManufacturedField, _require, read_snapshot
 
 __all__ = [
     "OdeSolution",
@@ -127,10 +127,9 @@ class InitialDataSpec:
 
     @classmethod
     def gaussian(cls, amplitude, width):
-        if width <= 0:
-            raise ValueError("gaussian width must be positive")
-        if not math.isfinite(amplitude):
-            raise ValueError("amplitude must be finite")
+        _require(math.isfinite(amplitude), "amplitude", amplitude, "finite")
+        _require(0 < width and 0 < width * width < math.inf, "width", width,
+                 "greater than 0 with a finite nonzero square")
 
         def profile(t0, r):
             # an overflowing r * r gives exp(-inf) = 0, and smoothstep clips

@@ -23,6 +23,7 @@ __all__ = [
     "ManufacturedField",
     "DiscreteField",
     "LevelRangeError",
+    "ArgumentError",
     "gaussian_rows",
     "gaussian_pulse",
     "polynomial_gaussian",
@@ -30,6 +31,22 @@ __all__ = [
     "signed_power",
     "read_snapshot",
 ]
+
+
+class ArgumentError(ValueError):
+    """A value a constructor refuses: `names`, the arguments its failed check
+    read, then `detail` (`x must be <range>, got <value>`; `x, y: <why>`)."""
+
+    def __init__(self, names, detail):
+        self.names = names
+        self.detail = (" " if len(names) == 1 else ": ") + detail
+        super().__init__(", ".join(names) + self.detail)
+
+
+def _require(ok, name, value, need):
+    """Raises ArgumentError naming `name` unless `ok`, which NaN fails."""
+    if not ok:
+        raise ArgumentError((name,), f"must be {need}, got {value!r}")
 
 
 def signed_power(phi, p):
@@ -45,7 +62,7 @@ def signed_power(phi, p):
 @dataclass(frozen=True)
 class PotentialSpec:
     """Bounded positive potential V = c0 + eps b: constant (`is_constant`)
-    exactly when eps = 0, the other fields then unread.
+    exactly when eps = 0, the bump then unread but checked.
 
     The bump profile is the unit-gradient gaussian
     b(t, r) = width sqrt(e) exp(-rho^2 / (2 width^2)), rho = dist to center,
@@ -59,14 +76,15 @@ class PotentialSpec:
     width: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.c0 < math.inf:
-            raise ValueError("base level must be finite and positive")
-        if not self.is_constant:
-            if not 0.0 < self.width < math.inf:
-                raise ValueError("bump width must be finite and positive")
-            amplitude = self.width * math.sqrt(math.e)  # the bump's maximum
-            if self.c0 - abs(self.eps) * amplitude <= 0.0:
-                raise ValueError("perturbation destroys positivity of V")
+        positive = "finite and greater than 0"
+        _require(0.0 < self.c0 < math.inf, "c0", self.c0, positive)
+        for i, x in enumerate(self.center):
+            _require(math.isfinite(x), f"center[{i}]", x, "finite")
+        _require(0.0 < self.width < math.inf, "width", self.width, positive)
+        amplitude = self.width * math.sqrt(math.e)  # the bump's maximum
+        if not (self.is_constant or self.c0 - abs(self.eps) * amplitude > 0.0):
+            raise ArgumentError(("c0", "eps", "width"),
+                                "perturbation destroys positivity of V")
 
     @property
     def is_constant(self) -> bool:
@@ -384,7 +402,7 @@ class DiscreteField:
         stored levels, beyond a slack of 1e-9 times max(1, largest |level|)."""
         t = np.asarray(t, dtype=float)
         lo, hi = float(self.times[0]), float(self.times[-1])
-        tol = 1e-9 * max(1.0, float(np.abs(self.times).max()))
+        tol = 1e-9 * max(1.0, -lo, hi)  # the times increase
         outside = ~((lo - tol <= t) & (t <= hi + tol))  # NaN is outside
         if np.any(outside):
             raise LevelRangeError(f"time {float(t[outside][0])!r} outside the "

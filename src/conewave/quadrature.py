@@ -43,6 +43,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fields import _require
+
 __all__ = [
     "sphere_area",
     "ball_volume",
@@ -82,10 +84,10 @@ class QuadratureSpec:
     grading_exponent: float = 3.0
 
     def __post_init__(self):
-        if self.cells_t < 4 or self.cells_r < 4:
-            raise ValueError("need at least 4 cells per direction")
-        if self.grading_exponent < 1.0:
-            raise ValueError("grading_exponent must be >= 1")
+        _require(self.cells_t >= 4, "cells_t", self.cells_t, "at least 4")
+        _require(self.cells_r >= 4, "cells_r", self.cells_r, "at least 4")
+        _require(self.grading_exponent >= 1.0, "grading_exponent",
+                 self.grading_exponent, "at least 1")
 
 
 @dataclass

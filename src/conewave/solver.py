@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exact_solutions import InitialDataSpec
-from .fields import (DiscreteField, PotentialSpec, _head_end, _live_end,
-                     signed_power)
+from .fields import (ArgumentError, DiscreteField, PotentialSpec, _head_end,
+                     _live_end, _require, signed_power)
 from .quadrature import sphere_area
 
 __all__ = [
@@ -55,20 +55,30 @@ class SolverConfig:
     record_energy: bool = False  # per-step energy trace, on request only
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("spatial dimension must be >= 1")
-        if self.J < 8:
-            raise ValueError("need at least 8 radial cells")
-        if self.R <= 0:
-            raise ValueError("domain radius must be positive")
-        if self.t_end <= self.t0:
-            raise ValueError("t_end must exceed t0")
+        for ok, name, need in (
+                (self.n >= 1, "n", "at least 1"),
+                (1.0 < self.p < math.inf, "p", "finite and greater than 1"),
+                (0.0 < self.R < math.inf, "R", "finite and greater than 0"),
+                (self.J >= 8, "J", "at least 8"),
+                (0.0 < self.cfl <= 1.0, "cfl", "in (0, 1]"),
+                (math.isfinite(self.t0), "t0", "finite"),
+                (math.isfinite(self.t_end), "t_end", "finite"),
+                (self.phi_max > 0.0, "phi_max", "greater than 0"),
+                (all(map(math.isfinite, self.snapshot_times)), "snapshot_times",
+                 "each finite")):
+            _require(ok, name, getattr(self, name), need)
+        if not self.t0 < self.t_end:
+            raise ArgumentError(("t0", "t_end"), "need t0 < t_end")
         if not math.isfinite(self.t_end - self.t0):
-            raise ValueError("t_end - t0 must be finite")
-        if self.phi_max <= 0:
-            raise ValueError("blow-up threshold must be positive")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must be in (0, 1]")
+            raise ArgumentError(("t0", "t_end"),
+                                "t_end - t0 must be finite, got inf")
+        # a slack, as snapshot_log's ends are t0 or t_end up to rounding
+        tol = 1e-9 * max(1.0, abs(self.t0), abs(self.t_end))
+        for t in self.snapshot_times:
+            if not self.t0 - tol <= t <= self.t_end + tol:
+                raise ArgumentError(("t0", "t_end", "snapshot_times"), (
+                    f"snapshot time {float(t)!r} outside [t0, t_end] = "
+                    f"[{self.t0!r}, {self.t_end!r}]"))
         # the steps divide by the cell volumes and scale by the areas, and
         # the power iteration squares lam, which lies between 1/dr^2 and
         # max(4.9, 2.2 n)/dr^2
@@ -81,13 +91,14 @@ class SolverConfig:
             steps = (self.t_end - self.t0) / (
                 self.cfl * np.minimum(self.dr, 2.0 / np.sqrt(lam[1])))
         if not np.all((np.finfo(float).tiny <= weights) & (weights < math.inf)):
-            raise ValueError(
+            raise ArgumentError(("n", "R", "J"), (
                 "the half-node areas r^(n-1) or cell volumes of the radial "
                 "grid, or the square of its operator scale 1/dr^2, leave the "
-                "normal float range")
+                "normal float range"))
         if not math.isfinite(steps):
-            raise ValueError(f"t_end - t0 = {self.t_end - self.t0!r} spans "
-                             f"{steps} steps of dt, more than a float counts")
+            raise ArgumentError(("n", "R", "J", "cfl", "t0", "t_end"), (
+                f"t_end - t0 = {self.t_end - self.t0!r} spans {steps} steps "
+                f"of dt, more than a float counts"))
 
     @property
     def dr(self) -> float:
@@ -206,15 +217,11 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
 
     V = config.potential
 
-    # the last level is the last grid time <= t_end
+    # the last level is the last grid time <= t_end; the config holds each
+    # snapshot time in [t0, t_end] up to a slack, which takes the end level
     total_steps = int(math.floor((config.t_end - config.t0) / dt + 1e-9))
-    targets = set()
-    for t_req in config.snapshot_times:
-        m = int(round((t_req - config.t0) / dt))
-        if t_req <= config.t_end:
-            m = min(m, total_steps)
-        if 0 <= m <= total_steps:
-            targets.add(m)
+    targets = {min(max(int(round((t - config.t0) / dt)), 0), total_steps)
+               for t in config.snapshot_times}
 
     # one row per target, an upper bound: a blow-up can stop the run first
     steps = []  # the step of each recorded row

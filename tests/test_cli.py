@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import importlib
 import math
 import os
@@ -206,7 +207,8 @@ class TestConfigParsing:
             parse_config(cfg)
         out = tmp_path / "out"
         assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
-        assert "error: snapshot time -1.5 outside" in capsys.readouterr().err
+        assert ("error: [grid] t0, [grid] t_end, [grid] snapshot_times: "
+                "snapshot time -1.5 outside") in capsys.readouterr().err
         assert not (out / "run.csv").exists()
         late = write_config(tmp_path / "late.cfg",
                             text.replace("-1.5 -0.5 0.7", "-0.5 0.7"))
@@ -734,7 +736,7 @@ T_STAR = ("sigma0 = 0.25", "sigma0 = 0.25\nt_star = {}")
 @pytest.mark.parametrize("scenario,text,message", [
     ("simulate", BASE.replace("eta = 2.0", "eta = 1.1"), "need eta > gamma"),
     ("simulate", BASE.replace("t_end = -0.1", "t_end = -1.0"),
-     "need t0 < t_end"),
+     "[grid] t0, [grid] t_end: need t0 < t_end"),
     ("simulate", NO_DATA, "simulate requires a [data] section"),
     ("energy-profile", NO_DATA.replace(T_STAR[0], T_STAR[1].format(-0.5)),
      "field_source=run requires a [data] section"),
@@ -765,7 +767,8 @@ def test_a_refusal_across_keys_or_sections_exits_2(tmp_path, capsys,
 @pytest.mark.parametrize("grid,message", [
     ("t0 = -1.0\nt_end = inf", "[grid] t_end must be finite, got inf"),
     ("t0 = -inf\nt_end = -0.1", "[grid] t0 must be finite, got -inf"),
-    ("t0 = -1e308\nt_end = 1e308", "[grid] t_end - t0 must be finite, got inf"),
+    ("t0 = -1e308\nt_end = 1e308",
+     "[grid] t0, [grid] t_end: t_end - t0 must be finite, got inf"),
 ], ids=["t_end-inf", "t0-inf", "span-overflows"])
 def test_a_non_finite_run_span_exits_2(tmp_path, capsys, scenario, grid,
                                        message):
@@ -1028,8 +1031,8 @@ def test_radial_weights_past_the_float_range_are_exit_2(tmp_path, capsys, n):
         "R = 6.0\nJ = 256", "R = 30.0\nJ = 512").replace(
         "amplitude = 0.0", "amplitude = 1e-3")
     _run_exit_2(tmp_path, capsys, "simulate", text,
-                f"[problem] n = {n}, [grid] R = 30.0, J = 512: the half-node "
-                f"areas r^(n-1) or cell volumes")
+                "[problem] n, [grid] R, [grid] J: the half-node areas r^(n-1) "
+                "or cell volumes")
 
 
 @pytest.mark.parametrize("R,times,width", [
@@ -1048,9 +1051,9 @@ def test_an_operator_scale_past_the_float_range_is_exit_2(tmp_path, capsys,
     cfg = write_config(tmp_path / "c.cfg", text)
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: [problem] n = 1, [grid] R = {float(R)!r}, J = 64: the "
-        f"half-node areas r^(n-1) or cell volumes of the radial grid, or the "
-        f"square of its operator scale 1/dr^2, leave the normal float range"]
+        "error: [problem] n, [grid] R, [grid] J: the half-node areas r^(n-1) "
+        "or cell volumes of the radial grid, or the square of its operator "
+        "scale 1/dr^2, leave the normal float range"]
 
 
 def test_a_step_count_past_the_float_range_is_exit_2(tmp_path, capsys):
@@ -1063,9 +1066,66 @@ def test_a_step_count_past_the_float_range_is_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: [problem] n = 1, [grid] R = 8e-70, J = 8: t_end - t0 = 1e+300 "
-        "spans inf steps of dt, more than a float counts"]
+        "error: [problem] n, [grid] R, [grid] J, [grid] cfl, [grid] t0, "
+        "[grid] t_end: t_end - t0 = 1e+300 spans inf steps of dt, more than a "
+        "float counts"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario,text,keys", [
+    # dt is cfl min(dr, 2/sqrt(lam)), so the count reads the span and all
+    # of n, R, J and cfl; before, the line named n, R and J only
+    ("simulate", BASE.replace("n = 3", "n = 1").replace(
+        "R = 6.0", "R = 8e-70").replace("t0 = -1.0", "t0 = -1e300").replace(
+        "snapshot_times = -0.8 -0.5 -0.3\n", ""),
+     ["[problem] n", "[grid] R", "[grid] J", "[grid] cfl", "[grid] t0",
+      "[grid] t_end"]),
+    ("simulate", BASE.replace("n = 3\np = 2.0", "n = 200\np = 1.005").replace(
+        "R = 6.0\nJ = 256", "R = 30.0\nJ = 512"),
+     ["[problem] n", "[grid] R", "[grid] J"]),
+    ("simulate", BASE.replace("potential = constant\nc0 = 1.0",
+                              "potential = perturbed\nc0 = 0.5\npot_eps = 1.0"),
+     ["[problem] c0", "[problem] pot_eps", "[problem] pot_width"]),
+    ("sweep", BASE + "\n[sweep]\nscenario = simulate\nJ = 4 64\n",
+     ["[sweep] J"]),
+], ids=["step-count", "float-range", "positivity", "sweep-cell"])
+def test_a_refusal_names_every_key_its_check_read(tmp_path, capsys,
+                                                  monkeypatch, scenario, text,
+                                                  keys):
+    monkeypatch.setattr(cli, "evolve", _no_solver_run)
+    cfg = write_config(tmp_path / "c.cfg", text)
+    out = tmp_path / "out"
+    assert run([scenario, "--config", cfg, "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    named = re.match(r"error: ((?:\[\w+\] \w+(?:, |: | must be ))+)", line)
+    assert named is not None, line
+    assert re.findall(r"\[\w+\] \w+", named.group(1)) == keys, line
+    assert not out.exists() or os.listdir(out) == []  # no cell has run
+
+
+def test_a_key_a_library_object_reads_has_its_range_there_alone(tmp_path):
+    # each key that SolverConfig, PotentialSpec or QuadratureSpec reads at
+    # parse time is checked by that constructor alone, its row naming the
+    # arguments it sets; a range in the table too would be a second copy
+    cfg = parse_config(write_config(tmp_path / "c.cfg", BASE.replace(
+        "potential = constant", "potential = perturbed\npot_eps = 0.1\n"
+        "pot_center_t = -0.5\npot_center_r = 0.25\npot_width = 0.75").replace(
+        "sigma0 = 0.25", "sigma0 = 0.25\ncells = 12")))
+    objects = (cfg.solver, cfg.potential, cfg.quadrature)
+    read = {f.name for obj in objects for f in dataclasses.fields(obj)}
+    set_by = {}
+    for row in cli._KEYS:
+        for arg in row.args:
+            name, _, index = arg.partition("[")
+            [value] = [getattr(obj, name) for obj in objects
+                       if name in {f.name for f in dataclasses.fields(obj)}]
+            if index:
+                value = value[int(index[:-1])]
+            assert value == getattr(cfg, row.attr or row.key), arg
+            set_by[name] = row.key
+    assert read - set(set_by) == {"potential", "record_energy",
+                                  "grading_exponent"}
+    assert [row.key for row in cli._KEYS if row.args and row.ok] == []
 
 
 BALL = """
@@ -1440,7 +1500,7 @@ class TestDiagnosticsSubcommands:
             "snapshot_times = -0.8 -0.5 -0.3", "snapshot_log = 0.1 0.5 16")
         cfg = write_config(tmp_path / "c.cfg", text)
         run_cfg = parse_config(cfg)
-        stored = [t for t in cli.evolve(run_cfg.solver_config(),
+        stored = [t for t in cli.evolve(run_cfg.solver,
                                         run_cfg.data).levels.times.tolist()
                   if t < 0]
         seen = []

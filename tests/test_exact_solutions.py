@@ -13,6 +13,7 @@ from conewave.exact_solutions import (
     slab_scaling_constant,
     smoothstep,
 )
+from conewave.fields import ArgumentError
 from conewave.quadrature import QuadratureSpec
 from tests_helpers import write_level
 
@@ -215,6 +216,15 @@ class TestInitialData:
         # before: accepted, and evaluate gave nan at r >= 6 s (inf * 0)
         with pytest.raises(ValueError, match="amplitude must be finite"):
             InitialDataSpec.gaussian(amplitude, 0.5)
+
+    @pytest.mark.parametrize("width", [math.nan, 1e-200, 1e300])
+    def test_a_gaussian_width_without_a_finite_nonzero_square_is_refused(
+            self, width):
+        # before: accepted; nan gave nan data, and the square 2 width^2 of
+        # 1e-200 underflows to 0 (nan at r = 0) and of 1e300 overflows
+        with pytest.raises(ArgumentError) as err:
+            InitialDataSpec.gaussian(1.0, width)
+        assert err.value.names == ("width",)
 
     def test_a_gaussian_past_the_float_range_is_zero_without_a_warning(self):
         # before: `overflow encountered in multiply` from r * r, and with

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conewave.fields import (
+    ArgumentError,
     DiscreteField,
     LevelRangeError,
     ManufacturedField,
@@ -85,6 +86,19 @@ class TestPotential:
         # before: c0 = inf gave V = inf, and width = inf a nan bump
         with pytest.raises(ValueError, match="finite"):
             PotentialSpec(c0=c0, eps=0.1, width=width)
+
+    @pytest.mark.parametrize("args,names", [
+        ((1.0, math.nan), ("c0", "eps", "width")),
+        ((1.0, 0.1, (math.inf, 0.0)), ("center[0]",)),
+        ((1.0, 0.0, (0.0, -math.inf)), ("center[1]",)),
+        ((1.0, 0.0, (0.0, 0.0), math.nan), ("width",)),
+    ], ids=["nan-eps", "inf-center-t", "constant-inf-center-r", "nan-width"])
+    def test_a_nan_or_inf_argument_is_refused_by_name(self, args, names):
+        # before: each constructed, eps = nan giving V = nan and a non-finite
+        # center the bump silently zero
+        with pytest.raises(ArgumentError) as err:
+            PotentialSpec(*args)
+        assert err.value.names == names
 
 
 def residual(field, potential, p, t, r):

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from conewave.exact_solutions import smoothstep
-from conewave.fields import ManufacturedField, PotentialSpec
+from conewave.fields import ArgumentError, ManufacturedField, PotentialSpec
 from conewave.carleman import (CarlemanParams, frustum_region,
                                vanishing_flux_probe)
 from conewave.geometry import (
@@ -53,6 +53,12 @@ class TestSpecValidation:
             QuadratureSpec(cells_t=2)
         with pytest.raises(ValueError):
             QuadratureSpec(grading_exponent=0.5)
+
+    def test_a_nan_grading_is_refused_by_name(self):
+        # before: accepted, nan < 1 being false
+        with pytest.raises(ArgumentError, match=r"^grading_exponent must be "
+                                                r"at least 1, got nan$"):
+            QuadratureSpec(grading_exponent=math.nan)
 
 
 class TestBulk:

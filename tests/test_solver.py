@@ -1,13 +1,14 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conewave import solver
 from conewave.exact_solutions import InitialDataSpec, OdeSolution, smoothstep
-from conewave.fields import (DiscreteField, LevelRangeError, PotentialSpec,
-                             _head_end, signed_power)
+from conewave.fields import (ArgumentError, DiscreteField, LevelRangeError,
+                             PotentialSpec, _head_end, signed_power)
 from conewave.quadrature import sphere_area
 from conewave.solver import (
     RunResult,
@@ -385,6 +386,27 @@ class TestEvolveBasics:
         assert res.levels.times.size == 3
         assert np.all(res.levels.phi == 0.0) and np.all(res.levels.phi_t == 0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("phi_max", math.nan), ("p", math.nan), ("p", math.inf),
+        ("snapshot_times", (math.nan,)), ("snapshot_times", (-0.5, math.inf)),
+        ("J", math.nan)])
+    def test_a_nan_or_inf_field_is_refused_by_name(self, field, value):
+        # before: each constructed; phi_max = nan never stops a blow-up, and
+        # a nan snapshot time was dropped
+        with pytest.raises(ArgumentError, match=f"^{field} must be .*, got "):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("R,J,t_end,t,level", [
+        (4.0, 17, 1.0, 1.0 + 5e-10, 4),   # the nearest step is past the last
+        (1e-6, 1024, 1e-7, -9e-10, 0)])    # dt < the slack: step -1
+    def test_a_snapshot_time_in_the_slack_takes_the_end_level(
+            self, R, J, t_end, t, level):
+        # the config accepts a time up to 1e-9 max(1, |t0|, |t_end|) past
+        # either end; before, the run recorded no level for it
+        res = evolve(SolverConfig(n=1, J=J, R=R, t0=0.0, t_end=t_end,
+                                  snapshot_times=(t,)), zero_data())
+        assert res.levels.times.tolist() == [level * res.dt]
+
     def test_cfl_violation_status(self):
         # a cfl outside (0, 1] is rejected with the config, as the other
         # fields are; no run reaches the solver with it
@@ -392,12 +414,14 @@ class TestEvolveBasics:
             with pytest.raises(ValueError, match="cfl"):
                 SolverConfig(n=1, J=64, R=4.0, t0=0.0, t_end=0.5, cfl=cfl)
 
-    @pytest.mark.parametrize("t0,t_end", [(-1.0, math.inf),
-                                          (-math.inf, 0.0),
-                                          (-1e308, 1e308)])
-    def test_a_non_finite_run_span_is_refused(self, t0, t_end):
+    @pytest.mark.parametrize("t0,t_end,message", [
+        (-1.0, math.inf, "t_end must be finite, got inf"),
+        (-math.inf, 0.0, "t0 must be finite, got -inf"),
+        (-1e308, 1e308, "t0, t_end: t_end - t0 must be finite, got inf")],
+        ids=["-1.0-inf", "-inf-0.0", "-1e+308-1e+308"])
+    def test_a_non_finite_run_span_is_refused(self, t0, t_end, message):
         # before: evolve raised OverflowError from its step count
-        with pytest.raises(ValueError, match="t_end - t0 must be finite"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SolverConfig(n=1, J=64, R=4.0, t0=t0, t_end=t_end)
 
     @pytest.mark.parametrize("R,t0,cfl", [(8e-70, -1e300, 0.9),
