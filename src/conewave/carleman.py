@@ -26,7 +26,6 @@ from .geometry import (
     CylinderPiece,
     ExteriorRegionSpec,
     ShiftedWeight,
-    SurfacePiece,
     TimeSlicePiece,
     UNSHIFTED,
 )
@@ -135,40 +134,40 @@ def flux_covector(params: CarlemanParams, fieldobj, t, r, fval=None):
 # pieces; arbitrary user geometry is out of scope)
 # --------------------------------------------------------------------------
 
+# The sign per piece, (bottom, top, inner side, outer side), that turns its
+# own normal (+dt, or away from the axis) into the divergence identity's
+# orientation: inward on the slices, outward on the sides.
+SIDED_ORIENTATION = (1.0, -1.0, -1.0, 1.0)
+
+
 @dataclass(frozen=True)
 class _SidedBulk(BulkRegion):
-    """{t0 < t < t1, inner(t) < r < outer(t)}: the radial edges are the two
-    timelike side pieces' own radius(t). `pieces` is the closed boundary
-    per the divergence-theorem conventions: every piece spacelike or
-    timelike, oriented normals inward on spacelike and outward on timelike
-    pieces."""
+    """The region bounded by `pieces`, (bottom slice, top slice, inner side,
+    outer side): {t0 < t < t1, inner(t) < r < outer(t)}, with t0 and t1 the
+    slices' levels and the radial edges the sides' own radius(t)."""
 
-    t0: float
-    t1: float
-    inner: SurfacePiece
-    outer: SurfacePiece
     pieces: tuple
 
+    def time_window(self):
+        return self.pieces[0].level, self.pieces[1].level
+
     def r_inner(self, t):
-        return self.inner.radius(t)
+        return self.pieces[2].radius(t)
 
     def r_outer(self, t):
-        return self.outer.radius(t)
+        return self.pieces[3].radius(t)
 
 
 def _sided_region(inner, outer, shift: ShiftedWeight) -> _SidedBulk:
     """The region between two timelike sides (cylinders or tilted cones)
-    over the inner side's window, with its four pieces derived in one order
-    and orientation: bottom slice (inward +dt), top slice (inward -dt),
-    inner side (outward -1), outer side (outward +1). The slices reject ends
-    where 0 <= inner < outer fails, and the region is rejected unless the
-    weight of `shift` is positive on its inner side."""
+    over the inner side's window, with its four pieces in the order of
+    SIDED_ORIENTATION. The slices reject ends where 0 <= inner < outer
+    fails, and the region is rejected unless the weight of `shift` is
+    positive on its inner side."""
     t0, t1 = inner.t_lo, inner.t_hi
-    inner = replace(inner, outward_sign=-1)
-    outer = replace(outer, outward_sign=+1)
     pieces = tuple(TimeSlicePiece(t, float(inner.radius(t)),
-                                  float(outer.radius(t)), inward_sign=sign)
-                   for t, sign in ((t0, +1), (t1, -1))) + (inner, outer)
+                                  float(outer.radius(t)))
+                   for t in (t0, t1)) + (inner, outer)
     # Along the inner side r_inner(t)^2 - (t - t*)^2 is a constant minus a
     # square (cylinder) or a quadratic with leading coefficient
     # slope^2 - 1 < 0 (cone): concave either way, so its minimum over
@@ -176,7 +175,7 @@ def _sided_region(inner, outer, shift: ShiftedWeight) -> _SidedBulk:
     for t in (t0, t1):
         if float(inner.radius(t)) ** 2 - (t - shift.t_star) ** 2 <= 0.0:
             raise ValueError("region closure leaves the exterior region {f > 0}")
-    return _SidedBulk(t0, t1, inner, outer, pieces)
+    return _SidedBulk(pieces)
 
 
 def box_region(t0, t1, r0, r1, shift: ShiftedWeight = UNSHIFTED) -> _SidedBulk:
@@ -257,7 +256,8 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
     errors.update((f"piece{idx}", res.error_estimate)
                   for idx, res in enumerate(fluxes))
 
-    rhs_boundary = float(sum(res.value for res in fluxes))
+    rhs_boundary = float(sum(sign * res.value for sign, res
+                             in zip(SIDED_ORIENTATION, fluxes)))
     slack = rhs.value + rhs_boundary - lhs.value
     scale = abs(lhs.value) + abs(rhs.value + rhs_boundary)
     tol = RELATIVE_SLACK_TOLERANCE * scale + sum(errors.values())
@@ -273,9 +273,9 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
 
 
 def _piece_fluxes(params, fieldobj, pieces, q):
-    """Oriented boundary integrals of P . N, one per piece: P from one
-    flux_covector call per group of node sets (a weight, where a piece
-    carries one, comes in as f), contracted with each piece's normal."""
+    """Boundary integrals of P . N, one per piece, along each piece's own
+    normal: P from one flux_covector call per group of node sets (a weight,
+    where a piece carries one, comes in as f)."""
     return integrate_surfaces(
         pieces, lambda *tr: flux_covector(params, fieldobj, *tr), q, params.n,
         contract=lambda piece, P, t, r, f: piece.dot_normal(*P, t, r, f))
@@ -351,7 +351,8 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
 
 def vanishing_flux_probe(params: CarlemanParams, field, exterior,
                          eps_sequence, q: QuadratureSpec = QuadratureSpec()):
-    """Flux of the Carleman current through the level sets {f = eps}.
+    """Flux of the Carleman current out of {f > eps} through each level set
+    {f = eps}, against its normal: the region lies beyond it from the axis.
 
     Returns one value per eps; for C^2 fields the sequence tends to 0 as the
     level approaches the null boundary, which callers assert.
@@ -361,4 +362,4 @@ def vanishing_flux_probe(params: CarlemanParams, field, exterior,
     if sorted(eps_sequence, reverse=True) != list(eps_sequence):
         raise ValueError("eps sequence must be decreasing")
     pieces = [exterior.level_set(eps) for eps in eps_sequence]
-    return [res.value for res in _piece_fluxes(params, field, pieces, q)]
+    return [-res.value for res in _piece_fluxes(params, field, pieces, q)]

@@ -159,6 +159,14 @@ def _check_range(row, value, label):
         raise ConfigError(f"{label} must be {row.need}, got {value!r}")
 
 
+def _refusal(keys, detail, swept=()):
+    """A ConfigError naming `[section] key` for each row or (section, key)
+    pair of `keys` (`[sweep] key` if swept), then `detail`."""
+    return ConfigError(", ".join(
+        f"[{'sweep' if key in swept else section}] {key}"
+        for section, key, *_ in keys) + detail)
+
+
 def _config_call(prefix, call, *args):
     """call(*args) where a ValueError or OSError is the config's fault: it
     is raised again as a ConfigError, `prefix` before its message."""
@@ -241,12 +249,11 @@ def _build(cfg: RunConfig, data: bool, swept=()):
     except ArgumentError as exc:  # each argument named by its config key
         rows = [_ROWS["grid", "snapshot_log"] if name == "snapshot_times"
                 and cfg.snapshot_log else _ARGS[name] for name in exc.names]
-        raise ConfigError(", ".join(
-            f"[{'sweep' if row.key in swept else row.section}] {row.key}"
-            for row in rows) + exc.detail) from None
+        raise _refusal(rows, exc.detail, swept) from None
     # before the data are evaluated: phi* overflows for some such p
     if cfg.n >= 2 and cfg.p >= 1.0 + 4.0 / (cfg.n - 1.0):
-        raise ConfigError("p outside the subconformal range for this n")
+        raise _refusal((("problem", "n"), ("problem", "p")),
+                       ": p outside the subconformal range for this n", swept)
     if data:
         if cfg.data_kind == "file" and not cfg.path:
             raise ConfigError("[data] kind = file needs [data] path")
@@ -260,9 +267,11 @@ def _build(cfg: RunConfig, data: bool, swept=()):
                      else f"[data] kind = {cfg.data_kind}: ",
                      cfg.data.evaluate, cfg.t0, cfg.J * cfg.solver.dr)
     if not 0.0 < cfg.sigma0 < cfg.sigma1 < 1.0:
-        raise ConfigError("need 0 < sigma0 < sigma1 < 1")
+        raise _refusal((("diagnostics", "sigma0"), ("diagnostics", "sigma1")),
+                       ": need 0 < sigma0 < sigma1 < 1")
     if cfg.eta <= cfg.gamma:
-        raise ConfigError("need eta > gamma")
+        raise _refusal((("diagnostics", "gamma"), ("diagnostics", "eta")),
+                       ": need eta > gamma")
     if cfg.strict and len(cfg.horizons) < 2:
         raise ConfigError("[verify] strict = true needs at least two "
                           "[diagnostics] horizons")
@@ -637,8 +646,13 @@ def _sweep_convergence(cfg: RunConfig, grid):
     for i, J in enumerate(levels):
         if J in levels[:i]:
             raise ConfigError(f"[sweep] J lists {J} more than once")
-    sol = OdeSolution(cfg.p)
     t_ref = cfg.t_star[0] if cfg.t_star else 0.5 * (cfg.t0 + cfg.t_end)
+    if not cfg.solver.in_span(t_ref):
+        raise _refusal((("diagnostics", "t_star"), ("grid", "t0"),
+                        ("grid", "t_end")),
+                       f": convergence sweep reference time {t_ref!r} outside "
+                       f"[t0, t_end] = [{cfg.t0!r}, {cfg.t_end!r}]")
+    sol = OdeSolution(cfg.p)
     # one level, or a run that stops before t_ref, is the config's fault
     order, errors = _config_call(
         f"convergence sweep at t_ref = {t_ref!r}: ", convergence_study,

@@ -222,7 +222,7 @@ def decay_partials(field, sigma, horizons, p, n,
     segments = tuple(integrate_bulk(ConeSegmentSpec(sigma, *span),
                                     bulk_integrand, q, n).value
                      for span in spans)
-    sides = integrate_surfaces([ConePiece(sigma, *span, outward_sign=1)
+    sides = integrate_surfaces([ConePiece(sigma, *span)
                                 for span in spans], lat_integrand, q, n)
     # running sums added one segment at a time from 0.0, in horizon order
     bulk, lateral = (tuple(accumulate(parts, initial=0.0))[1:] for parts in
@@ -241,7 +241,8 @@ class RateReport:
 
 
 def rate_fit(times, values, window=None) -> RateReport:
-    """Least-squares slope of log y against log |t| over the window."""
+    """Least-squares slope of log y against log |t| over the window, whose
+    ends take in the samples within a relative 1e-12 of them."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.size != values.size:
@@ -250,24 +251,25 @@ def rate_fit(times, values, window=None) -> RateReport:
         raise ValueError("need at least 3 samples")
     if np.any(values <= 0):
         raise ValueError("rate fit requires positive samples")
+    at = np.abs(times)
     if window is None:
-        window = (np.abs(times).min(), np.abs(times).max())
-    mask = (np.abs(times) >= window[0] - 1e-12) & (np.abs(times) <= window[1] + 1e-12)
-    if np.unique(np.abs(times[mask])).size < 3:
+        window = (at.min(), at.max())
+    keep = (at >= window[0] * (1 - 1e-12)) & (at <= window[1] * (1 + 1e-12))
+    at, values = at[keep], values[keep]
+    if np.unique(at).size < 3:
         raise ValueError("window selects fewer than 3 samples at distinct |t|")
-    x = np.log(np.abs(times[mask]))
-    y = np.log(values[mask])
+    x = np.log(at)
+    y = np.log(values)
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - slope * x - intercept) ** 2)))
-    at = np.abs(times[mask])
     decade = at <= at.min() * 10.0
     return RateReport(
         slope=float(slope),
         residual=resid,
         window=(float(window[0]), float(window[1])),
-        infimum=float(values[mask].min()),
-        supremum=float(values[mask].max()),
-        last_decade_max=float(values[mask][decade].max()),
+        infimum=float(values.min()),
+        supremum=float(values.max()),
+        last_decade_max=float(values[decade].max()),
     )
 
 

@@ -124,14 +124,10 @@ class BulkRegion:
 
     `singular_r` flags the (inner, outer) radial edges and `singular_t` the
     (lower, upper) time ends toward which quadrature grades its mesh. The
-    defaults: no flagged edge, the window (t0, t1), and an inner edge on
-    the axis."""
+    defaults: no flagged edge, and an inner edge on the axis."""
 
     singular_r = (False, False)
     singular_t = (False, False)
-
-    def time_window(self):
-        return self.t0, self.t1
 
     def r_inner(self, t):
         return np.zeros_like(t)
@@ -229,11 +225,12 @@ class SurfacePiece:
     node weight times the induced density, and `f` the weight value in
     product form on the pieces that carry a weight (an exterior region's
     cone side, level sets of f), None on the others.
-    `dot_normal(Pt, Pr, t, r, f)` contracts a
-    covector with the oriented unit normal; a piece with a constant normal
-    gives it as `normal` = (N^t, N^r). The timelike pieces give their
-    `radius(t)`; cylinders and unweighted cones are the sides of the
-    Carleman regions (see carleman._sided_region)."""
+    `dot_normal(Pt, Pr, t, r, f)` contracts a covector with the unit normal:
+    +dt on a time slice, away from the axis (N^r > 0) on a timelike piece,
+    and a region orients it by a sign of its own; a constant normal is also
+    `normal` = (N^t, N^r). The timelike pieces give their `radius(t)`;
+    cylinders and unweighted cones are the sides of the Carleman regions
+    (see carleman._sided_region)."""
 
     def dot_normal(self, Pt, Pr, t, r, f=None):
         Nt, Nr = self.normal
@@ -242,24 +239,17 @@ class SurfacePiece:
 
 @dataclass(frozen=True)
 class TimeSlicePiece(SurfacePiece):
-    """Spacelike plane {t = level, r_lo < r < r_hi}; inward = +dt at a bottom
-    face (region above), -dt at a top face."""
+    """Spacelike plane {t = level, r_lo < r < r_hi}, with normal +dt."""
 
     level: float
     r_lo: float
     r_hi: float
-    inward_sign: int  # +1 bottom, -1 top
+    normal = (1.0, 0.0)
 
     def __post_init__(self):
-        if self.inward_sign not in (-1, 1):
-            raise ValueError("inward_sign must be +-1")
         if not 0.0 <= self.r_lo < self.r_hi:
             raise ValueError(f"degenerate slice at t = {self.level!r}: need "
                              f"0 <= {self.r_lo!r} < {self.r_hi!r}")
-
-    @property
-    def normal(self):
-        return float(self.inward_sign), 0.0
 
     def node_sets(self, mesh, n):
         """The radial nodes, with t the level at each of them."""
@@ -270,26 +260,19 @@ class TimeSlicePiece(SurfacePiece):
 
 @dataclass(frozen=True)
 class CylinderPiece(SurfacePiece):
-    """Timelike cylinder {r = r0, t_lo < t < t_hi}; outward = +dr when the
-    region sits inside the cylinder, -dr when outside."""
+    """Timelike cylinder {r = r0, t_lo < t < t_hi}, with normal +dr."""
 
     r0: float
     t_lo: float
     t_hi: float
-    outward_sign: int = 1
+    normal = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.outward_sign not in (-1, 1):
-            raise ValueError("outward_sign must be +-1")
         if not (self.r0 > 0.0 and self.t_lo < self.t_hi):
             raise ValueError("degenerate cylinder")
 
     def radius(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.r0)
-
-    @property
-    def normal(self):
-        return 0.0, float(self.outward_sign)
 
     def node_sets(self, mesh, n):
         t, w = mesh.temporal(self.t_lo, self.t_hi)
@@ -300,7 +283,7 @@ class CylinderPiece(SurfacePiece):
 @dataclass(frozen=True)
 class ConePiece(SurfacePiece):
     """Timelike cone piece {r = slope (t - t_apex), t_lo < t < t_hi}, slope in (0,1),
-    with normal N = (1 - s^2)^{-1/2} (s d_t + d_r) times `outward_sign`.
+    with normal N = (1 - s^2)^{-1/2} (s d_t + d_r).
     Its nodes carry no weight value; the cone side of an exterior region,
     which does, is that region's `lateral`."""
 
@@ -308,7 +291,6 @@ class ConePiece(SurfacePiece):
     t_lo: float
     t_hi: float
     t_apex: float = 0.0
-    outward_sign: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.slope < 1.0:
@@ -316,15 +298,13 @@ class ConePiece(SurfacePiece):
                              "spacelike cones are not timelike pieces")
         if self.t_lo >= self.t_hi:
             raise ValueError("degenerate cone piece")
-        if self.outward_sign not in (-1, 1):
-            raise ValueError("outward_sign must be +-1")
 
     def radius(self, t):
         return self.slope * (np.asarray(t, dtype=float) - self.t_apex)
 
     @property
     def normal(self):
-        scale = self.outward_sign / math.sqrt(1.0 - self.slope * self.slope)
+        scale = 1 / math.sqrt(1.0 - self.slope * self.slope)
         return scale * self.slope, scale
 
     def node_sets(self, mesh, n):
@@ -367,9 +347,8 @@ class _EdgeGradedCone(ConePiece):
 
 @dataclass(frozen=True)
 class LevelSetPiece(SurfacePiece):
-    """Timelike level set {f_{t*,zeta} = eps} inside the cone (axis ray)
-    bounding the region {f > eps}, with outward normal
-    N = -f^{-1/2} grad f."""
+    """Timelike level set {f_{t*,zeta} = eps} inside the cone (axis ray),
+    with normal N = f^{-1/2} grad f."""
 
     weight: ShiftedWeight
     eps: float
@@ -388,7 +367,7 @@ class LevelSetPiece(SurfacePiece):
         return np.sqrt((t - self.weight.t_star) ** 2 + 4.0 * self.eps)
 
     def dot_normal(self, Pt, Pr, t, r, f):
-        scale = -1 / np.sqrt(f)
+        scale = 1 / np.sqrt(f)
         return (Pt * scale * 0.5 * (t - self.weight.t_star)
                 + Pr * scale * 0.5 * r)
 

@@ -72,10 +72,8 @@ class SolverConfig:
         if not math.isfinite(self.t_end - self.t0):
             raise ArgumentError(("t0", "t_end"),
                                 "t_end - t0 must be finite, got inf")
-        # a slack, as snapshot_log's ends are t0 or t_end up to rounding
-        tol = 1e-9 * max(1.0, abs(self.t0), abs(self.t_end))
         for t in self.snapshot_times:
-            if not self.t0 - tol <= t <= self.t_end + tol:
+            if not self.in_span(t):
                 raise ArgumentError(("t0", "t_end", "snapshot_times"), (
                     f"snapshot time {float(t)!r} outside [t0, t_end] = "
                     f"[{self.t0!r}, {self.t_end!r}]"))
@@ -103,6 +101,11 @@ class SolverConfig:
     @property
     def dr(self) -> float:
         return self.R / self.J
+
+    def in_span(self, t) -> bool:
+        """Whether t is in [t0, t_end] up to 1e-9 relative, for rounded ends."""
+        tol = 1e-9 * max(1.0, abs(self.t0), abs(self.t_end))
+        return self.t0 - tol <= t <= self.t_end + tol
 
 
 def _radial_operator(n, J, dr):

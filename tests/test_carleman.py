@@ -30,7 +30,7 @@ from conewave.geometry import (
 )
 from conewave.quadrature import (QuadratureResult, QuadratureSpec,
                                  integrate_bulk, integrate_surfaces)
-from tests_helpers import (box_bulk, closures_jet, constant_field,
+from tests_helpers import (closures_jet, constant_field,
                            offcenter_closures, zero_field)
 
 
@@ -192,15 +192,22 @@ class TestVerifyGlobal:
         assert rep.rhs_bulk == pytest.approx(fine.rhs_bulk, rel=1e-4)
         assert rep.rhs_boundary == pytest.approx(fine.rhs_boundary, rel=1e-4)
 
-    def test_divergence_theorem_consistency(self):
+    @pytest.mark.parametrize("t_star", [0.0, 0.2], ids=["unshifted",
+                                                        "shifted"])
+    @pytest.mark.parametrize("family", ["box", "frustum", "inverted"])
+    def test_divergence_theorem_consistency(self, family, t_star):
         # finite-difference divergence of the current integrated over the
-        # box must reproduce the oriented boundary integral: a sharp check
-        # on orientation and measure conventions
-        params = CarlemanParams(a=0.25, p=2.0, n=3)
+        # region must reproduce its oriented boundary integral: a sharp
+        # check on the orientation and measure of each kind of side
+        shift = ShiftedWeight(t_star)
+        params = CarlemanParams(a=0.25, p=2.0, n=3, shift=shift)
         field = offcenter_gaussian(3, 1.2, 0.1, 1.5, 0.35, 0.3)
-        region = box_region(-0.4, 0.4, 1.0, 2.0)
-        rep = verify_global(params, field, region,
-                            QuadratureSpec(cells_t=96, cells_r=96))
+        region = {"box": box_region(-0.4, 0.4, 1.0, 2.0, shift),
+                  "frustum": frustum_region(-0.4, 0.4, 1.0, 0.5, -4.4, shift),
+                  "inverted": inverted_frustum_region(-0.4, 0.4, 2.4, 0.5,
+                                                      -2.4, shift)}[family]
+        q = QuadratureSpec(cells_t=96, cells_r=96)
+        rep = verify_global(params, field, region, q)
         h = 1e-5
         n = 3
 
@@ -213,9 +220,7 @@ class TestVerifyGlobal:
                 / (2 * h) / r ** (n - 1)
             return -(Pt1 - Pt0) / (2 * h) + radial
 
-        from conewave.quadrature import integrate_bulk
-        vol = integrate_bulk(box_bulk(-0.4, 0.4, 1.0, 2.0), div,
-                             QuadratureSpec(cells_t=96, cells_r=96), 3)
+        vol = integrate_bulk(region, div, q, 3)
         assert vol.value == pytest.approx(rep.rhs_boundary, rel=1e-6, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))

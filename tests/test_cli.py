@@ -134,8 +134,10 @@ class TestConfigParsing:
 
     def test_sigma_ordering_enforced(self, tmp_path):
         bad = BASE.replace("sigma0 = 0.25", "sigma0 = 0.7")
-        with pytest.raises(ConfigError, match="sigma0 < sigma1"):
+        with pytest.raises(ConfigError) as err:
             parse_config(write_config(tmp_path / "c.cfg", bad))
+        assert str(err.value) == ("[diagnostics] sigma0, [diagnostics] sigma1: "
+                                  "need 0 < sigma0 < sigma1 < 1")
 
     def test_causal_buffer_enforced(self, tmp_path, capsys):
         # the run's levels refuse a read their wall has reached, after the
@@ -734,7 +736,8 @@ T_STAR = ("sigma0 = 0.25", "sigma0 = 0.25\nt_star = {}")
 
 
 @pytest.mark.parametrize("scenario,text,message", [
-    ("simulate", BASE.replace("eta = 2.0", "eta = 1.1"), "need eta > gamma"),
+    ("simulate", BASE.replace("eta = 2.0", "eta = 1.1"),
+     "[diagnostics] gamma, [diagnostics] eta: need eta > gamma"),
     ("simulate", BASE.replace("t_end = -0.1", "t_end = -1.0"),
      "[grid] t0, [grid] t_end: need t0 < t_end"),
     ("simulate", NO_DATA, "simulate requires a [data] section"),
@@ -837,7 +840,8 @@ class TestAmplitudeOverflow:
         monkeypatch.setattr(cli, "evolve", _no_solver_run)
         _run_exit_2(tmp_path, capsys, "simulate",
                     BLOWUP.replace("p = 2.0", "p = 1e300"),
-                    "p outside the subconformal range for this n")
+                    "[problem] n, [problem] p: p outside the subconformal "
+                    "range for this n")
 
 
 class TestSimulate:
@@ -1677,8 +1681,8 @@ class TestSweep:
         cfg = write_config(tmp_path / "c.cfg", text)
         out = tmp_path / "out"
         assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
-        assert ("error: p outside the subconformal range for this n"
-                in capsys.readouterr().err)
+        assert ("error: [problem] n, [sweep] p: p outside the subconformal "
+                "range for this n\n" == capsys.readouterr().err)
         assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("grid,first,second,name", [
@@ -1775,6 +1779,23 @@ class TestSweep:
                     "convergence sweep at t_ref = -0.2: radius 1.0 at time "
                     "-0.1994626521550129 is past the levels' wall limit "
                     "(r > 0.859375)")
+
+    def test_a_convergence_reference_time_outside_the_run_exit_2(
+            self, tmp_path, capsys, monkeypatch):
+        # before: the solver's refusal named `snapshot_times`, which the
+        # config never set, and not [diagnostics] t_star
+        monkeypatch.setattr(cli, "convergence_study", _no_solver_run)
+        text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",
+                            "kind = truncated_ode\nM = 2.0\nw = 0.25")
+        text = text.replace("t_end = -0.1", "t_end = -0.5")
+        text = text.replace("snapshot_times = -0.8 -0.5 -0.3\n", "")
+        text = text.replace("sigma0 = 0.25", "sigma0 = 0.25\nt_star = -0.2")
+        text += "\n[sweep]\nscenario = convergence\nJ = 64 128\n"
+        _run_exit_2(tmp_path, capsys, "sweep", text,
+                    "[diagnostics] t_star, [grid] t0, [grid] t_end: "
+                    "convergence sweep reference time -0.2 outside "
+                    "[t0, t_end] = [-1.0, -0.5]\n")
+        assert list((tmp_path / "out").glob("*")) == []
 
     def test_convergence_sweep_fits_second_order(self, tmp_path):
         text = BASE.replace("kind = gaussian\namplitude = 0.0\nwidth = 0.5",

@@ -270,6 +270,18 @@ class TestRateFit:
         assert rep.slope == pytest.approx(0.5, abs=1e-10)
         assert rep.last_decade_max == pytest.approx(math.sqrt(0.1), rel=1e-6)
 
+    def test_window_selects_the_same_samples_at_every_scale(self):
+        # the window's slack scales with its ends: at |t| ~ 1e-14 an absolute
+        # 1e-12 took in all four samples, not the three inside (2, 4)
+        reps = [rate_fit([-1.0 * s, -2.0 * s, -3.0 * s, -4.0 * s],
+                         [1.0, 2.0, 4.0, 8.0], (2.0 * s, 4.0 * s))
+                for s in (1e-14, 1.0, 1e14)]
+        for rep in reps:
+            assert (rep.infimum, rep.supremum) == (2.0, 8.0)
+            assert rep.slope == pytest.approx(reps[1].slope, abs=1e-12)
+        inside = np.polyfit(np.log([2.0, 3.0, 4.0]), np.log([2.0, 4.0, 8.0]), 1)
+        assert reps[1].slope == pytest.approx(inside[0], abs=1e-12)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             rate_fit([-1, -2], [1, 2])

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conewave.carleman import (box_region, frustum_region,
+                               inverted_frustum_region)
 from conewave.geometry import (
     ConePiece,
     ConeSegmentSpec,
@@ -22,7 +24,7 @@ from conewave.geometry import (
     minkowski_norm_sq,
 )
 from conewave.energetics import _slab
-from conewave.quadrature import sphere_area
+from conewave.quadrature import QuadratureSpec, _Mesh, sphere_area
 from tests_helpers import box_bulk, zero_field
 
 
@@ -147,19 +149,50 @@ class TestAngle:
 
 
 def components(piece, t, r, f=None):
-    """(N^t, N^r) of a piece's oriented normal: its contraction with the
-    covectors dt and dr."""
+    """(N^t, N^r) of a piece's normal: its contraction with the covectors
+    dt and dr."""
     return (piece.dot_normal(1.0, 0.0, t, r, f),
             piece.dot_normal(0.0, 1.0, t, r, f))
 
 
+def every_kind_of_piece():
+    """Pieces of every kind: plain ones, an exterior region's cone side and
+    level sets, and the four pieces of each sided region family."""
+    ext = ExteriorRegionSpec(0.5, 1.0)
+    pieces = [TimeSlicePiece(-0.4, 0.0, 2.0), CylinderPiece(1.0, -1.0, 1.0),
+              ConePiece(0.7, 1.0, 2.0), ConePiece(0.3, 0.2, 0.9, t_apex=-1.5),
+              ext.lateral, ext.level_set(1e-2), ext.level_set(1e-4)]
+    for region in (box_region(-0.3, 0.4, 0.9, 1.7),
+                   frustum_region(0.1, 0.6, 0.9, 0.5, -3.0),
+                   inverted_frustum_region(0.1, 0.6, 2.5, 0.5, -2.0)):
+        pieces.extend(region.pieces)
+    return pieces
+
+
 class TestNormals:
     def test_time_slice(self):
-        bottom = TimeSlicePiece(0.0, 1.0, 2.0, inward_sign=+1)
-        assert bottom.normal == (1.0, 0.0)
-        assert components(bottom, 0.0, 1.5) == (1.0, 0.0)
-        top = TimeSlicePiece(1.0, 1.0, 2.0, inward_sign=-1)
-        assert top.normal == (-1.0, 0.0)
+        piece = TimeSlicePiece(0.0, 1.0, 2.0)
+        assert piece.normal == (1.0, 0.0)
+        assert components(piece, 0.0, 1.5) == (1.0, 0.0)
+
+    def test_one_convention_for_every_piece(self):
+        # a slice's normal is +dt, a timelike piece's points away from the
+        # axis; the regions a piece bounds orient it themselves
+        kinds = set()
+        for piece in every_kind_of_piece():
+            for t, r, _, f in piece.node_sets(_Mesh(QuadratureSpec(), 1), 3):
+                Nt, Nr = (np.broadcast_to(c, t.shape)
+                          for c in components(piece, t, r, f))
+                if isinstance(piece, TimeSlicePiece):
+                    assert np.all(Nt == 1.0) and np.all(Nr == 0.0)
+                    kinds.add("spacelike")
+                else:
+                    assert np.all(Nr > 0.0)
+                    np.testing.assert_allclose(Nr * Nr - Nt * Nt, 1.0,
+                                               rtol=1e-9)
+                    kinds.add(type(piece).__name__)
+        assert kinds == {"spacelike", "CylinderPiece", "ConePiece",
+                         "_EdgeGradedCone", "LevelSetPiece"}
 
     def test_cone_normal_formula(self):
         piece = ConePiece(0.5, 1.0, 2.0)
@@ -169,8 +202,8 @@ class TestNormals:
 
     def test_normals_are_unit(self):
         pieces = [
-            TimeSlicePiece(0.2, 0.5, 1.0, 1),
-            CylinderPiece(1.0, 0.0, 1.0, -1),
+            TimeSlicePiece(0.2, 0.5, 1.0),
+            CylinderPiece(1.0, 0.0, 1.0),
             ConePiece(0.7, 1.0, 2.0),
         ]
         expected = [-1.0, 1.0, 1.0]
@@ -179,7 +212,7 @@ class TestNormals:
 
     def test_level_set_normal_against_finite_differences(self):
         # oracle: numerically normalize the finite-difference gradient of f
-        # restricted to the level set, oriented toward decreasing f
+        # restricted to the level set, oriented toward increasing f
         w = ShiftedWeight(t_star=1.0)
         eps = 0.04
         piece = LevelSetPiece(w, eps, 0.5, 1.5)
@@ -192,9 +225,9 @@ class TestNormals:
         # raise the index: contravariant gradient = (-df_dt, df_dr)
         grad = np.array([-df_dt, df_dr])
         grad /= math.sqrt(abs(minkowski_norm_sq(grad)))
-        assert N == pytest.approx(-grad, rel=1e-5)
-        # at t = t* this is the minus-radial direction with unit norm
-        assert N == pytest.approx([0.0, -1.0], abs=1e-9)
+        assert N == pytest.approx(grad, rel=1e-5)
+        # at t = t* this is the radial direction with unit norm
+        assert N == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_null_piece_rejected(self):
         with pytest.raises(ValueError):
@@ -222,7 +255,7 @@ def density(piece, nodes, n):
 
 class TestMeasureDensity:
     def test_slice_n3(self):
-        piece = TimeSlicePiece(0.0, 0.5, 2.0, 1)
+        piece = TimeSlicePiece(0.0, 0.5, 2.0)
         assert density(piece, [1.0], 3)[0] == pytest.approx(4 * math.pi)
 
     def test_cone_n3(self):
@@ -252,7 +285,7 @@ class TestMeasureDensity:
         assert quad == pytest.approx(total, rel=1e-10)
 
     def test_n1_counts_two_points(self):
-        piece = TimeSlicePiece(0.0, 0.5, 2.0, 1)
+        piece = TimeSlicePiece(0.0, 0.5, 2.0)
         assert density(piece, [1.3], 1)[0] == pytest.approx(2.0)
 
     def test_level_set_density_against_triangulation(self):

@@ -1,12 +1,11 @@
 """The region and piece protocols pinned bit for bit to the formulas they
 replaced: every bulk family against integrate_bulk on a region object with
 its window, radii and singular flags written out, every piece kind against
-its node rule, measure product and oriented normal written out, and the
+its node rule, measure product and normal written out, and the
 boundary fluxes of verify_global and the inner-flux probe against the
 per-piece normal formulas."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +44,10 @@ from tests_helpers import (piece_by_piece_fluxes, set_by_set_surface,
                            written_region, zero_field)
 
 Q = QuadratureSpec(cells_t=12, cells_r=10)
+# the divergence identity's orientation of a sided region's (bottom, top,
+# inner side, outer side) against the pieces' own normals (+dt on a slice,
+# away from the axis on a side): inward on slices, outward on sides
+ORIENTATION = (1.0, -1.0, -1.0, 1.0)
 
 
 def same_bits(got, want):
@@ -171,22 +174,19 @@ WEIGHT = ShiftedWeight(1.0)
 # moves the last bit of only some sums, and slope ** 2 differs from
 # slope * slope only for some slopes (0.661277 and 0.758952 among them)
 PIECE_CASES = {
-    "slice": [TimeSlicePiece(0.3, lo, hi, inward_sign=sign)
-              for lo in (0.0, 0.35, 0.8) for hi in (1.1, 1.7, 2.9)
-              for sign in (-1, 1)],
-    "cylinder": [CylinderPiece(radius, lo, hi, outward_sign=sign)
+    "slice": [TimeSlicePiece(0.3, lo, hi)
+              for lo in (0.0, 0.35, 0.8) for hi in (1.1, 1.7, 2.9)],
+    "cylinder": [CylinderPiece(radius, lo, hi)
                  for radius in (0.7, 1.3, 2.2) for lo, hi in ((-0.2, 0.7),
-                                                             (0.4, 1.9))
-                 for sign in (-1, 1)],
-    "cone": [ConePiece(slope, lo, hi, t_apex=apex, outward_sign=sign)
+                                                             (0.4, 1.9))],
+    "cone": [ConePiece(slope, lo, hi, t_apex=apex)
              for slope in (0.3, 0.661277, 0.85) for lo, hi, apex in
-             ((0.2, 0.9, -1.5), (0.5, 2.0, 0.0)) for sign in (-1, 1)],
+             ((0.2, 0.9, -1.5), (0.5, 2.0, 0.0))],
     "lateral_slab": [ConePiece(sigma, ts / eta, ts * eta)
                      for sigma in (0.25, 0.5) for eta in (1.5, 2.0)
                      for ts in (0.5, 1.3)],
-    "weighted_cone": [replace(ExteriorRegionSpec(sigma, 1.0).lateral,
-                              outward_sign=sign)
-                      for sigma in (0.3, 0.5, 0.758952) for sign in (-1, 1)],
+    "weighted_cone": [ExteriorRegionSpec(sigma, 1.0).lateral
+                      for sigma in (0.3, 0.5, 0.758952)],
     "singular_cone": [ExteriorRegionSpec(sigma, ts).lateral
                       for sigma in (0.3, 0.5, 0.661277) for ts in (1.0, 2.5)],
     "level_set": [LevelSetPiece(WEIGHT, eps, lo, hi)
@@ -224,17 +224,17 @@ def reference_flux(params, fieldobj, piece):
 
         def level_flux(t, r, f):
             Pt, Pr = flux_covector(params, fieldobj, t, r, fval=f)
-            scale = -1 / np.sqrt(f)
+            scale = 1 / np.sqrt(f)
             return Pt * scale * 0.5 * (t - ts) + Pr * scale * 0.5 * r
 
         return level_flux
     if isinstance(piece, TimeSlicePiece):
-        normal = np.array([float(piece.inward_sign), 0.0])
+        normal = np.array([1.0, 0.0])
     elif isinstance(piece, CylinderPiece):
-        normal = np.array([0.0, float(piece.outward_sign)])
+        normal = np.array([0.0, 1.0])
     else:
         s = piece.slope
-        scale = piece.outward_sign / math.sqrt(1.0 - s * s)
+        scale = 1 / math.sqrt(1.0 - s * s)
         normal = np.array([scale * s, scale])
 
     def flux(t, r, f=None):
@@ -266,7 +266,8 @@ class TestBoundaryFlux:
             assert got.value != 0.0
             assert got.value.hex() == want.value.hex()
             wants.append(want.value)
-        assert rep.rhs_boundary.hex() == float(sum(wants)).hex()
+        assert rep.rhs_boundary.hex() == \
+            float(sum(s * w for s, w in zip(ORIENTATION, wants))).hex()
 
     def test_inner_flux_probe_matches_the_level_set_formula(self):
         ext = ExteriorRegionSpec(0.5, 1.0)
@@ -281,7 +282,7 @@ class TestBoundaryFlux:
             piece = LevelSetPiece(ext.weight, eps, lo, hi)
             [res] = integrate_surfaces(
                 (piece,), reference_flux(params, fieldobj, piece), Q, 3)
-            want.append(res.value)
+            want.append(-res.value)  # out of {f > eps}: toward the axis
         got = vanishing_flux_probe(params, fieldobj, ext, eps_seq, Q)
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert all(v != 0.0 for v in got)
@@ -368,7 +369,7 @@ class TestBoundaryFluxFamily:
         got = carleman._piece_fluxes(params, fieldobj, region.pieces, Q)
         assert [r.value.hex() for r in got] == [w.value.hex() for w in want]
         assert rep.rhs_boundary.hex() == \
-            float(sum(w.value for w in want)).hex()
+            float(sum(s * w.value for s, w in zip(ORIENTATION, want))).hex()
         assert [rep.error_estimates[f"piece{i}"].hex()
                 for i in range(len(want))] == \
             [w.error_estimate.hex() for w in want]

@@ -371,12 +371,12 @@ class TestSurface:
         assert max(worst) <= math.pi / 4 + 1e-12
 
     def test_ball_slice_volume(self):
-        piece = TimeSlicePiece(-1.0, 0.0, 0.5, 1)
+        piece = TimeSlicePiece(-1.0, 0.0, 0.5)
         [res] = integrate_surfaces((piece,), ONE, QuadratureSpec(), 3)
         assert res.value == pytest.approx(4 * math.pi / 3 * 0.125, rel=1e-12)
 
     def test_cylinder_measure(self):
-        piece = CylinderPiece(1.5, 0.0, 2.0, 1)
+        piece = CylinderPiece(1.5, 0.0, 2.0)
         [res] = integrate_surfaces((piece,), ONE, QuadratureSpec(), 3)
         assert res.value == pytest.approx(4 * math.pi * 1.5 ** 2 * 2.0, rel=1e-12)
 

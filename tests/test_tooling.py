@@ -92,10 +92,17 @@ def test_a_benchmark_command_line_parses_and_validates(tmp_path, monkeypatch,
     assert len(seen) == 1
 
 
+def _files(out):
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in out.rglob("*") if path.is_file()}
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_a_benchmark_workload_passes_its_output_checks(tmp_path, name):
     # the benchmark's correctness gate at its default seed, the outputs
-    # compared with bench/reference_seed7.json at its tolerances
+    # compared with bench/reference_seed7.json at its tolerances; then a
+    # second run in this process, with cli.run's heap settings in effect,
+    # writes the same bytes (the benchmark compares fresh processes only)
     seed = WORKLOADS.DEFAULT_SEED
     cfg = tmp_path / "workload.cfg"
     cfg.write_text(WORKLOADS.config_text(name, seed))
@@ -104,3 +111,8 @@ def test_a_benchmark_workload_passes_its_output_checks(tmp_path, name):
     checks = CHECKS.output_checks(name, seed, str(out), code)
     assert len(checks) > 1
     assert [(check, detail) for check, ok, detail in checks if not ok] == []
+    again = tmp_path / "again"
+    assert cli.run(WORKLOADS.cli_args(name, str(cfg), str(again))) == code
+    first = _files(out)
+    assert len(first) > 1
+    assert _files(again) == first

@@ -27,13 +27,13 @@ def constant_field(c, n=3):
 
 
 def box_bulk(t0, t1, r0, r1):
-    """The rectangle {t0 < t < t1, r0 < r < r1}: two cylinder sides, with
-    no boundary pieces (box_region's, unlike these, need f > 0 inside)."""
+    """The rectangle {t0 < t < t1, r0 < r < r1} from its four pieces,
+    without box_region's check that f > 0 on it."""
     from conewave.carleman import _SidedBulk
-    from conewave.geometry import CylinderPiece
+    from conewave.geometry import CylinderPiece, TimeSlicePiece
 
-    return _SidedBulk(t0, t1, CylinderPiece(r0, t0, t1),
-                      CylinderPiece(r1, t0, t1), ())
+    return _SidedBulk((TimeSlicePiece(t0, r0, r1), TimeSlicePiece(t1, r0, r1),
+                       CylinderPiece(r0, t0, t1), CylinderPiece(r1, t0, t1)))
 
 
 def written_region(window, r_inner, r_outer, singular_r=(False, False),
