@@ -247,24 +247,27 @@ def _live_end(a, b):
 
 def _head_end(a, b):
     """Length of the leading run of cells where the float64 arrays a and b
-    both equal their cell 0 bit for bit (-0.0 differs from +0.0)."""
+    both equal their cell 0 bit for bit (-0.0 differs from +0.0), along
+    the last axis: one length per row of (levels, cells) tables."""
     ua, ub = a.view(np.uint64), b.view(np.uint64)
-    differ = np.flatnonzero((ua != ua[:1]) | (ub != ub[:1]))
-    return int(differ[0]) if differ.size else len(a)
+    differ = (ua != ua[..., :1]) | (ub != ub[..., :1])
+    # the cell past the end differs, so a run of every cell ends there
+    end = np.ones(differ.shape[:-1] + (1,), dtype=bool)
+    return np.concatenate([differ, end], axis=-1).argmax(axis=-1)
 
 
-def _write_level(path, n, p, t, r_text, phi, phit):
+def _write_level(path, n, p, t, r_text, phi, phit, head):
     """One snapshot file with the `r` column given preformatted, one string
     per row.
 
-    The leading rows where phi and phit equal their cell-0 values bit for
-    bit (the head: a blow-up run's ODE core) share one formatted
-    ` phi phit` ending. The rows from there to the level's live edge are
-    formatted a block at a time, so the formatted values held in memory
-    stay bounded whatever the grid size; the rows from the edge on, where
-    phi and phit are +0.0, are `r 0 0`."""
+    The level's `head` leading rows (`DiscreteField.head`: phi and phit
+    equal their cell-0 values bit for bit, a blow-up run's ODE core) share
+    one formatted ` phi phit` ending. The rows from there to the level's
+    live edge are formatted a block at a time, so the formatted values held
+    in memory stay bounded whatever the grid size; the rows from the edge
+    on, where phi and phit are +0.0, are `r 0 0`."""
     edge = _live_end(phi, phit)
-    head = min(_head_end(phi, phit), edge)
+    head = min(head, edge)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{SNAPSHOT_HEADER}\n")
         handle.write(f"{n:d} {p:.17g} {t:.17g}\n")
@@ -297,7 +300,7 @@ def write_snapshots(directory, n, p, levels):
                                            levels.phi_t)):
         path = os.path.join(directory, f"snap_{m:04d}.dat")
         try:
-            _write_level(path, n, p, t, r_text, phi, phit)
+            _write_level(path, n, p, t, r_text, phi, phit, levels.head[m])
         except OSError as exc:
             raise OSError(f"cannot write {path}: {exc}") from exc
         paths.append(path)
@@ -392,6 +395,28 @@ class DiscreteField:
         out[:, -1] = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / h
         return out
 
+    @cached_property
+    def head(self) -> np.ndarray:
+        """Per level, the length of the leading run of cells where phi and
+        phi_t equal cell 0 bit for bit (`_head_end`): a blow-up run's ODE
+        core; built on first use. The snapshot writer formats its values
+        once, and `jet` reads a mesh row inside it at cell 0."""
+        return _head_end(self.phi, self.phi_t)
+
+    @cached_property
+    def _head_reach(self) -> np.ndarray | None:
+        """Per pair of levels m, m + 1 that a row combines (level 0 alone
+        in a one-level field), head - 2 of the shorter head, or 0 where
+        either level's cell 0 is not finite: a row whose cells j stay below
+        it reads only cells j + 1 <= head - 2 of both, where phi_r is +0.0
+        and phi and phi_t equal cell 0. None if no row can, so that data
+        with no head pay no test."""
+        finite = np.isfinite(self.phi[:, 0]) & np.isfinite(self.phi_t[:, 0])
+        reach = np.where(finite, self.head - 2, 0)
+        if reach.size > 1:
+            reach = np.minimum(reach[:-1], reach[1:])
+        return reach if reach.max() > 0 else None
+
     # -- interpolating evaluation surface -------------------------------------
     # Linear in t, then linear in r, over the stored levels, vectorized over
     # broadcastable (t, r) arrays. Accuracy O(dt^2 + dr^2), matching the
@@ -433,9 +458,20 @@ class DiscreteField:
         reads G_j + fr (G_{j+1} - G_j). A (rows, 1) column and the same t in
         full give the same bits. The windows share one width, their starts
         clamped inside the table; past 2 cells per point, each point is its
-        own row."""
+        own row.
+
+        A mesh batch (t with a 1 where r, given in full, has many points:
+        quadrature's (rows, 1) column against (rows, m)) whose every row
+        reads only cells j + 1 <= head - 2 of both its levels (`head`), each
+        with finite cell-0 values, reads one value per row: those cells
+        equal cell 0, so G_j = G_{j+1} = G_0 and a point's value is
+        G_0 + (G_0 - G_0), the general formula's bits, returned as a t-shaped
+        column. Each row's greatest cell, which the general path's windows
+        read too, makes that choice. A change to how a row combines its
+        levels must change this head read with it."""
         t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
         shape = np.broadcast_shapes(t.shape, r.shape)
+        mesh = t.ndim == r.ndim and r.shape == shape != t.shape
         nd = max(len(shape), 1)  # a scalar batch runs as one point
         t, x = (a.reshape((1,) * (nd - a.ndim) + a.shape)
                 for a in (t, np.abs(r)))  # x = |r|: the even extension
@@ -453,30 +489,39 @@ class DiscreteField:
         np.minimum(np.divide(x, self.dr, out=x), size - 1 - 1e-12, out=x)
         j = x.astype(np.intp)
         np.minimum(j, size - 2, out=j)
-        fr = np.subtract(x, j, out=x)
         # the axes along which one element of t holds many points
         axes = tuple(a for a in range(nd) if t.shape[a] == 1 < j.shape[a])
-        lo = j.min(axis=axes, keepdims=True)
-        width = int((j.max(axis=axes, keepdims=True) - lo).max()) + 2
-        full = np.broadcast_shapes(t.shape, j.shape)
-        if t.size * width > 2 * math.prod(full):
-            # one row per point reads faster, in less memory, than windows
-            # this wide (crossover 2-4 cells per point, 2-core Xeon)
-            m, th, lo = (np.broadcast_to(a, full) for a in (m, th, j))
-            width = 2
-        start = np.minimum(lo, size - width)
-        # flat index of each point's cell in the (m.size, width) row tables
-        idx = j + (np.arange(m.size).reshape(m.shape) * width - start)
-        window = (m * size + start)[..., None] + np.arange(width)
+        hi = j.max(axis=axes, keepdims=True)
+        reach = self._head_reach if mesh else None
+        if reach is not None and (hi < reach[m]).all():
+            idx, window = None, (m * size)[..., None]
+        else:
+            fr = np.subtract(x, j, out=x)
+            lo = j.min(axis=axes, keepdims=True)
+            width = int((hi - lo).max()) + 2
+            full = np.broadcast_shapes(t.shape, j.shape)
+            if t.size * width > 2 * math.prod(full):
+                # one row per point reads faster, in less memory, than
+                # windows this wide (crossover 2-4 cells per point, 2-core
+                # Xeon)
+                m, th, lo = (np.broadcast_to(a, full) for a in (m, th, j))
+                width = 2
+            start = np.minimum(lo, size - width)
+            # flat index of each point's cell in the (m.size, width) tables
+            idx = j + (np.arange(m.size).reshape(m.shape) * width - start)
+            window = (m * size + start)[..., None] + np.arange(width)
         cth, th = (1.0 - th)[..., None], th[..., None]
         out = []
         for table in (self.phi, self.phi_t, self.phi_r):
             flat = table.ravel()
             rows = (flat.take(window) * cth
                     + flat[step:].take(window) * th).ravel()
-            value = np.subtract(rows[1:], rows[:-1]).take(idx)
-            value *= fr
-            value += rows.take(idx)
+            if idx is None:
+                value = np.subtract(rows, rows).reshape(t.shape)
+                value += rows.reshape(t.shape)
+            else:
+                value = np.subtract(rows[1:], rows[:-1]).take(idx)
+                value *= fr
+                value += rows.take(idx)
             out.append(value if shape else float(value[0]))
         return tuple(out)
-

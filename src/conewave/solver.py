@@ -276,7 +276,8 @@ def evolve(config: SolverConfig, data: InitialDataSpec) -> RunResult:
     status = "completed"
     t_blowup = None
     e = _live_end(phi0, phit0)  # the causal window's end
-    c = _head_end(phi0, phit0) if V is None or V.is_constant else 0  # head end
+    # the head's end
+    c = int(_head_end(phi0, phit0)) if V is None or V.is_constant else 0
 
     # overflow is reported by the finiteness test below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):

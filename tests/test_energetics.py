@@ -434,3 +434,47 @@ class TestAnnulusSupOneCall:
         want = energy_profile(truncated_run_field, 0.25, 0.5, 1.2, 2.0, times,
                               2.0, 3, Q)
         assert [_bits(row) for row in got] == [_bits(row) for row in want]
+
+
+def _recording_jet(monkeypatch):
+    """Records (t shape, r shape, output shapes) of each DiscreteField.jet."""
+    calls = []
+    inner = DiscreteField.jet
+
+    def recording(self, t, r):
+        out = inner(self, t, r)
+        calls.append((np.shape(t), np.shape(r), {np.shape(v) for v in out}))
+        return out
+
+    monkeypatch.setattr(DiscreteField, "jet", recording)
+    return calls
+
+
+class TestHeadRead:
+    """Inside a run's ODE core (each level's head) DiscreteField reads one
+    value per mesh row, with the bits of reading each point."""
+
+    def test_the_slab_integrand_gets_one_value_per_row(
+            self, monkeypatch, truncated_run_field):
+        calls = _recording_jet(monkeypatch)
+        slab_quantity(truncated_run_field, 0.25, 1.2, -0.5, 2.0, 3, Q)
+        assert calls
+        for t_shape, r_shape, out_shapes in calls:
+            assert t_shape == (r_shape[0], 1)
+            assert out_shapes == {t_shape}
+
+    def test_energy_profile_keeps_the_per_point_bits(
+            self, monkeypatch, truncated_run_field):
+        fld, times = truncated_run_field, (-0.5, -0.2, -0.1)
+        calls = _recording_jet(monkeypatch)
+        got = energy_profile(fld, 0.25, 0.5, 1.2, 2.0, times, 2.0, 3, Q)
+        assert any(out == {t} != {r} for t, r, out in calls)
+        monkeypatch.setattr(DiscreteField, "head", property(
+            lambda self: np.zeros(self.times.size, dtype=np.intp)))
+        calls.clear()
+        # a new field: the fixture's has cached what it read of its head
+        general = DiscreteField(fld.times, fld.r, fld.phi, fld.phi_t,
+                                fld.r_limit)
+        want = energy_profile(general, 0.25, 0.5, 1.2, 2.0, times, 2.0, 3, Q)
+        assert all(out == {np.broadcast_shapes(t, r)} for t, r, out in calls)
+        assert [_bits(row) for row in got] == [_bits(row) for row in want]

@@ -867,6 +867,107 @@ class TestDiscreteJetBitIdentity:
             assert_same_bits(got, _reference_eval(fld, table, t, r))
 
 
+class TestDiscreteJetHeadRead:
+    """A mesh batch whose rows read only cells j + 1 <= head - 2 of both
+    their levels, each with finite cell-0 values, reads one value per row;
+    every other batch reads per point. Either way each table gives the bits
+    of `_reference_eval` once broadcast in full."""
+
+    # heads of the levels, 2 (no cell inside) to 65 (the whole level)
+    HEADS = (40, 12, 65, 3, 25, 2, 65, 33, 7)
+
+    @classmethod
+    def _field(cls, levels, cell0):
+        """Random levels whose first HEADS[k] cells of phi and phi_t repeat
+        cell 0 (phi's run a little longer on some levels): -0.0 on levels 0
+        and 1, or inf in phi, or nan in phi_t on the middle level."""
+        rng = np.random.default_rng(29)
+        r = np.linspace(0.0, 2.0, 65)
+        times = np.sort(rng.uniform(-1.0, 0.0, levels)) if levels > 1 \
+            else np.array([-0.5])
+        phi = rng.standard_normal((levels, r.size))
+        phit = rng.standard_normal((levels, r.size))
+        for k, head in enumerate(cls.HEADS[:levels]):
+            phi[k, :head + k % 3] = phi[k, 0]
+            phit[k, :head] = phit[k, 0]
+        mid = cls.HEADS[levels // 2]
+        if cell0 == "-0.0":
+            for k in range(min(levels, 2)):
+                phi[k, :cls.HEADS[k]] = phit[k, :cls.HEADS[k]] = -0.0
+        elif cell0 == "inf":
+            phi[levels // 2, :mid] = math.inf
+        elif cell0 == "nan":
+            phit[levels // 2, :mid] = math.nan
+        fld = DiscreteField(times, r, phi, phit)
+        assert fld.head.tolist() == list(cls.HEADS[:levels])
+        return fld
+
+    @staticmethod
+    def _rows(fld, pair, kind, rng):
+        """(t, r) rows of the level pair m, m + 1 (m = 0 alone for one
+        level), each reading inside the pair's heads (none if no cell is
+        inside), straddling their end or past it. Only the last pair holds
+        its later level's time: from t_{m+1} on a row reads m + 1, m + 2."""
+        times = fld.times[list(pair)]
+        last = pair[1] == fld.times.size - 1
+        tn = np.concatenate([rng.uniform(*times, 3), times[:1 + last]])
+        # a row reads inside when its x = |r|/dr < head - 2 on both levels
+        edge = int(min(fld.head[list(pair)])) - 2
+        if kind == "inside" and edge < 1:
+            return []
+        dr = fld.dr
+        if kind == "inside":
+            ends = [0.0, fld.r[edge - 1], -fld.r[edge - 1]]
+            lo, hi = -(edge - 0.5) * dr, (edge - 0.5) * dr
+        elif kind == "straddle":
+            ends = [0.0, fld.r[edge] + 0.5 * dr]
+            lo, hi = 0.0, (edge + 1.5) * dr
+        else:
+            ends = [fld.r[-1]]
+            lo, hi = min((edge + 1) * dr, 2.0), 2.0
+        return [(t, np.concatenate([ends, rng.uniform(lo, hi, 9)])[:9])
+                for t in tn]
+
+    @pytest.mark.parametrize("cell0", ["plain", "-0.0", "inf", "nan"])
+    @pytest.mark.parametrize("levels", [1, 2, 9])
+    def test_each_table_gives_the_per_point_bits(self, levels, cell0):
+        fld = self._field(levels, cell0)
+        rng = np.random.default_rng(31)
+        pairs = [(0, 0)] if levels == 1 else [(m, m + 1)
+                                              for m in range(levels - 1)]
+        finite = np.isfinite(fld.phi[:, 0]) & np.isfinite(fld.phi_t[:, 0])
+        batches = []
+        for pair in pairs:
+            inside = self._rows(fld, pair, "inside", rng)
+            head_read = bool(inside) and finite[list(pair)].all()
+            straddle = inside + self._rows(fld, pair, "straddle", rng)
+            batches += [(inside, head_read), (straddle, False),
+                        (self._rows(fld, pair, "past", rng), False)]
+        # the inside rows of every pair of finite levels, in one batch
+        batches.append(([row for pair in pairs if finite[list(pair)].all()
+                         for row in self._rows(fld, pair, "inside", rng)],
+                        True))
+        tables = (fld.phi, fld.phi_t, _reference_phi_r(fld))
+        read = 0
+        for rows, head_read in batches:
+            if not rows:
+                continue
+            t = np.array([[row[0]] for row in rows])
+            r = np.array([row[1] for row in rows])
+            with np.errstate(invalid="ignore"):  # inf - inf
+                jet = fld.jet(t, r)
+                wants = [_reference_eval(fld, table, t, r) for table in tables]
+            for got, want in zip(jet, wants):
+                assert got.shape == (t.shape if head_read else r.shape)
+                # NaN compares unequal, so compare the bits alone
+                assert got.dtype == want.dtype
+                assert (np.broadcast_to(got, r.shape).tobytes()
+                        == want.tobytes())
+            read += head_read
+        if cell0 in ("plain", "-0.0"):
+            assert read
+
+
 # --------------------------------------------------------------------------
 # Column contract: quadrature passes t as a (rows, 1) column (a one-element
 # array on a slice); every evaluation must give the bits of the same times

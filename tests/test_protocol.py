@@ -185,8 +185,8 @@ PIECE_CASES = {
     "lateral_slab": [ConePiece(sigma, ts / eta, ts * eta)
                      for sigma in (0.25, 0.5) for eta in (1.5, 2.0)
                      for ts in (0.5, 1.3)],
-    "weighted_cone": [ExteriorRegionSpec(sigma, 1.0).lateral
-                      for sigma in (0.3, 0.5, 0.758952)],
+    # singular_cone covers sigma 0.3 and 0.5 at t* = 1
+    "weighted_cone": [ExteriorRegionSpec(0.758952, 1.0).lateral],
     "singular_cone": [ExteriorRegionSpec(sigma, ts).lateral
                       for sigma in (0.3, 0.5, 0.661277) for ts in (1.0, 2.5)],
     "level_set": [LevelSetPiece(WEIGHT, eps, lo, hi)
