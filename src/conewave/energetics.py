@@ -152,13 +152,11 @@ def weighted_ball_quantity(field, t, p, n,
 class LocalizedCheck:
     lhs: float
     rhs: float
-    ratio: float       # rhs / lhs; inf when lhs = 0 (pass by vacuity)
     t_star: float
 
-    @classmethod
-    def from_sides(cls, lhs, rhs, t_star):
-        ratio = math.inf if lhs == 0 else rhs / lhs
-        return cls(lhs=lhs, rhs=rhs, ratio=ratio, t_star=t_star)
+    @property
+    def ratio(self) -> float:  # inf when lhs = 0 (pass by vacuity)
+        return math.inf if self.lhs == 0 else self.rhs / self.lhs
 
 
 def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q):
@@ -187,7 +185,7 @@ def localized_estimate_check(field, sigma0, sigma1, gamma, eta, t_star, p, n,
     """
     lhs = slab_quantity(field, sigma0, gamma, t_star, p, n, q)[1][0]
     rhs = _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q)
-    return LocalizedCheck.from_sides(lhs, rhs, t_star)
+    return LocalizedCheck(lhs, rhs, t_star)
 
 
 @dataclass
@@ -285,7 +283,7 @@ def energy_profile(field, sigma0, sigma1, gamma, eta, times, p, n,
         mv, me = weighted_ball_quantity(field, t, p, n, q)
         le = lateral_quantity(field, sigma0, eta, t, p, n, q)[1]
         rhs = _annulus_sup(field, sigma0, sigma1, eta, t, p, n, q)
-        chk = LocalizedCheck.from_sides(mass, rhs, t)
+        chk = LocalizedCheck(mass, rhs, t)
         rows.append((t, av, sv, mv, chk.lhs, chk.rhs, chk.ratio,
                      ae + se + me + le))
     return rows

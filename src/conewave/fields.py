@@ -400,17 +400,18 @@ class DiscreteField:
         """Per level, the length of the leading run of cells where phi and
         phi_t equal cell 0 bit for bit (`_head_end`): a blow-up run's ODE
         core; built on first use. The snapshot writer formats its values
-        once, and `jet` reads a mesh row inside it at cell 0."""
+        once, and `jet` reads a row inside it at cell 0."""
         return _head_end(self.phi, self.phi_t)
 
     @cached_property
     def _head_reach(self) -> np.ndarray | None:
         """Per pair of levels m, m + 1 that a row combines (level 0 alone
         in a one-level field), head - 2 of the shorter head, or 0 where
-        either level's cell 0 is not finite: a row whose cells j stay below
-        it reads only cells j + 1 <= head - 2 of both, where phi_r is +0.0
-        and phi and phi_t equal cell 0. None if no row can, so that data
-        with no head pay no test."""
+        either level's cell 0 is not finite: an integer at most J - 1, so a
+        row whose |r| / dr stays below it has its cells j = floor(|r| / dr)
+        below it too and reads only cells j + 1 <= head - 2 of both, where
+        phi_r is +0.0 and phi and phi_t equal cell 0. None if no row can,
+        so that data with no head pay no test."""
         finite = np.isfinite(self.phi[:, 0]) & np.isfinite(self.phi_t[:, 0])
         reach = np.where(finite, self.head - 2, 0)
         if reach.size > 1:
@@ -448,6 +449,8 @@ class DiscreteField:
             t, r, limit = (float(a[past][0])
                            for a in np.broadcast_arrays(t, r, limit))
             where = ("is not a number" if math.isnan(r) else
+                     "is past the levels' wall, which has reached the axis "
+                     "by that time" if limit < 0 else
                      f"is past the levels' wall limit (r > {limit:g})")
             raise LevelRangeError(f"radius {r!r} at time {t!r} {where}")
 
@@ -460,18 +463,16 @@ class DiscreteField:
         clamped inside the table; past 2 cells per point, each point is its
         own row.
 
-        A mesh batch (t with a 1 where r, given in full, has many points:
-        quadrature's (rows, 1) column against (rows, m)) whose every row
-        reads only cells j + 1 <= head - 2 of both its levels (`head`), each
-        with finite cell-0 values, reads one value per row: those cells
-        equal cell 0, so G_j = G_{j+1} = G_0 and a point's value is
-        G_0 + (G_0 - G_0), the general formula's bits, returned as a t-shaped
-        column. Each row's greatest cell, which the general path's windows
-        read too, makes that choice. A change to how a row combines its
-        levels must change this head read with it."""
+        A batch that gives r in full, with t of the same rank (a mesh's
+        (rows, 1) column against (rows, m), points, a scalar), whose every
+        row's largest |r| / dr is below its levels' `_head_reach` reads only
+        cells equal to cell 0, so G_j = G_{j+1} = G_0: it reads one value
+        per row, G_0 + (G_0 - G_0), the general formula's bits, returned
+        t-shaped (a column on a mesh, the full shape on points). A change to
+        how a row combines its levels must change this head read with it."""
         t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
         shape = np.broadcast_shapes(t.shape, r.shape)
-        mesh = t.ndim == r.ndim and r.shape == shape != t.shape
+        whole = t.ndim == r.ndim and r.shape == shape
         nd = max(len(shape), 1)  # a scalar batch runs as one point
         t, x = (a.reshape((1,) * (nd - a.ndim) + a.shape)
                 for a in (t, np.abs(r)))  # x = |r|: the even extension
@@ -486,19 +487,19 @@ class DiscreteField:
             th = (t - self.times[m]) / (self.times[m + 1] - self.times[m])
             np.minimum(np.maximum(th, 0.0, out=th), 1.0, out=th)
             step = size
-        np.minimum(np.divide(x, self.dr, out=x), size - 1 - 1e-12, out=x)
-        j = x.astype(np.intp)
-        np.minimum(j, size - 2, out=j)
         # the axes along which one element of t holds many points
-        axes = tuple(a for a in range(nd) if t.shape[a] == 1 < j.shape[a])
-        hi = j.max(axis=axes, keepdims=True)
-        reach = self._head_reach if mesh else None
-        if reach is not None and (hi < reach[m]).all():
+        axes = tuple(a for a in range(nd) if t.shape[a] == 1 < x.shape[a])
+        reach = self._head_reach if whole else None
+        if reach is not None and (x.max(axis=axes, keepdims=True) / self.dr
+                                  < reach[m]).all():
             idx, window = None, (m * size)[..., None]
         else:
+            np.minimum(np.divide(x, self.dr, out=x), size - 1 - 1e-12, out=x)
+            j = x.astype(np.intp)
+            np.minimum(j, size - 2, out=j)
             fr = np.subtract(x, j, out=x)
             lo = j.min(axis=axes, keepdims=True)
-            width = int((hi - lo).max()) + 2
+            width = int((j.max(axis=axes, keepdims=True) - lo).max()) + 2
             full = np.broadcast_shapes(t.shape, j.shape)
             if t.size * width > 2 * math.prod(full):
                 # one row per point reads faster, in less memory, than
@@ -517,8 +518,7 @@ class DiscreteField:
             rows = (flat.take(window) * cth
                     + flat[step:].take(window) * th).ravel()
             if idx is None:
-                value = np.subtract(rows, rows).reshape(t.shape)
-                value += rows.reshape(t.shape)
+                value = (rows + (rows - rows)).reshape(t.shape)
             else:
                 value = np.subtract(rows[1:], rows[:-1]).take(idx)
                 value *= fr

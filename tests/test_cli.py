@@ -1179,6 +1179,21 @@ def test_the_causal_buffer_covers_the_ball(tmp_path, capsys, t_star, refused):
     assert capsys.readouterr().err.splitlines() == [f"error: {refused}"]
 
 
+def test_a_wall_past_the_axis_is_named_so(tmp_path, capsys):
+    # 599 steps of J = 256: a level of step k > J - 2 has the wall limit
+    # (J - k - 2) dr < 0, which no radius passes; before, the refusal read
+    # "is past the levels' wall limit (r > -0.133594)"
+    text = (README_CONFIG.replace("R = 6.0", "R = 0.6")
+            .replace("J = 2048", "J = 256")
+            .replace("t_star = -0.5 -0.25 -0.125", "t_star = -0.5"))
+    cfg = write_config(tmp_path / "c.cfg", text)
+    assert run(["energy-profile", "--config", cfg,
+                "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: radius 0.12555032517032602 at time -0.5 is past the levels' "
+        "wall, which has reached the axis by that time"]
+
+
 def test_overflow_prints_only_the_error_line(tmp_path):
     # the ODE core overflows past t = 0 before reaching the threshold; the
     # solver's finiteness test reports it, with no numpy warning before it

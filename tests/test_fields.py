@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -486,6 +487,20 @@ class TestDiscreteFieldEvaluation:
         with pytest.raises(LevelRangeError, match=r"radius 0\.61 at time 0\.0"):
             fld.jet(0.0, -0.61)  # the even extension reads |r|
 
+    def test_a_negative_limit_says_the_wall_reached_the_axis(self):
+        # a level of solver step k > J - 2 stores (J - k - 2) dr < 0; before,
+        # the refusal named that negative limit, "(r > -0.1)"
+        fld = DiscreteField(np.array([0.0, 1.0, 2.0]), np.linspace(0, 1, 11),
+                            np.ones((3, 11)), np.zeros((3, 11)),
+                            r_limit=[0.1, 0.0, -0.1])
+        assert fld.jet(0.5, 0.0)[0] == 1.0
+        with pytest.raises(LevelRangeError, match=r"^radius 0\.0 at time 1\.5 "
+                           r"is past the levels' wall, which has reached the "
+                           r"axis by that time$"):
+            fld.jet(1.5, 0.0)
+        with pytest.raises(LevelRangeError, match=r"\(r > 0\)$"):
+            fld.jet(0.5, 0.01)
+
     def test_a_point_between_two_levels_takes_the_later_limit(self):
         fld = self._walled()
         assert fld.jet(0.5, 0.6)[0] == 1.0
@@ -868,21 +883,23 @@ class TestDiscreteJetBitIdentity:
 
 
 class TestDiscreteJetHeadRead:
-    """A mesh batch whose rows read only cells j + 1 <= head - 2 of both
-    their levels, each with finite cell-0 values, reads one value per row;
-    every other batch reads per point. Either way each table gives the bits
-    of `_reference_eval` once broadcast in full."""
+    """A batch that gives r in full, with t of the same rank, whose rows
+    read only cells j + 1 <= head - 2 of both their levels, each with finite
+    cell-0 values, reads one value per row; every other batch reads per
+    point. Either way each table gives the bits of `_reference_eval` once
+    broadcast in full, and point batches and scalars keep the full shape."""
 
     # heads of the levels, 2 (no cell inside) to 65 (the whole level)
     HEADS = (40, 12, 65, 3, 25, 2, 65, 33, 7)
 
     @classmethod
-    def _field(cls, levels, cell0):
-        """Random levels whose first HEADS[k] cells of phi and phi_t repeat
-        cell 0 (phi's run a little longer on some levels): -0.0 on levels 0
-        and 1, or inf in phi, or nan in phi_t on the middle level."""
+    def _field(cls, levels, cell0, radius=2.0):
+        """Random levels on [0, radius] whose first HEADS[k] cells of phi and
+        phi_t repeat cell 0 (phi's run a little longer on some levels): -0.0
+        on levels 0 and 1, or inf in phi, or nan in phi_t on the middle
+        level."""
         rng = np.random.default_rng(29)
-        r = np.linspace(0.0, 2.0, 65)
+        r = np.linspace(0.0, radius, 65)
         times = np.sort(rng.uniform(-1.0, 0.0, levels)) if levels > 1 \
             else np.array([-0.5])
         phi = rng.standard_normal((levels, r.size))
@@ -964,8 +981,76 @@ class TestDiscreteJetHeadRead:
                 assert (np.broadcast_to(got, r.shape).tobytes()
                         == want.tobytes())
             read += head_read
+            # the same points as a point batch, and the first row's as
+            # scalars
+            points = [(np.broadcast_to(t, r.shape).ravel(), r.ravel())]
+            points += [(float(t[0, 0]), float(x)) for x in r[0]]
+            for tp, rp in points:
+                with np.errstate(invalid="ignore"):
+                    jet = fld.jet(tp, rp)
+                    wants = [_reference_eval(fld, table, tp, rp)
+                             for table in tables]
+                for got, want in zip(jet, wants):
+                    assert type(got) is type(want)
+                    assert np.shape(got) == np.shape(rp)
+                    assert (np.asarray(got).tobytes()
+                            == np.asarray(want).tobytes())
         if cell0 in ("plain", "-0.0"):
             assert read
+
+    @pytest.mark.parametrize("radius", [2.0, 1.9])
+    @pytest.mark.parametrize("levels", [1, 2, 9])
+    def test_a_row_reads_the_head_exactly_while_its_cells_are_inside(
+            self, levels, radius):
+        # rows whose largest |r| is reach * dr or the float below it: the
+        # head read takes a row exactly when its per-point cells
+        # j = floor(|r| / dr) all stay below the reach of its levels
+        fld = self._field(levels, "plain", radius)
+        reach, dr = fld._head_reach, fld.dr
+        rng = np.random.default_rng(37)
+        tables = (fld.phi, fld.phi_t, _reference_phi_r(fld))
+        outcomes = set()
+        for m, k in enumerate(reach.tolist()):
+            if k < 1:
+                continue
+            # two times that read levels m, m + 1 (the one level's time)
+            t = (fld.times[[0, 0]] if levels == 1 else
+                 fld.times[m] + np.array([0.25, 0.75]) * np.diff(fld.times)[m])
+            for top in (k * dr, np.nextafter(k * dr, 0.0)):
+                r = rng.uniform(-top, top, (2, 9))
+                r[0, 0], r[1, 4] = top, -top
+                jet = fld.jet(t[:, None], r)
+                head_read = (np.abs(r) / dr).astype(int).max() < k
+                outcomes.add(bool(head_read))
+                for got, table in zip(jet, tables):
+                    want = _reference_eval(fld, table, t[:, None], r)
+                    assert got.shape == ((2, 1) if head_read else r.shape)
+                    assert (np.broadcast_to(got, r.shape).tobytes()
+                            == want.tobytes())
+        if radius == 2.0:  # dr = 1/32: k dr / dr is k, the float below is not
+            assert outcomes == {False, True}
+
+    def test_a_head_read_builds_no_per_point_cell_array(self):
+        # 8 rows of 200,000 points inside the head: what remains per point
+        # is the |r| copy (8 bytes) and require_radii's mask (1 byte); before,
+        # the cell indices taken for each row's greatest cell made it 16
+        J, head = 4096, 3000
+        r = np.linspace(0.0, 6.0, J + 1)
+        rng = np.random.default_rng(41)
+        phi, phit = rng.standard_normal((2, 2, J + 1))
+        phi[:, :head], phit[:, :head] = 1.5, -0.25
+        fld = DiscreteField(np.array([-1.0, -0.5]), r, phi, phit)
+        t = np.linspace(-1.0, -0.5, 8)[:, None]
+        x = rng.uniform(-1.0, 1.0, (8, 200_000)) * (head - 3) * fld.dr
+        fld.jet(t, x[:, :2])  # builds phi_r, head and the reach
+        tracemalloc.start()
+        try:
+            out = fld.jet(t, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {a.shape for a in out} == {(8, 1)}
+        assert peak / x.size < 12.0
 
 
 # --------------------------------------------------------------------------

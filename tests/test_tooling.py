@@ -8,9 +8,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conewave import cli
+from conewave.fields import DiscreteField
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -116,3 +118,32 @@ def test_a_benchmark_workload_passes_its_output_checks(tmp_path, name):
     first = _files(out)
     assert len(first) > 1
     assert _files(again) == first
+
+
+def test_the_head_read_changes_no_byte_of_the_profile_run(tmp_path,
+                                                          monkeypatch):
+    # the benchmark's J = 4096 energy-profile run at its default seed: 480
+    # mesh batches and 16 lateral-cone point batches take the head read;
+    # with no head read every point reads per point, to the same bytes
+    cfg = tmp_path / "workload.cfg"
+    cfg.write_text(WORKLOADS.profile_config(WORKLOADS.DEFAULT_SEED))
+    shapes = []
+    inner = DiscreteField.jet
+
+    def recording(self, t, r):
+        out = inner(self, t, r)
+        shapes.append((np.shape(t), np.shape(r), np.shape(out[0])))
+        return out
+
+    monkeypatch.setattr(DiscreteField, "jet", recording)
+    head = tmp_path / "head"
+    code = cli.run(WORKLOADS.cli_args("profile_j4096", str(cfg), str(head)))
+    assert any(out == t != r for t, r, out in shapes)
+    monkeypatch.setattr(DiscreteField, "_head_reach", None)
+    shapes.clear()
+    general = tmp_path / "general"
+    assert cli.run(WORKLOADS.cli_args("profile_j4096", str(cfg),
+                                      str(general))) == code == 0
+    assert all(out == np.broadcast_shapes(t, r) for t, r, out in shapes)
+    assert len(_files(head)) > 1
+    assert _files(general) == _files(head)
