@@ -6,7 +6,9 @@ Conventions used throughout the package:
 * a spacetime covector is stored as radial components (w_t, w_r), a vector
   likewise; indices are raised with g^{tt} = -1, g^{rr} = +1;
 * "unit" normal means |g(N, N)| = 1 (timelike normals square to -1);
-* all regions are open sets.
+* all regions are open sets;
+* the weight is f = (r^2 - (t - t*)^2)/4 about the axis; a ray only moves
+  its centre, to c = v t* (criterion 1 and `covering_check`).
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ __all__ = [
     "CylinderPiece",
     "ConePiece",
     "LevelSetPiece",
-    "eval_weight",
-    "eval_weight_gradient",
-    "minkowski_norm_sq",
     "covering_check",
     "CoveringResult",
 ]
@@ -66,46 +65,26 @@ class RaySpec:
         if self.speed >= 1.0:
             raise ValueError("ray velocity must satisfy |v| < 1")
 
-    @property
-    def is_axis(self) -> bool:
-        return self.speed == 0.0
-
-
-AXIS_RAY = RaySpec(())
-
 
 @dataclass(frozen=True)
 class ShiftedWeight:
-    """The Lorentz square distance from zeta(t_star):
+    """The Lorentz square distance from (t*, 0) on the axis,
 
-    f_{t*,zeta}(t, x) = 1/4 [ |x - x(zeta(t*))|^2 - (t - t*)^2 ].
+    f_{t*}(t, r) = 1/4 [ r^2 - (t - t*)^2 ];
 
-    The unshifted weight f = (r^2 - t^2)/4 is the case t* = 0, v = 0.
+    the unshifted weight is the case t* = 0. The weight from a ray
+    zeta(t) = (t, t v) is the same function of r = |x - v t*|.
     """
 
     t_star: float = 0.0
-    ray: RaySpec = AXIS_RAY
-
-    def center(self, n: int) -> np.ndarray:
-        c = np.zeros(n)
-        v = self.ray.velocity
-        c[: len(v)] = np.asarray(v) * self.t_star
-        return c
-
-    # Radial fast paths, valid when the ray is the time axis (center at r=0).
-    def require_axis(self):
-        if not self.ray.is_axis:
-            raise ValueError("radial evaluation requires the axis ray")
 
     def value_radial(self, t, r):
-        self.require_axis()
         t = np.asarray(t, dtype=float)
         r = np.asarray(r, dtype=float)
         return 0.25 * (r * r - (t - self.t_star) ** 2)
 
     def grad_radial(self, t, r):
-        """Covariant components (d_t f, d_r f) on the axis-ray weight."""
-        self.require_axis()
+        """Covariant components (d_t f, d_r f)."""
         t = np.asarray(t, dtype=float)
         r = np.asarray(r, dtype=float)
         return -0.5 * (t - self.t_star), 0.5 * r
@@ -317,7 +296,7 @@ class ConePiece(SurfacePiece):
 
 class _EdgeGradedCone(ConePiece):
     """A cone piece from the origin whose ends t_lo, t_hi are the roots
-    t*/(1 + s), t*/(1 - s) of the axis-ray weight on it,
+    t*/(1 + s), t*/(1 - s) of the weight on it,
     f = (1-s^2)(t_hi - t)(t - t_lo)/4: an exterior region's `lateral`.
 
     Its nodes come one set per half, in the distance to that half's end,
@@ -347,8 +326,8 @@ class _EdgeGradedCone(ConePiece):
 
 @dataclass(frozen=True)
 class LevelSetPiece(SurfacePiece):
-    """Timelike level set {f_{t*,zeta} = eps} inside the cone (axis ray),
-    with normal N = f^{-1/2} grad f."""
+    """Timelike level set {f_{t*} = eps} inside the cone, with normal
+    N = f^{-1/2} grad f."""
 
     weight: ShiftedWeight
     eps: float
@@ -360,7 +339,6 @@ class LevelSetPiece(SurfacePiece):
             raise ValueError("level value must be positive")
         if self.t_lo >= self.t_hi:
             raise ValueError("degenerate level piece")
-        self.weight.require_axis()
 
     def radius(self, t):
         t = np.asarray(t, dtype=float)
@@ -378,38 +356,6 @@ class LevelSetPiece(SurfacePiece):
         r = self.radius(t)
         dens = sphere_area(n) * 2.0 * math.sqrt(self.eps) * r ** (n - 2)
         return ((t, r, w * dens, np.full_like(t, self.eps)),)
-
-
-# --------------------------------------------------------------------------
-# Operations
-# --------------------------------------------------------------------------
-
-def eval_weight(w: ShiftedWeight, P: MinkowskiPoint) -> float:
-    """f_{t*,zeta}(P); may be negative, callers decide region membership."""
-    t, x = P.t, np.asarray(P.x, dtype=float)
-    c = w.center(x.shape[-1])
-    dx = x - c
-    return float(0.25 * (np.dot(dx, dx) - (t - w.t_star) ** 2))
-
-
-def eval_weight_gradient(w: ShiftedWeight, P: MinkowskiPoint) -> np.ndarray:
-    """Contravariant gradient of f, components (t, x1..xn).
-
-    grad f = (t - t*)/2 d_t + sum (x^i - x^i(zeta(t*)))/2 d_i, and
-    g(grad f, grad f) = f pointwise.
-    """
-    t, x = P.t, np.asarray(P.x, dtype=float)
-    c = w.center(x.shape[-1])
-    out = np.empty(x.shape[-1] + 1)
-    out[0] = 0.5 * (t - w.t_star)
-    out[1:] = 0.5 * (x - c)
-    return out
-
-
-def minkowski_norm_sq(vec) -> float:
-    """g(v, v) with signature (-,+,...,+); vec = (t component, spatial...)."""
-    v = np.asarray(vec, dtype=float)
-    return float(-v[0] ** 2 + np.dot(v[1:], v[1:]))
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +393,9 @@ def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
         raise ValueError("covering check requires t* > 0")
     if max(ray0.speed, ray1.speed) >= sigma:
         raise ValueError("rays must lie inside the cone")
-    c0, c1 = (ShiftedWeight(t_star, ray).center(n) for ray in (ray0, ray1))
+    c0, c1 = np.zeros((2, n))
+    for c, ray in ((c0, ray0), (c1, ray1)):
+        c[:len(ray.velocity)] = np.asarray(ray.velocity) * t_star
     half = 0.5 * float(np.linalg.norm(c0 - c1))
     margin = t_star * (gamma - 1.0) - half
     witness = None

@@ -13,45 +13,47 @@ from conewave.geometry import (
     CylinderPiece,
     ExteriorRegionSpec,
     LevelSetPiece,
-    MinkowskiPoint,
     RaySpec,
     ShiftedWeight,
     TimeSlicePiece,
     UNSHIFTED,
     covering_check,
-    eval_weight,
-    eval_weight_gradient,
-    minkowski_norm_sq,
 )
 from conewave.energetics import _slab
 from conewave.quadrature import QuadratureSpec, _Mesh, sphere_area
 from tests_helpers import box_bulk, zero_field
 
 
+def radius_from_ray(x, ray, t_star):
+    """|x - c| about the centre c = v t* of the weight from `ray`."""
+    c = np.zeros(len(x))
+    c[:len(ray.velocity)] = np.asarray(ray.velocity) * t_star
+    return math.dist(x, c)
+
+
 class TestWeight:
     def test_unshifted_values(self):
-        assert eval_weight(UNSHIFTED, MinkowskiPoint(0.0, (2.0,))) == 1.0
-        assert eval_weight(UNSHIFTED, MinkowskiPoint(1.0, (1.0,))) == 0.0
+        assert UNSHIFTED.value_radial(0.0, 2.0) == 1.0
+        assert UNSHIFTED.value_radial(1.0, 1.0) == 0.0
 
     def test_shifted_value(self):
-        w = ShiftedWeight(t_star=1.0)
-        assert eval_weight(w, MinkowskiPoint(1.0, (2.0, 0.0, 0.0))) == 1.0
+        assert ShiftedWeight(t_star=1.0).value_radial(1.0, 2.0) == 1.0
 
     def test_gradient_components(self):
-        g = eval_weight_gradient(UNSHIFTED, MinkowskiPoint(1.0, (2.0, 0.0)))
-        assert g == pytest.approx([0.5, 1.0, 0.0])
-        assert minkowski_norm_sq(g) == pytest.approx(0.75)
+        # covariant components: d_t f = -(t - t*)/2, d_r f = r/2
+        ft, fr = UNSHIFTED.grad_radial(1.0, 2.0)
+        assert (ft, fr) == (-0.5, 1.0)
+        assert -ft ** 2 + fr ** 2 == 0.75
 
     def test_gradient_zero_at_origin(self):
-        g = eval_weight_gradient(UNSHIFTED, MinkowskiPoint(0.0, (0.0,)))
-        assert np.all(g == 0.0)
+        assert UNSHIFTED.grad_radial(0.0, 0.0) == (0.0, 0.0)
 
     def test_gradient_shifted(self):
         w = ShiftedWeight(t_star=2.0)
-        P = MinkowskiPoint(2.0, (1.0, 0.0, 0.0))
-        g = eval_weight_gradient(w, P)
-        assert g == pytest.approx([0.0, 0.5, 0.0, 0.0])
-        assert minkowski_norm_sq(g) == pytest.approx(eval_weight(w, P))
+        assert w.grad_radial(2.0, 1.0) == (0.0, 0.5)
+        ft, fr = w.grad_radial(3.0, 1.0)
+        assert (ft, fr) == (-0.5, 0.5)
+        assert -ft ** 2 + fr ** 2 == w.value_radial(3.0, 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -62,19 +64,18 @@ class TestWeight:
         v=st.floats(-0.9, 0.9),
     )
     def test_gradient_norm_identity(self, t, x1, x2, ts, v):
-        # g(grad f, grad f) = f everywhere, shifted or not
-        w = ShiftedWeight(t_star=ts, ray=RaySpec((v, 0.0)))
-        P = MinkowskiPoint(t, (x1, x2))
-        f = eval_weight(w, P)
-        norm = minkowski_norm_sq(eval_weight_gradient(w, P))
-        assert norm == pytest.approx(f, rel=1e-12, abs=1e-12)
+        # g(grad f, grad f) = f everywhere, shifted or not, about a ray's
+        # centre
+        w = ShiftedWeight(t_star=ts)
+        rho = radius_from_ray((x1, x2), RaySpec((v, 0.0)), ts)
+        ft, fr = w.grad_radial(t, rho)
+        assert -ft ** 2 + fr ** 2 == pytest.approx(w.value_radial(t, rho),
+                                                   rel=1e-12, abs=1e-12)
 
     def test_sign_on_exterior(self):
         w = ShiftedWeight(t_star=0.5)
-        inside = MinkowskiPoint(0.5, (1.0,))     # r > |t - t*|
-        on_cone = MinkowskiPoint(1.5, (1.0,))
-        assert eval_weight(w, inside) > 0.0
-        assert eval_weight(w, on_cone) == 0.0
+        assert w.value_radial(0.5, 1.0) > 0.0      # r > |t - t*|
+        assert w.value_radial(1.5, 1.0) == 0.0     # on the cone
 
 
 def inside(region, t, r):
@@ -198,7 +199,7 @@ class TestNormals:
         piece = ConePiece(0.5, 1.0, 2.0)
         N = piece.normal
         assert N == pytest.approx(np.array([0.5, 1.0]) / math.sqrt(0.75))
-        assert minkowski_norm_sq(N) == pytest.approx(1.0)
+        assert -N[0] ** 2 + N[1] ** 2 == pytest.approx(1.0)
 
     def test_normals_are_unit(self):
         pieces = [
@@ -208,7 +209,8 @@ class TestNormals:
         ]
         expected = [-1.0, 1.0, 1.0]
         for piece, sq in zip(pieces, expected):
-            assert minkowski_norm_sq(piece.normal) == pytest.approx(sq)
+            Nt, Nr = piece.normal
+            assert -Nt ** 2 + Nr ** 2 == pytest.approx(sq)
 
     def test_level_set_normal_against_finite_differences(self):
         # oracle: numerically normalize the finite-difference gradient of f
@@ -224,7 +226,7 @@ class TestNormals:
         df_dr = (w.value_radial(t, r + h) - w.value_radial(t, r - h)) / (2 * h)
         # raise the index: contravariant gradient = (-df_dt, df_dr)
         grad = np.array([-df_dt, df_dr])
-        grad /= math.sqrt(abs(minkowski_norm_sq(grad)))
+        grad /= math.sqrt(abs(-grad[0] ** 2 + grad[1] ** 2))
         assert N == pytest.approx(grad, rel=1e-5)
         # at t = t* this is the radial direction with unit norm
         assert N == pytest.approx([0.0, 1.0], abs=1e-9)
@@ -385,7 +387,8 @@ class TestCovering:
         assert t_star / gamma < P.t < t_star * gamma
         assert 0.0 < P.r < sigma * P.t
         for ray in rays:
-            assert eval_weight(ShiftedWeight(t_star, ray), P) <= 0.0
+            rho = radius_from_ray(P.x, ray, t_star)
+            assert ShiftedWeight(t_star).value_radial(P.t, rho) <= 0.0
 
     def test_threshold_is_half_the_centre_distance(self):
         # gamma* = 1 + |v0 - v1|/2 = 1.125; the sampler called 1.126 and
@@ -466,11 +469,12 @@ class TestSlabWeightLowerBound:
         assert c2 == pytest.approx(4.0 * c1, rel=0.35)  # ~ t*^2 scaling
 
     def test_exact_rescaling_identity(self):
-        w1 = ShiftedWeight(1.0, RaySpec((0.2, 0.0)))
-        w2 = ShiftedWeight(2.0, RaySpec((0.2, 0.0)))
-        P1 = MinkowskiPoint(1.1, (0.3, 0.1))
-        P2 = MinkowskiPoint(2.2, (0.6, 0.2))
-        assert eval_weight(w2, P2) == pytest.approx(4.0 * eval_weight(w1, P1), rel=1e-12)
+        ray = RaySpec((0.2, 0.0))
+        f1 = ShiftedWeight(1.0).value_radial(
+            1.1, radius_from_ray((0.3, 0.1), ray, 1.0))
+        f2 = ShiftedWeight(2.0).value_radial(
+            2.2, radius_from_ray((0.6, 0.2), ray, 2.0))
+        assert f2 == pytest.approx(4.0 * f1, rel=1e-12)
 
 
 def test_sphere_area_values():
