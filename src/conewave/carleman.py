@@ -65,9 +65,9 @@ class CarlemanParams:
     shift: ShiftedWeight = UNSHIFTED
 
     def __post_init__(self):
-        if self.a <= 0.0:
+        if not self.a > 0.0:
             raise ValueError("weight exponent a must be positive")
-        if self.p < 1.0:
+        if not self.p >= 1.0:
             raise ValueError("nonlinearity exponent must satisfy p >= 1")
         if self.n < 1:
             raise ValueError("spatial dimension must be >= 1")

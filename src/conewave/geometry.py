@@ -62,7 +62,7 @@ class RaySpec:
         return math.sqrt(sum(c * c for c in self.velocity))
 
     def __post_init__(self):
-        if self.speed >= 1.0:
+        if not self.speed < 1.0:
             raise ValueError("ray velocity must satisfy |v| < 1")
 
 
@@ -155,7 +155,7 @@ class ExteriorRegionSpec(BulkRegion):
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
             raise ValueError("cone aperture must lie in (0, 1)")
-        if self.t_star <= 0.0:
+        if not self.t_star > 0.0:
             raise ValueError("exterior region requires t* > 0")
 
     @property
@@ -389,10 +389,12 @@ def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
     inside the lateral slab of that eta: the piece of a ray of speed |v|
     spans t*(1-|v|)/(1+sigma) < t < t*(1+|v|)/(1-sigma).
     """
-    if t_star <= 0:
+    if not t_star > 0:
         raise ValueError("covering check requires t* > 0")
-    if max(ray0.speed, ray1.speed) >= sigma:
+    if not max(ray0.speed, ray1.speed) < sigma:
         raise ValueError("rays must lie inside the cone")
+    if math.isnan(gamma):
+        raise ValueError("gamma must be a number")
     c0, c1 = np.zeros((2, n))
     for c, ray in ((c0, ray0), (c1, ray1)):
         c[:len(ray.velocity)] = np.asarray(ray.velocity) * t_star

@@ -97,6 +97,9 @@ class TestBulkGamma:
             CarlemanParams(a=0.0, p=2.0, n=3)
         with pytest.raises(ValueError):
             CarlemanParams(a=0.25, p=0.5, n=3)
+        for a, p in ((math.nan, 2.0), (0.25, math.nan)):
+            with pytest.raises(ValueError):
+                CarlemanParams(a=a, p=p, n=3)
         ok = CarlemanParams(a=0.25, p=2.0, n=3)
         assert ok.shifted_range_ok
         bad = CarlemanParams(a=0.45, p=2.5, n=3)

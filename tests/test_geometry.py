@@ -112,6 +112,8 @@ class TestContains:
             _slab(zero_field(3), 0.5, 0.9, 1.0)
         with pytest.raises(ValueError, match="center time must be nonzero"):
             _slab(zero_field(3), 0.5, 1.2, 0.0)
+        with pytest.raises(ValueError, match="requires t\\* > 0"):
+            ExteriorRegionSpec(0.5, math.nan)
 
 
 class TestExteriorBoundary:
@@ -344,6 +346,23 @@ class TestCovering:
             res = covering_check(0.5, gamma, 1.0, RaySpec(()), RaySpec(()),
                                  n=3)
             assert not res.covered
+
+    @pytest.mark.parametrize("sigma,gamma,t_star,match", [
+        (0.5, 10.0, math.nan, r"t\* > 0"),
+        (0.5, math.nan, 1.0, "gamma"),
+        (math.nan, 10.0, 1.0, "inside the cone"),
+    ], ids=["t_star", "gamma", "sigma"])
+    def test_nan_is_refused(self, sigma, gamma, t_star, match):
+        # a NaN passed every check: t* or gamma reported a wide slab as
+        # covered, and sigma returned a witness
+        with pytest.raises(ValueError, match=match):
+            covering_check(sigma, gamma, t_star, RaySpec(()),
+                           RaySpec((0.25, 0.0)))
+
+    def test_nan_ray_is_refused(self):
+        # RaySpec((nan, 0.0)) made a wide slab read as covered
+        with pytest.raises(ValueError, match="ray velocity"):
+            RaySpec((math.nan, 0.0))
 
     def test_boundary_containment_with_eta(self):
         # axis ray boundary spans t in (t*/(1+sigma), t*/(1-sigma))
