@@ -18,32 +18,52 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 
 
-def _load_bench(name):
-    """bench/<name>.py, loaded by path and only read."""
-    spec = importlib.util.spec_from_file_location(
-        f"bench_{name}", ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _load_checks():
-    """bench/checks.py, which imports `workloads` by its bare name (the
-    benchmark runs with bench/ on the path): that name is bound to the
-    loaded workloads only while checks.py loads."""
-    saved = sys.modules.get("workloads")
-    sys.modules["workloads"] = WORKLOADS
+def _load_bench(name, **imports):
+    """bench/<name>.py, loaded by path and only read. The bench modules
+    import each other by bare name (the benchmark runs with bench/ on the
+    path): each name in `imports` is bound to its loaded module only while
+    this one loads."""
+    saved = {key: sys.modules.get(key) for key in imports}
+    sys.modules.update(imports)
     try:
-        return _load_bench("checks")
+        spec = importlib.util.spec_from_file_location(
+            f"bench_{name}", ROOT / "bench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
     finally:
-        if saved is None:
-            del sys.modules["workloads"]
-        else:
-            sys.modules["workloads"] = saved
+        for key, value in saved.items():
+            if value is None:
+                del sys.modules[key]
+            else:
+                sys.modules[key] = value
 
 
 WORKLOADS = _load_bench("workloads")
-CHECKS = _load_checks()
+CHECKS = _load_bench("checks", workloads=WORKLOADS)
+TRACING = _load_bench("tracing", stats=_load_bench("stats"))
+
+# The tracer targets whose code is gone. The benchmark lists an absent
+# target in `Tracer.missing` and runs on, so a deletion that strands a
+# target shows up nowhere else; this set may only shrink.
+STALE_TRACER_TARGETS = {
+    "conewave.fields.DiscreteField.write_snapshots",
+    "conewave.fields.DiscreteField.value",
+    "conewave.fields.DiscreteField.value_t",
+    "conewave.fields.DiscreteField.value_r",
+    "conewave.fields.ManufacturedField.value",
+    "conewave.fields.ManufacturedField.value_t",
+    "conewave.fields.ManufacturedField.value_r",
+    "conewave.fields.ManufacturedField.box_at",
+    "conewave.fields.PotentialSpec.gradient",
+    "conewave.quadrature.integrate_profile",
+    "conewave.quadrature.integrate_slice",
+    "conewave.quadrature.integrate_surface",
+    "conewave.carleman.bulk_gamma",
+    "conewave.carleman.clipped_exterior_region",
+    "conewave.carleman.level_shell_region",
+    "conewave.energetics.lp_slab_quantity",
+}
 
 PROPERTY_TESTS = '''
 from hypothesis import given, strategies as st
@@ -73,6 +93,15 @@ def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout
     assert "Falsifying example" in proc.stdout
     assert proc.returncode == 1
+
+
+def test_no_benchmark_tracer_target_is_stranded():
+    tracer = TRACING.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert set(tracer.missing) <= STALE_TRACER_TARGETS
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
