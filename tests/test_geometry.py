@@ -353,14 +353,14 @@ class TestCovering:
         (math.nan, 10.0, 1.0, "inside the cone"),
     ], ids=["t_star", "gamma", "sigma"])
     def test_nan_is_refused(self, sigma, gamma, t_star, match):
-        # a NaN passed every check: t* or gamma reported a wide slab as
-        # covered, and sigma returned a witness
+        # each check fails on NaN; else a NaN t* or gamma reads a wide slab
+        # as covered, and a NaN sigma returns a witness
         with pytest.raises(ValueError, match=match):
             covering_check(sigma, gamma, t_star, RaySpec(()),
                            RaySpec((0.25, 0.0)))
 
     def test_nan_ray_is_refused(self):
-        # RaySpec((nan, 0.0)) made a wide slab read as covered
+        # a NaN velocity would make covering_check read a wide slab as covered
         with pytest.raises(ValueError, match="ray velocity"):
             RaySpec((math.nan, 0.0))
 
