@@ -557,8 +557,8 @@ def _scenario_rate_fit(cfg: RunConfig, outdir):
 
     fieldobj = _diagnostic_field(cfg)
     times = _diagnostic_times(cfg, fieldobj)
-    vals = [energetics.weighted_ball_quantity(fieldobj, t, cfg.p, cfg.n,
-                                        cfg.quadrature)[0] for t in times]
+    vals = [value for value, _ in energetics.weighted_ball_quantity(
+        fieldobj, times, cfg.p, cfg.n, cfg.quadrature)]
     report = _config_call("rate-fit: ", energetics.rate_fit, times, vals,
                           cfg.window or None)
     return 0, dict(status="completed", slope=report.slope,

@@ -66,27 +66,41 @@ def _energy_density(field, scale, p=None, sgn=1.0):
     return integrand
 
 
-def annulus_quantity(field, sigma0, sigma1, t, p, n,
-                     q: QuadratureSpec = QuadratureSpec()):
-    """|t|^{2-n+4/(p-1)} int_{A(t)} (|grad phi|^2 + |t|^{-2} phi^2).
-
-    Returns (value, quadrature error estimate with the same weight).
-    """
+def _annulus_time(field, t):
     if t == 0:
         raise ValueError("annulus quantity undefined at t = 0")
     field.require_times(t)
-    at = abs(t)
+
+
+def annulus_quantity(field, sigma0, sigma1, times, p, n,
+                     q: QuadratureSpec = QuadratureSpec()):
+    """|t|^{2-n+4/(p-1)} int_{A(t)} (|grad phi|^2 + |t|^{-2} phi^2) at each
+    t of the sequence `times`, integrated as one family of slices
+    (integrate_slices), each with the bits of its time alone; a lone time
+    is a one-element family. Every time is checked before any is
+    integrated.
+
+    Returns a list of (value, quadrature error estimate with the same
+    weight), one per time.
+    """
+    for t in times:
+        _annulus_time(field, t)
+    at = np.abs(np.asarray(times, dtype=float))
     expo = 2.0 - n + 4.0 / (p - 1.0)
 
-    [res] = integrate_slices([t], sigma0 * at, sigma1 * at,
-                             _energy_density(field, at), q, n)
-    return at ** expo * res.value, at ** expo * res.error_estimate
+    def integrand(tt, rr):  # each row at its own time's scale |t|
+        return _density(*field.jet(tt, rr)[:3], np.abs(tt))
+
+    slices = integrate_slices(times, sigma0 * at, sigma1 * at, integrand, q,
+                              n)
+    return [(a ** expo * res.value, a ** expo * res.error_estimate)
+            for a, res in zip(at.tolist(), slices)]
 
 
 def _slab(field, sigma, gamma, t_star):
     """The slab {|t*|/gamma < |t| < gamma |t*|} on t*'s side of t = 0,
     inside the cone of aperture sigma, which `field` must cover."""
-    if gamma <= 1.0:
+    if not gamma > 1.0:
         raise ValueError("slab thickness parameter gamma must exceed 1")
     if t_star == 0.0:
         raise ValueError("slab center time must be nonzero")
@@ -113,39 +127,55 @@ def slab_quantity(field, sigma, gamma, t_star, p, n,
             (mass.value, mass.error_estimate))
 
 
+def _lateral_window(field, eta, t_star):
+    if not eta > 1.0:
+        raise ValueError("eta must exceed 1")
+    field.require_times(scaled_window(t_star, eta))
+
+
 def lateral_quantity(field, sigma, eta, t_star, p, n,
                      q: QuadratureSpec = QuadratureSpec()):
     """int over the cone-boundary slab of |grad phi|^2 + |phi|^{p+1}
     + t*^{-2} phi^2 (time-reflected for t* < 0)."""
-    if eta <= 1.0:
-        raise ValueError("eta must exceed 1")
+    _lateral_window(field, eta, t_star)
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
-    field.require_times(scaled_window(t_star, eta))
     [res] = integrate_surfaces((ConePiece(sigma, ats / eta, ats * eta),),
                                _energy_density(field, ats, p, sgn), q, n)
     return res.value, res.error_estimate
 
 
-def weighted_ball_quantity(field, t, p, n,
-                           q: QuadratureSpec = QuadratureSpec()):
-    """Three-term weighted ball quantity over B(0, -t), t < 0:
-
-    (-t)^{2/(p-1)-n/2} ||phi||_{L2} + (-t)^{2/(p-1)+1-n/2} (||d_t phi|| + ||d_r phi||).
-    """
+def _ball_time(field, t):
     if t >= 0:
         raise ValueError("ball quantity requires t < 0")
     field.require_times(t)
-    at = -t
+
+
+def weighted_ball_quantity(field, times, p, n,
+                           q: QuadratureSpec = QuadratureSpec()):
+    """Three-term weighted ball quantity over B(0, -t) at each t < 0 of the
+    sequence `times`:
+
+    (-t)^{2/(p-1)-n/2} ||phi||_{L2} + (-t)^{2/(p-1)+1-n/2} (||d_t phi|| + ||d_r phi||),
+
+    the balls integrated as one family of slices like `annulus_quantity`'s
+    annuli. Returns a list of (value, summed error estimate), one per time.
+    """
+    for t in times:
+        _ball_time(field, t)
+    at = -np.asarray(times, dtype=float)
     k2 = 2.0 / (p - 1.0)
 
     def squares(tt, rr):
         return tuple(v ** 2 for v in field.jet(tt, rr)[:3])
 
-    [res] = integrate_slices([t], 0.0, at, squares, q, n)
-    n0, n1, n2 = (math.sqrt(max(r.value, 0.0)) for r in res)
-    val = at ** (k2 - 0.5 * n) * n0 + at ** (k2 + 1.0 - 0.5 * n) * (n1 + n2)
-    return val, sum(r.error_estimate for r in res)
+    def weighted(a, res):
+        n0, n1, n2 = (math.sqrt(max(r.value, 0.0)) for r in res)
+        return (a ** (k2 - 0.5 * n) * n0 + a ** (k2 + 1.0 - 0.5 * n) * (n1 + n2),
+                sum(r.error_estimate for r in res))
+
+    slices = integrate_slices(times, 0.0, at, squares, q, n)
+    return [weighted(a, res) for a, res in zip(at.tolist(), slices)]
 
 
 @dataclass
@@ -275,12 +305,20 @@ def energy_profile(field, sigma0, sigma1, gamma, eta, times, p, n,
                    q: QuadratureSpec = QuadratureSpec()) -> list:
     """Per-time blow-up-side diagnostics (times < 0), one row per time:
     (t, annulus, slab, ball, localized lhs, localized rhs, their ratio, the
-    summed error estimates of the annulus, slab, ball and lateral pieces)."""
-    rows = []
+    summed error estimates of the annulus, slab, ball and lateral pieces).
+    The annuli of all times are one family of slices, and so are the balls;
+    every time's windows are checked first, in the order of a time-by-time
+    pass, so a refused time raises what that pass would."""
     for t in times:
-        av, ae = annulus_quantity(field, sigma0, sigma1, t, p, n, q)
+        _annulus_time(field, t)
+        _slab(field, sigma0, gamma, t)
+        _ball_time(field, t)
+        _lateral_window(field, eta, t)
+    annuli = annulus_quantity(field, sigma0, sigma1, times, p, n, q)
+    balls = weighted_ball_quantity(field, times, p, n, q)
+    rows = []
+    for t, (av, ae), (mv, me) in zip(times, annuli, balls):
         (sv, se), (mass, _) = slab_quantity(field, sigma0, gamma, t, p, n, q)
-        mv, me = weighted_ball_quantity(field, t, p, n, q)
         le = lateral_quantity(field, sigma0, eta, t, p, n, q)[1]
         rhs = _annulus_sup(field, sigma0, sigma1, eta, t, p, n, q)
         chk = LocalizedCheck(mass, rhs, t)

@@ -184,7 +184,7 @@ class ExteriorRegionSpec(BulkRegion):
         its radius sqrt((t - t*)^2 + 4 eps) stays below sigma t."""
         sig, ts = self.sigma, self.t_star
         disc = sig * sig * ts * ts - 4.0 * eps * (1.0 - sig * sig)
-        if disc <= 0.0:
+        if not disc > 0.0:
             raise ValueError("eps too large: region is empty")
         root = math.sqrt(disc)
         return LevelSetPiece(self.weight, eps, (ts - root) / (1.0 - sig * sig),
@@ -275,7 +275,7 @@ class ConePiece(SurfacePiece):
         if not 0.0 < self.slope < 1.0:
             raise ValueError("cone piece slope must lie in (0, 1): null or "
                              "spacelike cones are not timelike pieces")
-        if self.t_lo >= self.t_hi:
+        if not self.t_lo < self.t_hi:
             raise ValueError("degenerate cone piece")
 
     def radius(self, t):
@@ -335,9 +335,9 @@ class LevelSetPiece(SurfacePiece):
     t_hi: float
 
     def __post_init__(self):
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:
             raise ValueError("level value must be positive")
-        if self.t_lo >= self.t_hi:
+        if not self.t_lo < self.t_hi:
             raise ValueError("degenerate level piece")
 
     def radius(self, t):
@@ -409,7 +409,7 @@ def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
                                  tuple(x.tolist()))
     result = CoveringResult(covered=witness is None, witness=witness)
     if eta is not None:
-        if eta <= 1.0:
+        if not eta > 1.0:
             raise ValueError("eta must exceed 1")
         result.boundary_ok = all(
             t_star / eta <= t_star * (1.0 - ray.speed) / (1.0 + sigma)

@@ -22,13 +22,17 @@ accuracy, so singular integrands must use it rather than recomputing
 r^2 - (t - t*)^2 themselves.
 
 A mesh is evaluated on blocks of whole rows of about BLOCK_NODES nodes,
-and each block is reduced to per-row sums of measure * integrand while it
-is in cache; no full-mesh buffer is kept. A row's sum is numpy's pairwise
-sum along the row, a slice's result is its row's sum, and a bulk total is
-the pairwise sum of the row sums, so no sum depends on BLOCK_NODES. A
-non-finite sample makes its row's sum non-finite; only then is the mesh
-evaluated again block by block and tested, and the error names the first
-non-finite sample of the first output that has one, in row order.
+twice as many rows after a block whose every output held one value per
+row (a t-only integrand, or DiscreteField's read of a run's ODE core).
+Each block is reduced to per-row sums of measure * integrand while it is
+in cache and released before the next integrand call, so no full-mesh
+buffer is kept and full-shape arrays span at most 2 BLOCK_NODES nodes. A
+row's sum is numpy's pairwise sum along the row, a slice's result is its
+row's sum, and a bulk total is the pairwise sum of the row sums, so no sum
+depends on the blocks. A non-finite sample makes its row's sum
+non-finite; only then is the mesh evaluated again on the same blocks and
+tested, and the error names the first non-finite sample of the first
+output that has one, in row order.
 Surface node sets are summed one set at a time.
 
 Error control is a one-level Richardson difference (cells doubled), never
@@ -43,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import _require
+from .fields import LevelRangeError, _require
 
 __all__ = [
     "sphere_area",
@@ -227,24 +231,28 @@ def _weighted_sums(integrand, T, lo, span, rule, n, wspan=None, axis=None):
     rule (rel, w) mapped onto (lo[i], lo[i] + span[i]), with the measure
     wspan[i] w area(S^{n-1}) R^{n-1} (`wspan` defaults to `span`; a bulk
     region folds its time weights into it). The mesh and the integrand are
-    evaluated on blocks of whole rows of about BLOCK_NODES nodes, and each
-    block is reduced to its rows' sums while it is in cache: a row's sum is
-    numpy's pairwise sum of meas * vals along the row, and a whole-mesh
-    total is the pairwise sum of the row sums. So the sums do not depend
-    on the block size, and no full-mesh buffer is kept.
+    evaluated on blocks of whole rows, each reduced to its rows' sums while
+    it is in cache: a row's sum is numpy's pairwise sum of meas * vals
+    along the row, and a whole-mesh total is the pairwise sum of the row
+    sums. So the sums do not depend on the blocks, and no full-mesh buffer
+    is kept. A block has BLOCK_NODES // (nodes per row) rows, twice that
+    after a block whose every output had at most one value per row (size
+    <= its rows). Its arrays are released before the next integrand call,
+    so full-shape arrays span at most 2 BLOCK_NODES nodes, reached only
+    when a block that follows a row-valued one comes back full-shape.
 
     A non-finite value makes its row's sum non-finite. Only then are the
-    blocks evaluated again and tested, and the error names the sample a
-    whole-mesh pass meets first: the outputs in order, each in row order;
-    with every sample finite, it names the first node whose weight is not
-    (inf * 0 is nan). Finite values and weights whose weighted sum
+    recorded blocks evaluated again and tested, and the error names the
+    sample a whole-mesh pass meets first: the outputs in order, each in row
+    order; with every sample finite, it names the first node whose weight
+    is not (inf * 0 is nan). Finite values and weights whose weighted sum
     overflows give inf, with no error and no warning. An integrand
     returning a tuple of arrays gives a tuple of sums, one per array."""
     rel, w = rule
     wspan = span if wspan is None else wspan
     om = sphere_area(n)
     step = max(1, BLOCK_NODES // rel.size)
-    blocks = [slice(start, start + step) for start in range(0, len(T), step)]
+    blocks, start, size = [], 0, step
 
     def evaluate(rows):
         R = lo[rows] + span[rows] * rel
@@ -264,24 +272,32 @@ def _weighted_sums(integrand, T, lo, span, rule, n, wspan=None, axis=None):
 
     with np.errstate(**_QUIET):
         row_sums = None
-        for rows in blocks:
+        while start < len(T):
+            rows = slice(start, start + size)
+            blocks.append(rows)
+            start += size
             R, out, outs = evaluate(rows)
             meas = measure(rows, R)
             if row_sums is None:
                 row_sums = np.empty((len(outs), len(T)))
+                several = isinstance(out, tuple)
             for sums, vals in zip(row_sums, outs):
                 np.sum(np.multiply(meas, vals), axis=1, out=sums[rows])
+            row_valued = all(np.size(v) <= len(R) for v in outs)
+            size = 2 * step if row_valued else step
+            del R, out, outs, meas, vals  # before the next integrand call
         if not np.isfinite(row_sums).all():
             for k in range(len(row_sums)):
                 for rows in blocks:
                     R, _, outs = evaluate(rows)
                     _check_finite(np.broadcast_to(outs[k], R.shape), T[rows],
                                   R)
+                    del R, outs
             for rows in blocks:
                 R = lo[rows] + span[rows] * rel
                 _check_finite(measure(rows, R), T[rows], R, "quadrature weight")
         sums = row_sums if axis == 1 else np.sum(row_sums, axis=1)
-    return tuple(sums) if isinstance(out, tuple) else sums[0]
+    return tuple(sums) if several else sums[0]
 
 
 # --------------------------------------------------------------------------
@@ -294,16 +310,22 @@ def integrate_slices(times, r_lo, r_hi, integrand, q: QuadratureSpec,
     fixed times[i], one per slice with the bits of that slice alone: each
     level is one (slices, nodes) mesh, t a (slices, 1) array even for one
     slice (numpy's scalar power can differ in the last bit). A zero-width
-    shell gives an exact zero, a reversed one an error; on a non-finite
-    sample the slices rerun one by one, so the error names the sample a
-    slice-by-slice pass meets first."""
+    shell gives an exact zero, a reversed one or a NaN bound an error; on a
+    non-finite sample, or a point the integrand's field refuses
+    (LevelRangeError), the slices rerun one by one, so the error names the
+    point a slice-by-slice pass meets first."""
     T = np.asarray(times, dtype=float).reshape(-1, 1)
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), len(T))
               for b in (r_lo, r_hi))
-    if np.any(hi < lo):
-        i = np.argmax(hi < lo)
-        raise ValueError(f"slice bounds reversed: r_hi = {float(hi[i])!r} "
-                         f"< r_lo = {float(lo[i])!r}")
+    ordered = lo <= hi  # NaN is neither
+    if not ordered.all():
+        i = np.argmin(ordered)
+        a, b = float(lo[i]), float(hi[i])
+        for name, bound in (("r_lo", a), ("r_hi", b)):
+            if math.isnan(bound):
+                raise ValueError(f"slice bound {name} is not a number at "
+                                 f"t = {float(T[i, 0])!r}")
+        raise ValueError(f"slice bounds reversed: r_hi = {b!r} < r_lo = {a!r}")
     live = np.flatnonzero(hi > lo)
     base, span = lo[live, None], (hi - lo)[live, None]
 
@@ -315,7 +337,7 @@ def integrate_slices(times, r_lo, r_hi, integrand, q: QuadratureSpec,
 
     try:
         results = iter(_refine(level) if live.size else ())
-    except NonFiniteSample:
+    except (NonFiniteSample, LevelRangeError):
         for i in live if live.size > 1 else ():
             integrate_slices(T[i], lo[i], hi[i], integrand, q, n)
         raise

@@ -148,7 +148,7 @@ def test_criterion_4_ode_scaling_laws():
     worst = 0.0
     # three decades of t
     for t in (-1.0, -0.1, -0.01):
-        val, _ = annulus_quantity(field, 0.25, 0.5, t, 2.0, 3, Q)
+        [(val, _)] = annulus_quantity(field, 0.25, 0.5, [t], 2.0, 3, Q)
         worst = max(worst, abs(val - (cg + cp)) / (cg + cp))
     for ts in (-0.9, -0.09, -0.009):
         (val, _), _ = slab_quantity(field, 0.25, 1.2, ts, 2.0, 3, Q)
@@ -191,8 +191,8 @@ def test_criterion_5_solver_convergence():
 
 def test_criterion_6_mz_rate(truncated_run_field):
     times = [t for t in truncated_run_field.times if -0.5 <= t <= -0.05]
-    vals = [weighted_ball_quantity(truncated_run_field, t, 2.0, 3, Q)[0]
-            for t in times]
+    vals = [v for v, _ in weighted_ball_quantity(truncated_run_field, times,
+                                                 2.0, 3, Q)]
     rep = rate_fit(times, vals)
     target = ball_quantity_ode(2.0, 3)
     ok = (abs(rep.slope) <= 0.1

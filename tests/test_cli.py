@@ -1525,15 +1525,15 @@ class TestDiagnosticsSubcommands:
         seen = []
         inner = energetics.weighted_ball_quantity
 
-        def recorded(field, t, *args):
-            seen.append(t)
-            return inner(field, t, *args)
+        def recorded(field, times, *args):
+            seen.append(list(times))
+            return inner(field, times, *args)
 
         monkeypatch.setattr(energetics, "weighted_ball_quantity", recorded)
         out = tmp_path / "out"
         assert run(["rate-fit", "--config", cfg, "--out", str(out)]) == 0
-        assert seen == stored and len(seen) == 12
-        assert min(seen) == -0.4996641575968831
+        assert seen == [stored] and len(stored) == 12
+        assert min(stored) == -0.4996641575968831
         slope = float((out / "rates.csv").read_text().splitlines()[1]
                       .split(",")[1])
         assert abs(slope) < 1e-3
@@ -1602,12 +1602,14 @@ class TestDiagnosticsSubcommands:
         for out in (batched, alone):
             if out == alone:
                 one_at_a_time(monkeypatch)
-            for scenario in ("energy-profile", "verify-localized"):
+            for scenario in ("energy-profile", "verify-localized",
+                             "rate-fit"):
                 assert run([scenario, "--config", cfg, "--out",
                             str(out / scenario)]) == 0
         for name in ("energy-profile/profile.csv", "energy-profile/summary",
                      "verify-localized/localized.csv",
-                     "verify-localized/summary"):
+                     "verify-localized/summary", "rate-fit/rates.csv",
+                     "rate-fit/summary"):
             assert (batched / name).read_bytes() == (alone / name).read_bytes()
 
     def test_window_outside_the_snapshots_names_time_and_range(self, tmp_path,

@@ -22,22 +22,18 @@ from conewave.exact_solutions import (
     slab_scaling_constant,
 )
 from conewave.fields import DiscreteField, LevelRangeError, gaussian_pulse
-from conewave.quadrature import QuadratureSpec
+from conewave import quadrature
+from conewave.quadrature import QuadratureSpec, integrate_slices
 from conewave.solver import SolverConfig, evolve
-from tests_helpers import annulus_sup_by_slice, one_at_a_time, zero_field
+from tests_helpers import (annulus_sup_by_slice, one_at_a_time,
+                           truncated_run_levels, zero_field)
 
 Q = QuadratureSpec()
 
 
 @pytest.fixture(scope="module")
 def truncated_run_field():
-    # snapshots dense enough for slab and sup-over-annulus diagnostics
-    times = tuple(-np.geomspace(0.04, 1.0, 49))
-    cfg = SolverConfig(n=3, p=2.0, J=1024, R=4.0, t0=-1.0, t_end=0.0,
-                       snapshot_times=tuple(sorted(times)),
-                       record_energy=False)
-    res = evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25))
-    return res.levels
+    return truncated_run_levels()
 
 
 class TestAnnulusQuantity:
@@ -45,11 +41,12 @@ class TestAnnulusQuantity:
         field = ode_field(2.0, 3)
         cg, cp = annulus_scaling_constant(2.0, 3, 0.25, 0.5)
         for t in (-1.0, -0.1, -0.01):
-            val, err = annulus_quantity(field, 0.25, 0.5, t, 2.0, 3, Q)
+            [(val, err)] = annulus_quantity(field, 0.25, 0.5, [t], 2.0, 3, Q)
             assert val == pytest.approx(cg + cp, rel=1e-10 + err)
 
     def test_zero_field(self):
-        val, _ = annulus_quantity(zero_field(3), 0.25, 0.5, -1.0, 2.0, 3, Q)
+        [(val, _)] = annulus_quantity(zero_field(3), 0.25, 0.5, [-1.0], 2.0,
+                                      3, Q)
         assert val == 0.0
 
     def test_field_supported_inside_inner_cone(self):
@@ -57,17 +54,18 @@ class TestAnnulusQuantity:
         from tests_helpers import compact_bump_field
 
         fld = compact_bump_field(3, 0.01, 0.2, -1.2, -0.8)
-        val, _ = annulus_quantity(fld, 0.25, 0.5, -1.0, 2.0, 3, Q)
+        [(val, _)] = annulus_quantity(fld, 0.25, 0.5, [-1.0], 2.0, 3, Q)
         assert val == 0.0
 
     def test_reversed_sigmas_raise(self):
         # sigma0 > sigma1 gave a silent (0.0, 0.0); the ordered call is 82.47
         with pytest.raises(ValueError, match=r"r_hi = 0\.125 < r_lo = 0\.25"):
-            annulus_quantity(ode_field(2.0), 0.5, 0.25, -0.5, 2.0, 3)
-        val, _ = annulus_quantity(ode_field(2.0), 0.25, 0.5, -0.5, 2.0, 3)
+            annulus_quantity(ode_field(2.0), 0.5, 0.25, [-0.5], 2.0, 3)
+        [(val, _)] = annulus_quantity(ode_field(2.0), 0.25, 0.5, [-0.5], 2.0,
+                                      3)
         assert val == pytest.approx(82.47, rel=1e-3)
-        zero = annulus_quantity(ode_field(2.0), 0.25, 0.25, -0.5, 2.0, 3)
-        assert zero == (0.0, 0.0)
+        zero = annulus_quantity(ode_field(2.0), 0.25, 0.25, [-0.5], 2.0, 3)
+        assert zero == [(0.0, 0.0)]
 
 
 class TestSlabQuantity:
@@ -95,22 +93,23 @@ class TestWeightedBallQuantity:
         field = ode_field(2.0, 3)
         expected = ball_quantity_ode(2.0, 3)
         for t in (-0.5, -0.1, -0.02):
-            val, err = weighted_ball_quantity(field, t, 2.0, 3, Q)
+            [(val, err)] = weighted_ball_quantity(field, [t], 2.0, 3, Q)
             assert val == pytest.approx(expected, rel=1e-8 + err)
 
     def test_zero_field(self):
-        val, _ = weighted_ball_quantity(zero_field(3), -0.5, 2.0, 3, Q)
+        [(val, _)] = weighted_ball_quantity(zero_field(3), [-0.5], 2.0, 3, Q)
         assert val == 0.0
 
     def test_truncated_run_within_factor_three(self, truncated_run_field):
         expected = ball_quantity_ode(2.0, 3)
         for t in (-0.5, -0.2, -0.05):
-            val, _ = weighted_ball_quantity(truncated_run_field, t, 2.0, 3, Q)
+            [(val, _)] = weighted_ball_quantity(truncated_run_field, [t], 2.0,
+                                                3, Q)
             assert expected / 3.0 <= val <= expected * 3.0
 
     def test_requires_negative_time(self):
         with pytest.raises(ValueError):
-            weighted_ball_quantity(ode_field(2.0, 3), 0.5, 2.0, 3, Q)
+            weighted_ball_quantity(ode_field(2.0, 3), [0.5], 2.0, 3, Q)
 
 
 class TestLateralQuantity:
@@ -130,6 +129,12 @@ class TestLateralQuantity:
         got = lateral_quantity(field, 0.25, 2.0, t_star, 2.0, 3, Q)[0]
         assert got > 0.0
         assert got.hex() == res.value.hex()
+
+
+    def test_a_nan_eta_is_refused(self):
+        # before: the cone piece was built on NaN times
+        with pytest.raises(ValueError, match="eta must exceed 1"):
+            lateral_quantity(zero_field(3), 0.25, math.nan, -0.5, 2.0, 3, Q)
 
 
 class TestLocalizedEstimate:
@@ -290,8 +295,8 @@ class TestRateFit:
 
     def test_flat_rate_on_truncated_run(self, truncated_run_field):
         times = [t for t in truncated_run_field.times if -0.5 <= t <= -0.05]
-        vals = [weighted_ball_quantity(truncated_run_field, t, 2.0, 3, Q)[0]
-                for t in times]
+        vals = [v for v, _ in weighted_ball_quantity(truncated_run_field,
+                                                     times, 2.0, 3, Q)]
         rep = rate_fit(times, vals)
         assert rep.slope == pytest.approx(0.0, abs=0.1)
         assert rep.infimum > 0.0
@@ -314,8 +319,8 @@ class TestProfilesAndCsv:
                 (sv, _), _ = slab_quantity(field, 0.25, 1.2, ts, 2.0, 3, Q)
                 window = [t for t in field.times
                           if abs(ts) / 2 <= -t <= min(1.0, 2 * abs(ts))]
-                ann = max(annulus_quantity(field, 0.25, 0.5, t, 2.0, 3, Q)[0]
-                          for t in window)
+                ann = max(v for v, _ in annulus_quantity(field, 0.25, 0.5,
+                                                          window, 2.0, 3, Q))
                 K_members.append(sv / ann)
         assert max(K_members) <= 3.0 * min(K_members)
 
@@ -337,8 +342,8 @@ class TestProfilesAndCsv:
 
             [res] = integrate_slices([t], 0.0, 0.25 * at, integrand, Q, 3)
             inner_vals.append(at ** (2.0 - 3 + k2) * res.value)
-            annulus_vals.append(annulus_quantity(field, 0.25, 0.5, t,
-                                                 2.0, 3, Q)[0])
+            annulus_vals.append(annulus_quantity(field, 0.25, 0.5, [t],
+                                                 2.0, 3, Q)[0][0])
         assert min(inner_vals) > 0.0
         assert min(annulus_vals) > 0.0
 
@@ -366,8 +371,8 @@ class TestEnergyProfileOneSlabPass:
             (sv, se), (mass, _) = slab_quantity(field, 0.25, 1.2, t, 2.0, 3, Q)
             chk = localized_estimate_check(field, 0.25, 0.5, 1.2, 2.0, t,
                                            2.0, 3, Q)
-            av, ae = annulus_quantity(field, 0.25, 0.5, t, 2.0, 3, Q)
-            mv, me = weighted_ball_quantity(field, t, 2.0, 3, Q)
+            [(av, ae)] = annulus_quantity(field, 0.25, 0.5, [t], 2.0, 3, Q)
+            [(mv, me)] = weighted_ball_quantity(field, [t], 2.0, 3, Q)
             _, le = lateral_quantity(field, 0.25, 2.0, t, 2.0, 3, Q)
             assert mass > 0.0
             assert row[0] == t
@@ -478,3 +483,164 @@ class TestHeadRead:
         want = energy_profile(general, 0.25, 0.5, 1.2, 2.0, times, 2.0, 3, Q)
         assert all(out == {np.broadcast_shapes(t, r)} for t, r, out in calls)
         assert [_bits(row) for row in got] == [_bits(row) for row in want]
+
+
+# --------------------------------------------------------------------------
+# Families: the annuli and the balls of a profile's times are one family of
+# slices each, with the bits of each time alone
+# --------------------------------------------------------------------------
+
+FAMILY_TIMES = (-0.5, -0.3, -0.2, -0.1, -0.05)
+QUAD96 = QuadratureSpec(cells_t=96, cells_r=96)  # the benchmark's profile
+
+
+def _pair_bits(pairs):
+    return [_bits(pair) for pair in pairs]
+
+
+def _profile_time_by_time(field, sigma0, sigma1, gamma, eta, times, p, n, q):
+    """A profile's quantities one time at a time, in row order: the pass
+    whose first refusal `energy_profile` must raise."""
+    for t in times:
+        annulus_quantity(field, sigma0, sigma1, [t], p, n, q)
+        slab_quantity(field, sigma0, gamma, t, p, n, q)
+        weighted_ball_quantity(field, [t], p, n, q)
+        lateral_quantity(field, sigma0, eta, t, p, n, q)
+        energetics._annulus_sup(field, sigma0, sigma1, eta, t, p, n, q)
+
+
+class TestFamilies:
+    @pytest.fixture(params=["run", "ode", "gaussian"])
+    def field(self, request, truncated_run_field):
+        return {"run": lambda: truncated_run_field,
+                "ode": lambda: ode_field(2.0, 3),
+                "gaussian": lambda: gaussian_pulse(3, 0.8, -0.2, 0.5, 0.3),
+                }[request.param]()
+
+    @pytest.mark.parametrize("sigma1", [0.5, 0.25], ids=["annulus", "empty"])
+    @pytest.mark.parametrize("block", [None, 500])
+    def test_annulus_family_has_the_bits_of_each_time(self, monkeypatch,
+                                                      field, sigma1, block):
+        alone = [annulus_quantity(field, 0.25, sigma1, [t], 2.0, 3, Q)[0]
+                 for t in FAMILY_TIMES]
+        # the construction of one time written out: its scale |t| a float
+        expo = 2.0 - 3 + 4.0 / (2.0 - 1.0)
+        written = []
+        for t in FAMILY_TIMES:
+            at = abs(t)
+            [res] = integrate_slices([t], 0.25 * at, sigma1 * at,
+                                     energetics._energy_density(field, at),
+                                     Q, 3)
+            written.append((at ** expo * res.value,
+                            at ** expo * res.error_estimate))
+        if block is not None:
+            monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
+        got = annulus_quantity(field, 0.25, sigma1, FAMILY_TIMES, 2.0, 3, Q)
+        assert _pair_bits(got) == _pair_bits(alone) == _pair_bits(written)
+        if sigma1 == 0.25:
+            assert got == [(0.0, 0.0)] * len(FAMILY_TIMES)
+        else:
+            assert all(value > 0.0 for value, _ in got)
+
+    @pytest.mark.parametrize("block", [None, 500])
+    def test_ball_family_has_the_bits_of_each_time(self, monkeypatch, field,
+                                                   block):
+        alone = [weighted_ball_quantity(field, [t], 2.0, 3, Q)[0]
+                 for t in FAMILY_TIMES]
+        if block is not None:
+            monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
+        got = weighted_ball_quantity(field, FAMILY_TIMES, 2.0, 3, Q)
+        assert _pair_bits(got) == _pair_bits(alone)
+        assert all(value > 0.0 for value, _ in got)
+
+    def test_one_slice_family_per_level(self, monkeypatch,
+                                        truncated_run_field):
+        shapes = []
+        inner = DiscreteField.jet
+
+        def recording(self, t, r):
+            shapes.append(np.shape(r))
+            return inner(self, t, r)
+
+        monkeypatch.setattr(DiscreteField, "jet", recording)
+        annulus_quantity(truncated_run_field, 0.25, 0.5, FAMILY_TIMES, 2.0, 3,
+                         Q)
+        weighted_ball_quantity(truncated_run_field, FAMILY_TIMES, 2.0, 3, Q)
+        k = len(FAMILY_TIMES)
+        assert shapes == [(k, 2 * Q.cells_r), (k, 4 * Q.cells_r)] * 2
+
+    # each case names the refusal a time-by-time pass meets first, and a
+    # later time that a family would meet first were the windows not checked
+    # up front
+    @pytest.mark.parametrize("name,times,gamma,eta", [
+        ("run", (-0.3, -0.05, -1.5), 1.2, 2.0),  # -0.05's eta window
+        ("ode", (-0.3, 0.2, 0.0), 1.2, 2.0),     # 0.2's ball, not 0.0's annulus
+        ("ode", (-0.3, -0.2), 1.2, math.nan),    # eta
+        ("run", (-0.3, -0.2, 0.0), 1.0, 2.0),    # gamma, not 0.0's annulus
+    ], ids=["eta-window", "ball-sign", "eta-nan", "gamma"])
+    def test_a_refused_time_raises_what_a_time_by_time_pass_does(
+            self, truncated_run_field, name, times, gamma, eta):
+        field = truncated_run_field if name == "run" else ode_field(2.0, 3)
+        args = (field, 0.25, 0.5, gamma, eta, times, 2.0, 3, Q)
+        with pytest.raises(ValueError) as want:
+            _profile_time_by_time(*args)
+        with pytest.raises(ValueError) as got:
+            energy_profile(*args)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_a_refused_ball_time_raises_what_a_time_by_time_pass_does(
+            self, truncated_run_field):
+        times = (-0.3, 0.2, -1.5)
+        with pytest.raises(ValueError, match="ball quantity requires t < 0"):
+            for t in times:
+                weighted_ball_quantity(truncated_run_field, [t], 2.0, 3, Q)
+        with pytest.raises(ValueError, match="ball quantity requires t < 0"):
+            weighted_ball_quantity(truncated_run_field, times, 2.0, 3, Q)
+
+
+class TestProfileTraffic:
+    """The reads of a small profile on a blow-up run, pinned: a change that
+    loses the head read's one value per row (row-valued blocks double) or
+    the annulus and ball families moves these counts."""
+
+    TIMES = (-0.4, -0.3, -0.2, -0.1)
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = {"jet": [], "sums": 0}
+        jet, sums = DiscreteField.jet, quadrature._weighted_sums
+
+        def counting_jet(self, t, r):
+            out = jet(self, t, r)
+            calls["jet"].append((np.shape(r), {np.shape(v) for v in out}))
+            return out
+
+        def counting_sums(*args, **kwargs):
+            calls["sums"] += 1
+            return sums(*args, **kwargs)
+
+        monkeypatch.setattr(DiscreteField, "jet", counting_jet)
+        monkeypatch.setattr(quadrature, "_weighted_sums", counting_sums)
+        return calls
+
+    def test_a_blow_up_run(self, monkeypatch, truncated_run_field):
+        calls = self._counting(monkeypatch)
+        energy_profile(truncated_run_field, 0.25, 0.5, 1.2, 2.0, self.TIMES,
+                       2.0, 3, QUAD96)
+        # per level: one annulus and one ball family; per time, the slab and
+        # the annulus sup (4 * 2 * 2); 68 reads, 4 of them lateral pieces
+        assert calls["sums"] == 2 + 2 + 16
+        assert len(calls["jet"]) == 68
+
+    def test_a_gaussian_run_never_grows_a_block(self, monkeypatch):
+        cfg = SolverConfig(n=3, p=2.0, J=1024, R=4.0, t0=-1.0, t_end=0.0,
+                           snapshot_times=tuple(-np.geomspace(1.0, 0.04, 49)),
+                           record_energy=False)
+        field = evolve(cfg, InitialDataSpec.gaussian(1.0, 0.3)).levels
+        calls = self._counting(monkeypatch)
+        energy_profile(field, 0.25, 0.5, 1.2, 2.0, self.TIMES, 2.0, 3, QUAD96)
+        assert calls["sums"] == 20
+        for shape, outs in calls["jet"]:
+            assert outs == {shape}  # no head: every read is full-shape
+            assert math.prod(shape) <= quadrature.BLOCK_NODES

@@ -100,7 +100,7 @@ class TestScalingConstants:
         cg, cp = annulus_scaling_constant(2.0, 3, 0.25, 0.5)
         expected = cg + cp
         for t in (-1.0, -0.1, -0.01):
-            val, err = annulus_quantity(field, 0.25, 0.5, t, 2.0, 3, q)
+            [(val, err)] = annulus_quantity(field, 0.25, 0.5, [t], 2.0, 3, q)
             assert val == pytest.approx(expected, rel=max(1e-3, err / expected))
 
     def test_slab_gamma_to_one_vanishes(self):
@@ -139,7 +139,7 @@ class TestMzQuantity:
         field = ode_field(2.0, 3)
         q = QuadratureSpec()
         for t in (-0.5, -0.1, -0.02):
-            val, err = weighted_ball_quantity(field, t, 2.0, 3, q)
+            [(val, err)] = weighted_ball_quantity(field, [t], 2.0, 3, q)
             assert val == pytest.approx(MZ_N3_P2, rel=1e-6 + err)
 
     def test_gradient_term_contributes_zero(self):

@@ -115,6 +115,25 @@ class TestContains:
         with pytest.raises(ValueError, match="requires t\\* > 0"):
             ExteriorRegionSpec(0.5, math.nan)
 
+    @pytest.mark.parametrize("build,match", [
+        (lambda: ConePiece(0.5, math.nan, 1.0), "degenerate cone piece"),
+        (lambda: ConePiece(0.5, 0.5, math.nan), "degenerate cone piece"),
+        (lambda: LevelSetPiece(ShiftedWeight(1.0), math.nan, 0.1, 0.2),
+         "level value must be positive"),
+        (lambda: LevelSetPiece(ShiftedWeight(1.0), 0.1, 0.1, math.nan),
+         "degenerate level piece"),
+        (lambda: ExteriorRegionSpec(0.5, 1.0).level_set(math.nan),
+         "eps too large"),
+        (lambda: _slab(zero_field(3), 0.5, math.nan, 1.0),
+         "gamma must exceed 1"),
+    ], ids=["cone-t_lo", "cone-t_hi", "level-eps", "level-t_hi",
+            "level-set-eps", "slab-gamma"])
+    def test_nan_is_refused(self, build, match):
+        # each check fails on NaN; before, `x <= bound` let NaN through and
+        # the piece or slab was built on NaN times or radii
+        with pytest.raises(ValueError, match=match):
+            build()
+
 
 class TestExteriorBoundary:
     @settings(max_examples=300, deadline=None)
@@ -358,6 +377,12 @@ class TestCovering:
         with pytest.raises(ValueError, match=match):
             covering_check(sigma, gamma, t_star, RaySpec(()),
                            RaySpec((0.25, 0.0)))
+
+    def test_a_nan_eta_is_refused(self):
+        # before: boundary_ok = False, as if a piece left the lateral slab
+        with pytest.raises(ValueError, match="eta must exceed 1"):
+            covering_check(0.5, 1.5, 1.0, RaySpec(()), RaySpec((0.1,)),
+                           eta=math.nan)
 
     def test_nan_ray_is_refused(self):
         # a NaN velocity would make covering_check read a wide slab as covered

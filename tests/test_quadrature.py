@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from conewave.exact_solutions import smoothstep
-from conewave.fields import ArgumentError, ManufacturedField, PotentialSpec
+from conewave.fields import (ArgumentError, LevelRangeError,
+                             ManufacturedField, PotentialSpec)
 from conewave.carleman import (CarlemanParams, frustum_region,
                                vanishing_flux_probe)
 from conewave.geometry import (
@@ -26,9 +27,16 @@ from conewave.quadrature import (
     integrate_surfaces,
 )
 from tests_helpers import (box_bulk, closures_jet, constant_field,
-                           slice_by_slice, written_region, zero_field)
+                           slice_by_slice, truncated_run_levels,
+                           written_region, zero_field)
 
 ONE = lambda t, r: np.ones_like(r)
+QUAD96 = QuadratureSpec(cells_t=96, cells_r=96)  # the benchmark's profile
+
+
+@pytest.fixture(scope="module")
+def run_field():
+    return truncated_run_levels()
 
 # frozen reference for int f^{1/2} over {1<r<2, |t|<0.4}, n=1, computed from
 # a 2000^2-cell Gauss-2 tensor rule (stable to 13 digits across refinements)
@@ -765,6 +773,11 @@ def _pair(t, r):
             np.abs(t) ** 1.7 * r ** 2 + 0.5)
 
 
+def _row_pair(t, r):
+    """Two t-only outputs: one value per mesh row."""
+    return np.exp(-(t - 0.3) ** 2), np.abs(t) ** 1.7 + 0.5
+
+
 TIMES17 = np.linspace(-0.9, 0.7, 17)
 
 
@@ -797,19 +810,27 @@ class TestSliceFamily:
         assert shapes == [((17, 1), (17, 2 * q.cells_r)),
                           ((17, 1), (17, 4 * q.cells_r))]
 
-    def test_row_blocks_keep_the_bits(self, monkeypatch):
+    @pytest.mark.parametrize("integrand", [_pair, _row_pair])
+    def test_row_blocks_keep_the_bits(self, monkeypatch, integrand):
         q = QuadratureSpec()
-        whole = integrate_slices(TIMES17, 0.1, 0.9, _pair, q, 3)
-        sizes = []
+        whole = integrate_slices(TIMES17, 0.1, 0.9, integrand, q, 3)
+        blocks = []
 
         def counting(t, r):
-            sizes.append(r.shape)
-            return _pair(t, r)
+            out = integrand(t, r)
+            blocks.append((r.shape, all(np.size(v) <= len(r) for v in out)))
+            return out
 
         monkeypatch.setattr(quadrature, "BLOCK_NODES", 500)
         blocked = integrate_slices(TIMES17, 0.1, 0.9, counting, q, 3)
-        assert len(sizes) > 2
-        assert all(rows * cols <= 500 for rows, cols in sizes)
+        assert len(blocks) > 2
+        # a block may take twice the rows only after a row-valued one
+        after_row_valued = [False] + [row for _, row in blocks[:-1]]
+        assert all(rows * cols <= (1000 if grown else 500)
+                   for ((rows, cols), _), grown in zip(blocks,
+                                                       after_row_valued))
+        assert any(rows * cols > 500 for (rows, cols), _ in blocks) == (
+            integrand is _row_pair)
         for got, want in zip(blocked, whole):
             _same_result_bits(got, want)
 
@@ -869,6 +890,40 @@ class TestSliceFamily:
         _same_result_bits(mixed[1], slice_by_slice(0.4, 0.3, 0.9, _single,
                                                    Q_DEFAULT, 3))
 
+    def test_a_refused_read_follows_the_slice_order(self):
+        # as for a non-finite sample: a field that refuses a point (a read
+        # past a run's wall) is met first where a slice-by-slice pass meets
+        # it, slice 1's finer level, not slice 3's coarse one
+        q = QuadratureSpec()
+        times = np.linspace(0.1, 0.5, 5)
+        c1, c2 = self._last_nodes(q)
+
+        def refusing(t, r):
+            edge = np.full(np.shape(t), np.inf)
+            edge[t == times[1]] = 0.5 * (c1 + c2)
+            edge[t == times[3]] = 0.5
+            past = r > edge
+            if past.any():
+                first = np.unravel_index(np.argmax(past), past.shape)
+                raise LevelRangeError(
+                    f"time {float(np.broadcast_to(t, past.shape)[first])!r}")
+            return 1.0 + 0.0 * r
+
+        with pytest.raises(LevelRangeError) as got:
+            integrate_slices(times, 0.1, 0.9, refusing, q, 3)
+        assert str(got.value) == f"time {float(times[1])!r}"
+
+    @pytest.mark.parametrize("r_lo,r_hi,name", [
+        ([0.1, math.nan], 0.9, "r_lo"), (0.1, [0.9, math.nan], "r_hi")])
+    def test_a_nan_bound_is_refused_by_name(self, r_lo, r_hi, name):
+        # before: NaN is neither reversed nor live, so the slice was an
+        # exact zero, QuadratureResult(0.0, 0.0, 0)
+        with pytest.raises(ValueError, match=f"^slice bound {name} is not a "
+                           r"number at t = 0\.4$"):
+            integrate_slices([0.2, 0.4], r_lo, r_hi, ONE, Q_DEFAULT, 3)
+        with pytest.raises(ValueError, match="r_lo is not a number"):
+            integrate_slices([0.5], math.nan, 1.0, ONE, Q_DEFAULT, 3)
+
     def test_reversed_shell_names_both_bounds(self):
         with pytest.raises(ValueError, match=r"r_hi = 0\.25 < r_lo = 0\.5"):
             integrate_slices([0.2], 0.5, 0.25, ONE, Q_DEFAULT, 3)
@@ -878,3 +933,124 @@ class TestSliceFamily:
 
 
 Q_DEFAULT = QuadratureSpec()
+
+
+# --------------------------------------------------------------------------
+# Row-valued blocks grow: twice the rows after a block whose every output
+# holds one value per row, with the bits of the blocks at their base size
+# --------------------------------------------------------------------------
+
+def _full_shape(monkeypatch):
+    """Growth off: every integrand output is handed on broadcast to the
+    block's full shape, the same values, so no block is row-valued."""
+    inner = quadrature._weighted_sums
+
+    def full_shape(integrand, T, *args, **kwargs):
+        def broadcast(t, r):
+            out = integrand(t, r)
+            if isinstance(out, tuple):
+                return tuple(np.broadcast_to(v, r.shape) for v in out)
+            return np.broadcast_to(out, r.shape)
+
+        return inner(broadcast, T, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_weighted_sums", full_shape)
+
+
+class TestGrowingBlocks:
+    # the coarse level of a 192-cell tensor mesh: 384 rows of 384 nodes,
+    # BLOCK_NODES // 384 = 21 rows a block
+    T384 = quadrature._interval_nodes(0.0, 1.0, 192)[0][:, None]
+    RULE = quadrature._unit_rule(192)
+
+    def _rows_per_block(self, integrand):
+        rows = []
+
+        def recording(t, r):
+            rows.append(len(r))
+            return integrand(t, r)
+
+        lo, span = np.full((384, 1), 0.5), np.full((384, 1), 1.5)
+        quadrature._weighted_sums(recording, self.T384, lo, span, self.RULE,
+                                  3)
+        return rows
+
+    def test_the_block_layout(self):
+        assert self._rows_per_block(lambda t, r: t * t) == [21] + [42] * 8 + [27]
+        assert self._rows_per_block(lambda t, r: t * r) == [21] * 18 + [6]
+        # row-valued on blocks that end before t = 0.1 (the first), full-
+        # shape after: the size goes back to 21 after a full-shape block
+        split = lambda t, r: t * t if t[-1, 0] < 0.1 else t * r
+        assert self._rows_per_block(split) == [21, 42] + [21] * 15 + [6]
+
+    @staticmethod
+    def _hex(results):
+        return [[v.hex() for v in (res.value, res.error_estimate)]
+                for res in results]
+
+    @staticmethod
+    def _row_valued_early(t, r):
+        """exp(-t^2) for t < 0.6, times r after: a block of early rows gets
+        one value per row, any other block the full shape, with the same
+        bits on the early rows (as DiscreteField's head read)."""
+        vals = np.exp(-t * t)
+        return vals if t[-1, 0] < 0.6 else np.where(t < 0.6, vals, vals * r)
+
+    @pytest.mark.parametrize("integrand", [
+        lambda t, r: np.exp(-t * t),
+        _row_valued_early,
+        lambda t, r: (np.exp(-t * t), t * r),
+    ], ids=["t-only", "row-valued-then-full", "one-output-full"])
+    def test_growth_keeps_the_bits(self, monkeypatch, integrand):
+        q = QuadratureSpec(cells_t=96, cells_r=96)
+        region = box_bulk(0.0, 1.0, 0.5, 2.0)
+        grown = integrate_bulk(region, integrand, q, 3)
+        _full_shape(monkeypatch)
+        base = integrate_bulk(region, integrand, q, 3)
+        results = lambda res: res if isinstance(res, tuple) else (res,)
+        assert self._hex(results(grown)) == self._hex(results(base))
+
+    def test_the_head_read_slab_keeps_the_bits(self, monkeypatch,
+                                              run_field):
+        from conewave.fields import DiscreteField
+        from conewave.energetics import slab_quantity
+
+        rows = []
+        inner = DiscreteField.jet
+
+        def recording(self, t, r):
+            rows.append(r.shape)
+            return inner(self, t, r)
+
+        monkeypatch.setattr(DiscreteField, "jet", recording)
+        grown = slab_quantity(run_field, 0.25, 1.2, -0.5, 2.0, 3, QUAD96)
+        assert max(a * b for a, b in rows) > quadrature.BLOCK_NODES
+        _full_shape(monkeypatch)
+        base = slab_quantity(run_field, 0.25, 1.2, -0.5, 2.0, 3, QUAD96)
+        assert [[v.hex() for v in pair] for pair in grown] == \
+            [[v.hex() for v in pair] for pair in base]
+
+    def test_a_nan_in_a_grown_block_is_named_as_without_growth(
+            self, monkeypatch):
+        # row-valued on the first block (its last t is 0.0532), full-shape
+        # with one NaN in the second (grown) block, at row 30 and node 100
+        def bad(t, r):
+            if t[-1, 0] < 0.055:
+                return t * t
+            out = t * r
+            out[(t[:, 0] == self.T384[30, 0]), 100] = np.nan
+            return out
+
+        def location():
+            lo, span = np.full((384, 1), 0.5), np.full((384, 1), 1.5)
+            with pytest.raises(NonFiniteSample) as err:
+                quadrature._weighted_sums(bad, self.T384, lo, span,
+                                          self.RULE, 3)
+            return err.value.location
+
+        assert self._rows_per_block(lambda t, r: t * t if t[-1, 0] < 0.055
+                                    else t * r)[:2] == [21, 42]
+        grown = location()
+        _full_shape(monkeypatch)
+        assert grown == location() == (
+            self.T384[30, 0], 0.5 + 1.5 * self.RULE[0][100])

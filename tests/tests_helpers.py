@@ -209,6 +209,20 @@ def compact_bump_field(n, r_lo, r_hi, t_lo, t_hi, amplitude=1.0):
     return ManufacturedField(n, closures_jet(phi, phi_t, phi_r, box))
 
 
+def truncated_run_levels():
+    """The levels of a blow-up run (truncated ODE data, M = 2, w = 0.25,
+    J = 1024), with snapshots dense enough for the slab and the annulus
+    sup: the run field of the energetics and quadrature tests."""
+    from conewave.exact_solutions import InitialDataSpec
+    from conewave.solver import SolverConfig, evolve
+
+    times = tuple(-np.geomspace(0.04, 1.0, 49))
+    cfg = SolverConfig(n=3, p=2.0, J=1024, R=4.0, t0=-1.0, t_end=0.0,
+                       snapshot_times=tuple(sorted(times)),
+                       record_energy=False)
+    return evolve(cfg, InitialDataSpec.truncated_ode(2.0, 0.25)).levels
+
+
 # --------------------------------------------------------------------------
 # One-at-a-time quadrature: the slice and surface loops that the batched
 # integrate_slices and integrate_surfaces must reproduce bit for bit
