@@ -69,7 +69,7 @@ class CarlemanParams:
             raise ValueError("weight exponent a must be positive")
         if not self.p >= 1.0:
             raise ValueError("nonlinearity exponent must satisfy p >= 1")
-        if self.n < 1:
+        if not self.n >= 1:
             raise ValueError("spatial dimension must be >= 1")
 
     @property

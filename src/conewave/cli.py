@@ -122,7 +122,7 @@ _KEYS = (
          lambda v: not v or len(v) == 2 and 0 < v[0] < v[1],
          "empty or two values lo hi with 0 < lo < hi"),
     _Key("diagnostics", "field_source", str, "run", *_one_of("run", "ode")),
-    _Key("diagnostics", "cells", int, 48, args=("cells_t", "cells_r")),
+    _Key("diagnostics", "cells", int, 48, args=("cells",)),
     # below 1 every non-vacuous verify-localized run would fail
     _Key("diagnostics", "ratio_band", float, 1.5, *_at_least(1)),
     _Key("verify", "cases", int, 200, *_at_least(1)),
@@ -245,7 +245,7 @@ def _build(cfg: RunConfig, data: bool, swept=()):
             n=cfg.n, p=cfg.p, potential=cfg.potential, R=cfg.R, J=cfg.J,
             cfl=cfg.cfl, t0=cfg.t0, t_end=cfg.t_end, phi_max=cfg.phi_max,
             snapshot_times=cfg.snapshot_times)
-        cfg.quadrature = QuadratureSpec(cells_t=cfg.cells, cells_r=cfg.cells)
+        cfg.quadrature = QuadratureSpec(cfg.cells)
     except ArgumentError as exc:  # each argument named by its config key
         rows = [_ROWS["grid", "snapshot_log"] if name == "snapshot_times"
                 and cfg.snapshot_log else _ARGS[name] for name in exc.names]

@@ -146,7 +146,7 @@ def lateral_quantity(field, sigma, eta, t_star, p, n,
 
 
 def _ball_time(field, t):
-    if t >= 0:
+    if not t < 0:
         raise ValueError("ball quantity requires t < 0")
     field.require_times(t)
 
@@ -197,7 +197,7 @@ def _annulus_sup(field, sigma0, sigma1, eta, t_star, p, n, q):
     (integrate_slices)."""
     ats = abs(t_star)
     sgn = 1.0 if t_star > 0 else -1.0
-    field.require_times(scaled_window(t_star, eta))
+    _lateral_window(field, eta, t_star)
     levels = np.linspace(ats / eta, ats * eta, 17)
     slices = integrate_slices(sgn * levels, sigma0 * levels, sigma1 * levels,
                               _energy_density(field, ats, p), q, n)
@@ -277,7 +277,7 @@ def rate_fit(times, values, window=None) -> RateReport:
         raise ValueError("times and values must have equal length")
     if times.size < 3:
         raise ValueError("need at least 3 samples")
-    if np.any(values <= 0):
+    if not np.all(values > 0):  # NaN too
         raise ValueError("rate fit requires positive samples")
     at = np.abs(times)
     if window is None:

@@ -65,7 +65,7 @@ class OdeSolution:
 
     def threshold_crossing(self, level: float) -> float:
         """Time t < 0 at which phi* reaches the given level."""
-        if level <= 0:
+        if not level > 0:
             raise ValueError("level must be positive")
         return -((self.amplitude / level) ** (1.0 / self.k))
 
@@ -159,7 +159,7 @@ class InitialDataSpec:
 
 def _window_integral(m, gamma):
     """int_{|t*|/g}^{|t*| g} u^m du / |t*|^{m+1} = (g^m - g^-m)/m, log at m=0."""
-    if gamma <= 1.0:
+    if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
     if m == 0:
         return 2.0 * math.log(gamma)

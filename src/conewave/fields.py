@@ -375,7 +375,7 @@ class DiscreteField:
         if self.r[0] != 0.0 or dr.size and not np.allclose(dr, dr[0], rtol=rtol,
                                                            atol=0.0):
             raise ValueError("radial grid must be uniform starting at r = 0")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("time levels must be strictly increasing")
 
     @property

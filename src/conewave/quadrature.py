@@ -35,8 +35,9 @@ tested, and the error names the first non-finite sample of the first
 output that has one, in row order.
 Surface node sets are summed one set at a time.
 
-Error control is a one-level Richardson difference (cells doubled), never
-adaptive subdivision, so repeated runs are bit identical.
+A refinement level is its cell count, one count for t and r alike: the
+spec's `cells`, then twice that. Error control is the jump between the two
+levels, never adaptive subdivision, so repeated runs are bit identical.
 """
 
 from __future__ import annotations
@@ -77,19 +78,17 @@ def ball_volume(n: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite two-point Gauss rule parameters: cells per direction at
-    the coarse level (the fine level doubles them), and how fast cell edges
-    accumulate toward flagged singular boundaries (breakpoints at relative
-    distance (j/K)^q, q = grading_exponent).
-    """
+    """Composite two-point Gauss rule parameters: `cells`, the coarse
+    level's cell count in t and in r (the fine level doubles it), and how
+    fast cell edges accumulate toward flagged singular boundaries
+    (breakpoints at relative distance (j/K)^q, q = grading_exponent), which
+    an edge weight like (1 - y^2)^{a-1} at small a needs well above 3."""
 
-    cells_t: int = 48
-    cells_r: int = 48
+    cells: int = 48
     grading_exponent: float = 3.0
 
     def __post_init__(self):
-        _require(self.cells_t >= 4, "cells_t", self.cells_t, "at least 4")
-        _require(self.cells_r >= 4, "cells_r", self.cells_r, "at least 4")
+        _require(self.cells >= 4, "cells", self.cells, "at least 4")
         _require(self.grading_exponent >= 1.0, "grading_exponent",
                  self.grading_exponent, "at least 1")
 
@@ -185,31 +184,29 @@ def _interval_nodes(a, b, cells, q=1.0, singular_lo=False, singular_hi=False):
 @dataclass(frozen=True)
 class _Mesh:
     """Node rules of one refinement level, for a piece's `node_sets`:
-    composite nodes and weights on an interval with `factor` times the
-    spec's radial or time cells (`temporal` graded toward both ends on
-    request), and distances from a singular edge."""
+    composite nodes and weights on an interval with the level's `cells`
+    (`temporal` graded toward both ends on request), and distances from a
+    singular edge."""
 
-    q: QuadratureSpec
-    factor: int
+    cells: int
+    grading: float
 
     def radial(self, a, b):
-        return _interval_nodes(a, b, self.factor * self.q.cells_r)
+        return _interval_nodes(a, b, self.cells)
 
     def temporal(self, a, b, graded=False):
-        return _interval_nodes(a, b, self.factor * self.q.cells_t,
-                               self.q.grading_exponent, graded, graded)
+        return _interval_nodes(a, b, self.cells, self.grading, graded, graded)
 
     def from_edge(self, length):
-        return _edge_distances(length, self.factor * self.q.cells_t,
-                               self.q.grading_exponent)
+        return _edge_distances(length, self.cells, self.grading)
 
 
-def _refine(level):
-    """Evaluate `level(factor)` at 1 and 2 times the base resolution; the
-    value is the fine one, the error estimate the jump from the coarse one,
-    inf when both are infinite. A level returning a tuple of totals (one
-    per integrand output, or one per slice) gives a tuple of results."""
-    (coarse, n_coarse), (fine, n_fine) = level(1), level(2)
+def _refine(level, q):
+    """Evaluate `level(cells)` at q.cells and at twice that; the value is
+    the fine one, the error estimate the jump from the coarse one, inf when
+    both are infinite. A level returning a tuple of totals (one per
+    integrand output, or one per slice) gives a tuple of results."""
+    (coarse, n_coarse), (fine, n_fine) = level(q.cells), level(2 * q.cells)
     nodes = n_coarse + n_fine
 
     def result(fine, coarse):
@@ -329,14 +326,14 @@ def integrate_slices(times, r_lo, r_hi, integrand, q: QuadratureSpec,
     live = np.flatnonzero(hi > lo)
     base, span = lo[live, None], (hi - lo)[live, None]
 
-    def level(factor):
-        rule = _unit_rule(factor * q.cells_r)
+    def level(cells):
+        rule = _unit_rule(cells)
         sums = _weighted_sums(integrand, T[live], base, span, rule, n, axis=1)
         return (tuple(zip(*sums) if isinstance(sums, tuple) else sums),
                 rule[0].size)
 
     try:
-        results = iter(_refine(level) if live.size else ())
+        results = iter(_refine(level, q) if live.size else ())
     except (NonFiniteSample, LevelRangeError):
         for i in live if live.size > 1 else ():
             integrate_slices(T[i], lo[i], hi[i], integrand, q, n)
@@ -353,19 +350,18 @@ def integrate_bulk(region, integrand, q: QuadratureSpec, n: int) -> QuadratureRe
     grade = q.grading_exponent
     t_lo, t_hi = region.time_window()
 
-    def level(factor):
-        tn, tws = _interval_nodes(t_lo, t_hi, factor * q.cells_t, grade,
-                                  *region.singular_t)
+    def level(cells):
+        tn, tws = _interval_nodes(t_lo, t_hi, cells, grade, *region.singular_t)
         rlo = np.asarray(region.r_inner(tn), dtype=float)[:, None]
         rhi = np.asarray(region.r_outer(tn), dtype=float)[:, None]
-        rule = _unit_rule(factor * q.cells_r, grade, *region.singular_r)
+        rule = _unit_rule(cells, grade, *region.singular_r)
         span = rhi - rlo
         with np.errstate(**_QUIET):  # an inf weight is named on a nan total
             wspan = tws[:, None] * span
         return (_weighted_sums(integrand, tn[:, None], rlo, span, rule, n,
                                wspan=wspan), tn.size * rule[0].size)
 
-    return _refine(level)
+    return _refine(level, q)
 
 
 # --------------------------------------------------------------------------
@@ -383,9 +379,9 @@ def integrate_surfaces(pieces, integrand, q: QuadratureSpec, n: int,
     and a piece adds its sets in order from -0.0 (a one-set sum keeps its
     sign bit), so the bits are those of a piece integrated set by set."""
     with np.errstate(**_QUIET):  # an inf weight is named on a nan total
-        sets = [(j, factor, *s) for j, piece in enumerate(pieces)
-                for factor in (1, 2)
-                for s in piece.node_sets(_Mesh(q, factor), n)]
+        sets = [(j, cells, *s) for j, piece in enumerate(pieces)
+                for cells in (q.cells, 2 * q.cells)
+                for s in piece.node_sets(_Mesh(cells, q.grading_exponent), n)]
     shares, totals, several = [None] * len(sets), {}, False
     for weighted in (False, True):
         group = [i for i, s in enumerate(sets) if (s[5] is None) != weighted]
@@ -397,7 +393,7 @@ def integrate_surfaces(pieces, integrand, q: QuadratureSpec, n: int,
             for i, lo, hi in zip(group, ends, ends[1:]):
                 shares[i] = (tuple(v[lo:hi] for v in out)
                              if isinstance(out, tuple) else out[lo:hi])
-    for (j, factor, t, r, meas, f), vals in zip(sets, shares):
+    for (j, cells, t, r, meas, f), vals in zip(sets, shares):
         if contract is not None:
             vals = contract(pieces[j], vals, t, r, f)
         several = isinstance(vals, tuple)
@@ -407,10 +403,10 @@ def integrate_surfaces(pieces, integrand, q: QuadratureSpec, n: int,
                      for v in (vals if several else (vals,))]
         if not all(map(math.isfinite, parts)):
             _check_finite(meas, t, r, "quadrature weight")
-        sums, count = totals.get((j, factor), ([-0.0] * len(parts), 0))
-        totals[j, factor] = [a + b for a, b in zip(sums, parts)], count + r.size
-    results = [_refine(lambda factor, j=j: (tuple(totals[j, factor][0]),
-                                            totals[j, factor][1]))
+        sums, count = totals.get((j, cells), ([-0.0] * len(parts), 0))
+        totals[j, cells] = [a + b for a, b in zip(sums, parts)], count + r.size
+    results = [_refine(lambda cells, j=j: (tuple(totals[j, cells][0]),
+                                           totals[j, cells][1]), q)
                for j in range(len(pieces))]
     return results if several else [res[0] for res in results]
 

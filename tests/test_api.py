@@ -1,15 +1,21 @@
 """Every exported name resolves, so an export left behind by a deletion
-fails here and not in a user's star import."""
+fails here and not in a user's star import; and every library range check
+refuses NaN, so a check written `x <= bound`, which NaN passes, fails here
+and not in a user's results."""
 
 import ast
 import importlib
+import math
 import pathlib
 import pkgutil
 import sys
 
+import numpy as np
 import pytest
 
 import conewave
+from conewave import (carleman, energetics, exact_solutions, fields, geometry,
+                      quadrature, solver)
 
 MODULES = ["conewave"] + [f"conewave.{info.name}"
                           for info in pkgutil.iter_modules(conewave.__path__)]
@@ -91,3 +97,187 @@ def test_the_module_graph_has_no_cycle():
     for node in sorted(graph):
         visit(node)
     assert graph["fields"] == set()  # the field protocol stands alone
+
+
+NAN = math.nan
+
+
+def _discrete_field(times=(-1.0, -0.5), r=None, r_limit=None):
+    r = np.linspace(0.0, 2.0, 9) if r is None else np.asarray(r)
+    zeros = np.zeros((len(times), r.size))
+    return fields.DiscreteField(np.asarray(times), r, zeros, zeros, r_limit)
+
+
+def _solver_config(**changes):
+    args = dict(n=3, p=2.0, R=2.0, J=64, cfl=0.9, t0=-1.0, t_end=-0.5,
+                phi_max=1e6, snapshot_times=(-0.75,))
+    return solver.SolverConfig(**{**args, **changes})
+
+
+def _covering(sigma=0.5, gamma=1.2, t_star=1.0, eta=None):
+    return geometry.covering_check(sigma, gamma, t_star,
+                                   geometry.RaySpec((0.1,)),
+                                   geometry.RaySpec((-0.1,)), eta=eta)
+
+
+def _ode():
+    return exact_solutions.ode_field(2.0, 3)
+
+
+def _profile(times=(-0.5,), gamma=1.2, eta=2.0):
+    return energetics.energy_profile(_ode(), 0.25, 0.5, gamma, eta, times,
+                                     2.0, 3)
+
+
+def _localized(gamma=1.2, eta=2.0, t_star=-0.5):
+    return energetics.localized_estimate_check(_ode(), 0.25, 0.5, gamma, eta,
+                                               t_star, 2.0, 3)
+
+
+def _nan(call, match, name):
+    return pytest.param(call, match, id=name)
+
+
+# (call with one argument NaN and every other valid, the refusal it must
+# raise): each argument that a range check reads in a constructor of
+# geometry, carleman, quadrature, fields, solver or exact_solutions, and in
+# the argument checks of energetics and covering_check. Where a check that
+# reads the argument lets NaN on to a later one (a slab or cone piece
+# center time, the annulus time), the row names the later refusal.
+NAN_ARGUMENTS = [
+    _nan(lambda: geometry.RaySpec((NAN,)), "ray velocity must satisfy",
+         "RaySpec.velocity"),
+    _nan(lambda: geometry.ConeSegmentSpec(NAN, 0.5, 1.0),
+         "cone aperture must lie", "ConeSegmentSpec.sigma"),
+    _nan(lambda: geometry.ConeSegmentSpec(0.5, NAN, 1.0),
+         "need t_lo < t_hi", "ConeSegmentSpec.t_lo"),
+    _nan(lambda: geometry.ConeSegmentSpec(0.5, 0.5, NAN),
+         "need t_lo < t_hi", "ConeSegmentSpec.t_hi"),
+    _nan(lambda: geometry.ExteriorRegionSpec(NAN, 1.0),
+         "cone aperture must lie", "ExteriorRegionSpec.sigma"),
+    _nan(lambda: geometry.ExteriorRegionSpec(0.5, NAN),
+         "exterior region requires", "ExteriorRegionSpec.t_star"),
+    _nan(lambda: geometry.ExteriorRegionSpec(0.5, 1.0).level_set(NAN),
+         "eps too large", "ExteriorRegionSpec.level_set.eps"),
+    _nan(lambda: geometry.TimeSlicePiece(0.3, NAN, 1.0), "degenerate slice",
+         "TimeSlicePiece.r_lo"),
+    _nan(lambda: geometry.TimeSlicePiece(0.3, 0.0, NAN), "degenerate slice",
+         "TimeSlicePiece.r_hi"),
+    _nan(lambda: geometry.CylinderPiece(NAN, 0.0, 1.0), "degenerate cylinder",
+         "CylinderPiece.r0"),
+    _nan(lambda: geometry.CylinderPiece(1.0, NAN, 1.0), "degenerate cylinder",
+         "CylinderPiece.t_lo"),
+    _nan(lambda: geometry.CylinderPiece(1.0, 0.0, NAN), "degenerate cylinder",
+         "CylinderPiece.t_hi"),
+    _nan(lambda: geometry.ConePiece(NAN, 0.0, 1.0), "slope must lie",
+         "ConePiece.slope"),
+    _nan(lambda: geometry.ConePiece(0.5, NAN, 1.0), "degenerate cone piece",
+         "ConePiece.t_lo"),
+    _nan(lambda: geometry.ConePiece(0.5, 0.0, NAN), "degenerate cone piece",
+         "ConePiece.t_hi"),
+    _nan(lambda: geometry.LevelSetPiece(geometry.ShiftedWeight(1.0), NAN,
+                                        0.8, 1.2),
+         "level value must be positive", "LevelSetPiece.eps"),
+    _nan(lambda: geometry.LevelSetPiece(geometry.ShiftedWeight(1.0), 0.01,
+                                        NAN, 1.2),
+         "degenerate level piece", "LevelSetPiece.t_lo"),
+    _nan(lambda: geometry.LevelSetPiece(geometry.ShiftedWeight(1.0), 0.01,
+                                        0.8, NAN),
+         "degenerate level piece", "LevelSetPiece.t_hi"),
+    _nan(lambda: _covering(t_star=NAN), r"requires t\* > 0",
+         "covering_check.t_star"),
+    _nan(lambda: _covering(sigma=NAN), "rays must lie inside",
+         "covering_check.sigma"),
+    _nan(lambda: _covering(gamma=NAN), "gamma must be a number",
+         "covering_check.gamma"),
+    _nan(lambda: _covering(eta=NAN), "eta must exceed 1",
+         "covering_check.eta"),
+    _nan(lambda: carleman.CarlemanParams(NAN, 2.0, 3), "a must be positive",
+         "CarlemanParams.a"),
+    _nan(lambda: carleman.CarlemanParams(0.25, NAN, 3), "satisfy p >= 1",
+         "CarlemanParams.p"),
+    _nan(lambda: carleman.CarlemanParams(0.25, 2.0, NAN),
+         "dimension must be >= 1", "CarlemanParams.n"),
+    _nan(lambda: quadrature.QuadratureSpec(NAN), "^cells must be at least 4",
+         "QuadratureSpec.cells"),
+    _nan(lambda: quadrature.QuadratureSpec(48, NAN),
+         "^grading_exponent must be at least 1",
+         "QuadratureSpec.grading_exponent"),
+    _nan(lambda: quadrature.QuadratureResult(1.0, NAN, 8),
+         "error estimate must be >= 0", "QuadratureResult.error_estimate"),
+    _nan(lambda: fields.PotentialSpec(NAN), "^c0 must be",
+         "PotentialSpec.c0"),
+    _nan(lambda: fields.PotentialSpec(1.0, NAN), "destroys positivity",
+         "PotentialSpec.eps"),
+    _nan(lambda: fields.PotentialSpec(1.0, 0.0, (NAN, 0.0)),
+         r"^center\[0\] must be", "PotentialSpec.center0"),
+    _nan(lambda: fields.PotentialSpec(1.0, 0.0, (0.0, NAN)),
+         r"^center\[1\] must be", "PotentialSpec.center1"),
+    _nan(lambda: fields.PotentialSpec(1.0, 0.0, (0.0, 0.0), NAN),
+         "^width must be", "PotentialSpec.width"),
+    _nan(lambda: _discrete_field(times=(-1.0, NAN)), "strictly increasing",
+         "DiscreteField.times"),
+    _nan(lambda: _discrete_field(r=[0.0, 0.25, NAN, 0.75, 1.0]),
+         "must be uniform", "DiscreteField.r"),
+    _nan(lambda: _discrete_field(r_limit=np.array([2.0, NAN])),
+         "r_limit must hold", "DiscreteField.r_limit"),
+] + [
+    _nan(lambda name=name: _solver_config(**{name: NAN}), f"^{name} must be",
+         f"SolverConfig.{name}")
+    for name in ("n", "p", "R", "J", "cfl", "t0", "t_end", "phi_max")
+] + [
+    _nan(lambda: _solver_config(snapshot_times=(NAN,)),
+         "^snapshot_times must be", "SolverConfig.snapshot_times"),
+    _nan(lambda: exact_solutions.OdeSolution(NAN), "satisfy p > 1",
+         "OdeSolution.p"),
+    _nan(lambda: exact_solutions.OdeSolution(2.0).threshold_crossing(NAN),
+         "level must be positive", "OdeSolution.threshold_crossing.level"),
+    _nan(lambda: exact_solutions.slab_scaling_constant(2.0, 3, 0.25, NAN),
+         "gamma must exceed 1", "slab_scaling_constant.gamma"),
+    _nan(lambda: exact_solutions.slab_scaling_constant(2.0, 3, NAN, 1.2),
+         "need 0 < sigma0 < 1", "slab_scaling_constant.sigma0"),
+    _nan(lambda: exact_solutions.InitialDataSpec.truncated_ode(NAN, 0.25),
+         "truncation needs", "InitialDataSpec.truncated_ode.M"),
+    _nan(lambda: exact_solutions.InitialDataSpec.truncated_ode(2.0, NAN),
+         "truncation needs", "InitialDataSpec.truncated_ode.w"),
+    _nan(lambda: exact_solutions.InitialDataSpec.gaussian(NAN, 0.3),
+         "^amplitude must be", "InitialDataSpec.gaussian.amplitude"),
+    _nan(lambda: exact_solutions.InitialDataSpec.gaussian(1.0, NAN),
+         "^width must be", "InitialDataSpec.gaussian.width"),
+    _nan(lambda: energetics.annulus_quantity(_ode(), 0.25, 0.5, [NAN], 2.0,
+                                             3),
+         "slice bound r_lo is not a number", "annulus_quantity.t"),
+    _nan(lambda: energetics.slab_quantity(_ode(), 0.25, NAN, -0.5, 2.0, 3),
+         "gamma must exceed 1", "slab_quantity.gamma"),
+    _nan(lambda: energetics.slab_quantity(_ode(), 0.25, 1.2, NAN, 2.0, 3),
+         "need t_lo < t_hi", "slab_quantity.t_star"),
+    _nan(lambda: energetics.lateral_quantity(_ode(), 0.25, NAN, -0.5, 2.0,
+                                             3),
+         "eta must exceed 1", "lateral_quantity.eta"),
+    _nan(lambda: energetics.lateral_quantity(_ode(), 0.25, 2.0, NAN, 2.0, 3),
+         "degenerate cone piece", "lateral_quantity.t_star"),
+    _nan(lambda: energetics.weighted_ball_quantity(_ode(), [NAN], 2.0, 3),
+         "ball quantity requires t < 0", "weighted_ball_quantity.t"),
+    _nan(lambda: _localized(gamma=NAN), "gamma must exceed 1",
+         "localized_estimate_check.gamma"),
+    _nan(lambda: _localized(eta=NAN), "^eta must exceed 1$",
+         "localized_estimate_check.eta"),
+    _nan(lambda: _localized(t_star=NAN), "need t_lo < t_hi",
+         "localized_estimate_check.t_star"),
+    _nan(lambda: _profile(times=(NAN,)), "need t_lo < t_hi",
+         "energy_profile.times"),
+    _nan(lambda: _profile(gamma=NAN), "gamma must exceed 1",
+         "energy_profile.gamma"),
+    _nan(lambda: _profile(eta=NAN), "eta must exceed 1",
+         "energy_profile.eta"),
+    _nan(lambda: energetics.decay_partials(_ode(), 0.5, (2.0, NAN), 2.0, 3),
+         "need t_lo < t_hi", "decay_partials.horizons"),
+    _nan(lambda: energetics.rate_fit([-1.0, -0.5, -0.25], [1.0, NAN, 3.0]),
+         "requires positive samples", "rate_fit.values"),
+]
+
+
+@pytest.mark.parametrize("call,match", NAN_ARGUMENTS)
+def test_a_nan_argument_is_refused(call, match):
+    with pytest.raises(ValueError, match=match):  # ArgumentError too
+        call()

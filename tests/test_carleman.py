@@ -190,7 +190,7 @@ class TestVerifyGlobal:
         assert rep.passed and rep.slack > 0.0
         # independent high-resolution reproduction of every term
         fine = verify_global(params, constant_field(1.0, 1), region,
-                             QuadratureSpec(cells_t=192, cells_r=192))
+                             QuadratureSpec(192))
         assert rep.lhs_bulk == pytest.approx(fine.lhs_bulk, rel=1e-4)
         assert rep.rhs_bulk == pytest.approx(fine.rhs_bulk, rel=1e-4)
         assert rep.rhs_boundary == pytest.approx(fine.rhs_boundary, rel=1e-4)
@@ -209,7 +209,7 @@ class TestVerifyGlobal:
                   "frustum": frustum_region(-0.4, 0.4, 1.0, 0.5, -4.4, shift),
                   "inverted": inverted_frustum_region(-0.4, 0.4, 2.4, 0.5,
                                                       -2.4, shift)}[family]
-        q = QuadratureSpec(cells_t=96, cells_r=96)
+        q = QuadratureSpec(96)
         rep = verify_global(params, field, region, q)
         h = 1e-5
         n = 3

@@ -1898,7 +1898,7 @@ def test_the_cells_key_reaches_every_quadrature_call(tmp_path, monkeypatch,
         def call(*args, **kwargs):
             [q] = [a for a in (*args, *kwargs.values())
                    if isinstance(a, QuadratureSpec)]
-            calls.append((name, q.cells_t, q.cells_r))
+            calls.append((name, q.cells))
             return entry(*args, **kwargs)
         return call
 
@@ -1914,7 +1914,7 @@ def test_the_cells_key_reaches_every_quadrature_call(tmp_path, monkeypatch,
     assert run([scenario, "--config", cfg, "--out",
                 str(tmp_path / "out")]) == 0
     assert calls
-    assert {(t, r) for _, t, r in calls} == {(5, 5)}, calls
+    assert {cells for _, cells in calls} == {5}, calls
 
 
 # (subcommand, config, the file that cannot be written, the file written

@@ -16,6 +16,7 @@ from conewave.energetics import (
 )
 from conewave.exact_solutions import (
     InitialDataSpec,
+    OdeSolution,
     annulus_scaling_constant,
     ball_quantity_ode,
     ode_field,
@@ -23,7 +24,7 @@ from conewave.exact_solutions import (
 )
 from conewave.fields import DiscreteField, LevelRangeError, gaussian_pulse
 from conewave import quadrature
-from conewave.quadrature import QuadratureSpec, integrate_slices
+from conewave.quadrature import QuadratureSpec, integrate_slices, sphere_area
 from conewave.solver import SolverConfig, evolve
 from tests_helpers import (annulus_sup_by_slice, one_at_a_time,
                            truncated_run_levels, zero_field)
@@ -86,6 +87,34 @@ class TestSlabQuantity:
         (v1, _), _ = slab_quantity(field, 0.25, 1.05, -0.5, 2.0, 3, Q)
         (v2, _), _ = slab_quantity(field, 0.25, 1.10, -0.5, 2.0, 3, Q)
         assert v2 == pytest.approx(2.0 * v1, rel=0.1)
+
+    @staticmethod
+    def _mass_error(p, n, slab):
+        """|L - mass| and the mass's error estimate at t* = -0.5, sigma =
+        0.25, gamma = 1.2, with L in closed form: on phi* = C (-t)^(-k) the
+        slab mass is C^{p+1} |S^{n-1}| sigma^n / n times the integral of
+        u^m, m = n - k(p+1), over u in [|t*|/gamma, gamma |t*|]."""
+        sol = OdeSolution(p)
+        m = n - sol.k * (p + 1.0)
+        lo, hi = 0.5 / 1.2, 0.5 * 1.2
+        exact = (sol.amplitude ** (p + 1.0) * sphere_area(n) * 0.25 ** n / n
+                 * (hi ** (m + 1.0) - lo ** (m + 1.0)) / (m + 1.0))
+        mass, err = slab(ode_field(p, n), 0.25, 1.2, -0.5, p, n, Q)[1]
+        return abs(mass - exact), err
+
+    @pytest.mark.parametrize("p,n", [(2.0, 3), (1.5, 3), (2.5, 3), (3.0, 2)])
+    def test_ode_mass_matches_its_closed_form(self, p, n):
+        gap, err = self._mass_error(p, n, slab_quantity)
+        assert gap <= err
+
+    @pytest.mark.parametrize("p,n", [(2.0, 3), (1.5, 3), (2.5, 3), (3.0, 2)])
+    def test_the_closed_form_catches_a_mass_at_the_wrong_power(self, p, n):
+        # the mutant integrates |phi|^{p+1.01}: 1.1-9.4 % off on these cases
+        def mutant(field, sigma, gamma, t_star, p, n, q):
+            return slab_quantity(field, sigma, gamma, t_star, p + 0.01, n, q)
+
+        gap, err = self._mass_error(p, n, mutant)
+        assert gap > err
 
 
 class TestWeightedBallQuantity:
@@ -154,6 +183,14 @@ class TestLocalizedEstimate:
             assert math.isfinite(chk.ratio) and chk.ratio > 0.0
             ratios.append(chk.ratio)
         assert max(ratios) <= 1.2 * min(ratios)
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0, math.nan])
+    def test_the_eta_window_is_checked(self, eta):
+        # before: eta = 0.5 gave rhs = 5409.8, a sup over levels from 1.0
+        # down to 0.25, and NaN was refused by the slice bounds instead
+        with pytest.raises(ValueError, match=r"^eta must exceed 1$"):
+            localized_estimate_check(ode_field(2.0, 3), 0.25, 0.5, 1.2, eta,
+                                     -0.5, 2.0, 3, Q)
 
     def test_run_ratio_positive_lower_bound(self, truncated_run_field):
         # theorem-backed: the ratio stays bounded below across the approach
@@ -428,7 +465,7 @@ class TestAnnulusSupOneCall:
         monkeypatch.setattr(DiscreteField, "jet", counting)
         energetics._annulus_sup(truncated_run_field, 0.25, 0.5, 2.0, -0.3,
                                 2.0, 3, Q)
-        assert shapes == [(17, 2 * Q.cells_r), (17, 4 * Q.cells_r)]
+        assert shapes == [(17, 2 * Q.cells), (17, 4 * Q.cells)]
 
     def test_energy_profile_matches_the_one_at_a_time_path(
             self, monkeypatch, truncated_run_field):
@@ -491,7 +528,7 @@ class TestHeadRead:
 # --------------------------------------------------------------------------
 
 FAMILY_TIMES = (-0.5, -0.3, -0.2, -0.1, -0.05)
-QUAD96 = QuadratureSpec(cells_t=96, cells_r=96)  # the benchmark's profile
+QUAD96 = QuadratureSpec(96)  # the benchmark's profile
 
 
 def _pair_bits(pairs):
@@ -567,7 +604,7 @@ class TestFamilies:
                          Q)
         weighted_ball_quantity(truncated_run_field, FAMILY_TIMES, 2.0, 3, Q)
         k = len(FAMILY_TIMES)
-        assert shapes == [(k, 2 * Q.cells_r), (k, 4 * Q.cells_r)] * 2
+        assert shapes == [(k, 2 * Q.cells), (k, 4 * Q.cells)] * 2
 
     # each case names the refusal a time-by-time pass meets first, and a
     # later time that a family would meet first were the windows not checked

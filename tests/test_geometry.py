@@ -20,7 +20,7 @@ from conewave.geometry import (
     covering_check,
 )
 from conewave.energetics import _slab
-from conewave.quadrature import QuadratureSpec, _Mesh, sphere_area
+from conewave.quadrature import _Mesh, sphere_area
 from tests_helpers import box_bulk, zero_field
 
 
@@ -202,7 +202,7 @@ class TestNormals:
         # axis; the regions a piece bounds orient it themselves
         kinds = set()
         for piece in every_kind_of_piece():
-            for t, r, _, f in piece.node_sets(_Mesh(QuadratureSpec(), 1), 3):
+            for t, r, _, f in piece.node_sets(_Mesh(48, 3.0), 3):
                 Nt, Nr = (np.broadcast_to(c, t.shape)
                           for c in components(piece, t, r, f))
                 if isinstance(piece, TimeSlicePiece):

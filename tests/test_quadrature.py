@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -31,7 +32,7 @@ from tests_helpers import (box_bulk, closures_jet, constant_field,
                            written_region, zero_field)
 
 ONE = lambda t, r: np.ones_like(r)
-QUAD96 = QuadratureSpec(cells_t=96, cells_r=96)  # the benchmark's profile
+QUAD96 = QuadratureSpec(96)  # the benchmark's profile
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +59,21 @@ def substitution_oracle(a):
 class TestSpecValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(cells_t=2)
-        with pytest.raises(ValueError):
             QuadratureSpec(grading_exponent=0.5)
+
+    @pytest.mark.parametrize("cells", [2, 3, math.nan])
+    def test_cells_below_four_or_nan_are_refused_by_name(self, cells):
+        with pytest.raises(ArgumentError, match=rf"^cells must be at least "
+                                                rf"4, got {cells!r}$"):
+            QuadratureSpec(cells)
+
+    @pytest.mark.parametrize("axis", ["t", "r"])
+    def test_one_count_for_both_directions(self, axis):
+        # one cell count for t and r: no keyword sets either alone
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == [
+            "cells", "grading_exponent"]
+        with pytest.raises(TypeError):
+            QuadratureSpec(**{f"cells_{axis}": 8})
 
     def test_a_nan_grading_is_refused_by_name(self):
         # before: accepted, nan < 1 being false
@@ -129,7 +142,7 @@ class TestBulk:
         a = 0.25
         res = integrate_bulk(
             ext, lambda t, r: (0.25 * (r * r - (t - 1.0) ** 2)) ** (2 * a),
-            QuadratureSpec(cells_t=64, cells_r=64), 3)
+            QuadratureSpec(64), 3)
         lo, hi = ext.time_window()
 
         def strip(t):
@@ -182,8 +195,8 @@ class TestBlockedEvaluation:
         return integrand
 
     @pytest.mark.parametrize("q,block", [
-        (QuadratureSpec(), None),                    # 96 rows of 96: 85 + 11
-        (QuadratureSpec(cells_t=12, cells_r=10), 220),  # 24 rows: 11 + 11 + 2
+        (QuadratureSpec(), None),      # 96 rows of 96: 85 + 11
+        (QuadratureSpec(12), 220),     # 24 rows of 24: 9 + 9 + 6
     ])
     def test_blocked_matches_one_block(self, monkeypatch, q, block):
         region = ConeSegmentSpec(0.5, 1.0, 2.0)
@@ -193,7 +206,7 @@ class TestBlockedEvaluation:
         blocked = integrate_bulk(region, self._pair(calls), q, 3)
         cols = {shape[1] for shape in calls}
         assert len(calls) > 2                            # several blocks
-        assert cols == {2 * q.cells_r, 4 * q.cells_r}    # whole rows only
+        assert cols == {2 * q.cells, 4 * q.cells}        # whole rows only
         monkeypatch.setattr(quadrature, "BLOCK_NODES", 10 ** 9)
         whole = integrate_bulk(region, self._pair([]), q, 3)
         for k, (got, want) in enumerate(zip(blocked, whole)):
@@ -239,8 +252,8 @@ class TestBlockedEvaluation:
         q = QuadratureSpec()
         with pytest.raises(NonFiniteSample) as err:
             integrate_bulk(box_bulk(0.0, 1.0, 1.0, 2.0), pair, q, 1)
-        tn = quadrature._interval_nodes(0.0, 1.0, q.cells_t)[0]
-        rn = quadrature._interval_nodes(1.0, 2.0, q.cells_r)[0]
+        tn = quadrature._interval_nodes(0.0, 1.0, q.cells)[0]
+        rn = quadrature._interval_nodes(1.0, 2.0, q.cells)[0]
         assert err.value.location == (float(tn[tn > 0.6][0]),
                                       float(rn[rn > 1.5][0]))
 
@@ -283,7 +296,7 @@ class TestBlockedEvaluation:
                            match="non-finite quadrature weight inf") as err:
             integrate_slices([0.5], 1e300, 2e300, lambda t, r: 0.0 * r,
                              QuadratureSpec(), 3)
-        rel = quadrature._unit_rule(QuadratureSpec().cells_r)[0]
+        rel = quadrature._unit_rule(QuadratureSpec().cells)[0]
         assert err.value.location == (0.5, 1e300 + 1e300 * rel[0])
 
     def test_a_surface_weight_past_the_float_range_is_named(self):
@@ -294,7 +307,7 @@ class TestBlockedEvaluation:
                            match="non-finite quadrature weight inf") as err:
             integrate_surfaces([ConePiece(0.5, 2e300, 4e300)],
                                lambda t, r: 0.0 * r, QuadratureSpec(), 3)
-        t = 2e300 + 2e300 * quadrature._unit_rule(QuadratureSpec().cells_t)[0][0]
+        t = 2e300 + 2e300 * quadrature._unit_rule(QuadratureSpec().cells)[0][0]
         assert err.value.location == (t, 0.5 * t)
 
     def test_an_integral_whose_two_levels_overflow_estimates_inf(self):
@@ -313,7 +326,7 @@ class TestBlockedEvaluation:
     def test_no_full_mesh_buffer(self):
         # cells = 192: the fine level is 768 x 768 nodes, and one float64
         # array of that mesh is 4.72 MB
-        q = QuadratureSpec(cells_t=192, cells_r=192)
+        q = QuadratureSpec(192)
         integrand = self._pair([])
         tracemalloc.start()
         try:
@@ -375,7 +388,7 @@ class TestSurface:
             return np.zeros_like(r)
 
         integrate_surfaces((piece,), recorder,
-                           QuadratureSpec(cells_t=64, grading_exponent=6.0), 3)
+                           QuadratureSpec(64, grading_exponent=6.0), 3)
         assert max(worst) <= math.pi / 4 + 1e-12
 
     def test_ball_slice_volume(self):
@@ -406,8 +419,7 @@ class TestSurface:
             return cos2t ** (-1.0 + 2.0 * a)
 
         [res] = integrate_surfaces((piece,), integrand,
-                                   QuadratureSpec(cells_t=cells,
-                                                  grading_exponent=grading), 1)
+                                   QuadratureSpec(cells, grading_exponent=grading), 1)
         # oracle works in the angle variable; convert the cone-measure
         # integral: on r = sigma t, theta parametrizes the piece with
         # dt = r_shift sec^2(theta) dtheta / (1 - sigma tan(theta))... the
@@ -457,7 +469,7 @@ class TestSurface:
                 dens = 2.0 * math.sqrt(1 - sigma ** 2)
                 return cos2t ** (-1.0 + 2.0 * a) * dth_dt / dens
 
-            spec = QuadratureSpec(cells_t=cells, grading_exponent=grading)
+            spec = QuadratureSpec(cells, grading_exponent=grading)
             [res] = integrate_surfaces((piece,), integrand, spec, 1)
             oracle = substitution_oracle(a)
             assert res.value == pytest.approx(oracle, rel=1e-4), a
@@ -477,7 +489,7 @@ class TestConvergence:
             values = []
             errors = []
             for factor in (1, 2, 4):
-                q = QuadratureSpec(cells_t=8 * factor, cells_r=8 * factor)
+                q = QuadratureSpec(8 * factor)
                 res = integrate_bulk(box, fn, q, 1)
                 values.append(res.value)
                 errors.append(res.error_estimate)
@@ -492,10 +504,10 @@ class TestConvergence:
         box = box_bulk(0.0, 1.0, 1.0, 2.0)
         fn = lambda t, r: np.sin(3 * t) * np.exp(-r)
         exact = integrate_bulk(box, fn,
-                               QuadratureSpec(cells_t=256, cells_r=256), 1).value
+                               QuadratureSpec(256), 1).value
         hs, errs = [], []
         for cells in (4, 8, 16, 32):
-            q = QuadratureSpec(cells_t=cells, cells_r=cells)
+            q = QuadratureSpec(cells)
             val = integrate_bulk(box, fn, q, 1).value
             hs.append(1.0 / cells)
             errs.append(abs(val - exact) + 1e-300)
@@ -602,14 +614,14 @@ def _reference_level_loop(t_window, r_inner, r_outer, integrand, q, n,
 
     om = sphere_area(n)
     values, nodes = [], 0
-    for factor in (1, 2):
+    for cells in (q.cells, 2 * q.cells):
         tn, tws = quadrature._interval_nodes(
-            t_window[0], t_window[1], factor * q.cells_t,
+            t_window[0], t_window[1], cells,
             q.grading_exponent, singular_t[0], singular_t[1])
         rlo = np.asarray(r_inner(tn), dtype=float)
         rhi = np.asarray(r_outer(tn), dtype=float)
         rel, rw_rel = quadrature._cell_nodes(
-            quadrature._breakpoints(factor * q.cells_r, q.grading_exponent,
+            quadrature._breakpoints(cells, q.grading_exponent,
                                     singular_r[0], singular_r[1]))
         span = (rhi - rlo)[:, None]
         RR = rlo[:, None] + span * rel[None, :]
@@ -683,8 +695,7 @@ class TestRowColumnTime:
         return {"manufactured": manufactured, "discrete": discrete,
                 "ode": ode_power}
 
-    @pytest.mark.parametrize("q", [QuadratureSpec(),
-                                   QuadratureSpec(cells_t=12, cells_r=10)])
+    @pytest.mark.parametrize("q", [QuadratureSpec(), QuadratureSpec(11)])
     @pytest.mark.parametrize("name", ["manufactured", "discrete", "ode"])
     def test_profile_sums_match_per_node_times(self, name, q):
         integrand = self._integrands()[name]
@@ -706,14 +717,13 @@ class TestRowColumnTime:
         from conewave.quadrature import sphere_area
 
         integrand = self._integrands()[name]
-        q = QuadratureSpec(cells_r=8)
+        q = QuadratureSpec(8)
         # many levels: a scalar level would round t-only powers differently
         # from the array path for only a few percent of the times
         for t in np.linspace(-0.95, 0.15, 45):
             values = []
-            for factor in (1, 2):
-                rn, rw = quadrature._interval_nodes(0.1, 1.9,
-                                                    factor * q.cells_r)
+            for cells in (q.cells, 2 * q.cells):
+                rn, rw = quadrature._interval_nodes(0.1, 1.9, cells)
                 out = integrand(np.full_like(rn, t), rn)
                 outs = out if isinstance(out, tuple) else (out,)
                 values.append([float(np.sum(rw * sphere_area(3) * rn ** 2 * v))
@@ -739,13 +749,13 @@ class TestRowColumnTime:
         q = QuadratureSpec()
         shapes.clear()
         integrate_slices([0.5], 0.0, 1.0, integrand, q, 3)
-        assert shapes == [((1, 1), (1, 2 * q.cells_r)),
-                          ((1, 1), (1, 4 * q.cells_r))]
+        assert shapes == [((1, 1), (1, 2 * q.cells)),
+                          ((1, 1), (1, 4 * q.cells))]
         shapes.clear()
         quadrature.integrate_slices(np.linspace(0.1, 0.9, 17), 0.0, 1.0,
                                     integrand, q, 3)
-        assert shapes == [((17, 1), (17, 2 * q.cells_r)),
-                          ((17, 1), (17, 4 * q.cells_r))]
+        assert shapes == [((17, 1), (17, 2 * q.cells)),
+                          ((17, 1), (17, 4 * q.cells))]
 
     def test_nonfinite_location_with_a_time_column(self):
         def bad(t, r):
@@ -782,8 +792,8 @@ TIMES17 = np.linspace(-0.9, 0.7, 17)
 
 
 class TestSliceFamily:
-    @pytest.mark.parametrize("q", [QuadratureSpec(cells_r=12),
-                                   QuadratureSpec(cells_r=9)])
+    @pytest.mark.parametrize("q", [QuadratureSpec(12),
+                                   QuadratureSpec(9)])
     @pytest.mark.parametrize("integrand", [_single, _pair])
     @pytest.mark.parametrize("k", [1, 17])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -807,8 +817,8 @@ class TestSliceFamily:
 
         q = QuadratureSpec()
         integrate_slices(TIMES17, 0.1, 0.9, integrand, q, 3)
-        assert shapes == [((17, 1), (17, 2 * q.cells_r)),
-                          ((17, 1), (17, 4 * q.cells_r))]
+        assert shapes == [((17, 1), (17, 2 * q.cells)),
+                          ((17, 1), (17, 4 * q.cells))]
 
     @pytest.mark.parametrize("integrand", [_pair, _row_pair])
     def test_row_blocks_keep_the_bits(self, monkeypatch, integrand):
@@ -837,7 +847,7 @@ class TestSliceFamily:
     @staticmethod
     def _last_nodes(q):
         """The last radial node of each level on (0.1, 0.9)."""
-        return [quadrature._interval_nodes(0.1, 0.9, f * q.cells_r)[0][-1]
+        return [quadrature._interval_nodes(0.1, 0.9, f * q.cells)[0][-1]
                 for f in (1, 2)]
 
     @pytest.mark.parametrize("output", [None, 0, 1])
@@ -1002,7 +1012,7 @@ class TestGrowingBlocks:
         lambda t, r: (np.exp(-t * t), t * r),
     ], ids=["t-only", "row-valued-then-full", "one-output-full"])
     def test_growth_keeps_the_bits(self, monkeypatch, integrand):
-        q = QuadratureSpec(cells_t=96, cells_r=96)
+        q = QuadratureSpec(96)
         region = box_bulk(0.0, 1.0, 0.5, 2.0)
         grown = integrate_bulk(region, integrand, q, 3)
         _full_shape(monkeypatch)

@@ -236,8 +236,8 @@ def slice_by_slice(t, r_lo, r_hi, integrand, q, n):
 
     level_t = np.array([t], dtype=float)
 
-    def level(factor):
-        rn, rw = quadrature._interval_nodes(r_lo, r_hi, factor * q.cells_r)
+    def level(cells):
+        rn, rw = quadrature._interval_nodes(r_lo, r_hi, cells)
         meas = rw * sphere_area(n) * rn ** (n - 1)
         out = integrand(level_t, rn)
         sums = []
@@ -247,16 +247,17 @@ def slice_by_slice(t, r_lo, r_hi, integrand, q, n):
             sums.append(float(np.sum(meas * vals)))
         return (tuple(sums) if isinstance(out, tuple) else sums[0]), rn.size
 
-    return quadrature._refine(level)
+    return quadrature._refine(level, q)
 
 
 def set_by_set_surface(piece, integrand, q, n):
     """One piece on its own, one integrand call per node set and level."""
     from conewave import quadrature
 
-    def level(factor):
+    def level(cells):
         total, count = -0.0, 0
-        for t, r, meas, f in piece.node_sets(quadrature._Mesh(q, factor), n):
+        mesh = quadrature._Mesh(cells, q.grading_exponent)
+        for t, r, meas, f in piece.node_sets(mesh, n):
             vals = integrand(t, r) if f is None else integrand(t, r, f)
             vals = np.asarray(vals, dtype=float)
             quadrature._check_finite(vals, t, r)
@@ -264,7 +265,7 @@ def set_by_set_surface(piece, integrand, q, n):
             count += r.size
         return total, count
 
-    return quadrature._refine(level)
+    return quadrature._refine(level, q)
 
 
 def piece_by_piece_fluxes(params, fieldobj, pieces, q):
