@@ -272,6 +272,12 @@ def _build(cfg: RunConfig, data: bool, swept=()):
     if cfg.eta <= cfg.gamma:
         raise _refusal((("diagnostics", "gamma"), ("diagnostics", "eta")),
                        ": need eta > gamma")
+    for ts in cfg.t_star:  # the slab window, which an eta > gamma window holds
+        if not abs(ts) / cfg.gamma < abs(ts) * cfg.gamma:
+            raise _refusal((("diagnostics", "t_star"),
+                            ("diagnostics", "gamma")),
+                           f": the slab window |t_star|/gamma < |t| < gamma "
+                           f"|t_star| rounds to one time at {ts!r}")
     if cfg.strict and len(cfg.horizons) < 2:
         raise ConfigError("[verify] strict = true needs at least two "
                           "[diagnostics] horizons")
@@ -421,7 +427,7 @@ def _offcenter_gaussian(n, A, tc, rc, wt, wr) -> ManufacturedField:
         x2 += (n - 1) / r * x
         return g, ct * g, x, x2
 
-    return ManufacturedField(n, jet)
+    return ManufacturedField(jet)
 
 
 def _scenario_verify_carleman(cfg: RunConfig, outdir):

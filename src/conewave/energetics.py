@@ -67,7 +67,7 @@ def _energy_density(field, scale, p=None, sgn=1.0):
 
 
 def _annulus_time(field, t):
-    if t == 0:
+    if not abs(t) > 0:  # NaN too
         raise ValueError("annulus quantity undefined at t = 0")
     field.require_times(t)
 
@@ -102,7 +102,7 @@ def _slab(field, sigma, gamma, t_star):
     inside the cone of aperture sigma, which `field` must cover."""
     if not gamma > 1.0:
         raise ValueError("slab thickness parameter gamma must exceed 1")
-    if t_star == 0.0:
+    if not abs(t_star) > 0.0:  # NaN too
         raise ValueError("slab center time must be nonzero")
     slab = ConeSegmentSpec(sigma, *scaled_window(t_star, gamma))
     field.require_times(slab.time_window())
@@ -130,6 +130,8 @@ def slab_quantity(field, sigma, gamma, t_star, p, n,
 def _lateral_window(field, eta, t_star):
     if not eta > 1.0:
         raise ValueError("eta must exceed 1")
+    if math.isnan(t_star):
+        raise ValueError("lateral center time must be a number")
     field.require_times(scaled_window(t_star, eta))
 
 

@@ -53,13 +53,13 @@ class OdeSolution:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t >= 0):
+        if not np.all(t < 0):
             raise ValueError("phi* is defined for t < 0")
         return self.amplitude * (-t) ** (-self.k)
 
     def dvalue(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t >= 0):
+        if not np.all(t < 0):
             raise ValueError("phi* is defined for t < 0")
         return self.amplitude * self.k * (-t) ** (-self.k - 1.0)
 
@@ -83,7 +83,7 @@ def ode_field(p, n=3):
                 np.zeros(np.broadcast(t, r).shape),
                 -C * k * (k + 1) * (-t) ** (-k - 2) + zero)
 
-    return ManufacturedField(n, jet)
+    return ManufacturedField(jet)
 
 
 def smoothstep(s):

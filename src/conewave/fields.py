@@ -130,7 +130,6 @@ class ManufacturedField:
     of (t, r); r comes broadcast to that shape, so the profile may work in
     place on arrays derived from it."""
 
-    dim: int
     evaluate: Callable
 
     def require_times(self, t):
@@ -179,7 +178,7 @@ def gaussian_pulse(n=3, amplitude=1.0, t_center=0.0, t_width=1.0, r_width=1.0):
         x2 *= g
         return g, ct * g, phi_r, x2
 
-    return ManufacturedField(n, jet)
+    return ManufacturedField(jet)
 
 
 def polynomial_gaussian(n=3, amplitude=1.0, t_center=0.0, t_width=1.0,
@@ -203,7 +202,7 @@ def polynomial_gaussian(n=3, amplitude=1.0, t_center=0.0, t_width=1.0,
         g *= q
         return g, gt, phi_r, box
 
-    return ManufacturedField(n, jet)
+    return ManufacturedField(jet)
 
 
 def traveling_bump(n=3, amplitude=1.0, speed=0.5, offset=2.0, width=0.3):
@@ -226,7 +225,7 @@ def traveling_bump(n=3, amplitude=1.0, speed=0.5, offset=2.0, width=0.3):
         x2 += (n - 1) / r * x
         return g, -v * x, x, x2
 
-    return ManufacturedField(n, jet)
+    return ManufacturedField(jet)
 
 
 # --------------------------------------------------------------------------

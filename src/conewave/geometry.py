@@ -7,8 +7,10 @@ Conventions used throughout the package:
   likewise; indices are raised with g^{tt} = -1, g^{rr} = +1;
 * "unit" normal means |g(N, N)| = 1 (timelike normals square to -1);
 * all regions are open sets;
-* the weight is f = (r^2 - (t - t*)^2)/4 about the axis; a ray only moves
-  its centre, to c = v t* (criterion 1 and `covering_check`).
+* the weight is f = (r^2 - (t - t*)^2)/4 about the axis; a ray
+  zeta(t) = (t, t v) only moves its centre, to c = v t* (criterion 1 and
+  `covering_check`, which takes each ray as its velocity tuple v, checks
+  |v| < sigma < 1 and returns a witness point as a (t, x) pair).
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import numpy as np
 from .quadrature import sphere_area
 
 __all__ = [
-    "MinkowskiPoint",
-    "RaySpec",
     "ShiftedWeight",
     "ConeSegmentSpec",
     "ExteriorRegionSpec",
@@ -33,37 +33,6 @@ __all__ = [
     "covering_check",
     "CoveringResult",
 ]
-
-
-@dataclass(frozen=True)
-class MinkowskiPoint:
-    """A point (t, x) in R x R^n; x is stored as a tuple."""
-
-    t: float
-    x: tuple
-
-    def __post_init__(self):
-        if len(self.x) < 1:
-            raise ValueError("spatial dimension must be >= 1")
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(sum(c * c for c in self.x))
-
-
-@dataclass(frozen=True)
-class RaySpec:
-    """Future timelike ray zeta(t) = (t, t v) from the origin, |v| < 1."""
-
-    velocity: tuple = ()
-
-    @property
-    def speed(self) -> float:
-        return math.sqrt(sum(c * c for c in self.velocity))
-
-    def __post_init__(self):
-        if not self.speed < 1.0:
-            raise ValueError("ray velocity must satisfy |v| < 1")
 
 
 @dataclass(frozen=True)
@@ -226,6 +195,8 @@ class TimeSlicePiece(SurfacePiece):
     normal = (1.0, 0.0)
 
     def __post_init__(self):
+        if not math.isfinite(self.level):
+            raise ValueError(f"slice level must be finite, got {self.level!r}")
         if not 0.0 <= self.r_lo < self.r_hi:
             raise ValueError(f"degenerate slice at t = {self.level!r}: need "
                              f"0 <= {self.r_lo!r} < {self.r_hi!r}")
@@ -277,6 +248,8 @@ class ConePiece(SurfacePiece):
                              "spacelike cones are not timelike pieces")
         if not self.t_lo < self.t_hi:
             raise ValueError("degenerate cone piece")
+        if not math.isfinite(self.t_apex):
+            raise ValueError("cone piece apex time must be finite")
 
     def radius(self, t):
         return self.slope * (np.asarray(t, dtype=float) - self.t_apex)
@@ -364,18 +337,23 @@ class LevelSetPiece(SurfacePiece):
 
 @dataclass
 class CoveringResult:
+    """`witness` is a slab point (t, x) outside both exterior regions, x a
+    tuple of n floats, or None when the regions cover the slab."""
+
     covered: bool
-    witness: MinkowskiPoint | None = None
+    witness: tuple | None = None
     boundary_ok: bool | None = None
 
     def __bool__(self):
         return self.covered and self.boundary_ok is not False
 
 
-def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
-                   n=3, eta=None) -> CoveringResult:
+def covering_check(sigma, gamma, t_star, v0, v1, n=3,
+                   eta=None) -> CoveringResult:
     """Decide whether the exterior regions {f_{t*,zeta_i} > 0} of the two
-    rays cover the slab t*/gamma < t < gamma t*, 0 < r < sigma t.
+    rays zeta_i(t) = (t, t v_i) cover the slab t*/gamma < t < gamma t*,
+    0 < r < sigma t. Each velocity v_i is a tuple of at most n components,
+    with |v_i| < sigma < 1, so the rays are timelike and inside the cone.
 
     With centres c_i = v_i t*, covered iff t*(gamma - 1) <= |c0 - c1|/2.
     Necessary: a slab point outside both regions has |x - c_i| <= |t - t*|,
@@ -383,7 +361,8 @@ def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
     margin m = t*(gamma - 1) - |c0 - c1|/2 > 0, the midpoint of the centres
     (moved off the origin by less than m/2) at t = t* + |c0 - c1|/2 + m/2 is
     outside both regions, and inside the cone since |v_i| < sigma; it is
-    returned as the witness (in doubles, once m exceeds the rounding of t*).
+    returned as the witness (t, x) (in doubles, once m exceeds the rounding
+    of t*).
 
     When `eta` is given, also checks that both cone-boundary pieces sit
     inside the lateral slab of that eta: the piece of a ray of speed |v|
@@ -391,13 +370,16 @@ def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
     """
     if not t_star > 0:
         raise ValueError("covering check requires t* > 0")
-    if not max(ray0.speed, ray1.speed) < sigma:
+    if not 0.0 < sigma < 1.0:
+        raise ValueError("cone aperture must lie in (0, 1)")
+    speeds = [math.sqrt(sum(c * c for c in v)) for v in (v0, v1)]
+    if not all(speed < sigma for speed in speeds):  # NaN fails too
         raise ValueError("rays must lie inside the cone")
     if math.isnan(gamma):
         raise ValueError("gamma must be a number")
     c0, c1 = np.zeros((2, n))
-    for c, ray in ((c0, ray0), (c1, ray1)):
-        c[:len(ray.velocity)] = np.asarray(ray.velocity) * t_star
+    for c, v in ((c0, v0), (c1, v1)):
+        c[:len(v)] = np.asarray(v) * t_star
     half = 0.5 * float(np.linalg.norm(c0 - c1))
     margin = t_star * (gamma - 1.0) - half
     witness = None
@@ -405,14 +387,13 @@ def covering_check(sigma, gamma, t_star, ray0: RaySpec, ray1: RaySpec,
         x = 0.5 * (c0 + c1)
         if not np.dot(x, x) > 0.0:  # the origin, or too near it to square
             x[0] += 0.25 * min(margin, sigma * t_star)
-        witness = MinkowskiPoint(t_star + half + 0.5 * margin,
-                                 tuple(x.tolist()))
+        witness = (t_star + half + 0.5 * margin, tuple(x.tolist()))
     result = CoveringResult(covered=witness is None, witness=witness)
     if eta is not None:
         if not eta > 1.0:
             raise ValueError("eta must exceed 1")
         result.boundary_ok = all(
-            t_star / eta <= t_star * (1.0 - ray.speed) / (1.0 + sigma)
-            and t_star * (1.0 + ray.speed) / (1.0 - sigma) <= t_star * eta
-            for ray in (ray0, ray1))
+            t_star / eta <= t_star * (1.0 - speed) / (1.0 + sigma)
+            and t_star * (1.0 + speed) / (1.0 - sigma) <= t_star * eta
+            for speed in speeds)
     return result

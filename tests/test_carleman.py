@@ -55,7 +55,7 @@ def _offcenter_closures(n, A, tc, rc, wt, wr):
 
 def offcenter_gaussian(n, A, tc, rc, wt, wr):
     return ManufacturedField(
-        n, closures_jet(*_offcenter_closures(n, A, tc, rc, wt, wr)))
+        closures_jet(*_offcenter_closures(n, A, tc, rc, wt, wr)))
 
 
 def bulk_gamma(params, t, r):
@@ -109,7 +109,7 @@ class TestBulkGamma:
 class TestFluxCovector:
     def test_zero_field(self):
         params = CarlemanParams(a=0.25, p=2.0, n=3)
-        Pt, Pr = flux_covector(params, zero_field(3), 0.3, np.array([1.0, 1.5]))
+        Pt, Pr = flux_covector(params, zero_field(), 0.3, np.array([1.0, 1.5]))
         assert np.all(Pt == 0.0) and np.all(Pr == 0.0)
 
     def test_constant_field_closed_form(self):
@@ -123,7 +123,7 @@ class TestFluxCovector:
             + a * c1 * f ** (2 * a - 1) * ft * c * c
         expect_r = f ** (2 * a) * fr * c ** (p + 1) / (p + 1) \
             + a * c1 * f ** (2 * a - 1) * fr * c * c
-        Pt, Pr = flux_covector(params, constant_field(c, n), t, r)
+        Pt, Pr = flux_covector(params, constant_field(c), t, r)
         assert Pt == pytest.approx(expect_t, rel=1e-13)
         assert Pr == pytest.approx(expect_r, rel=1e-13)
 
@@ -133,7 +133,6 @@ class TestFluxCovector:
         # phi = 0 kills the zeroth-order and power terms, leaving
         # P = f^{2a} (0 * dphi - 1/2 grad f * (-1)) = (0, 1/2) for f = 1
         field = ManufacturedField(
-            1,
             closures_jet(
                 lambda t, r: t + 0.0 * r,
                 lambda t, r: np.ones(np.broadcast(t, r).shape),
@@ -148,7 +147,7 @@ class TestFluxCovector:
     def test_rejects_nonpositive_weight(self):
         params = CarlemanParams(a=0.25, p=2.0, n=1)
         with pytest.raises(ValueError):
-            flux_covector(params, constant_field(1.0, 1), 2.0, 1.0)
+            flux_covector(params, constant_field(1.0), 2.0, 1.0)
 
 
 class TestRegionLibrary:
@@ -179,17 +178,17 @@ class TestRegionLibrary:
 class TestVerifyGlobal:
     def test_zero_field_everything_vanishes(self):
         params = CarlemanParams(a=0.25, p=2.0, n=1)
-        rep = verify_global(params, zero_field(1), box_region(-0.4, 0.4, 1.0, 2.0))
+        rep = verify_global(params, zero_field(), box_region(-0.4, 0.4, 1.0, 2.0))
         assert rep.lhs_bulk == 0.0 and rep.rhs_bulk == 0.0
         assert rep.rhs_boundary == 0.0 and rep.passed
 
     def test_constant_field_box(self):
         params = CarlemanParams(a=0.25, p=2.0, n=1)
         region = box_region(-0.4, 0.4, 1.0, 2.0)
-        rep = verify_global(params, constant_field(1.0, 1), region)
+        rep = verify_global(params, constant_field(1.0), region)
         assert rep.passed and rep.slack > 0.0
         # independent high-resolution reproduction of every term
-        fine = verify_global(params, constant_field(1.0, 1), region,
+        fine = verify_global(params, constant_field(1.0), region,
                              QuadratureSpec(192))
         assert rep.lhs_bulk == pytest.approx(fine.lhs_bulk, rel=1e-4)
         assert rep.rhs_bulk == pytest.approx(fine.rhs_bulk, rel=1e-4)
@@ -670,7 +669,7 @@ class TestVerifyShifted:
     def test_zero_field(self):
         ext = ExteriorRegionSpec(0.5, 1.0)
         params = CarlemanParams(a=0.25, p=2.0, n=3, shift=ext.weight)
-        rep = verify_shifted(params, zero_field(3), ext)
+        rep = verify_shifted(params, zero_field(), ext)
         assert rep.lhs == 0.0
         assert all(v == 0.0 for v in rep.terms.values())
         assert all(v == 0.0 for v in rep.flux_trail)
@@ -701,10 +700,10 @@ class TestVerifyShifted:
     def test_requires_matching_shift_and_range(self):
         ext = ExteriorRegionSpec(0.5, 1.0)
         with pytest.raises(ValueError):
-            verify_shifted(CarlemanParams(a=0.25, p=2.0, n=3), zero_field(3), ext)
+            verify_shifted(CarlemanParams(a=0.25, p=2.0, n=3), zero_field(), ext)
         bad = CarlemanParams(a=0.45, p=2.5, n=3, shift=ext.weight)
         with pytest.raises(ValueError):
-            verify_shifted(bad, zero_field(3), ext)
+            verify_shifted(bad, zero_field(), ext)
 
     def test_perturbed_potential_with_admissible_smallness(self):
         # |grad V| t* small: the bulk factor stays positive on the region

@@ -733,6 +733,9 @@ NO_DATA = BASE.replace("[data]\nkind = gaussian\namplitude = 0.0\n"
                        "width = 0.5\n", "")
 NO_SNAPSHOTS = BASE.replace("snapshot_times = -0.8 -0.5 -0.3\n", "")
 T_STAR = ("sigma0 = 0.25", "sigma0 = 0.25\nt_star = {}")
+TINY_T_STAR = ("[diagnostics] t_star, [diagnostics] gamma: the slab window "
+               "|t_star|/gamma < |t| < gamma |t_star| rounds to one time at "
+               "{}")
 
 
 @pytest.mark.parametrize("scenario,text,message", [
@@ -757,10 +760,17 @@ T_STAR = ("sigma0 = 0.25", "sigma0 = 0.25\nt_star = {}")
      "sweeping M requires truncated_ode data"),
     ("sweep", BASE + "\n[sweep]\nscenario = convergence\nJ = 64 128\n",
      "convergence sweep requires truncated_ode data"),
+    # before: exit 1, `need t_lo < t_hi` from the slab, whose window
+    # |t*|/gamma < |t| < gamma |t*| rounds to one time
+    ("verify-localized", ODE_DIAG.replace("-0.5 -0.25 -0.125", "-5e-324"),
+     TINY_T_STAR.format("-5e-324")),
+    ("energy-profile", ODE_DIAG.replace("-0.5 -0.25 -0.125", "-1e-323"),
+     TINY_T_STAR.format("-1e-323")),
 ], ids=["eta-gamma", "t0-t_end", "simulate-no-data", "run-field-no-data",
         "no-snapshots-recorded", "localized-no-t_star", "positive-t_star",
         "no-diagnostic-times", "rate-fit-two-times", "no-sweep-section",
-        "sweep-M-gaussian", "convergence-gaussian"])
+        "sweep-M-gaussian", "convergence-gaussian", "localized-tiny-t_star",
+        "profile-tiny-t_star"])
 def test_a_refusal_across_keys_or_sections_exits_2(tmp_path, capsys,
                                                     scenario, text, message):
     _run_exit_2(tmp_path, capsys, scenario, text, message)

@@ -46,7 +46,7 @@ class TestAnnulusQuantity:
             assert val == pytest.approx(cg + cp, rel=1e-10 + err)
 
     def test_zero_field(self):
-        [(val, _)] = annulus_quantity(zero_field(3), 0.25, 0.5, [-1.0], 2.0,
+        [(val, _)] = annulus_quantity(zero_field(), 0.25, 0.5, [-1.0], 2.0,
                                       3, Q)
         assert val == 0.0
 
@@ -78,7 +78,7 @@ class TestSlabQuantity:
             assert val == pytest.approx(cg + cp, rel=1e-8 + err)
 
     def test_zero_field(self):
-        assert slab_quantity(zero_field(3), 0.25, 1.5, -0.5, 2.0, 3, Q) == \
+        assert slab_quantity(zero_field(), 0.25, 1.5, -0.5, 2.0, 3, Q) == \
             ((0.0, 0.0), (0.0, 0.0))
 
     def test_thin_slab_linearity(self):
@@ -126,7 +126,7 @@ class TestWeightedBallQuantity:
             assert val == pytest.approx(expected, rel=1e-8 + err)
 
     def test_zero_field(self):
-        [(val, _)] = weighted_ball_quantity(zero_field(3), [-0.5], 2.0, 3, Q)
+        [(val, _)] = weighted_ball_quantity(zero_field(), [-0.5], 2.0, 3, Q)
         assert val == 0.0
 
     def test_truncated_run_within_factor_three(self, truncated_run_field):
@@ -163,12 +163,12 @@ class TestLateralQuantity:
     def test_a_nan_eta_is_refused(self):
         # before: the cone piece was built on NaN times
         with pytest.raises(ValueError, match="eta must exceed 1"):
-            lateral_quantity(zero_field(3), 0.25, math.nan, -0.5, 2.0, 3, Q)
+            lateral_quantity(zero_field(), 0.25, math.nan, -0.5, 2.0, 3, Q)
 
 
 class TestLocalizedEstimate:
     def test_zero_field_vacuity(self):
-        chk = localized_estimate_check(zero_field(3), 0.25, 0.5, 1.2, 2.0,
+        chk = localized_estimate_check(zero_field(), 0.25, 0.5, 1.2, 2.0,
                                        -0.5, 2.0, 3, Q)
         assert chk.lhs == 0.0 and chk.rhs == 0.0
         assert math.isinf(chk.ratio)
@@ -239,12 +239,12 @@ class TestTimeCoverage:
             with pytest.raises(LevelRangeError,
                                match=f"time {outside!r} outside"):
                 check()
-        zero_field(3).require_times(outside)  # a closed form covers it
+        zero_field().require_times(outside)  # a closed form covers it
 
 
 class TestDecayPartials:
     def test_zero_field(self):
-        rep = decay_partials(zero_field(3), 0.5, (2.0, 4.0), 2.0, 3, Q)
+        rep = decay_partials(zero_field(), 0.5, (2.0, 4.0), 2.0, 3, Q)
         assert all(v == 0.0 for v in rep.bulk)
         assert all(v == 0.0 for v in rep.lateral)
 
@@ -444,7 +444,7 @@ class TestAnnulusSupOneCall:
     @pytest.mark.parametrize("t_star,sup_times", [
         (-0.5, None), (0.7, None), (-0.4, np.linspace(0.2, 0.8, 17))])
     def test_closed_form_fields(self, t_star, sup_times):
-        fields = [gaussian_pulse(3, 0.8, 0.2, 0.5, 0.3), zero_field(3)]
+        fields = [gaussian_pulse(3, 0.8, 0.2, 0.5, 0.3), zero_field()]
         if t_star < 0:
             fields.append(ode_field(2.0, 3))
         for field in fields:

@@ -36,7 +36,6 @@ from tests_helpers import (
 
 def linear_field(n=1):
     return ManufacturedField(
-        n,
         closures_jet(
             lambda t, r: t + r,
             lambda t, r: np.ones(np.broadcast(t, r).shape),
@@ -112,7 +111,7 @@ class TestGradientNormSq:
     """The jet's first derivatives, whose squares sum to |grad phi|^2."""
 
     def test_constant_is_zero(self):
-        _, phi_t, phi_r, _ = constant_field(3.0, 3).jet(0.5, 1.0)
+        _, phi_t, phi_r, _ = constant_field(3.0).jet(0.5, 1.0)
         assert phi_t ** 2 + phi_r ** 2 == 0.0
 
     def test_ode_field_p2(self):
@@ -130,7 +129,6 @@ class TestBoxOperator:
 
     def test_t_squared(self):
         f = ManufacturedField(
-            3,
             closures_jet(
                 lambda t, r: t * t + 0.0 * r,
                 lambda t, r: 2.0 * t + 0.0 * r,
@@ -159,12 +157,12 @@ class TestBoxOperator:
 class TestNonlinearResidual:
     def test_zero_field(self):
         V = PotentialSpec(1.0)
-        assert residual(zero_field(3), V, 2.0, 0.5, 1.0) == 0.0
+        assert residual(zero_field(), V, 2.0, 0.5, 1.0) == 0.0
 
     def test_constant_field(self):
         V = PotentialSpec(1.0)
         c = 1.7
-        val = residual(constant_field(c, 3), V, 2.0, 0.5, 1.0)
+        val = residual(constant_field(c), V, 2.0, 0.5, 1.0)
         assert val == pytest.approx(c ** 2)
 
     def test_ode_solution_exact_zero(self):
@@ -200,15 +198,14 @@ class TestManufacturedDerivatives:
             slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
             assert slope == pytest.approx(2.0, abs=0.3)
 
-    @pytest.mark.parametrize("field", [
-        gaussian_pulse(3, 1.2, 0.3, 0.7, 0.5),
-        polynomial_gaussian(2, 0.8, -0.2, 0.6, 0.7, c1=0.4, c2=-0.3),
-        traveling_bump(3, 1.0, 0.4, 1.5, 0.3),
+    @pytest.mark.parametrize("field,n", [
+        (gaussian_pulse(3, 1.2, 0.3, 0.7, 0.5), 3),
+        (polynomial_gaussian(2, 0.8, -0.2, 0.6, 0.7, c1=0.4, c2=-0.3), 2),
+        (traveling_bump(3, 1.0, 0.4, 1.5, 0.3), 3),
     ], ids=["gauss", "polygauss", "travel"])
-    def test_box_matches_stencil(self, field):
+    def test_box_matches_stencil(self, field, n):
         t0, r0 = 0.25, 0.9
         h = 1e-4
-        n = field.dim
 
         def phi(t, r):
             return field.jet(t, r)[0]
@@ -672,29 +669,32 @@ def _quadrature_like_points(t_lo, t_hi, r_lo, r_hi):
     return [(T, R), (float(tn[5]), float(R[0, 7]))]
 
 
+# (id, field, closures, legacy closures, box t_lo t_hi r_lo r_hi, n)
 MANUFACTURED = [
     ("gauss", gaussian_pulse(3, 1.2, 0.3, 0.7, 0.5),
      gaussian_closures(3, 1.2, 0.3, 0.7, 0.5),
-     _legacy_gaussian_closures(3, 1.2, 0.3, 0.7, 0.5), (-0.4, 0.9, 0.0, 2.0)),
+     _legacy_gaussian_closures(3, 1.2, 0.3, 0.7, 0.5), (-0.4, 0.9, 0.0, 2.0),
+     3),
     ("polygauss", polynomial_gaussian(2, 0.8, -0.2, 0.6, 0.7, c1=0.4, c2=-0.3),
      polynomial_closures(2, 0.8, -0.2, 0.6, 0.7, 0.4, -0.3),
      _legacy_polynomial_closures(2, 0.8, -0.2, 0.6, 0.7, 0.4, -0.3),
-     (-0.5, 0.5, 0.0, 1.5)),
+     (-0.5, 0.5, 0.0, 1.5), 2),
     ("travel", traveling_bump(3, 1.0, 0.4, 1.5, 0.3),
      travel_closures(3, 1.0, 0.4, 1.5, 0.3),
-     _legacy_travel_closures(3, 1.0, 0.4, 1.5, 0.3), (-0.3, 0.6, 0.5, 2.5)),
+     _legacy_travel_closures(3, 1.0, 0.4, 1.5, 0.3), (-0.3, 0.6, 0.5, 2.5),
+     3),
     ("offgauss", _offcenter_gaussian(2, 0.7, 0.1, 1.3, 0.25, 0.3),
      offcenter_closures(2, 0.7, 0.1, 1.3, 0.25, 0.3),
      _legacy_offcenter_closures(2, 0.7, 0.1, 1.3, 0.25, 0.3),
-     (-0.2, 0.4, 0.6, 2.0)),
+     (-0.2, 0.4, 0.6, 2.0), 2),
 ]
 
 
 class TestJetBitIdentity:
-    CASES = [case[:3] + case[4:] for case in MANUFACTURED] + [
+    CASES = [case[:3] + case[4:5] for case in MANUFACTURED] + [
         ("ode", ode_field(2.5, 3), _ode_closures(2.5), (-1.0, -0.05, 0.0, 1.0)),
-        ("zero", zero_field(3), _constant_closures(0.0), (-1.0, 1.0, 0.0, 1.0)),
-        ("constant", constant_field(1.7, 3), _constant_closures(1.7),
+        ("zero", zero_field(), _constant_closures(0.0), (-1.0, 1.0, 0.0, 1.0)),
+        ("constant", constant_field(1.7), _constant_closures(1.7),
          (-1.0, 1.0, 0.0, 1.0)),
     ]
 
@@ -728,14 +728,13 @@ class TestJetAgainstLegacyClosedForms:
                 assert np.max(np.abs(got - want)) <= LEGACY_RTOL * scale
 
 
-def _fd_jet_errors(field, t, r, h):
-    """Largest error of phi_t, phi_r and box against centred differences
-    of the field's own phi with step h, each relative to the largest
-    magnitude of the differenced value on the sample."""
+def _fd_jet_errors(field, n, t, r, h):
+    """Largest error of phi_t, phi_r and box (in dimension n) against
+    centred differences of the field's own phi with step h, each relative
+    to the largest magnitude of the differenced value on the sample."""
     def phi(t, r):
         return field.jet(t, r)[0]
 
-    n = field.dim
     p0 = phi(t, r)
     pt = (phi(t + h, r) - phi(t - h, r)) / (2.0 * h)
     pr = (phi(t, r + h) - phi(t, r - h)) / (2.0 * h)
@@ -760,25 +759,26 @@ def _fd_points(t_lo, t_hi, r_lo, r_hi):
 
 
 class TestJetFiniteDifferences:
-    @pytest.mark.parametrize("field,box_",
-                             [(c[1], c[4]) for c in MANUFACTURED],
+    @pytest.mark.parametrize("field,n,box_",
+                             [(c[1], c[5], c[4]) for c in MANUFACTURED],
                              ids=[c[0] for c in MANUFACTURED])
-    def test_derivatives_and_box_of_own_phi(self, field, box_):
-        errors = _fd_jet_errors(field, *_fd_points(*box_), FD_STEP)
+    def test_derivatives_and_box_of_own_phi(self, field, n, box_):
+        errors = _fd_jet_errors(field, n, *_fd_points(*box_), FD_STEP)
         assert max(errors) < FD_RTOL, errors
 
     def test_catches_a_box_without_its_first_order_term(self):
         # seeded mutation: the travelling bump's box loses (n-1)/r phi_r
-        good = traveling_bump(3, 1.0, 0.4, 1.5, 0.3)
+        n = 3
+        good = traveling_bump(n, 1.0, 0.4, 1.5, 0.3)
 
         def mutated(t, r):
             phi, phi_t, phi_r, box = good.evaluate(t, r)
-            return phi, phi_t, phi_r, box - (good.dim - 1) / r * phi_r
+            return phi, phi_t, phi_r, box - (n - 1) / r * phi_r
 
-        bad = ManufacturedField(good.dim, mutated)
+        bad = ManufacturedField(mutated)
         t, r = _fd_points(-0.3, 0.6, 0.5, 2.5)
-        errors = _fd_jet_errors(bad, t, r, FD_STEP)
-        assert errors[:2] == _fd_jet_errors(good, t, r, FD_STEP)[:2]
+        errors = _fd_jet_errors(bad, n, t, r, FD_STEP)
+        assert errors[:2] == _fd_jet_errors(good, n, t, r, FD_STEP)[:2]
         assert errors[2] > 100 * FD_RTOL
 
 

@@ -13,7 +13,6 @@ from conewave.geometry import (
     CylinderPiece,
     ExteriorRegionSpec,
     LevelSetPiece,
-    RaySpec,
     ShiftedWeight,
     TimeSlicePiece,
     UNSHIFTED,
@@ -24,10 +23,11 @@ from conewave.quadrature import _Mesh, sphere_area
 from tests_helpers import box_bulk, zero_field
 
 
-def radius_from_ray(x, ray, t_star):
-    """|x - c| about the centre c = v t* of the weight from `ray`."""
+def radius_from_ray(x, v, t_star):
+    """|x - c| about the centre c = v t* of the weight from the ray of
+    velocity v."""
     c = np.zeros(len(x))
-    c[:len(ray.velocity)] = np.asarray(ray.velocity) * t_star
+    c[:len(v)] = np.asarray(v) * t_star
     return math.dist(x, c)
 
 
@@ -67,7 +67,7 @@ class TestWeight:
         # g(grad f, grad f) = f everywhere, shifted or not, about a ray's
         # centre
         w = ShiftedWeight(t_star=ts)
-        rho = radius_from_ray((x1, x2), RaySpec((v, 0.0)), ts)
+        rho = radius_from_ray((x1, x2), (v, 0.0), ts)
         ft, fr = w.grad_radial(t, rho)
         assert -ft ** 2 + fr ** 2 == pytest.approx(w.value_radial(t, rho),
                                                    rel=1e-12, abs=1e-12)
@@ -93,7 +93,7 @@ class TestContains:
         assert not inside(cone, 1.0, 0.0)
 
     def test_slab_negative_time(self):
-        slab = _slab(zero_field(3), 0.5, 1.2, -0.1)
+        slab = _slab(zero_field(), 0.5, 1.2, -0.1)
         assert inside(slab, -0.1, 0.04)
         assert not inside(slab, -0.1, 0.06)
 
@@ -109,9 +109,9 @@ class TestContains:
         with pytest.raises(ValueError):
             ConeSegmentSpec(0.5, -1.0, 1.0)  # the window straddles t = 0
         with pytest.raises(ValueError, match="gamma must exceed 1"):
-            _slab(zero_field(3), 0.5, 0.9, 1.0)
+            _slab(zero_field(), 0.5, 0.9, 1.0)
         with pytest.raises(ValueError, match="center time must be nonzero"):
-            _slab(zero_field(3), 0.5, 1.2, 0.0)
+            _slab(zero_field(), 0.5, 1.2, 0.0)
         with pytest.raises(ValueError, match="requires t\\* > 0"):
             ExteriorRegionSpec(0.5, math.nan)
 
@@ -124,7 +124,7 @@ class TestContains:
          "degenerate level piece"),
         (lambda: ExteriorRegionSpec(0.5, 1.0).level_set(math.nan),
          "eps too large"),
-        (lambda: _slab(zero_field(3), 0.5, math.nan, 1.0),
+        (lambda: _slab(zero_field(), 0.5, math.nan, 1.0),
          "gamma must exceed 1"),
     ], ids=["cone-t_lo", "cone-t_hi", "level-eps", "level-t_hi",
             "level-set-eps", "slab-gamma"])
@@ -347,54 +347,58 @@ class TestNormalWeightDerivative:
 
 class TestCovering:
     def test_two_rays_tiny_gamma(self):
-        res = covering_check(0.5, 1.0 + 1e-6, 1.0, RaySpec(()),
-                             RaySpec((0.25, 0.0)), n=3)
+        res = covering_check(0.5, 1.0 + 1e-6, 1.0, (), (0.25, 0.0), n=3)
         assert res.covered and bool(res)
 
     def test_large_gamma_fails_with_witness(self):
-        res = covering_check(0.5, 10.0, 1.0, RaySpec(()), RaySpec((0.25, 0.0)),
-                             n=3)
+        res = covering_check(0.5, 10.0, 1.0, (), (0.25, 0.0), n=3)
         assert not res.covered
         assert res.witness is not None
         # witness must be a genuine counterexample: in the slab, not in either region
-        P = res.witness
-        assert 0.0 < P.r < 0.5 * P.t
+        t, x = res.witness
+        assert len(x) == 3
+        assert 0.0 < math.dist(x, [0.0] * 3) < 0.5 * t
 
     def test_single_ray_always_fails(self):
         for gamma in (1.0 + 1e-6, 1.5, 4.0):
-            res = covering_check(0.5, gamma, 1.0, RaySpec(()), RaySpec(()),
-                                 n=3)
+            res = covering_check(0.5, gamma, 1.0, (), (), n=3)
             assert not res.covered
 
     @pytest.mark.parametrize("sigma,gamma,t_star,match", [
         (0.5, 10.0, math.nan, r"t\* > 0"),
         (0.5, math.nan, 1.0, "gamma"),
-        (math.nan, 10.0, 1.0, "inside the cone"),
+        (math.nan, 10.0, 1.0, r"aperture must lie in \(0, 1\)"),
     ], ids=["t_star", "gamma", "sigma"])
     def test_nan_is_refused(self, sigma, gamma, t_star, match):
         # each check fails on NaN; else a NaN t* or gamma reads a wide slab
         # as covered, and a NaN sigma returns a witness
         with pytest.raises(ValueError, match=match):
-            covering_check(sigma, gamma, t_star, RaySpec(()),
-                           RaySpec((0.25, 0.0)))
+            covering_check(sigma, gamma, t_star, (), (0.25, 0.0))
 
     def test_a_nan_eta_is_refused(self):
         # before: boundary_ok = False, as if a piece left the lateral slab
         with pytest.raises(ValueError, match="eta must exceed 1"):
-            covering_check(0.5, 1.5, 1.0, RaySpec(()), RaySpec((0.1,)),
-                           eta=math.nan)
+            covering_check(0.5, 1.5, 1.0, (), (0.1,), eta=math.nan)
 
     def test_nan_ray_is_refused(self):
         # a NaN velocity would make covering_check read a wide slab as covered
-        with pytest.raises(ValueError, match="ray velocity"):
-            RaySpec((math.nan, 0.0))
+        with pytest.raises(ValueError, match="rays must lie inside the cone"):
+            covering_check(0.5, 1.5, 1.0, (), (math.nan, 0.0))
+
+    @pytest.mark.parametrize("sigma", [1.0, 5.0])
+    def test_an_aperture_outside_0_1_is_refused(self, sigma):
+        # before: sigma = 5 read as covered, and with eta a boundary_ok came
+        # from a negative 1 - sigma; NaN is test_nan_is_refused[sigma]
+        with pytest.raises(ValueError,
+                           match=r"^cone aperture must lie in \(0, 1\)$"):
+            covering_check(sigma, 1.2, 1.0, (0.5,), (), eta=2.0)
 
     def test_boundary_containment_with_eta(self):
         # axis ray boundary spans t in (t*/(1+sigma), t*/(1-sigma))
-        res = covering_check(0.5, 1.1, 1.0, RaySpec(()), RaySpec((0.2, 0.0)),
+        res = covering_check(0.5, 1.1, 1.0, (), (0.2, 0.0),
                              n=3, eta=4.0)
         assert res.boundary_ok
-        res2 = covering_check(0.5, 1.1, 1.0, RaySpec(()), RaySpec((0.2, 0.0)),
+        res2 = covering_check(0.5, 1.1, 1.0, (), (0.2, 0.0),
                               n=3, eta=1.4)
         assert not res2.boundary_ok  # eta too small to contain the boundary
 
@@ -404,9 +408,9 @@ class TestCovering:
         # eta* = max((1+|v|)/(1-sigma), (1+sigma)/(1-|v|))
         sigma, v = 0.5, 0.2
         eta_star = max((1 + v) / (1 - sigma), (1 + sigma) / (1 - v))
-        above = covering_check(sigma, 1.1, 1.0, RaySpec(()), RaySpec((v, 0.0)),
+        above = covering_check(sigma, 1.1, 1.0, (), (v, 0.0),
                                n=3, eta=eta_star * 1.05)
-        below = covering_check(sigma, 1.1, 1.0, RaySpec(()), RaySpec((v, 0.0)),
+        below = covering_check(sigma, 1.1, 1.0, (), (v, 0.0),
                                n=3, eta=eta_star * 0.9)
         assert above.boundary_ok
         assert not below.boundary_ok
@@ -418,26 +422,25 @@ class TestCovering:
         eta_star = max((1 + v) / (1 - sigma), (1 + sigma) / (1 - v))
         assert eta_star == pytest.approx(18.0)
         for factor, ok in ((0.95, False), (1.05, True)):
-            res = covering_check(sigma, 1.1, 1.0, RaySpec(()),
-                                 RaySpec((v, 0.0)), n=3,
+            res = covering_check(sigma, 1.1, 1.0, (), (v, 0.0), n=3,
                                  eta=eta_star * factor)
             assert res.boundary_ok is ok
 
     @staticmethod
     def _assert_genuine_witness(res, sigma, gamma, t_star, rays):
         """The witness lies in the slab and the cone, outside both regions."""
-        P = res.witness
-        assert not res.covered and P is not None
-        assert t_star / gamma < P.t < t_star * gamma
-        assert 0.0 < P.r < sigma * P.t
-        for ray in rays:
-            rho = radius_from_ray(P.x, ray, t_star)
-            assert ShiftedWeight(t_star).value_radial(P.t, rho) <= 0.0
+        assert not res.covered and res.witness is not None
+        t, x = res.witness
+        assert t_star / gamma < t < t_star * gamma
+        assert 0.0 < math.dist(x, [0.0] * len(x)) < sigma * t
+        for v in rays:
+            rho = radius_from_ray(x, v, t_star)
+            assert ShiftedWeight(t_star).value_radial(t, rho) <= 0.0
 
     def test_threshold_is_half_the_centre_distance(self):
         # gamma* = 1 + |v0 - v1|/2 = 1.125; the sampler called 1.126 and
         # 1.13 covered
-        rays = (RaySpec(()), RaySpec((0.25, 0.0)))
+        rays = ((), (0.25, 0.0))
         assert covering_check(0.5, 1.124, 1.0, *rays).covered
         for gamma in (1.126, 1.13):
             res = covering_check(0.5, gamma, 1.0, *rays)
@@ -460,7 +463,7 @@ class TestCovering:
         v0 = scale * np.asarray(u0[:n])
         v1 = {"free": scale * np.asarray(u1[:n]), "equal": v0,
               "opposite": -v0}[pair]
-        rays = (RaySpec(tuple(v0)), RaySpec(tuple(v1)))
+        rays = (tuple(v0), tuple(v1))
         res = covering_check(sigma, gamma, t_star, *rays, n=n)
         c0, c1 = v0 * t_star, v1 * t_star
         half = 0.5 * float(np.linalg.norm(c0 - c1))
@@ -485,7 +488,7 @@ class TestSlabWeightLowerBound:
         # every slab point carries max_i f_{t*,ray_i} >= c > 0, and the bound
         # rescales by t*^2
         sigma, gamma = 0.5, 1.1
-        rays = (RaySpec(()), RaySpec((0.25, 0.0)))
+        rays = ((), (0.25, 0.0))
         rng = np.random.default_rng(5)
 
         def min_fbar(t_star):
@@ -513,11 +516,11 @@ class TestSlabWeightLowerBound:
         assert c2 == pytest.approx(4.0 * c1, rel=0.35)  # ~ t*^2 scaling
 
     def test_exact_rescaling_identity(self):
-        ray = RaySpec((0.2, 0.0))
+        v = (0.2, 0.0)
         f1 = ShiftedWeight(1.0).value_radial(
-            1.1, radius_from_ray((0.3, 0.1), ray, 1.0))
+            1.1, radius_from_ray((0.3, 0.1), v, 1.0))
         f2 = ShiftedWeight(2.0).value_radial(
-            2.2, radius_from_ray((0.6, 0.2), ray, 2.0))
+            2.2, radius_from_ray((0.6, 0.2), v, 2.0))
         assert f2 == pytest.approx(4.0 * f1, rel=1e-12)
 
 

@@ -68,10 +68,10 @@ BULK_CASES = {
     "box": (box_region(-0.3, 0.4, 0.9, 1.7), (-0.3, 0.4),
             lambda t: np.full_like(t, 0.9), lambda t: np.full_like(t, 1.7),
             (False, False), (False, False)),
-    "slab_past": (_slab(zero_field(3), 0.5, 1.3, -0.6), (-0.6 * 1.3, -0.6 / 1.3),
+    "slab_past": (_slab(zero_field(), 0.5, 1.3, -0.6), (-0.6 * 1.3, -0.6 / 1.3),
                   np.zeros_like, lambda t: 0.5 * np.abs(t),
                   (False, False), (False, False)),
-    "slab_future": (_slab(zero_field(3), 0.5, 1.3, 0.6), (0.6 / 1.3, 0.6 * 1.3),
+    "slab_future": (_slab(zero_field(), 0.5, 1.3, 0.6), (0.6 / 1.3, 0.6 * 1.3),
                     np.zeros_like, lambda t: 0.5 * np.abs(t),
                     (False, False), (False, False)),
     "cone_segment": (ConeSegmentSpec(0.4, 0.5, 2.0), (0.5, 2.0),

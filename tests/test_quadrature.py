@@ -551,7 +551,7 @@ def _compact_bump_field(n, r_lo, r_hi, t_lo, t_hi, amplitude=1.0):
                 - (phi_t(t + h, r) - phi_t(t - h, r)) / (2 * h)
                 + (n - 1) / r * phi_r(t, r))
 
-    return ManufacturedField(n, closures_jet(phi, phi_t, phi_r, box))
+    return ManufacturedField(closures_jet(phi, phi_t, phi_r, box))
 
 
 def _params(ext):
@@ -565,13 +565,13 @@ def _params(ext):
 class TestFluxProbe:
     def test_zero_field(self):
         ext = ExteriorRegionSpec(0.5, 1.0)
-        vals = vanishing_flux_probe(_params(ext), zero_field(3), ext,
+        vals = vanishing_flux_probe(_params(ext), zero_field(), ext,
                                     [1e-2, 1e-3, 1e-4])
         assert vals == [0.0, 0.0, 0.0]
 
     def test_constant_field_decays(self):
         ext = ExteriorRegionSpec(0.5, 1.0)
-        vals = vanishing_flux_probe(_params(ext), constant_field(1.0, 3), ext,
+        vals = vanishing_flux_probe(_params(ext), constant_field(1.0), ext,
                                     [1e-2, 1e-3, 1e-4])
         mags = [abs(v) for v in vals]
         assert mags[0] > mags[1] > mags[2]
@@ -593,14 +593,14 @@ class TestFluxProbe:
     def test_rejects_increasing_sequence(self):
         ext = ExteriorRegionSpec(0.5, 1.0)
         with pytest.raises(ValueError, match="decreasing"):
-            vanishing_flux_probe(_params(ext), zero_field(3), ext,
+            vanishing_flux_probe(_params(ext), zero_field(), ext,
                                  [1e-4, 1e-3])
 
     def test_rejects_a_shift_other_than_the_region_weight(self):
         ext = ExteriorRegionSpec(0.5, 1.0)
         with pytest.raises(ValueError, match="must match the exterior"):
             vanishing_flux_probe(CarlemanParams(a=0.25, p=2.0, n=3),
-                                 zero_field(3), ext, [1e-2, 1e-3])
+                                 zero_field(), ext, [1e-2, 1e-3])
 
 
 def _reference_level_loop(t_window, r_inner, r_outer, integrand, q, n,

@@ -9,21 +9,21 @@ from conewave.exact_solutions import smoothstep
 from conewave.fields import DiscreteField, ManufacturedField, write_snapshots
 
 
-def zero_field(n=3):
+def zero_field():
     def jet(t, r):
         shape = np.broadcast(t, r).shape
         return tuple(np.zeros(shape) for _ in range(4))
 
-    return ManufacturedField(n, jet)
+    return ManufacturedField(jet)
 
 
-def constant_field(c, n=3):
+def constant_field(c):
     def jet(t, r):
         shape = np.broadcast(t, r).shape
         return (np.full(shape, float(c)), np.zeros(shape), np.zeros(shape),
                 np.zeros(shape))
 
-    return ManufacturedField(n, jet)
+    return ManufacturedField(jet)
 
 
 def box_bulk(t0, t1, r0, r1):
@@ -206,7 +206,7 @@ def compact_bump_field(n, r_lo, r_hi, t_lo, t_hi, amplitude=1.0):
                 - (phi_t(t + h, r) - phi_t(t - h, r)) / (2 * h)
                 + (n - 1) / np.maximum(r, 1e-30) * phi_r(t, r))
 
-    return ManufacturedField(n, closures_jet(phi, phi_t, phi_r, box))
+    return ManufacturedField(closures_jet(phi, phi_t, phi_r, box))
 
 
 def truncated_run_levels():
