@@ -49,7 +49,7 @@ RELATIVE_SLACK_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class CarlemanParams:
-    """Weight exponent, nonlinearity, potential, and weight shift.
+    """Weight exponent, nonlinearity and potential; regions own the weight.
 
     `shifted_range_ok` is the admissibility condition for the shifted
     estimate; the positivity of the bulk factor requires
@@ -62,7 +62,6 @@ class CarlemanParams:
     p: float
     n: int
     potential: PotentialSpec = field(default_factory=PotentialSpec)
-    shift: ShiftedWeight = UNSHIFTED
 
     def __post_init__(self):
         if not self.a > 0.0:
@@ -77,7 +76,7 @@ class CarlemanParams:
         return self.p - 1.0 < 4.0 / (self.n - 1.0 + 4.0 * self.a)
 
 
-def _potential_and_gamma(params: CarlemanParams, t, r):
+def _potential_and_gamma(params: CarlemanParams, weight, t, r):
     """(V, Gamma_V) at (t, r) from one evaluation of the potential's jet,
 
       Gamma_V = grad f . grad(log V) - (n-1+4a)/4 (p - 1 - 4/(n-1+4a)),
@@ -89,12 +88,12 @@ def _potential_and_gamma(params: CarlemanParams, t, r):
     const = -(m / 4.0) * (params.p - 1.0 - 4.0 / m)
     if params.potential.is_constant:
         return params.potential.c0, const + 0.0
-    ft, fr = params.shift.grad_radial(t, r)
+    ft, fr = weight.grad_radial(t, r)
     V, Vt, Vr = params.potential.jet(t, r)
     return V, (-ft * Vt + fr * Vr) / V + const
 
 
-def flux_covector(params: CarlemanParams, fieldobj, t, r, fval=None):
+def flux_covector(params: CarlemanParams, fieldobj, t, r, weight, fval=None):
     """Covariant components (P_t, P_r) of the multiplier current
 
     P_b = f^{2a} (grad f . grad phi d_b phi - 1/2 d_b f grad phi . grad phi)
@@ -102,16 +101,16 @@ def flux_covector(params: CarlemanParams, fieldobj, t, r, fval=None):
         + ((n-1)/4 + a) f^{2a} phi d_b phi
         + a ((n-1)/4 + a) f^{2a-1} d_b f phi^2.
 
-    `fval` lets surface pieces supply the weight computed in a
-    cancellation-free form near its zero set.
+    `weight` gives f and its gradient; `fval` lets surface pieces supply f
+    computed in a cancellation-free form near its zero set.
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    f = (params.shift.value_radial(t, r) if fval is None
+    f = (weight.value_radial(t, r) if fval is None
          else np.asarray(fval, dtype=float))
     if np.any(f <= 0.0):
         raise ValueError("flux vector requires f > 0")
-    ft, fr = params.shift.grad_radial(t, r)
+    ft, fr = weight.grad_radial(t, r)
     ph, pt, pr = fieldobj.jet(t, r)[:3]
     V = params.potential.value(t, r)
     a, p, n = params.a, params.p, params.n
@@ -147,6 +146,7 @@ class _SidedBulk(BulkRegion):
     slices' levels and the radial edges the sides' own radius(t)."""
 
     pieces: tuple
+    weight: ShiftedWeight
 
     def time_window(self):
         return self.pieces[0].level, self.pieces[1].level
@@ -162,8 +162,8 @@ def _sided_region(inner, outer, shift: ShiftedWeight) -> _SidedBulk:
     """The region between two timelike sides (cylinders or tilted cones)
     over the inner side's window, with its four pieces in the order of
     SIDED_ORIENTATION. The slices reject ends where 0 <= inner < outer
-    fails, and the region is rejected unless the weight of `shift` is
-    positive on its inner side."""
+    fails, and the region, whose weight is `shift`, is rejected unless that
+    weight is positive on its inner side."""
     t0, t1 = inner.t_lo, inner.t_hi
     pieces = tuple(TimeSlicePiece(t, float(inner.radius(t)),
                                   float(outer.radius(t)))
@@ -175,7 +175,7 @@ def _sided_region(inner, outer, shift: ShiftedWeight) -> _SidedBulk:
     for t in (t0, t1):
         if float(inner.radius(t)) ** 2 - (t - shift.t_star) ** 2 <= 0.0:
             raise ValueError("region closure leaves the exterior region {f > 0}")
-    return _SidedBulk(pieces)
+    return _SidedBulk(pieces, shift)
 
 
 def box_region(t0, t1, r0, r1, shift: ShiftedWeight = UNSHIFTED) -> _SidedBulk:
@@ -229,9 +229,9 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
         which scale the results: from one field jet per node and two
         powers, f^{2a} and |phi|^p, which give f^{2a+1}, |phi|^{p+1} and
         the signed power."""
-        f = params.shift.value_radial(t, r)
+        f = region.weight.value_radial(t, r)
         ph, _, _, box = fieldobj.jet(t, r)
-        V, gamma = _potential_and_gamma(params, t, r)
+        V, gamma = _potential_and_gamma(params, region.weight, t, r)
         f2a = f ** (2 * a)
         mag = np.abs(ph)
         powp = mag ** p
@@ -251,7 +251,7 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
                 for res, c in zip(integrate_bulk(region, integrand, q, n),
                                   (p + 1.0, 8.0 * a)))
 
-    fluxes = _piece_fluxes(params, fieldobj, region.pieces, q)
+    fluxes = _piece_fluxes(params, fieldobj, region.pieces, region.weight, q)
     errors = {"lhs": lhs.error_estimate, "rhs_bulk": rhs.error_estimate}
     errors.update((f"piece{idx}", res.error_estimate)
                   for idx, res in enumerate(fluxes))
@@ -272,12 +272,14 @@ def verify_global(params: CarlemanParams, fieldobj: ManufacturedField,
     )
 
 
-def _piece_fluxes(params, fieldobj, pieces, q):
+def _piece_fluxes(params, fieldobj, pieces, weight, q):
     """Boundary integrals of P . N, one per piece, along each piece's own
-    normal: P from one flux_covector call per group of node sets (a weight,
-    where a piece carries one, comes in as f)."""
+    normal: P under `weight` from one flux_covector call per group of node
+    sets (a weight value, where a piece carries one, comes in as f)."""
     return integrate_surfaces(
-        pieces, lambda *tr: flux_covector(params, fieldobj, *tr), q, params.n,
+        pieces, lambda t, r, f=None: flux_covector(params, fieldobj, t, r,
+                                                   weight, f),
+        q, params.n,
         contract=lambda piece, P, t, r, f: piece.dot_normal(*P, t, r, f))
 
 
@@ -305,15 +307,13 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
     For radial fields the strengthened boundary gradient (d_t phi)^2 +
     (d_r phi)^2 coincides with the full |grad phi|^2.
     """
-    if params.shift != exterior.weight:
-        raise ValueError("params.shift must match the exterior region")
     if not params.shifted_range_ok:
         raise ValueError("(a, p, n) outside the shifted admissible range")
     a, p, n = params.a, params.p, params.n
-    ts = exterior.t_star
+    ts, weight = exterior.t_star, exterior.weight
 
     def lhs_integrand(t, r):
-        return (params.shift.value_radial(t, r) ** (2 * a)
+        return (weight.value_radial(t, r) ** (2 * a)
                 * np.abs(fieldobj.jet(t, r)[0]) ** (p + 1.0))
 
     lhs = integrate_bulk(exterior, lhs_integrand, q, n)
@@ -333,13 +333,9 @@ def verify_shifted(params: CarlemanParams, fieldobj: ManufacturedField,
         "t3_zeroth": ts ** (-1.0 + 4.0 * a) * t3.value,
         "t4_singular": ts * t4.value,
     }
-    errors = {
-        "lhs": lhs.error_estimate,
-        "t1": t1.error_estimate,
-        "t2": t2.error_estimate,
-        "t3": t3.error_estimate,
-        "t4": t4.error_estimate,
-    }
+    errors = {"lhs": lhs.error_estimate}
+    errors.update((f"t{idx}", res.error_estimate)
+                  for idx, res in enumerate((t1, t2, t3, t4), 1))
     rhs_total = sum(terms.values())
     ratio = lhs.value / rhs_total if rhs_total > 0 else math.inf if lhs.value > 0 else 0.0
 
@@ -357,9 +353,8 @@ def vanishing_flux_probe(params: CarlemanParams, field, exterior,
     Returns one value per eps; for C^2 fields the sequence tends to 0 as the
     level approaches the null boundary, which callers assert.
     """
-    if params.shift != exterior.weight:
-        raise ValueError("params.shift must match the exterior region")
     if sorted(eps_sequence, reverse=True) != list(eps_sequence):
         raise ValueError("eps sequence must be decreasing")
     pieces = [exterior.level_set(eps) for eps in eps_sequence]
-    return [-res.value for res in _piece_fluxes(params, field, pieces, q)]
+    return [-res.value for res in _piece_fluxes(params, field, pieces,
+                                                exterior.weight, q)]

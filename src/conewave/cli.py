@@ -116,8 +116,8 @@ _KEYS = (
          lambda v: len(v) <= 1 and all(0 < a < math.inf for a in v),
          "empty or one finite positive value", sweep=("verify-carleman",)),
     _Key("diagnostics", "horizons", _floats, (4.0, 8.0, 16.0, 32.0),
-         lambda v: all(h > 1 for h in v) and len(set(v)) == len(v),
-         "distinct and greater than 1"),
+         lambda v: len(set(v)) == len(v) > 0 and all(h > 1 for h in v),
+         "one or more, distinct and greater than 1"),
     _Key("diagnostics", "window", _floats, (),
          lambda v: not v or len(v) == 2 and 0 < v[0] < v[1],
          "empty or two values lo hi with 0 < lo < hi"),
@@ -403,7 +403,7 @@ def _random_case(rng, forced_a=None):
     else:
         speed = float(rng.uniform(-0.8, 0.8))
         fieldobj = traveling_bump(n, amp, speed, fc_r - speed * fc_t, wr)
-    params = carleman.CarlemanParams(a=a, p=p, n=n, potential=V, shift=shift)
+    params = carleman.CarlemanParams(a=a, p=p, n=n, potential=V)
     return (params, fieldobj, region), fell_back
 
 
@@ -468,7 +468,7 @@ def _diagnostic_field(cfg: RunConfig, t_late=-math.inf):
                               "profile on t < 0 only, read here at t = "
                               f"{t_late!r}")
         return _config_call("[diagnostics] field_source = ode: ",
-                            ode_field, cfg.p, cfg.n)
+                            ode_field, cfg.p)
     if cfg.data is None:
         raise ConfigError("field_source=run requires a [data] section")
     levels = evolve(cfg.solver, cfg.data).levels

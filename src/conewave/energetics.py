@@ -132,6 +132,8 @@ def _lateral_window(field, eta, t_star):
         raise ValueError("eta must exceed 1")
     if math.isnan(t_star):
         raise ValueError("lateral center time must be a number")
+    if t_star == 0.0:
+        raise ValueError("lateral center time must be nonzero")
     field.require_times(scaled_window(t_star, eta))
 
 

@@ -70,8 +70,8 @@ class OdeSolution:
         return -((self.amplitude / level) ** (1.0 / self.k))
 
 
-def ode_field(p, n=3):
-    """The homogeneous blow-up solution as a field on {t < 0}."""
+def ode_field(p):
+    """The homogeneous blow-up solution, on {t < 0} in any dimension."""
     sol = OdeSolution(p)
     C, k = sol.amplitude, sol.k
 

@@ -105,6 +105,7 @@ def test_criterion_2_global_carleman_suite():
 def test_criterion_3_shifted_estimate():
     rng = np.random.default_rng(11)
     a, p, n = 0.25, 2.0, 3
+    params = CarlemanParams(a=a, p=p, n=n)
     worst_spread = 0.0
     flux_ok = True
     for case in range(20):
@@ -116,7 +117,6 @@ def test_criterion_3_shifted_estimate():
         ratios = []
         for lam in (1.0, 2.0, 4.0):
             ext = ExteriorRegionSpec(0.5, lam)
-            params = CarlemanParams(a=a, p=p, n=n, shift=ext.weight)
             scale_amp = amp * lam ** (-2.0 / (p - 1.0))
             if poly:
                 # polynomial coefficients carry inverse length scales
@@ -139,7 +139,7 @@ def test_criterion_3_shifted_estimate():
 
 
 def test_criterion_4_ode_scaling_laws():
-    field = ode_field(2.0, 3)
+    field = ode_field(2.0)
     cg, cp = annulus_scaling_constant(2.0, 3, 0.25, 0.5)
     sg, sp = slab_scaling_constant(2.0, 3, 0.25, 1.2)
     assert cg == pytest.approx(65.97, abs=0.01)
@@ -212,7 +212,7 @@ def test_criterion_7_localized_ratio(truncated_run_field):
             ratios.append(chk.ratio)
         return max(ratios) / min(ratios), ratios
 
-    s_ode, r_ode = spread(ode_field(2.0, 3))
+    s_ode, r_ode = spread(ode_field(2.0))
     s_run, r_run = spread(truncated_run_field)
     # +-20% variation allowance around the mid value: max/min <= 1.2/0.8
     ok = s_ode <= 1.5 and s_run <= 1.5

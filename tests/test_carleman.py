@@ -58,8 +58,8 @@ def offcenter_gaussian(n, A, tc, rc, wt, wr):
         closures_jet(*_offcenter_closures(n, A, tc, rc, wt, wr)))
 
 
-def bulk_gamma(params, t, r):
-    return carleman._potential_and_gamma(params, t, r)[1]
+def bulk_gamma(params, t, r, weight=UNSHIFTED):
+    return carleman._potential_and_gamma(params, weight, t, r)[1]
 
 
 class TestBulkGamma:
@@ -109,7 +109,8 @@ class TestBulkGamma:
 class TestFluxCovector:
     def test_zero_field(self):
         params = CarlemanParams(a=0.25, p=2.0, n=3)
-        Pt, Pr = flux_covector(params, zero_field(), 0.3, np.array([1.0, 1.5]))
+        Pt, Pr = flux_covector(params, zero_field(), 0.3, np.array([1.0, 1.5]),
+                               UNSHIFTED)
         assert np.all(Pt == 0.0) and np.all(Pr == 0.0)
 
     def test_constant_field_closed_form(self):
@@ -123,7 +124,7 @@ class TestFluxCovector:
             + a * c1 * f ** (2 * a - 1) * ft * c * c
         expect_r = f ** (2 * a) * fr * c ** (p + 1) / (p + 1) \
             + a * c1 * f ** (2 * a - 1) * fr * c * c
-        Pt, Pr = flux_covector(params, constant_field(c), t, r)
+        Pt, Pr = flux_covector(params, constant_field(c), t, r, UNSHIFTED)
         assert Pt == pytest.approx(expect_t, rel=1e-13)
         assert Pr == pytest.approx(expect_r, rel=1e-13)
 
@@ -140,14 +141,14 @@ class TestFluxCovector:
                 lambda t, r: np.zeros(np.broadcast(t, r).shape)),
         )
         params = CarlemanParams(a=0.5, p=2.0, n=1)
-        Pt, Pr = flux_covector(params, field, 0.0, 2.0)
+        Pt, Pr = flux_covector(params, field, 0.0, 2.0, UNSHIFTED)
         assert Pt == pytest.approx(0.0, abs=1e-15)
         assert Pr == pytest.approx(0.5, rel=1e-14)
 
     def test_rejects_nonpositive_weight(self):
         params = CarlemanParams(a=0.25, p=2.0, n=1)
         with pytest.raises(ValueError):
-            flux_covector(params, constant_field(1.0), 2.0, 1.0)
+            flux_covector(params, constant_field(1.0), 2.0, 1.0, UNSHIFTED)
 
 
 class TestRegionLibrary:
@@ -202,7 +203,7 @@ class TestVerifyGlobal:
         # region must reproduce its oriented boundary integral: a sharp
         # check on the orientation and measure of each kind of side
         shift = ShiftedWeight(t_star)
-        params = CarlemanParams(a=0.25, p=2.0, n=3, shift=shift)
+        params = CarlemanParams(a=0.25, p=2.0, n=3)
         field = offcenter_gaussian(3, 1.2, 0.1, 1.5, 0.35, 0.3)
         region = {"box": box_region(-0.4, 0.4, 1.0, 2.0, shift),
                   "frustum": frustum_region(-0.4, 0.4, 1.0, 0.5, -4.4, shift),
@@ -214,10 +215,10 @@ class TestVerifyGlobal:
         n = 3
 
         def div(t, r):
-            Pt1, _ = flux_covector(params, field, t + h, r)
-            Pt0, _ = flux_covector(params, field, t - h, r)
-            _, Pr1 = flux_covector(params, field, t, r + h)
-            _, Pr0 = flux_covector(params, field, t, r - h)
+            Pt1, _ = flux_covector(params, field, t + h, r, shift)
+            Pt0, _ = flux_covector(params, field, t - h, r, shift)
+            _, Pr1 = flux_covector(params, field, t, r + h, shift)
+            _, Pr0 = flux_covector(params, field, t, r - h, shift)
             radial = ((r + h) ** (n - 1) * Pr1 - (r - h) ** (n - 1) * Pr0) \
                 / (2 * h) / r ** (n - 1)
             return -(Pt1 - Pt0) / (2 * h) + radial
@@ -279,10 +280,10 @@ class TestVerifyGlobal:
         shifted_field = offcenter_gaussian(n, 1.1, tau, 1.4, 0.3, 0.25)
         rep0 = verify_global(CarlemanParams(a=a, p=p, n=n), base_field,
                              box_region(-0.4, 0.4, 1.0, 2.0))
-        shift = ShiftedWeight(tau)
         rep1 = verify_global(
-            CarlemanParams(a=a, p=p, n=n, shift=shift), shifted_field,
-            box_region(-0.4 + tau, 0.4 + tau, 1.0, 2.0, shift=shift))
+            CarlemanParams(a=a, p=p, n=n), shifted_field,
+            box_region(-0.4 + tau, 0.4 + tau, 1.0, 2.0,
+                       shift=ShiftedWeight(tau)))
         assert rep1.lhs_bulk == pytest.approx(rep0.lhs_bulk, rel=1e-10)
         assert rep1.rhs_bulk == pytest.approx(rep0.rhs_bulk, rel=1e-10)
         assert rep1.rhs_boundary == pytest.approx(rep0.rhs_boundary, rel=1e-10)
@@ -308,8 +309,8 @@ class TestVerifyGlobal:
         assert slope_lhs == pytest.approx(slope_rhs, abs=1e-2)
 
 
-def _reference_bulk_gamma(params, t, r):
-    ft, fr = params.shift.grad_radial(t, r)
+def _reference_bulk_gamma(params, weight, t, r):
+    ft, fr = weight.grad_radial(t, r)
     V = params.potential.value(t, r)
     Vt, Vr = params.potential.jet(t, r)[1:]
     m = params.n - 1.0 + 4.0 * params.a
@@ -356,20 +357,19 @@ class TestVerifyGlobalOnePass:
     def test_matches_two_pass_reference(self, family, potential):
         region = self.REGIONS[family](self.SHIFT)
         params = CarlemanParams(a=0.3, p=2.2, n=3,
-                                potential=self.POTENTIALS[potential],
-                                shift=self.SHIFT)
+                                potential=self.POTENTIALS[potential])
         a, p = params.a, params.p
         phi, _, _, box = offcenter_closures(3, 0.8, 0.0, 1.0, 0.3, 0.35)
 
         def lhs_integrand(t, r):
-            f = params.shift.value_radial(t, r)
+            f = self.SHIFT.value_radial(t, r)
             V = params.potential.value(t, r)
             power = _power_sides(phi(t, r), box(t, r), V, p)[0]
-            return (f ** (2 * a) * (V * _reference_bulk_gamma(params, t, r))
-                    * power)
+            gamma = _reference_bulk_gamma(params, self.SHIFT, t, r)
+            return f ** (2 * a) * (V * gamma) * power
 
         def rhs_integrand(t, r):
-            f = params.shift.value_radial(t, r)
+            f = self.SHIFT.value_radial(t, r)
             box_v = _power_sides(phi(t, r), box(t, r),
                                  params.potential.value(t, r), p)[1]
             return f ** (2 * a) * f * box_v ** 2
@@ -444,8 +444,8 @@ class TestPotentialEvaluatedOnce:
             const = -(m / 4.0) * (params.p - 1.0 - 4.0 / m)
 
             def lhs_integrand(t, r):
-                f = params.shift.value_radial(t, r)
-                ft, fr = params.shift.grad_radial(t, r)
+                f = region.weight.value_radial(t, r)
+                ft, fr = region.weight.grad_radial(t, r)
                 V, Vt, Vr = _separate_potential(params.potential, t, r)
                 gamma = (-ft * Vt + fr * Vr) / V + const
                 ph, _, _, box = fieldobj.jet(t, r)
@@ -453,7 +453,7 @@ class TestPotentialEvaluatedOnce:
                         * _power_sides(ph, box, V, p)[0])
 
             def rhs_integrand(t, r):
-                f = params.shift.value_radial(t, r)
+                f = region.weight.value_radial(t, r)
                 V = _separate_potential(params.potential, t, r)[0]
                 ph, _, _, box = fieldobj.jet(t, r)
                 return f ** (2 * a) * f * _power_sides(ph, box, V, p)[1] ** 2
@@ -668,7 +668,7 @@ class TestBuilderRejectSet:
 class TestVerifyShifted:
     def test_zero_field(self):
         ext = ExteriorRegionSpec(0.5, 1.0)
-        params = CarlemanParams(a=0.25, p=2.0, n=3, shift=ext.weight)
+        params = CarlemanParams(a=0.25, p=2.0, n=3)
         rep = verify_shifted(params, zero_field(), ext)
         assert rep.lhs == 0.0
         assert all(v == 0.0 for v in rep.terms.values())
@@ -681,7 +681,7 @@ class TestVerifyShifted:
         ratios = []
         for lam in (1.0, 2.0, 4.0):
             ext = ExteriorRegionSpec(0.5, lam)
-            params = CarlemanParams(a=a, p=p, n=n, shift=ext.weight)
+            params = CarlemanParams(a=a, p=p, n=n)
             amp = lam ** (-2.0 / (p - 1.0))
             field = gaussian_pulse(n, amp, lam, 0.3 * lam, 0.25 * lam)
             rep = verify_shifted(params, field, ext)
@@ -691,18 +691,16 @@ class TestVerifyShifted:
 
     def test_flux_trail_decreases(self):
         ext = ExteriorRegionSpec(0.5, 1.0)
-        params = CarlemanParams(a=0.25, p=2.0, n=3, shift=ext.weight)
+        params = CarlemanParams(a=0.25, p=2.0, n=3)
         rep = verify_shifted(params, gaussian_pulse(3, 1.0, 1.0, 0.3, 0.25), ext)
         mags = [abs(v) for v in rep.flux_trail]
         assert mags[0] > mags[1] > mags[2]
         assert mags[2] < 0.5 * mags[0]
 
-    def test_requires_matching_shift_and_range(self):
+    def test_requires_range(self):
         ext = ExteriorRegionSpec(0.5, 1.0)
-        with pytest.raises(ValueError):
-            verify_shifted(CarlemanParams(a=0.25, p=2.0, n=3), zero_field(), ext)
-        bad = CarlemanParams(a=0.45, p=2.5, n=3, shift=ext.weight)
-        with pytest.raises(ValueError):
+        bad = CarlemanParams(a=0.45, p=2.5, n=3)
+        with pytest.raises(ValueError, match="shifted admissible range"):
             verify_shifted(bad, zero_field(), ext)
 
     def test_perturbed_potential_with_admissible_smallness(self):
@@ -711,8 +709,7 @@ class TestVerifyShifted:
         ext = ExteriorRegionSpec(0.5, 1.0)
         V = PotentialSpec(1.0, 0.05, (1.0, 0.2), 0.5)
         assert abs(V.eps) * ext.t_star <= 0.1
-        params = CarlemanParams(a=0.25, p=2.0, n=3, potential=V,
-                                shift=ext.weight)
+        params = CarlemanParams(a=0.25, p=2.0, n=3, potential=V)
         lo, hi = ext.time_window()
         tt = np.linspace(lo + 1e-3, hi - 1e-3, 21)
         for t in tt:
@@ -720,7 +717,7 @@ class TestVerifyShifted:
                              0.5 * t - 1e-3, 11)
             if rr[0] >= rr[-1]:
                 continue
-            assert np.all(bulk_gamma(params, t, rr) > 0.0)
+            assert np.all(bulk_gamma(params, t, rr, ext.weight) > 0.0)
         rep = verify_shifted(params, gaussian_pulse(3, 1.0, 1.0, 0.3, 0.25), ext)
         assert np.isfinite(rep.ratio) and rep.ratio > 0.0
 
@@ -750,7 +747,7 @@ class TestVerifyShiftedOneJet:
         from conewave.fields import polynomial_gaussian
 
         ext = ExteriorRegionSpec(sigma, ts)
-        params = CarlemanParams(a=a, p=2.0, n=3, shift=ext.weight)
+        params = CarlemanParams(a=a, p=2.0, n=3)
         fieldobj = (polynomial_gaussian(3, 0.7, ts, 0.3, 0.4, c1=0.3, c2=-0.2)
                     if poly else gaussian_pulse(3, 1.0, ts, 0.3, 0.25))
         jets = []

@@ -538,6 +538,8 @@ class TestConfigTable:
         ("diagnostics", "window", "0.1 0.6 0.9"),  # 0.9 dropped, exit 0
         ("diagnostics", "ratio_band", "0.99"),     # every run failed, exit 3
         ("diagnostics", "horizons", "4 4 8"),      # `need 0 <= t_lo < t_hi`
+        # `max() arg is an empty sequence` in decay, exit 1
+        ("diagnostics", "horizons", ""),
         ("diagnostics", "a", "0.1 0.3"),           # ignored, exit 0
         ("grid", "R", "inf"),                      # exit 0 with dt=inf
         ("grid", "snapshot_log", "0.04 inf 16"),   # an OverflowError

@@ -39,7 +39,7 @@ def truncated_run_field():
 
 class TestAnnulusQuantity:
     def test_ode_matches_scaling_constants(self):
-        field = ode_field(2.0, 3)
+        field = ode_field(2.0)
         cg, cp = annulus_scaling_constant(2.0, 3, 0.25, 0.5)
         for t in (-1.0, -0.1, -0.01):
             [(val, err)] = annulus_quantity(field, 0.25, 0.5, [t], 2.0, 3, Q)
@@ -71,7 +71,7 @@ class TestAnnulusQuantity:
 
 class TestSlabQuantity:
     def test_ode_matches_scaling_constants(self):
-        field = ode_field(2.0, 3)
+        field = ode_field(2.0)
         cg, cp = slab_scaling_constant(2.0, 3, 0.25, 1.5)
         for ts in (-0.8, -0.3):
             (val, err), _ = slab_quantity(field, 0.25, 1.5, ts, 2.0, 3, Q)
@@ -83,7 +83,7 @@ class TestSlabQuantity:
 
     def test_thin_slab_linearity(self):
         # doubling gamma - 1 roughly doubles the slab quantity for phi*
-        field = ode_field(2.0, 3)
+        field = ode_field(2.0)
         (v1, _), _ = slab_quantity(field, 0.25, 1.05, -0.5, 2.0, 3, Q)
         (v2, _), _ = slab_quantity(field, 0.25, 1.10, -0.5, 2.0, 3, Q)
         assert v2 == pytest.approx(2.0 * v1, rel=0.1)
@@ -99,7 +99,7 @@ class TestSlabQuantity:
         lo, hi = 0.5 / 1.2, 0.5 * 1.2
         exact = (sol.amplitude ** (p + 1.0) * sphere_area(n) * 0.25 ** n / n
                  * (hi ** (m + 1.0) - lo ** (m + 1.0)) / (m + 1.0))
-        mass, err = slab(ode_field(p, n), 0.25, 1.2, -0.5, p, n, Q)[1]
+        mass, err = slab(ode_field(p), 0.25, 1.2, -0.5, p, n, Q)[1]
         return abs(mass - exact), err
 
     @pytest.mark.parametrize("p,n", [(2.0, 3), (1.5, 3), (2.5, 3), (3.0, 2)])
@@ -119,7 +119,7 @@ class TestSlabQuantity:
 
 class TestWeightedBallQuantity:
     def test_ode_frozen_constant(self):
-        field = ode_field(2.0, 3)
+        field = ode_field(2.0)
         expected = ball_quantity_ode(2.0, 3)
         for t in (-0.5, -0.1, -0.02):
             [(val, err)] = weighted_ball_quantity(field, [t], 2.0, 3, Q)
@@ -138,7 +138,7 @@ class TestWeightedBallQuantity:
 
     def test_requires_negative_time(self):
         with pytest.raises(ValueError):
-            weighted_ball_quantity(ode_field(2.0, 3), [0.5], 2.0, 3, Q)
+            weighted_ball_quantity(ode_field(2.0), [0.5], 2.0, 3, Q)
 
 
 class TestLateralQuantity:
@@ -165,6 +165,18 @@ class TestLateralQuantity:
         with pytest.raises(ValueError, match="eta must exceed 1"):
             lateral_quantity(zero_field(), 0.25, math.nan, -0.5, 2.0, 3, Q)
 
+    # before: the lateral cone was a `degenerate cone piece`, and the
+    # annulus sup was 0.0, a sup over 17 slices of zero width
+    @pytest.mark.parametrize("side", [
+        lambda fld: lateral_quantity(fld, 0.25, 2.0, 0.0, 2.0, 3, Q),
+        lambda fld: energetics._annulus_sup(fld, 0.25, 0.5, 2.0, 0.0, 2.0, 3,
+                                            Q),
+    ], ids=["lateral", "annulus_sup"])
+    def test_a_zero_center_time_is_refused(self, side):
+        with pytest.raises(ValueError,
+                           match="lateral center time must be nonzero"):
+            side(ode_field(2.0))
+
 
 class TestLocalizedEstimate:
     def test_zero_field_vacuity(self):
@@ -175,7 +187,7 @@ class TestLocalizedEstimate:
 
     def test_ode_ratio_self_similar(self):
         # finite ratio, stable within +-20% across a self-similar t* sweep
-        field = ode_field(2.0, 3)
+        field = ode_field(2.0)
         ratios = []
         for ts in (-0.5, -0.25, -0.125):
             chk = localized_estimate_check(field, 0.25, 0.5, 1.2, 2.0, ts,
@@ -189,7 +201,7 @@ class TestLocalizedEstimate:
         # before: eta = 0.5 gave rhs = 5409.8, a sup over levels from 1.0
         # down to 0.25, and NaN was refused by the slice bounds instead
         with pytest.raises(ValueError, match=r"^eta must exceed 1$"):
-            localized_estimate_check(ode_field(2.0, 3), 0.25, 0.5, 1.2, eta,
+            localized_estimate_check(ode_field(2.0), 0.25, 0.5, 1.2, eta,
                                      -0.5, 2.0, 3, Q)
 
     def test_run_ratio_positive_lower_bound(self, truncated_run_field):
@@ -446,7 +458,7 @@ class TestAnnulusSupOneCall:
     def test_closed_form_fields(self, t_star, sup_times):
         fields = [gaussian_pulse(3, 0.8, 0.2, 0.5, 0.3), zero_field()]
         if t_star < 0:
-            fields.append(ode_field(2.0, 3))
+            fields.append(ode_field(2.0))
         for field in fields:
             got = energetics._annulus_sup(field, 0.25, 0.5, 2.0, t_star, 2.0,
                                           3, Q)
@@ -550,7 +562,7 @@ class TestFamilies:
     @pytest.fixture(params=["run", "ode", "gaussian"])
     def field(self, request, truncated_run_field):
         return {"run": lambda: truncated_run_field,
-                "ode": lambda: ode_field(2.0, 3),
+                "ode": lambda: ode_field(2.0),
                 "gaussian": lambda: gaussian_pulse(3, 0.8, -0.2, 0.5, 0.3),
                 }[request.param]()
 
@@ -617,7 +629,7 @@ class TestFamilies:
     ], ids=["eta-window", "ball-sign", "eta-nan", "gamma"])
     def test_a_refused_time_raises_what_a_time_by_time_pass_does(
             self, truncated_run_field, name, times, gamma, eta):
-        field = truncated_run_field if name == "run" else ode_field(2.0, 3)
+        field = truncated_run_field if name == "run" else ode_field(2.0)
         args = (field, 0.25, 0.5, gamma, eta, times, 2.0, 3, Q)
         with pytest.raises(ValueError) as want:
             _profile_time_by_time(*args)

@@ -95,7 +95,7 @@ class TestScalingConstants:
     def test_annulus_constancy_by_quadrature(self):
         # oracle: integrate the weighted annulus integrals of phi* at three
         # times; the spread must stay within 0.1% (or the quadrature error)
-        field = ode_field(2.0, 3)
+        field = ode_field(2.0)
         q = QuadratureSpec()
         cg, cp = annulus_scaling_constant(2.0, 3, 0.25, 0.5)
         expected = cg + cp
@@ -109,7 +109,7 @@ class TestScalingConstants:
         assert cp == pytest.approx(0.0, abs=1e-8)
 
     def test_slab_constancy_by_quadrature(self):
-        field = ode_field(2.0, 3)
+        field = ode_field(2.0)
         q = QuadratureSpec()
         cg, cp = slab_scaling_constant(2.0, 3, 0.25, 1.5)
         expected = cg + cp
@@ -136,7 +136,7 @@ class TestMzQuantity:
         assert ball_quantity_ode(2.0, 3) == pytest.approx(MZ_N3_P2, rel=1e-12)
 
     def test_t_independent_by_quadrature(self):
-        field = ode_field(2.0, 3)
+        field = ode_field(2.0)
         q = QuadratureSpec()
         for t in (-0.5, -0.1, -0.02):
             [(val, err)] = weighted_ball_quantity(field, [t], 2.0, 3, q)

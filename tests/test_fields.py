@@ -116,7 +116,7 @@ class TestGradientNormSq:
 
     def test_ode_field_p2(self):
         # d_t phi* = 12 (-t)^{-3} at t = -1 gives 144
-        _, phi_t, phi_r, _ = ode_field(2.0, 3).jet(-1.0, 0.7)
+        _, phi_t, phi_r, _ = ode_field(2.0).jet(-1.0, 0.7)
         assert phi_t ** 2 + phi_r ** 2 == pytest.approx(144.0)
 
     def test_linear_field(self):
@@ -139,7 +139,7 @@ class TestBoxOperator:
 
     def test_ode_solution_closed_form(self):
         # box phi* = -|phi*| phi* for p = 2: at t = -1 that is -36
-        assert ode_field(2.0, 3).jet(-1.0, 0.3)[3] == pytest.approx(-36.0)
+        assert ode_field(2.0).jet(-1.0, 0.3)[3] == pytest.approx(-36.0)
 
     def test_r_squared_discrete(self):
         # box r^2 = 2n for the radial Laplacian; exercised through the
@@ -168,7 +168,7 @@ class TestNonlinearResidual:
     def test_ode_solution_exact_zero(self):
         V = PotentialSpec(1.0)
         for p in (1.5, 2.0, 3.0):
-            val = residual(ode_field(p, 3), V, p, -0.7, 0.2)
+            val = residual(ode_field(p), V, p, -0.7, 0.2)
             assert val == pytest.approx(0.0, abs=1e-10)
 
 
@@ -178,7 +178,7 @@ class TestManufacturedDerivatives:
         (polynomial_gaussian(3, 0.8, -0.2, 0.6, 0.7, c1=0.4, c2=-0.3), 0.25,
          0.9),
         (traveling_bump(3, 1.0, 0.4, 1.5, 0.3), 0.25, 0.9),
-        (ode_field(2.0, 3), -0.5, 0.8),
+        (ode_field(2.0), -0.5, 0.8),
     ], ids=["gauss", "polygauss", "travel", "ode"])
     def test_derivatives_match_finite_differences(self, field, t0, r0):
         def phi(t, r):
@@ -692,7 +692,7 @@ MANUFACTURED = [
 
 class TestJetBitIdentity:
     CASES = [case[:3] + case[4:5] for case in MANUFACTURED] + [
-        ("ode", ode_field(2.5, 3), _ode_closures(2.5), (-1.0, -0.05, 0.0, 1.0)),
+        ("ode", ode_field(2.5), _ode_closures(2.5), (-1.0, -0.05, 0.0, 1.0)),
         ("zero", zero_field(), _constant_closures(0.0), (-1.0, 1.0, 0.0, 1.0)),
         ("constant", constant_field(1.7), _constant_closures(1.7),
          (-1.0, 1.0, 0.0, 1.0)),

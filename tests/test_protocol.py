@@ -214,14 +214,14 @@ class TestPieceProtocol:
             same_bits(got, reference_surface(piece, integrand, q, 3))
 
 
-def reference_flux(params, fieldobj, piece):
-    """P . N with the normal formulas of each piece type: constant normals
-    as arrays, the level set's normal per node."""
+def reference_flux(params, fieldobj, weight, piece):
+    """P . N under `weight` with the normal formulas of each piece type:
+    constant normals as arrays, the level set's normal per node."""
     if isinstance(piece, LevelSetPiece):
-        ts = params.shift.t_star
+        ts = weight.t_star
 
         def level_flux(t, r, f):
-            Pt, Pr = flux_covector(params, fieldobj, t, r, fval=f)
+            Pt, Pr = flux_covector(params, fieldobj, t, r, weight, fval=f)
             scale = 1 / np.sqrt(f)
             return Pt * scale * 0.5 * (t - ts) + Pr * scale * 0.5 * r
 
@@ -236,7 +236,7 @@ def reference_flux(params, fieldobj, piece):
         normal = np.array([scale * s, scale])
 
     def flux(t, r, f=None):
-        Pt, Pr = flux_covector(params, fieldobj, t, r, fval=f)
+        Pt, Pr = flux_covector(params, fieldobj, t, r, weight, fval=f)
         return Pt * normal[0] + Pr * normal[1]
 
     return flux
@@ -255,12 +255,13 @@ class TestBoundaryFlux:
                   "inverted": inverted_frustum_region(0.1, 0.6, 2.5, 0.5,
                                                       -2.0)}[family]
         rep = verify_global(params, fieldobj, region, Q)
-        fluxes = carleman._piece_fluxes(params, fieldobj, region.pieces, Q)
+        fluxes = carleman._piece_fluxes(params, fieldobj, region.pieces,
+                                        region.weight, Q)
         wants = []
         for got, piece in zip(fluxes, region.pieces):
             [want] = integrate_surfaces(
-                (piece,), reference_flux(params, fieldobj, piece), Q,
-                params.n)
+                (piece,), reference_flux(params, fieldobj, region.weight,
+                                         piece), Q, params.n)
             assert got.value != 0.0
             assert got.value.hex() == want.value.hex()
             wants.append(want.value)
@@ -272,14 +273,14 @@ class TestBoundaryFlux:
         fieldobj = gaussian_pulse(3, 1.0, 1.0, 0.3, 0.25)
         eps_seq = [1e-2, 1e-3]
         params = CarlemanParams(a=0.25, p=2.0, n=3,
-                                potential=PotentialSpec(1.0),
-                                shift=ext.weight)
+                                potential=PotentialSpec(1.0))
         want = []
         for eps in eps_seq:
             lo, hi = exterior_window(0.5, 1.0, eps)
             piece = LevelSetPiece(ext.weight, eps, lo, hi)
             [res] = integrate_surfaces(
-                (piece,), reference_flux(params, fieldobj, piece), Q, 3)
+                (piece,), reference_flux(params, fieldobj, ext.weight, piece),
+                Q, 3)
             want.append(-res.value)  # out of {f > eps}: toward the axis
         got = vanishing_flux_probe(params, fieldobj, ext, eps_seq, Q)
         assert [v.hex() for v in got] == [v.hex() for v in want]
@@ -355,15 +356,15 @@ class TestBoundaryFluxFamily:
     @pytest.mark.parametrize("family", ["box", "frustum", "inverted"])
     def test_one_covector_call_per_group(self, monkeypatch, family):
         shift = ShiftedWeight(1.0)
-        params = CarlemanParams(a=0.3, p=2.0, n=2, shift=shift)
+        params = CarlemanParams(a=0.3, p=2.0, n=2)
         fieldobj = _offcenter_gaussian(2, 0.9, 1.0, 0.8, 0.2, 0.2)
         region = {"box": box_region(0.1, 0.6, 1.2, 1.7, shift),
                   "frustum": frustum_region(0.1, 0.6, 1.2, 0.5, -3.0, shift),
                   "inverted": inverted_frustum_region(0.1, 0.6, 2.5, 0.5,
                                                       -2.0, shift)}[family]
         rep = verify_global(params, fieldobj, region, Q)
-        want = piece_by_piece_fluxes(params, fieldobj, region.pieces, Q)
-        got = carleman._piece_fluxes(params, fieldobj, region.pieces, Q)
+        want = piece_by_piece_fluxes(params, fieldobj, region.pieces, shift, Q)
+        got = carleman._piece_fluxes(params, fieldobj, region.pieces, shift, Q)
         assert [r.value.hex() for r in got] == [w.value.hex() for w in want]
         assert rep.rhs_boundary.hex() == \
             float(sum(s * w.value for s, w in zip(ORIENTATION, want))).hex()

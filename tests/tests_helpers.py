@@ -30,10 +30,11 @@ def box_bulk(t0, t1, r0, r1):
     """The rectangle {t0 < t < t1, r0 < r < r1} from its four pieces,
     without box_region's check that f > 0 on it."""
     from conewave.carleman import _SidedBulk
-    from conewave.geometry import CylinderPiece, TimeSlicePiece
+    from conewave.geometry import UNSHIFTED, CylinderPiece, TimeSlicePiece
 
     return _SidedBulk((TimeSlicePiece(t0, r0, r1), TimeSlicePiece(t1, r0, r1),
-                       CylinderPiece(r0, t0, t1), CylinderPiece(r1, t0, t1)))
+                       CylinderPiece(r0, t0, t1), CylinderPiece(r1, t0, t1)),
+                      UNSHIFTED)
 
 
 def written_region(window, r_inner, r_outer, singular_r=(False, False),
@@ -268,13 +269,13 @@ def set_by_set_surface(piece, integrand, q, n):
     return quadrature._refine(level, q)
 
 
-def piece_by_piece_fluxes(params, fieldobj, pieces, q):
+def piece_by_piece_fluxes(params, fieldobj, pieces, weight, q):
     """P . N through each piece from its own flux_covector calls."""
     from conewave.carleman import flux_covector
 
     def flux_of(piece):
         def flux(t, r, f=None):
-            Pt, Pr = flux_covector(params, fieldobj, t, r, fval=f)
+            Pt, Pr = flux_covector(params, fieldobj, t, r, weight, fval=f)
             return piece.dot_normal(Pt, Pr, t, r, f)
         return flux
 
